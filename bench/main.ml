@@ -1,17 +1,13 @@
-(* The full benchmark harness: regenerates every table and figure of the
-   paper's evaluation (experiments E1-E10 of DESIGN.md), runs the two
-   ablations (A1, A2), and times the analysis kernels with Bechamel.
+(* The paper-reproduction driver: regenerates every table and figure of
+   the paper's evaluation (experiments E1-E10 and RQ2 of DESIGN.md), the
+   three ablations (A1-A3) and the bootstrap intervals (R1). Performance
+   is measured by the end-to-end benchmark in bench/e2e, not here.
 
    Knobs (environment):
      BENCH_SCALE        corpus scale (default 1.0 ≈ one tenth of paper volume)
      BENCH_SEED         corpus seed (default 42)
-     BENCH_QUOTA        seconds per Bechamel micro-benchmark (default 0.5)
-     BENCH_ONLY         comma-separated section names to run (e1..e10, rq2,
-                        a1..a3, r1, parallel, mining, snapshot, monitor,
-                        viz, micro);
-                        unset runs everything
-     DRIVEPERF_DOMAINS  default analysis parallelism (default: recommended
-                        domain count); the scaling suite sweeps 1/2/4/this *)
+     DRIVEPERF_DOMAINS  analysis parallelism (default: recommended domain
+                        count) *)
 
 module Table = Dputil.Table
 module Impact = Dpcore.Impact
@@ -52,8 +48,8 @@ let corpus =
 
 let bench_pool = Dppar.Pool.create ()
 
-(* Lazy so sections that build their own pipelines (mining, parallel)
-   can run under BENCH_ONLY without paying for the full fan-out. *)
+(* Lazy so its timing line prints inside E2, the first section that
+   reads it, rather than before the banner. *)
 let named_results =
   lazy
     (timed
@@ -488,209 +484,14 @@ let a3 () =
      unbounded-CPU default is a sound approximation for this study.";
   print_newline ()
 
-(* --- Parallel scaling: the same analysis at 1, 2, 4 and the recommended
-   number of domains. Stream indexes are pre-warmed (they are memoised
-   corpus-wide), so every timed run measures pure analysis work and no run
-   is favoured by a warmer cache than another. --- *)
-
-let parallel_scaling () =
-  section "Parallel scaling (dppar domain pool)";
-  let recommended = Dppar.Pool.default_domains () in
-  let counts = List.sort_uniq compare [ 1; 2; 4; recommended ] in
-  List.iter
-    (fun st -> ignore (Dptrace.Stream.shared_index st))
-    corpus.Dptrace.Corpus.streams;
-  let workload pool =
-    ( Pipeline.run_all ~pool ~scenarios:Paper.scenarios drivers corpus,
-      Pipeline.run_impact ~pool drivers corpus )
-  in
-  let runs =
-    List.map
-      (fun domains ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Dppar.Pool.with_pool ~domains (fun pool ->
-              timed (Printf.sprintf "full analysis, %d domain(s)" domains)
-                (fun () -> workload pool))
-        in
-        (domains, Unix.gettimeofday () -. t0, r))
-      counts
-  in
-  let base_seconds, (base_all, base_impact) =
-    match runs with
-    | (_, t, r) :: _ -> (t, r)
-    | [] -> assert false
-  in
-  let identical =
-    List.for_all
-      (fun (_, _, (all, impact)) ->
-        impact = base_impact
-        && List.for_all2
-             (fun (na, (ra : Pipeline.scenario_result)) (nb, rb) ->
-               na = nb
-               && ra.Pipeline.slow_impact = rb.Pipeline.slow_impact
-               && ra.Pipeline.coverages = rb.Pipeline.coverages
-               && Dpcore.Report.top_patterns ra.Pipeline.mining.Mining.patterns
-                    ~n:max_int
-                  = Dpcore.Report.top_patterns rb.Pipeline.mining.Mining.patterns
-                      ~n:max_int)
-             all base_all)
-      runs
-  in
-  let t =
-    Table.create ~title:"Scenario fan-out + impact analysis, by domain count"
-      [ ("domains", Table.Right); ("time", Table.Right); ("speedup", Table.Right) ]
-  in
-  List.iter
-    (fun (domains, seconds, _) ->
-      Table.add_row t
-        [
-          string_of_int domains;
-          Printf.sprintf "%.2fs" seconds;
-          Printf.sprintf "%.2fx" (base_seconds /. seconds);
-        ])
-    runs;
-  Table.print t;
-  Printf.printf
-    "results identical across domain counts: %s (hardware reports %d core(s))\n"
-    (if identical then "yes" else "NO - DETERMINISM VIOLATION")
-    recommended;
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"parallel-scaling\",\n  \"corpus_scale\": %g,\n  \
-     \"seed\": %d,\n  \"recommended_domains\": %d,\n  \"identical_results\": \
-     %b,\n  \"results\": [\n%s\n  ]\n}\n"
-    scale seed recommended identical
-    (String.concat ",\n"
-       (List.map
-          (fun (domains, seconds, _) ->
-            Printf.sprintf
-              "    { \"domains\": %d, \"seconds\": %.3f, \"speedup\": %.3f }"
-              domains seconds
-              (base_seconds /. seconds))
-          runs));
-  close_out oc;
-  print_endline "wrote BENCH_parallel.json"
-
-(* --- Bechamel micro-benchmarks of the analysis kernels --- *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let small = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.05) in
-  let entries = Dptrace.Corpus.all_instances small in
-  let graphs = Pipeline.build_graphs small entries in
-  let slow_awg = Dpcore.Awg.build drivers graphs in
-  let spec =
-    Dptrace.Scenario.spec ~name:"bench" ~tfast:(Dputil.Time.ms 100)
-      ~tslow:(Dputil.Time.ms 300)
-  in
-  let tests =
-    Test.make_grouped ~name:"driveperf"
-      [
-        Test.make ~name:"wait-graph-build(corpus=5%)"
-          (Staged.stage (fun () -> Pipeline.build_graphs small entries));
-        Test.make ~name:"impact-analysis"
-          (Staged.stage (fun () -> Impact.analyze_graphs drivers graphs));
-        Test.make ~name:"awg-build"
-          (Staged.stage (fun () -> Dpcore.Awg.build drivers graphs));
-        Test.make ~name:"meta-enumeration(k=5)"
-          (Staged.stage (fun () -> Mining.enumerate_metas slow_awg ~k:5));
-        Test.make ~name:"contrast-mining"
-          (Staged.stage (fun () ->
-               Mining.mine ~fast:slow_awg ~slow:slow_awg ~spec ()));
-        Test.make ~name:"codec-text-roundtrip"
-          (Staged.stage (fun () ->
-               Dptrace.Codec.corpus_of_string (Dptrace.Codec.corpus_to_string small)));
-        Test.make ~name:"codec-binary-roundtrip"
-          (Staged.stage (fun () ->
-               Dptrace.Codec_binary.decode (Dptrace.Codec_binary.encode small)));
-      ]
-  in
-  let quota = env_float "BENCH_QUOTA" 0.5 in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let t =
-    Table.create
-      [ ("kernel", Table.Left); ("time per run", Table.Right) ]
-  in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) -> Printf.sprintf "%.3f ms" (e /. 1e6)
-        | _ -> "n/a"
-      in
-      Table.add_row t [ name; est ])
-    (List.sort compare rows);
-  Table.print t;
-  let text_size = String.length (Dptrace.Codec.corpus_to_string small) in
-  let bin_size = String.length (Dptrace.Codec_binary.encode small) in
-  Printf.printf "serialised size (5%% corpus): text %dKB, binary %dKB (%.1fx)\n"
-    (text_size / 1024) (bin_size / 1024)
-    (float_of_int text_size /. float_of_int (max 1 bin_size))
-
-(* BENCH_ONLY=parallel,micro runs just those sections (CI uses this to
-   regenerate the committed baselines without the full evaluation). *)
-let selected =
-  match Sys.getenv_opt "BENCH_ONLY" with
-  | None | Some "" -> None
-  | Some s -> Some (List.map String.trim (String.split_on_char ',' s))
-
-let want name =
-  match selected with None -> true | Some names -> List.mem name names
-
 let () =
   Printf.printf
     "driveperf bench - reproduction of 'Comprehending Performance from\n\
      Real-World Execution Traces: A Device-Driver Case' (ASPLOS'14)\n\
      corpus scale %.2f, seed %d\n"
     scale seed;
-  let sections =
-    [
-      ("e1", e1);
-      ("e2", e2);
-      ("e3", e3);
-      ("e4", e4);
-      ("rq2", rq2);
-      ("e5", e5);
-      ("e6", e6);
-      ("e7", e7);
-      ("e8", e8);
-      ("e9", e9);
-      ("e10", e10);
-      ("a1", a1);
-      ("a2", a2);
-      ("a3", a3);
-      ("r1", r1);
-      ("parallel", parallel_scaling);
-      ( "mining",
-        fun () ->
-          section "Mining engine vs reference (contrast-mining throughput)";
-          Mining_bench.run ~scale ~seed corpus );
-      ( "snapshot",
-        fun () ->
-          section "Snapshot cache (cold / warm / +1-stream delta)";
-          Snapshot_bench.run ~scale ~seed corpus );
-      ( "monitor",
-        fun () ->
-          section "Monitor tick (cold full / warm delta, replay determinism)";
-          Monitor_bench.run ~scale ~seed );
-      ( "viz",
-        fun () ->
-          section "Visual export (trace-event artifacts + flame views)";
-          Viz_bench.run ~scale ~seed corpus );
-      ("micro", micro);
-    ]
-  in
-  List.iter (fun (name, run) -> if want name then run ()) sections;
+  List.iter
+    (fun run -> run ())
+    [ e1; e2; e3; e4; rq2; e5; e6; e7; e8; e9; e10; a1; a2; a3; r1 ];
   Dppar.Pool.shutdown bench_pool;
   print_endline "\nbench complete."

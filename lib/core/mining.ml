@@ -92,13 +92,6 @@ let c_tuples = Dpobs.Metrics.counter "mining.tuples_recorded"
 let c_index_candidates = Dpobs.Metrics.counter "mining.index_candidates"
 let c_index_hits = Dpobs.Metrics.counter "mining.index_hits"
 
-(* Single-pass last element: segments arrive start-to-end and the
-   aggregates live on the end node. *)
-let rec last_node = function
-  | [ (n : Awg.node) ] -> n
-  | _ :: rest -> last_node rest
-  | [] -> invalid_arg "Mining.last_node: empty segment"
-
 let avg_of (m : meta) =
   Dputil.Stats.ratio (float_of_int m.cost) (float_of_int m.count)
 
@@ -356,8 +349,8 @@ let freeze fr =
    Per-tuple accumulator. Witness sets are collected in (reversed)
    arrival order and folded only at finalisation: {!Provenance.Wset.union}
    truncates to the top-k entries and is therefore not associative, so to
-   stay bit-identical with the sequential reference the engine must apply
-   the unions in exactly the reference's left-to-right segment order —
+   stay bit-identical with the naive sequential miner the engine must
+   apply the unions in exactly its left-to-right segment order —
    including when roots were enumerated on different domains. *)
 type macc = {
   mt : Tuple.t;
@@ -774,211 +767,6 @@ let mine ?pool ?(k = default_k) ~fast ~slow ~(spec : Dptrace.Scenario.spec) ()
     fast_meta_count = Tuple_table.length fast_table;
     slow_meta_count = Tuple_table.length slow_table;
   }
-
-(* {2 Reference miner}
-
-   The pre-optimisation algorithms, kept verbatim (modulo the shared
-   single-pass [last_node]): tuple-per-segment enumeration over the
-   original re-sorting traversal, the exhaustive metas × paths subset
-   scan, and — so the bench compares against what actually shipped —
-   the original table keying, which hashed and compared tuples {e by
-   content} on every probe (allocating projected int arrays for
-   [Hashtbl.hash], as the pre-interning [Tuple.hash]/[equal] did). The
-   equivalence property in the test suite and the bench's
-   [identical_results] check both pin the engine to this oracle. *)
-module Reference = struct
-  (* The pre-optimisation traversal, preserved exactly: children are
-     re-fetched from the Hashtbl and re-sorted at {e every} visit (once
-     per path prefix reaching the node), and each segment is
-     materialised as a node list. The frozen-children arrays and the
-     push/pop scratch are precisely what the engine adds, so the oracle
-     must not ride on them. The sort key (polymorphic compare on
-     [status]) matches {!Awg.sorted_children}'s, keeping enumeration
-     order — and with it every order-sensitive witness union —
-     identical between the two miners. *)
-  let sorted_nodes_naive (children : (Awg.status, Awg.node) Hashtbl.t) =
-    Hashtbl.fold (fun _ n acc -> n :: acc) children []
-    |> List.sort (fun (a : Awg.node) b -> compare a.Awg.status b.Awg.status)
-
-  let iter_segments_naive awg ~k ~f =
-    if k < 1 then invalid_arg "Awg.iter_segments: k must be >= 1";
-    let rec extend prefix_rev len n =
-      let prefix_rev = n :: prefix_rev in
-      f (List.rev prefix_rev);
-      if len < k then
-        List.iter
-          (extend prefix_rev (len + 1))
-          (sorted_nodes_naive n.Awg.children)
-    in
-    let rec every_node n =
-      extend [] 1 n;
-      List.iter every_node (sorted_nodes_naive n.Awg.children)
-    in
-    List.iter every_node (Awg.roots awg)
-
-  let full_paths_naive awg =
-    let out = ref [] in
-    let rec go prefix_rev n =
-      let prefix_rev = n :: prefix_rev in
-      let kids = sorted_nodes_naive n.Awg.children in
-      if kids = [] then out := List.rev prefix_rev :: !out
-      else List.iter (go prefix_rev) kids
-    in
-    List.iter (go []) (Awg.roots awg);
-    List.rev !out
-
-  module Old_key = struct
-    type t = Tuple.t
-
-    let ints (a : Signature.t array) = Array.map Signature.to_int a
-
-    let equal (a : Tuple.t) (b : Tuple.t) =
-      ints a.Tuple.waits = ints b.Tuple.waits
-      && ints a.Tuple.unwaits = ints b.Tuple.unwaits
-      && ints a.Tuple.runnings = ints b.Tuple.runnings
-
-    let hash (t : Tuple.t) =
-      Hashtbl.hash
-        (ints t.Tuple.waits, ints t.Tuple.unwaits, ints t.Tuple.runnings)
-  end
-
-  module T = Hashtbl.Make (Old_key)
-
-  type 'a table = 'a T.t
-
-  let table_length = T.length
-
-  let meta_table awg ~k =
-    let prov = Provenance.enabled () in
-    let table : meta T.t = T.create 256 in
-    iter_segments_naive awg ~k ~f:(fun segment ->
-        let tuple = Tuple.of_segment segment in
-        let last = last_node segment in
-        let cost = last.Awg.cost and count = last.Awg.count in
-        match T.find_opt table tuple with
-        | Some m ->
-          T.replace table tuple
-            {
-              m with
-              cost = m.cost + cost;
-              count = m.count + count;
-              m_witnesses =
-                (if prov then
-                   Provenance.Wset.union m.m_witnesses last.Awg.witnesses
-                 else m.m_witnesses);
-            }
-        | None ->
-          T.replace table tuple
-            {
-              tuple;
-              cost;
-              count;
-              m_witnesses =
-                (if prov then last.Awg.witnesses else Provenance.Wset.empty);
-            });
-    table
-
-  let enumerate_metas awg ~k =
-    T.fold (fun _ m acc -> m :: acc) (meta_table awg ~k) []
-    |> List.sort (fun (a : meta) (b : meta) -> Tuple.compare a.tuple b.tuple)
-
-  let discover_contrasts ~fast_table ~slow_table ~ratio_threshold =
-    T.fold
-      (fun tuple (slow_meta : meta) acc ->
-        match T.find_opt fast_table tuple with
-        | None ->
-          {
-            cm_meta = slow_meta;
-            reason = Slow_only;
-            cm_fast_witnesses = Provenance.Wset.empty;
-          }
-          :: acc
-        | Some fast_meta ->
-          let ratio =
-            Dputil.Stats.ratio (avg_of slow_meta) (avg_of fast_meta)
-          in
-          if ratio > ratio_threshold then
-            {
-              cm_meta = slow_meta;
-              reason = Cost_ratio ratio;
-              cm_fast_witnesses = fast_meta.m_witnesses;
-            }
-            :: acc
-          else acc)
-      slow_table []
-    |> List.sort (fun a b -> Tuple.compare a.cm_meta.tuple b.cm_meta.tuple)
-
-  let select_patterns ~slow ~contrast_metas =
-    let prov = Provenance.enabled () in
-    let table : pattern T.t = T.create 128 in
-    List.iter
-      (fun path ->
-        let tuple = Tuple.of_segment path in
-        let matching =
-          List.filter
-            (fun cm -> Tuple.subset cm.cm_meta.tuple tuple)
-            contrast_metas
-        in
-        if matching <> [] then begin
-          let leaf = last_node path in
-          let root = List.hd path in
-          let cost = leaf.Awg.cost
-          and count = leaf.Awg.count
-          and max_single = root.Awg.max_cost in
-          let witnesses =
-            if prov then leaf.Awg.witnesses else Provenance.Wset.empty
-          in
-          let fast_witnesses =
-            if prov then
-              List.fold_left
-                (fun acc cm -> Provenance.Wset.union acc cm.cm_fast_witnesses)
-                Provenance.Wset.empty matching
-            else Provenance.Wset.empty
-          in
-          match T.find_opt table tuple with
-          | Some p ->
-            T.replace table tuple
-              {
-                p with
-                cost = p.cost + cost;
-                count = p.count + count;
-                max_single = max p.max_single max_single;
-                witnesses =
-                  (if prov then Provenance.Wset.union p.witnesses witnesses
-                   else p.witnesses);
-                fast_witnesses =
-                  (if prov then
-                     Provenance.Wset.union p.fast_witnesses fast_witnesses
-                   else p.fast_witnesses);
-              }
-          | None ->
-            T.replace table tuple
-              { tuple; cost; count; max_single; witnesses; fast_witnesses }
-        end)
-      (full_paths_naive slow);
-    T.fold (fun _ p acc -> p :: acc) table []
-    |> List.sort (fun a b ->
-           match compare (avg_cost b) (avg_cost a) with
-           | 0 -> Tuple.compare a.tuple b.tuple
-           | c -> c)
-
-  let mine ?(k = default_k) ~fast ~slow ~(spec : Dptrace.Scenario.spec) () =
-    let fast_table = meta_table fast ~k in
-    let slow_table = meta_table slow ~k in
-    let ratio_threshold =
-      Dputil.Stats.ratio (float_of_int spec.tslow) (float_of_int spec.tfast)
-    in
-    let contrast_metas =
-      discover_contrasts ~fast_table ~slow_table ~ratio_threshold
-    in
-    let patterns = select_patterns ~slow ~contrast_metas in
-    {
-      contrast_metas;
-      patterns;
-      fast_meta_count = T.length fast_table;
-      slow_meta_count = T.length slow_table;
-    }
-end
 
 let pp_pattern fmt p =
   Format.fprintf fmt "@[<v>%a@,C=%a N=%d avg=%.1fms max=%a@]" Tuple.pp p.tuple

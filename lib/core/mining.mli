@@ -15,8 +15,7 @@
       identical tuples merge their [P.C] and [P.N]. Patterns are ranked by
       average execution cost [P.C/P.N], highest impact first.
 
-    Two implementations live here. The {e engine} (the top-level
-    functions) enumerates segments incrementally — per-role sorted
+    The miner enumerates segments incrementally — per-role sorted
     multiset scratches updated in O(log n) as the walk extends or
     retracts a segment, hash-consed tuples frozen once per distinct
     (hash, content) per root, tables keyed by dense tuple ids — can fan
@@ -24,11 +23,11 @@
     exhaustive metas × paths subset scan of step 3 with an inverted
     signature index (each contrast meta indexed under its rarest
     signature; candidates generated from the signatures a path actually
-    contains, then subset-verified in original meta order). {!Reference}
-    retains the naive algorithms as the correctness oracle: both produce
-    bit-identical {!result}s — including provenance witness sets, whose
-    truncating unions are order-sensitive and therefore applied in
-    reference segment order even under parallel enumeration. *)
+    contains, then subset-verified in original meta order). Its
+    {!result}s are bit-identical to the naive algorithms' (the test
+    suite keeps those as the oracle) — including provenance witness
+    sets, whose truncating unions are order-sensitive and therefore
+    applied in naive segment order even under parallel enumeration. *)
 
 type meta = {
   tuple : Tuple.t;
@@ -89,23 +88,21 @@ val default_k : int
 
 module Tuple_table : sig
   type 'a t
-
-  val length : 'a t -> int
 end
 
 val meta_table : ?pool:Dppar.Pool.t -> Awg.t -> k:int -> meta Tuple_table.t
 (** Step 1's raw table — the body of the [mining.enumerate_tuples] span,
-    exposed so the bench can time the stage without the diagnostic sort
-    of {!enumerate_metas}. *)
+    exposed so the stage can be timed without the diagnostic sort of
+    {!enumerate_metas}. *)
 
 val enumerate_metas : ?pool:Dppar.Pool.t -> Awg.t -> k:int -> meta list
-(** Step 1 alone, sorted by tuple (exposed for tests, ablations and
-    benches). [pool] fans the per-root enumeration over domains; the
-    merged table is bit-identical to the sequential one. *)
+(** Step 1 alone, sorted by tuple (exposed for tests and ablations).
+    [pool] fans the per-root enumeration over domains; the merged table
+    is bit-identical to the sequential one. *)
 
 val select_patterns :
   slow:Awg.t -> contrast_metas:contrast_meta list -> pattern list
-(** Step 3 alone (exposed for benches): inverted-index candidate
+(** Step 3 alone (exposed for timing): inverted-index candidate
     generation + subset verification over the slow class's full paths. *)
 
 val mine :
@@ -119,33 +116,6 @@ val mine :
 (** Run all three steps. The contrast ratio threshold is
     [spec.tslow / spec.tfast]. [pool] parallelises step 1 per AWG root;
     the result is bit-identical with or without it. *)
-
-module Reference : sig
-  (** The pre-optimisation miner, kept as the correctness oracle: naive
-      tuple-per-segment enumeration, the exhaustive subset scan, and the
-      original content-keyed (per-probe hashing) tables. Same [result],
-      measured against by the mining bench and the equivalence property
-      tests. *)
-
-  type 'a table
-
-  val table_length : 'a table -> int
-
-  val meta_table : Awg.t -> k:int -> meta table
-
-  val enumerate_metas : Awg.t -> k:int -> meta list
-
-  val select_patterns :
-    slow:Awg.t -> contrast_metas:contrast_meta list -> pattern list
-
-  val mine :
-    ?k:int ->
-    fast:Awg.t ->
-    slow:Awg.t ->
-    spec:Dptrace.Scenario.spec ->
-    unit ->
-    result
-end
 
 val avg_cost : pattern -> float
 (** [P.C/P.N] in microseconds — the ranking key. *)

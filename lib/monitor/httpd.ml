@@ -41,25 +41,34 @@ let start spec =
 
 let port t = t.bound_port
 
-(* Read until the blank line ending the request head, bounded. *)
-let read_head fd =
+(* Read until the blank line ending the request head, bounded in size
+   and in time: every read waits in [select] for what is left of
+   [deadline], so a client that connects and then sends nothing (or
+   trickles) costs the loop at most that long. *)
+let read_head fd ~deadline =
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 512 in
   let rec go () =
-    if Buffer.length buf > 8192 then None
+    let remain = deadline -. Unix.gettimeofday () in
+    if Buffer.length buf > 8192 || remain <= 0.0 then None
     else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> if Buffer.length buf > 0 then Some (Buffer.contents buf) else None
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        let s = Buffer.contents buf in
-        let rec has_end i =
-          if i + 3 >= String.length s then false
-          else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
-                  && s.[i + 3] = '\n' then true
-          else has_end (i + 1)
-        in
-        if has_end 0 then Some s else go ()
+      match Unix.select [ fd ] [] [] remain with
+      | [], _, _ -> None
+      | _ :: _, _, _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 ->
+          if Buffer.length buf > 0 then Some (Buffer.contents buf) else None
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          let s = Buffer.contents buf in
+          let rec has_end i =
+            if i + 3 >= String.length s then false
+            else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
+                    && s.[i + 3] = '\n' then true
+            else has_end (i + 1)
+          in
+          if has_end 0 then Some s else go ()
+        | exception Unix.Unix_error _ -> None)
       | exception Unix.Unix_error _ -> None
   in
   go ()
@@ -84,8 +93,8 @@ let respond fd ~status ~content_type body =
 let openmetrics_content_type =
   "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-let serve_client fd ~body =
-  match read_head fd with
+let serve_client fd ~deadline ~body =
+  match read_head fd ~deadline with
   | None -> respond fd ~status:"400 Bad Request" ~content_type:"text/plain" ""
   | Some head -> (
     let line =
@@ -101,6 +110,8 @@ let serve_client fd ~body =
       respond fd ~status:"404 Not Found" ~content_type:"text/plain"
         "driveperf monitor serves /metrics\n"
     | _ -> respond fd ~status:"400 Bad Request" ~content_type:"text/plain" "")
+
+let min_head_wait_s = 0.05
 
 let poll t ~timeout_s ~body =
   if not t.open_ then false
@@ -121,9 +132,15 @@ let poll t ~timeout_s ~body =
       with
       | None -> false
       | Some (fd, _) ->
+        (* The request head must arrive within the poll budget, floored
+           so a scraper accepted at the very end of one still has time
+           to send it. *)
+        let deadline =
+          Unix.gettimeofday () +. Float.max timeout_s min_head_wait_s
+        in
         Fun.protect
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () -> serve_client fd ~body);
+          (fun () -> serve_client fd ~deadline ~body);
         true
       | exception Unix.Unix_error _ -> false)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false

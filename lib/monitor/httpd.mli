@@ -23,7 +23,10 @@ val poll : t -> timeout_s:float -> body:(unit -> string) -> bool
     exposition, any other path 404, anything unparsable 400. Returns
     whether a connection was handled. Never raises on client
     misbehaviour (bad request, early close): the connection is dropped
-    and [poll] returns [true]. *)
+    and [poll] returns [true]. A client that has not sent a complete
+    request head within [timeout_s] (at least 50 ms) of being accepted
+    gets 400 and is dropped, so a client that connects and sends
+    nothing delays [poll] by at most that long. *)
 
 val stop : t -> unit
 (** Close the listening socket. Idempotent. *)

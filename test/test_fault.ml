@@ -150,6 +150,23 @@ let test_disarmed_is_free () =
   check Alcotest.int "no calls counted" 0
     (Dpfault.call_count Dpfault.Snapshot_write)
 
+(* The cost of shipping the guards, measured deterministically: a
+   disarmed guard or check is one atomic load and allocates nothing. *)
+let test_disarmed_allocates_nothing () =
+  Dpfault.clear ();
+  let iters = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    Dpfault.guard Dpfault.Corpus_read;
+    ignore (Sys.opaque_identity (Dpfault.check Dpfault.Pool_task))
+  done;
+  let words = Gc.minor_words () -. before in
+  (* Zero words per call; the slack covers the Gc.minor_words calls
+     themselves, far below one word per guard. *)
+  if words > 16.0 then
+    Alcotest.failf "disarmed guards allocated %.0f minor words over %d calls"
+      words iters
+
 (* --- retry --- *)
 
 let test_retry_absorbs_transients () =
@@ -354,6 +371,8 @@ let () =
             test_check_replays_after_reinstall;
           Alcotest.test_case "disarmed guard is free" `Quick
             test_disarmed_is_free;
+          Alcotest.test_case "disarmed guard allocates nothing" `Quick
+            test_disarmed_allocates_nothing;
         ] );
       ( "retry",
         [

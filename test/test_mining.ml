@@ -202,7 +202,8 @@ let test_meta_enumeration_k_sensitivity () =
 
    The optimised miner (incremental enumeration, hash-consed tuples,
    inverted pattern index, optional per-root parallelism) must return a
-   [result] structurally identical to the retained naive reference —
+   [result] structurally identical to the naive miner of
+   mining_reference.ml —
    same metas, contrast reasons, pattern ranking and provenance witness
    sets — for any AWG shape and any k. *)
 
@@ -290,17 +291,61 @@ let awgs_of_scene sc =
   in
   (Awg.build drivers fast_graphs, Awg.build drivers slow_graphs)
 
+(* Besides the random scenes, each property's first input is a real
+   workload: one generated scenario's instances split into a fast and a
+   slow class at their median duration, mined at the paper's k. *)
+type equiv_input = Corpus_split | Scene of rand_scene
+
+let split_corpus =
+  lazy (Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.05))
+
+let awgs_of_corpus_split () =
+  let corpus = Lazy.force split_corpus in
+  let name = "BrowserTabCreate" in
+  let by_duration =
+    List.stable_sort
+      (fun (_, a) (_, b) ->
+        compare (Dptrace.Scenario.duration a) (Dptrace.Scenario.duration b))
+      (Dptrace.Corpus.instances_of corpus name)
+  in
+  let half = List.length by_duration / 2 in
+  let awg keep =
+    Awg.build drivers
+      (Dpcore.Pipeline.build_graphs corpus
+         (List.filteri (fun i _ -> keep i) by_duration))
+  in
+  ( awg (fun i -> i < half),
+    awg (fun i -> i >= half),
+    Option.get (Dptrace.Corpus.find_spec corpus name) )
+
+let equiv_input_arbitrary () =
+  let first = ref true in
+  QCheck.make (fun st ->
+      if !first then begin
+        first := false;
+        Corpus_split
+      end
+      else Scene (scene_gen st))
+
 let equivalence_prop ~name ~prov =
-  QCheck.Test.make ~name ~count:25 (QCheck.make scene_gen) (fun sc ->
+  QCheck.Test.make ~name ~count:25 (equiv_input_arbitrary ()) (fun input ->
       (if prov then Dpcore.Provenance.enable ()
        else Dpcore.Provenance.disable ());
       Fun.protect ~finally:Dpcore.Provenance.disable @@ fun () ->
-      let fast, slow = awgs_of_scene sc in
-      let reference = Mining.Reference.mine ~k:sc.rk ~fast ~slow ~spec () in
-      let engine = Mining.mine ~k:sc.rk ~fast ~slow ~spec () in
+      let k, fast, slow, spec =
+        match input with
+        | Corpus_split ->
+          let fast, slow, spec = awgs_of_corpus_split () in
+          (Mining.default_k, fast, slow, spec)
+        | Scene sc ->
+          let fast, slow = awgs_of_scene sc in
+          (sc.rk, fast, slow, spec)
+      in
+      let reference = Mining_reference.mine ~k ~fast ~slow ~spec () in
+      let engine = Mining.mine ~k ~fast ~slow ~spec () in
       let pooled =
         Dppar.Pool.with_pool ~domains:2 (fun pool ->
-            Mining.mine ~pool ~k:sc.rk ~fast ~slow ~spec ())
+            Mining.mine ~pool ~k ~fast ~slow ~spec ())
       in
       engine = reference && pooled = reference)
 

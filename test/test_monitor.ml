@@ -390,6 +390,73 @@ let test_tail_exhaustion_recovers () =
     (List.length
        (List.filter (fun a -> a.Rules.a_rule = "parse_failure") alerts))
 
+(* --- peers: a silent scraper cannot stall the loop --- *)
+
+let free_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname s with
+  | Unix.ADDR_INET (_, port) -> port
+  | _ -> Alcotest.fail "no port bound"
+
+(* Connects (retrying until the listener is up), sends nothing, and
+   waits up to [patience_s] for the server to answer and close before
+   hanging up itself. Returns what the server sent. *)
+let silent_client ~port ~patience_s =
+  let deadline = Unix.gettimeofday () +. patience_s in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let rec connect () =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.connect s addr with
+    | () -> s
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _)
+      when Unix.gettimeofday () < deadline ->
+      Unix.close s;
+      Unix.sleepf 0.01;
+      connect ()
+  in
+  let s = connect () in
+  Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
+  let buf = Buffer.create 64 and chunk = Bytes.create 256 in
+  let rec drain () =
+    let remain = deadline -. Unix.gettimeofday () in
+    if remain > 0.0 then
+      match Unix.select [ s ] [] [] remain with
+      | [], _, _ -> ()
+      | _ -> (
+        match Unix.read s chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+        | exception Unix.Unix_error _ -> ())
+  in
+  drain ();
+  Buffer.contents buf
+
+(* Five 0.2 s ticks take about a second. A scraper that connects and
+   never sends its request must be answered 400 within the poll budget;
+   a blocking read would hold the loop until the client gave up. *)
+let test_silent_scraper_cannot_stall () =
+  let dir = fresh_dir () in
+  let port = free_port () in
+  let client =
+    Domain.spawn (fun () -> silent_client ~port ~patience_s:6.0)
+  in
+  let t0 = Unix.gettimeofday () in
+  Monitor.watch
+    ~listen:(Printf.sprintf "127.0.0.1:%d" port)
+    ~interval_s:0.2 ~max_ticks:5 ~dashboard:false
+    { Monitor.default_config with replicates = 10 }
+    ~dir;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let answer = Domain.join client in
+  check Alcotest.bool "silent client answered 400" true
+    (String.starts_with ~prefix:"HTTP/1.0 400" answer);
+  if elapsed > 3.0 then
+    Alcotest.failf "five 0.2 s ticks took %.1f s with a silent client" elapsed
+
 let () =
   Alcotest.run "monitor"
     [
@@ -429,5 +496,10 @@ let () =
             `Quick test_scan_under_stat_races;
           Alcotest.test_case "tail exhaustion degrades and recovers" `Quick
             test_tail_exhaustion_recovers;
+        ] );
+      ( "peers",
+        [
+          Alcotest.test_case "silent scraper cannot stall the loop" `Quick
+            test_silent_scraper_cannot_stall;
         ] );
     ]

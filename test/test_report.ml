@@ -197,6 +197,33 @@ let test_json_disabled_mode_is_bare () =
         (Tjson.get_arr "provenance" row = []))
     (Tjson.get_arr "modules" v)
 
+(* Provenance is a side channel: recording witnesses must not change a
+   single number of the analysis it rides along. *)
+let test_provenance_changes_no_number () =
+  let corpus = Lazy.force corpus in
+  let numbers () =
+    let impact, _ = Pipeline.run_impact_prov drivers corpus in
+    let graphs =
+      Pipeline.build_graphs corpus (Dptrace.Corpus.all_instances corpus)
+    in
+    let scenarios =
+      List.map
+        (fun (name, (r : Pipeline.scenario_result)) ->
+          ( name,
+            r.slow_impact,
+            r.coverages,
+            List.map
+              (fun (p : Dpcore.Mining.pattern) ->
+                (Dpcore.Tuple.id p.tuple, p.cost, p.count))
+              r.mining.patterns ))
+        (Pipeline.run_all drivers corpus)
+    in
+    (impact, Impact.by_module drivers graphs, scenarios)
+  in
+  let plain = numbers () in
+  check Alcotest.bool "same numbers with provenance on" true
+    (with_provenance numbers = plain)
+
 let test_jsonw_escaping_round_trips () =
   let doc =
     J.Obj
@@ -248,6 +275,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_json_deterministic;
           Alcotest.test_case "disabled mode is bare" `Quick
             test_json_disabled_mode_is_bare;
+          Alcotest.test_case "provenance changes no number" `Quick
+            test_provenance_changes_no_number;
           Alcotest.test_case "escaping round-trips" `Quick
             test_jsonw_escaping_round_trips;
         ] );
