@@ -237,6 +237,17 @@ let with_snapshot ~cache ~components ?(k = Dpcore.Mining.default_k) pool
       s.Dpcore.Snapshot.s_mining_misses;
     r
 
+(* Corpus impact, module rows and the named scenarios' results: merged
+   from the snapshot's partials under --cache, otherwise from the one
+   per-stream pass that builds and traverses each wait graph once. *)
+let report_results ?scenarios ~pool components corpus = function
+  | Some snap ->
+    let impact, impact_prov = Dpcore.Pipeline.run_impact_prov_snap snap corpus in
+    let scenarios = Dpcore.Pipeline.run_all_snap ~pool ?scenarios snap corpus in
+    let modules = Dpcore.Pipeline.modules_snap snap corpus in
+    { Dpcore.Pipeline.impact; impact_prov; modules; scenarios }
+  | None -> Dpcore.Pipeline.run_report ~pool ?scenarios components corpus
+
 (* --- self-telemetry options (lib/obs) --- *)
 
 type obs_opts = {
@@ -396,25 +407,11 @@ let impact corpus pats breakdown per_scenario cache j mode faults obs =
   let corpus, cov = screen_corpus corpus in
   print_coverage cov;
   with_snapshot ~cache ~components pool corpus @@ fun snap ->
-  let r =
-    match snap with
-    | Some snap -> Dpcore.Pipeline.run_impact_snap snap corpus
-    | None -> Dpcore.Pipeline.run_impact ~pool components corpus
-  in
-  Dputil.Table.print (Dpcore.Report.impact_summary r);
+  let r = report_results ~scenarios:[] ~pool components corpus snap in
+  Dputil.Table.print (Dpcore.Report.impact_summary r.Dpcore.Pipeline.impact);
   if breakdown then begin
-    let modules =
-      match snap with
-      | Some snap -> Dpcore.Pipeline.modules_snap snap corpus
-      | None ->
-        let graphs =
-          Dpcore.Pipeline.build_graphs ~pool corpus
-            (Dptrace.Corpus.all_instances corpus)
-        in
-        Dpcore.Impact.by_module components graphs
-    in
     print_newline ();
-    Dputil.Table.print (Dpcore.Report.module_breakdown modules)
+    Dputil.Table.print (Dpcore.Report.module_breakdown r.Dpcore.Pipeline.modules)
   end;
   if per_scenario then begin
     print_newline ();
@@ -528,46 +525,24 @@ let report corpus json cache j mode faults obs =
   let corpus, cov = screen_corpus corpus in
   if not json then print_coverage cov;
   with_snapshot ~cache ~components pool corpus @@ fun snap ->
-  let impact, impact_prov =
-    match snap with
-    | Some snap -> Dpcore.Pipeline.run_impact_prov_snap snap corpus
-    | None -> Dpcore.Pipeline.run_impact_prov ~pool components corpus
-  in
-  if not json then Dputil.Table.print (Dpcore.Report.impact_summary impact);
   let scenario_names =
     List.map
       (fun (tpl : Dpworkload.Scenarios.template) ->
         tpl.Dpworkload.Scenarios.spec.Dptrace.Scenario.name)
       Dpworkload.Scenarios.named
   in
-  let named =
+  let { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } =
     with_progress obs ~label:"scenarios" ~total:(List.length scenario_names)
       "pipeline.scenarios_done" (fun () ->
-        match snap with
-        | Some snap ->
-          Dpcore.Pipeline.run_all_snap ~pool ~scenarios:scenario_names snap
-            corpus
-        | None ->
-          Dpcore.Pipeline.run_all ~pool ~scenarios:scenario_names components
-            corpus)
+        report_results ~scenarios:scenario_names ~pool components corpus snap)
   in
-  if json then begin
-    let modules =
-      match snap with
-      | Some snap -> Dpcore.Pipeline.modules_snap snap corpus
-      | None ->
-        let graphs =
-          Dpcore.Pipeline.build_graphs ~pool corpus
-            (Dptrace.Corpus.all_instances corpus)
-        in
-        Dpcore.Impact.by_module components graphs
-    in
+  if json then
     print_string
       (Dputil.Jsonw.to_string
          (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov
             ~modules ~scenarios:named ()))
-  end
   else begin
+    Dputil.Table.print (Dpcore.Report.impact_summary impact);
     let classes =
       List.map (fun (n, r) -> (n, r.Dpcore.Pipeline.classification)) named
     in
@@ -1354,28 +1329,11 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
     let corpus = read_corpus ~pool ~mode corpus_path in
     let corpus, cov = screen_corpus corpus in
     with_snapshot ~cache ~components pool corpus @@ fun snap ->
-    let impact, impact_prov =
-      match snap with
-      | Some snap -> Dpcore.Pipeline.run_impact_prov_snap snap corpus
-      | None -> Dpcore.Pipeline.run_impact_prov ~pool components corpus
-    in
-    let modules =
-      match snap with
-      | Some snap -> Dpcore.Pipeline.modules_snap snap corpus
-      | None ->
-        let graphs =
-          Dpcore.Pipeline.build_graphs ~pool corpus
-            (Dptrace.Corpus.all_instances corpus)
-        in
-        Dpcore.Impact.by_module components graphs
-    in
-    let named =
+    let { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } =
       with_progress obs ~label:"scenarios"
         ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
         "pipeline.scenarios_done" (fun () ->
-          match snap with
-          | Some snap -> Dpcore.Pipeline.run_all_snap ~pool snap corpus
-          | None -> Dpcore.Pipeline.run_all ~pool components corpus)
+          report_results ~pool components corpus snap)
     in
     let doc =
       Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov ~modules
@@ -1395,6 +1353,12 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
   let corpus = read_corpus ~pool ~mode corpus_path in
   let corpus, cov = screen_corpus corpus in
   with_snapshot ~cache ~components pool corpus @@ fun snap ->
+  let results =
+    with_progress obs ~label:"scenarios"
+      ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
+      "pipeline.scenarios_done" (fun () ->
+        report_results ~pool components corpus snap)
+  in
   let buf = Buffer.create 65536 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let block text =
@@ -1421,21 +1385,10 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
   line "";
   block
     (Dputil.Table.render
-       (Dpcore.Report.impact_summary
-          (match snap with
-          | Some snap -> Dpcore.Pipeline.run_impact_snap snap corpus
-          | None -> Dpcore.Pipeline.run_impact ~pool components corpus)));
-  let modules =
-    match snap with
-    | Some snap -> Dpcore.Pipeline.modules_snap snap corpus
-    | None ->
-      let graphs =
-        Dpcore.Pipeline.build_graphs ~pool corpus
-          (Dptrace.Corpus.all_instances corpus)
-      in
-      Dpcore.Impact.by_module components graphs
-  in
-  block (Dputil.Table.render (Dpcore.Report.module_breakdown modules));
+       (Dpcore.Report.impact_summary results.Dpcore.Pipeline.impact));
+  block
+    (Dputil.Table.render
+       (Dpcore.Report.module_breakdown results.Dpcore.Pipeline.modules));
   block
     (Dputil.Table.render
        (Dpcore.Report.scenario_impacts
@@ -1449,15 +1402,7 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
     (Format.asprintf "%a" Dpcore.Robustness.pp
        (Dpcore.Robustness.bootstrap ~pool components corpus));
   line "## Causality analysis";
-  (* Analyse every scenario with a spec and both classes non-empty. *)
-  let scenario_results =
-    with_progress obs ~label:"scenarios"
-      ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
-      "pipeline.scenarios_done" (fun () ->
-        match snap with
-        | Some snap -> Dpcore.Pipeline.run_all_snap ~pool snap corpus
-        | None -> Dpcore.Pipeline.run_all ~pool components corpus)
-  in
+  (* Report every scenario with a spec and both classes non-empty. *)
   List.iter
     (fun (name, (r : Dpcore.Pipeline.scenario_result)) ->
         let f, m, sl = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in
@@ -1490,7 +1435,7 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
             | [] -> ())
           | [] -> ()
         end)
-    scenario_results;
+    results.Dpcore.Pipeline.scenarios;
   line "## What conventional tools would report";
   line "";
   let cg = Dpbaseline.Callgraph.profile corpus in

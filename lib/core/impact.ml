@@ -22,39 +22,86 @@ let empty =
     counted_runs = 0;
   }
 
-let analyze_graphs_into ?collector components graphs =
-  (* (stream id, event id) → cost, across all instances: the distinct-wait
-     set whose total is d_waitdist. *)
-  let distinct : (int * int, Dputil.Time.t) Hashtbl.t = Hashtbl.create 1024 in
+type module_row = {
+  module_name : string;
+  m_wait : Dputil.Time.t;
+  m_waitdist : Dputil.Time.t;
+  m_run : Dputil.Time.t;
+  m_counted_waits : int;
+  m_max_wait : Dputil.Time.t;
+}
+
+let sort_rows rows =
+  List.sort
+    (fun a b ->
+      match compare b.m_wait a.m_wait with
+      | 0 -> compare a.module_name b.module_name
+      | c -> c)
+    rows
+
+type module_cell = {
+  mutable c_wait : Dputil.Time.t;
+  mutable c_waitdist : Dputil.Time.t;
+  mutable c_run : Dputil.Time.t;
+  mutable c_counted : int;
+  mutable c_max : Dputil.Time.t;
+}
+
+(* The one traversal: per graph, a BFS for the top-level component waits
+   and an [iter_nodes] pass for component running time, accumulating the
+   impact result, the per-module cells and (given a collector) the
+   provenance together. A wait or running event counts iff its topmost
+   matching signature exists — the same test as [Component.stack_relevant]
+   for these kinds — and that signature's module is its cell. *)
+let fused ?collector components graphs =
+  let cells : (string, module_cell) Hashtbl.t = Hashtbl.create 32 in
+  let cell name =
+    match Hashtbl.find_opt cells name with
+    | Some c -> c
+    | None ->
+      let c = { c_wait = 0; c_waitdist = 0; c_run = 0; c_counted = 0; c_max = 0 } in
+      Hashtbl.replace cells name c;
+      c
+  in
+  (* (stream id, event id) → (cell, cost), across all instances: the
+     distinct-wait set whose total is d_waitdist. An event's module is a
+     function of the event, so each cell's share is its m_waitdist. *)
+  let distinct : (int * int, module_cell * Dputil.Time.t) Hashtbl.t =
+    Hashtbl.create 1024
+  in
   let acc = ref empty in
   let measure_graph (g : Wait_graph.t) =
     let stream_id = g.Wait_graph.stream.Dptrace.Stream.id in
-    let d_scn = Dptrace.Scenario.duration g.Wait_graph.instance in
     let iref =
       lazy (Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance)
     in
-    (* Top-level component waits: BFS that counts a matching wait and does
-       not descend into it. Per-graph visited set keeps the DAG linear. *)
+    (* BFS that counts a matching wait and does not descend into it.
+       Per-graph visited set keeps the DAG linear. *)
     let visited : (int, unit) Hashtbl.t = Hashtbl.create 64 in
     let d_wait = ref 0 and counted_waits = ref 0 in
     let rec bfs (n : Wait_graph.node) =
       let e = n.Wait_graph.event in
       if not (Hashtbl.mem visited e.Event.id) then begin
         Hashtbl.replace visited e.Event.id ();
-        if Event.is_wait e && Component.stack_relevant components e.Event.stack
-        then begin
+        match
+          if Event.is_wait e then Component.event_signature components e
+          else None
+        with
+        | Some signature ->
+          let module_name = Dptrace.Signature.module_part signature in
+          let c = cell module_name in
           d_wait := !d_wait + e.Event.cost;
           incr counted_waits;
-          Hashtbl.replace distinct (stream_id, e.Event.id) e.Event.cost;
-          match collector with
-          | Some c ->
-            let signature = Component.event_signature_or_top components e in
-            Provenance.Collector.record_wait c
-              ~module_name:(Dptrace.Signature.module_part signature)
-              ~stream_id ~instance:(Lazy.force iref) ~event:e ~signature
-          | None -> ()
-        end
-        else List.iter bfs n.Wait_graph.children
+          c.c_wait <- c.c_wait + e.Event.cost;
+          c.c_counted <- c.c_counted + 1;
+          if e.Event.cost > c.c_max then c.c_max <- e.Event.cost;
+          Hashtbl.replace distinct (stream_id, e.Event.id) (c, e.Event.cost);
+          Option.iter
+            (fun col ->
+              Provenance.Collector.record_wait col ~module_name ~stream_id
+                ~instance:(Lazy.force iref) ~event:e ~signature)
+            collector
+        | None -> List.iter bfs n.Wait_graph.children
       end
     in
     List.iter bfs g.Wait_graph.roots;
@@ -62,42 +109,71 @@ let analyze_graphs_into ?collector components graphs =
     let d_run = ref 0 and counted_runs = ref 0 in
     Wait_graph.iter_nodes g (fun n ->
         let e = n.Wait_graph.event in
-        if Event.is_running e && Component.stack_relevant components e.Event.stack
-        then begin
-          d_run := !d_run + e.Event.cost;
-          incr counted_runs;
-          match collector with
-          | Some c ->
-            let signature = Component.event_signature_or_top components e in
-            Provenance.Collector.record_run c ~stream_id
-              ~instance:(Lazy.force iref) ~event:e ~signature
-          | None -> ()
-        end);
+        if Event.is_running e then
+          match Component.event_signature components e with
+          | Some signature ->
+            let c = cell (Dptrace.Signature.module_part signature) in
+            d_run := !d_run + e.Event.cost;
+            incr counted_runs;
+            c.c_run <- c.c_run + e.Event.cost;
+            Option.iter
+              (fun col ->
+                Provenance.Collector.record_run col ~stream_id
+                  ~instance:(Lazy.force iref) ~event:e ~signature)
+              collector
+          | None -> ());
     acc :=
       {
-        d_scn = !acc.d_scn + d_scn;
+        !acc with
+        d_scn = !acc.d_scn + Dptrace.Scenario.duration g.Wait_graph.instance;
         d_wait = !acc.d_wait + !d_wait;
         d_run = !acc.d_run + !d_run;
-        d_waitdist = !acc.d_waitdist;
         instances = !acc.instances + 1;
         counted_waits = !acc.counted_waits + !counted_waits;
         counted_runs = !acc.counted_runs + !counted_runs;
       }
   in
   List.iter measure_graph graphs;
-  let d_waitdist = Hashtbl.fold (fun _ cost total -> total + cost) distinct 0 in
-  { !acc with d_waitdist }
+  let d_waitdist =
+    Hashtbl.fold
+      (fun _ (c, cost) total ->
+        c.c_waitdist <- c.c_waitdist + cost;
+        total + cost)
+      distinct 0
+  in
+  let rows =
+    Hashtbl.fold
+      (fun module_name c acc ->
+        {
+          module_name;
+          m_wait = c.c_wait;
+          m_waitdist = c.c_waitdist;
+          m_run = c.c_run;
+          m_counted_waits = c.c_counted;
+          m_max_wait = c.c_max;
+        }
+        :: acc)
+      cells []
+  in
+  ({ !acc with d_waitdist }, sort_rows rows)
 
-let analyze_graphs components graphs = analyze_graphs_into components graphs
-
-let analyze_graphs_prov components graphs =
+let measure components graphs =
   if not (Provenance.enabled ()) then
-    (analyze_graphs_into components graphs, Provenance.empty_impact)
+    let r, rows = fused components graphs in
+    (r, Provenance.empty_impact, rows)
   else begin
     let collector = Provenance.Collector.create () in
-    let r = analyze_graphs_into ~collector components graphs in
-    (r, Provenance.Collector.impact collector)
+    let r, rows = fused ~collector components graphs in
+    (r, Provenance.Collector.impact collector, rows)
   end
+
+let analyze_graphs components graphs = fst (fused components graphs)
+
+let analyze_graphs_prov components graphs =
+  let r, prov, _ = measure components graphs in
+  (r, prov)
+
+let by_module components graphs = snd (fused components graphs)
 
 let merge a b =
   {
@@ -110,54 +186,31 @@ let merge a b =
     counted_runs = a.counted_runs + b.counted_runs;
   }
 
-let analyze_stream components (st : Dptrace.Stream.t) =
-  let index = Dptrace.Stream.shared_index st in
-  analyze_graphs components
-    (List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances)
-
-let analyze_stream_prov components (st : Dptrace.Stream.t) =
-  let index = Dptrace.Stream.shared_index st in
-  analyze_graphs_prov components
-    (List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances)
-
-let analyze ?pool components (corpus : Dptrace.Corpus.t) =
-  (* One partial result per stream, merged in stream order. The
-     distinct-wait deduplication never crosses streams (keys carry the
-     stream id), and every field merges by integer addition, so the
-     per-stream reduction is exact — parallel and sequential runs produce
-     the same integers, hence the same derived floats. *)
+(* One partial result per stream, merged in stream order. The
+   distinct-wait deduplication never crosses streams (keys carry the
+   stream id), every field merges by integer addition and provenance
+   reservoirs merge under a total order, so the per-stream reduction is
+   exact — parallel and sequential runs produce the same integers, hence
+   the same derived floats. *)
+let per_stream ?pool ~measure ~merge ~init (corpus : Dptrace.Corpus.t) =
+  let map (st : Dptrace.Stream.t) =
+    let index = Dptrace.Stream.shared_index st in
+    measure (List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances)
+  in
   let streams = corpus.Dptrace.Corpus.streams in
   match pool with
-  | Some pool ->
-    Dppar.Pool.parallel_map_reduce pool
-      ~map:(analyze_stream components)
-      ~reduce:merge ~init:empty streams
-  | None ->
-    List.fold_left
-      (fun acc st -> merge acc (analyze_stream components st))
-      empty streams
+  | Some pool -> Dppar.Pool.parallel_map_reduce pool ~map ~reduce:merge ~init streams
+  | None -> List.fold_left (fun acc st -> merge acc (map st)) init streams
 
-let analyze_prov ?pool components (corpus : Dptrace.Corpus.t) =
-  (* Same per-stream reduction as [analyze]. Provenance merges exactly
-     too: records are keyed by (stream, event), streams are disjoint
-     across the reduction, and reservoirs are association-independent. *)
-  if not (Provenance.enabled ()) then
-    (analyze ?pool components corpus, Provenance.empty_impact)
-  else
-    let streams = corpus.Dptrace.Corpus.streams in
-    let merge2 (r1, p1) (r2, p2) =
-      (merge r1 r2, Provenance.merge_impact p1 p2)
-    in
-    let init = (empty, Provenance.empty_impact) in
-    (match pool with
-    | Some pool ->
-      Dppar.Pool.parallel_map_reduce pool
-        ~map:(analyze_stream_prov components)
-        ~reduce:merge2 ~init streams
-    | None ->
-      List.fold_left
-        (fun acc st -> merge2 acc (analyze_stream_prov components st))
-        init streams)
+let analyze ?pool components corpus =
+  per_stream ?pool ~measure:(analyze_graphs components) ~merge ~init:empty corpus
+
+let analyze_prov ?pool components corpus =
+  per_stream ?pool
+    ~measure:(analyze_graphs_prov components)
+    ~merge:(fun (r1, p1) (r2, p2) -> (merge r1 r2, Provenance.merge_impact p1 p2))
+    ~init:(empty, Provenance.empty_impact)
+    corpus
 
 let fdiv a b = Dputil.Stats.ratio (float_of_int a) (float_of_int b)
 
@@ -165,89 +218,6 @@ let ia_run r = fdiv r.d_run r.d_scn
 let ia_wait r = fdiv r.d_wait r.d_scn
 let ia_opt r = fdiv (r.d_wait - r.d_waitdist) r.d_scn
 let propagation_ratio r = fdiv r.d_wait r.d_waitdist
-
-type module_row = {
-  module_name : string;
-  m_wait : Dputil.Time.t;
-  m_waitdist : Dputil.Time.t;
-  m_run : Dputil.Time.t;
-  m_counted_waits : int;
-  m_max_wait : Dputil.Time.t;
-}
-
-type module_cell = {
-  mutable c_wait : Dputil.Time.t;
-  mutable c_run : Dputil.Time.t;
-  mutable c_counted : int;
-  mutable c_max : Dputil.Time.t;
-  distinct : (int * int, Dputil.Time.t) Hashtbl.t;
-}
-
-let by_module components graphs =
-  let cells : (string, module_cell) Hashtbl.t = Hashtbl.create 32 in
-  let cell name =
-    match Hashtbl.find_opt cells name with
-    | Some c -> c
-    | None ->
-      let c =
-        { c_wait = 0; c_run = 0; c_counted = 0; c_max = 0; distinct = Hashtbl.create 64 }
-      in
-      Hashtbl.replace cells name c;
-      c
-  in
-  let module_of (e : Event.t) =
-    Option.map
-      (fun s -> Dptrace.Signature.module_part s)
-      (Component.event_signature components e)
-  in
-  List.iter
-    (fun (g : Wait_graph.t) ->
-      let stream_id = g.Wait_graph.stream.Dptrace.Stream.id in
-      let visited : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-      let rec bfs (n : Wait_graph.node) =
-        let e = n.Wait_graph.event in
-        if not (Hashtbl.mem visited e.Event.id) then begin
-          Hashtbl.replace visited e.Event.id ();
-          if Event.is_wait e && Component.stack_relevant components e.Event.stack
-          then begin
-            match module_of e with
-            | Some name ->
-              let c = cell name in
-              c.c_wait <- c.c_wait + e.Event.cost;
-              c.c_counted <- c.c_counted + 1;
-              if e.Event.cost > c.c_max then c.c_max <- e.Event.cost;
-              Hashtbl.replace c.distinct (stream_id, e.Event.id) e.Event.cost
-            | None -> ()
-          end
-          else List.iter bfs n.Wait_graph.children
-        end
-      in
-      List.iter bfs g.Wait_graph.roots;
-      Wait_graph.iter_nodes g (fun n ->
-          let e = n.Wait_graph.event in
-          if Event.is_running e then
-            match module_of e with
-            | Some name ->
-              let c = cell name in
-              c.c_run <- c.c_run + e.Event.cost
-            | None -> ()))
-    graphs;
-  Hashtbl.fold
-    (fun module_name c acc ->
-      {
-        module_name;
-        m_wait = c.c_wait;
-        m_waitdist = Hashtbl.fold (fun _ cost t -> t + cost) c.distinct 0;
-        m_run = c.c_run;
-        m_counted_waits = c.c_counted;
-        m_max_wait = c.c_max;
-      }
-      :: acc)
-    cells []
-  |> List.sort (fun a b ->
-         match compare b.m_wait a.m_wait with
-         | 0 -> compare a.module_name b.module_name
-         | c -> c)
 
 (* Combine per-module rows measured over disjoint streams: the distinct
    tables behind [m_waitdist] key on (stream, event), so plain sums (and
@@ -270,11 +240,7 @@ let merge_modules a b =
   in
   List.iter feed a;
   List.iter feed b;
-  Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
-  |> List.sort (fun a b ->
-         match compare b.m_wait a.m_wait with
-         | 0 -> compare a.module_name b.module_name
-         | c -> c)
+  sort_rows (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
 
 let module_propagation_ratio r =
   fdiv r.m_wait r.m_waitdist

@@ -97,6 +97,15 @@ val by_module : Component.t -> Dpwaitgraph.Wait_graph.t list -> module_row list
 (** Same counting rules as {!analyze_graphs}, broken down per module;
     sorted by [m_wait] descending. *)
 
+val measure :
+  Component.t ->
+  Dpwaitgraph.Wait_graph.t list ->
+  result * Provenance.impact * module_row list
+(** {!analyze_graphs_prov} and {!by_module} from one traversal of each
+    graph: one BFS for the top-level waits plus one pass over the nodes
+    for running time. The three functions above are projections of this
+    pass, so their results agree by construction. *)
+
 val merge_modules : module_row list -> module_row list -> module_row list
 (** Combine breakdowns measured over {e disjoint streams} (sums, max of
     maxes), restoring {!by_module}'s sort; exact for the same reason

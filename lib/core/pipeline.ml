@@ -1,4 +1,5 @@
 module Wait_graph = Dpwaitgraph.Wait_graph
+module Scenario = Dptrace.Scenario
 
 type scenario_result = {
   classification : Classify.t;
@@ -59,25 +60,17 @@ let build_graphs ?pool _corpus entries =
     Array.to_list out
     |> List.map (function Some g -> g | None -> assert false)
 
-let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
-    corpus name =
-  span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
-  let classification =
-    span "pipeline.classify" (fun () -> Classify.classify corpus name)
-  in
-  let fast_graphs = build_graphs ?pool corpus classification.Classify.fast in
-  let slow_graphs = build_graphs ?pool corpus classification.Classify.slow in
+(* The causality half of one scenario, from its classified instances'
+   prebuilt graphs: slow-class impact, both AWGs, mining, coverages. *)
+let scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow =
   let slow_impact, slow_impact_prov =
-    span "pipeline.impact" (fun () ->
-        Impact.analyze_graphs_prov components slow_graphs)
+    span "pipeline.impact" (fun () -> Impact.analyze_graphs_prov components slow)
   in
   let fast_awg =
-    span "pipeline.awg_build" (fun () ->
-        Awg.build ?pool ~reduce components fast_graphs)
+    span "pipeline.awg_build" (fun () -> Awg.build ?pool ~reduce components fast)
   in
   let slow_awg =
-    span "pipeline.awg_build" (fun () ->
-        Awg.build ?pool ~reduce components slow_graphs)
+    span "pipeline.awg_build" (fun () -> Awg.build ?pool ~reduce components slow)
   in
   let mining =
     span "pipeline.mining" (fun () ->
@@ -106,6 +99,16 @@ let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
     mining;
     coverages;
   }
+
+let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
+    corpus name =
+  span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
+  let classification =
+    span "pipeline.classify" (fun () -> Classify.classify corpus name)
+  in
+  let fast = build_graphs ?pool corpus classification.Classify.fast in
+  let slow = build_graphs ?pool corpus classification.Classify.slow in
+  scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow
 
 let run_impact ?pool components corpus = Impact.analyze ?pool components corpus
 
@@ -155,6 +158,85 @@ let run_all ?pool ?k ?reduce ?scenarios components corpus =
   | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one names
   | None -> List.map one names)
   |> List.filter_map Fun.id
+
+type report = {
+  impact : Impact.result;
+  impact_prov : Provenance.impact;
+  modules : Impact.module_row list;
+  scenarios : (string * scenario_result) list;
+}
+
+let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
+    components (corpus : Dptrace.Corpus.t) =
+  let names =
+    match scenarios with
+    | Some names -> names
+    | None -> Dptrace.Corpus.scenario_names corpus
+  in
+  (* Names without a spec are skipped, as run_all skips them. *)
+  let specs =
+    List.filter_map
+      (fun name ->
+        Option.map (fun spec -> (name, spec)) (Dptrace.Corpus.find_spec corpus name))
+      names
+  in
+  (* Per stream: every instance's graph built once and measured once;
+     only the fast/slow graphs of requested scenarios outlive the pass. *)
+  let of_stream (st : Dptrace.Stream.t) =
+    let index = Dptrace.Stream.shared_index st in
+    let graphs = List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances in
+    let classed =
+      List.fold_right2
+        (fun (i : Scenario.instance) g acc ->
+          match List.assoc_opt i.Scenario.scenario specs with
+          | None -> acc
+          | Some spec ->
+            let c = Scenario.classify spec i in
+            ((st, i), c, if c = Scenario.Middle then None else Some g) :: acc)
+        st.Dptrace.Stream.instances graphs []
+    in
+    (Impact.measure components graphs, classed)
+  in
+  let parts =
+    span "pipeline.report_streams" @@ fun () ->
+    match pool with
+    | Some pool -> Dppar.Pool.parallel_map pool of_stream corpus.Dptrace.Corpus.streams
+    | None -> List.map of_stream corpus.Dptrace.Corpus.streams
+  in
+  (* The merges run_impact_prov_snap and modules_snap use, in stream order. *)
+  let impact, impact_prov, modules =
+    List.fold_left
+      (fun (r, p, m) ((r', p', m'), _) ->
+        (Impact.merge r r', Provenance.merge_impact p p', Impact.merge_modules m m'))
+      (Impact.empty, Provenance.empty_impact, [])
+      parts
+  in
+  (* Each class lists its instances in corpus order, as Classify.classify
+     does, and its graphs in the same order. *)
+  let one (name, spec) =
+    span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
+    let classification, fast, slow =
+      span "pipeline.classify" @@ fun () ->
+      let mine = List.filter (fun ((_, (i : Scenario.instance)), _, _) -> i.Scenario.scenario = name) in
+      let items = List.concat_map (fun (_, classed) -> mine classed) parts in
+      let entries cls = List.filter_map (fun (e, c, _) -> if c = cls then Some e else None) items in
+      let graphs cls = List.filter_map (fun (_, c, g) -> if c = cls then g else None) items in
+      ( { Classify.spec; fast = entries Scenario.Fast; middle = entries Scenario.Middle;
+          slow = entries Scenario.Slow },
+        graphs Scenario.Fast,
+        graphs Scenario.Slow )
+    in
+    let r = scenario_of_graphs ~k ~reduce components classification ~fast ~slow in
+    if Dpobs.metrics_on () then
+      Dpobs.Metrics.incr (Lazy.force scenarios_done);
+    (name, r)
+  in
+  let scenarios =
+    match pool with
+    | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one specs
+    | None -> List.map one specs
+  in
+  { impact; impact_prov; modules; scenarios }
 
 (* --- snapshot-backed variants ---
 

@@ -1,18 +1,23 @@
 (** End-to-end orchestration: corpus → impact analysis and per-scenario
     causality analysis.
 
-    Wait Graphs are built once per scenario instance (sharing one
-    memoised index per stream, corpus-wide — see
-    {!Dptrace.Stream.shared_index}) and reused across the classification,
-    the per-class impact measurement and the AWG aggregation.
+    {!run_report} is the from-scratch report: one pass per stream
+    resolves the stream's memoised index (see
+    {!Dptrace.Stream.shared_index}), builds each instance's Wait Graph
+    once and traverses it once ({!Impact.measure}) for the corpus impact,
+    its provenance and the module table; the same graphs then feed each
+    requested scenario's classes. The composed entry points below
+    ({!build_graphs}, {!run_scenario}, {!run_all}, {!run_impact_prov})
+    serve single questions and build the graphs they need themselves.
 
     Every entry point takes an optional [?pool] (a {!Dppar.Pool.t}); when
-    given, independent units of work — streams within {!build_graphs} and
-    {!run_impact}, scenarios within {!run_all} and
-    {!impact_per_scenario} — fan out across its domains. Parallel results
-    are {e bit-identical} to sequential ones: work is only split along
-    independence boundaries, results are merged in input order (never
-    completion order), and reductions run in a fixed association. *)
+    given, independent units of work — streams within {!run_report},
+    {!build_graphs} and {!run_impact}, scenarios within {!run_report},
+    {!run_all} and {!impact_per_scenario} — fan out across its domains.
+    Parallel results are {e bit-identical} to sequential ones: work is
+    only split along independence boundaries, results are merged in input
+    order (never completion order), and reductions run in a fixed
+    association. *)
 
 type scenario_result = {
   classification : Classify.t;
@@ -64,6 +69,32 @@ val run_all :
     corpus), skipping names without a spec. With [pool], scenarios fan
     out across domains — one scenario per work item — and the result list
     follows the order of [scenarios] regardless of completion order. *)
+
+type report = {
+  impact : Impact.result;
+  impact_prov : Provenance.impact;
+      (** {!Provenance.empty_impact} unless {!Provenance.enabled}. *)
+  modules : Impact.module_row list;  (** {!Impact.by_module} order. *)
+  scenarios : (string * scenario_result) list;
+}
+(** Everything [report --json] renders. *)
+
+val run_report :
+  ?pool:Dppar.Pool.t ->
+  ?k:int ->
+  ?reduce:bool ->
+  ?scenarios:string list ->
+  Component.t ->
+  Dptrace.Corpus.t ->
+  report
+(** {!run_impact_prov}, {!Impact.by_module} over every instance's graph
+    and {!run_all} (same [scenarios] default, names without a spec
+    skipped), field for field, from one per-stream pass that builds and
+    traverses each Wait Graph once ({!Impact.measure}) and keeps only the
+    fast/slow graphs of requested scenarios. Stream parts merge in stream
+    order with {!Impact.merge}, {!Provenance.merge_impact} and
+    {!Impact.merge_modules}. With [pool], streams fan out
+    (order-preserving), then scenarios, one per work item. *)
 
 val run_impact :
   ?pool:Dppar.Pool.t -> Component.t -> Dptrace.Corpus.t -> Impact.result

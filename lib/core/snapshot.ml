@@ -90,7 +90,8 @@ let entry_scenario_class e name =
 (* --- the per-stream analysis (the unit of caching) ---
 
    Everything downstream merging needs from one stream, computed from
-   the stream's wait graphs built once: its contribution to the
+   the stream's wait graphs built once (and, for the whole-stream
+   numbers, traversed once by [Impact.measure]): its contribution to the
    whole-corpus impact (+ provenance), to the per-module breakdown, to
    each scenario's all-instance impact, and — for scenarios with a spec —
    the per-class impact partials and unreduced AWG partial forests. *)
@@ -99,8 +100,7 @@ let analyze_stream components ~specs (st : Stream.t) =
   let index = Stream.shared_index st in
   let instances = st.Stream.instances in
   let graphs = List.map (Wait_graph.build ~index st) instances in
-  let e_impact, e_prov = Impact.analyze_graphs_prov components graphs in
-  let e_modules = Impact.by_module components graphs in
+  let e_impact, e_prov, e_modules = Impact.measure components graphs in
   (* Group (instance, graph) pairs by scenario name, preserving both the
      within-stream instance order and the names' first-appearance order
      (the entry's wire form must be a pure function of the stream). *)

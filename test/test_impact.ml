@@ -241,6 +241,43 @@ let test_impact_per_scenario_partitions () =
   in
   check Alcotest.bool "sorted" true (sorted per)
 
+(* --- one traversal ≡ the two-walk reference --- *)
+
+let prov_lists (p : Dpcore.Provenance.impact) =
+  let l = Dpcore.Provenance.Topk.to_list in
+  ( l p.Dpcore.Provenance.top_waits,
+    l p.Dpcore.Provenance.top_runs,
+    List.map (fun (name, t) -> (name, l t)) p.Dpcore.Provenance.by_module )
+
+let component_sets =
+  [| drivers; Component.of_patterns [ "*" ]; Component.of_patterns [ "*s*"; "app*" ] |]
+
+let prop_measure_equals_reference =
+  QCheck.Test.make ~name:"measure = two-walk reference (random corpora)"
+    ~count:12
+    QCheck.(triple (int_range 1 10_000) (int_range 0 2) bool)
+    (fun (seed, which, prov) ->
+      let corpus =
+        Dpworkload.Corpus_gen.generate
+          { Dpworkload.Corpus_gen.default_config with seed; scale = 0.02 }
+      in
+      let graphs =
+        Dpcore.Pipeline.build_graphs corpus (Dptrace.Corpus.all_instances corpus)
+      in
+      let components = component_sets.(which) in
+      if prov then Dpcore.Provenance.enable ();
+      Fun.protect ~finally:Dpcore.Provenance.disable @@ fun () ->
+      let r, p, rows = Impact.measure components graphs in
+      let r', p' = Impact_reference.analyze_graphs_prov components graphs in
+      let rows' = Impact_reference.by_module components graphs in
+      r = r'
+      && rows = rows'
+      && prov_lists p = prov_lists p'
+      && Impact.analyze_graphs components graphs = r'
+      && Impact.by_module components graphs = rows'
+      && (prov_lists (snd (Impact.analyze_graphs_prov components graphs))
+         = prov_lists p'))
+
 let () =
   Alcotest.run "dpcore-impact"
     [
@@ -265,4 +302,6 @@ let () =
           Alcotest.test_case "shared corpus" `Quick test_by_module;
           Alcotest.test_case "totals partition" `Quick test_by_module_totals_match;
         ] );
+      ( "reference",
+        [ QCheck_alcotest.to_alcotest prop_measure_equals_reference ] );
     ]

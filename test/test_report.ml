@@ -224,6 +224,44 @@ let test_provenance_changes_no_number () =
   check Alcotest.bool "same numbers with provenance on" true
     (with_provenance numbers = plain)
 
+(* run_report's one per-stream pass must render exactly the document of
+   the composed path: run_impact_prov, by_module over every instance's
+   graph, run_all. The scenario list carries a name without a spec, which
+   both must skip. *)
+let test_run_report_equals_composed () =
+  let corpus = Lazy.force corpus in
+  let scenarios = [ "BrowserTabCreate"; "NoSuchScenario"; "AppNonResponsive" ] in
+  let render ~impact ~impact_prov ~modules ~scenarios =
+    J.to_string (Report.Json.document ~impact ~impact_prov ~modules ~scenarios ())
+  in
+  let composed ?pool () =
+    let impact, impact_prov = Pipeline.run_impact_prov ?pool drivers corpus in
+    let graphs =
+      Pipeline.build_graphs ?pool corpus (Dptrace.Corpus.all_instances corpus)
+    in
+    let modules = Impact.by_module drivers graphs in
+    let named = Pipeline.run_all ?pool ~scenarios drivers corpus in
+    render ~impact ~impact_prov ~modules ~scenarios:named
+  in
+  let one_pass ?pool () =
+    let r = Pipeline.run_report ?pool ~scenarios drivers corpus in
+    render ~impact:r.Pipeline.impact ~impact_prov:r.Pipeline.impact_prov
+      ~modules:r.Pipeline.modules ~scenarios:r.Pipeline.scenarios
+  in
+  let compare_both ~msg ?pool () =
+    let want = composed ?pool () in
+    check Alcotest.bool (msg ^ ": the spec-less name is skipped") false
+      (contains want "NoSuchScenario");
+    check Alcotest.string msg want (one_pass ?pool ())
+  in
+  let both_pools ~prov =
+    compare_both ~msg:(prov ^ ", sequential") ();
+    Dppar.Pool.with_pool ~domains:2 (fun pool ->
+        compare_both ~msg:(prov ^ ", 2-domain pool") ~pool ())
+  in
+  both_pools ~prov:"provenance off";
+  with_provenance (fun () -> both_pools ~prov:"provenance on")
+
 let test_jsonw_escaping_round_trips () =
   let doc =
     J.Obj
@@ -277,6 +315,8 @@ let () =
             test_json_disabled_mode_is_bare;
           Alcotest.test_case "provenance changes no number" `Quick
             test_provenance_changes_no_number;
+          Alcotest.test_case "run_report = composed path" `Quick
+            test_run_report_equals_composed;
           Alcotest.test_case "escaping round-trips" `Quick
             test_jsonw_escaping_round_trips;
         ] );
