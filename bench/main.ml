@@ -48,28 +48,28 @@ let corpus =
 
 let bench_pool = Dppar.Pool.create ()
 
-(* Lazy so its timing line prints inside E2, the first section that
-   reads it, rather than before the banner. *)
-let named_results =
+(* The corpus impact, module table and the eight scenarios' causality
+   results from one run_report pass. Lazy so its timing line prints
+   inside E1, the first section that reads it, rather than before the
+   banner. *)
+let report =
   lazy
     (timed
-       (Printf.sprintf "causality analysis x8 (%d domains)"
+       (Printf.sprintf "impact + causality analysis x8 (%d domains)"
           (Dppar.Pool.size bench_pool))
        (fun () ->
-         Pipeline.run_all ~pool:bench_pool ~scenarios:Paper.scenarios drivers
+         Pipeline.run_report ~pool:bench_pool ~scenarios:Paper.scenarios drivers
            corpus))
 
-let result name = List.assoc name (Lazy.force named_results)
+let named_results () = (Lazy.force report).Pipeline.scenarios
+let result name = List.assoc name (named_results ())
 
 (* --- E1: Section 5.1 headline impact metrics --- *)
 
 let e1 () =
   section "E1 - Impact analysis of device drivers (Section 5.1)";
   Format.printf "%a@." Dptrace.Corpus.pp_summary corpus;
-  let r =
-    timed "impact analysis" (fun () ->
-        Pipeline.run_impact ~pool:bench_pool drivers corpus)
-  in
+  let { Pipeline.impact = r; modules; _ } = Lazy.force report in
   let t =
     Table.create ~title:"Headline metrics, paper vs measured"
       [ ("Metric", Table.Left); ("Paper", Table.Right); ("Measured", Table.Right) ]
@@ -85,12 +85,8 @@ let e1 () =
     ];
   Table.print t;
   (* Analyst drill-down: which driver carries the impact. *)
-  let graphs =
-    Pipeline.build_graphs corpus (Dptrace.Corpus.all_instances corpus)
-  in
   print_newline ();
-  Table.print
-    (Dpcore.Report.module_breakdown ~top:8 (Impact.by_module drivers graphs))
+  Table.print (Dpcore.Report.module_breakdown ~top:8 modules)
 
 (* --- E2: Table 1 --- *)
 
@@ -322,7 +318,7 @@ let e9 () =
     (fun (name, r) ->
       Table.add_row t
         [ name; pct (Dpcore.Awg.non_optimizable_fraction r.Pipeline.slow_awg) ])
-    (Lazy.force named_results);
+    (named_results ());
   Table.print t;
   Printf.printf "paper: BrowserTabSwitch = %.1f%%; measured above = %s\n"
     Paper.tab_switch_non_optimizable
@@ -467,7 +463,7 @@ let a3 () =
                Dputil.Time.to_ms_float (Dptrace.Scenario.duration i))
         |> Array.of_list
       in
-      let r = Pipeline.run_impact drivers c in
+      let r, _ = Pipeline.run_impact_prov drivers c in
       Table.add_row t
         [
           (match cores with None -> "unbounded" | Some n -> string_of_int n);

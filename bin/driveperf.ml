@@ -1,7 +1,7 @@
 (* driveperf — trace-based performance comprehension for device drivers.
 
    Subcommands:
-     generate    synthesise a corpus (text .dpt or binary .dpb)
+     generate    synthesise a corpus (text .dpt, binary .dpb or framed .dpf)
      impact      impact analysis (with per-module / per-scenario breakdowns)
      causality   causality analysis for one scenario
      report      regenerate the paper's tables from a corpus
@@ -184,10 +184,6 @@ let with_faults plan f =
       Dpfault.install plan;
       Fun.protect ~finally:Dpfault.clear f)
 
-(* Probe every stream at the [corpus.read] site; quarantined streams are
-   dropped from the analysed corpus and accounted in the coverage block. *)
-let screen_corpus corpus = Dpcore.Pipeline.screen corpus
-
 let print_coverage (cov : Dpcore.Pipeline.coverage) =
   if cov.Dpcore.Pipeline.cov_quarantined <> [] then begin
     Dputil.Table.print (Dpcore.Report.stream_coverage cov);
@@ -210,43 +206,6 @@ let cache_arg =
      to a run without the cache."
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
-
-(* Open the cache for this configuration, ensure entries for the corpus
-   (analysing misses in parallel), hand [Some snapshot] to the body and
-   write the cache back after. Without --cache, the body gets [None]. *)
-let with_snapshot ~cache ~components ?(k = Dpcore.Mining.default_k) pool
-    corpus f =
-  match cache with
-  | None -> f None
-  | Some dir ->
-    let fingerprint =
-      Dpcore.Snapshot.fingerprint ~components
-        ~specs:corpus.Dptrace.Corpus.specs ~k ()
-    in
-    let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
-    Dpcore.Snapshot.ensure ~pool snap components corpus;
-    let r = f (Some snap) in
-    Dpcore.Snapshot.save snap;
-    let s = Dpcore.Snapshot.stats snap in
-    Dpobs.Log.info
-      "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d dropped, \
-       mining %d hit(s) / %d miss(es)"
-      dir s.Dpcore.Snapshot.s_hits s.Dpcore.Snapshot.s_misses
-      s.Dpcore.Snapshot.s_stale s.Dpcore.Snapshot.s_loaded
-      s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
-      s.Dpcore.Snapshot.s_mining_misses;
-    r
-
-(* Corpus impact, module rows and the named scenarios' results: merged
-   from the snapshot's partials under --cache, otherwise from the one
-   per-stream pass that builds and traverses each wait graph once. *)
-let report_results ?scenarios ~pool components corpus = function
-  | Some snap ->
-    let impact, impact_prov = Dpcore.Pipeline.run_impact_prov_snap snap corpus in
-    let scenarios = Dpcore.Pipeline.run_all_snap ~pool ?scenarios snap corpus in
-    let modules = Dpcore.Pipeline.modules_snap snap corpus in
-    { Dpcore.Pipeline.impact; impact_prov; modules; scenarios }
-  | None -> Dpcore.Pipeline.run_report ~pool ?scenarios components corpus
 
 (* --- self-telemetry options (lib/obs) --- *)
 
@@ -346,6 +305,62 @@ let with_progress o ~label ~total counter_name f =
     | None -> f ()
     | Some p -> Fun.protect ~finally:(fun () -> Dpobs.Progress.finish p) f
 
+(* The analysis behind impact, report and analyze: the corpus impact,
+   module rows and the named scenarios' results (computed under the
+   --progress line), handed to the body with a thunk for the
+   per-scenario impact table. Under --cache both come from the snapshot's
+   partials: the cache is opened for this configuration, ensured for the
+   corpus (misses analysed in parallel) and written back after the body.
+   Otherwise they come from the one per-stream pass that builds and
+   traverses each wait graph once. *)
+let with_results ?scenarios ~cache ~components ~obs pool corpus f =
+  let progress run =
+    let names =
+      Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
+    in
+    with_progress obs ~label:"scenarios" ~total:(List.length names)
+      "pipeline.scenarios_done" run
+  in
+  match cache with
+  | None ->
+    let results =
+      progress (fun () ->
+          Dpcore.Pipeline.run_report ~pool ?scenarios components corpus)
+    in
+    f results (fun () ->
+        Dpcore.Pipeline.impact_per_scenario ~pool components corpus)
+  | Some dir ->
+    let fingerprint =
+      Dpcore.Snapshot.fingerprint ~components
+        ~specs:corpus.Dptrace.Corpus.specs ~k:Dpcore.Mining.default_k ()
+    in
+    let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
+    Dpcore.Snapshot.ensure ~pool snap components corpus;
+    let results =
+      progress (fun () ->
+          let impact, impact_prov =
+            Dpcore.Pipeline.run_impact_prov_snap snap corpus
+          in
+          let scenarios =
+            Dpcore.Pipeline.run_all_snap ~pool ?scenarios snap corpus
+          in
+          let modules = Dpcore.Pipeline.modules_snap snap corpus in
+          { Dpcore.Pipeline.impact; impact_prov; modules; scenarios })
+    in
+    let r =
+      f results (fun () -> Dpcore.Pipeline.impact_per_scenario_snap snap corpus)
+    in
+    Dpcore.Snapshot.save snap;
+    let s = Dpcore.Snapshot.stats snap in
+    Dpobs.Log.info
+      "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d dropped, \
+       mining %d hit(s) / %d miss(es)"
+      dir s.Dpcore.Snapshot.s_hits s.Dpcore.Snapshot.s_misses
+      s.Dpcore.Snapshot.s_stale s.Dpcore.Snapshot.s_loaded
+      s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
+      s.Dpcore.Snapshot.s_mining_misses;
+    r
+
 (* --- generate --- *)
 
 let generate seed scale no_cross cores out =
@@ -404,10 +419,10 @@ let impact corpus pats breakdown per_scenario cache j mode faults obs =
   let components = components_of pats in
   with_cli_pool j @@ fun pool ->
   let corpus = read_corpus ~pool ~mode corpus in
-  let corpus, cov = screen_corpus corpus in
+  let corpus, cov = Dpcore.Pipeline.screen corpus in
   print_coverage cov;
-  with_snapshot ~cache ~components pool corpus @@ fun snap ->
-  let r = report_results ~scenarios:[] ~pool components corpus snap in
+  with_results ~scenarios:[] ~cache ~components ~obs pool corpus
+  @@ fun r per_scenario_impacts ->
   Dputil.Table.print (Dpcore.Report.impact_summary r.Dpcore.Pipeline.impact);
   if breakdown then begin
     print_newline ();
@@ -415,15 +430,10 @@ let impact corpus pats breakdown per_scenario cache j mode faults obs =
   end;
   if per_scenario then begin
     print_newline ();
-    let scenario_count =
-      List.length (Dptrace.Corpus.scenario_names corpus)
-    in
     let impacts =
-      with_progress obs ~label:"scenarios" ~total:scenario_count
-        "pipeline.scenarios_done" (fun () ->
-          match snap with
-          | Some snap -> Dpcore.Pipeline.impact_per_scenario_snap snap corpus
-          | None -> Dpcore.Pipeline.impact_per_scenario ~pool components corpus)
+      with_progress obs ~label:"scenarios"
+        ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
+        "pipeline.scenarios_done" per_scenario_impacts
     in
     Dputil.Table.print (Dpcore.Report.scenario_impacts impacts)
   end;
@@ -455,7 +465,7 @@ let causality corpus pats scenario k top j mode faults obs =
   let components = components_of pats in
   with_cli_pool j @@ fun pool ->
   let corpus = read_corpus ~pool ~mode corpus in
-  let corpus, cov = screen_corpus corpus in
+  let corpus, cov = Dpcore.Pipeline.screen corpus in
   print_coverage cov;
   let r = Dpcore.Pipeline.run_scenario ~pool ~k components corpus scenario in
   let f, m, s = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in
@@ -522,20 +532,16 @@ let report corpus json cache j mode faults obs =
   if json then Dpcore.Provenance.enable ();
   with_cli_pool j @@ fun pool ->
   let corpus = read_corpus ~pool ~mode corpus in
-  let corpus, cov = screen_corpus corpus in
+  let corpus, cov = Dpcore.Pipeline.screen corpus in
   if not json then print_coverage cov;
-  with_snapshot ~cache ~components pool corpus @@ fun snap ->
   let scenario_names =
     List.map
       (fun (tpl : Dpworkload.Scenarios.template) ->
         tpl.Dpworkload.Scenarios.spec.Dptrace.Scenario.name)
       Dpworkload.Scenarios.named
   in
-  let { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } =
-    with_progress obs ~label:"scenarios" ~total:(List.length scenario_names)
-      "pipeline.scenarios_done" (fun () ->
-        report_results ~scenarios:scenario_names ~pool components corpus snap)
-  in
+  with_results ~scenarios:scenario_names ~cache ~components ~obs pool corpus
+  @@ fun { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } _ ->
   if json then
     print_string
       (Dputil.Jsonw.to_string
@@ -1201,8 +1207,8 @@ let export_trace_cmd =
 let flame corpus scenario out_dir slow fast top pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
-  with_cli_pool j @@ fun _pool ->
-  let corpus = read_corpus ~mode corpus in
+  with_cli_pool j @@ fun pool ->
+  let corpus = read_corpus ~pool ~mode corpus in
   match Dpcore.Classify.classify corpus scenario with
   | exception Not_found ->
     Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
@@ -1323,42 +1329,31 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
   with_obs obs @@ fun () ->
   with_faults faults @@ fun () ->
   let components = Dpcore.Component.drivers in
-  if json then begin
-    Dpcore.Provenance.enable ();
-    with_cli_pool j @@ fun pool ->
-    let corpus = read_corpus ~pool ~mode corpus_path in
-    let corpus, cov = screen_corpus corpus in
-    with_snapshot ~cache ~components pool corpus @@ fun snap ->
-    let { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } =
-      with_progress obs ~label:"scenarios"
-        ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
-        "pipeline.scenarios_done" (fun () ->
-          report_results ~pool components corpus snap)
-    in
-    let doc =
-      Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov ~modules
-        ~scenarios:named ()
-    in
-    (match out with
+  if json then Dpcore.Provenance.enable ();
+  with_cli_pool j @@ fun pool ->
+  let corpus = read_corpus ~pool ~mode corpus_path in
+  let corpus, cov = Dpcore.Pipeline.screen corpus in
+  with_results ~cache ~components ~obs pool corpus
+  @@ fun results per_scenario_impacts ->
+  let write output x =
+    match out with
     | Some path ->
       let oc = open_out path in
-      Dputil.Jsonw.output oc doc;
+      output oc x;
       close_out oc;
       Printf.printf "wrote %s\n" path
-    | None -> Dputil.Jsonw.output stdout doc);
+    | None -> output stdout x
+  in
+  if json then begin
+    let { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } =
+      results
+    in
+    write Dputil.Jsonw.output
+      (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov ~modules
+         ~scenarios:named ());
     0
   end
   else begin
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus_path in
-  let corpus, cov = screen_corpus corpus in
-  with_snapshot ~cache ~components pool corpus @@ fun snap ->
-  let results =
-    with_progress obs ~label:"scenarios"
-      ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
-      "pipeline.scenarios_done" (fun () ->
-        report_results ~pool components corpus snap)
-  in
   let buf = Buffer.create 65536 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let block text =
@@ -1391,11 +1386,7 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
        (Dpcore.Report.module_breakdown results.Dpcore.Pipeline.modules));
   block
     (Dputil.Table.render
-       (Dpcore.Report.scenario_impacts
-          (match snap with
-          | Some snap -> Dpcore.Pipeline.impact_per_scenario_snap snap corpus
-          | None ->
-            Dpcore.Pipeline.impact_per_scenario ~pool components corpus)));
+       (Dpcore.Report.scenario_impacts (per_scenario_impacts ())));
   line "### Robustness";
   line "";
   block
@@ -1450,13 +1441,7 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
         with no links between them."
     (List.length (Dpbaseline.Lock_profiler.sites lp))
     (Dputil.Time.to_string (Dpbaseline.Lock_profiler.total_wait lp));
-  (match out with
-  | Some path ->
-    let oc = open_out path in
-    Buffer.output_buffer oc buf;
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  | None -> Buffer.output_buffer stdout buf);
+  write Buffer.output_buffer buf;
   0
   end
 

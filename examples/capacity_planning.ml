@@ -28,7 +28,7 @@ let study cores =
            Dputil.Time.to_ms_float (Dptrace.Scenario.duration i))
     |> Array.of_list
   in
-  let impact = Dpcore.Pipeline.run_impact Dpcore.Component.drivers corpus in
+  let impact, _ = Dpcore.Pipeline.run_impact_prov Dpcore.Component.drivers corpus in
   let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
   (durations, impact, r)
 

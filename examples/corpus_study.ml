@@ -1,8 +1,9 @@
 (* The full Section 5 study at a reduced scale.
 
    Generates a seeded corpus, runs the impact analysis over all device
-   drivers, then the causality analysis on each of the eight named
-   scenarios, and prints every table of the paper's evaluation.
+   drivers and the causality analysis on each of the eight named
+   scenarios (one Pipeline.run_report pass), and prints every table of
+   the paper's evaluation.
 
    Run with: dune exec examples/corpus_study.exe -- [scale] *)
 
@@ -16,17 +17,17 @@ let () =
   Format.printf "%a@.@." Dptrace.Corpus.pp_summary corpus;
 
   let components = Dpcore.Component.drivers in
-  Dputil.Table.print
-    (Dpcore.Report.impact_summary (Dpcore.Pipeline.run_impact components corpus));
-  print_newline ();
-
-  let named =
+  let scenarios =
     List.map
       (fun (tpl : Dpworkload.Scenarios.template) ->
-        let name = tpl.Dpworkload.Scenarios.spec.Dptrace.Scenario.name in
-        (name, Dpcore.Pipeline.run_scenario components corpus name))
+        tpl.Dpworkload.Scenarios.spec.Dptrace.Scenario.name)
       Dpworkload.Scenarios.named
   in
+  let report = Dpcore.Pipeline.run_report ~scenarios components corpus in
+  Dputil.Table.print (Dpcore.Report.impact_summary report.Dpcore.Pipeline.impact);
+  print_newline ();
+
+  let named = report.Dpcore.Pipeline.scenarios in
   Dputil.Table.print
     (Dpcore.Report.scenario_classes
        (List.map (fun (n, r) -> (n, r.Dpcore.Pipeline.classification)) named));

@@ -61,7 +61,7 @@ let () =
 
   (* Step 1 — impact analysis over all driver components. *)
   let components = Dpcore.Component.drivers in
-  let impact = Dpcore.Pipeline.run_impact components corpus in
+  let impact, _ = Dpcore.Pipeline.run_impact_prov components corpus in
   Dputil.Table.print (Dpcore.Report.impact_summary impact);
   print_newline ();
 

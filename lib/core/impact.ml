@@ -186,32 +186,6 @@ let merge a b =
     counted_runs = a.counted_runs + b.counted_runs;
   }
 
-(* One partial result per stream, merged in stream order. The
-   distinct-wait deduplication never crosses streams (keys carry the
-   stream id), every field merges by integer addition and provenance
-   reservoirs merge under a total order, so the per-stream reduction is
-   exact — parallel and sequential runs produce the same integers, hence
-   the same derived floats. *)
-let per_stream ?pool ~measure ~merge ~init (corpus : Dptrace.Corpus.t) =
-  let map (st : Dptrace.Stream.t) =
-    let index = Dptrace.Stream.shared_index st in
-    measure (List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances)
-  in
-  let streams = corpus.Dptrace.Corpus.streams in
-  match pool with
-  | Some pool -> Dppar.Pool.parallel_map_reduce pool ~map ~reduce:merge ~init streams
-  | None -> List.fold_left (fun acc st -> merge acc (map st)) init streams
-
-let analyze ?pool components corpus =
-  per_stream ?pool ~measure:(analyze_graphs components) ~merge ~init:empty corpus
-
-let analyze_prov ?pool components corpus =
-  per_stream ?pool
-    ~measure:(analyze_graphs_prov components)
-    ~merge:(fun (r1, p1) (r2, p2) -> (merge r1 r2, Provenance.merge_impact p1 p2))
-    ~init:(empty, Provenance.empty_impact)
-    corpus
-
 let fdiv a b = Dputil.Stats.ratio (float_of_int a) (float_of_int b)
 
 let ia_run r = fdiv r.d_run r.d_scn

@@ -19,7 +19,13 @@
     [ia_wait = d_wait/d_scn], [ia_opt = (d_wait - d_waitdist)/d_scn], and
     the propagation ratio [d_wait/d_waitdist] (≈3.5 in the paper: one
     second of distinct driver wait causes 3.5 seconds of scenario-level
-    waiting). *)
+    waiting).
+
+    Everything here measures prebuilt Wait Graphs: {!measure} is the one
+    traversal, and the other measuring functions are its projections.
+    The corpus-wide measurement is {!Pipeline.run_report}, which builds
+    each stream's graphs, measures them and {!merge}s the stream parts
+    in stream order. *)
 
 type result = {
   d_scn : Dputil.Time.t;
@@ -39,14 +45,6 @@ val analyze_graphs : Component.t -> Dpwaitgraph.Wait_graph.t list -> result
     share event identities, which {!Dpwaitgraph.Wait_graph.build}
     guarantees). *)
 
-val analyze : ?pool:Dppar.Pool.t -> Component.t -> Dptrace.Corpus.t -> result
-(** Build the Wait Graph of every instance in the corpus and measure.
-    Computed as one partial {!result} per stream — each stream's memoised
-    {!Dptrace.Stream.shared_index} is built at most once — {!merge}d in
-    stream order. [pool] fans the per-stream work across domains; the
-    reduction is associative over disjoint streams, so the parallel result
-    is bit-identical to the sequential one. *)
-
 val analyze_graphs_prov :
   Component.t -> Dpwaitgraph.Wait_graph.t list -> result * Provenance.impact
 (** {!analyze_graphs} that additionally returns the provenance of the
@@ -54,15 +52,6 @@ val analyze_graphs_prov :
     events, globally and per module. When {!Provenance.enabled} is false
     this is exactly [(analyze_graphs ..., Provenance.empty_impact)] and
     does no extra work. *)
-
-val analyze_prov :
-  ?pool:Dppar.Pool.t ->
-  Component.t ->
-  Dptrace.Corpus.t ->
-  result * Provenance.impact
-(** {!analyze} plus provenance; same per-stream reduction, and the
-    provenance merge is exact over disjoint streams, so parallel and
-    sequential runs agree. *)
 
 val ia_run : result -> float
 (** Fraction in [\[0,1\]]. *)

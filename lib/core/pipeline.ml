@@ -12,11 +12,20 @@ type scenario_result = {
 }
 
 (* Stage spans: one span per pipeline stage per scenario, recorded on
-   whichever domain runs the stage, so a pooled run_all shows its
+   whichever domain runs the stage, so a pooled run_report shows its
    scenario fan-out per domain in the Chrome trace. The scenarios_done
    counter drives the --progress line. *)
 let span = Dpobs.Span.with_span
 let scenarios_done = lazy (Dpobs.Metrics.counter "pipeline.scenarios_done")
+
+(* The per-scenario impact table's order: wait mass descending, then name. *)
+let by_d_wait l =
+  List.sort
+    (fun (na, (a : Impact.result)) (nb, (b : Impact.result)) ->
+      match compare b.Impact.d_wait a.Impact.d_wait with
+      | 0 -> compare na nb
+      | c -> c)
+    l
 
 let build_graphs ?pool _corpus entries =
   span "pipeline.build_graphs" @@ fun () ->
@@ -110,15 +119,10 @@ let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
   let slow = build_graphs ?pool corpus classification.Classify.slow in
   scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow
 
-let run_impact ?pool components corpus = Impact.analyze ?pool components corpus
-
-let run_impact_prov ?pool components corpus =
-  Impact.analyze_prov ?pool components corpus
-
 let impact_per_scenario ?pool components corpus =
   (* Scenario-level fan-out; graph building inside each scenario stays
      sequential (one unit of work per worker, no nested parallelism). The
-     final order is fixed by the sort below, never by completion order. *)
+     final order is fixed by the sort, never by completion order. *)
   let impact_of name =
     let graphs = build_graphs corpus (Dptrace.Corpus.instances_of corpus name) in
     let r = (name, Impact.analyze_graphs components graphs) in
@@ -127,37 +131,10 @@ let impact_per_scenario ?pool components corpus =
     r
   in
   let names = Dptrace.Corpus.scenario_names corpus in
-  (match pool with
-  | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool impact_of names
-  | None -> List.map impact_of names)
-  |> List.sort (fun (na, (a : Impact.result)) (nb, (b : Impact.result)) ->
-         match compare b.Impact.d_wait a.Impact.d_wait with
-         | 0 -> compare na nb
-         | c -> c)
-
-let run_all ?pool ?k ?reduce ?scenarios components corpus =
-  let names =
-    match scenarios with
-    | Some names -> names
-    | None -> Dptrace.Corpus.scenario_names corpus
-  in
-  (* One scenario per work item; run_scenario itself runs sequentially in
-     the worker. Results are merged by the scenario-name order of [names],
-     not completion order. *)
-  let one name =
-    let r =
-      match run_scenario ?k ?reduce components corpus name with
-      | r -> Some (name, r)
-      | exception Not_found -> None
-    in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
-    r
-  in
-  (match pool with
-  | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one names
-  | None -> List.map one names)
-  |> List.filter_map Fun.id
+  by_d_wait
+    (match pool with
+    | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool impact_of names
+    | None -> List.map impact_of names)
 
 type report = {
   impact : Impact.result;
@@ -173,7 +150,7 @@ let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
     | Some names -> names
     | None -> Dptrace.Corpus.scenario_names corpus
   in
-  (* Names without a spec are skipped, as run_all skips them. *)
+  (* Names without a spec are skipped, as run_all_snap skips them. *)
   let specs =
     List.filter_map
       (fun name ->
@@ -238,6 +215,10 @@ let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
   in
   { impact; impact_prov; modules; scenarios }
 
+let run_impact_prov ?pool components corpus =
+  let r = run_report ?pool ~scenarios:[] components corpus in
+  (r.impact, r.impact_prov)
+
 (* --- snapshot-backed variants ---
 
    Each mirrors its from-scratch counterpart exactly: the snapshot holds
@@ -252,11 +233,6 @@ let fold_entries snapshot (corpus : Dptrace.Corpus.t) ~init ~merge ~of_entry =
   List.fold_left
     (fun acc st -> merge acc (of_entry (Snapshot.entry snapshot st)))
     init corpus.Dptrace.Corpus.streams
-
-let run_impact_snap snapshot corpus =
-  span "pipeline.impact_snap" @@ fun () ->
-  fold_entries snapshot corpus ~init:Impact.empty ~merge:Impact.merge
-    ~of_entry:Snapshot.entry_impact
 
 let run_impact_prov_snap snapshot corpus =
   span "pipeline.impact_snap" @@ fun () ->
@@ -282,11 +258,7 @@ let impact_per_scenario_snap snapshot corpus =
       Dpobs.Metrics.incr (Lazy.force scenarios_done);
     (name, r)
   in
-  List.map impact_of (Dptrace.Corpus.scenario_names corpus)
-  |> List.sort (fun (na, (a : Impact.result)) (nb, (b : Impact.result)) ->
-         match compare b.Impact.d_wait a.Impact.d_wait with
-         | 0 -> compare na nb
-         | c -> c)
+  by_d_wait (List.map impact_of (Dptrace.Corpus.scenario_names corpus))
 
 let run_scenario_snap ?pool ?(k = Mining.default_k) ?(reduce = true) snapshot
     corpus name =
@@ -360,8 +332,8 @@ let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
     | Some names -> names
     | None -> Dptrace.Corpus.scenario_names corpus
   in
-  (* Mirror run_all: one scenario per work item, mining sequential inside
-     the worker, results in [names] order. *)
+  (* Mirror run_report: one scenario per work item, mining sequential
+     inside the worker, results in [names] order, spec-less names skipped. *)
   let one name =
     let r =
       match run_scenario_snap ?k ?reduce snapshot corpus name with
@@ -393,12 +365,10 @@ type coverage = {
   cov_quarantined : (int * string) list;
 }
 
-let full_coverage (corpus : Dptrace.Corpus.t) =
-  let n = Dptrace.Corpus.stream_count corpus in
-  { cov_total = n; cov_analyzed = n; cov_quarantined = [] }
-
 let screen (corpus : Dptrace.Corpus.t) =
-  if not (Dpfault.armed ()) then (corpus, full_coverage corpus)
+  if not (Dpfault.armed ()) then
+    let n = Dptrace.Corpus.stream_count corpus in
+    (corpus, { cov_total = n; cov_analyzed = n; cov_quarantined = [] })
   else begin
     (* One [corpus.read] probe per stream, in corpus order (so the
        plan's per-call draws are reproducible): a stream whose retries

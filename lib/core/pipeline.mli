@@ -1,23 +1,24 @@
 (** End-to-end orchestration: corpus → impact analysis and per-scenario
     causality analysis.
 
-    {!run_report} is the from-scratch report: one pass per stream
-    resolves the stream's memoised index (see
+    {!run_report} is the one from-scratch corpus traversal: one pass per
+    stream resolves the stream's memoised index (see
     {!Dptrace.Stream.shared_index}), builds each instance's Wait Graph
     once and traverses it once ({!Impact.measure}) for the corpus impact,
     its provenance and the module table; the same graphs then feed each
-    requested scenario's classes. The composed entry points below
-    ({!build_graphs}, {!run_scenario}, {!run_all}, {!run_impact_prov})
-    serve single questions and build the graphs they need themselves.
+    requested scenario's classes. {!run_impact_prov} is its projection
+    onto the corpus impact. {!build_graphs}, {!run_scenario} and
+    {!impact_per_scenario} serve narrower questions and build the graphs
+    they need themselves.
 
-    Every entry point takes an optional [?pool] (a {!Dppar.Pool.t}); when
-    given, independent units of work — streams within {!run_report},
-    {!build_graphs} and {!run_impact}, scenarios within {!run_report},
-    {!run_all} and {!impact_per_scenario} — fan out across its domains.
-    Parallel results are {e bit-identical} to sequential ones: work is
-    only split along independence boundaries, results are merged in input
-    order (never completion order), and reductions run in a fixed
-    association. *)
+    Every from-scratch entry point takes an optional [?pool] (a
+    {!Dppar.Pool.t}); when given, independent units of work — streams
+    within {!run_report} and {!build_graphs}, scenarios within
+    {!run_report} and {!impact_per_scenario} — fan out across its
+    domains. Parallel results are {e bit-identical} to sequential ones:
+    work is only split along independence boundaries, results are merged
+    in input order (never completion order), and reductions run in a
+    fixed association. *)
 
 type scenario_result = {
   classification : Classify.t;
@@ -57,19 +58,6 @@ val run_scenario :
     and AWG conversion within the scenario.
     @raise Not_found if the corpus has no spec for the scenario. *)
 
-val run_all :
-  ?pool:Dppar.Pool.t ->
-  ?k:int ->
-  ?reduce:bool ->
-  ?scenarios:string list ->
-  Component.t ->
-  Dptrace.Corpus.t ->
-  (string * scenario_result) list
-(** {!run_scenario} over [scenarios] (default: every scenario name in the
-    corpus), skipping names without a spec. With [pool], scenarios fan
-    out across domains — one scenario per work item — and the result list
-    follows the order of [scenarios] regardless of completion order. *)
-
 type report = {
   impact : Impact.result;
   impact_prov : Provenance.impact;
@@ -87,27 +75,24 @@ val run_report :
   Component.t ->
   Dptrace.Corpus.t ->
   report
-(** {!run_impact_prov}, {!Impact.by_module} over every instance's graph
-    and {!run_all} (same [scenarios] default, names without a spec
-    skipped), field for field, from one per-stream pass that builds and
-    traverses each Wait Graph once ({!Impact.measure}) and keeps only the
-    fast/slow graphs of requested scenarios. Stream parts merge in stream
-    order with {!Impact.merge}, {!Provenance.merge_impact} and
-    {!Impact.merge_modules}. With [pool], streams fan out
-    (order-preserving), then scenarios, one per work item. *)
-
-val run_impact :
-  ?pool:Dppar.Pool.t -> Component.t -> Dptrace.Corpus.t -> Impact.result
-(** Whole-corpus impact analysis (Section 5.1). [pool] fans the
-    per-stream measurement out across domains (see {!Impact.analyze}). *)
+(** The whole-corpus impact (Section 5.1) with its provenance,
+    {!Impact.by_module} over every instance's graph, and {!run_scenario}
+    for each of [scenarios] (default: every scenario name in the corpus;
+    names without a spec are skipped, the rest keep their order), from
+    one per-stream pass that builds and traverses each Wait Graph once
+    ({!Impact.measure}) and keeps only the fast/slow graphs of requested
+    scenarios. Stream parts merge in stream order with {!Impact.merge},
+    {!Provenance.merge_impact} and {!Impact.merge_modules}. With [pool],
+    streams fan out (order-preserving), then scenarios, one per work
+    item. *)
 
 val run_impact_prov :
   ?pool:Dppar.Pool.t ->
   Component.t ->
   Dptrace.Corpus.t ->
   Impact.result * Provenance.impact
-(** {!run_impact} plus the provenance of the measured numbers (see
-    {!Impact.analyze_prov}). *)
+(** The whole-corpus impact and its provenance: [(r.impact,
+    r.impact_prov)] of [run_report ?pool ~scenarios:[]]. *)
 
 val impact_per_scenario :
   ?pool:Dppar.Pool.t ->
@@ -116,9 +101,10 @@ val impact_per_scenario :
   (string * Impact.result) list
 (** The impact metrics measured separately over each scenario's instances
     (Section 3: "performance analysts can narrow down the investigation
-    scope"). Sorted by [d_wait], descending. The per-scenario results sum
-    to the whole-corpus [d_scn]/[d_wait]/[d_run], but not [d_waitdist]:
-    a wait shared by instances of two scenarios is distinct in each. *)
+    scope"). Sorted by [d_wait] descending, then by name. The
+    per-scenario results sum to the whole-corpus [d_scn]/[d_wait]/[d_run],
+    but not [d_waitdist]: a wait shared by instances of two scenarios is
+    distinct in each. *)
 
 (** {1 Snapshot-backed (incremental) variants}
 
@@ -133,19 +119,6 @@ val impact_per_scenario :
     All raise [Invalid_argument] if the snapshot lacks an entry for some
     stream (i.e. {!Snapshot.ensure} was not run for this corpus). *)
 
-val run_scenario_snap :
-  ?pool:Dppar.Pool.t ->
-  ?k:int ->
-  ?reduce:bool ->
-  Snapshot.t ->
-  Dptrace.Corpus.t ->
-  string ->
-  scenario_result
-(** Cached {!run_scenario}: classification is recomputed (cheap, and part
-    of the result); impact, provenance and both AWGs come from merged
-    snapshot partials; mining and coverages are computed on the merge.
-    @raise Not_found if the corpus has no spec for the scenario. *)
-
 val run_all_snap :
   ?pool:Dppar.Pool.t ->
   ?k:int ->
@@ -154,10 +127,12 @@ val run_all_snap :
   Snapshot.t ->
   Dptrace.Corpus.t ->
   (string * scenario_result) list
-(** Cached {!run_all}. *)
-
-val run_impact_snap : Snapshot.t -> Dptrace.Corpus.t -> Impact.result
-(** Cached {!run_impact}. *)
+(** Cached [scenarios] field of {!run_report} (same [scenarios] default,
+    spec-less names skipped). Per scenario, classification is recomputed
+    (cheap, and part of the result); impact, provenance and both AWGs
+    come from merged snapshot partials; mining is cached at scenario
+    granularity and coverages are computed on the merge. With [pool],
+    scenarios fan out one per work item. *)
 
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact
@@ -190,9 +165,6 @@ type coverage = {
   cov_quarantined : (int * string) list;
       (** quarantined [(stream id, reason)], in corpus order *)
 }
-
-val full_coverage : Dptrace.Corpus.t -> coverage
-(** Every stream analysed, nothing quarantined. *)
 
 val screen : Dptrace.Corpus.t -> Dptrace.Corpus.t * coverage
 (** Probe each stream's [corpus.read] site under the armed fault plan

@@ -7,7 +7,7 @@
     Section 5 case studies all end in such a drill-down). This module
     records that lineage as the analyses run:
 
-    - {!Impact.analyze} keeps, per component module and globally, the
+    - {!Impact.measure} keeps, per component module and globally, the
       top-K costliest distinct wait and running events behind
       [D_wait]/[D_waitdist]/[D_run], each tagged with its stream,
       scenario instance, signature, time span and propagation

@@ -74,7 +74,6 @@ type entry = {
   e_scenarios : (string * scen_entry) list;  (* first-appearance order *)
 }
 
-let entry_impact e = e.e_impact
 let entry_impact_prov e = (e.e_impact, e.e_prov)
 let entry_modules e = e.e_modules
 

@@ -69,7 +69,6 @@ val analyze_stream :
     fast/slow-class impact partials and unreduced {!Awg.Partial}
     forests. *)
 
-val entry_impact : entry -> Impact.result
 val entry_impact_prov : entry -> Impact.result * Provenance.impact
 
 val entry_modules : entry -> Impact.module_row list

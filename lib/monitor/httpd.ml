@@ -22,6 +22,10 @@ let parse_spec spec =
 
 let start spec =
   let addr, port = parse_spec spec in
+  (* A scraper that resets mid-response must cost one EPIPE, which
+     [respond] absorbs, not the default SIGPIPE action: killing the
+     process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

@@ -11,7 +11,10 @@ type t
 
 val start : string -> t
 (** [start spec] binds and listens. [spec] is ["PORT"] (loopback) or
-    ["HOST:PORT"]; port 0 picks an ephemeral port (see {!port}).
+    ["HOST:PORT"]; port 0 picks an ephemeral port (see {!port}). It also
+    sets SIGPIPE to be ignored for the whole process, so a client that
+    disconnects mid-response surfaces as a write error on that
+    connection instead of killing the process.
     @raise Failure when the address cannot be bound or parsed. *)
 
 val port : t -> int

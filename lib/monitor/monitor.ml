@@ -463,7 +463,7 @@ let tick t =
       let n_files, corpus = window_corpus t in
       let snap = snapshot_for t corpus in
       Snapshot.ensure ?pool:t.pool snap t.config.components corpus;
-      let impact = Pipeline.run_impact_snap snap corpus in
+      let impact = fst (Pipeline.run_impact_prov_snap snap corpus) in
       let results =
         Pipeline.run_all_snap ?pool:t.pool ~k:t.config.k snap corpus
       in

@@ -186,17 +186,3 @@ let parallel_map ?chunk t f lst =
     let chunks = Array.of_list (chunks_of ~chunk lst) in
     let jobs = Array.map (fun items () -> List.map f items) chunks in
     run_jobs t jobs |> Array.to_list |> List.concat
-
-let parallel_map_reduce ?chunk t ~map ~reduce ~init lst =
-  match lst with
-  | [] -> init
-  | lst ->
-    let n = List.length lst in
-    let chunk = resolve_chunk t chunk n in
-    let partial = function
-      | [] -> assert false (* chunks_of never yields an empty chunk *)
-      | x :: rest -> List.fold_left (fun acc y -> reduce acc (map y)) (map x) rest
-    in
-    (* [~chunk:1]: the items are already chunks. *)
-    let partials = parallel_map ~chunk:1 t partial (chunks_of ~chunk lst) in
-    List.fold_left reduce init partials

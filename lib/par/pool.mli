@@ -7,11 +7,10 @@
     domains, and a pool of size 1 degenerates to plain [List.map] with no
     domain traffic at all.
 
-    Determinism: {!parallel_map} returns results in input order, and
-    {!parallel_map_reduce} combines per-chunk partial results left to
-    right in chunk order, so for an associative [reduce] the outcome is
-    exactly [List.fold_left (fun acc x -> reduce acc (map x)) init xs] —
-    bit-identical to the sequential evaluation, whatever the scheduling.
+    Determinism: {!parallel_map} returns results in input order, whatever
+    the scheduling, so a caller that folds them left to right gets
+    exactly the sequential result. Reductions are the caller's: the
+    analysis maps per-stream parts here and merges them in stream order.
 
     Exceptions raised by [f] are caught in the workers and re-raised in
     the caller; when several work items fail, the exception of the
@@ -51,21 +50,6 @@ val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
     (>= 1) overrides the chunk length, which defaults to splitting the
     list into about [4 * size pool] chunks.
     @raise Invalid_argument if [chunk < 1]. *)
-
-val parallel_map_reduce :
-  ?chunk:int ->
-  t ->
-  map:('a -> 'b) ->
-  reduce:('b -> 'b -> 'b) ->
-  init:'b ->
-  'a list ->
-  'b
-(** [parallel_map_reduce pool ~map ~reduce ~init xs] is
-    [List.fold_left (fun acc x -> reduce acc (map x)) init xs] for an
-    {e associative} [reduce]: chunks are mapped and reduced in parallel,
-    and the per-chunk partials are folded into [init] left to right in
-    chunk order, so the association — hence the result, for associative
-    [reduce] — matches the sequential fold exactly. *)
 
 val default_domains : unit -> int
 (** The pool size used when [?domains] is omitted: the

@@ -203,7 +203,7 @@ let test_bootstrap_basic () =
   let r = Dpcore.Robustness.bootstrap ~replicates:50 Dpcore.Component.drivers corpus in
   check Alcotest.int "replicates recorded" 50 r.Dpcore.Robustness.replicates;
   (* Point estimates must match the direct analysis... *)
-  let direct = Dpcore.Pipeline.run_impact Dpcore.Component.drivers corpus in
+  let direct, _ = Dpcore.Pipeline.run_impact_prov Dpcore.Component.drivers corpus in
   check (Alcotest.float 1e-9) "point = direct"
     (Dpcore.Impact.ia_wait direct)
     r.Dpcore.Robustness.ia_wait.Dpcore.Robustness.point;

@@ -7,7 +7,6 @@
 module Corpus = Dptrace.Corpus
 module Corpus_gen = Dpworkload.Corpus_gen
 module Pipeline = Dpcore.Pipeline
-module Impact = Dpcore.Impact
 module Report = Dpcore.Report
 
 let check = Alcotest.check
@@ -32,22 +31,16 @@ let plan_of spec =
   | Error msg -> Alcotest.failf "parse %S: %s" spec msg
 
 (* The full analyst surface as one string — what report --json emits. *)
-let doc_of corpus =
-  let impact, impact_prov = Pipeline.run_impact_prov components corpus in
-  let graphs = Pipeline.build_graphs corpus (Corpus.all_instances corpus) in
-  let modules = Impact.by_module components graphs in
-  let named = Pipeline.run_all components corpus in
+let doc_of ?coverage corpus =
+  let { Pipeline.impact; impact_prov; modules; scenarios } =
+    Pipeline.run_report components corpus
+  in
   Dputil.Jsonw.to_string
-    (Report.Json.document ~impact ~impact_prov ~modules ~scenarios:named ())
+    (Report.Json.document ?coverage ~impact ~impact_prov ~modules ~scenarios ())
 
-let doc_with_coverage cov corpus =
-  let impact, impact_prov = Pipeline.run_impact_prov components corpus in
-  let graphs = Pipeline.build_graphs corpus (Corpus.all_instances corpus) in
-  let modules = Impact.by_module components graphs in
-  let named = Pipeline.run_all components corpus in
-  Dputil.Jsonw.to_string
-    (Report.Json.document ~coverage:cov ~impact ~impact_prov ~modules
-       ~scenarios:named ())
+let impact_text corpus =
+  Dputil.Table.render
+    (Report.impact_summary (fst (Pipeline.run_impact_prov components corpus)))
 
 (* --- parsing --- *)
 
@@ -315,18 +308,13 @@ let prop_zero_quarantine_byte_identical =
     (fun seed ->
       let corpus = gen ~seed:(1 + (seed mod 7)) 0.02 in
       let plain_doc = doc_of corpus in
-      let plain_text =
-        Dputil.Table.render (Report.impact_summary
-           (Pipeline.run_impact components corpus))
-      in
+      let plain_text = impact_text corpus in
       let spec = Printf.sprintf "%d:io-flaky" seed in
       with_plan spec @@ fun _ ->
       let screened, cov = Pipeline.screen corpus in
       cov.Pipeline.cov_quarantined = []
-      && doc_with_coverage cov screened = plain_doc
-      && Dputil.Table.render (Report.impact_summary
-            (Pipeline.run_impact components screened))
-         = plain_text)
+      && doc_of ~coverage:cov screened = plain_doc
+      && impact_text screened = plain_text)
 
 let prop_screen_replays =
   QCheck.Test.make ~name:"screen: same plan => same quarantine set"

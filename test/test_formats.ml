@@ -10,6 +10,9 @@ module Time = Dputil.Time
 
 let check = Alcotest.check
 
+let driver_impact corpus =
+  fst (Dpcore.Pipeline.run_impact_prov Dpcore.Component.drivers corpus)
+
 (* --- ETW importer --- *)
 
 let test_etw_sample_coalescing () =
@@ -132,7 +135,7 @@ let test_etw_end_to_end_analysis () =
     Corpus.create ~streams:[ st ]
       ~specs:[ Dptrace.Scenario.spec ~name:"OpenDoc" ~tfast:10_000 ~tslow:20_000 ]
   in
-  let r = Dpcore.Pipeline.run_impact Dpcore.Component.drivers corpus in
+  let r = driver_impact corpus in
   check Alcotest.int "one instance" 1 r.Dpcore.Impact.instances;
   (* Thread 5 blocked 1000..22000 on a driver-tagged stack. *)
   check Alcotest.int "driver wait counted" 21_000 r.Dpcore.Impact.d_wait
@@ -147,7 +150,7 @@ let test_etw_roundtrip_motivating_case () =
   check Alcotest.bool "reimported validates" true
     (Dptrace.Validate.is_valid reimported);
   let impact stream =
-    Dpcore.Pipeline.run_impact Dpcore.Component.drivers
+    driver_impact
       (Corpus.create ~streams:[ stream ]
          ~specs:case.Dpworkload.Motivating_case.specs)
   in
@@ -175,8 +178,8 @@ let test_etw_roundtrip_generated () =
   let reimported =
     Corpus.create ~streams:reimported_streams ~specs:corpus.Corpus.specs
   in
-  let a = Dpcore.Pipeline.run_impact Dpcore.Component.drivers corpus in
-  let b = Dpcore.Pipeline.run_impact Dpcore.Component.drivers reimported in
+  let a = driver_impact corpus in
+  let b = driver_impact reimported in
   check Alcotest.int "d_wait preserved" a.Dpcore.Impact.d_wait b.Dpcore.Impact.d_wait;
   check Alcotest.int "d_waitdist preserved" a.Dpcore.Impact.d_waitdist
     b.Dpcore.Impact.d_waitdist;
@@ -265,8 +268,8 @@ let small_corpus () = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scal
 let test_anonymize_preserves_analysis () =
   let corpus = small_corpus () in
   let anon, _ = Dptrace.Anonymize.corpus corpus in
-  let a = Dpcore.Pipeline.run_impact Dpcore.Component.drivers corpus in
-  let b = Dpcore.Pipeline.run_impact Dpcore.Component.drivers anon in
+  let a = driver_impact corpus in
+  let b = driver_impact anon in
   check Alcotest.int "d_scn" a.Dpcore.Impact.d_scn b.Dpcore.Impact.d_scn;
   check Alcotest.int "d_wait" a.Dpcore.Impact.d_wait b.Dpcore.Impact.d_wait;
   check Alcotest.int "d_waitdist" a.Dpcore.Impact.d_waitdist b.Dpcore.Impact.d_waitdist;

@@ -11,6 +11,9 @@ let check = Alcotest.check
 let sig_ = Dptrace.Signature.of_string
 let drivers = Component.drivers
 
+let corpus_impact components corpus =
+  fst (Dpcore.Pipeline.run_impact_prov components corpus)
+
 (* One instance blocked 9 ms on a driver lock; instance lasts exactly the
    wait + 3 ms of app compute. *)
 let simple_corpus () =
@@ -33,7 +36,7 @@ let simple_corpus () =
     ~specs:[ Dptrace.Scenario.spec ~name:"S" ~tfast:(Time.ms 5) ~tslow:(Time.ms 8) ]
 
 let test_simple_numbers () =
-  let r = Impact.analyze drivers (simple_corpus ()) in
+  let r = corpus_impact drivers (simple_corpus ()) in
   (* Victim: start 1 ms, compute 1 ms, blocks at 2 ms until 10 ms (8 ms),
      computes 2 ms, ends at 12 ms → duration 11 ms. *)
   check Alcotest.int "instances" 1 r.Impact.instances;
@@ -51,7 +54,7 @@ let test_simple_numbers () =
 
 let test_component_filter_excludes () =
   let none = Component.of_patterns [ "nomatch.dll" ] in
-  let r = Impact.analyze none (simple_corpus ()) in
+  let r = corpus_impact none (simple_corpus ()) in
   check Alcotest.int "no waits counted" 0 r.Impact.d_wait;
   check Alcotest.int "no cpu counted" 0 r.Impact.d_run;
   check Alcotest.bool "d_scn still measured" true (r.Impact.d_scn > 0)
@@ -92,7 +95,7 @@ let shared_corpus () =
     ~specs:[ Dptrace.Scenario.spec ~name:"S" ~tfast:(Time.ms 5) ~tslow:(Time.ms 8) ]
 
 let test_distinct_wait_dedup () =
-  let r = Impact.analyze drivers (shared_corpus ()) in
+  let r = corpus_impact drivers (shared_corpus ()) in
   (* The holder's driver wait (the 40 ms request) is the only driver wait;
      each victim descends into it through its app-level queue wait. *)
   check Alcotest.int "counted twice" 2 r.Impact.counted_waits;
@@ -127,14 +130,14 @@ let test_bfs_stops_at_topmost_driver_wait () =
     Dptrace.Corpus.create ~streams:[ st ]
       ~specs:[ Dptrace.Scenario.spec ~name:"S" ~tfast:(Time.ms 5) ~tslow:(Time.ms 8) ]
   in
-  let r = Impact.analyze drivers corpus in
+  let r = corpus_impact drivers corpus in
   check Alcotest.int "single top-level wait" 1 r.Impact.counted_waits;
   (* The victim blocks from 1 ms until the holder releases (~20 ms). *)
   check Alcotest.int "victim's own wait counted" (Time.ms 19) r.Impact.d_wait
 
 let test_merge () =
-  let a = Impact.analyze drivers (simple_corpus ()) in
-  let b = Impact.analyze drivers (shared_corpus ()) in
+  let a = corpus_impact drivers (simple_corpus ()) in
+  let b = corpus_impact drivers (shared_corpus ()) in
   let m = Impact.merge a b in
   check Alcotest.int "d_scn adds" (a.Impact.d_scn + b.Impact.d_scn) m.Impact.d_scn;
   check Alcotest.int "d_wait adds" (a.Impact.d_wait + b.Impact.d_wait) m.Impact.d_wait;
@@ -151,7 +154,7 @@ let test_analyze_graphs_equals_analyze () =
           st.Dptrace.Stream.instances)
       corpus.Dptrace.Corpus.streams
   in
-  let a = Impact.analyze drivers corpus in
+  let a = corpus_impact drivers corpus in
   let b = Impact.analyze_graphs drivers graphs in
   check Alcotest.int "same d_wait" a.Impact.d_wait b.Impact.d_wait;
   check Alcotest.int "same d_waitdist" a.Impact.d_waitdist b.Impact.d_waitdist;
@@ -159,7 +162,7 @@ let test_analyze_graphs_equals_analyze () =
 
 let test_empty_corpus () =
   let corpus = Dptrace.Corpus.create ~streams:[] ~specs:[] in
-  let r = Impact.analyze drivers corpus in
+  let r = corpus_impact drivers corpus in
   check Alcotest.int "zero everything" 0
     (r.Impact.d_scn + r.Impact.d_wait + r.Impact.d_run + r.Impact.instances);
   check (Alcotest.float 1e-9) "ratios total" 0.0 (Impact.ia_wait r)
@@ -214,7 +217,7 @@ let test_by_module_totals_match () =
 
 let test_impact_per_scenario_partitions () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.03) in
-  let whole = Dpcore.Pipeline.run_impact drivers corpus in
+  let whole = corpus_impact drivers corpus in
   let per = Dpcore.Pipeline.impact_per_scenario drivers corpus in
   check Alcotest.int "every scenario present"
     (List.length (Dptrace.Corpus.scenario_names corpus))

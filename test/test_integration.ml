@@ -23,8 +23,10 @@ let named_results =
          (name, Pipeline.run_scenario drivers (Lazy.force corpus) name))
        Dpworkload.Scenarios.named)
 
+let driver_impact corpus = fst (Pipeline.run_impact_prov drivers corpus)
+
 let test_impact_bands () =
-  let r = Pipeline.run_impact drivers (Lazy.force corpus) in
+  let r = driver_impact (Lazy.force corpus) in
   let ia_wait = 100.0 *. Impact.ia_wait r in
   let ia_run = 100.0 *. Impact.ia_run r in
   let ia_opt = 100.0 *. Impact.ia_opt r in
@@ -118,8 +120,8 @@ let test_codec_preserves_analysis () =
   let reloaded =
     Dptrace.Codec.corpus_of_string (Dptrace.Codec.corpus_to_string corpus)
   in
-  let a = Pipeline.run_impact drivers corpus in
-  let b = Pipeline.run_impact drivers reloaded in
+  let a = driver_impact corpus in
+  let b = driver_impact reloaded in
   check Alcotest.int "d_scn preserved" a.Impact.d_scn b.Impact.d_scn;
   check Alcotest.int "d_wait preserved" a.Impact.d_wait b.Impact.d_wait;
   check Alcotest.int "d_waitdist preserved" a.Impact.d_waitdist b.Impact.d_waitdist;

@@ -390,7 +390,7 @@ let test_tail_exhaustion_recovers () =
     (List.length
        (List.filter (fun a -> a.Rules.a_rule = "parse_failure") alerts))
 
-(* --- peers: a silent scraper cannot stall the loop --- *)
+(* --- peers: a misbehaving scraper cannot stall or kill the loop --- *)
 
 let free_port () =
   let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -400,23 +400,27 @@ let free_port () =
   | Unix.ADDR_INET (_, port) -> port
   | _ -> Alcotest.fail "no port bound"
 
-(* Connects (retrying until the listener is up), sends nothing, and
-   waits up to [patience_s] for the server to answer and close before
-   hanging up itself. Returns what the server sent. *)
-let silent_client ~port ~patience_s =
-  let deadline = Unix.gettimeofday () +. patience_s in
+(* Connects, retrying until the listener is up or [deadline] passes.
+   [rcvbuf] sets the receive buffer before connecting, so it also bounds
+   the window the server may fill. *)
+let connect ?rcvbuf ~port ~deadline () =
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-  let rec connect () =
+  let rec go () =
     let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Option.iter (Unix.setsockopt_int s Unix.SO_RCVBUF) rcvbuf;
     match Unix.connect s addr with
     | () -> s
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _)
       when Unix.gettimeofday () < deadline ->
       Unix.close s;
       Unix.sleepf 0.01;
-      connect ()
+      go ()
   in
-  let s = connect () in
+  go ()
+
+(* Waits until [deadline] for the server to answer and close, then hangs
+   up. Returns what the server sent. *)
+let read_answer s ~deadline =
   Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
   let buf = Buffer.create 64 and chunk = Bytes.create 256 in
   let rec drain () =
@@ -434,6 +438,15 @@ let silent_client ~port ~patience_s =
   in
   drain ();
   Buffer.contents buf
+
+(* Connects, sends nothing, and waits up to [patience_s] for an answer. *)
+let silent_client ~port ~patience_s =
+  let deadline = Unix.gettimeofday () +. patience_s in
+  read_answer (connect ~port ~deadline ()) ~deadline
+
+let get_metrics s =
+  let req = "GET /metrics HTTP/1.0\r\n\r\n" in
+  ignore (Unix.write_substring s req 0 (String.length req) : int)
 
 (* Five 0.2 s ticks take about a second. A scraper that connects and
    never sends its request must be answered 400 within the poll budget;
@@ -456,6 +469,42 @@ let test_silent_scraper_cannot_stall () =
     (String.starts_with ~prefix:"HTTP/1.0 400" answer);
   if elapsed > 3.0 then
     Alcotest.failf "five 0.2 s ticks took %.1f s with a silent client" elapsed
+
+(* A scraper that asks for an 8 MB exposition, half-closes, reads one
+   byte and resets the connection (SO_LINGER 0) while the server is
+   still writing. The half-close makes the reset land on a CLOSE_WAIT
+   socket, so the server's write fails with EPIPE, which must not be
+   delivered as SIGPIPE: its default action kills this whole test
+   binary. The next, well-behaved scrape must still be answered. *)
+let test_resetting_scraper_cannot_kill () =
+  let server = Dpmon.Httpd.start "127.0.0.1:0" in
+  Fun.protect ~finally:(fun () -> Dpmon.Httpd.stop server) @@ fun () ->
+  let port = Dpmon.Httpd.port server in
+  let deadline () = Unix.gettimeofday () +. 6.0 in
+  let resetting =
+    Domain.spawn (fun () ->
+        let s = connect ~rcvbuf:4096 ~port ~deadline:(deadline ()) () in
+        get_metrics s;
+        Unix.shutdown s Unix.SHUTDOWN_SEND;
+        ignore (Unix.read s (Bytes.create 1) 0 1 : int);
+        Unix.setsockopt_optint s Unix.SO_LINGER (Some 0);
+        Unix.close s)
+  in
+  let big = String.make (8 * 1024 * 1024) '#' in
+  check Alcotest.bool "reset connection handled" true
+    (Dpmon.Httpd.poll server ~timeout_s:5.0 ~body:(fun () -> big));
+  Domain.join resetting;
+  let polite =
+    Domain.spawn (fun () ->
+        let deadline = deadline () in
+        let s = connect ~port ~deadline () in
+        get_metrics s;
+        read_answer s ~deadline)
+  in
+  check Alcotest.bool "next scrape handled" true
+    (Dpmon.Httpd.poll server ~timeout_s:5.0 ~body:(fun () -> "# EOF\n"));
+  check Alcotest.bool "next scrape answered 200" true
+    (String.starts_with ~prefix:"HTTP/1.0 200" (Domain.join polite))
 
 let () =
   Alcotest.run "monitor"
@@ -501,5 +550,7 @@ let () =
         [
           Alcotest.test_case "silent scraper cannot stall the loop" `Quick
             test_silent_scraper_cannot_stall;
+          Alcotest.test_case "resetting scraper cannot kill the process"
+            `Quick test_resetting_scraper_cannot_kill;
         ] );
     ]

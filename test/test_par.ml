@@ -75,21 +75,6 @@ let test_exception_propagation () =
         (List.map succ xs)
         (Pool.parallel_map pool succ xs))
 
-let test_map_reduce () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let xs = List.init 100 (fun i -> i + 1) in
-      check Alcotest.int "sum of squares"
-        (List.fold_left (fun acc x -> acc + (x * x)) 0 xs)
-        (Pool.parallel_map_reduce pool ~map:(fun x -> x * x) ~reduce:( + )
-           ~init:0 xs);
-      check Alcotest.int "empty list yields init" 17
-        (Pool.parallel_map_reduce pool ~map:Fun.id ~reduce:( + ) ~init:17 []);
-      (* Non-commutative but associative reduce: order must be preserved. *)
-      check Alcotest.string "string concat keeps order"
-        (String.concat "" (List.map string_of_int xs))
-        (Pool.parallel_map_reduce pool ~map:string_of_int ~reduce:( ^ ) ~init:""
-           xs))
-
 let test_shutdown_idempotent () =
   let pool = Pool.create ~domains:3 () in
   check
@@ -195,27 +180,38 @@ let test_run_scenario_deterministic () =
 
 let test_impact_deterministic () =
   let corpus = Lazy.force small_corpus in
-  let seq = Dpcore.Impact.analyze drivers corpus in
+  let seq = Dpcore.Pipeline.run_impact_prov drivers corpus in
   Pool.with_pool ~domains:4 (fun pool ->
-      let par = Dpcore.Impact.analyze ~pool drivers corpus in
-      check Alcotest.bool "identical impact records" true (seq = par);
+      let par = Dpcore.Pipeline.run_impact_prov ~pool drivers corpus in
+      check Alcotest.bool "identical impact records" true (fst seq = fst par);
       let seq_ps = Dpcore.Pipeline.impact_per_scenario drivers corpus in
       let par_ps = Dpcore.Pipeline.impact_per_scenario ~pool drivers corpus in
       check Alcotest.bool "identical per-scenario impact" true (seq_ps = par_ps))
 
-let test_run_all_deterministic () =
+let test_run_report_deterministic () =
   let corpus = Lazy.force small_corpus in
-  let seq = Dpcore.Pipeline.run_all drivers corpus in
-  Pool.with_pool ~domains:4 (fun pool ->
-      let par = Dpcore.Pipeline.run_all ~pool drivers corpus in
-      check Alcotest.int "same scenario count" (List.length seq) (List.length par);
-      List.iter2
-        (fun (na, ra) (nb, rb) ->
-          check Alcotest.string "same scenario order" na nb;
-          check Alcotest.string
-            (Printf.sprintf "scenario %s identical" na)
-            (scenario_fingerprint ra) (scenario_fingerprint rb))
-        seq par)
+  let seq = Dpcore.Pipeline.run_report drivers corpus in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let par = Dpcore.Pipeline.run_report ~pool drivers corpus in
+          let msg what = Printf.sprintf "%d domains: %s" domains what in
+          check Alcotest.bool (msg "identical impact record") true
+            (seq.Dpcore.Pipeline.impact = par.Dpcore.Pipeline.impact);
+          check Alcotest.bool (msg "identical module rows") true
+            (seq.Dpcore.Pipeline.modules = par.Dpcore.Pipeline.modules);
+          check
+            Alcotest.(list string)
+            (msg "same scenario order")
+            (List.map fst seq.Dpcore.Pipeline.scenarios)
+            (List.map fst par.Dpcore.Pipeline.scenarios);
+          List.iter2
+            (fun (name, ra) (_, rb) ->
+              check Alcotest.string
+                (msg (Printf.sprintf "scenario %s identical" name))
+                (scenario_fingerprint ra) (scenario_fingerprint rb))
+            seq.Dpcore.Pipeline.scenarios par.Dpcore.Pipeline.scenarios))
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "par"
@@ -232,7 +228,6 @@ let () =
             test_size_one_inline;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
-          Alcotest.test_case "map-reduce in fixed order" `Quick test_map_reduce;
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent;
           qcheck prop_map_equals_list_map;
@@ -250,7 +245,7 @@ let () =
             test_run_scenario_deterministic;
           Alcotest.test_case "impact: parallel = sequential" `Slow
             test_impact_deterministic;
-          Alcotest.test_case "run_all: parallel = sequential" `Slow
-            test_run_all_deterministic;
+          Alcotest.test_case "run_report: parallel = sequential" `Slow
+            test_run_report_deterministic;
         ] );
     ]

@@ -31,7 +31,7 @@ let analyzed =
   lazy
     (with_provenance (fun () ->
          let corpus = Lazy.force corpus in
-         let impact, prov = Impact.analyze_prov drivers corpus in
+         let impact, prov = Pipeline.run_impact_prov drivers corpus in
          let graphs =
            Pipeline.build_graphs corpus (Dptrace.Corpus.all_instances corpus)
          in
@@ -202,10 +202,7 @@ let test_json_disabled_mode_is_bare () =
 let test_provenance_changes_no_number () =
   let corpus = Lazy.force corpus in
   let numbers () =
-    let impact, _ = Pipeline.run_impact_prov drivers corpus in
-    let graphs =
-      Pipeline.build_graphs corpus (Dptrace.Corpus.all_instances corpus)
-    in
+    let r = Pipeline.run_report drivers corpus in
     let scenarios =
       List.map
         (fun (name, (r : Pipeline.scenario_result)) ->
@@ -216,18 +213,19 @@ let test_provenance_changes_no_number () =
               (fun (p : Dpcore.Mining.pattern) ->
                 (Dpcore.Tuple.id p.tuple, p.cost, p.count))
               r.mining.patterns ))
-        (Pipeline.run_all drivers corpus)
+        r.scenarios
     in
-    (impact, Impact.by_module drivers graphs, scenarios)
+    (r.impact, r.modules, scenarios)
   in
   let plain = numbers () in
   check Alcotest.bool "same numbers with provenance on" true
     (with_provenance numbers = plain)
 
 (* run_report's one per-stream pass must render exactly the document of
-   the composed path: run_impact_prov, by_module over every instance's
-   graph, run_all. The scenario list carries a name without a spec, which
-   both must skip. *)
+   a composition built in test code: the two-walk reference impact and
+   module table over every instance's graph at once, and run_scenario
+   for each requested name that has a spec. The scenario list carries a
+   name without a spec, which both must skip. *)
 let test_run_report_equals_composed () =
   let corpus = Lazy.force corpus in
   let scenarios = [ "BrowserTabCreate"; "NoSuchScenario"; "AppNonResponsive" ] in
@@ -235,12 +233,19 @@ let test_run_report_equals_composed () =
     J.to_string (Report.Json.document ~impact ~impact_prov ~modules ~scenarios ())
   in
   let composed ?pool () =
-    let impact, impact_prov = Pipeline.run_impact_prov ?pool drivers corpus in
     let graphs =
       Pipeline.build_graphs ?pool corpus (Dptrace.Corpus.all_instances corpus)
     in
-    let modules = Impact.by_module drivers graphs in
-    let named = Pipeline.run_all ?pool ~scenarios drivers corpus in
+    let impact, impact_prov = Impact_reference.analyze_graphs_prov drivers graphs in
+    let modules = Impact_reference.by_module drivers graphs in
+    let named =
+      List.filter_map
+        (fun name ->
+          match Pipeline.run_scenario ?pool drivers corpus name with
+          | r -> Some (name, r)
+          | exception Not_found -> None)
+        scenarios
+    in
     render ~impact ~impact_prov ~modules ~scenarios:named
   in
   let one_pass ?pool () =

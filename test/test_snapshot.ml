@@ -53,14 +53,11 @@ let open_snap ?pool ~dir corpus =
    (via mined patterns and witnesses) and coverages. Comparing these
    strings compares everything report --json emits. *)
 let fresh_doc ?pool corpus =
-  let impact, impact_prov = Pipeline.run_impact_prov ?pool components corpus in
-  let graphs =
-    Pipeline.build_graphs ?pool corpus (Corpus.all_instances corpus)
+  let { Pipeline.impact; impact_prov; modules; scenarios } =
+    Pipeline.run_report ?pool components corpus
   in
-  let modules = Impact.by_module components graphs in
-  let named = Pipeline.run_all ?pool components corpus in
   Dputil.Jsonw.to_string
-    (Report.Json.document ~impact ~impact_prov ~modules ~scenarios:named ())
+    (Report.Json.document ~impact ~impact_prov ~modules ~scenarios ())
 
 let snap_doc ?pool snap corpus =
   let impact, impact_prov = Pipeline.run_impact_prov_snap snap corpus in
