@@ -1,7 +1,7 @@
 (* driveperf — trace-based performance comprehension for device drivers.
 
    Subcommands:
-     generate    synthesise a corpus (text .dpt, binary .dpb or framed .dpf)
+     generate    synthesise a corpus (text .dpt or framed .dpf)
      impact      impact analysis (with per-module / per-scenario breakdowns)
      causality   causality analysis for one scenario
      report      regenerate the paper's tables from a corpus
@@ -14,39 +14,19 @@
      timeline    ASCII thread timeline of a stream
      anonymize   scrub names structure-preservingly
      import-etw  convert an xperf-style dump
-     convert     re-encode a corpus (upgrade v1 files to framed v2)
+     convert     re-encode a corpus (text v1 <-> framed v2)
      diff        compare mined patterns across two corpora
      baseline    run the Section 6 baseline analyses
      analyze     one-shot full analyst report
      monitor     watch a corpus directory, alert on drift, export metrics
      faults      describe / replay a deterministic fault-injection plan
 
-   Corpus files are auto-detected by content (text v1 / binary v1 /
-   framed v2); extensions select the *output* format: .dpb binary v1,
-   .dpf framed v2, anything else text. *)
+   Corpus files are read and written through {!Dptrace.Corpus_dir}
+   (shared with the monitor): inputs are detected by content (text v1 /
+   framed v2), and the extension selects the *output* format: .dpf
+   framed v2, anything else text. *)
 
 open Cmdliner
-
-let is_binary_path path = Filename.check_suffix path ".dpb"
-let is_framed_path path = Filename.check_suffix path ".dpf"
-
-(* Format detection and decoding are shared with the monitor via
-   {!Dptrace.Corpus_dir} (content-sniffed; extension fallback). *)
-
-type corpus_format = Dptrace.Corpus_dir.format = Text | Binary | Framed
-
-let format_name = Dptrace.Corpus_dir.format_name
-let sniff_format = Dptrace.Corpus_dir.sniff_format
-
-let format_of_out path =
-  if is_binary_path path then Binary
-  else if is_framed_path path then Framed
-  else Text
-
-let file_size path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  in_channel_length ic
 
 (* Input volume by detected format, for `driveperf stats` and the
    metrics dump. *)
@@ -54,9 +34,8 @@ let record_input_bytes bytes fmt =
   if Dpobs.metrics_on () then
     let name =
       match fmt with
-      | Text -> "corpus.bytes.text_v1"
-      | Binary -> "corpus.bytes.binary_v1"
-      | Framed -> "corpus.bytes.framed_v2"
+      | Dptrace.Corpus_dir.Text -> "corpus.bytes.text_v1"
+      | Dptrace.Corpus_dir.Framed -> "corpus.bytes.framed_v2"
     in
     Dpobs.Metrics.add (Dpobs.Metrics.counter name) bytes
 
@@ -65,15 +44,10 @@ let load_corpus ?pool ~mode path =
   | Error msg ->
     Dpobs.Log.error "%s" msg;
     exit 1
-  | Ok { Dptrace.Corpus_dir.l_corpus; l_format; l_bytes; l_report } ->
+  | Ok ({ Dptrace.Corpus_dir.l_format; l_bytes; l_report; _ } as loaded) ->
     record_input_bytes l_bytes l_format;
     (match l_report with
     | Some report when report.Dptrace.Codec_v2.dropped <> [] ->
-      let n_dropped = List.length report.Dptrace.Codec_v2.dropped in
-      if Dpobs.metrics_on () then
-        Dpobs.Metrics.add
-          (Dpobs.Metrics.counter "codec.frames_dropped")
-          n_dropped;
       (* Per-frame {frame; offset; reason} details are debug-level;
          the warn summary points at the knob that reveals them. *)
       List.iter
@@ -84,18 +58,12 @@ let load_corpus ?pool ~mode path =
         "%s: recovered %d stream(s) from %d frame(s), %d problem(s) \
          (--log-level debug for per-frame details)"
         path report.Dptrace.Codec_v2.streams report.Dptrace.Codec_v2.frames
-        n_dropped
+        (List.length report.Dptrace.Codec_v2.dropped)
     | _ -> ());
-    l_corpus
-
-let save_corpus ?pool path corpus =
-  match format_of_out path with
-  | Binary -> Dptrace.Codec_binary.save path corpus
-  | Framed -> Dptrace.Codec_v2.save ?pool path corpus
-  | Text -> Dptrace.Codec.save path corpus
+    loaded
 
 let read_corpus ?pool ~mode = function
-  | Some path -> load_corpus ?pool ~mode path
+  | Some path -> (load_corpus ?pool ~mode path).Dptrace.Corpus_dir.l_corpus
   | None ->
     Dpworkload.Corpus_gen.generate Dpworkload.Corpus_gen.default_config
 
@@ -305,6 +273,35 @@ let with_progress o ~label ~total counter_name f =
     | None -> f ()
     | Some p -> Fun.protect ~finally:(fun () -> Dpobs.Progress.finish p) f
 
+(* --- the set-up shared by impact, causality, report and analyze ---
+
+   One term for their common flags (-c, -j, --strict/--recover,
+   --fault-plan and the telemetry options). It yields a runner that arms
+   telemetry, then the fault plan, then a pool of -j domains, and hands
+   the body the corpus loaded on that pool and screened. *)
+
+type setup = {
+  path : string option;  (** [-c]; [None] for the generated corpus *)
+  pool : Dppar.Pool.t;
+  corpus : Dptrace.Corpus.t;  (** screened *)
+  coverage : Dpcore.Pipeline.coverage;
+  obs : obs_opts;
+}
+
+let setup_term =
+  let run path j mode faults obs f =
+    with_obs obs @@ fun () ->
+    with_faults faults @@ fun () ->
+    with_cli_pool j @@ fun pool ->
+    let corpus, coverage =
+      Dpcore.Pipeline.screen (read_corpus ~pool ~mode path)
+    in
+    f { path; pool; corpus; coverage; obs }
+  in
+  Term.(
+    const run $ corpus_arg $ domains_arg $ mode_arg $ fault_arg
+    $ obs_opts_term)
+
 (* The analysis behind impact, report and analyze: the corpus impact,
    module rows and the named scenarios' results (computed under the
    --progress line), handed to the body with a thunk for the
@@ -313,7 +310,7 @@ let with_progress o ~label ~total counter_name f =
    corpus (misses analysed in parallel) and written back after the body.
    Otherwise they come from the one per-stream pass that builds and
    traverses each wait graph once. *)
-let with_results ?scenarios ~cache ~components ~obs pool corpus f =
+let with_results ?scenarios ~cache ~components { pool; corpus; obs; _ } f =
   let progress run =
     let names =
       Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
@@ -374,10 +371,10 @@ let generate seed scale no_cross cores out =
     }
   in
   let corpus = Dpworkload.Corpus_gen.generate config in
-  save_corpus out corpus;
+  let fmt, _ = Dptrace.Corpus_dir.save out corpus in
   Format.printf "%a@.wrote %s (%s format)@." Dptrace.Corpus.pp_summary corpus
     out
-    (format_name (format_of_out out));
+    (Dptrace.Corpus_dir.format_name fmt);
   0
 
 let generate_cmd =
@@ -413,15 +410,11 @@ let generate_cmd =
 
 (* --- impact --- *)
 
-let impact corpus pats breakdown per_scenario cache j mode faults obs =
-  with_obs obs @@ fun () ->
-  with_faults faults @@ fun () ->
+let impact pats breakdown per_scenario cache run =
+  run @@ fun s ->
+  print_coverage s.coverage;
   let components = components_of pats in
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus in
-  let corpus, cov = Dpcore.Pipeline.screen corpus in
-  print_coverage cov;
-  with_results ~scenarios:[] ~cache ~components ~obs pool corpus
+  with_results ~scenarios:[] ~cache ~components s
   @@ fun r per_scenario_impacts ->
   Dputil.Table.print (Dpcore.Report.impact_summary r.Dpcore.Pipeline.impact);
   if breakdown then begin
@@ -431,8 +424,8 @@ let impact corpus pats breakdown per_scenario cache j mode faults obs =
   if per_scenario then begin
     print_newline ();
     let impacts =
-      with_progress obs ~label:"scenarios"
-        ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
+      with_progress s.obs ~label:"scenarios"
+        ~total:(List.length (Dptrace.Corpus.scenario_names s.corpus))
         "pipeline.scenarios_done" per_scenario_impacts
     in
     Dputil.Table.print (Dpcore.Report.scenario_impacts impacts)
@@ -454,19 +447,15 @@ let impact_cmd =
   Cmd.v
     (Cmd.info "impact" ~doc:"Impact analysis (Section 3)")
     Term.(
-      const impact $ corpus_arg $ components_arg $ breakdown $ per_scenario
-      $ cache_arg $ domains_arg $ mode_arg $ fault_arg $ obs_opts_term)
+      const impact $ components_arg $ breakdown $ per_scenario $ cache_arg
+      $ setup_term)
 
 (* --- causality --- *)
 
-let causality corpus pats scenario k top j mode faults obs =
-  with_obs obs @@ fun () ->
-  with_faults faults @@ fun () ->
+let causality pats scenario k top run =
+  run @@ fun { pool; corpus; coverage; _ } ->
+  print_coverage coverage;
   let components = components_of pats in
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus in
-  let corpus, cov = Dpcore.Pipeline.screen corpus in
-  print_coverage cov;
   let r = Dpcore.Pipeline.run_scenario ~pool ~k components corpus scenario in
   let f, m, s = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in
   Format.printf "scenario %s: %d instances (fast %d / middle %d / slow %d)@."
@@ -520,27 +509,22 @@ let causality_cmd =
   Cmd.v
     (Cmd.info "causality" ~doc:"Causality analysis (Section 4)")
     Term.(
-      const causality $ corpus_arg $ components_arg $ scenario $ k $ top
-      $ domains_arg $ mode_arg $ fault_arg $ obs_opts_term)
+      const causality $ components_arg $ scenario $ k $ top $ setup_term)
 
 (* --- report --- *)
 
-let report corpus json cache j mode faults obs =
-  with_obs obs @@ fun () ->
-  with_faults faults @@ fun () ->
-  let components = Dpcore.Component.drivers in
-  if json then Dpcore.Provenance.enable ();
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus in
-  let corpus, cov = Dpcore.Pipeline.screen corpus in
-  if not json then print_coverage cov;
+let report json cache run =
+  run @@ fun s ->
+  let cov = s.coverage in
+  if json then Dpcore.Provenance.enable () else print_coverage cov;
   let scenario_names =
     List.map
       (fun (tpl : Dpworkload.Scenarios.template) ->
         tpl.Dpworkload.Scenarios.spec.Dptrace.Scenario.name)
       Dpworkload.Scenarios.named
   in
-  with_results ~scenarios:scenario_names ~cache ~components ~obs pool corpus
+  with_results ~scenarios:scenario_names ~cache
+    ~components:Dpcore.Component.drivers s
   @@ fun { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } _ ->
   if json then
     print_string
@@ -581,8 +565,7 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"Regenerate the paper's tables")
     Term.(
-      const report $ corpus_arg $ json_arg $ cache_arg $ domains_arg
-      $ mode_arg $ fault_arg $ obs_opts_term)
+      const report $ json_arg $ cache_arg $ setup_term)
 
 (* --- case --- *)
 
@@ -670,7 +653,7 @@ let dot_cmd =
 let anonymize corpus out mapping_out keep_scenarios mode =
   let corpus = read_corpus ~mode corpus in
   let anonymised, mapping = Dptrace.Anonymize.corpus ~keep_scenarios corpus in
-  save_corpus out anonymised;
+  ignore (Dptrace.Corpus_dir.save out anonymised);
   (match mapping_out with
   | Some path ->
     let oc = open_out path in
@@ -724,7 +707,7 @@ let import_etw input out specs =
       (fun (sid, v) ->
         Dpobs.Log.warn "stream %d: %a" sid Dptrace.Validate.pp_violation v)
       violations);
-  save_corpus out corpus;
+  ignore (Dptrace.Corpus_dir.save out corpus);
   Format.printf "%a@.wrote %s@." Dptrace.Corpus.pp_summary corpus out;
   0
 
@@ -757,16 +740,19 @@ let convert input out j mode faults obs =
   with_obs obs @@ fun () ->
   with_faults faults @@ fun () ->
   with_cli_pool j @@ fun pool ->
-  let in_format = sniff_format input in
-  let corpus = load_corpus ~pool ~mode input in
-  with_progress obs ~label:"streams"
-    ~total:(List.length corpus.Dptrace.Corpus.streams)
-    "codec_v2.streams_written" (fun () -> save_corpus ~pool out corpus);
+  let { Dptrace.Corpus_dir.l_corpus = corpus; l_format; l_bytes; _ } =
+    load_corpus ~pool ~mode input
+  in
+  let out_format, out_bytes =
+    with_progress obs ~label:"streams"
+      ~total:(List.length corpus.Dptrace.Corpus.streams)
+      "codec_v2.streams_written" (fun () ->
+        Dptrace.Corpus_dir.save ~pool out corpus)
+  in
+  let name = Dptrace.Corpus_dir.format_name in
   Format.printf "%a@.%s (%s, %d bytes) -> %s (%s, %d bytes)@."
-    Dptrace.Corpus.pp_summary corpus input (format_name in_format)
-    (file_size input) out
-    (format_name (format_of_out out))
-    (file_size out);
+    Dptrace.Corpus.pp_summary corpus input (name l_format) l_bytes out
+    (name out_format) out_bytes;
   0
 
 let convert_cmd =
@@ -783,7 +769,7 @@ let convert_cmd =
       & info [] ~docv:"OUT"
           ~doc:
             "Output path; the extension selects the format (.dpf framed \
-             v2, .dpb binary v1, anything else text v1).")
+             v2, anything else text v1).")
   in
   Cmd.v
     (Cmd.info "convert"
@@ -795,8 +781,8 @@ let convert_cmd =
 (* --- diff --- *)
 
 let diff before after scenario threshold min_support json mode =
-  let before_c = load_corpus ~mode before
-  and after_c = load_corpus ~mode after in
+  let before_c = read_corpus ~mode (Some before)
+  and after_c = read_corpus ~mode (Some after) in
   let run c = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers c scenario in
   let rb = run before_c and ra = run after_c in
   let entries =
@@ -1325,16 +1311,11 @@ let timeline_cmd =
 
 (* --- analyze: the one-shot full report --- *)
 
-let analyze corpus_path out json top_patterns_n cache j mode faults obs =
-  with_obs obs @@ fun () ->
-  with_faults faults @@ fun () ->
+let analyze out json top_patterns_n cache run =
+  run @@ fun ({ path = corpus_path; pool; corpus; coverage = cov; _ } as s) ->
   let components = Dpcore.Component.drivers in
   if json then Dpcore.Provenance.enable ();
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus_path in
-  let corpus, cov = Dpcore.Pipeline.screen corpus in
-  with_results ~cache ~components ~obs pool corpus
-  @@ fun results per_scenario_impacts ->
+  with_results ~cache ~components s @@ fun results per_scenario_impacts ->
   let write output x =
     match out with
     | Some path ->
@@ -1461,8 +1442,7 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"Produce the full analyst report (impact + causality + witnesses)")
     Term.(
-      const analyze $ corpus_arg $ out $ json_arg $ top $ cache_arg
-      $ domains_arg $ mode_arg $ fault_arg $ obs_opts_term)
+      const analyze $ out $ json_arg $ top $ cache_arg $ setup_term)
 
 (* --- cache: snapshot-cache directory maintenance --- *)
 
@@ -1602,7 +1582,7 @@ let monitor_cmd =
       value & opt string "."
       & info [ "dir"; "d" ] ~docv:"DIR"
           ~doc:
-            "Corpus directory to tail: every new or changed .dpt/.dpb/.dpf \
+            "Corpus directory to tail: every new or changed .dpt/.dpf \
              file is ingested on the next tick.")
   in
   let replay =

@@ -338,10 +338,7 @@ let render t =
   Buffer.contents buf
 
 module Partial = struct
-  module Wire = Dptrace.Codec_binary.Wire
-
-  let corrupt fmt =
-    Format.kasprintf (fun m -> raise (Dptrace.Codec_binary.Corrupt m)) fmt
+  module Wire = Dptrace.Wire
 
   (* An unreduced, unfrozen forest: the contribution of one stream's
      graphs to a scenario class's AWG. Reduction cannot run per stream —
@@ -442,7 +439,7 @@ module Partial = struct
       Waiting { wait_sig; unwait_sig }
     | 1 -> Running (Signature.of_string (Wire.rstr cur))
     | 2 -> Hw (Signature.of_string (Wire.rstr cur))
-    | k -> corrupt "Awg.Partial: unknown status tag %d" k
+    | k -> Wire.corrupt "Awg.Partial: unknown status tag %d" k
 
   let write_ref buf (r : Provenance.instance_ref) =
     Wire.wv buf r.Provenance.stream_id;
@@ -498,7 +495,7 @@ module Partial = struct
     for _ = 1 to nkids do
       let c = read_node cur in
       if Hashtbl.mem n.children c.status then
-        corrupt "Awg.Partial: duplicate child status";
+        Wire.corrupt "Awg.Partial: duplicate child status";
       Hashtbl.replace n.children c.status c
     done;
     n
@@ -514,7 +511,7 @@ module Partial = struct
     for _ = 1 to nroots do
       let n = read_node cur in
       if Hashtbl.mem forest n.status then
-        corrupt "Awg.Partial: duplicate root status";
+        Wire.corrupt "Awg.Partial: duplicate root status";
       Hashtbl.replace forest n.status n
     done;
     forest

@@ -142,7 +142,7 @@ module Partial : sig
   (** Deterministic wire form (children in sorted-status order, signature
       names, LEB128 varints) — the snapshot cache's payload. *)
 
-  val read : Dptrace.Codec_binary.Wire.cursor -> partial
+  val read : Dptrace.Wire.cursor -> partial
   (** Inverse of {!write}.
-      @raise Dptrace.Codec_binary.Corrupt on malformed input. *)
+      @raise Dptrace.Wire.Corrupt on malformed input. *)
 end

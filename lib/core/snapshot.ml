@@ -5,11 +5,8 @@ module Stream = Dptrace.Stream
 module Scenario = Dptrace.Scenario
 module Corpus = Dptrace.Corpus
 module Codec_v2 = Dptrace.Codec_v2
-module Wire = Dptrace.Codec_binary.Wire
+module Wire = Dptrace.Wire
 module Wait_graph = Dpwaitgraph.Wait_graph
-
-let corrupt fmt =
-  Format.kasprintf (fun m -> raise (Dptrace.Codec_binary.Corrupt m)) fmt
 
 (* Bump whenever the analysis semantics or the entry wire form change:
    the version participates in the config fingerprint, so old caches
@@ -371,7 +368,7 @@ let read_contrast cur : Mining.contrast_meta =
     match Wire.r8 cur with
     | 0 -> Mining.Slow_only
     | 1 -> Mining.Cost_ratio (read_f64 cur)
-    | k -> corrupt "snapshot scenario record: bad contrast tag %d" k
+    | k -> Wire.corrupt "snapshot scenario record: bad contrast tag %d" k
   in
   let cm_fast_witnesses = read_wset cur in
   { Mining.cm_meta; reason; cm_fast_witnesses }
@@ -411,7 +408,7 @@ let read_scen_record cur =
   let fast_meta_count = Wire.rv cur in
   let slow_meta_count = Wire.rv cur in
   if not (Wire.at_end cur) then
-    corrupt "snapshot scenario record: trailing bytes";
+    Wire.corrupt "snapshot scenario record: trailing bytes";
   (digest, { Mining.contrast_metas; patterns; fast_meta_count; slow_meta_count })
 
 (* Scenario records share the entry framing under a reserved key prefix;
@@ -463,11 +460,11 @@ let read_entry cur =
             let cl_fast = Awg.Partial.read cur in
             let cl_slow = Awg.Partial.read cur in
             Some { cl_slow_impact; cl_slow_prov; cl_fast; cl_slow }
-          | k -> corrupt "snapshot entry: bad class tag %d" k
+          | k -> Wire.corrupt "snapshot entry: bad class tag %d" k
         in
         (name, { sc_all; sc_class }))
   in
-  if not (Wire.at_end cur) then corrupt "snapshot entry: trailing bytes";
+  if not (Wire.at_end cur) then Wire.corrupt "snapshot entry: trailing bytes";
   { e_stream_id; e_impact; e_prov; e_modules; e_scenarios }
 
 (* --- cache files --- *)
@@ -517,18 +514,6 @@ let stats t =
 
 let file_of ~dir ~fp = Filename.concat dir (fp ^ ".dpsnap")
 
-let le32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
-
-let le32_at (s : string) i =
-  Char.code s.[i]
-  lor (Char.code s.[i + 1] lsl 8)
-  lor (Char.code s.[i + 2] lsl 16)
-  lor (Char.code s.[i + 3] lsl 24)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -547,21 +532,19 @@ let parse_file data ~expect_fp ~feed ~feed_scen =
      let cur = Wire.cursor data in
      Wire.need cur (String.length magic);
      if String.sub data 0 (String.length magic) <> magic then
-       corrupt "bad snapshot magic";
+       Wire.corrupt "bad snapshot magic";
      cur.Wire.pos <- String.length magic;
      let fp = Wire.rstr cur in
      (match expect_fp with
-     | Some expect when expect <> fp -> corrupt "fingerprint mismatch"
+     | Some expect when expect <> fp -> Wire.corrupt "fingerprint mismatch"
      | _ -> ());
      let len = String.length data in
      while cur.Wire.pos < len do
        let key = Wire.rstr cur in
-       Wire.need cur 8;
-       let elen = le32_at data cur.Wire.pos in
-       let stored = le32_at data (cur.Wire.pos + 4) in
-       cur.Wire.pos <- cur.Wire.pos + 8;
-       if elen < 0 || elen > max_entry_len then
-         corrupt "implausible entry length %d" elen;
+       let elen = Wire.r32 cur in
+       let stored = Wire.r32 cur in
+       if elen > max_entry_len then
+         Wire.corrupt "implausible entry length %d" elen;
        Wire.need cur elen;
        let payload = String.sub data cur.Wire.pos elen in
        cur.Wire.pos <- cur.Wire.pos + elen;
@@ -575,14 +558,14 @@ let parse_file data ~expect_fp ~feed ~feed_scen =
          | digest, mining ->
            feed_scen name digest mining;
            incr ok
-         | exception Dptrace.Codec_binary.Corrupt _ -> incr bad
+         | exception Wire.Corrupt _ -> incr bad
        end
        else
          match read_entry (Wire.cursor payload) with
          | e ->
            feed key e;
            incr ok
-         | exception Dptrace.Codec_binary.Corrupt _ -> incr bad
+         | exception Wire.Corrupt _ -> incr bad
      done
    with _ -> incr bad);
   (!ok, !bad)
@@ -635,8 +618,8 @@ let save t =
     Wire.wstr buf t.fp;
     let record key payload =
       Wire.wstr buf key;
-      le32 buf (String.length payload);
-      le32 buf (Dputil.Crc32.string payload);
+      Wire.w32 buf (String.length payload);
+      Wire.w32 buf (Dputil.Crc32.string payload);
       Buffer.add_string buf payload
     in
     (* Sorted keys: the file is a pure function of its contents. *)

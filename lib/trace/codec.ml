@@ -56,8 +56,6 @@ let corpus_to_string (c : Corpus.t) =
   List.iter (buf_stream buf) c.streams;
   Buffer.contents buf
 
-let write_corpus oc c = output_string oc (corpus_to_string c)
-
 (* --- Reading --- *)
 
 type parser_state = {
@@ -171,7 +169,12 @@ let read_lines next_line =
     | [ m; v ] when m = magic ->
       let v = int_field st "version" v in
       if v <> version then fail st.line "unsupported version %d" v
-    | _ -> fail st.line "bad header %S" header));
+    | _ ->
+      (* Quote a bounded prefix: a binary or newline-free file would
+         otherwise be echoed whole as its own "first line". *)
+      let n = min (String.length header) 32 in
+      fail st.line "bad header %S%s" (String.sub header 0 n)
+        (if n < String.length header then "..." else "")));
   let rec loop () =
     match next_line () with
     | None -> ()
@@ -204,7 +207,9 @@ let corpus_of_string s =
    over the file). The format itself is plain "\n"-separated text. *)
 let save path c =
   let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_corpus oc c)
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (corpus_to_string c))
 
 let load path =
   let ic = open_in_bin path in

@@ -1,7 +1,7 @@
 (* Framed, checksummed corpus format v2. See codec_v2.mli for the
    on-disk layout and the recovery contract. *)
 
-let corrupt fmt = Format.kasprintf (fun m -> raise (Codec_binary.Corrupt m)) fmt
+open Wire
 
 let magic = "DPTF\x02"
 let marker = "\xf7DP\xf2"
@@ -29,17 +29,117 @@ type report = { frames : int; streams : int; dropped : diagnostic list }
 let pp_diagnostic fmt d =
   Format.fprintf fmt "frame %d at byte %d: %s" d.frame d.offset d.reason
 
+(* --- specs and stream bodies --- *)
+
+let kind_code = function
+  | Event.Running -> 0
+  | Event.Wait -> 1
+  | Event.Unwait -> 2
+  | Event.Hw_service -> 3
+
+let kind_of_code = function
+  | 0 -> Event.Running
+  | 1 -> Event.Wait
+  | 2 -> Event.Unwait
+  | 3 -> Event.Hw_service
+  | c -> corrupt "unknown event kind code %d" c
+
+let write_spec buf (s : Scenario.spec) =
+  wstr buf s.name;
+  wv buf s.tfast;
+  wv buf s.tslow
+
+let read_spec cur =
+  let name = rstr cur in
+  let tfast = rv cur in
+  let tslow = rv cur in
+  if not (0 < tfast && tfast <= tslow) then
+    corrupt "invalid spec thresholds for %s" name;
+  Scenario.spec ~name ~tfast ~tslow
+
+let write_stream buf ~sig_index (st : Stream.t) =
+  wv buf st.Stream.id;
+  wv buf (List.length st.Stream.threads);
+  List.iter
+    (fun (tid, name) ->
+      wv buf tid;
+      wstr buf name)
+    st.Stream.threads;
+  wv buf (Array.length st.Stream.events);
+  Array.iter
+    (fun (e : Event.t) ->
+      w8 buf (kind_code e.kind);
+      wv buf e.tid;
+      wv buf (e.wtid + 1);
+      wv buf e.ts;
+      wv buf e.cost;
+      let frames = Callstack.frames e.stack in
+      wv buf (Array.length frames);
+      Array.iter (fun s -> wv buf (sig_index s)) frames)
+    st.Stream.events;
+  wv buf (List.length st.Stream.instances);
+  List.iter
+    (fun (i : Scenario.instance) ->
+      wstr buf i.scenario;
+      wv buf i.tid;
+      wv buf i.t0;
+      wv buf i.t1)
+    st.Stream.instances
+
+(* Validation parity with the text reader: unknown kinds, implausible
+   stack depths, out-of-range signature indices (via [sig_of]) and
+   instances with t1 < t0 are refused, and [rv] refuses any negative
+   ts/cost/tid. *)
+let read_stream cur ~sig_of =
+  let id = rv cur in
+  let threads =
+    rlist cur (fun cur ->
+        let tid = rv cur in
+        let name = rstr cur in
+        (tid, name))
+  in
+  let events =
+    rlist cur (fun cur ->
+        let kind = kind_of_code (r8 cur) in
+        let tid = rv cur in
+        let wtid = rv cur - 1 in
+        let ts = rv cur in
+        let cost = rv cur in
+        let depth = rv cur in
+        if depth > 0xffff then corrupt "implausible stack depth %d" depth;
+        let frames = List.init depth (fun _ -> sig_of (rv cur)) in
+        {
+          Event.id = 0;
+          kind;
+          stack = Callstack.of_list frames;
+          ts;
+          cost;
+          tid;
+          wtid;
+        })
+  in
+  let instances =
+    rlist cur (fun cur ->
+        let scenario = rstr cur in
+        let tid = rv cur in
+        let t0 = rv cur in
+        let t1 = rv cur in
+        if t1 < t0 then corrupt "instance %s has t1 < t0" scenario;
+        { Scenario.scenario; tid; t0; t1 })
+  in
+  Stream.create ~id ~events ~instances ~threads
+
 (* --- frame payloads --- *)
 
 let header_payload specs =
   let buf = Buffer.create 256 in
-  Codec_binary.Wire.wv buf (List.length specs);
-  List.iter (Codec_binary.write_spec buf) specs;
+  wv buf (List.length specs);
+  List.iter (write_spec buf) specs;
   Buffer.contents buf
 
 let trailer_payload nstreams =
   let buf = Buffer.create 8 in
-  Codec_binary.Wire.wv buf nstreams;
+  wv buf nstreams;
   Buffer.contents buf
 
 (* Payload body without telemetry: shared by the writer and by
@@ -64,13 +164,9 @@ let stream_payload_raw (st : Stream.t) =
           end)
         (Callstack.frames e.stack))
     st.Stream.events;
-  Codec_binary.Wire.wv buf !nsigs;
-  List.iter
-    (fun s -> Codec_binary.Wire.wstr buf (Signature.name s))
-    (List.rev !order);
-  Codec_binary.write_stream buf
-    ~sig_index:(fun s -> Hashtbl.find sig_index s)
-    st;
+  wv buf !nsigs;
+  List.iter (fun s -> wstr buf (Signature.name s)) (List.rev !order);
+  write_stream buf ~sig_index:(fun s -> Hashtbl.find sig_index s) st;
   Buffer.contents buf
 
 let stream_payload st =
@@ -81,32 +177,30 @@ let stream_payload st =
   payload
 
 let decode_header payload =
-  let cur = Codec_binary.Wire.cursor payload in
-  let specs = Codec_binary.Wire.rlist cur Codec_binary.read_spec in
-  if not (Codec_binary.Wire.at_end cur) then corrupt "header frame: trailing bytes";
+  let cur = cursor payload in
+  let specs = rlist cur read_spec in
+  if not (at_end cur) then corrupt "header frame: trailing bytes";
   specs
 
 let decode_trailer payload =
-  let cur = Codec_binary.Wire.cursor payload in
-  let n = Codec_binary.Wire.rv cur in
-  if not (Codec_binary.Wire.at_end cur) then corrupt "trailer frame: trailing bytes";
+  let cur = cursor payload in
+  let n = rv cur in
+  if not (at_end cur) then corrupt "trailer frame: trailing bytes";
   n
 
 let decode_stream_payload ?key payload =
   Dpobs.Span.with_span "codec_v2.decode_stream" @@ fun () ->
-  let cur = Codec_binary.Wire.cursor payload in
+  let cur = cursor payload in
   let sigs =
-    Array.of_list
-      (Codec_binary.Wire.rlist cur (fun c ->
-           Signature.of_string (Codec_binary.Wire.rstr c)))
+    Array.of_list (rlist cur (fun c -> Signature.of_string (rstr c)))
   in
   let sig_of i =
     if i < 0 || i >= Array.length sigs then
       corrupt "signature index %d out of range" i
     else sigs.(i)
   in
-  let st = Codec_binary.read_stream cur ~sig_of in
-  if not (Codec_binary.Wire.at_end cur) then corrupt "stream frame: trailing bytes";
+  let st = read_stream cur ~sig_of in
+  if not (at_end cur) then corrupt "stream frame: trailing bytes";
   if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force streams_read_c);
   (* The frame checksum was already verified by the reader; memoising it
      as the stream's content identity makes cache-keyed re-analysis free
@@ -115,12 +209,6 @@ let decode_stream_payload ?key payload =
   st
 
 (* --- frame envelope --- *)
-
-let le32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
 
 let frame_crc kind payload =
   Dputil.Crc32.string ~crc:(Dputil.Crc32.string (String.make 1 kind)) payload
@@ -149,35 +237,12 @@ let frame_string kind payload =
   let buf = Buffer.create (13 + String.length payload) in
   Buffer.add_string buf marker;
   Buffer.add_char buf kind;
-  le32 buf (String.length payload);
-  le32 buf (frame_crc kind payload);
+  w32 buf (String.length payload);
+  w32 buf (frame_crc kind payload);
   Buffer.add_string buf payload;
   Buffer.contents buf
 
-(* --- streaming writer --- *)
-
-type writer = { oc : out_channel; mutable written : int; mutable closed : bool }
-
-let writer oc ~specs =
-  output_string oc magic;
-  output_string oc (frame_string 'H' (header_payload specs));
-  { oc; written = 0; closed = false }
-
-let add_stream w st =
-  if w.closed then invalid_arg "Codec_v2.add_stream: writer is closed";
-  let framed = frame_string 'S' (stream_payload st) in
-  if Dpobs.metrics_on () then begin
-    Dpobs.Metrics.add (Lazy.force bytes_written_c) (String.length framed);
-    Dpobs.Metrics.incr (Lazy.force frames_written_c)
-  end;
-  output_string w.oc framed;
-  w.written <- w.written + 1
-
-let close w =
-  if not w.closed then begin
-    output_string w.oc (frame_string 'E' (trailer_payload w.written));
-    w.closed <- true
-  end
+(* --- writer --- *)
 
 let emit ?pool put (c : Corpus.t) =
   Dpobs.Span.with_span "codec_v2.encode" @@ fun () ->
@@ -201,8 +266,6 @@ let emit ?pool put (c : Corpus.t) =
     Dpobs.Metrics.add (Lazy.force frames_written_c)
       (2 + List.length c.Corpus.streams)
 
-let write_corpus ?pool oc c = emit ?pool (output_string oc) c
-
 let encode ?pool c =
   let buf = Buffer.create 65536 in
   emit ?pool (Buffer.add_string buf) c;
@@ -212,7 +275,7 @@ let save ?pool path c =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> write_corpus ?pool oc c)
+    (fun () -> emit ?pool (output_string oc) c)
 
 (* --- buffered source: a channel or a string, with bounded lookahead ---
 
@@ -317,28 +380,19 @@ let scan_to_marker src =
   done;
   !found
 
-let le32_at src i =
-  Char.code (Bytes.get src.buf i)
-  lor (Char.code (Bytes.get src.buf (i + 1)) lsl 8)
-  lor (Char.code (Bytes.get src.buf (i + 2)) lsl 16)
-  lor (Char.code (Bytes.get src.buf (i + 3)) lsl 24)
-
 (* --- frame-level reader ---
 
    Walks the file frame by frame, verifying checksums. [f] sees only
    checksum-verified frames. In [`Recover] mode, framing damage and
    exceptions raised by [f] become diagnostics and the walk
    resynchronises on the next marker; in [`Strict] mode they raise.
-   Returns (acc, diagnostics in file order, frames seen, end offset). *)
+   Returns (diagnostics in file order, frames seen, end offset). *)
 
-let fold_raw mode src ~init ~f =
+let iter_frames mode src ~f =
   let diags = ref [] in
-  let ndiag = ref 0 in
   let diag ~frame ~offset fmt =
     Format.kasprintf
-      (fun reason ->
-        incr ndiag;
-        diags := { frame; offset; reason } :: !diags)
+      (fun reason -> diags := { frame; offset; reason } :: !diags)
       fmt
   in
   let magic_ok =
@@ -362,7 +416,6 @@ let fold_raw mode src ~init ~f =
         scan_to_marker src
   in
   let idx = ref 0 in
-  let acc = ref init in
   let continue = ref magic_ok in
   while !continue do
     if fill src 1 = 0 then continue := false (* clean EOF *)
@@ -388,9 +441,10 @@ let fold_raw mode src ~init ~f =
           if not resynced then continue := false
       end
       else begin
-        let kind = Bytes.get src.buf (src.pos + 4) in
-        let len = le32_at src (src.pos + 5) in
-        let stored = le32_at src (src.pos + 9) in
+        let head = cursor (Bytes.sub_string src.buf (src.pos + 4) 9) in
+        let kind = Char.chr (r8 head) in
+        let len = r32 head in
+        let stored = r32 head in
         if not (kind = 'H' || kind = 'S' || kind = 'E') then begin
           match mode with
           | `Strict -> corrupt "unknown frame kind %C at byte %d" kind off
@@ -443,11 +497,11 @@ let fold_raw mode src ~init ~f =
               src.pos <- src.pos + len;
               let frame = !idx in
               incr idx;
-              match f !acc ~frame ~offset:off ~crc kind payload with
-              | v -> acc := v
-              | exception Codec_binary.Corrupt m ->
+              match f ~frame ~offset:off ~crc kind payload with
+              | () -> ()
+              | exception Corrupt m ->
                 (match mode with
-                | `Strict -> raise (Codec_binary.Corrupt m)
+                | `Strict -> raise (Corrupt m)
                 | `Recover -> diag ~frame ~offset:off "%s" m)
             end
           end
@@ -457,12 +511,12 @@ let fold_raw mode src ~init ~f =
   done;
   if Dpobs.metrics_on () then begin
     Dpobs.Metrics.add (Lazy.force bytes_read_c) (offset src);
-    Dpobs.Metrics.add (Lazy.force frames_read_c) !idx;
-    Dpobs.Metrics.add (Lazy.force frames_dropped_c) !ndiag
+    Dpobs.Metrics.add (Lazy.force frames_read_c) !idx
   end;
-  (!acc, List.rev !diags, !idx, offset src)
+  (List.rev !diags, !idx, offset src)
 
-(* Trailer accounting shared by the sequential and pooled loads. *)
+(* Trailer accounting: a strict load must end on a trailer whose count
+   matches; a recovering one records the mismatch as a diagnostic. *)
 let check_trailer mode ~declared ~loaded ~frames ~end_off diags =
   match (mode, declared) with
   | `Strict, None ->
@@ -500,39 +554,18 @@ let checked_stream mode st =
         (fun fmt v -> Validate.pp_violation fmt v)
         v)
 
-let fold_src mode src ~init ~f =
-  let specs = ref [] in
-  let declared = ref None in
-  let loaded = ref 0 in
-  let handle acc ~frame:_ ~offset:_ ~crc kind payload =
-    match kind with
-    | 'H' ->
-      specs := !specs @ decode_header payload;
-      acc
-    | 'E' ->
-      declared := Some (decode_trailer payload);
-      acc
-    | _ ->
-      let key = key_of_crc crc ~len:(String.length payload) in
-      let st = checked_stream mode (decode_stream_payload ~key payload) in
-      incr loaded;
-      f acc st
+(* Frames are checksum-verified in file order (cheap) and their stream
+   payloads decoded in batches, in parallel on a pool of size > 1. The
+   batch size bounds the payload bytes held at once, and both maps keep
+   file order, so every pool size yields the same corpus and report. *)
+let load_src mode pool src =
+  Dpobs.Span.with_span "codec_v2.decode" @@ fun () ->
+  let map, batch_size =
+    match pool with
+    | Some pool when Dppar.Pool.size pool > 1 ->
+      (Dppar.Pool.parallel_map ~chunk:1 pool, 4 * Dppar.Pool.size pool)
+    | _ -> (List.map, 1)
   in
-  let acc, diags, frames, end_off = fold_raw mode src ~init ~f:handle in
-  let diags =
-    check_trailer mode ~declared:!declared ~loaded:!loaded ~frames ~end_off diags
-  in
-  (acc, !specs, { frames; streams = !loaded; dropped = diags })
-
-let fold_streams ?(mode = `Strict) ic ~init ~f =
-  fold_src mode (src_of_channel ic) ~init ~f
-
-(* Pooled load: frames are checksum-verified in file order (cheap), then
-   decoded in parallel batches; batch size bounds the payload bytes held
-   at once, and parallel_map keeps file order, so the result is
-   bit-identical to the sequential load. *)
-let load_pooled mode pool src =
-  let batch_size = 4 * Dppar.Pool.size pool in
   let specs = ref [] in
   let declared = ref None in
   let pending = ref [] in
@@ -544,17 +577,14 @@ let load_pooled mode pool src =
     | items ->
       pending := [];
       let results =
-        Dppar.Pool.parallel_map ~chunk:1 pool
+        map
           (fun (frame, off, crc, payload) ->
             let key = key_of_crc crc ~len:(String.length payload) in
             match checked_stream mode (decode_stream_payload ~key payload) with
             | st -> Ok st
-            | exception Codec_binary.Corrupt m -> (
+            | exception Corrupt m -> (
               match mode with
-              | `Strict ->
-                raise
-                  (Codec_binary.Corrupt
-                     (Printf.sprintf "frame %d at byte %d: %s" frame off m))
+              | `Strict -> corrupt "frame %d at byte %d: %s" frame off m
               | `Recover -> Error { frame; offset = off; reason = m }))
           items
       in
@@ -564,8 +594,8 @@ let load_pooled mode pool src =
           | Error d -> late := d :: !late)
         results
   in
-  let (), diags, frames, end_off =
-    fold_raw mode src ~init:() ~f:(fun () ~frame ~offset ~crc kind payload ->
+  let diags, frames, end_off =
+    iter_frames mode src ~f:(fun ~frame ~offset ~crc kind payload ->
         match kind with
         | 'H' -> specs := !specs @ decode_header payload
         | 'E' -> declared := Some (decode_trailer payload)
@@ -584,18 +614,10 @@ let load_pooled mode pool src =
     check_trailer mode ~declared:!declared ~loaded:(List.length streams) ~frames
       ~end_off diags
   in
+  if Dpobs.metrics_on () then
+    Dpobs.Metrics.add (Lazy.force frames_dropped_c) (List.length diags);
   ( Corpus.create ~streams ~specs:!specs,
     { frames; streams = List.length streams; dropped = diags } )
-
-let load_src mode pool src =
-  Dpobs.Span.with_span "codec_v2.decode" @@ fun () ->
-  match pool with
-  | Some pool when Dppar.Pool.size pool > 1 -> load_pooled mode pool src
-  | _ ->
-    let streams, specs, report =
-      fold_src mode src ~init:[] ~f:(fun acc st -> st :: acc)
-    in
-    (Corpus.create ~streams:(List.rev streams) ~specs, report)
 
 let decode ?(mode = `Strict) ?pool data = load_src mode pool (src_of_string data)
 

@@ -1,17 +1,17 @@
-(** Framed, checksummed corpus serialisation (format v2).
+(** Framed, checksummed corpus serialisation (format v2), the one binary
+    corpus format.
 
-    The v1 codecs ({!Codec}, {!Codec_binary}) slurp the whole file into
-    one string, so ingestion memory scales with corpus size and a single
-    corrupt byte aborts the whole load. At the paper's evaluation shape
-    (~19,500 traces / ~505,500 scenario instances) neither is acceptable:
-    this format holds each trace stream in its own length-prefixed,
-    CRC32-checksummed frame, so corpora are written and read stream by
-    stream in constant memory, frames decode in parallel on a
-    {!Dppar.Pool}, and a corrupt frame costs exactly the streams it
-    contains.
+    The text codec ({!Codec}) slurps the whole file into one string, so
+    ingestion memory scales with corpus size and a single corrupt byte
+    aborts the whole load. At the paper's evaluation shape (~19,500
+    traces / ~505,500 scenario instances) that is not acceptable: this
+    format holds each trace stream in its own length-prefixed,
+    CRC32-checksummed frame, so a reader holds one frame at a time,
+    frames decode in parallel on a {!Dppar.Pool}, and a corrupt frame
+    costs exactly the stream it contains.
 
-    On-disk layout (all multi-byte integers little-endian; [v]/[str] are
-    the LEB128 primitives of {!Codec_binary.Wire}):
+    On-disk layout ([u32] is {!Wire.w32}; [v]/[str] are the LEB128
+    varint and length-prefixed string of {!Wire}):
     {v
     magic "DPTF" '\002'
     frame*
@@ -23,23 +23,32 @@
       payload  length bytes
     'H' (header, first):  v #specs, each: str name, v tfast, v tslow
     'S' (one per stream): v #signatures, each str     (frame-local table)
-                          stream body as in Codec_binary v1, indices into
-                          the frame-local table
+                          v id
+                          v #threads,   each: v tid, str name
+                          v #events,    each: u8 kind, v tid,
+                                        v wtid(+1 biased), v ts, v cost,
+                                        v depth, v sig-index ...
+                          v #instances, each: str scenario, v tid,
+                                        v t0, v t1
     'E' (trailer, last):  v #stream-frames written
     v}
 
     Each stream frame carries its own signature table, so every frame
     decodes on its own: corruption in one frame cannot strand the
-    signatures — hence the data — of any other.
+    signatures — hence the data — of any other. A stream payload is
+    refused (unknown event kind, stack depth above 65535, signature
+    index out of range, instance with [t1 < t0], varint overflow) exactly
+    where the text reader would refuse the same stream.
 
     {b Recovery.} In [`Strict] mode (the default) any corruption raises
-    {!Codec_binary.Corrupt}, including truncation at a clean frame
-    boundary (the trailer count catches it). In [`Recover] mode the
-    reader records a {!diagnostic} for each bad frame, resynchronises on
-    the next frame marker, and keeps loading; surviving streams are
-    additionally required to pass {!Validate.check} (a checksum collision
-    must not leak invalid data into the analysis). The result is the
-    surviving corpus plus a {!report} naming every dropped frame. *)
+    {!Wire.Corrupt}, including truncation at a clean frame boundary (the
+    trailer count catches it). In [`Recover] mode the reader records a
+    {!diagnostic} for each bad frame, resynchronises on the next frame
+    marker, and keeps loading; surviving streams are additionally
+    required to pass {!Validate.check} (a checksum collision must not
+    leak invalid data into the analysis). The result is the surviving
+    corpus plus a {!report} naming every dropped frame; the
+    [codec_v2.frames_dropped] counter advances by its length. *)
 
 val magic : string
 (** The 5-byte file magic, ["DPTF\002"]; use it to sniff the format. *)
@@ -60,51 +69,20 @@ type report = {
 
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 
-(** {1 Streaming writer} *)
-
-type writer
-
-val writer : out_channel -> specs:Scenario.spec list -> writer
-(** Write the magic and the header frame; the channel must be in binary
-    mode. Streams follow via {!add_stream}; {!close} seals the file. *)
-
-val add_stream : writer -> Stream.t -> unit
-(** Append one stream frame. Constant memory in the corpus: only the one
-    stream is materialised. *)
-
-val close : writer -> unit
-(** Write the trailer frame ({b required} — without it a strict reader
-    treats the file as truncated). Idempotent; does not close the
-    channel. *)
-
-(** {1 Streaming reader} *)
-
-val fold_streams :
-  ?mode:mode ->
-  in_channel ->
-  init:'a ->
-  f:('a -> Stream.t -> 'a) ->
-  'a * Scenario.spec list * report
-(** Fold over the stream frames of a channel in file order, one decoded
-    stream in memory at a time (constant memory in the corpus size).
-    @raise Codec_binary.Corrupt in [`Strict] mode on any corruption. *)
-
-(** {1 Whole-corpus convenience} *)
-
-val write_corpus : ?pool:Dppar.Pool.t -> out_channel -> Corpus.t -> unit
-(** Header, one frame per stream, trailer. With a [pool] of size > 1 the
-    per-stream frame payloads are encoded in parallel (output order is
-    the corpus order either way). *)
+(** {1 Whole corpus} *)
 
 val encode : ?pool:Dppar.Pool.t -> Corpus.t -> string
 val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> unit
+(** Header, one frame per stream, trailer. With a [pool] of size > 1 the
+    per-stream frame payloads are encoded in parallel (output order is
+    the corpus order either way). *)
 
 val decode : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
 val load : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
 (** With a [pool] of size > 1, frame payloads are checksum-verified in
     file order but decoded in parallel batches; results are in file order
     and bit-identical to the sequential load.
-    @raise Codec_binary.Corrupt in [`Strict] mode on any corruption
+    @raise Wire.Corrupt in [`Strict] mode on any corruption
     @raise Sys_error if the file cannot be opened. *)
 
 (** {1 Stream content identity} *)
@@ -112,7 +90,7 @@ val load : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
 val stream_key : Stream.t -> string
 (** The stream's content identity: the CRC-32 and byte length of its 'S'
     frame, as ["%08x-%d"] — exactly what the frame envelope stores on
-    disk. Streams decoded by {!load}/{!decode}/{!fold_streams} carry the
+    disk. Streams decoded by {!load}/{!decode} carry the
     key already (captured from the verified frame checksum, via
     {!Stream.key_memo}); for any other stream the payload is re-encoded
     once here and the key memoised. Two streams share a key iff their

@@ -1,16 +1,13 @@
-type format = Text | Binary | Framed
+type format = Text | Framed
 
-let format_name = function
-  | Text -> "text v1"
-  | Binary -> "binary v1"
-  | Framed -> "framed v2"
+let format_name = function Text -> "text v1" | Framed -> "framed v2"
 
-let is_binary_path path = Filename.check_suffix path ".dpb"
 let is_framed_path path = Filename.check_suffix path ".dpf"
-let is_text_path path = Filename.check_suffix path ".dpt"
 
 let is_corpus_file path =
-  is_binary_path path || is_framed_path path || is_text_path path
+  is_framed_path path || Filename.check_suffix path ".dpt"
+
+let format_of_path path = if is_framed_path path then Framed else Text
 
 (* Reads close with [close_in_noerr]: a raising close must not mask the
    decode exception as [Fun.Finally_raised]. *)
@@ -20,16 +17,10 @@ let sniff_format path =
   let buf = Bytes.create 7 in
   let n = input ic buf 0 7 in
   let prefix = Bytes.sub_string buf 0 n in
-  let starts p =
-    String.length prefix >= String.length p
-    && String.sub prefix 0 (String.length p) = p
-  in
+  let starts p = String.starts_with ~prefix:p prefix in
   if starts "DPTF" then Framed
-  else if starts "DPTB" then Binary
   else if starts "dptrace" then Text
-  else if is_framed_path path then Framed
-  else if is_binary_path path then Binary
-  else Text
+  else format_of_path path
 
 type entry = { e_path : string; e_mtime_ms : int; e_size : int }
 
@@ -78,15 +69,12 @@ let load ?pool ?(mode = `Strict) path =
       let corpus, report = Codec_v2.load ~mode ?pool path in
       { l_corpus = corpus; l_format = fmt; l_bytes = bytes;
         l_report = Some report }
-    | Binary ->
-      { l_corpus = Codec_binary.load path; l_format = fmt; l_bytes = bytes;
-        l_report = None }
     | Text ->
       { l_corpus = Codec.load path; l_format = fmt; l_bytes = bytes;
         l_report = None }
   with
   | loaded -> Ok loaded
-  | exception Codec_binary.Corrupt m ->
+  | exception Wire.Corrupt m ->
     Error (Printf.sprintf "%s: corrupt corpus: %s" path m)
   | exception Codec.Parse_error { line; message } ->
     Error (Printf.sprintf "%s:%d: %s" path line message)
@@ -95,3 +83,10 @@ let load ?pool ?(mode = `Strict) path =
     Error
       (Printf.sprintf "%s: injected %s fault at %s exhausted the retry budget"
          path (Dpfault.kind_name kind) (Dpfault.site_name site))
+
+let save ?pool path corpus =
+  let fmt = format_of_path path in
+  (match fmt with
+  | Framed -> Codec_v2.save ?pool path corpus
+  | Text -> Codec.save path corpus);
+  (fmt, file_size path)

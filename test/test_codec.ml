@@ -1,12 +1,12 @@
-(* Codec tests: text-codec escaping, binary varint hardening, and the
-   framed v2 format (round trips, streaming, corruption, recovery). *)
+(* Codec tests: text-codec escaping, wire/stream-decoder hardening, and
+   the framed v2 format (round trips, corruption, recovery). *)
 
 module Event = Dptrace.Event
 module Stream = Dptrace.Stream
 module Corpus = Dptrace.Corpus
 module Callstack = Dptrace.Callstack
 module Codec = Dptrace.Codec
-module Bin = Dptrace.Codec_binary
+module Wire = Dptrace.Wire
 module V2 = Dptrace.Codec_v2
 
 let check = Alcotest.check
@@ -115,21 +115,21 @@ let test_text_binary_mode_roundtrip () =
   check Alcotest.string "load round trip" (text_of c)
     (text_of (Codec.load path))
 
-(* --- binary codec: varint hardening --- *)
+(* --- wire primitives and the stream decoder --- *)
 
 let test_varint_roundtrip_extremes () =
   List.iter
     (fun v ->
       let buf = Buffer.create 16 in
-      Bin.Wire.wv buf v;
-      let cur = Bin.Wire.cursor (Buffer.contents buf) in
-      check Alcotest.int (Printf.sprintf "roundtrip %d" v) v (Bin.Wire.rv cur);
-      check Alcotest.bool "consumed" true (Bin.Wire.at_end cur))
+      Wire.wv buf v;
+      let cur = Wire.cursor (Buffer.contents buf) in
+      check Alcotest.int (Printf.sprintf "roundtrip %d" v) v (Wire.rv cur);
+      check Alcotest.bool "consumed" true (Wire.at_end cur))
     [ 0; 1; 0x7f; 0x80; 0x3fff; 0x4000; max_int - 1; max_int ]
 
 let expect_wire_corrupt what data =
-  match Bin.Wire.rv (Bin.Wire.cursor data) with
-  | exception Bin.Corrupt _ -> ()
+  match Wire.rv (Wire.cursor data) with
+  | exception Wire.Corrupt _ -> ()
   | v -> Alcotest.failf "%s: expected Corrupt, decoded %d" what v
 
 let test_varint_overflow_rejected () =
@@ -141,18 +141,30 @@ let test_varint_overflow_rejected () =
   expect_wire_corrupt "sign bit" (String.make 8 '\xff' ^ "\x7f");
   expect_wire_corrupt "sign bit minimal" (String.make 8 '\x80' ^ "\x40");
   (* One less than the limit is fine: 8 bytes of 0x7f payload. *)
-  let cur = Bin.Wire.cursor (String.make 8 '\xff' ^ "\x3f") in
-  check Alcotest.int "max encodable" max_int (Bin.Wire.rv cur)
+  let cur = Wire.cursor (String.make 8 '\xff' ^ "\x3f") in
+  check Alcotest.int "max encodable" max_int (Wire.rv cur)
+
+(* A crafted stream payload in a correctly checksummed frame must be
+   refused by the stream decoder itself: strict raises [Wire.Corrupt],
+   recovery drops the stream and says why. *)
+let expect_stream_refused what payload =
+  let data = V2_frames.corpus_of_stream_payload payload in
+  (match V2.decode data with
+  | exception Wire.Corrupt _ -> ()
+  | c, _ ->
+    Alcotest.failf "%s: accepted %d stream(s)" what
+      (List.length c.Corpus.streams));
+  let c, report = V2.decode ~mode:`Recover data in
+  check Alcotest.int (what ^ ": recovered streams") 0
+    (List.length c.Corpus.streams);
+  check Alcotest.bool (what ^ ": diagnosed") true (report.V2.dropped <> [])
 
 let test_binary_rejects_smuggled_negative_ts () =
-  (* A complete corpus blob whose single event carries an overflowing
-     varint timestamp. Before the overflow check the decoder accepted it
-     and produced a negative [ts] no writer can emit. *)
-  let blob =
-    "DPTB\x01" (* magic, version *)
-    ^ "\x00" (* 0 signatures *)
-    ^ "\x00" (* 0 specs *)
-    ^ "\x01" (* 1 stream *)
+  (* A stream whose single event carries an overflowing varint
+     timestamp. Before the overflow check the decoder accepted it and
+     produced a negative [ts] no writer can emit. *)
+  expect_stream_refused "negative ts"
+    ("\x00" (* 0 signatures *)
     ^ "\x00" (* stream id *)
     ^ "\x00" (* 0 threads *)
     ^ "\x01" (* 1 event *)
@@ -163,31 +175,21 @@ let test_binary_rejects_smuggled_negative_ts () =
     ^ "\x7f" (* ts: overflows into the sign bit *)
     ^ "\x01" (* cost *)
     ^ "\x00" (* 0 stack frames *)
-    ^ "\x00" (* 0 instances *)
-  in
-  match Bin.decode blob with
-  | exception Bin.Corrupt _ -> ()
-  | c ->
-    let st = List.hd c.Corpus.streams in
-    Alcotest.failf "accepted negative ts %d" st.Stream.events.(0).Event.ts
+    ^ "\x00" (* 0 instances *))
 
 let test_binary_rejects_backwards_instance () =
   (* Validation parity with the text reader: t1 < t0 must be refused. *)
-  let blob =
-    "DPTB\x01" ^ "\x00" ^ "\x00" ^ "\x01" (* 1 stream *)
+  expect_stream_refused "t1 < t0"
+    ("\x00" (* 0 signatures *)
     ^ "\x00" (* id *) ^ "\x00" (* threads *) ^ "\x00" (* events *)
     ^ "\x01" (* 1 instance *)
     ^ "\x01S" (* scenario "S" *)
     ^ "\x00" (* tid *)
     ^ "\x05" (* t0 = 5 *)
-    ^ "\x01" (* t1 = 1 *)
-  in
-  match Bin.decode blob with
-  | exception Bin.Corrupt _ -> ()
-  | _ -> Alcotest.fail "accepted instance with t1 < t0"
+    ^ "\x01" (* t1 = 1 *))
 
 let test_binary_hostile_names_roundtrip () =
-  (* Length-prefixed strings carry anything; the binary codec must not
+  (* Length-prefixed strings carry anything; the framed codec must not
      inherit the text format's name restrictions. *)
   let c =
     Corpus.create
@@ -202,17 +204,14 @@ let test_binary_hostile_names_roundtrip () =
         ]
       ~specs:[ Dptrace.Scenario.spec ~name:"Open Doc" ~tfast:1 ~tslow:2 ]
   in
-  check Alcotest.bool "binary" true (corpus_equal c (Bin.decode (Bin.encode c)));
   check Alcotest.bool "framed v2" true
     (corpus_equal c (fst (V2.decode (V2.encode c))))
 
 let prop_codec_roundtrip_any_seed =
-  QCheck.Test.make ~name:"binary and v2 round-trip generated corpora"
-    ~count:10 QCheck.small_int (fun seed ->
+  QCheck.Test.make ~name:"v2 round-trip generated corpora" ~count:10
+    QCheck.small_int (fun seed ->
       let c = gen_corpus ~scale:0.01 ~seed () in
-      let t = text_of c in
-      text_of (Bin.decode (Bin.encode c)) = t
-      && text_of (fst (V2.decode (V2.encode c))) = t)
+      text_of (fst (V2.decode (V2.encode c))) = text_of c)
 
 (* --- framed v2 --- *)
 
@@ -222,64 +221,21 @@ let test_v2_roundtrip () =
   let decoded, report = V2.decode encoded in
   check Alcotest.string "text-identical" (text_of c) (text_of decoded);
   check Alcotest.int "no drops" 0 (List.length report.V2.dropped);
-  check Alcotest.int "streams" (List.length c.Corpus.streams) report.V2.streams
+  check Alcotest.int "streams" (List.length c.Corpus.streams) report.V2.streams;
+  check Alcotest.int "frame count"
+    (2 + List.length c.Corpus.streams)
+    report.V2.frames
 
 let test_v2_magic () =
   let encoded = V2.encode (gen_corpus ~scale:0.01 ()) in
   check Alcotest.string "magic" V2.magic (String.sub encoded 0 5)
 
-let test_v2_streaming_writer_reader () =
-  let c = gen_corpus () in
-  let path = Filename.temp_file "driveperf" ".dpf" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out_bin path in
-  let w = V2.writer oc ~specs:c.Corpus.specs in
-  List.iter (fun st -> V2.add_stream w st) c.Corpus.streams;
-  V2.close w;
-  V2.close w (* idempotent *);
-  close_out oc;
-  (* The streaming writer and the whole-corpus encoder agree byte for
-     byte. *)
-  let ic = open_in_bin path in
-  let on_disk = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  check Alcotest.bool "writer = encode" true (on_disk = V2.encode c);
-  (* And the streaming reader reproduces the corpus one stream at a
-     time. *)
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let rev_streams, specs, report =
-    V2.fold_streams ic ~init:[] ~f:(fun acc st -> st :: acc)
-  in
-  let rebuilt = Corpus.create ~streams:(List.rev rev_streams) ~specs in
-  check Alcotest.string "fold_streams rebuilds" (text_of c) (text_of rebuilt);
-  check Alcotest.int "frame count"
-    (2 + List.length c.Corpus.streams)
-    report.V2.frames
-
 let expect_v2_corrupt what data =
   match V2.decode data with
-  | exception Bin.Corrupt _ -> ()
+  | exception Wire.Corrupt _ -> ()
   | _ -> Alcotest.failf "%s: expected Corrupt" what
 
-(* Walk the real frame structure (marker, kind, u32 length, u32 crc,
-   payload) and return the [(offset, payload_start, payload_len)] of each
-   frame. Used to aim corruption precisely. *)
-let frame_spans encoded =
-  let le32 s pos =
-    Char.code s.[pos]
-    lor (Char.code s.[pos + 1] lsl 8)
-    lor (Char.code s.[pos + 2] lsl 16)
-    lor (Char.code s.[pos + 3] lsl 24)
-  in
-  let rec go pos acc =
-    if pos >= String.length encoded then List.rev acc
-    else
-      let len = le32 encoded (pos + 5) in
-      let payload = pos + 13 in
-      go (payload + len) ((pos, payload, len) :: acc)
-  in
-  go (String.length V2.magic) []
+let frame_spans = V2_frames.frame_spans
 
 let test_v2_truncation_at_every_boundary () =
   let c = gen_corpus ~scale:0.01 () in
@@ -365,7 +321,7 @@ let prop_v2_bit_flip =
       let strict_ok =
         match V2.decode data with
         | decoded, _ -> text_of (fst (V2.decode base)) = text_of decoded
-        | exception Bin.Corrupt _ -> true
+        | exception Wire.Corrupt _ -> true
       in
       let recover_ok =
         let c, report = V2.decode ~mode:`Recover data in
@@ -395,6 +351,37 @@ let test_v2_pooled_load_identical () =
   check Alcotest.string "pooled recovery streams" (text_of cs) (text_of cp);
   check Alcotest.bool "pooled recovery diagnostics" true
     (rs.V2.dropped = rp.V2.dropped && rs.V2.frames = rp.V2.frames)
+
+let test_v2_frames_dropped_counter () =
+  (* One more stream frame before the trailer, counted by it, whose CRC
+     passes but whose payload does not decode (event kind 9): the bad
+     frame and the trailer's mismatch are two diagnostics, and both must
+     reach the counter, sequentially and on a pool. *)
+  let encoded = V2.encode (gen_corpus ~scale:0.01 ()) in
+  let spans = frame_spans encoded in
+  let trailer, _, _ = List.hd (List.rev spans) in
+  let count = Buffer.create 4 in
+  Wire.wv count (List.length spans - 1);
+  let data =
+    String.sub encoded 0 trailer
+    ^ V2_frames.frame "S" "\x00\x00\x00\x01\x09"
+    ^ V2_frames.frame "E" (Buffer.contents count)
+  in
+  let counter = Dpobs.Metrics.counter "codec_v2.frames_dropped" in
+  let dropped_delta ?pool () =
+    let before = Dpobs.Metrics.counter_value counter in
+    let _, report = V2.decode ~mode:`Recover ?pool data in
+    (List.length report.V2.dropped, Dpobs.Metrics.counter_value counter - before)
+  in
+  Dpobs.enable ~spans:false ~metrics:true ();
+  Fun.protect ~finally:Dpobs.disable @@ fun () ->
+  let n, delta = dropped_delta () in
+  check Alcotest.int "bad frame and trailer diagnosed" 2 n;
+  check Alcotest.int "sequential count" n delta;
+  Dppar.Pool.with_pool ~domains:2 @@ fun pool ->
+  let n, delta = dropped_delta ~pool () in
+  check Alcotest.int "pooled diagnostics" 2 n;
+  check Alcotest.int "pooled count" n delta
 
 let test_v2_save_load () =
   let c = gen_corpus ~scale:0.01 () in
@@ -437,8 +424,6 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_v2_roundtrip;
           Alcotest.test_case "magic" `Quick test_v2_magic;
-          Alcotest.test_case "streaming writer/reader" `Quick
-            test_v2_streaming_writer_reader;
           Alcotest.test_case "truncation at every boundary" `Quick
             test_v2_truncation_at_every_boundary;
           Alcotest.test_case "single bad frame recovery" `Quick
@@ -447,5 +432,7 @@ let () =
           Alcotest.test_case "pooled load identical" `Quick
             test_v2_pooled_load_identical;
           Alcotest.test_case "save/load" `Quick test_v2_save_load;
+          Alcotest.test_case "frames_dropped counts each drop" `Quick
+            test_v2_frames_dropped_counter;
         ] );
     ]

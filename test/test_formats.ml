@@ -1,11 +1,12 @@
-(* Tests for the interchange substrates: the ETW importer, the binary
-   codec and the anonymiser. *)
+(* Tests for the interchange substrates: the ETW importer, the framed
+   binary codec (and the retired v1 container) and the anonymiser. *)
 
 module Event = Dptrace.Event
 module Stream = Dptrace.Stream
 module Corpus = Dptrace.Corpus
 module Etw = Dptrace.Etw
-module Bin = Dptrace.Codec_binary
+module V2 = Dptrace.Codec_v2
+module Wire = Dptrace.Wire
 module Time = Dputil.Time
 
 let check = Alcotest.check
@@ -200,6 +201,7 @@ let prop_etw_mutation_safety =
 (* --- binary codec --- *)
 
 let text_of c = Dptrace.Codec.corpus_to_string c
+let roundtrip c = fst (V2.decode (V2.encode c))
 
 let test_binary_roundtrip_small () =
   let case = Dpworkload.Motivating_case.build () in
@@ -208,33 +210,31 @@ let test_binary_roundtrip_small () =
       ~streams:[ case.Dpworkload.Motivating_case.stream ]
       ~specs:case.Dpworkload.Motivating_case.specs
   in
-  let decoded = Bin.decode (Bin.encode corpus) in
   check Alcotest.string "text-identical after roundtrip" (text_of corpus)
-    (text_of decoded)
+    (text_of (roundtrip corpus))
 
 let test_binary_roundtrip_generated () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.03) in
-  let decoded = Bin.decode (Bin.encode corpus) in
   check Alcotest.string "text-identical after roundtrip" (text_of corpus)
-    (text_of decoded)
+    (text_of (roundtrip corpus))
 
 let test_binary_smaller_than_text () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.03) in
-  let bin = String.length (Bin.encode corpus) in
+  let bin = String.length (V2.encode corpus) in
   let text = String.length (text_of corpus) in
   check Alcotest.bool "at least 3x smaller" true (bin * 3 < text)
 
 let expect_corrupt data =
-  match Bin.decode data with
-  | exception Bin.Corrupt _ -> ()
+  match V2.decode data with
+  | exception Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "expected Corrupt"
 
 let test_binary_corruption () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01) in
-  let good = Bin.encode corpus in
+  let good = V2.encode corpus in
   expect_corrupt "";
   expect_corrupt "XXXX\x01";
-  expect_corrupt "DPTB\x63";
+  expect_corrupt "DPTB\x01";
   expect_corrupt (String.sub good 0 (String.length good / 2));
   expect_corrupt (good ^ "trailing");
   (* Preserve the header but clobber the middle. *)
@@ -242,24 +242,50 @@ let test_binary_corruption () =
   for i = String.length good / 2 to (String.length good / 2) + 64 do
     if i < Bytes.length clobbered then Bytes.set clobbered i '\xff'
   done;
-  match Bin.decode (Bytes.to_string clobbered) with
-  | exception Bin.Corrupt _ -> ()
-  | exception Invalid_argument _ -> Alcotest.fail "leaked Invalid_argument"
-  | __decoded -> () (* decoding to garbage values is acceptable; crashing is not *)
+  expect_corrupt (Bytes.to_string clobbered)
 
+(* One byte of one stream payload rewritten and the frame's CRC fixed up,
+   so the stream decoder itself meets the damage: strict may only raise
+   [Wire.Corrupt], recovery never raises. *)
 let prop_binary_mutation_safety =
+  let base =
+    V2.encode (Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01))
+  in
+  let streams =
+    match V2_frames.frame_spans base with
+    | _header :: rest -> List.filteri (fun i _ -> i < List.length rest - 1) rest
+    | [] -> []
+  in
   QCheck.Test.make ~name:"mutated binary corpus never crashes" ~count:150
-    QCheck.(pair small_int (int_range 0 255))
-    (fun (pos_seed, byte) ->
-      let base =
-        Bin.encode (Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01))
+    QCheck.(triple small_nat (int_bound 1_000_000) (int_range 0 255))
+    (fun (frame_seed, pos_seed, byte) ->
+      let _, payload, len =
+        List.nth streams (frame_seed mod List.length streams)
       in
       let b = Bytes.of_string base in
-      Bytes.set b (pos_seed mod Bytes.length b) (Char.chr byte);
-      match Bin.decode (Bytes.to_string b) with
-      | _ -> true
-      | exception Bin.Corrupt _ -> true
-      | exception Invalid_argument _ -> false)
+      Bytes.set b (payload + (pos_seed mod len)) (Char.chr byte);
+      V2_frames.reseal b ~payload ~len;
+      let data = Bytes.to_string b in
+      (match V2.decode data with _ -> true | exception Wire.Corrupt _ -> true)
+      && (ignore (V2.decode ~mode:`Recover data); true))
+
+(* The binary v1 container is retired: its magic is no corpus magic, and
+   its extension no corpus name. *)
+let test_retired_v1_refused () =
+  let dir = Filename.temp_dir "driveperf" "" in
+  let old = Filename.concat dir "old.dpb" in
+  Fun.protect ~finally:(fun () ->
+      Sys.remove old;
+      Sys.rmdir dir)
+  @@ fun () ->
+  let oc = open_out_bin old in
+  output_string oc ("DPTB\x01" ^ String.make 400 '\x00');
+  close_out oc;
+  (match Dptrace.Corpus_dir.load old with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "loaded a binary v1 file");
+  check Alcotest.int "scan skips it" 0
+    (List.length (Dptrace.Corpus_dir.scan dir))
 
 (* --- anonymiser --- *)
 
@@ -360,6 +386,8 @@ let () =
           Alcotest.test_case "smaller than text" `Quick test_binary_smaller_than_text;
           Alcotest.test_case "corruption handling" `Quick test_binary_corruption;
           QCheck_alcotest.to_alcotest prop_binary_mutation_safety;
+          Alcotest.test_case "retired v1 container refused" `Quick
+            test_retired_v1_refused;
         ] );
       ( "anonymize",
         [

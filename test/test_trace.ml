@@ -325,10 +325,19 @@ let test_codec_rejects_spacey_names () =
   (match Codec.corpus_to_string c with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument");
-  (* The binary codec handles them fine. *)
-  let roundtripped = Dptrace.Codec_binary.decode (Dptrace.Codec_binary.encode c) in
+  (* The framed binary codec handles them fine. *)
+  let roundtripped, _ = Dptrace.Codec_v2.decode (Dptrace.Codec_v2.encode c) in
   check Alcotest.string "binary keeps the name" "has space"
     (Stream.thread_name (List.hd roundtripped.Corpus.streams) 1)
+
+let test_codec_bad_header_bounded () =
+  (* A newline-free input is one enormous "first line": the error must
+     quote a bounded prefix of it, not the whole input. *)
+  match Codec.corpus_of_string (String.make 100_000 'x') with
+  | exception Codec.Parse_error { line; message } ->
+    check Alcotest.int "line" 1 line;
+    check Alcotest.bool "message bounded" true (String.length message < 100)
+  | _ -> Alcotest.fail "expected Parse_error"
 
 let test_codec_error_line () =
   match Codec.corpus_of_string "dptrace 1\nstream 0\njunk here\n" with
@@ -551,6 +560,8 @@ let () =
           Alcotest.test_case "empty stack" `Quick test_codec_empty_stack;
           Alcotest.test_case "parse errors" `Quick test_codec_errors;
           Alcotest.test_case "error line numbers" `Quick test_codec_error_line;
+          Alcotest.test_case "bad header quoted bounded" `Quick
+            test_codec_bad_header_bounded;
           Alcotest.test_case "spacey names rejected" `Quick
             test_codec_rejects_spacey_names;
           qcheck prop_codec_mutation_safety;
