@@ -425,9 +425,10 @@ let a2 () =
 
 let r1 () =
   section "R1 - Bootstrap confidence intervals for the headline metrics";
+  let streams = (Lazy.force report).Pipeline.streams in
   let r =
     timed "bootstrap (200 replicates)" (fun () ->
-        Dpcore.Robustness.bootstrap ~pool:bench_pool drivers corpus)
+        Dpcore.Robustness.bootstrap streams)
   in
   Format.printf "%a@." Dpcore.Robustness.pp r;
   Printf.printf

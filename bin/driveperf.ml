@@ -90,6 +90,15 @@ let components_of pats =
   | [ "*.sys" ] -> Dpcore.Component.drivers
   | pats -> Dpcore.Component.of_patterns pats
 
+(* --replicates, --width: Cmdliner rejects values below 1. *)
+let positive_int =
+  let parse text =
+    match int_of_string_opt text with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" text))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_arg =
   let doc =
     "Analysis (and framed-v2 ingestion) parallelism: the number of \
@@ -335,14 +344,7 @@ let with_results ?scenarios ~cache ~components { pool; corpus; obs; _ } f =
     Dpcore.Snapshot.ensure ~pool snap components corpus;
     let results =
       progress (fun () ->
-          let impact, impact_prov =
-            Dpcore.Pipeline.run_impact_prov_snap snap corpus
-          in
-          let scenarios =
-            Dpcore.Pipeline.run_all_snap ~pool ?scenarios snap corpus
-          in
-          let modules = Dpcore.Pipeline.modules_snap snap corpus in
-          { Dpcore.Pipeline.impact; impact_prov; modules; scenarios })
+          Dpcore.Pipeline.run_report_snap ~pool ?scenarios snap corpus)
     in
     let r =
       f results (fun () -> Dpcore.Pipeline.impact_per_scenario_snap snap corpus)
@@ -525,7 +527,7 @@ let report json cache run =
   in
   with_results ~scenarios:scenario_names ~cache
     ~components:Dpcore.Component.drivers s
-  @@ fun { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } _ ->
+  @@ fun { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } _ ->
   if json then
     print_string
       (Dputil.Jsonw.to_string
@@ -687,29 +689,25 @@ let anonymize_cmd =
 (* --- import-etw --- *)
 
 let import_etw input out specs =
-  let stream = Dptrace.Etw.load input in
-  let specs =
-    List.map
-      (fun spec_text ->
-        match String.split_on_char ':' spec_text with
-        | [ name; tfast; tslow ] ->
-          Dptrace.Scenario.spec ~name
-            ~tfast:(Dputil.Time.ms (int_of_string tfast))
-            ~tslow:(Dputil.Time.ms (int_of_string tslow))
-        | _ -> failwith ("bad --spec (want NAME:TFAST_MS:TSLOW_MS): " ^ spec_text))
-      specs
-  in
-  let corpus = Dptrace.Corpus.create ~streams:[ stream ] ~specs in
-  (match Dptrace.Validate.check_corpus corpus with
-  | [] -> ()
-  | violations ->
-    List.iter
-      (fun (sid, v) ->
-        Dpobs.Log.warn "stream %d: %a" sid Dptrace.Validate.pp_violation v)
-      violations);
-  ignore (Dptrace.Corpus_dir.save out corpus);
-  Format.printf "%a@.wrote %s@." Dptrace.Corpus.pp_summary corpus out;
-  0
+  match Dptrace.Etw.load input with
+  | exception Dptrace.Etw.Parse_error { line; message } ->
+    Dpobs.Log.error "%s:%d: %s" input line message;
+    1
+  | exception Sys_error msg ->
+    Dpobs.Log.error "%s: %s" input msg;
+    1
+  | stream ->
+    let corpus = Dptrace.Corpus.create ~streams:[ stream ] ~specs in
+    (match Dptrace.Validate.check_corpus corpus with
+    | [] -> ()
+    | violations ->
+      List.iter
+        (fun (sid, v) ->
+          Dpobs.Log.warn "stream %d: %a" sid Dptrace.Validate.pp_violation v)
+        violations);
+    ignore (Dptrace.Corpus_dir.save out corpus);
+    Format.printf "%a@.wrote %s@." Dptrace.Corpus.pp_summary corpus out;
+    0
 
 let import_etw_cmd =
   let input =
@@ -724,9 +722,21 @@ let import_etw_cmd =
       & opt string "imported.dpt"
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output corpus path.")
   in
+  let spec =
+    let parse text =
+      let bad = Error (`Msg "want NAME:TFAST_MS:TSLOW_MS, 0 < TFAST_MS <= TSLOW_MS") in
+      match String.split_on_char ':' text with
+      | [ name; tfast; tslow ] -> (
+        let ms s = Dputil.Time.ms (int_of_string s) in
+        try Ok (Dptrace.Scenario.spec ~name ~tfast:(ms tfast) ~tslow:(ms tslow))
+        with Failure _ | Invalid_argument _ -> bad)
+      | _ -> bad
+    in
+    Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt s.Dptrace.Scenario.name)
+  in
   let specs =
     Arg.(
-      value & opt_all string []
+      value & opt_all spec []
       & info [ "spec" ] ~docv:"NAME:TFAST_MS:TSLOW_MS"
           ~doc:"Scenario thresholds (repeatable).")
   in
@@ -1301,7 +1311,9 @@ let timeline_cmd =
       & info [ "instance" ] ~docv:"I" ~doc:"Zoom to the I-th instance (0-based).")
   in
   let width =
-    Arg.(value & opt int 72 & info [ "width" ] ~docv:"COLS" ~doc:"Timeline columns.")
+    Arg.(
+      value & opt positive_int 72
+      & info [ "width" ] ~docv:"COLS" ~doc:"Timeline columns.")
   in
   Cmd.v
     (Cmd.info "timeline" ~doc:"ASCII thread timeline of a trace stream")
@@ -1312,7 +1324,7 @@ let timeline_cmd =
 (* --- analyze: the one-shot full report --- *)
 
 let analyze out json top_patterns_n cache run =
-  run @@ fun ({ path = corpus_path; pool; corpus; coverage = cov; _ } as s) ->
+  run @@ fun ({ path = corpus_path; corpus; coverage = cov; _ } as s) ->
   let components = Dpcore.Component.drivers in
   if json then Dpcore.Provenance.enable ();
   with_results ~cache ~components s @@ fun results per_scenario_impacts ->
@@ -1326,7 +1338,7 @@ let analyze out json top_patterns_n cache run =
     | None -> output stdout x
   in
   if json then begin
-    let { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named } =
+    let { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } =
       results
     in
     write Dputil.Jsonw.output
@@ -1372,7 +1384,7 @@ let analyze out json top_patterns_n cache run =
   line "";
   block
     (Format.asprintf "%a" Dpcore.Robustness.pp
-       (Dpcore.Robustness.bootstrap ~pool components corpus));
+       (Dpcore.Robustness.bootstrap results.Dpcore.Pipeline.streams));
   line "## Causality analysis";
   (* Report every scenario with a spec and both classes non-empty. *)
   List.iter
@@ -1636,7 +1648,7 @@ let monitor_cmd =
   in
   let replicates =
     Arg.(
-      value & opt int 200
+      value & opt positive_int 200
       & info [ "replicates" ] ~docv:"N"
           ~doc:"Bootstrap replicates for the drift confidence interval.")
   in

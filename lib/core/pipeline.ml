@@ -69,23 +69,10 @@ let build_graphs ?pool _corpus entries =
     Array.to_list out
     |> List.map (function Some g -> g | None -> assert false)
 
-(* The causality half of one scenario, from its classified instances'
-   prebuilt graphs: slow-class impact, both AWGs, mining, coverages. *)
-let scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow =
-  let slow_impact, slow_impact_prov =
-    span "pipeline.impact" (fun () -> Impact.analyze_graphs_prov components slow)
-  in
-  let fast_awg =
-    span "pipeline.awg_build" (fun () -> Awg.build ?pool ~reduce components fast)
-  in
-  let slow_awg =
-    span "pipeline.awg_build" (fun () -> Awg.build ?pool ~reduce components slow)
-  in
-  let mining =
-    span "pipeline.mining" (fun () ->
-        Mining.mine ?pool ~k ~fast:fast_awg ~slow:slow_awg
-          ~spec:classification.Classify.spec ())
-  in
+(* The tail every scenario path shares, from-scratch or cached: the
+   coverages of the mined patterns, then the result record. *)
+let finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
+    ~slow_awg mining =
   (* Coverage denominator: everything the slow-class aggregation absorbed
      at its end nodes, plus the non-optimisable mass the reduction pruned
      (counted as unexplainable driver cost). Bounded and consistent with
@@ -108,6 +95,26 @@ let scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow =
     mining;
     coverages;
   }
+
+(* The causality half of one scenario, from its classified instances'
+   prebuilt graphs: slow-class impact, both AWGs, mining, coverages. *)
+let scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow =
+  let slow_impact, slow_impact_prov =
+    span "pipeline.impact" (fun () -> Impact.analyze_graphs_prov components slow)
+  in
+  let fast_awg =
+    span "pipeline.awg_build" (fun () -> Awg.build ?pool ~reduce components fast)
+  in
+  let slow_awg =
+    span "pipeline.awg_build" (fun () -> Awg.build ?pool ~reduce components slow)
+  in
+  let mining =
+    span "pipeline.mining" (fun () ->
+        Mining.mine ?pool ~k ~fast:fast_awg ~slow:slow_awg
+          ~spec:classification.Classify.spec ())
+  in
+  finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
+    ~slow_awg mining
 
 let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
     corpus name =
@@ -140,8 +147,23 @@ type report = {
   impact : Impact.result;
   impact_prov : Provenance.impact;
   modules : Impact.module_row list;
+  streams : Impact.result list;
   scenarios : (string * scenario_result) list;
 }
+
+(* Per-stream parts [(impact, provenance, module rows)] merged left to
+   right in stream order: the one reduction behind run_report and
+   run_report_snap, so a cached report is the from-scratch one. *)
+let report_of_parts parts scenarios =
+  let impact, impact_prov, modules =
+    List.fold_left
+      (fun (r, p, m) (r', p', m') ->
+        (Impact.merge r r', Provenance.merge_impact p p', Impact.merge_modules m m'))
+      (Impact.empty, Provenance.empty_impact, [])
+      parts
+  in
+  let streams = List.map (fun (r, _, _) -> r) parts in
+  { impact; impact_prov; modules; streams; scenarios }
 
 let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
     components (corpus : Dptrace.Corpus.t) =
@@ -180,14 +202,6 @@ let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
     | Some pool -> Dppar.Pool.parallel_map pool of_stream corpus.Dptrace.Corpus.streams
     | None -> List.map of_stream corpus.Dptrace.Corpus.streams
   in
-  (* The merges run_impact_prov_snap and modules_snap use, in stream order. *)
-  let impact, impact_prov, modules =
-    List.fold_left
-      (fun (r, p, m) ((r', p', m'), _) ->
-        (Impact.merge r r', Provenance.merge_impact p p', Impact.merge_modules m m'))
-      (Impact.empty, Provenance.empty_impact, [])
-      parts
-  in
   (* Each class lists its instances in corpus order, as Classify.classify
      does, and its graphs in the same order. *)
   let one (name, spec) =
@@ -208,12 +222,10 @@ let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
       Dpobs.Metrics.incr (Lazy.force scenarios_done);
     (name, r)
   in
-  let scenarios =
-    match pool with
+  report_of_parts (List.map fst parts)
+    (match pool with
     | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one specs
-    | None -> List.map one specs
-  in
-  { impact; impact_prov; modules; scenarios }
+    | None -> List.map one specs)
 
 let run_impact_prov ?pool components corpus =
   let r = run_report ?pool ~scenarios:[] components corpus in
@@ -229,30 +241,14 @@ let run_impact_prov ?pool components corpus =
    to the uncached run whatever mix of cache hits and misses produced
    the entries. *)
 
-let fold_entries snapshot (corpus : Dptrace.Corpus.t) ~init ~merge ~of_entry =
-  List.fold_left
-    (fun acc st -> merge acc (of_entry (Snapshot.entry snapshot st)))
-    init corpus.Dptrace.Corpus.streams
-
-let run_impact_prov_snap snapshot corpus =
-  span "pipeline.impact_snap" @@ fun () ->
-  fold_entries snapshot corpus
-    ~init:(Impact.empty, Provenance.empty_impact)
-    ~merge:(fun (r1, p1) (r2, p2) ->
-      (Impact.merge r1 r2, Provenance.merge_impact p1 p2))
-    ~of_entry:Snapshot.entry_impact_prov
-
-let modules_snap snapshot corpus =
-  fold_entries snapshot corpus ~init:[] ~merge:Impact.merge_modules
-    ~of_entry:Snapshot.entry_modules
-
-let impact_per_scenario_snap snapshot corpus =
+let impact_per_scenario_snap snapshot (corpus : Dptrace.Corpus.t) =
   let impact_of name =
     let r =
-      fold_entries snapshot corpus ~init:Impact.empty ~merge:Impact.merge
-        ~of_entry:(fun e ->
-          Option.value ~default:Impact.empty
-            (Snapshot.entry_scenario_impact e name))
+      List.fold_left
+        (fun acc st ->
+          Snapshot.entry_scenario_impact (Snapshot.entry snapshot st) name
+          |> Option.fold ~none:acc ~some:(Impact.merge acc))
+        Impact.empty corpus.Dptrace.Corpus.streams
     in
     if Dpobs.metrics_on () then
       Dpobs.Metrics.incr (Lazy.force scenarios_done);
@@ -260,7 +256,7 @@ let impact_per_scenario_snap snapshot corpus =
   in
   by_d_wait (List.map impact_of (Dptrace.Corpus.scenario_names corpus))
 
-let run_scenario_snap ?pool ?(k = Mining.default_k) ?(reduce = true) snapshot
+let run_scenario_snap ?(k = Mining.default_k) ?(reduce = true) snapshot
     corpus name =
   span ~args:[ ("scenario", name) ] "pipeline.run_scenario_snap" @@ fun () ->
   (* Classification is cheap (one pass over the instances) and part of
@@ -301,30 +297,14 @@ let run_scenario_snap ?pool ?(k = Mining.default_k) ?(reduce = true) snapshot
         | Some m -> m
         | None ->
           let m =
-            Mining.mine ?pool ~k ~fast:fast_awg ~slow:slow_awg
+            Mining.mine ~k ~fast:fast_awg ~slow:slow_awg
               ~spec:classification.Classify.spec ()
           in
           Snapshot.store_mining snapshot corpus name ~reduce ~k m;
           m)
   in
-  let driver_cost =
-    Awg.total_leaf_cost slow_awg + (Awg.reduction slow_awg).Awg.pruned_cost
-  in
-  let coverages =
-    span "pipeline.evaluation" (fun () ->
-        Evaluation.time_coverages mining.Mining.patterns
-          ~tslow:classification.Classify.spec.Dptrace.Scenario.tslow
-          ~driver_cost)
-  in
-  {
-    classification;
-    slow_impact;
-    slow_impact_prov;
-    fast_awg;
-    slow_awg;
-    mining;
-    coverages;
-  }
+  finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
+    ~slow_awg mining
 
 let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
   let names =
@@ -348,6 +328,20 @@ let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
   | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one names
   | None -> List.map one names)
   |> List.filter_map Fun.id
+
+let run_report_snap ?pool ?k ?reduce ?scenarios snapshot
+    (corpus : Dptrace.Corpus.t) =
+  let part st = Snapshot.entry_part (Snapshot.entry snapshot st) in
+  report_of_parts
+    (List.map part corpus.Dptrace.Corpus.streams)
+    (run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus)
+
+let run_impact_prov_snap snapshot corpus =
+  let r = run_report_snap ~scenarios:[] snapshot corpus in
+  (r.impact, r.impact_prov)
+
+let modules_snap snapshot corpus =
+  (run_report_snap ~scenarios:[] snapshot corpus).modules
 
 let driver_cost_fraction r =
   (* Distinct driver time over slow-class scenario time: the paper's

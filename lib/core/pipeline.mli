@@ -7,9 +7,9 @@
     once and traverses it once ({!Impact.measure}) for the corpus impact,
     its provenance and the module table; the same graphs then feed each
     requested scenario's classes. {!run_impact_prov} is its projection
-    onto the corpus impact. {!build_graphs}, {!run_scenario} and
-    {!impact_per_scenario} serve narrower questions and build the graphs
-    they need themselves.
+    onto the corpus impact; {!run_report_snap} is its cached twin.
+    {!build_graphs}, {!run_scenario} and {!impact_per_scenario} serve
+    narrower questions and build the graphs they need themselves.
 
     Every from-scratch entry point takes an optional [?pool] (a
     {!Dppar.Pool.t}); when given, independent units of work — streams
@@ -63,9 +63,12 @@ type report = {
   impact_prov : Provenance.impact;
       (** {!Provenance.empty_impact} unless {!Provenance.enabled}. *)
   modules : Impact.module_row list;  (** {!Impact.by_module} order. *)
+  streams : Impact.result list;
+      (** Each stream's impact, in corpus stream order: the parts
+          [impact] merges, and the input of {!Robustness.bootstrap}. *)
   scenarios : (string * scenario_result) list;
 }
-(** Everything [report --json] renders. *)
+(** Everything [report --json] renders, plus the per-stream impacts. *)
 
 val run_report :
   ?pool:Dppar.Pool.t ->
@@ -134,13 +137,24 @@ val run_all_snap :
     granularity and coverages are computed on the merge. With [pool],
     scenarios fan out one per work item. *)
 
+val run_report_snap :
+  ?pool:Dppar.Pool.t ->
+  ?k:int ->
+  ?reduce:bool ->
+  ?scenarios:string list ->
+  Snapshot.t ->
+  Dptrace.Corpus.t ->
+  report
+(** Cached {!run_report}: the entries' stream parts go through the same
+    stream-order reduction, and [scenarios] is {!run_all_snap}. *)
+
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact
-(** Cached {!run_impact_prov}. *)
+(** Cached {!run_impact_prov}: a projection of {!run_report_snap}. *)
 
 val modules_snap : Snapshot.t -> Dptrace.Corpus.t -> Impact.module_row list
 (** Cached equivalent of {!Impact.by_module} over every instance's graph
-    (what [report --json] embeds). *)
+    (what [report --json] embeds): a projection of {!run_report_snap}. *)
 
 val impact_per_scenario_snap :
   Snapshot.t -> Dptrace.Corpus.t -> (string * Impact.result) list

@@ -1,5 +1,3 @@
-module Wait_graph = Dpwaitgraph.Wait_graph
-
 type ci = { point : float; mean : float; lo : float; hi : float }
 
 type t = {
@@ -10,22 +8,7 @@ type t = {
   replicates : int;
 }
 
-let per_stream_results ?pool components (corpus : Dptrace.Corpus.t) =
-  let measure (st : Dptrace.Stream.t) =
-    let index = Dptrace.Stream.shared_index st in
-    let graphs =
-      List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances
-    in
-    Impact.analyze_graphs components graphs
-  in
-  match pool with
-  | Some pool -> Dppar.Pool.parallel_map pool measure corpus.Dptrace.Corpus.streams
-  | None -> List.map measure corpus.Dptrace.Corpus.streams
-
-let merge_all = function
-  | [] ->
-    Impact.analyze_graphs Component.drivers [] (* the empty result *)
-  | r :: rest -> List.fold_left Impact.merge r rest
+let merge_all = List.fold_left Impact.merge Impact.empty
 
 let ci_of point samples =
   {
@@ -35,31 +18,23 @@ let ci_of point samples =
     hi = Dputil.Stats.percentile samples 97.5;
   }
 
-let bootstrap ?pool ?(replicates = 200) ?(seed = 1) components corpus =
-  let per_stream = Array.of_list (per_stream_results ?pool components corpus) in
+let bootstrap ?(replicates = 200) ?(seed = 1) streams =
+  if replicates < 1 then invalid_arg "Robustness.bootstrap: replicates < 1";
+  let per_stream = Array.of_list streams in
   let n = Array.length per_stream in
-  let full = merge_all (Array.to_list per_stream) in
   let prng = Dputil.Prng.of_int seed in
-  let samples_wait = Array.make replicates 0.0 in
-  let samples_run = Array.make replicates 0.0 in
-  let samples_opt = Array.make replicates 0.0 in
-  let samples_ratio = Array.make replicates 0.0 in
-  for b = 0 to replicates - 1 do
-    let resampled =
-      if n = 0 then []
-      else List.init n (fun _ -> per_stream.(Dputil.Prng.int prng n))
-    in
-    let r = merge_all resampled in
-    samples_wait.(b) <- Impact.ia_wait r;
-    samples_run.(b) <- Impact.ia_run r;
-    samples_opt.(b) <- Impact.ia_opt r;
-    samples_ratio.(b) <- Impact.propagation_ratio r
-  done;
+  (* Both inits call in index order: one fixed PRNG draw sequence. *)
+  let samples =
+    Array.init replicates (fun _ ->
+        merge_all (List.init n (fun _ -> per_stream.(Dputil.Prng.int prng n))))
+  in
+  let full = merge_all streams in
+  let ci metric = ci_of (metric full) (Array.map metric samples) in
   {
-    ia_wait = ci_of (Impact.ia_wait full) samples_wait;
-    ia_run = ci_of (Impact.ia_run full) samples_run;
-    ia_opt = ci_of (Impact.ia_opt full) samples_opt;
-    propagation_ratio = ci_of (Impact.propagation_ratio full) samples_ratio;
+    ia_wait = ci Impact.ia_wait;
+    ia_run = ci Impact.ia_run;
+    ia_opt = ci Impact.ia_opt;
+    propagation_ratio = ci Impact.propagation_ratio;
     replicates;
   }
 

@@ -4,9 +4,9 @@
     corpora are smaller, so the bench reports bootstrap confidence
     intervals: trace streams are resampled with replacement and the impact
     metrics recomputed per replicate. Resampling at stream granularity is
-    sound because the distinct-wait deduplication never crosses streams —
-    a per-stream {!Impact.result} can be computed once and replicates are
-    cheap merges. *)
+    sound because the distinct-wait deduplication never crosses streams,
+    so a replicate merges per-stream {!Impact.result}s that the analysis
+    already measured ({!Pipeline.report}[.streams], cached or not). *)
 
 type ci = {
   point : float;  (** Metric on the full corpus. *)
@@ -23,18 +23,12 @@ type t = {
   replicates : int;
 }
 
-val bootstrap :
-  ?pool:Dppar.Pool.t ->
-  ?replicates:int ->
-  ?seed:int ->
-  Component.t ->
-  Dptrace.Corpus.t ->
-  t
-(** [replicates] defaults to 200; [seed] (default 1) makes the resampling
-    deterministic. [pool] parallelises the per-stream measurement (the
-    replicate merges are cheap and stay sequential, so results are
-    identical with and without it). IA metrics are expressed as fractions in [\[0,1\]].
-    With an empty corpus every interval degenerates to 0. *)
+val bootstrap : ?replicates:int -> ?seed:int -> Impact.result list -> t
+(** Resample the per-stream impacts, given in corpus stream order.
+    [replicates] defaults to 200; [seed] (default 1) makes the resampling
+    deterministic. IA metrics are expressed as fractions in [\[0,1\]].
+    With no streams every interval degenerates to 0.
+    @raise Invalid_argument if [replicates < 1]. *)
 
 val pp : Format.formatter -> t -> unit
 

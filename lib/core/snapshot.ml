@@ -71,8 +71,7 @@ type entry = {
   e_scenarios : (string * scen_entry) list;  (* first-appearance order *)
 }
 
-let entry_impact_prov e = (e.e_impact, e.e_prov)
-let entry_modules e = e.e_modules
+let entry_part e = (e.e_impact, e.e_prov, e.e_modules)
 
 let entry_scenario_impact e name =
   Option.map (fun s -> s.sc_all) (List.assoc_opt name e.e_scenarios)

@@ -69,9 +69,9 @@ val analyze_stream :
     fast/slow-class impact partials and unreduced {!Awg.Partial}
     forests. *)
 
-val entry_impact_prov : entry -> Impact.result * Provenance.impact
-
-val entry_modules : entry -> Impact.module_row list
+val entry_part :
+  entry -> Impact.result * Provenance.impact * Impact.module_row list
+(** The stream's whole-corpus part, as {!Impact.measure} returned it. *)
 
 val entry_scenario_impact : entry -> string -> Impact.result option
 (** Impact over the stream's instances of the named scenario; [None] when

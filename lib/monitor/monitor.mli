@@ -11,7 +11,9 @@
     the baseline — {!Dpcore.Diff.compare_patterns} over each scenario's
     top-K mined patterns plus a bootstrap-CI drift test on the impact
     metrics ({!Dpcore.Robustness}) — feeding a declarative
-    {!Rules.rule} engine. Alerts go to a JSONL log (deterministic field
+    {!Rules.rule} engine. The drift CI resamples the baseline tick's
+    per-stream impacts, never re-analysing its window. Alerts go to a
+    JSONL log (deterministic field
     order, shared schema with [driveperf diff --json]) and
     {!Dpobs.Log}; the whole state is exported as an OpenMetrics text
     exposition ({!Dpobs.Export.openmetrics}) after every tick.
@@ -103,8 +105,9 @@ val scan : t -> string -> int
 val tick : t -> Rules.alert list
 (** Run one ingest tick over everything fed since the last one:
     rebuild the window corpus, {!Dpcore.Snapshot.ensure} it (only new
-    streams analyse), re-run impact and mining through the snapshot,
-    evaluate the rules against the rolling baseline, emit alerts and
+    streams analyse), take its report from the snapshot
+    ({!Dpcore.Pipeline.run_report_snap}), evaluate the rules against the
+    rolling baseline, emit alerts and
     rewrite the exposition. A tick with no pending changes skips the
     analysis entirely and raises no relative alerts. The first
     analysed tick establishes the baseline and raises no relative

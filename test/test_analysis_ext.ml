@@ -198,14 +198,22 @@ let test_witnesses_absent_pattern () =
 
 (* --- bootstrap robustness --- *)
 
+(* The bootstrap resamples the per-stream impacts run_report measured. *)
+let report_of corpus =
+  Dpcore.Pipeline.run_report ~scenarios:[] Dpcore.Component.drivers corpus
+
+let streams_of corpus = (report_of corpus).Dpcore.Pipeline.streams
+
 let test_bootstrap_basic () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.05) in
-  let r = Dpcore.Robustness.bootstrap ~replicates:50 Dpcore.Component.drivers corpus in
+  let report = report_of corpus in
+  let r =
+    Dpcore.Robustness.bootstrap ~replicates:50 report.Dpcore.Pipeline.streams
+  in
   check Alcotest.int "replicates recorded" 50 r.Dpcore.Robustness.replicates;
   (* Point estimates must match the direct analysis... *)
-  let direct, _ = Dpcore.Pipeline.run_impact_prov Dpcore.Component.drivers corpus in
   check (Alcotest.float 1e-9) "point = direct"
-    (Dpcore.Impact.ia_wait direct)
+    (Dpcore.Impact.ia_wait report.Dpcore.Pipeline.impact)
     r.Dpcore.Robustness.ia_wait.Dpcore.Robustness.point;
   (* ...and lie within their own intervals (they should, overwhelmingly). *)
   List.iter
@@ -222,22 +230,34 @@ let test_bootstrap_basic () =
     ]
 
 let test_bootstrap_deterministic () =
-  let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.03) in
-  let a = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:7 Dpcore.Component.drivers corpus in
-  let b = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:7 Dpcore.Component.drivers corpus in
+  let streams =
+    streams_of (Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.03))
+  in
+  let a = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:7 streams in
+  let b = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:7 streams in
   check (Alcotest.float 1e-12) "same lo"
     a.Dpcore.Robustness.ia_wait.Dpcore.Robustness.lo
     b.Dpcore.Robustness.ia_wait.Dpcore.Robustness.lo;
-  let c = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:8 Dpcore.Component.drivers corpus in
+  let c = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:8 streams in
   check Alcotest.bool "different seed differs" true
     (a.Dpcore.Robustness.ia_wait.Dpcore.Robustness.lo
     <> c.Dpcore.Robustness.ia_wait.Dpcore.Robustness.lo)
 
 let test_bootstrap_empty () =
-  let corpus = Dptrace.Corpus.create ~streams:[] ~specs:[] in
-  let r = Dpcore.Robustness.bootstrap ~replicates:10 Dpcore.Component.drivers corpus in
+  let streams = streams_of (Dptrace.Corpus.create ~streams:[] ~specs:[]) in
+  let r = Dpcore.Robustness.bootstrap ~replicates:10 streams in
   check (Alcotest.float 1e-9) "degenerate" 0.0
     r.Dpcore.Robustness.ia_wait.Dpcore.Robustness.hi
+
+(* Zero replicates would make a [0, 0] interval that every value leaves,
+   and a negative count used to die in Array.make. *)
+let test_bootstrap_replicates_positive () =
+  List.iter
+    (fun replicates ->
+      match Dpcore.Robustness.bootstrap ~replicates [ Dpcore.Impact.empty ] with
+      | _ -> Alcotest.failf "replicates = %d accepted" replicates
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 let () =
   Alcotest.run "analysis-ext"
@@ -269,5 +289,7 @@ let () =
           Alcotest.test_case "bootstrap basics" `Quick test_bootstrap_basic;
           Alcotest.test_case "deterministic" `Quick test_bootstrap_deterministic;
           Alcotest.test_case "empty corpus" `Quick test_bootstrap_empty;
+          Alcotest.test_case "replicates must be positive" `Quick
+            test_bootstrap_replicates_positive;
         ] );
     ]

@@ -32,7 +32,7 @@ let plan_of spec =
 
 (* The full analyst surface as one string — what report --json emits. *)
 let doc_of ?coverage corpus =
-  let { Pipeline.impact; impact_prov; modules; scenarios } =
+  let { Pipeline.impact; impact_prov; modules; scenarios; _ } =
     Pipeline.run_report components corpus
   in
   Dputil.Jsonw.to_string

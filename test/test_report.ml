@@ -221,16 +221,46 @@ let test_provenance_changes_no_number () =
   check Alcotest.bool "same numbers with provenance on" true
     (with_provenance numbers = plain)
 
+(* The per-stream graph pass the bootstrap once ran itself, kept as the
+   oracle for [report.streams]: each stream's graphs built and measured
+   on their own, by the two-walk reference. *)
+let per_stream_impacts corpus =
+  List.map
+    (fun (st : Dptrace.Stream.t) ->
+      let index = Dptrace.Stream.shared_index st in
+      let graphs =
+        List.map (Dpwaitgraph.Wait_graph.build ~index st) st.Dptrace.Stream.instances
+      in
+      fst (Impact_reference.analyze_graphs_prov drivers graphs))
+    corpus.Dptrace.Corpus.streams
+
+(* An emptied directory under the test's cwd, so "cold" really is. *)
+let fresh_cache_dir name =
+  if Sys.file_exists name then
+    Array.iter (fun f -> Sys.remove (Filename.concat name f)) (Sys.readdir name)
+  else Sys.mkdir name 0o755;
+  name
+
 (* run_report's one per-stream pass must render exactly the document of
    a composition built in test code: the two-walk reference impact and
    module table over every instance's graph at once, and run_scenario
    for each requested name that has a spec. The scenario list carries a
-   name without a spec, which both must skip. *)
+   name without a spec, which both must skip. Its per-stream impacts,
+   and so the bootstrap over them, must equal the oracle's, from scratch
+   and from a snapshot cache read cold and then warm from disk. *)
 let test_run_report_equals_composed () =
   let corpus = Lazy.force corpus in
   let scenarios = [ "BrowserTabCreate"; "NoSuchScenario"; "AppNonResponsive" ] in
   let render ~impact ~impact_prov ~modules ~scenarios =
     J.to_string (Report.Json.document ~impact ~impact_prov ~modules ~scenarios ())
+  in
+  let oracle = per_stream_impacts corpus in
+  let bootstrap = Dpcore.Robustness.bootstrap ~replicates:50 in
+  let check_streams ~msg (r : Pipeline.report) =
+    check Alcotest.bool (msg ^ ": per-stream impacts = oracle") true
+      (r.Pipeline.streams = oracle);
+    check Alcotest.bool (msg ^ ": bootstrap = oracle's") true
+      (bootstrap r.Pipeline.streams = bootstrap oracle)
   in
   let composed ?pool () =
     let graphs =
@@ -248,8 +278,7 @@ let test_run_report_equals_composed () =
     in
     render ~impact ~impact_prov ~modules ~scenarios:named
   in
-  let one_pass ?pool () =
-    let r = Pipeline.run_report ?pool ~scenarios drivers corpus in
+  let render_report (r : Pipeline.report) =
     render ~impact:r.Pipeline.impact ~impact_prov:r.Pipeline.impact_prov
       ~modules:r.Pipeline.modules ~scenarios:r.Pipeline.scenarios
   in
@@ -257,12 +286,37 @@ let test_run_report_equals_composed () =
     let want = composed ?pool () in
     check Alcotest.bool (msg ^ ": the spec-less name is skipped") false
       (contains want "NoSuchScenario");
-    check Alcotest.string msg want (one_pass ?pool ())
+    let r = Pipeline.run_report ?pool ~scenarios drivers corpus in
+    check Alcotest.string msg want (render_report r);
+    check_streams ~msg r
+  in
+  let cached ~prov =
+    let dir = fresh_cache_dir "snapcache_report" in
+    let open_snap () =
+      let fingerprint =
+        Dpcore.Snapshot.fingerprint ~components:drivers
+          ~specs:corpus.Dptrace.Corpus.specs ~k:Dpcore.Mining.default_k ()
+      in
+      let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
+      Dpcore.Snapshot.ensure snap drivers corpus;
+      snap
+    in
+    let cold = open_snap () in
+    check_streams ~msg:(prov ^ ", cold cache")
+      (Pipeline.run_report_snap ~scenarios cold corpus);
+    Dpcore.Snapshot.save cold;
+    let warm = open_snap () in
+    check Alcotest.int (prov ^ ", warm cache: every stream from disk")
+      (Dptrace.Corpus.stream_count corpus)
+      (Dpcore.Snapshot.stats warm).Dpcore.Snapshot.s_hits;
+    check_streams ~msg:(prov ^ ", warm cache")
+      (Pipeline.run_report_snap ~scenarios warm corpus)
   in
   let both_pools ~prov =
     compare_both ~msg:(prov ^ ", sequential") ();
     Dppar.Pool.with_pool ~domains:2 (fun pool ->
-        compare_both ~msg:(prov ^ ", 2-domain pool") ~pool ())
+        compare_both ~msg:(prov ^ ", 2-domain pool") ~pool ());
+    cached ~prov
   in
   both_pools ~prov:"provenance off";
   with_provenance (fun () -> both_pools ~prov:"provenance on")

@@ -52,19 +52,15 @@ let open_snap ?pool ~dir corpus =
    provenance, per-module rows, and every scenario's classification, AWGs
    (via mined patterns and witnesses) and coverages. Comparing these
    strings compares everything report --json emits. *)
-let fresh_doc ?pool corpus =
-  let { Pipeline.impact; impact_prov; modules; scenarios } =
-    Pipeline.run_report ?pool components corpus
-  in
+let render_doc { Pipeline.impact; impact_prov; modules; scenarios; _ } =
   Dputil.Jsonw.to_string
     (Report.Json.document ~impact ~impact_prov ~modules ~scenarios ())
 
+let fresh_doc ?pool corpus =
+  render_doc (Pipeline.run_report ?pool components corpus)
+
 let snap_doc ?pool snap corpus =
-  let impact, impact_prov = Pipeline.run_impact_prov_snap snap corpus in
-  let modules = Pipeline.modules_snap snap corpus in
-  let named = Pipeline.run_all_snap ?pool snap corpus in
-  Dputil.Jsonw.to_string
-    (Report.Json.document ~impact ~impact_prov ~modules ~scenarios:named ())
+  render_doc (Pipeline.run_report_snap ?pool snap corpus)
 
 let per_scenario_str l =
   String.concat "\n"
