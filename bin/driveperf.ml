@@ -172,17 +172,36 @@ let with_cli_pool j f =
   let domains = if j <= 0 then Dppar.Pool.default_domains () else j in
   Dppar.Pool.with_pool ~domains f
 
-(* --- incremental snapshot cache (--cache DIR) --- *)
+(* --- incremental snapshot cache (--cache DIR) ---
 
-let cache_arg =
+   The directory is made ready before any work: it and its missing
+   parents are created, and a path that is not (and cannot become) a
+   directory fails with one error line. *)
+
+let cache_term =
   let doc =
     "Incremental re-analysis: cache per-stream analysis results under \
-     $(docv) and reuse them on later runs over overlapping corpora — \
-     only new or changed streams are re-analysed. Entries are keyed by \
-     stream content and analysis configuration; results are bit-identical \
-     to a run without the cache."
+     $(docv) (created if missing) and reuse them on later runs over \
+     overlapping corpora — only new or changed streams are re-analysed. \
+     Entries are keyed by stream content and analysis configuration; \
+     results are bit-identical to a run without the cache."
   in
-  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
+  let prepare = function
+    | None -> None
+    | Some dir ->
+      (match Dputil.Fs.mkdir_p dir with
+      | () when Sys.is_directory dir -> ()
+      | () ->
+        Dpobs.Log.error "--cache %s: not a directory" dir;
+        exit 1
+      | exception Sys_error msg ->
+        Dpobs.Log.error "--cache: %s" msg;
+        exit 1);
+      Some dir
+  in
+  Term.(
+    const prepare
+    $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc))
 
 (* --- self-telemetry options (lib/obs) --- *)
 
@@ -449,7 +468,7 @@ let impact_cmd =
   Cmd.v
     (Cmd.info "impact" ~doc:"Impact analysis (Section 3)")
     Term.(
-      const impact $ components_arg $ breakdown $ per_scenario $ cache_arg
+      const impact $ components_arg $ breakdown $ per_scenario $ cache_term
       $ setup_term)
 
 (* --- causality --- *)
@@ -567,7 +586,7 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"Regenerate the paper's tables")
     Term.(
-      const report $ json_arg $ cache_arg $ setup_term)
+      const report $ json_arg $ cache_term $ setup_term)
 
 (* --- case --- *)
 
@@ -1454,7 +1473,7 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"Produce the full analyst report (impact + causality + witnesses)")
     Term.(
-      const analyze $ out $ json_arg $ top $ cache_arg $ setup_term)
+      const analyze $ out $ json_arg $ top $ cache_term $ setup_term)
 
 (* --- cache: snapshot-cache directory maintenance --- *)
 
@@ -1714,7 +1733,7 @@ let monitor_cmd =
     Term.(
       const monitor $ dir $ replay $ listen $ interval $ max_ticks $ window
       $ top_patterns $ replicates $ seed $ min_support $ threshold $ lag_ms
-      $ cache_arg $ alert_log $ metrics_out $ view_dir $ components_arg
+      $ cache_term $ alert_log $ metrics_out $ view_dir $ components_arg
       $ domains_arg $ mode_arg $ fault_arg)
 
 (* --- faults: describe / replay an injection plan --- *)

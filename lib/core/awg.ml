@@ -173,7 +173,7 @@ let sorted_children n =
     n.frozen_kids <- Some kids;
     kids
 
-(* Final steps shared by [build] and [Partial.merge_all]: reduce, collapse
+(* Final steps shared by [build] and [Partial.merged]: reduce, collapse
    the exact witness accumulators into their canonical capped sets, and
    freeze the sorted-children arrays. After this the forest is read-only. *)
 let finish ~reduce forest =
@@ -343,7 +343,7 @@ module Partial = struct
   (* An unreduced, unfrozen forest: the contribution of one stream's
      graphs to a scenario class's AWG. Reduction cannot run per stream —
      whether a root is prunable depends on the children the *merged*
-     forest gives it — so partials stay raw and [merge_all] reduces once
+     forest gives it — so partials stay raw and [merged] reduces once
      at the end, which provably matches reducing a monolithic build (the
      pruning rule only inspects the final forest). *)
   type partial = (status, node) Hashtbl.t
@@ -371,45 +371,37 @@ module Partial = struct
      fresh and sources only read. All accumulation is commutative —
      integer sums, max, exact witness-accumulator union — which is why
      per-stream partials merged here in corpus order equal the
-     single-pass [build] over the same graphs. *)
-  let rec absorb ~into:(n : node) (src : node) =
-    n.cost <- n.cost + src.cost;
-    n.count <- n.count + src.count;
-    if src.max_cost > n.max_cost then n.max_cost <- src.max_cost;
-    (match src.wacc with
-    | Some a -> Provenance.Wacc.merge_into ~into:(node_wacc n) a
-    | None -> ());
+     single-pass [build] over the same graphs.
+
+     A merger is the running forest: partials are absorbed one at a
+     time, so a caller decoding them off disk holds only the one in
+     hand. Each level of the source is absorbed into the same level of
+     the target, roots and children alike. *)
+  type merger = (status, node) Hashtbl.t
+
+  let merger () : merger = Hashtbl.create 64
+
+  let rec absorb (into : merger) (src : partial) =
     Hashtbl.iter
-      (fun status c ->
-        let tgt =
-          match Hashtbl.find_opt n.children status with
+      (fun status (c : node) ->
+        let n =
+          match Hashtbl.find_opt into status with
           | Some t -> t
           | None ->
             let t = fresh_node status in
-            Hashtbl.replace n.children status t;
+            Hashtbl.replace into status t;
             t
         in
-        absorb ~into:tgt c)
-      src.children
+        n.cost <- n.cost + c.cost;
+        n.count <- n.count + c.count;
+        if c.max_cost > n.max_cost then n.max_cost <- c.max_cost;
+        (match c.wacc with
+        | Some a -> Provenance.Wacc.merge_into ~into:(node_wacc n) a
+        | None -> ());
+        absorb n.children c.children)
+      src
 
-  let merge_all ?(reduce = true) partials =
-    let forest : (status, node) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun p ->
-        Hashtbl.iter
-          (fun status root ->
-            let tgt =
-              match Hashtbl.find_opt forest status with
-              | Some t -> t
-              | None ->
-                let t = fresh_node status in
-                Hashtbl.replace forest status t;
-                t
-            in
-            absorb ~into:tgt root)
-          p)
-      partials;
-    finish ~reduce forest
+  let merged ?(reduce = true) (m : merger) = finish ~reduce m
 
   (* --- wire form (inside snapshot-cache frames) ---
 

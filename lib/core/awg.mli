@@ -114,10 +114,11 @@ val status_pp : Format.formatter -> status -> unit
 
     The unit of incremental re-analysis: one stream's contribution to a
     scenario class's AWG, buildable in isolation, serialisable into the
-    snapshot cache, and mergeable such that
-    [Partial.merge_all (per-stream partials in corpus order)] is
-    bit-identical — costs, counts, max, reduction stats and provenance
-    witnesses — to {!build} over the same graphs in one pass. *)
+    snapshot cache, and mergeable such that absorbing the per-stream
+    partials into one {!Partial.merger} in corpus order, then taking
+    {!Partial.merged}, is bit-identical — costs, counts, max, reduction
+    stats and provenance witnesses — to {!build} over the same graphs in
+    one pass. *)
 
 module Partial : sig
   type partial
@@ -130,11 +131,25 @@ module Partial : sig
       merge as {!Awg.build}, minus reduce/freeze). Records exact witness
       accumulators when {!Provenance.enabled}. *)
 
-  val merge_all : ?reduce:bool -> partial list -> t
-  (** Merge in list order (the result is order-independent — every
-      accumulation commutes), then reduce (default [true]), canonicalise
-      witnesses and freeze: the final AWG. Sources are only read, never
-      adopted or mutated, so partials stay valid for serialisation. *)
+  type merger
+  (** A merge in progress: the running, still unreduced forest. Partials
+      are absorbed one at a time, so a caller that decodes each partial
+      just before absorbing it never holds more than one — this is how
+      the snapshot-backed pipeline merges a scenario's cached classes. *)
+
+  val merger : unit -> merger
+  (** An empty merge. *)
+
+  val absorb : merger -> partial -> unit
+  (** Accumulate one partial into the merge. Every accumulation commutes,
+      so the result does not depend on the order partials arrive in. The
+      source is only read, never adopted or mutated, so it stays valid
+      for serialisation. *)
+
+  val merged : ?reduce:bool -> merger -> t
+  (** Finish the merge: reduce (default [true]), canonicalise witnesses
+      and freeze — the final AWG. The merger must not be used again. An
+      empty merge yields the empty AWG. *)
 
   val is_empty : partial -> bool
 

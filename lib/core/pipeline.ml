@@ -264,28 +264,28 @@ let run_scenario_snap ?(k = Mining.default_k) ?(reduce = true) snapshot
   let classification =
     span "pipeline.classify" (fun () -> Classify.classify corpus name)
   in
-  let parts =
-    List.filter_map
-      (fun st ->
-        Snapshot.entry_scenario_class (Snapshot.entry snapshot st) name)
+  (* One pass in stream order folds each stream's class part into the
+     running accumulators before the next is read, so a part decoded off
+     the cache file's bytes is garbage once absorbed. *)
+  let fast = Awg.Partial.merger () and slow = Awg.Partial.merger () in
+  let slow_impact, slow_impact_prov =
+    span "pipeline.awg_merge" @@ fun () ->
+    List.fold_left
+      (fun ((r, p) as acc) st ->
+        match Snapshot.entry_scenario_class (Snapshot.entry snapshot st) name with
+        | None -> acc
+        | Some (ri, pi, f, s) ->
+          Awg.Partial.absorb fast f;
+          Awg.Partial.absorb slow s;
+          (Impact.merge r ri, Provenance.merge_impact p pi))
+      (Impact.empty, Provenance.empty_impact)
       corpus.Dptrace.Corpus.streams
   in
-  let slow_impact, slow_impact_prov =
-    List.fold_left
-      (fun (r, p) (ri, pi, _, _) ->
-        (Impact.merge r ri, Provenance.merge_impact p pi))
-      (Impact.empty, Provenance.empty_impact)
-      parts
-  in
   let fast_awg =
-    span "pipeline.awg_merge" (fun () ->
-        Awg.Partial.merge_all ~reduce
-          (List.map (fun (_, _, f, _) -> f) parts))
+    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce fast)
   in
   let slow_awg =
-    span "pipeline.awg_merge" (fun () ->
-        Awg.Partial.merge_all ~reduce
-          (List.map (fun (_, _, _, s) -> s) parts))
+    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce slow)
   in
   (* The miner dominates a warm re-analysis, and its inputs are a pure
      function of the snapshot fingerprint + contributing streams, so its

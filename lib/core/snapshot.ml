@@ -63,24 +63,22 @@ type scen_entry = {
   sc_class : class_part option;  (* present iff the scenario has a spec *)
 }
 
+(* A fresh entry holds its scenario sections decoded. An entry loaded
+   from a cache file keeps each section as where it starts in the file's
+   bytes (verified when the file was opened) and decodes it again only
+   when a merge asks for it: the class parts' AWG forests are most of an
+   entry, and a merge needs one scenario's at a time. *)
+type section =
+  | Decoded of scen_entry
+  | Stored of { data : string; off : int; has_class : bool }
+
 type entry = {
   e_stream_id : int;
   e_impact : Impact.result;
   e_prov : Provenance.impact;
   e_modules : Impact.module_row list;
-  e_scenarios : (string * scen_entry) list;  (* first-appearance order *)
+  e_scenarios : (string * section) list;  (* first-appearance order *)
 }
-
-let entry_part e = (e.e_impact, e.e_prov, e.e_modules)
-
-let entry_scenario_impact e name =
-  Option.map (fun s -> s.sc_all) (List.assoc_opt name e.e_scenarios)
-
-let entry_scenario_class e name =
-  match List.assoc_opt name e.e_scenarios with
-  | Some { sc_class = Some c; _ } ->
-    Some (c.cl_slow_impact, c.cl_slow_prov, c.cl_fast, c.cl_slow)
-  | Some { sc_class = None; _ } | None -> None
 
 (* --- the per-stream analysis (the unit of caching) ---
 
@@ -150,7 +148,7 @@ let analyze_stream components ~specs (st : Stream.t) =
                 cl_slow = Awg.Partial.build components slow_gs;
               }
         in
-        (name, { sc_all; sc_class }))
+        (name, Decoded { sc_all; sc_class }))
       !order
   in
   {
@@ -406,8 +404,6 @@ let read_scen_record cur =
   let patterns = List.init np (fun _ -> read_pattern cur) in
   let fast_meta_count = Wire.rv cur in
   let slow_meta_count = Wire.rv cur in
-  if not (Wire.at_end cur) then
-    Wire.corrupt "snapshot scenario record: trailing bytes";
   (digest, { Mining.contrast_metas; patterns; fast_meta_count; slow_meta_count })
 
 (* Scenario records share the entry framing under a reserved key prefix;
@@ -417,6 +413,31 @@ let scen_prefix = "scn!"
 let is_scen_key key =
   String.length key >= String.length scen_prefix
   && String.sub key 0 (String.length scen_prefix) = scen_prefix
+
+let scen_name key =
+  String.sub key (String.length scen_prefix)
+    (String.length key - String.length scen_prefix)
+
+let read_section cur =
+  let sc_all = read_impact cur in
+  let sc_class =
+    match Wire.r8 cur with
+    | 0 -> None
+    | 1 ->
+      let cl_slow_impact = read_impact cur in
+      let cl_slow_prov = read_prov cur in
+      let cl_fast = Awg.Partial.read cur in
+      let cl_slow = Awg.Partial.read cur in
+      Some { cl_slow_impact; cl_slow_prov; cl_fast; cl_slow }
+    | k -> Wire.corrupt "snapshot entry: bad class tag %d" k
+  in
+  { sc_all; sc_class }
+
+(* A stored section was decoded once when its file was opened, from the
+   same immutable bytes, so decoding it again cannot fail. *)
+let section_value = function
+  | Decoded s -> s
+  | Stored { data; off; _ } -> read_section { Wire.data; pos = off }
 
 let write_entry buf e =
   Wire.wv buf e.e_stream_id;
@@ -428,6 +449,7 @@ let write_entry buf e =
   List.iter
     (fun (name, s) ->
       Wire.wstr buf name;
+      let s = section_value s in
       write_impact buf s.sc_all;
       match s.sc_class with
       | None -> Wire.w8 buf 0
@@ -439,6 +461,9 @@ let write_entry buf e =
         Awg.Partial.write buf c.cl_slow)
     e.e_scenarios
 
+(* Decode a whole entry — every section too, which is what verifies it —
+   but keep only its head and each section's name, class flag and
+   offset. *)
 let read_entry cur =
   let e_stream_id = Wire.rv cur in
   let e_impact = read_impact cur in
@@ -449,38 +474,59 @@ let read_entry cur =
   let e_scenarios =
     List.init nscens (fun _ ->
         let name = Wire.rstr cur in
-        let sc_all = read_impact cur in
-        let sc_class =
-          match Wire.r8 cur with
-          | 0 -> None
-          | 1 ->
-            let cl_slow_impact = read_impact cur in
-            let cl_slow_prov = read_prov cur in
-            let cl_fast = Awg.Partial.read cur in
-            let cl_slow = Awg.Partial.read cur in
-            Some { cl_slow_impact; cl_slow_prov; cl_fast; cl_slow }
-          | k -> Wire.corrupt "snapshot entry: bad class tag %d" k
-        in
-        (name, { sc_all; sc_class }))
+        let off = cur.Wire.pos in
+        let s = read_section cur in
+        ( name,
+          Stored
+            { data = cur.Wire.data; off; has_class = Option.is_some s.sc_class }
+        ))
   in
-  if not (Wire.at_end cur) then Wire.corrupt "snapshot entry: trailing bytes";
   { e_stream_id; e_impact; e_prov; e_modules; e_scenarios }
+
+let entry_part e = (e.e_impact, e.e_prov, e.e_modules)
+
+let entry_scenario_impact e name =
+  match List.assoc_opt name e.e_scenarios with
+  | None -> None
+  | Some (Decoded s) -> Some s.sc_all
+  | Some (Stored { data; off; _ }) -> Some (read_impact { Wire.data; pos = off })
+
+let entry_scenario_class e name =
+  match Option.map section_value (List.assoc_opt name e.e_scenarios) with
+  | Some { sc_class = Some c; _ } ->
+    Some (c.cl_slow_impact, c.cl_slow_prov, c.cl_fast, c.cl_slow)
+  | Some { sc_class = None; _ } | None -> None
+
+let entry_has_class e name =
+  match List.assoc_opt name e.e_scenarios with
+  | Some (Decoded { sc_class; _ }) -> Option.is_some sc_class
+  | Some (Stored { has_class; _ }) -> has_class
+  | None -> false
 
 (* --- cache files --- *)
 
 type t = {
   dir : string option;
   fp : string;
+  data : string;  (* the cache file's bytes as opened; "" if none *)
+  stored : (string, int * int) Hashtbl.t;
+      (* record key -> (offset, length) in [data] of the framed record
+         it was loaded from; [save] copies these verbatim. Guarded by
+         [lock], like [scenarios]. *)
   entries : (string, entry) Hashtbl.t;  (* key -> entry *)
   used : (string, unit) Hashtbl.t;  (* keys referenced by this corpus *)
   scenarios : (string, string * Mining.result) Hashtbl.t;
       (* scenario name -> (digest, mining); guarded by [lock] because
          run_all_snap consults it from pool workers *)
   lock : Mutex.t;
+  mutable dirty : bool;
+      (* [save] would write bytes other than the file's: it was absent,
+         damaged or not in save order, or a miss or a re-mined scenario
+         has been added since *)
   mutable hits : int;
   mutable misses : int;
-  mutable loaded : int;  (* entries read intact from disk *)
-  mutable dropped : int;  (* on-disk entries discarded as corrupt *)
+  loaded : int;  (* records read intact from disk *)
+  dropped : int;  (* on-disk records discarded as corrupt *)
   mutable mining_hits : int;
   mutable mining_misses : int;
 }
@@ -519,14 +565,16 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Parse one cache file into [feed key entry] (per-stream entries) and
-   [feed_scen name digest mining] (scenario mining records). Per-entry
+(* Walk one cache file, handing [feed key record span] every record
+   whose checksum holds and whose payload decodes to exactly its length;
+   [span] is the framed record's (offset, length) in [data]. Per-record
    containment: a checksum-failing or undecodable record is skipped
    (counted corrupt) and the walk continues at the next record; damaged
-   framing (implausible length) abandons the remainder of the file.
-   Never raises. *)
-let parse_file data ~expect_fp ~feed ~feed_scen =
-  let ok = ref 0 and bad = ref 0 in
+   framing (implausible length) abandons the remainder of the file. The
+   result is [(ok, bad, in_order)], [in_order] when the keys come in the
+   order [save] writes them, each once. Never raises. *)
+let parse_file data ~expect_fp ~feed =
+  let ok = ref 0 and bad = ref 0 and in_order = ref true and last = ref None in
   (try
      let cur = Wire.cursor data in
      Wire.need cur (String.length magic);
@@ -539,142 +587,170 @@ let parse_file data ~expect_fp ~feed ~feed_scen =
      | _ -> ());
      let len = String.length data in
      while cur.Wire.pos < len do
+       let start = cur.Wire.pos in
        let key = Wire.rstr cur in
        let elen = Wire.r32 cur in
        let stored = Wire.r32 cur in
        if elen > max_entry_len then
          Wire.corrupt "implausible entry length %d" elen;
        Wire.need cur elen;
-       let payload = String.sub data cur.Wire.pos elen in
-       cur.Wire.pos <- cur.Wire.pos + elen;
-       if Dputil.Crc32.string payload <> stored then incr bad
-       else if is_scen_key key then begin
-         let name =
-           String.sub key (String.length scen_prefix)
-             (String.length key - String.length scen_prefix)
-         in
-         match read_scen_record (Wire.cursor payload) with
-         | digest, mining ->
-           feed_scen name digest mining;
+       let pos = cur.Wire.pos and stop = cur.Wire.pos + elen in
+       cur.Wire.pos <- stop;
+       let rank = Some (is_scen_key key, key) in
+       if compare rank !last <= 0 then in_order := false;
+       last := rank;
+       if
+         Dputil.Crc32.bytes_sub (Bytes.unsafe_of_string data) ~pos ~len:elen
+         <> stored
+       then incr bad
+       else begin
+         let rcur = { Wire.data; pos } in
+         match
+           if is_scen_key key then
+             let digest, mining = read_scen_record rcur in
+             `Mining (scen_name key, digest, mining)
+           else `Entry (read_entry rcur)
+         with
+         | record when rcur.Wire.pos = stop ->
+           feed key record (start, stop - start);
            incr ok
+         | _ -> incr bad  (* trailing bytes *)
          | exception Wire.Corrupt _ -> incr bad
        end
-       else
-         match read_entry (Wire.cursor payload) with
-         | e ->
-           feed key e;
-           incr ok
-         | exception Wire.Corrupt _ -> incr bad
      done
    with _ -> incr bad);
-  (!ok, !bad)
+  (!ok, !bad, !in_order)
 
 let create ?dir ~fingerprint:fp () =
-  let t =
-    {
-      dir;
-      fp;
-      entries = Hashtbl.create 64;
-      used = Hashtbl.create 64;
-      scenarios = Hashtbl.create 16;
-      lock = Mutex.create ();
-      hits = 0;
-      misses = 0;
-      loaded = 0;
-      dropped = 0;
-      mining_hits = 0;
-      mining_misses = 0;
-    }
+  let entries = Hashtbl.create 64
+  and scenarios = Hashtbl.create 16
+  and stored = Hashtbl.create 64 in
+  let feed key record span =
+    Hashtbl.replace stored key span;
+    match record with
+    | `Entry e -> Hashtbl.replace entries key e
+    | `Mining (name, digest, mining) ->
+      Hashtbl.replace scenarios name (digest, mining)
   in
-  (match dir with
-  | None -> ()
-  | Some dir ->
-    let path = file_of ~dir ~fp in
-    if Sys.file_exists path then begin
-      match read_file path with
+  let data, (loaded, dropped, in_order) =
+    match dir with
+    | None -> ("", (0, 0, false))
+    | Some dir -> (
+      match read_file (file_of ~dir ~fp) with
       | data ->
-        let ok, bad =
-          parse_file data ~expect_fp:(Some fp)
-            ~feed:(fun key e -> Hashtbl.replace t.entries key e)
-            ~feed_scen:(fun name digest mining ->
-              Hashtbl.replace t.scenarios name (digest, mining))
-        in
-        t.loaded <- ok;
-        t.dropped <- bad;
         if Dpobs.metrics_on () then
-          Dpobs.Metrics.add (Lazy.force bytes_c) (String.length data)
-      | exception Sys_error _ -> ()
-    end);
-  t
+          Dpobs.Metrics.add (Lazy.force bytes_c) (String.length data);
+        (data, parse_file data ~expect_fp:(Some fp) ~feed)
+      | exception Sys_error _ -> ("", (0, 0, false)))
+  in
+  {
+    dir;
+    fp;
+    data;
+    stored;
+    entries;
+    used = Hashtbl.create 64;
+    scenarios;
+    lock = Mutex.create ();
+    dirty = dropped > 0 || not in_order || data = "";
+    hits = 0;
+    misses = 0;
+    loaded;
+    dropped;
+    mining_hits = 0;
+    mining_misses = 0;
+  }
+
+(* Stream the file: magic, fingerprint, then every record in sorted key
+   order — per-stream entries, then scenario mining records — so the file
+   is a pure function of its contents. A record loaded from the current
+   file is copied as stored; only fresh entries and re-mined scenarios
+   are encoded, one at a time. Returns the bytes written. *)
+let write_records t oc =
+  let header = Buffer.create 64 and payload = Buffer.create 4096 in
+  Wire.wstr header t.fp;
+  output_string oc magic;
+  Buffer.output_buffer oc header;
+  let record key encode =
+    match Hashtbl.find_opt t.stored key with
+    | Some (off, len) -> output_substring oc t.data off len
+    | None ->
+      Buffer.clear payload;
+      encode payload;
+      let p = Buffer.contents payload in
+      Buffer.clear header;
+      Wire.wstr header key;
+      Wire.w32 header (String.length p);
+      Wire.w32 header (Dputil.Crc32.string p);
+      Buffer.output_buffer oc header;
+      output_string oc p
+  in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
+  List.iter
+    (fun key -> record key (fun buf -> write_entry buf (Hashtbl.find t.entries key)))
+    (sorted t.entries);
+  List.iter
+    (fun name ->
+      record (scen_prefix ^ name) (fun buf ->
+          let digest, mining = Hashtbl.find t.scenarios name in
+          write_scen_record buf ~digest mining))
+    (sorted t.scenarios);
+  pos_out oc
 
 let save t =
   match t.dir with
   | None -> ()
   | Some dir ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let buf = Buffer.create 65536 in
-    Buffer.add_string buf magic;
-    Wire.wstr buf t.fp;
-    let record key payload =
-      Wire.wstr buf key;
-      Wire.w32 buf (String.length payload);
-      Wire.w32 buf (Dputil.Crc32.string payload);
-      Buffer.add_string buf payload
-    in
-    (* Sorted keys: the file is a pure function of its contents. *)
-    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.entries [] in
-    List.iter
-      (fun key ->
-        let e = Hashtbl.find t.entries key in
-        let ebuf = Buffer.create 4096 in
-        write_entry ebuf e;
-        record key (Buffer.contents ebuf))
-      (List.sort compare keys);
-    let scen_names = Hashtbl.fold (fun n _ acc -> n :: acc) t.scenarios [] in
-    List.iter
-      (fun name ->
-        let digest, mining = Hashtbl.find t.scenarios name in
-        let ebuf = Buffer.create 4096 in
-        write_scen_record ebuf ~digest mining;
-        record (scen_prefix ^ name) (Buffer.contents ebuf))
-      (List.sort compare scen_names);
     let path = file_of ~dir ~fp:t.fp in
-    let tmp = path ^ ".tmp" in
-    (* [snapshot.write] fault site. A [Torn_write] really persists only
-       a prefix of the tmp file before failing, other kinds fail before
-       writing; every retry rewrites the tmp from offset 0. Only a fully
-       written tmp reaches the rename, so whatever the plan does the
-       published cache file is never replaced by torn data — the
-       tmp+rename atomicity this site exists to prove. *)
-    let write_tmp () =
-      (match Dpfault.check Dpfault.Snapshot_write with
-      | None -> ()
-      | Some Dpfault.Torn_write ->
-        let data = Buffer.contents buf in
-        let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_substring oc data 0 (String.length data / 2));
-        raise
-          (Dpfault.Injected
-             { site = Dpfault.Snapshot_write; kind = Dpfault.Torn_write })
-      | Some kind -> Dpfault.act Dpfault.Snapshot_write kind);
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Buffer.output_buffer oc buf)
+    (* Nothing changed since the file was opened: rewriting would
+       reproduce its bytes, so only refresh its mtime, which is what
+       [gc] ranks recency by. *)
+    let touched () =
+      match Unix.utimes path 0.0 0.0 with
+      | () -> true
+      | exception Unix.Unix_error _ -> false
     in
-    (match Dpfault.Retry.run Dpfault.Snapshot_write write_tmp with
-    | () ->
-      Sys.rename tmp path;
-      if Dpobs.metrics_on () then
-        Dpobs.Metrics.add (Lazy.force bytes_c) (Buffer.length buf)
-    | exception Dpfault.Injected _ ->
-      (* Budget spent: abandon this save. The previous cache file (if
-         any) stays authoritative; the leftover tmp is overwritten by
-         the next successful save and never parsed as a snapshot. *)
-      Dpobs.Log.warn
-        "snapshot: save of %s abandoned after injected write faults" path)
+    if t.dirty || not (touched ()) then begin
+      Dputil.Fs.mkdir_p dir;
+      let tmp = path ^ ".tmp" in
+      (* [snapshot.write] fault site. A [Torn_write] really persists only
+         a prefix of the tmp file before failing, other kinds fail before
+         writing; every retry rewrites the tmp from offset 0. Only a
+         fully written tmp reaches the rename, so whatever the plan does
+         the published cache file is never replaced by torn data — the
+         tmp+rename atomicity this site exists to prove. *)
+      let write_tmp () =
+        let torn =
+          match Dpfault.check Dpfault.Snapshot_write with
+          | None -> false
+          | Some Dpfault.Torn_write -> true
+          | Some kind ->
+            Dpfault.act Dpfault.Snapshot_write kind;
+            false
+        in
+        let oc = open_out_bin tmp in
+        let size =
+          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_records t oc)
+        in
+        if torn then begin
+          Unix.truncate tmp (size / 2);
+          raise
+            (Dpfault.Injected
+               { site = Dpfault.Snapshot_write; kind = Dpfault.Torn_write })
+        end;
+        size
+      in
+      match Dpfault.Retry.run Dpfault.Snapshot_write write_tmp with
+      | size ->
+        Sys.rename tmp path;
+        if Dpobs.metrics_on () then Dpobs.Metrics.add (Lazy.force bytes_c) size
+      | exception Dpfault.Injected _ ->
+        (* Budget spent: abandon this save. The previous cache file (if
+           any) stays authoritative; the leftover tmp is overwritten by
+           the next successful save and never parsed as a snapshot. *)
+        Dpobs.Log.warn
+          "snapshot: save of %s abandoned after injected write faults" path
+    end
 
 let key_of = Codec_v2.stream_key
 
@@ -702,6 +778,7 @@ let ensure ?pool t components (corpus : Corpus.t) =
       List.map (fun (key, st) -> (key, analyze_stream components ~specs st)) misses
   in
   List.iter (fun (key, e) -> Hashtbl.replace t.entries key e) fresh;
+  if fresh <> [] then t.dirty <- true;
   if Dpobs.metrics_on () then begin
     Dpobs.Metrics.add (Lazy.force hit_c) !hits;
     Dpobs.Metrics.add (Lazy.force miss_c) (List.length misses);
@@ -734,7 +811,7 @@ let scenario_digest t (corpus : Corpus.t) name ~reduce ~k =
     (fun st ->
       let key = key_of st in
       match Hashtbl.find_opt t.entries key with
-      | Some e when entry_scenario_class e name <> None ->
+      | Some e when entry_has_class e name ->
         Buffer.add_string buf key;
         Buffer.add_char buf '\n'
       | _ -> ())
@@ -760,7 +837,9 @@ let find_mining t corpus name ~reduce ~k =
 let store_mining t corpus name ~reduce ~k mining =
   let digest = scenario_digest t corpus name ~reduce ~k in
   Mutex.protect t.lock @@ fun () ->
-  Hashtbl.replace t.scenarios name (digest, mining)
+  Hashtbl.replace t.scenarios name (digest, mining);
+  Hashtbl.remove t.stored (scen_prefix ^ name);
+  t.dirty <- true
 
 (* --- cache-directory tooling (driveperf cache) --- *)
 
@@ -794,11 +873,7 @@ let inspect path =
       end
     with _ -> "(unreadable)"
   in
-  let ok, bad =
-    parse_file data ~expect_fp:None
-      ~feed:(fun _ _ -> ())
-      ~feed_scen:(fun _ _ _ -> ())
-  in
+  let ok, bad, _ = parse_file data ~expect_fp:None ~feed:(fun _ _ _ -> ()) in
   let mtime = try (Unix.stat path).Unix.st_mtime with _ -> 0.0 in
   {
     fi_path = path;

@@ -15,7 +15,7 @@
     partials (merged with {!Impact.merge}), provenance
     ({!Provenance.merge_impact}), per-module rows
     ({!Impact.merge_modules}) and unreduced per-class AWG partial forests
-    ({!Awg.Partial.merge_all}). Mining, selection and coverage run on the
+    ({!Awg.Partial.absorb}). Mining, selection and coverage run on the
     merged aggregates as usual, so reports — including [--json] output and
     provenance witnesses — do not depend on which entries came from disk.
 
@@ -31,6 +31,26 @@
     are individually CRC-32 framed; an unreadable file, a stale
     fingerprint, a checksum failure or an undecodable entry all degrade to
     cache misses, never to errors or wrong results.
+
+    Record lifecycle. {!create} keeps the cache file's bytes and verifies
+    every record: its CRC, then one full decode. A record that fails
+    either is dropped, and its stream becomes a miss. A loaded entry then
+    keeps only its head (stream id, impact, provenance, module rows) and,
+    per scenario section, the name, whether it has a class part, and the
+    section's offset in the file's bytes. {!entry_scenario_impact} and
+    {!entry_scenario_class} decode a loaded section from those bytes each
+    time they are asked, so a merge holds one decoded section at a time.
+    Entries {!ensure} computes are fresh and stay fully decoded; an
+    in-memory snapshot holds only fresh entries.
+
+    What {!save} writes, and when. Nothing, if the snapshot still
+    matches its file: no miss was analysed, no mining result stored, and
+    the file was read whole, undamaged and in save order. It then only
+    refreshes the file's mtime, which is what {!gc} ranks recency by.
+    Otherwise it streams a new file: records loaded from the old one are
+    copied byte for byte, and only fresh entries and re-mined scenario
+    records are encoded, one at a time. Either way the file is the one a
+    from-scratch save of the same contents would write.
 
     Observability: {!create}/{!save}/{!ensure} bump the
     [snapshot.hit]/[snapshot.miss]/[snapshot.stale]/[snapshot.bytes]
@@ -75,7 +95,8 @@ val entry_part :
 
 val entry_scenario_impact : entry -> string -> Impact.result option
 (** Impact over the stream's instances of the named scenario; [None] when
-    the stream has none. *)
+    the stream has none. Decoded from the cache file's bytes for a loaded
+    entry. *)
 
 val entry_scenario_class :
   entry ->
@@ -85,7 +106,9 @@ val entry_scenario_class :
   option
 (** [(slow impact, slow provenance, fast AWG partial, slow AWG partial)]
     for the named scenario; [None] when the stream has no instances of it
-    (or it had no spec when the entry was computed). *)
+    (or it had no spec when the entry was computed). For a loaded entry
+    each call decodes the section afresh from the cache file's bytes, so
+    the caller alone holds the result. Safe from pool workers. *)
 
 (** {1 Cache instances} *)
 
@@ -95,7 +118,9 @@ val create : ?dir:string -> fingerprint:string -> unit -> t
 (** Open a snapshot. With [dir], loads [dir/<fingerprint>.dpsnap] if
     present — corrupt entries are dropped (counted in {!stats}), a
     mismatched fingerprint or unreadable file yields an empty cache.
-    Without [dir] the snapshot is purely in-memory (useful in tests). *)
+    The file's bytes stay in memory for on-demand decoding and verbatim
+    saving. Without [dir] the snapshot is purely in-memory (useful in
+    tests). *)
 
 val ensure : ?pool:Dppar.Pool.t -> t -> Component.t -> Dptrace.Corpus.t -> unit
 (** Make an entry available for every stream of the corpus: look each
@@ -110,9 +135,11 @@ val entry : t -> Dptrace.Stream.t -> entry
 
 val save : t -> unit
 (** Write every entry back to [dir/<fingerprint>.dpsnap] (creating [dir]
-    if needed) via a temp file and atomic rename. Entries are written in
-    sorted key order: the file is a pure function of its contents. No-op
-    for in-memory snapshots. *)
+    and its missing parents if needed) via a temp file and atomic rename.
+    Entries are written in sorted key order: the file is a pure function
+    of its contents. Untouched records are copied as loaded, and a
+    snapshot that still matches its file only refreshes the file's mtime
+    (see the record lifecycle above). No-op for in-memory snapshots. *)
 
 (** {1 Scenario mining cache} *)
 

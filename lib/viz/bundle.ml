@@ -2,13 +2,6 @@ open Dptrace
 
 type t = { files : string list; diff : Flame.folded }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
 let write_file path text =
   let oc = open_out_bin path in
   Fun.protect
@@ -23,7 +16,7 @@ let graphs_of pairs =
 
 let write ?(components = Dpcore.Component.drivers) ?slow ?fast ~dir
     (c : Dpcore.Classify.t) =
-  mkdir_p dir;
+  Dputil.Fs.mkdir_p dir;
   let files = ref [] in
   let emit name text =
     let path = Filename.concat dir name in

@@ -62,6 +62,23 @@ let fresh_doc ?pool corpus =
 let snap_doc ?pool snap corpus =
   render_doc (Pipeline.run_report_snap ?pool snap corpus)
 
+let read_bin path = In_channel.with_open_bin path In_channel.input_all
+
+(* The bytes of the one cache file in [dir]. *)
+let saved_bytes dir =
+  match Snapshot.list_files dir with
+  | [ p ] -> read_bin p
+  | l -> Alcotest.failf "expected one cache file, got %d" (List.length l)
+
+(* The file a cold cache writes for [corpus], after a full report has
+   stored every scenario's mining record. *)
+let cold_file corpus =
+  let dir = fresh_dir () in
+  let snap = open_snap ~dir corpus in
+  ignore (snap_doc snap corpus);
+  Snapshot.save snap;
+  saved_bytes dir
+
 let per_scenario_str l =
   String.concat "\n"
     (List.map
@@ -118,13 +135,43 @@ let test_append_delta_identical () =
   in
   let dir = fresh_dir () in
   let snap = open_snap ~dir prefix in
+  ignore (snap_doc snap prefix);
   Snapshot.save snap;
   (* Re-analysis over the grown corpus: only the appended streams miss. *)
   let snap = open_snap ~dir full in
   let stats = Snapshot.stats snap in
   check Alcotest.int "delta: prefix hits" (n - 3) stats.Snapshot.s_hits;
   check Alcotest.int "delta: appended streams miss" 3 stats.Snapshot.s_misses;
-  check_identical ~msg:"delta" snap full
+  check_identical ~msg:"delta" snap full;
+  (* Untouched records, mining records of the scenarios the appended
+     streams leave alone included, are copied verbatim; the file must
+     still be the very one a cold cache writes for the grown corpus. *)
+  Snapshot.save snap;
+  check Alcotest.bool "delta-saved file = cold save on the grown corpus" true
+    (saved_bytes dir = cold_file full)
+
+(* A warm run that changes nothing must not rewrite the file: same
+   bytes, same inode (no tmp+rename), but a fresh mtime, which is what
+   `cache gc` ranks recency by. *)
+let test_unchanged_save_only_touches () =
+  let corpus = gen 0.03 in
+  let dir = fresh_dir () in
+  let cold = open_snap ~dir corpus in
+  ignore (snap_doc cold corpus);
+  Snapshot.save cold;
+  let path = List.hd (Snapshot.list_files dir) in
+  let before = read_bin path in
+  let long_ago = 1.0e9 in
+  Unix.utimes path long_ago long_ago;
+  let inode = (Unix.stat path).Unix.st_ino in
+  let warm = open_snap ~dir corpus in
+  check_identical ~msg:"warm" warm corpus;
+  Snapshot.save warm;
+  let after = Unix.stat path in
+  check Alcotest.string "file bytes unchanged" before (read_bin path);
+  check Alcotest.int "not rewritten" inode after.Unix.st_ino;
+  check Alcotest.bool "mtime refreshed" true (after.Unix.st_mtime > long_ago);
+  check Alcotest.bool "no tmp written" false (Sys.file_exists (path ^ ".tmp"))
 
 let test_prov_identical () =
   with_prov true @@ fun () ->
@@ -263,6 +310,48 @@ let test_truncated_and_garbage_files () =
   check Alcotest.int "garbage loads nothing" 0 stats.Snapshot.s_loaded;
   check_identical ~msg:"garbage" snap corpus
 
+(* Rewrite the file's first record — a per-stream entry, since stream
+   keys sort before scenario records — with its payload cut to half and
+   its length and checksum resealed: the framing and the CRC hold, and
+   only decoding the record can tell it is damaged. *)
+let reseal_first_record_truncated path =
+  let module Wire = Dptrace.Wire in
+  let data = read_bin path in
+  let cur = Wire.cursor data in
+  cur.Wire.pos <- String.length "DPSN\x01";
+  ignore (Wire.rstr cur : string);
+  let start = cur.Wire.pos in
+  let key = Wire.rstr cur in
+  let len = Wire.r32 cur in
+  ignore (Wire.r32 cur : int);
+  let payload = String.sub data cur.Wire.pos (len / 2) in
+  let rest = cur.Wire.pos + len in
+  let buf = Buffer.create (String.length data) in
+  Buffer.add_string buf (String.sub data 0 start);
+  Wire.wstr buf key;
+  Wire.w32 buf (String.length payload);
+  Wire.w32 buf (Dputil.Crc32.string payload);
+  Buffer.add_string buf payload;
+  Buffer.add_string buf (String.sub data rest (String.length data - rest));
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf)
+
+let test_resealed_record_dropped () =
+  let corpus = gen 0.03 in
+  let dir = fresh_dir () in
+  let snap = open_snap ~dir corpus in
+  ignore (snap_doc snap corpus);
+  Snapshot.save snap;
+  let path = List.hd (Snapshot.list_files dir) in
+  let clean = read_bin path in
+  reseal_first_record_truncated path;
+  let snap = open_snap ~dir corpus in
+  let stats = Snapshot.stats snap in
+  check Alcotest.int "the resealed record is dropped" 1 stats.Snapshot.s_dropped;
+  check Alcotest.int "and its stream re-analysed" 1 stats.Snapshot.s_misses;
+  check_identical ~msg:"after a resealed bad record" snap corpus;
+  Snapshot.save snap;
+  check Alcotest.bool "the next save heals the file" true (read_bin path = clean)
+
 let test_fingerprint_isolation () =
   let specs = [ Dptrace.Scenario.spec ~name:"S" ~tfast:100 ~tslow:500 ] in
   let fp ~k () = Snapshot.fingerprint ~components ~specs ~k () in
@@ -323,8 +412,6 @@ let test_gc_keeps_newest () =
   check Alcotest.int "one kept" 1 (List.length (Snapshot.list_files dir))
 
 (* --- crash consistency: kill points around the tmp+rename save --- *)
-
-let read_bin path = In_channel.with_open_bin path In_channel.input_all
 
 let with_plan spec f =
   match Dpfault.parse spec with
@@ -448,9 +535,12 @@ let prop_cached_equals_fresh =
       let snap = open_snap ~dir prefix in
       Snapshot.save snap;
       let snap = open_snap ~dir full in
-      fresh_doc full = snap_doc snap full
+      let same_doc = fresh_doc full = snap_doc snap full in
+      Snapshot.save snap;
+      same_doc
       && per_scenario_str (Pipeline.impact_per_scenario components full)
-         = per_scenario_str (Pipeline.impact_per_scenario_snap snap full))
+         = per_scenario_str (Pipeline.impact_per_scenario_snap snap full)
+      && saved_bytes dir = cold_file full)
 
 let () =
   Alcotest.run "snapshot"
@@ -463,6 +553,8 @@ let () =
             test_cold_and_warm_identical;
           Alcotest.test_case "append-delta = from-scratch" `Slow
             test_append_delta_identical;
+          Alcotest.test_case "unchanged save only refreshes mtime" `Slow
+            test_unchanged_save_only_touches;
           Alcotest.test_case "provenance on: cached = from-scratch" `Slow
             test_prov_identical;
           Alcotest.test_case "pooled ensure = sequential" `Slow
@@ -474,6 +566,8 @@ let () =
         [
           Alcotest.test_case "bit-flipped cache degrades to misses" `Slow
             test_corrupt_cache_recovers;
+          Alcotest.test_case "resealed undecodable record dropped" `Slow
+            test_resealed_record_dropped;
           Alcotest.test_case "truncated / garbage cache files" `Quick
             test_truncated_and_garbage_files;
           Alcotest.test_case "fingerprint isolates configurations" `Quick

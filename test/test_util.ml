@@ -6,6 +6,7 @@ module Wildcard = Dputil.Wildcard
 module Stats = Dputil.Stats
 module Interner = Dputil.Interner
 module Table = Dputil.Table
+module Crc32 = Dputil.Crc32
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -394,6 +395,49 @@ let test_table_mismatch () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: cell count mismatch")
     (fun () -> Table.add_row t [ "x"; "y" ])
 
+(* --- Crc32 --- *)
+
+(* The bytewise textbook CRC-32, one table lookup per byte: the oracle
+   the table-driven implementation must agree with. *)
+let reference_crc ?(crc = 0) s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xffffffff) in
+  String.iter
+    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    s;
+  !c lxor 0xffffffff
+
+let test_crc_check_value () =
+  check Alcotest.int "CRC-32 check value" 0xcbf43926
+    (Crc32.string "123456789");
+  check Alcotest.int "empty string" 0 (Crc32.string "")
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"Crc32 = bytewise reference (chaining, offsets)"
+    ~count:500
+    QCheck.(
+      triple
+        (string_gen_of_size (Gen.int_range 0 64) Gen.char)
+        (string_gen_of_size (Gen.int_range 0 64) Gen.char)
+        (pair small_nat small_nat))
+    (fun (a, b, (skip, cut)) ->
+      let whole = Crc32.string (a ^ b) in
+      let bytes = Bytes.of_string b in
+      let pos = min skip (Bytes.length bytes) in
+      let len = min cut (Bytes.length bytes - pos) in
+      Crc32.string a = reference_crc a
+      && whole = reference_crc (a ^ b)
+      && Crc32.string ~crc:(Crc32.string a) b = whole
+      && Crc32.bytes_sub ~crc:(Crc32.string a) bytes ~pos ~len
+         = reference_crc ~crc:(reference_crc a) (String.sub b pos len))
+
 let () =
   Alcotest.run "dputil"
     [
@@ -457,5 +501,10 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "mismatch" `Quick test_table_mismatch;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "check value" `Quick test_crc_check_value;
+          qcheck prop_crc_matches_reference;
         ] );
     ]
