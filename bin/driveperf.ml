@@ -90,14 +90,19 @@ let components_of pats =
   | [ "*.sys" ] -> Dpcore.Component.drivers
   | pats -> Dpcore.Component.of_patterns pats
 
-(* --replicates, --width: Cmdliner rejects values below 1. *)
-let positive_int =
+(* Integer options with a lower bound, which Cmdliner enforces: --rank,
+   -k, --replicates and --width take a positive integer, --instance a
+   non-negative one. *)
+let int_at_least least what =
   let parse text =
     match int_of_string_opt text with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" text))
+    | Some n when n >= least -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what text))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "positive"
+let non_negative_int = int_at_least 0 "non-negative"
 
 let domains_arg =
   let doc =
@@ -519,7 +524,7 @@ let causality_cmd =
   in
   let k =
     Arg.(
-      value & opt int Dpcore.Mining.default_k
+      value & opt positive_int Dpcore.Mining.default_k
       & info [ "k" ] ~docv:"K" ~doc:"Maximum path-segment length.")
   in
   let top =
@@ -938,7 +943,7 @@ let witness_cmd =
   in
   let rank =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "rank" ] ~docv:"N" ~doc:"Which ranked pattern to trace back (1-based).")
   in
   let limit =
@@ -1068,7 +1073,7 @@ let explain_cmd =
   in
   let rank =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "rank"; "pattern" ] ~docv:"N"
           ~doc:"Which ranked pattern to drill into (1-based, default 1).")
   in
@@ -1196,7 +1201,7 @@ let export_trace_cmd =
   let rank =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "rank"; "pattern" ] ~docv:"N"
           ~doc:
             "Export the witness instances of the N-th ranked contrast \
@@ -1326,7 +1331,7 @@ let timeline_cmd =
   let instance_index =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative_int) None
       & info [ "instance" ] ~docv:"I" ~doc:"Zoom to the I-th instance (0-based).")
   in
   let width =

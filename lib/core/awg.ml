@@ -194,22 +194,21 @@ let finish ~reduce forest =
   List.iter final (sorted_nodes forest);
   { forest; stats }
 
-let build ?pool ?(reduce = true) components graphs =
-  (* Per-graph conversion is pure and dominates the build; fan it out.
-     The merge stays sequential in the given graph order, so the forest —
-     keyed by status, with commutative cost/count/max accumulation — is
-     identical whether the conversions ran on one domain or eight. *)
+(* Convert the graphs and merge them into [forest]: the loop behind
+   [build] and [Partial.build]. Per-graph conversion is pure and
+   dominates, so [pool] fans it out. The merge stays sequential in the
+   given graph order, so the forest — keyed by status, with commutative
+   cost/count/max accumulation — is identical whether the conversions
+   ran on one domain or eight. When provenance is on, the merge also
+   folds each source graph's scenario instance into the witness
+   accumulator of every node it touches; that add is commutative over
+   instances too. *)
+let add_graphs ?pool components forest graphs =
   let converted =
     match pool with
     | Some pool -> Dppar.Pool.parallel_map pool (convert components) graphs
     | None -> List.map (convert components) graphs
   in
-  let forest : (status, node) Hashtbl.t = Hashtbl.create 64 in
-  (* When provenance is on, the merge also folds each source graph's
-     scenario instance into the witness set of every node it touches.
-     The witness add is commutative over instances (per-ref sums with a
-     deterministic re-sort), so this doesn't disturb the bit-identity of
-     the sequential merge. *)
   if Provenance.enabled () then
     List.iter2
       (fun (g : Wait_graph.t) cnodes ->
@@ -217,11 +216,14 @@ let build ?pool ?(reduce = true) components graphs =
         List.iter (merge_into ~src forest) cnodes)
       graphs converted
   else List.iter (List.iter (merge_into forest)) converted;
+  forest
+
+let build ?pool ?(reduce = true) components graphs =
   (* [finish] reduces, canonicalises witnesses and freezes the
      sorted-children arrays while still single-domain: after this point
      the forest is read-only and the frozen views can be shared by
      parallel mining without publication races. *)
-  finish ~reduce forest
+  finish ~reduce (add_graphs ?pool components (Hashtbl.create 64) graphs)
 
 let roots t = sorted_nodes t.forest
 
@@ -348,21 +350,8 @@ module Partial = struct
      pruning rule only inspects the final forest). *)
   type partial = (status, node) Hashtbl.t
 
-  let build components graphs =
-    let forest : partial = Hashtbl.create 16 in
-    if Provenance.enabled () then
-      List.iter
-        (fun (g : Wait_graph.t) ->
-          let src =
-            Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance
-          in
-          List.iter (merge_into ~src forest) (convert components g))
-        graphs
-    else
-      List.iter
-        (fun g -> List.iter (merge_into forest) (convert components g))
-        graphs;
-    forest
+  let build components graphs : partial =
+    add_graphs components (Hashtbl.create 16) graphs
 
   let is_empty (p : partial) = Hashtbl.length p = 0
 
@@ -433,21 +422,6 @@ module Partial = struct
     | 2 -> Hw (Signature.of_string (Wire.rstr cur))
     | k -> Wire.corrupt "Awg.Partial: unknown status tag %d" k
 
-  let write_ref buf (r : Provenance.instance_ref) =
-    Wire.wv buf r.Provenance.stream_id;
-    Wire.wstr buf r.Provenance.scenario;
-    Wire.wv buf r.Provenance.tid;
-    Wire.wv buf r.Provenance.t0;
-    Wire.wv buf r.Provenance.t1
-
-  let read_ref cur : Provenance.instance_ref =
-    let stream_id = Wire.rv cur in
-    let scenario = Wire.rstr cur in
-    let tid = Wire.rv cur in
-    let t0 = Wire.rv cur in
-    let t1 = Wire.rv cur in
-    { Provenance.stream_id; scenario; tid; t0; t1 }
-
   let rec write_node buf n =
     write_status buf n.status;
     Wire.wv buf n.cost;
@@ -459,7 +433,7 @@ module Partial = struct
     Wire.wv buf (List.length wentries);
     List.iter
       (fun (r, cost, count) ->
-        write_ref buf r;
+        Provenance.write_ref buf r;
         Wire.wv buf cost;
         Wire.wv buf count)
       wentries;
@@ -477,7 +451,7 @@ module Partial = struct
     if nw > 0 then begin
       let acc = node_wacc n in
       for _ = 1 to nw do
-        let r = read_ref cur in
+        let r = Provenance.read_ref cur in
         let cost = Wire.rv cur in
         let count = Wire.rv cur in
         Provenance.Wacc.add_entry acc (r, cost, count)

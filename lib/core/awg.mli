@@ -127,15 +127,16 @@ module Partial : sig
       forest gives it. *)
 
   val build : Component.t -> Dpwaitgraph.Wait_graph.t list -> partial
-  (** Convert and aggregate one stream's graphs (same conversion and
-      merge as {!Awg.build}, minus reduce/freeze). Records exact witness
+  (** Convert and aggregate one stream's graphs (the conversion and merge
+      loop {!Awg.build} runs, minus reduce/freeze). Records exact witness
       accumulators when {!Provenance.enabled}. *)
 
   type merger
   (** A merge in progress: the running, still unreduced forest. Partials
       are absorbed one at a time, so a caller that decodes each partial
       just before absorbing it never holds more than one — this is how
-      the snapshot-backed pipeline merges a scenario's cached classes. *)
+      the pipeline merges a scenario's per-stream class parts, fresh or
+      cached. *)
 
   val merger : unit -> merger
   (** An empty merge. *)

@@ -34,8 +34,6 @@ let event_signature t (e : Event.t) =
   | Event.Running | Event.Wait | Event.Unwait ->
     Callstack.topmost_matching t.compiled e.stack
 
-let event_relevant t e = event_signature t e <> None
-
 let event_signature_or_top t (e : Event.t) =
   match event_signature t e with
   | Some s -> s

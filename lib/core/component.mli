@@ -23,10 +23,6 @@ val matches_signature : t -> Dptrace.Signature.t -> bool
 val stack_relevant : t -> Dptrace.Callstack.t -> bool
 (** Does any frame of the callstack match? *)
 
-val event_relevant : t -> Dptrace.Event.t -> bool
-(** Does any frame of the event's callstack match (or, for
-    hardware-service events, is the event kept as a device dummy)? *)
-
 val event_signature : t -> Dptrace.Event.t -> Dptrace.Signature.t option
 (** The paper's per-event "signature": the topmost matching frame on the
     callstack, if any; for hardware-service events, the dummy signature. *)

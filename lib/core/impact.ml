@@ -65,9 +65,11 @@ let fused ?collector components graphs =
   in
   (* (stream id, event id) → (cell, cost), across all instances: the
      distinct-wait set whose total is d_waitdist. An event's module is a
-     function of the event, so each cell's share is its m_waitdist. *)
+     function of the event, so each cell's share is its m_waitdist.
+     Sized for the common call, one stream's part or one scenario's
+     class within a stream; it grows for larger inputs. *)
   let distinct : (int * int, module_cell * Dputil.Time.t) Hashtbl.t =
-    Hashtbl.create 1024
+    Hashtbl.create 64
   in
   let acc = ref empty in
   let measure_graph (g : Wait_graph.t) =

@@ -1,5 +1,4 @@
 module Wait_graph = Dpwaitgraph.Wait_graph
-module Scenario = Dptrace.Scenario
 
 type scenario_result = {
   classification : Classify.t;
@@ -96,9 +95,14 @@ let finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
     coverages;
   }
 
-(* The causality half of one scenario, from its classified instances'
-   prebuilt graphs: slow-class impact, both AWGs, mining, coverages. *)
-let scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow =
+let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
+    corpus name =
+  span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
+  let classification =
+    span "pipeline.classify" (fun () -> Classify.classify corpus name)
+  in
+  let fast = build_graphs ?pool corpus classification.Classify.fast in
+  let slow = build_graphs ?pool corpus classification.Classify.slow in
   let slow_impact, slow_impact_prov =
     span "pipeline.impact" (fun () -> Impact.analyze_graphs_prov components slow)
   in
@@ -115,16 +119,6 @@ let scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow =
   in
   finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
     ~slow_awg mining
-
-let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
-    corpus name =
-  span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
-  let classification =
-    span "pipeline.classify" (fun () -> Classify.classify corpus name)
-  in
-  let fast = build_graphs ?pool corpus classification.Classify.fast in
-  let slow = build_graphs ?pool corpus classification.Classify.slow in
-  scenario_of_graphs ?pool ~k ~reduce components classification ~fast ~slow
 
 let impact_per_scenario ?pool components corpus =
   (* Scenario-level fan-out; graph building inside each scenario stays
@@ -151,50 +145,98 @@ type report = {
   scenarios : (string * scenario_result) list;
 }
 
-(* Per-stream parts [(impact, provenance, module rows)] merged left to
-   right in stream order: the one reduction behind run_report and
-   run_report_snap, so a cached report is the from-scratch one. *)
-let report_of_parts parts scenarios =
+(* The one scenario assembly, behind run_report and run_report_snap
+   alike. [parts] holds, per stream in corpus stream order, the stream's
+   whole-corpus part [(impact, provenance, module rows)] and a lookup of
+   its class parts by scenario name. The whole-corpus parts merge left to
+   right. Each requested scenario with a spec is classified, then folds
+   its class parts in the same order into running accumulators (impact,
+   provenance and two [Awg.Partial.merger]s), so a part decoded off a
+   cache file's bytes is garbage once absorbed. [mine name f] returns the
+   scenario's mining result, [f ()] computing it. The callers differ only
+   in where the parts come from and in [mine], so a cached report is the
+   fresh one by construction. *)
+let assemble ?pool ~k ~reduce ?scenarios ~mine corpus parts =
   let impact, impact_prov, modules =
     List.fold_left
-      (fun (r, p, m) (r', p', m') ->
+      (fun (r, p, m) ((r', p', m'), _) ->
         (Impact.merge r r', Provenance.merge_impact p p', Impact.merge_modules m m'))
       (Impact.empty, Provenance.empty_impact, [])
       parts
   in
-  let streams = List.map (fun (r, _, _) -> r) parts in
+  let streams = List.map (fun ((r, _, _), _) -> r) parts in
+  let scenario name =
+    span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
+    let classification =
+      span "pipeline.classify" (fun () -> Classify.classify corpus name)
+    in
+    let fast = Awg.Partial.merger () and slow = Awg.Partial.merger () in
+    let slow_impact, slow_impact_prov =
+      span "pipeline.awg_merge" @@ fun () ->
+      List.fold_left
+        (fun ((r, p) as acc) (_, class_of) ->
+          match class_of name with
+          | None -> acc
+          | Some (c : Snapshot.class_part) ->
+            Awg.Partial.absorb fast c.cl_fast;
+            Awg.Partial.absorb slow c.cl_slow;
+            (Impact.merge r c.cl_slow_impact, Provenance.merge_impact p c.cl_slow_prov))
+        (Impact.empty, Provenance.empty_impact)
+        parts
+    in
+    let fast_awg =
+      span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce fast)
+    in
+    let slow_awg =
+      span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce slow)
+    in
+    let mining =
+      span "pipeline.mining" (fun () ->
+          mine name (fun () ->
+              Mining.mine ~k ~fast:fast_awg ~slow:slow_awg
+                ~spec:classification.Classify.spec ()))
+    in
+    finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
+      ~slow_awg mining
+  in
+  (* One scenario per work item, mining sequential inside the worker,
+     results in request order, spec-less names skipped. *)
+  let one name =
+    let r =
+      Option.map
+        (fun _ -> (name, scenario name))
+        (Dptrace.Corpus.find_spec corpus name)
+    in
+    if Dpobs.metrics_on () then
+      Dpobs.Metrics.incr (Lazy.force scenarios_done);
+    r
+  in
+  let names =
+    Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
+  in
+  let scenarios =
+    (match pool with
+    | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one names
+    | None -> List.map one names)
+    |> List.filter_map Fun.id
+  in
   { impact; impact_prov; modules; streams; scenarios }
 
 let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
     components (corpus : Dptrace.Corpus.t) =
-  let names =
-    match scenarios with
-    | Some names -> names
-    | None -> Dptrace.Corpus.scenario_names corpus
-  in
-  (* Names without a spec are skipped, as run_all_snap skips them. *)
-  let specs =
-    List.filter_map
-      (fun name ->
-        Option.map (fun spec -> (name, spec)) (Dptrace.Corpus.find_spec corpus name))
-      names
-  in
   (* Per stream: every instance's graph built once and measured once;
-     only the fast/slow graphs of requested scenarios outlive the pass. *)
-  let of_stream (st : Dptrace.Stream.t) =
-    let index = Dptrace.Stream.shared_index st in
-    let graphs = List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances in
-    let classed =
-      List.fold_right2
-        (fun (i : Scenario.instance) g acc ->
-          match List.assoc_opt i.Scenario.scenario specs with
-          | None -> acc
-          | Some spec ->
-            let c = Scenario.classify spec i in
-            ((st, i), c, if c = Scenario.Middle then None else Some g) :: acc)
-        st.Dptrace.Stream.instances graphs []
+     only the class parts of requested scenarios outlive the pass. *)
+  let spec_of name =
+    match scenarios with
+    | Some names when not (List.mem name names) -> None
+    | _ -> Dptrace.Corpus.find_spec corpus name
+  in
+  let of_stream st =
+    let part, groups = Snapshot.stream_step components ~spec_of st in
+    let classes =
+      List.filter_map (fun (name, _, c) -> Option.map (fun c -> (name, c)) c) groups
     in
-    (Impact.measure components graphs, classed)
+    (part, fun name -> List.assoc_opt name classes)
   in
   let parts =
     span "pipeline.report_streams" @@ fun () ->
@@ -202,30 +244,7 @@ let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
     | Some pool -> Dppar.Pool.parallel_map pool of_stream corpus.Dptrace.Corpus.streams
     | None -> List.map of_stream corpus.Dptrace.Corpus.streams
   in
-  (* Each class lists its instances in corpus order, as Classify.classify
-     does, and its graphs in the same order. *)
-  let one (name, spec) =
-    span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
-    let classification, fast, slow =
-      span "pipeline.classify" @@ fun () ->
-      let mine = List.filter (fun ((_, (i : Scenario.instance)), _, _) -> i.Scenario.scenario = name) in
-      let items = List.concat_map (fun (_, classed) -> mine classed) parts in
-      let entries cls = List.filter_map (fun (e, c, _) -> if c = cls then Some e else None) items in
-      let graphs cls = List.filter_map (fun (_, c, g) -> if c = cls then g else None) items in
-      ( { Classify.spec; fast = entries Scenario.Fast; middle = entries Scenario.Middle;
-          slow = entries Scenario.Slow },
-        graphs Scenario.Fast,
-        graphs Scenario.Slow )
-    in
-    let r = scenario_of_graphs ~k ~reduce components classification ~fast ~slow in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
-    (name, r)
-  in
-  report_of_parts (List.map fst parts)
-    (match pool with
-    | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one specs
-    | None -> List.map one specs)
+  assemble ?pool ~k ~reduce ?scenarios ~mine:(fun _ f -> f ()) corpus parts
 
 let run_impact_prov ?pool components corpus =
   let r = run_report ?pool ~scenarios:[] components corpus in
@@ -233,13 +252,12 @@ let run_impact_prov ?pool components corpus =
 
 (* --- snapshot-backed variants ---
 
-   Each mirrors its from-scratch counterpart exactly: the snapshot holds
-   the same per-stream partials the plain paths' reductions produce, and
-   they are merged here in the same order (corpus stream order) with the
-   same merge operators, so every cached result — impact integers,
-   provenance reservoirs, AWG forests, mined patterns — is bit-identical
-   to the uncached run whatever mix of cache hits and misses produced
-   the entries. *)
+   The snapshot's entries hold what the fresh pass computes per stream,
+   so the cached report is the same assembly over entries instead of
+   fresh parts: every cached result — impact integers, provenance
+   reservoirs, AWG forests, mined patterns — is bit-identical to the
+   uncached run whatever mix of cache hits and misses produced the
+   entries. *)
 
 let impact_per_scenario_snap snapshot (corpus : Dptrace.Corpus.t) =
   let impact_of name =
@@ -256,85 +274,29 @@ let impact_per_scenario_snap snapshot (corpus : Dptrace.Corpus.t) =
   in
   by_d_wait (List.map impact_of (Dptrace.Corpus.scenario_names corpus))
 
-let run_scenario_snap ?(k = Mining.default_k) ?(reduce = true) snapshot
-    corpus name =
-  span ~args:[ ("scenario", name) ] "pipeline.run_scenario_snap" @@ fun () ->
-  (* Classification is cheap (one pass over the instances) and part of
-     the result, so it is recomputed rather than cached. *)
-  let classification =
-    span "pipeline.classify" (fun () -> Classify.classify corpus name)
-  in
-  (* One pass in stream order folds each stream's class part into the
-     running accumulators before the next is read, so a part decoded off
-     the cache file's bytes is garbage once absorbed. *)
-  let fast = Awg.Partial.merger () and slow = Awg.Partial.merger () in
-  let slow_impact, slow_impact_prov =
-    span "pipeline.awg_merge" @@ fun () ->
-    List.fold_left
-      (fun ((r, p) as acc) st ->
-        match Snapshot.entry_scenario_class (Snapshot.entry snapshot st) name with
-        | None -> acc
-        | Some (ri, pi, f, s) ->
-          Awg.Partial.absorb fast f;
-          Awg.Partial.absorb slow s;
-          (Impact.merge r ri, Provenance.merge_impact p pi))
-      (Impact.empty, Provenance.empty_impact)
-      corpus.Dptrace.Corpus.streams
-  in
-  let fast_awg =
-    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce fast)
-  in
-  let slow_awg =
-    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce slow)
+let run_report_snap ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
+    snapshot (corpus : Dptrace.Corpus.t) =
+  let part st =
+    let e = Snapshot.entry snapshot st in
+    (Snapshot.entry_part e, Snapshot.entry_scenario_class e)
   in
   (* The miner dominates a warm re-analysis, and its inputs are a pure
      function of the snapshot fingerprint + contributing streams, so its
      result is cached at scenario granularity (digest-checked; identical
      either way). *)
-  let mining =
-    span "pipeline.mining" (fun () ->
-        match Snapshot.find_mining snapshot corpus name ~reduce ~k with
-        | Some m -> m
-        | None ->
-          let m =
-            Mining.mine ~k ~fast:fast_awg ~slow:slow_awg
-              ~spec:classification.Classify.spec ()
-          in
-          Snapshot.store_mining snapshot corpus name ~reduce ~k m;
-          m)
+  let mine name f =
+    match Snapshot.find_mining snapshot corpus name ~reduce ~k with
+    | Some m -> m
+    | None ->
+      let m = f () in
+      Snapshot.store_mining snapshot corpus name ~reduce ~k m;
+      m
   in
-  finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
-    ~slow_awg mining
+  assemble ?pool ~k ~reduce ?scenarios ~mine corpus
+    (List.map part corpus.Dptrace.Corpus.streams)
 
 let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
-  let names =
-    match scenarios with
-    | Some names -> names
-    | None -> Dptrace.Corpus.scenario_names corpus
-  in
-  (* Mirror run_report: one scenario per work item, mining sequential
-     inside the worker, results in [names] order, spec-less names skipped. *)
-  let one name =
-    let r =
-      match run_scenario_snap ?k ?reduce snapshot corpus name with
-      | r -> Some (name, r)
-      | exception Not_found -> None
-    in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
-    r
-  in
-  (match pool with
-  | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one names
-  | None -> List.map one names)
-  |> List.filter_map Fun.id
-
-let run_report_snap ?pool ?k ?reduce ?scenarios snapshot
-    (corpus : Dptrace.Corpus.t) =
-  let part st = Snapshot.entry_part (Snapshot.entry snapshot st) in
-  report_of_parts
-    (List.map part corpus.Dptrace.Corpus.streams)
-    (run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus)
+  (run_report_snap ?pool ?k ?reduce ?scenarios snapshot corpus).scenarios
 
 let run_impact_prov_snap snapshot corpus =
   let r = run_report_snap ~scenarios:[] snapshot corpus in

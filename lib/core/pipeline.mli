@@ -2,14 +2,19 @@
     causality analysis.
 
     {!run_report} is the one from-scratch corpus traversal: one pass per
-    stream resolves the stream's memoised index (see
-    {!Dptrace.Stream.shared_index}), builds each instance's Wait Graph
-    once and traverses it once ({!Impact.measure}) for the corpus impact,
-    its provenance and the module table; the same graphs then feed each
-    requested scenario's classes. {!run_impact_prov} is its projection
-    onto the corpus impact; {!run_report_snap} is its cached twin.
-    {!build_graphs}, {!run_scenario} and {!impact_per_scenario} serve
-    narrower questions and build the graphs they need themselves.
+    stream ({!Snapshot.stream_step}) resolves the stream's memoised index
+    (see {!Dptrace.Stream.shared_index}), builds each instance's Wait
+    Graph once and traverses it once ({!Impact.measure}) for the corpus
+    impact, its provenance and the module table; the same graphs then
+    become each requested scenario's per-stream class part (slow impact
+    and provenance, fast and slow {!Awg.Partial} forests) and die with
+    their stream. One assembly merges those parts in stream order into
+    the report. {!run_report_snap} runs the same assembly over a
+    snapshot's entries, which hold the same parts, so cached ≡ fresh
+    holds by construction. {!run_impact_prov} is a projection of
+    {!run_report}. {!build_graphs}, {!run_scenario} and
+    {!impact_per_scenario} serve narrower questions and build the graphs
+    they need themselves.
 
     Every from-scratch entry point takes an optional [?pool] (a
     {!Dppar.Pool.t}); when given, independent units of work — streams
@@ -79,13 +84,15 @@ val run_report :
   Dptrace.Corpus.t ->
   report
 (** The whole-corpus impact (Section 5.1) with its provenance,
-    {!Impact.by_module} over every instance's graph, and {!run_scenario}
-    for each of [scenarios] (default: every scenario name in the corpus;
-    names without a spec are skipped, the rest keep their order), from
-    one per-stream pass that builds and traverses each Wait Graph once
-    ({!Impact.measure}) and keeps only the fast/slow graphs of requested
-    scenarios. Stream parts merge in stream order with {!Impact.merge},
-    {!Provenance.merge_impact} and {!Impact.merge_modules}. With [pool],
+    {!Impact.by_module} over every instance's graph, and the result
+    {!run_scenario} gives for each of [scenarios] (default: every
+    scenario name in the corpus; names without a spec are skipped, the
+    rest keep their order), from one per-stream pass that builds and
+    traverses each Wait Graph once ({!Impact.measure}) and keeps only
+    the class parts of requested scenarios. Stream parts merge in stream
+    order with {!Impact.merge}, {!Provenance.merge_impact} and
+    {!Impact.merge_modules}; class parts with {!Impact.merge},
+    {!Provenance.merge_impact} and {!Awg.Partial.absorb}. With [pool],
     streams fan out (order-preserving), then scenarios, one per work
     item. *)
 
@@ -111,13 +118,13 @@ val impact_per_scenario :
 
 (** {1 Snapshot-backed (incremental) variants}
 
-    Each mirrors its from-scratch counterpart over a {!Snapshot.t} the
-    caller has {!Snapshot.ensure}d for the corpus: per-stream cached
-    partials are merged in corpus stream order with the exact merge
-    operators the plain paths' own reductions use, then mining, selection
-    and coverage run on the merged aggregates as usual. Results are
-    {e bit-identical} to the uncached entry points — including provenance
-    and [--json] rendering — regardless of which entries were cache hits.
+    Each answers its from-scratch counterpart's question over a
+    {!Snapshot.t} the caller has {!Snapshot.ensure}d for the corpus. The
+    report variants run {!run_report}'s own assembly over the entries'
+    parts; only the miner's result may come from the snapshot's mining
+    records. Results are {e bit-identical} to the uncached entry points —
+    including provenance and [--json] rendering — regardless of which
+    entries were cache hits.
 
     All raise [Invalid_argument] if the snapshot lacks an entry for some
     stream (i.e. {!Snapshot.ensure} was not run for this corpus). *)
@@ -130,12 +137,7 @@ val run_all_snap :
   Snapshot.t ->
   Dptrace.Corpus.t ->
   (string * scenario_result) list
-(** Cached [scenarios] field of {!run_report} (same [scenarios] default,
-    spec-less names skipped). Per scenario, classification is recomputed
-    (cheap, and part of the result); impact, provenance and both AWGs
-    come from merged snapshot partials; mining is cached at scenario
-    granularity and coverages are computed on the merge. With [pool],
-    scenarios fan out one per work item. *)
+(** The [scenarios] field of {!run_report_snap}. *)
 
 val run_report_snap :
   ?pool:Dppar.Pool.t ->
@@ -145,8 +147,10 @@ val run_report_snap :
   Snapshot.t ->
   Dptrace.Corpus.t ->
   report
-(** Cached {!run_report}: the entries' stream parts go through the same
-    stream-order reduction, and [scenarios] is {!run_all_snap}. *)
+(** Cached {!run_report}: the same assembly over the entries' parts.
+    Each scenario's mining result is looked up with
+    {!Snapshot.find_mining} and, on a miss, mined and recorded with
+    {!Snapshot.store_mining}. *)
 
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact

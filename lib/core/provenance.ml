@@ -41,6 +41,21 @@ let pp_ref fmt r =
   Format.fprintf fmt "%s stream %d tid=%d [%a, %a]" r.scenario r.stream_id
     r.tid Dputil.Time.pp r.t0 Dputil.Time.pp r.t1
 
+let write_ref buf r =
+  Dptrace.Wire.wv buf r.stream_id;
+  Dptrace.Wire.wstr buf r.scenario;
+  Dptrace.Wire.wv buf r.tid;
+  Dptrace.Wire.wv buf r.t0;
+  Dptrace.Wire.wv buf r.t1
+
+let read_ref cur =
+  let stream_id = Dptrace.Wire.rv cur in
+  let scenario = Dptrace.Wire.rstr cur in
+  let tid = Dptrace.Wire.rv cur in
+  let t0 = Dptrace.Wire.rv cur in
+  let t1 = Dptrace.Wire.rv cur in
+  { stream_id; scenario; tid; t0; t1 }
+
 module Topk = struct
   (* Sorted list, best first, never longer than [cap]. Caps are small
      (default_k), so linear inserts beat any heap at this size — and the
@@ -135,7 +150,6 @@ module Wset = struct
     List.map (fun (e_ref, e_cost, e_count) -> { e_ref; e_cost; e_count }) l
   let total_cost t = List.fold_left (fun acc e -> acc + e.e_cost) 0 t
   let is_empty t = t = []
-  let cardinal = List.length
 end
 
 module Wacc = struct
@@ -244,8 +258,8 @@ let merge_impact a b =
 
 module Collector = struct
   (* Full (stream, event) -> record tables while the pass runs — the
-     same cardinality as the analysis' own distinct-wait table — reduced
-     to top-K reservoirs once at [impact]. *)
+     same cardinality as the analysis' own distinct-wait table, and
+     sized like it — reduced to top-K reservoirs once at [impact]. *)
   type t = {
     cap : int;
     waits : (int * int, wait_record) Hashtbl.t;
@@ -256,9 +270,9 @@ module Collector = struct
   let create ?(cap = default_k) () =
     {
       cap;
-      waits = Hashtbl.create 256;
-      runs = Hashtbl.create 256;
-      modules = Hashtbl.create 256;
+      waits = Hashtbl.create 16;
+      runs = Hashtbl.create 16;
+      modules = Hashtbl.create 16;
     }
 
   let record tbl ~stream_id ~instance ~(event : Dptrace.Event.t) ~signature =

@@ -53,6 +53,14 @@ val ref_of : Dptrace.Stream.t -> Dptrace.Scenario.instance -> instance_ref
 val compare_ref : instance_ref -> instance_ref -> int
 val pp_ref : Format.formatter -> instance_ref -> unit
 
+val write_ref : Buffer.t -> instance_ref -> unit
+(** The ref's wire form inside snapshot records and {!Awg.Partial}
+    forests: varints and a length-prefixed string ({!Dptrace.Wire}). *)
+
+val read_ref : Dptrace.Wire.cursor -> instance_ref
+(** Inverse of {!write_ref}.
+    @raise Dptrace.Wire.Corrupt on malformed input. *)
+
 (** {1 Bounded best-first reservoirs} *)
 
 module Topk : sig
@@ -105,7 +113,6 @@ module Wset : sig
 
   val total_cost : t -> Dputil.Time.t
   val is_empty : t -> bool
-  val cardinal : t -> int
 end
 
 module Wacc : sig

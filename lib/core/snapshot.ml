@@ -80,20 +80,37 @@ type entry = {
   e_scenarios : (string * section) list;  (* first-appearance order *)
 }
 
-(* --- the per-stream analysis (the unit of caching) ---
+(* --- the per-stream step (the unit of caching) ---
 
    Everything downstream merging needs from one stream, computed from
    the stream's wait graphs built once (and, for the whole-stream
    numbers, traversed once by [Impact.measure]): its contribution to the
    whole-corpus impact (+ provenance), to the per-module breakdown, to
    each scenario's all-instance impact, and — for scenarios with a spec —
-   the per-class impact partials and unreduced AWG partial forests. *)
+   the class part. A fresh report runs the same step and keeps only the
+   class parts. *)
 
-let analyze_stream components ~specs (st : Stream.t) =
+let class_part components spec items =
+  let graphs cls =
+    List.filter_map
+      (fun ((i : Scenario.instance), g) ->
+        if Scenario.classify spec i = cls then Some g else None)
+      items
+  in
+  let fast = graphs Scenario.Fast and slow = graphs Scenario.Slow in
+  let cl_slow_impact, cl_slow_prov = Impact.analyze_graphs_prov components slow in
+  {
+    cl_slow_impact;
+    cl_slow_prov;
+    cl_fast = Awg.Partial.build components fast;
+    cl_slow = Awg.Partial.build components slow;
+  }
+
+let stream_step components ~spec_of (st : Stream.t) =
   let index = Stream.shared_index st in
   let instances = st.Stream.instances in
   let graphs = List.map (Wait_graph.build ~index st) instances in
-  let e_impact, e_prov, e_modules = Impact.measure components graphs in
+  let part = Impact.measure components graphs in
   (* Group (instance, graph) pairs by scenario name, preserving both the
      within-stream instance order and the names' first-appearance order
      (the entry's wire form must be a pure function of the stream). *)
@@ -111,53 +128,27 @@ let analyze_stream components ~specs (st : Stream.t) =
         Hashtbl.replace by_name i.Scenario.scenario items;
         order := (i.Scenario.scenario, items) :: !order)
     instances graphs;
-  let spec_of name =
-    List.find_opt (fun (s : Scenario.spec) -> s.Scenario.name = name) specs
-  in
-  let e_scenarios =
+  ( part,
     List.rev_map
       (fun (name, items) ->
         let items = List.rev !items in
-        let gs = List.map snd items in
-        let sc_all = Impact.analyze_graphs components gs in
-        let sc_class =
-          match spec_of name with
-          | None -> None
-          | Some spec ->
-            let class_of (i, _) = Scenario.classify spec i in
-            let fast_gs =
-              List.filter_map
-                (fun it ->
-                  if class_of it = Scenario.Fast then Some (snd it) else None)
-                items
-            in
-            let slow_gs =
-              List.filter_map
-                (fun it ->
-                  if class_of it = Scenario.Slow then Some (snd it) else None)
-                items
-            in
-            let cl_slow_impact, cl_slow_prov =
-              Impact.analyze_graphs_prov components slow_gs
-            in
-            Some
-              {
-                cl_slow_impact;
-                cl_slow_prov;
-                cl_fast = Awg.Partial.build components fast_gs;
-                cl_slow = Awg.Partial.build components slow_gs;
-              }
-        in
-        (name, Decoded { sc_all; sc_class }))
-      !order
+        ( name,
+          List.map snd items,
+          Option.map (fun spec -> class_part components spec items) (spec_of name) ))
+      !order )
+
+let analyze_stream components ~specs (st : Stream.t) =
+  let spec_of name =
+    List.find_opt (fun (s : Scenario.spec) -> s.Scenario.name = name) specs
   in
-  {
-    e_stream_id = st.Stream.id;
-    e_impact;
-    e_prov;
-    e_modules;
-    e_scenarios;
-  }
+  let (e_impact, e_prov, e_modules), groups = stream_step components ~spec_of st in
+  let e_scenarios =
+    List.map
+      (fun (name, graphs, sc_class) ->
+        (name, Decoded { sc_all = Impact.analyze_graphs components graphs; sc_class }))
+      groups
+  in
+  { e_stream_id = st.Stream.id; e_impact; e_prov; e_modules; e_scenarios }
 
 (* --- entry wire form --- *)
 
@@ -180,23 +171,8 @@ let read_impact cur : Impact.result =
   let counted_runs = Wire.rv cur in
   { Impact.d_scn; d_wait; d_run; d_waitdist; instances; counted_waits; counted_runs }
 
-let write_ref buf (r : Provenance.instance_ref) =
-  Wire.wv buf r.Provenance.stream_id;
-  Wire.wstr buf r.Provenance.scenario;
-  Wire.wv buf r.Provenance.tid;
-  Wire.wv buf r.Provenance.t0;
-  Wire.wv buf r.Provenance.t1
-
-let read_ref cur : Provenance.instance_ref =
-  let stream_id = Wire.rv cur in
-  let scenario = Wire.rstr cur in
-  let tid = Wire.rv cur in
-  let t0 = Wire.rv cur in
-  let t1 = Wire.rv cur in
-  { Provenance.stream_id; scenario; tid; t0; t1 }
-
 let write_wait_record buf (w : Provenance.wait_record) =
-  write_ref buf w.Provenance.wr_ref;
+  Provenance.write_ref buf w.Provenance.wr_ref;
   Wire.wv buf w.Provenance.wr_event;
   Wire.wstr buf (Dptrace.Signature.name w.Provenance.wr_signature);
   Wire.wv buf w.Provenance.wr_ts;
@@ -205,7 +181,7 @@ let write_wait_record buf (w : Provenance.wait_record) =
   Wire.wv buf w.Provenance.wr_multiplicity
 
 let read_wait_record cur : Provenance.wait_record =
-  let wr_ref = read_ref cur in
+  let wr_ref = Provenance.read_ref cur in
   let wr_event = Wire.rv cur in
   let wr_signature = Dptrace.Signature.of_string (Wire.rstr cur) in
   let wr_ts = Wire.rv cur in
@@ -323,7 +299,7 @@ let write_wset buf w =
   Wire.wv buf (List.length entries);
   List.iter
     (fun (r, cost, count) ->
-      write_ref buf r;
+      Provenance.write_ref buf r;
       Wire.wv buf cost;
       Wire.wv buf count)
     entries
@@ -332,7 +308,7 @@ let read_wset cur =
   let n = Wire.rv cur in
   Provenance.Wset.of_entries
     (List.init n (fun _ ->
-         let r = read_ref cur in
+         let r = Provenance.read_ref cur in
          let cost = Wire.rv cur in
          let count = Wire.rv cur in
          (r, cost, count)))
@@ -492,10 +468,8 @@ let entry_scenario_impact e name =
   | Some (Stored { data; off; _ }) -> Some (read_impact { Wire.data; pos = off })
 
 let entry_scenario_class e name =
-  match Option.map section_value (List.assoc_opt name e.e_scenarios) with
-  | Some { sc_class = Some c; _ } ->
-    Some (c.cl_slow_impact, c.cl_slow_prov, c.cl_fast, c.cl_slow)
-  | Some { sc_class = None; _ } | None -> None
+  Option.bind (List.assoc_opt name e.e_scenarios) (fun s ->
+      (section_value s).sc_class)
 
 let entry_has_class e name =
   match List.assoc_opt name e.e_scenarios with
@@ -517,7 +491,7 @@ type t = {
   used : (string, unit) Hashtbl.t;  (* keys referenced by this corpus *)
   scenarios : (string, string * Mining.result) Hashtbl.t;
       (* scenario name -> (digest, mining); guarded by [lock] because
-         run_all_snap consults it from pool workers *)
+         the pipeline's scenario assembly consults it from pool workers *)
   lock : Mutex.t;
   mutable dirty : bool;
       (* [save] would write bytes other than the file's: it was absent,

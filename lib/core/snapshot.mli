@@ -9,15 +9,18 @@
     recomputes only the new or changed streams and merges the rest from
     cache.
 
-    The merge is {e bit-identical} to a from-scratch run. Each cached
-    entry holds exactly the per-stream partials the pipeline's existing
-    parallel reductions already merge in stream order: {!Impact.result}
-    partials (merged with {!Impact.merge}), provenance
+    The merge is {e bit-identical} to a from-scratch run by construction.
+    An entry is what {!stream_step} — the one per-stream step a fresh
+    {!Pipeline.run_report} runs too — computes for the stream:
+    {!Impact.result} partials (merged with {!Impact.merge}), provenance
     ({!Provenance.merge_impact}), per-module rows
-    ({!Impact.merge_modules}) and unreduced per-class AWG partial forests
-    ({!Awg.Partial.absorb}). Mining, selection and coverage run on the
-    merged aggregates as usual, so reports — including [--json] output and
-    provenance witnesses — do not depend on which entries came from disk.
+    ({!Impact.merge_modules}) and, per spec'd scenario, a {!class_part}.
+    Fresh and cached reports then go through the same assembly, so
+    reports — including [--json] output and provenance witnesses — do not
+    depend on which entries came from disk. An entry also keeps what a
+    fresh report does not: each scenario's all-instance impact (for
+    {!Pipeline.impact_per_scenario_snap}), and a class part for every
+    spec'd scenario, whichever a run requested.
 
     On top of the per-stream entries the snapshot caches each scenario's
     {!Mining.result} (see {!find_mining}): re-mining is the dominant cost
@@ -75,19 +78,33 @@ val fingerprint :
     configuration reads a different file, so entries can never be reused
     across configurations. *)
 
+(** {1 The per-stream step} *)
+
+type class_part = {
+  cl_slow_impact : Impact.result;  (** Over the slow-class instances. *)
+  cl_slow_prov : Provenance.impact;  (** Provenance of [cl_slow_impact]. *)
+  cl_fast : Awg.Partial.partial;  (** Unreduced fast-class AWG forest. *)
+  cl_slow : Awg.Partial.partial;  (** Unreduced slow-class AWG forest. *)
+}
+(** One stream's contribution to one spec'd scenario's result. *)
+
+val stream_step :
+  Component.t ->
+  spec_of:(string -> Dptrace.Scenario.spec option) ->
+  Dptrace.Stream.t ->
+  (Impact.result * Provenance.impact * Impact.module_row list)
+  * (string * Dpwaitgraph.Wait_graph.t list * class_part option) list
+(** Build the stream's wait graphs once (via its memoised shared index)
+    and measure them once ({!Impact.measure}). Then group them by
+    scenario name, in first-appearance order, and give each group its
+    class part when [spec_of] names a spec for it. A group lists its
+    graphs in instance order. *)
+
 (** {1 Per-stream entries} *)
 
 type entry
-(** One stream's complete analysis contribution. *)
-
-val analyze_stream :
-  Component.t -> specs:Dptrace.Scenario.spec list -> Dptrace.Stream.t -> entry
-(** The unit of caching: build the stream's wait graphs once (via its
-    memoised shared index) and compute its contribution to every pipeline
-    output — whole-corpus impact and provenance, per-module rows, each
-    scenario's all-instance impact, and per spec'd scenario the
-    fast/slow-class impact partials and unreduced {!Awg.Partial}
-    forests. *)
+(** One stream's complete analysis contribution: {!stream_step} under
+    every spec of the corpus, plus each scenario's all-instance impact. *)
 
 val entry_part :
   entry -> Impact.result * Provenance.impact * Impact.module_row list
@@ -98,17 +115,12 @@ val entry_scenario_impact : entry -> string -> Impact.result option
     the stream has none. Decoded from the cache file's bytes for a loaded
     entry. *)
 
-val entry_scenario_class :
-  entry ->
-  string ->
-  (Impact.result * Provenance.impact * Awg.Partial.partial
-  * Awg.Partial.partial)
-  option
-(** [(slow impact, slow provenance, fast AWG partial, slow AWG partial)]
-    for the named scenario; [None] when the stream has no instances of it
-    (or it had no spec when the entry was computed). For a loaded entry
-    each call decodes the section afresh from the cache file's bytes, so
-    the caller alone holds the result. Safe from pool workers. *)
+val entry_scenario_class : entry -> string -> class_part option
+(** The named scenario's class part; [None] when the stream has no
+    instances of it (or it had no spec when the entry was computed). For
+    a loaded entry each call decodes the section afresh from the cache
+    file's bytes, so the caller alone holds the result. Safe from pool
+    workers. *)
 
 (** {1 Cache instances} *)
 
@@ -124,7 +136,7 @@ val create : ?dir:string -> fingerprint:string -> unit -> t
 
 val ensure : ?pool:Dppar.Pool.t -> t -> Component.t -> Dptrace.Corpus.t -> unit
 (** Make an entry available for every stream of the corpus: look each
-    stream up by content key, and {!analyze_stream} the misses — in
+    stream up by content key, and compute the misses' entries — in
     parallel across [pool] when given, one stream per task. Merging cached
     and fresh entries is exact, so downstream results never depend on the
     hit/miss split. *)

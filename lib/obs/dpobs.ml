@@ -528,7 +528,6 @@ module Trace_writer = struct
       add_args buf args);
     Buffer.add_char buf '}'
 
-  let events_written t = t.written
   let contents t = Buffer.contents t.buf ^ "],\"displayTimeUnit\":\"ms\"}"
 end
 
@@ -803,37 +802,19 @@ module Progress = struct
     Mutex.unlock t.render_mutex
 
   (* Free-form status line for long-running modes (the monitor
-     dashboard): same tty gating, same 10 Hz rate limit, but the caller
-     pushes whole lines instead of watching a counter. *)
-  type line = {
-    l_mutex : Mutex.t;
-    mutable l_last_render_ns : int64;
-    mutable l_last_width : int;
-  }
+     dashboard): same tty gating, but the caller pushes whole lines
+     instead of watching a counter. *)
+  type line = { l_mutex : Mutex.t; mutable l_last_width : int }
 
   let line_start () =
     if not (is_tty ()) then None
-    else
-      Some { l_mutex = Mutex.create (); l_last_render_ns = 0L; l_last_width = 0 }
-
-  let line_draw l text ~final =
-    let now = now_ns () in
-    if final || Int64.sub now l.l_last_render_ns >= 100_000_000L then begin
-      l.l_last_render_ns <- now;
-      let pad = max 0 (l.l_last_width - String.length text) in
-      l.l_last_width <- String.length text;
-      Printf.eprintf "\r%s%s%!" text (String.make pad ' ')
-    end
-
-  let line_update l text =
-    if Mutex.try_lock l.l_mutex then
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock l.l_mutex)
-        (fun () -> line_draw l text ~final:false)
+    else Some { l_mutex = Mutex.create (); l_last_width = 0 }
 
   let line_set l text =
     Mutex.lock l.l_mutex;
-    line_draw l text ~final:true;
+    let pad = max 0 (l.l_last_width - String.length text) in
+    l.l_last_width <- String.length text;
+    Printf.eprintf "\r%s%s%!" text (String.make pad ' ');
     Mutex.unlock l.l_mutex
 
   let line_finish l =

@@ -213,9 +213,6 @@ module Trace_writer : sig
       3-decimal precision. [bind_enclosing] adds [bp:"e"] (bind a flow
       end to the enclosing slice). *)
 
-  val events_written : t -> int
-  (** Number of records emitted so far (metadata included). *)
-
   val contents : t -> string
   (** The complete JSON document. Non-destructive: the writer may keep
       appending and [contents] may be taken again. *)
@@ -272,19 +269,15 @@ module Progress : sig
   (** {2 Free-form status line}
 
       For long-running modes that redraw a one-line dashboard rather
-      than counting toward a known total. Same tty gating and ~10 Hz
-      rate limit as {!start}. *)
+      than counting toward a known total. Same tty gating as {!start}. *)
 
   type line
 
   val line_start : unit -> line option
   (** [None] when stderr is not a tty. *)
 
-  val line_update : line -> string -> unit
-  (** Redraw with [text] if the rate limit allows; never blocks. *)
-
   val line_set : line -> string -> unit
-  (** Redraw unconditionally (e.g. the final state of a tick). *)
+  (** Redraw with [text] (e.g. the final state of a tick). *)
 
   val line_finish : line -> unit
   (** Erase the line. *)

@@ -17,7 +17,12 @@ let scenario_names t =
   List.sort_uniq compare names
 
 let instances_of t name =
-  List.filter (fun (_, (i : Scenario.instance)) -> i.scenario = name) (all_instances t)
+  List.concat_map
+    (fun (st : Stream.t) ->
+      List.filter_map
+        (fun (i : Scenario.instance) -> if i.scenario = name then Some (st, i) else None)
+        st.Stream.instances)
+    t.streams
 
 let instance_count t =
   List.fold_left (fun acc (st : Stream.t) -> acc + List.length st.Stream.instances) 0 t.streams

@@ -82,10 +82,6 @@ let wait_time t =
   fold_nodes t ~init:0 ~f:(fun acc n ->
       if Event.is_wait n.event then acc + n.event.Event.cost else acc)
 
-let running_time t =
-  fold_nodes t ~init:0 ~f:(fun acc n ->
-      if Event.is_running n.event then acc + n.event.Event.cost else acc)
-
 let depth t =
   let memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let rec go n =

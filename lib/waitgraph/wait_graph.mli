@@ -46,9 +46,6 @@ val node_count : t -> int
 val wait_time : t -> Dputil.Time.t
 (** Σ cost of distinct wait nodes in the graph. *)
 
-val running_time : t -> Dputil.Time.t
-(** Σ cost of distinct running nodes in the graph. *)
-
 val depth : t -> int
 (** Longest root-to-leaf path length (0 for an empty graph). *)
 

@@ -244,10 +244,13 @@ let fresh_cache_dir name =
 (* run_report's one per-stream pass must render exactly the document of
    a composition built in test code: the two-walk reference impact and
    module table over every instance's graph at once, and run_scenario
-   for each requested name that has a spec. The scenario list carries a
-   name without a spec, which both must skip. Its per-stream impacts,
-   and so the bootstrap over them, must equal the oracle's, from scratch
-   and from a snapshot cache read cold and then warm from disk. *)
+   for each requested name that has a spec. run_report merges per-stream
+   Awg.Partial forests; run_scenario builds each class's AWG with one
+   Awg.build over all its graphs, so the oracle checks the merge against
+   the single-pass build. The scenario list carries a name without a
+   spec, which both must skip. Its per-stream impacts, and so the
+   bootstrap over them, must equal the oracle's, from scratch and from a
+   snapshot cache read cold and then warm from disk. *)
 let test_run_report_equals_composed () =
   let corpus = Lazy.force corpus in
   let scenarios = [ "BrowserTabCreate"; "NoSuchScenario"; "AppNonResponsive" ] in

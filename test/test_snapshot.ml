@@ -59,8 +59,8 @@ let render_doc { Pipeline.impact; impact_prov; modules; scenarios; _ } =
 let fresh_doc ?pool corpus =
   render_doc (Pipeline.run_report ?pool components corpus)
 
-let snap_doc ?pool snap corpus =
-  render_doc (Pipeline.run_report_snap ?pool snap corpus)
+let snap_doc ?pool ?scenarios snap corpus =
+  render_doc (Pipeline.run_report_snap ?pool ?scenarios snap corpus)
 
 let read_bin path = In_channel.with_open_bin path In_channel.input_all
 
@@ -70,12 +70,12 @@ let saved_bytes dir =
   | [ p ] -> read_bin p
   | l -> Alcotest.failf "expected one cache file, got %d" (List.length l)
 
-(* The file a cold cache writes for [corpus], after a full report has
-   stored every scenario's mining record. *)
-let cold_file corpus =
+(* The file a cold cache writes for [corpus], after a report has stored
+   the mining record of every scenario in [scenarios] (default: all). *)
+let cold_file ?scenarios corpus =
   let dir = fresh_dir () in
   let snap = open_snap ~dir corpus in
-  ignore (snap_doc snap corpus);
+  ignore (snap_doc ?scenarios snap corpus);
   Snapshot.save snap;
   saved_bytes dir
 
@@ -516,14 +516,44 @@ let test_torn_file_verifies_as_corrupt () =
 
 (* --- property: cached delta = from-scratch, random corpora and splits --- *)
 
+(* A random [?scenarios] request over [full]: one scenario loses its spec,
+   and the request lists a random subset of the spec'd names in random
+   order, plus the spec-less name and a name the corpus lacks. Returns
+   the corpus without that spec, the request and the names a report must
+   keep, in order. *)
+let draw_request rng (full : Corpus.t) =
+  let names = Corpus.scenario_names full in
+  let spec_less = List.nth names (Random.State.int rng (List.length names)) in
+  let corpus =
+    Corpus.create ~streams:full.Corpus.streams
+      ~specs:
+        (List.filter
+           (fun (s : Dptrace.Scenario.spec) -> s.Dptrace.Scenario.name <> spec_less)
+           full.Corpus.specs)
+  in
+  let subset =
+    List.filter (fun n -> n <> spec_less && Random.State.bool rng) names
+  in
+  let request =
+    List.map (fun n -> (Random.State.bits rng, n))
+      (spec_less :: "NoSuchScenario" :: subset)
+    |> List.sort compare |> List.map snd
+  in
+  let kept =
+    List.filter (fun n -> Option.is_some (Corpus.find_spec corpus n)) request
+  in
+  (corpus, request, kept)
+
 let prop_cached_equals_fresh =
   QCheck.Test.make ~name:"cached delta run = from-scratch (random corpora)"
     ~count:4
     QCheck.(
-      triple (int_range 1 1000) (int_range 0 100) bool)
-    (fun (seed, split_pct, prov) ->
+      quad (int_range 1 1000) (int_range 0 100) bool (int_range 0 0xffff))
+    (fun (seed, split_pct, prov, pick) ->
       with_prov prov @@ fun () ->
-      let full = gen ~seed 0.03 in
+      let full, scenarios, kept =
+        draw_request (Random.State.make [| pick |]) (gen ~seed 0.03)
+      in
       let n = List.length full.Corpus.streams in
       let keep = max 1 (n * split_pct / 100) in
       let prefix =
@@ -535,12 +565,15 @@ let prop_cached_equals_fresh =
       let snap = open_snap ~dir prefix in
       Snapshot.save snap;
       let snap = open_snap ~dir full in
-      let same_doc = fresh_doc full = snap_doc snap full in
+      let fresh = Pipeline.run_report ~scenarios components full in
+      let cached = Pipeline.run_report_snap ~scenarios snap full in
       Snapshot.save snap;
-      same_doc
+      List.map fst fresh.Pipeline.scenarios = kept
+      && List.map fst cached.Pipeline.scenarios = kept
+      && render_doc fresh = render_doc cached
       && per_scenario_str (Pipeline.impact_per_scenario components full)
          = per_scenario_str (Pipeline.impact_per_scenario_snap snap full)
-      && saved_bytes dir = cold_file full)
+      && saved_bytes dir = cold_file ~scenarios full)
 
 let () =
   Alcotest.run "snapshot"
