@@ -553,10 +553,9 @@ let report json cache run =
     ~components:Dpcore.Component.drivers s
   @@ fun { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } _ ->
   if json then
-    print_string
-      (Dputil.Jsonw.to_string
-         (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov
-            ~modules ~scenarios:named ()))
+    Dputil.Jsonw.output stdout
+      (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov
+         ~modules ~scenarios:named ())
   else begin
     Dputil.Table.print (Dpcore.Report.impact_summary impact);
     let classes =

@@ -88,7 +88,8 @@ type entry = {
    whole-corpus impact (+ provenance), to the per-module breakdown, to
    each scenario's all-instance impact, and — for scenarios with a spec —
    the class part. A fresh report runs the same step and keeps only the
-   class parts. *)
+   class parts. The step is the stream's only pass, so it takes
+   [Stream.pass_index]: like the graphs, the index dies with it. *)
 
 let class_part components spec items =
   let graphs cls =
@@ -107,7 +108,7 @@ let class_part components spec items =
   }
 
 let stream_step components ~spec_of (st : Stream.t) =
-  let index = Stream.shared_index st in
+  let index = Stream.pass_index st in
   let instances = st.Stream.instances in
   let graphs = List.map (Wait_graph.build ~index st) instances in
   let part = Impact.measure components graphs in

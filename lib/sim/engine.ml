@@ -423,5 +423,6 @@ let run t =
     List.rev_append t.device_threads
       (List.rev_map (fun th -> (th.tid, th.tname)) t.threads)
   in
-  Dptrace.Stream.create ~id:t.stream_id ~events:(List.rev t.events) ~instances
-    ~threads
+  Dptrace.Stream.create ~id:t.stream_id
+    ~events:(Array.of_list (List.rev t.events))
+    ~instances ~threads

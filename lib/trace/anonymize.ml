@@ -97,9 +97,9 @@ let corpus ?(keep_scenarios = false) (c : Corpus.t) =
     List.map
       (fun (stream : Stream.t) ->
         let events =
-          Array.to_list stream.Stream.events
-          |> List.map (fun (e : Event.t) ->
-                 { e with Event.stack = anon_stack st e.Event.stack })
+          Array.map
+            (fun (e : Event.t) -> { e with Event.stack = anon_stack st e.Event.stack })
+            stream.Stream.events
         in
         let threads =
           List.map (fun (tid, name) -> (tid, anon_thread st name)) stream.Stream.threads

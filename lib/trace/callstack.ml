@@ -6,6 +6,18 @@ let frames t = t
 let top t = if Array.length t = 0 then None else Some t.(0)
 let depth = Array.length
 
+type table = (string, t) Hashtbl.t
+
+let table () : table = Hashtbl.create 64
+
+let shared tbl key build =
+  match Hashtbl.find_opt tbl key with
+  | Some s -> s
+  | None ->
+    let s = build () in
+    Hashtbl.add tbl key s;
+    s
+
 let push f t =
   let n = Array.length t in
   let fresh = Array.make (n + 1) f in

@@ -65,6 +65,8 @@ type parser_state = {
   (* Current stream under construction, if any. *)
   mutable cur_id : int option;
   mutable cur_events : Event.t list;
+  mutable cur_count : int;  (* length of [cur_events] *)
+  mutable cur_stacks : Callstack.table;
   mutable cur_instances : Scenario.instance list;
   mutable cur_threads : (int * string) list;
 }
@@ -74,9 +76,12 @@ let int_field st what s =
   | Some v -> v
   | None -> fail st.line "invalid %s: %S" what s
 
-let parse_stack _st s =
-  if s = "-" then Callstack.of_list []
-  else Callstack.of_strings (String.split_on_char ';' s)
+(* Keyed on the raw frames token: a repeated stack is one lookup, and
+   interns none of its signatures again. *)
+let parse_stack st s =
+  Callstack.shared st.cur_stacks s (fun () ->
+      if s = "-" then Callstack.of_list []
+      else Callstack.of_strings (String.split_on_char ';' s))
 
 let finish_stream st =
   match st.cur_id with
@@ -84,13 +89,15 @@ let finish_stream st =
   | Some id ->
     let stream =
       Stream.create ~id
-        ~events:(List.rev st.cur_events)
+        ~events:(Array.of_list (List.rev st.cur_events))
         ~instances:(List.rev st.cur_instances)
         ~threads:(List.rev st.cur_threads)
     in
     st.streams <- stream :: st.streams;
     st.cur_id <- None;
     st.cur_events <- [];
+    st.cur_count <- 0;
+    st.cur_stacks <- Callstack.table ();
     st.cur_instances <- [];
     st.cur_threads <- []
 
@@ -123,9 +130,11 @@ let parse_line st raw =
       | Some k -> k
       | None -> fail st.line "unknown event kind %S" kind
     in
+    (* The writer prints events in stream order: with its position as its
+       id, each event is kept as built by [Stream.create]. *)
     let e : Event.t =
       {
-        id = 0;
+        id = st.cur_count;
         kind;
         stack = parse_stack st frames;
         ts = int_field st "ts" ts;
@@ -135,7 +144,8 @@ let parse_line st raw =
       }
     in
     if e.cost < 0 then fail st.line "negative cost";
-    st.cur_events <- e :: st.cur_events
+    st.cur_events <- e :: st.cur_events;
+    st.cur_count <- st.cur_count + 1
   | "instance" :: [ scenario; tid; t0; t1 ] ->
     in_stream st;
     let t0 = int_field st "t0" t0 and t1 = int_field st "t1" t1 in
@@ -156,6 +166,8 @@ let read_lines next_line =
       streams = [];
       cur_id = None;
       cur_events = [];
+      cur_count = 0;
+      cur_stacks = Callstack.table ();
       cur_instances = [];
       cur_threads = [];
     }

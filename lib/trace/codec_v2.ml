@@ -86,10 +86,29 @@ let write_stream buf ~sig_index (st : Stream.t) =
       wv buf i.t1)
     st.Stream.instances
 
+(* A stack's bytes identify it within its frame (signature indices are
+   frame-local), so they are its key in the stream's [stacks] table: the
+   stack is skipped once to find them, and decoded only on its first
+   sighting. *)
+let read_stack cur ~stacks ~sig_of =
+  let start = cur.pos in
+  let depth = rv cur in
+  if depth > 0xffff then corrupt "implausible stack depth %d" depth;
+  for _ = 1 to depth do
+    ignore (rv cur)
+  done;
+  let key = String.sub cur.data start (cur.pos - start) in
+  Callstack.shared stacks key (fun () ->
+      let cur = cursor key in
+      let depth = rv cur in
+      Callstack.of_list (List.init depth (fun _ -> sig_of (rv cur))))
+
 (* Validation parity with the text reader: unknown kinds, implausible
    stack depths, out-of-range signature indices (via [sig_of]) and
    instances with t1 < t0 are refused, and [rv] refuses any negative
-   ts/cost/tid. *)
+   ts/cost/tid. The writer stores events in stream order, so each event
+   is built once, with its position as its id, and [Stream.create] keeps
+   the array as it is. *)
 let read_stream cur ~sig_of =
   let id = rv cur in
   let threads =
@@ -98,25 +117,16 @@ let read_stream cur ~sig_of =
         let name = rstr cur in
         (tid, name))
   in
+  let stacks = Callstack.table () in
   let events =
-    rlist cur (fun cur ->
+    Array.init (rcount cur) (fun id ->
         let kind = kind_of_code (r8 cur) in
         let tid = rv cur in
         let wtid = rv cur - 1 in
         let ts = rv cur in
         let cost = rv cur in
-        let depth = rv cur in
-        if depth > 0xffff then corrupt "implausible stack depth %d" depth;
-        let frames = List.init depth (fun _ -> sig_of (rv cur)) in
-        {
-          Event.id = 0;
-          kind;
-          stack = Callstack.of_list frames;
-          ts;
-          cost;
-          tid;
-          wtid;
-        })
+        let stack = read_stack cur ~stacks ~sig_of in
+        { Event.id; kind; stack; ts; cost; tid; wtid })
   in
   let instances =
     rlist cur (fun cur ->

@@ -195,7 +195,7 @@ let stream_of_string ?(stream_id = 0) ?(sample_period = Dputil.Time.ms 1) text =
      truncation artefacts. *)
   let tids = Hashtbl.fold (fun tid _ acc -> tid :: acc) st.running [] in
   List.iter (flush_running st) tids;
-  Stream.create ~id:stream_id ~events:(List.rev st.events)
+  Stream.create ~id:stream_id ~events:(Array.of_list (List.rev st.events))
     ~instances:(List.rev st.instances)
     ~threads:(List.rev st.threads)
 

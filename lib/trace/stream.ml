@@ -12,30 +12,42 @@ type t = {
   memo_key : string option Atomic.t;
 }
 
+(* Order: timestamp, then thread, then zero-cost events (unwaits) before
+   cost-bearing ones — a thread that releases a lock and computes at the
+   same instant has released first. Ties keep input order (a stable sort),
+   for determinism. *)
+let order (a : Event.t) (b : Event.t) =
+  match Int.compare a.ts b.ts with
+  | 0 -> (
+    match Int.compare a.tid b.tid with
+    | 0 -> Int.compare (min a.cost 1) (min b.cost 1)
+    | c -> c)
+  | c -> c
+
+(* What a decoder hands over: already in order, ids equal to positions. *)
+let in_order events =
+  let rec go i =
+    i = Array.length events
+    || events.(i).Event.id = i
+       && (i = 0 || order events.(i - 1) events.(i) <= 0)
+       && go (i + 1)
+  in
+  go 0
+
 let create ~id ~events ~instances ~threads =
-  (* Order: timestamp, then thread, then zero-cost events (unwaits) before
-     cost-bearing ones — a thread that releases a lock and computes at the
-     same instant has released first — then emission order for
-     determinism. *)
-  let tagged = Array.of_list (List.mapi (fun pos e -> (pos, e)) events) in
-  Array.sort
-    (fun (pa, (a : Event.t)) (pb, (b : Event.t)) ->
-      match compare a.ts b.ts with
-      | 0 -> (
-        match compare a.tid b.tid with
-        | 0 -> (
-          match compare (min a.cost 1) (min b.cost 1) with
-          | 0 -> compare pa pb
-          | c -> c)
-        | c -> c)
-      | c -> c)
-    tagged;
-  let renumbered =
-    Array.mapi (fun i (_, (e : Event.t)) -> { e with Event.id = i }) tagged
+  let events =
+    if in_order events then events
+    else begin
+      let sorted = Array.copy events in
+      Array.stable_sort order sorted;
+      Array.mapi
+        (fun i (e : Event.t) -> if e.id = i then e else { e with Event.id = i })
+        sorted
+    end
   in
   {
     id;
-    events = renumbered;
+    events;
     instances;
     threads;
     memo_index = Atomic.make None;
@@ -82,9 +94,19 @@ let index t =
   }
 
 (* Cache effectiveness of the memoised index — a racing double build
-   counts as two misses, which is exactly the wasted work. *)
+   counts as two misses, which is exactly the wasted work. A
+   [pass_index] build counts as a miss too: the lookup is the same. *)
 let index_hits = lazy (Dpobs.Metrics.counter "stream.index.hit")
 let index_misses = lazy (Dpobs.Metrics.counter "stream.index.miss")
+
+let memoised t =
+  let memo = Atomic.get t.memo_index in
+  if Dpobs.metrics_on () then
+    Dpobs.Metrics.incr
+      (Lazy.force (if Option.is_some memo then index_hits else index_misses));
+  memo
+
+let pass_index t = match memoised t with Some idx -> idx | None -> index t
 
 (* Publication is a single compare-and-set on an [Atomic.t]: the plain
    mutable field it replaces was read outside the old mutex, which was a
@@ -93,12 +115,9 @@ let index_misses = lazy (Dpobs.Metrics.counter "stream.index.miss")
    worst computes the (pure, identical) index twice; the first store wins
    and losers adopt it, so every caller observes one index identity. *)
 let shared_index t =
-  match Atomic.get t.memo_index with
-  | Some idx ->
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force index_hits);
-    idx
+  match memoised t with
+  | Some idx -> idx
   | None ->
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force index_misses);
     let idx = index t in
     if Atomic.compare_and_set t.memo_index None (Some idx) then idx
     else

@@ -15,7 +15,7 @@ type t = private {
   instances : Scenario.instance list;
   threads : (int * string) list;  (** tid → human-readable thread name. *)
   memo_index : index option Atomic.t;
-      (** Memoised by {!shared_index}; never read directly. *)
+      (** Memoised by {!shared_index}; read directly only by tests. *)
   memo_key : string option Atomic.t;
       (** Memoised content identity (codec-v2 frame checksum); see
           {!key_memo}. *)
@@ -23,12 +23,19 @@ type t = private {
 
 val create :
   id:int ->
-  events:Event.t list ->
+  events:Event.t array ->
   instances:Scenario.instance list ->
   threads:(int * string) list ->
   t
-(** Sorts the events by [(ts, tid)] and renumbers their ids to be the array
-    indices; the ids supplied by the caller are ignored. *)
+(** Orders the events by [ts], then [tid], then zero-cost events first
+    (ties keep their input order), and renumbers their ids to be the
+    array indices; the ids supplied by the caller are otherwise ignored.
+
+    In-order fast path: when [events] is already in that order and every
+    [events.(i).id = i] — what the decoders produce — the array itself
+    becomes the stream's, with no copy, so the caller must not mutate it
+    afterwards. Otherwise [events] is left untouched and the stream gets a
+    sorted, renumbered copy; the result is the same either way. *)
 
 val thread_name : t -> int -> string
 (** Name of a thread, or ["tid<N>"] if unregistered. *)
@@ -40,20 +47,34 @@ val event_count : t -> int
 
 (** {1:indexed Indexed queries}
 
-    An [index] is built once per stream and shared by all per-instance
-    analyses of that stream. *)
+    An [index] is built once per pass over a stream and shared by all
+    per-instance analyses of that pass.
+
+    Index lifetime: the index is about as large as the stream's event
+    array, so a stream keeps one only while something needs it. The one
+    per-stream pass of a report, a cache fill or a monitor tick takes
+    {!pass_index}, whose index dies with the pass. Consumers that come
+    back to a stream for several passes (graph building per scenario,
+    explain, viz) take {!shared_index}, which keeps it for the stream's
+    lifetime. *)
 
 val index : t -> index
-(** Build a fresh index. Pure; prefer {!shared_index} unless the fresh
-    build is wanted (e.g. benchmarking the construction itself). *)
+(** Build a fresh index. Pure; prefer {!pass_index} or {!shared_index}
+    unless the fresh build is wanted (e.g. benchmarking the construction
+    itself). *)
+
+val pass_index : t -> index
+(** The index for one pass: the memoised one if {!shared_index} already
+    built it (counted as [stream.index.hit]), else a fresh one that is not
+    memoised (counted as [stream.index.miss]), so the stream does not
+    retain it after the pass. *)
 
 val shared_index : t -> index
 (** The stream's memoised index: built on first use, then reused by every
     later call on the same stream value — across scenarios, analysis
     passes and domains (the memo is an [Atomic.t] published with a single
     compare-and-set, so concurrent first calls race benignly and all
-    observe one index identity). Corpus-scope analyses that used to
-    rebuild the index per call share one instead. *)
+    observe one index identity). Counted like {!pass_index}. *)
 
 val key_memo : t -> string option
 (** The stream's memoised content-identity key, if one was recorded —

@@ -57,10 +57,13 @@ let rstr cur =
   cur.pos <- cur.pos + n;
   s
 
-let rlist cur f =
+let rcount cur =
   let n = rv cur in
-  if n > String.length cur.data then corrupt "implausible element count %d" n;
-  List.init n (fun _ -> f cur)
+  if n > String.length cur.data - cur.pos then
+    corrupt "implausible element count %d at byte %d" n cur.pos;
+  n
+
+let rlist cur f = List.init (rcount cur) (fun _ -> f cur)
 
 let r32 cur =
   need cur 4;

@@ -46,8 +46,13 @@ val rv : cursor -> int
 
 val rstr : cursor -> string
 
+val rcount : cursor -> int
+(** An element count. Every element takes at least one byte, so a count
+    above the bytes left is refused before anything is allocated for it.
+    @raise Corrupt when the count exceeds the remaining input. *)
+
 val rlist : cursor -> (cursor -> 'a) -> 'a list
-(** @raise Corrupt when the count exceeds the input length. *)
+(** A {!rcount}-prefixed list, elements read in order. *)
 
 val r32 : cursor -> int
 (** Inverse of {!w32}: an unsigned value in [0, 2{^32}).

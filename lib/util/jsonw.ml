@@ -38,7 +38,9 @@ let number buf f =
     Buffer.add_string buf (if float_of_string short = f then short else s)
   else Buffer.add_string buf "null"
 
-let to_buffer ~minify buf v =
+(* [spill ()] runs after each array element and object member, so a
+   streaming writer can drain [buf] between values. *)
+let to_buffer ~minify ~spill buf v =
   let nl indent =
     if not minify then begin
       Buffer.add_char buf '\n';
@@ -61,7 +63,8 @@ let to_buffer ~minify buf v =
         (fun i item ->
           if i > 0 then Buffer.add_char buf ',';
           nl (indent + 1);
-          go (indent + 1) item)
+          go (indent + 1) item;
+          spill ())
         items;
       nl indent;
       Buffer.add_char buf ']'
@@ -74,7 +77,8 @@ let to_buffer ~minify buf v =
           nl (indent + 1);
           escape buf k;
           sep ();
-          go (indent + 1) item)
+          go (indent + 1) item;
+          spill ())
         members;
       nl indent;
       Buffer.add_char buf '}'
@@ -83,8 +87,22 @@ let to_buffer ~minify buf v =
 
 let to_string ?(minify = false) v =
   let buf = Buffer.create 4096 in
-  to_buffer ~minify buf v;
+  to_buffer ~minify ~spill:ignore buf v;
   if not minify then Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let output ?minify oc v = output_string oc (to_string ?minify v)
+let chunk = 65536
+
+(* The same bytes as [to_string], written whenever a chunk fills: the
+   buffer holds at most one chunk plus the scalar that overflowed it. *)
+let output ?(minify = false) oc v =
+  let buf = Buffer.create chunk in
+  let spill () =
+    if Buffer.length buf >= chunk then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  to_buffer ~minify ~spill buf v;
+  if not minify then Buffer.add_char buf '\n';
+  Buffer.output_buffer oc buf

@@ -30,3 +30,5 @@ val to_string : ?minify:bool -> t -> string
     a trailing newline; [~minify:true] emits one line, no spaces. *)
 
 val output : ?minify:bool -> out_channel -> t -> unit
+(** Write exactly the bytes of {!to_string}, streamed through a bounded
+    buffer: a large document is never held whole as a string. *)

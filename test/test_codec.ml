@@ -60,7 +60,8 @@ let event ?(kind = Event.Running) ?(ts = 0) ?(cost = 1) ?(tid = 1)
 
 let corpus_with ?(specs = []) events =
   Corpus.create
-    ~streams:[ Stream.create ~id:0 ~events ~instances:[] ~threads:[] ]
+    ~streams:
+      [ Stream.create ~id:0 ~events:(Array.of_list events) ~instances:[] ~threads:[] ]
     ~specs
 
 let expect_invalid what f =
@@ -197,7 +198,7 @@ let test_binary_hostile_names_roundtrip () =
         [
           Stream.create ~id:3
             ~events:
-              [ event [ "od d.sys!two words"; "app!semi;colon\nline" ] ]
+              [| event [ "od d.sys!two words"; "app!semi;colon\nline" ] |]
             ~instances:
               [ { Dptrace.Scenario.scenario = "Open Doc"; tid = 1; t0 = 0; t1 = 5 } ]
             ~threads:[ (1, "UI thread; main") ];
@@ -383,6 +384,78 @@ let test_v2_frames_dropped_counter () =
   check Alcotest.int "pooled diagnostics" 2 n;
   check Alcotest.int "pooled count" n delta
 
+(* Equal stacks inside one decoded stream are one physical array, so a
+   corpus holds each distinct stack of a stream once. Checked on both
+   decoders, and on a pooled v2 load, whose domains each decode whole
+   frames. *)
+let stacks_shared (c : Corpus.t) =
+  let repeats = ref 0 in
+  let shared =
+    List.for_all
+      (fun (st : Stream.t) ->
+        let seen = Hashtbl.create 64 in
+        Array.for_all
+          (fun (e : Event.t) ->
+            let frames = Callstack.frames e.Event.stack in
+            match Hashtbl.find_opt seen (stack_names e) with
+            | Some first ->
+              incr repeats;
+              first == frames
+            | None ->
+              Hashtbl.add seen (stack_names e) frames;
+              true)
+          st.Stream.events)
+      c.Corpus.streams
+  in
+  shared && !repeats > 0
+
+let test_decoded_stacks_shared () =
+  let c = gen_corpus () in
+  let encoded = V2.encode c in
+  check Alcotest.bool "v2, sequential" true (stacks_shared (fst (V2.decode encoded)));
+  Dppar.Pool.with_pool ~domains:2 (fun pool ->
+      check Alcotest.bool "v2, 2-domain pool" true
+        (stacks_shared (fst (V2.decode ~pool encoded))));
+  check Alcotest.bool "text" true (stacks_shared (Codec.corpus_of_string (text_of c)))
+
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+(* A stream frame, with its true checksum, whose event count is one more
+   than the bytes left after it: every event takes at least one byte, so
+   the count itself must be refused, before any event is read or
+   allocated. *)
+let test_v2_count_bounded_by_remaining () =
+  let encoded = V2.encode (gen_corpus ~scale:0.01 ()) in
+  let _, start, len = List.nth (frame_spans encoded) 1 in
+  let payload = String.sub encoded start len in
+  let cur = Wire.cursor payload in
+  ignore (Wire.rlist cur Wire.rstr (* signature table *));
+  ignore (Wire.rv cur (* stream id *));
+  ignore
+    (Wire.rlist cur (fun c ->
+         ignore (Wire.rv c);
+         Wire.rstr c) (* threads *));
+  let head = String.sub payload 0 cur.Wire.pos in
+  ignore (Wire.rv cur (* event count *));
+  let rest = String.sub payload cur.Wire.pos (len - cur.Wire.pos) in
+  let count = Buffer.create 4 in
+  Wire.wv count (String.length rest + 1);
+  let data =
+    V2_frames.corpus_of_stream_payload (head ^ Buffer.contents count ^ rest)
+  in
+  (match V2.decode data with
+  | exception Wire.Corrupt m ->
+    check Alcotest.bool ("strict: count refused: " ^ m) true
+      (contains m "element count")
+  | _ -> Alcotest.fail "strict: accepted the count");
+  let c, report = V2.decode ~mode:`Recover data in
+  check Alcotest.int "recover: frame dropped" 0 (List.length c.Corpus.streams);
+  check Alcotest.bool "recover: count diagnosed" true
+    (List.exists (fun d -> contains d.V2.reason "element count") report.V2.dropped)
+
 let test_v2_save_load () =
   let c = gen_corpus ~scale:0.01 () in
   let path = Filename.temp_file "driveperf" ".dpf" in
@@ -434,5 +507,9 @@ let () =
           Alcotest.test_case "save/load" `Quick test_v2_save_load;
           Alcotest.test_case "frames_dropped counts each drop" `Quick
             test_v2_frames_dropped_counter;
+          Alcotest.test_case "count bounded by the bytes left" `Quick
+            test_v2_count_bounded_by_remaining;
+          Alcotest.test_case "decoded streams share equal stacks" `Quick
+            test_decoded_stacks_shared;
         ] );
     ]

@@ -324,6 +324,36 @@ let test_run_report_equals_composed () =
   both_pools ~prov:"provenance off";
   with_provenance (fun () -> both_pools ~prov:"provenance on")
 
+(* run_report's per-stream pass takes each stream's index for that pass
+   only: afterwards no stream holds one, and every stream's lookup was a
+   miss. An index a multi-pass consumer memoised beforehand is reused,
+   counted as a hit, and stays memoised. *)
+let test_run_report_index_dies_with_pass () =
+  let corpus = Corpus_gen.generate (Corpus_gen.scaled 0.02) in
+  let streams = corpus.Dptrace.Corpus.streams in
+  let memo (st : Dptrace.Stream.t) = Atomic.get st.Dptrace.Stream.memo_index in
+  let hit = Dpobs.Metrics.counter "stream.index.hit"
+  and miss = Dpobs.Metrics.counter "stream.index.miss" in
+  let report_counts () =
+    let h = Dpobs.Metrics.counter_value hit and m = Dpobs.Metrics.counter_value miss in
+    ignore (Pipeline.run_report drivers corpus);
+    (Dpobs.Metrics.counter_value hit - h, Dpobs.Metrics.counter_value miss - m)
+  in
+  Dpobs.enable ~spans:false ~metrics:true ();
+  Fun.protect ~finally:Dpobs.disable @@ fun () ->
+  let hits, misses = report_counts () in
+  check Alcotest.int "no hit" 0 hits;
+  check Alcotest.int "one miss per stream" (List.length streams) misses;
+  check Alcotest.bool "no stream keeps an index" false
+    (List.exists (fun st -> Option.is_some (memo st)) streams);
+  let first = List.hd streams in
+  let idx = Dptrace.Stream.shared_index first in
+  let hits, misses = report_counts () in
+  check Alcotest.int "the memoised index is a hit" 1 hits;
+  check Alcotest.int "every other stream misses" (List.length streams - 1) misses;
+  check Alcotest.bool "and stays memoised" true
+    (match memo first with Some i -> i == idx | None -> false)
+
 let test_jsonw_escaping_round_trips () =
   let doc =
     J.Obj
@@ -379,6 +409,8 @@ let () =
             test_provenance_changes_no_number;
           Alcotest.test_case "run_report = composed path" `Quick
             test_run_report_equals_composed;
+          Alcotest.test_case "run_report: the index dies with its pass" `Quick
+            test_run_report_index_dies_with_pass;
           Alcotest.test_case "escaping round-trips" `Quick
             test_jsonw_escaping_round_trips;
         ] );

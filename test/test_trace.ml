@@ -128,11 +128,11 @@ let test_scenario_spec_validation () =
 
 let test_stream_sorting () =
   let events =
-    [
+    [|
       mk_event ~ts:50 ~tid:2 ();
       mk_event ~ts:10 ~tid:1 ();
       mk_event ~ts:30 ~tid:1 ();
-    ]
+    |]
   in
   let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
   let ts = Array.map (fun (e : Event.t) -> e.ts) st.Stream.events in
@@ -145,38 +145,69 @@ let test_stream_zero_cost_first () =
   (* A release (unwait, cost 0) and a compute starting at the same instant
      on the same thread must be ordered unwait-first. *)
   let events =
-    [
+    [|
       mk_event ~kind:Event.Running ~ts:100 ~cost:20 ~tid:1 ();
       mk_event ~kind:Event.Unwait ~ts:100 ~cost:0 ~tid:1 ~wtid:2 ();
-    ]
+    |]
   in
   let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
   check Alcotest.bool "unwait first" true
     (Event.is_unwait st.Stream.events.(0) && Event.is_running st.Stream.events.(1))
 
+(* Property: the in-order fast path gives what the sort gives. Each event
+   is a function of its sort key (ts, tid, zero cost or not), so events
+   that tie are interchangeable and both inputs must yield equal arrays,
+   ids included. The sorted input with dense ids is kept as it is; with
+   stale ids it is renumbered. *)
+let prop_create_order_independent =
+  QCheck.Test.make ~name:"create: shuffled input = sorted input" ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 0 40)
+        (triple (int_range 0 20) (int_range 1 3) bool))
+    (fun keys ->
+      let of_key id (ts, tid, zero) =
+        let e =
+          if zero then mk_event ~kind:Event.Unwait ~ts ~tid ~cost:0 ~wtid:(tid + 1) ()
+          else mk_event ~ts ~tid ~cost:(1 + (ts mod 3)) ~frames:[ Printf.sprintf "m!f%d" tid ] ()
+        in
+        { e with Event.id }
+      in
+      let shuffled = Array.of_list (List.mapi (fun i k -> of_key (7 * i) k) keys) in
+      let rank (ts, tid, zero) = (ts, tid, if zero then 0 else 1) in
+      let sorted_keys =
+        List.stable_sort (fun a b -> compare (rank a) (rank b)) keys
+      in
+      let sorted = Array.of_list (List.mapi of_key sorted_keys) in
+      let stale = Array.map (fun e -> { e with Event.id = 0 }) sorted in
+      let create events = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
+      let from_shuffled = create shuffled and from_sorted = create sorted in
+      from_shuffled.Stream.events = from_sorted.Stream.events
+      && from_sorted.Stream.events == sorted
+      && (create stale).Stream.events = sorted)
+
 let test_stream_thread_name () =
-  let st = Stream.create ~id:0 ~events:[] ~instances:[] ~threads:[ (3, "UI") ] in
+  let st = Stream.create ~id:0 ~events:[||] ~instances:[] ~threads:[ (3, "UI") ] in
   check Alcotest.string "named" "UI" (Stream.thread_name st 3);
   check Alcotest.string "fallback" "tid9" (Stream.thread_name st 9)
 
 let test_stream_duration () =
   let st =
     Stream.create ~id:0
-      ~events:[ mk_event ~ts:100 ~cost:50 (); mk_event ~ts:400 ~cost:100 ~tid:2 () ]
+      ~events:[| mk_event ~ts:100 ~cost:50 (); mk_event ~ts:400 ~cost:100 ~tid:2 () |]
       ~instances:[] ~threads:[]
   in
   check Alcotest.int "span" 400 (Stream.duration st);
   check Alcotest.int "empty" 0
-    (Stream.duration (Stream.create ~id:1 ~events:[] ~instances:[] ~threads:[]))
+    (Stream.duration (Stream.create ~id:1 ~events:[||] ~instances:[] ~threads:[]))
 
 let test_stream_overlapping_window () =
   let events =
-    [
+    [|
       mk_event ~tid:1 ~ts:0 ~cost:100 ();   (* overlaps from before *)
       mk_event ~tid:1 ~ts:150 ~cost:10 ();  (* inside *)
       mk_event ~tid:1 ~ts:400 ~cost:10 ();  (* after *)
       mk_event ~tid:2 ~ts:160 ~cost:5 ();   (* other thread *)
-    ]
+    |]
   in
   let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
   let idx = Stream.index st in
@@ -191,14 +222,14 @@ let test_stream_overlapping_window () =
 
 let test_stream_find_waker () =
   let events =
-    [
+    [|
       mk_event ~kind:Event.Wait ~tid:1 ~ts:100 ~cost:50 ();
       mk_event ~kind:Event.Unwait ~tid:2 ~ts:150 ~cost:0 ~wtid:1 ();
       mk_event ~kind:Event.Unwait ~tid:2 ~ts:90 ~cost:0 ~wtid:1 ();
       (* before the wait: must not match *)
       mk_event ~kind:Event.Unwait ~tid:3 ~ts:120 ~cost:0 ~wtid:5 ();
       (* targets another thread *)
-    ]
+    |]
   in
   let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
   let idx = Stream.index st in
@@ -210,7 +241,7 @@ let test_stream_find_waker () =
   | None -> Alcotest.fail "waker not found"
 
 let test_stream_find_waker_missing () =
-  let events = [ mk_event ~kind:Event.Wait ~tid:1 ~ts:100 ~cost:50 () ] in
+  let events = [| mk_event ~kind:Event.Wait ~tid:1 ~ts:100 ~cost:50 () |] in
   let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
   let idx = Stream.index st in
   check Alcotest.bool "no waker" true
@@ -223,12 +254,12 @@ let small_corpus () =
   let i2 = { Scenario.scenario = "B"; tid = 2; t0 = 0; t1 = 200 } in
   let st1 =
     Stream.create ~id:0
-      ~events:[ mk_event ~tid:1 () ]
+      ~events:[| mk_event ~tid:1 () |]
       ~instances:[ i1 ] ~threads:[ (1, "T1") ]
   in
   let st2 =
     Stream.create ~id:1
-      ~events:[ mk_event ~tid:2 () ]
+      ~events:[| mk_event ~tid:2 () |]
       ~instances:[ i2; { i1 with Scenario.tid = 2 } ]
       ~threads:[ (2, "T2") ]
   in
@@ -275,7 +306,7 @@ let test_codec_roundtrip () =
 
 let test_codec_empty_stack () =
   let e = { (mk_event ()) with Event.stack = Callstack.of_list [] } in
-  let st = Stream.create ~id:0 ~events:[ e ] ~instances:[] ~threads:[] in
+  let st = Stream.create ~id:0 ~events:[| e |] ~instances:[] ~threads:[] in
   let c = Corpus.create ~streams:[ st ] ~specs:[] in
   let c' = roundtrip c in
   let e' = (List.hd c'.Corpus.streams).Stream.events.(0) in
@@ -319,7 +350,7 @@ let prop_codec_mutation_safety =
 
 let test_codec_rejects_spacey_names () =
   let st =
-    Stream.create ~id:0 ~events:[] ~instances:[] ~threads:[ (1, "has space") ]
+    Stream.create ~id:0 ~events:[||] ~instances:[] ~threads:[ (1, "has space") ]
   in
   let c = Corpus.create ~streams:[ st ] ~specs:[] in
   (match Codec.corpus_to_string c with
@@ -349,13 +380,13 @@ let test_codec_error_line () =
 let test_validate_clean () =
   let w = mk_event ~kind:Event.Wait ~tid:1 ~ts:0 ~cost:50 () in
   let u = mk_event ~kind:Event.Unwait ~tid:2 ~ts:50 ~cost:0 ~wtid:1 () in
-  let st = Stream.create ~id:0 ~events:[ w; u ] ~instances:[] ~threads:[] in
+  let st = Stream.create ~id:0 ~events:[| w; u |] ~instances:[] ~threads:[] in
   check (Alcotest.list Alcotest.string) "no violations" []
     (List.map (fun v -> v.Validate.message) (Validate.check st))
 
 let test_validate_unpaired_wait () =
   let w = mk_event ~kind:Event.Wait ~tid:1 ~ts:0 ~cost:50 () in
-  let st = Stream.create ~id:0 ~events:[ w ] ~instances:[] ~threads:[] in
+  let st = Stream.create ~id:0 ~events:[| w |] ~instances:[] ~threads:[] in
   check Alcotest.bool "caught" true
     (List.exists
        (fun v -> v.Validate.message = "wait event with no pairing unwait")
@@ -364,7 +395,7 @@ let test_validate_unpaired_wait () =
 let test_validate_overlap () =
   let a = mk_event ~tid:1 ~ts:0 ~cost:100 () in
   let b = mk_event ~tid:1 ~ts:50 ~cost:10 () in
-  let st = Stream.create ~id:0 ~events:[ a; b ] ~instances:[] ~threads:[] in
+  let st = Stream.create ~id:0 ~events:[| a; b |] ~instances:[] ~threads:[] in
   check Alcotest.bool "overlap caught" true
     (List.exists
        (fun v ->
@@ -374,7 +405,7 @@ let test_validate_overlap () =
 
 let test_validate_bad_unwait () =
   let u = mk_event ~kind:Event.Unwait ~tid:1 ~ts:0 ~cost:5 ~wtid:1 () in
-  let st = Stream.create ~id:0 ~events:[ u ] ~instances:[] ~threads:[] in
+  let st = Stream.create ~id:0 ~events:[| u |] ~instances:[] ~threads:[] in
   let messages = List.map (fun v -> v.Validate.message) (Validate.check st) in
   check Alcotest.bool "non-zero cost caught" true
     (List.mem "unwait with non-zero cost" messages);
@@ -383,7 +414,7 @@ let test_validate_bad_unwait () =
 
 let test_validate_wtid_on_running () =
   let e = mk_event ~kind:Event.Running ~tid:1 ~wtid:2 () in
-  let st = Stream.create ~id:0 ~events:[ e ] ~instances:[] ~threads:[] in
+  let st = Stream.create ~id:0 ~events:[| e |] ~instances:[] ~threads:[] in
   check Alcotest.bool "caught" true
     (List.exists
        (fun v -> v.Validate.message = "wtid set on non-unwait event")
@@ -391,7 +422,7 @@ let test_validate_wtid_on_running () =
 
 let test_validate_instance_without_events () =
   let st =
-    Stream.create ~id:0 ~events:[]
+    Stream.create ~id:0 ~events:[||]
       ~instances:[ { Scenario.scenario = "S"; tid = 7; t0 = 0; t1 = 10 } ]
       ~threads:[]
   in
@@ -404,7 +435,7 @@ let prop_clean_streams_validate =
     (fun specs ->
       let next_ts = Hashtbl.create 4 in
       let events =
-        List.map
+        Array.of_list @@ List.map
           (fun (tid, dur) ->
             let t0 = Option.value ~default:0 (Hashtbl.find_opt next_ts tid) in
             Hashtbl.replace next_ts tid (t0 + dur);
@@ -453,12 +484,12 @@ let test_timeline_render () =
     (List.length (List.sort_uniq compare widths) <= 1)
 
 let test_timeline_empty_and_window () =
-  let empty = Stream.create ~id:0 ~events:[] ~instances:[] ~threads:[] in
+  let empty = Stream.create ~id:0 ~events:[||] ~instances:[] ~threads:[] in
   check Alcotest.string "empty stream" "(empty stream)\n"
     (Dptrace.Timeline.render empty);
   (* Clipping to a window excludes threads without events there. *)
   let events =
-    [ mk_event ~tid:1 ~ts:0 ~cost:10 (); mk_event ~tid:2 ~ts:1_000 ~cost:10 () ]
+    [| mk_event ~tid:1 ~ts:0 ~cost:10 (); mk_event ~tid:2 ~ts:1_000 ~cost:10 () |]
   in
   let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[ (1, "early"); (2, "late") ] in
   let text = Dptrace.Timeline.render ~from_ts:0 ~to_ts:100 st in
@@ -547,6 +578,7 @@ let () =
         [
           Alcotest.test_case "sorting" `Quick test_stream_sorting;
           Alcotest.test_case "zero-cost first" `Quick test_stream_zero_cost_first;
+          qcheck prop_create_order_independent;
           Alcotest.test_case "thread names" `Quick test_stream_thread_name;
           Alcotest.test_case "duration" `Quick test_stream_duration;
           Alcotest.test_case "overlap window" `Quick test_stream_overlapping_window;

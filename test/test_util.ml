@@ -7,6 +7,7 @@ module Stats = Dputil.Stats
 module Interner = Dputil.Interner
 module Table = Dputil.Table
 module Crc32 = Dputil.Crc32
+module Jsonw = Dputil.Jsonw
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -438,6 +439,43 @@ let prop_crc_matches_reference =
       && Crc32.bytes_sub ~crc:(Crc32.string a) bytes ~pos ~len
          = reference_crc ~crc:(reference_crc a) (String.sub b pos len))
 
+(* --- Jsonw --- *)
+
+(* [output] streams through a bounded buffer; what reaches the file must
+   still be exactly [to_string]'s bytes. The document is several times the
+   buffer, nests arrays in objects, and carries a string longer than the
+   buffer on its own. *)
+let test_jsonw_output_equals_to_string () =
+  let doc =
+    Jsonw.Obj
+      [
+        ( "rows",
+          Jsonw.Arr
+            (List.init 5_000 (fun i ->
+                 Jsonw.Obj
+                   [
+                     ("name", Jsonw.str (Printf.sprintf "row \"%d\"\n" i));
+                     ("values", Jsonw.Arr [ Jsonw.int i; Jsonw.float (float i /. 7.) ]);
+                     ("empty", Jsonw.Obj []);
+                   ])) );
+        ("long", Jsonw.str (String.make 100_000 'x'));
+        ("null", Jsonw.Null);
+      ]
+  in
+  List.iter
+    (fun minify ->
+      let want = Jsonw.to_string ~minify doc in
+      check Alcotest.bool "larger than the buffer" true
+        (String.length want > 4 * 65536);
+      let path = Filename.temp_file "jsonw" ".json" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Out_channel.with_open_bin path (fun oc -> Jsonw.output ~minify oc doc);
+      check Alcotest.bool
+        (Printf.sprintf "minify=%b: same bytes" minify)
+        true
+        (In_channel.with_open_bin path In_channel.input_all = want))
+    [ true; false ]
+
 let () =
   Alcotest.run "dputil"
     [
@@ -506,5 +544,10 @@ let () =
         [
           Alcotest.test_case "check value" `Quick test_crc_check_value;
           qcheck prop_crc_matches_reference;
+        ] );
+      ( "jsonw",
+        [
+          Alcotest.test_case "output = to_string, streamed" `Quick
+            test_jsonw_output_equals_to_string;
         ] );
     ]

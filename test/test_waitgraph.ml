@@ -170,7 +170,7 @@ let test_truncated_wait_tolerated () =
       wtid = -1;
     }
   in
-  let st = Stream.create ~id:0 ~events:[ w ] ~instances:[] ~threads:[] in
+  let st = Stream.create ~id:0 ~events:[| w |] ~instances:[] ~threads:[] in
   let inst = { Dptrace.Scenario.scenario = "S"; tid = 1; t0 = 0; t1 = 100 } in
   let g = WG.build st inst in
   match g.WG.roots with
@@ -194,12 +194,12 @@ let test_adversarial_unwait_cycle_terminates () =
     }
   in
   let events =
-    [
+    [|
       mk Event.Wait 1 0 100 (-1);
       mk Event.Wait 2 0 100 (-1);
       mk Event.Unwait 1 100 0 2;
       mk Event.Unwait 2 100 0 1;
-    ]
+    |]
   in
   let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
   let inst = { Dptrace.Scenario.scenario = "S"; tid = 1; t0 = 0; t1 = 200 } in
