@@ -335,30 +335,23 @@ let setup_term =
     const run $ corpus_arg $ domains_arg $ mode_arg $ fault_arg
     $ obs_opts_term)
 
-(* The analysis behind impact, report and analyze: the corpus impact,
-   module rows and the named scenarios' results (computed under the
-   --progress line), handed to the body with a thunk for the
-   per-scenario impact table. Under --cache both come from the snapshot's
-   partials: the cache is opened for this configuration, ensured for the
-   corpus (misses analysed in parallel) and written back after the body.
-   Otherwise they come from the one per-stream pass that builds and
-   traverses each wait graph once. *)
+(* The analysis behind impact, report and analyze: the report (computed
+   under the --progress line) handed to the body. Under --cache it comes
+   from the snapshot's partials: the cache is opened for this
+   configuration, ensured for the corpus (misses analysed in parallel)
+   and written back after the body. Otherwise it comes from the one
+   per-stream pass that builds and traverses each wait graph once. *)
 let with_results ?scenarios ~cache ~components { pool; corpus; obs; _ } f =
-  let progress run =
-    let names =
-      Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
-    in
-    with_progress obs ~label:"scenarios" ~total:(List.length names)
-      "pipeline.scenarios_done" run
+  let names =
+    Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
+  in
+  let report run =
+    f (with_progress obs ~label:"scenarios" ~total:(List.length names)
+         "pipeline.scenarios_done" run)
   in
   match cache with
   | None ->
-    let results =
-      progress (fun () ->
-          Dpcore.Pipeline.run_report ~pool ?scenarios components corpus)
-    in
-    f results (fun () ->
-        Dpcore.Pipeline.impact_per_scenario ~pool components corpus)
+    report (fun () -> Dpcore.Pipeline.run_report ~pool ?scenarios components corpus)
   | Some dir ->
     let fingerprint =
       Dpcore.Snapshot.fingerprint ~components
@@ -366,12 +359,8 @@ let with_results ?scenarios ~cache ~components { pool; corpus; obs; _ } f =
     in
     let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
     Dpcore.Snapshot.ensure ~pool snap components corpus;
-    let results =
-      progress (fun () ->
-          Dpcore.Pipeline.run_report_snap ~pool ?scenarios snap corpus)
-    in
     let r =
-      f results (fun () -> Dpcore.Pipeline.impact_per_scenario_snap snap corpus)
+      report (fun () -> Dpcore.Pipeline.run_report_snap ~pool ?scenarios snap corpus)
     in
     Dpcore.Snapshot.save snap;
     let s = Dpcore.Snapshot.stats snap in
@@ -440,8 +429,7 @@ let impact pats breakdown per_scenario cache run =
   run @@ fun s ->
   print_coverage s.coverage;
   let components = components_of pats in
-  with_results ~scenarios:[] ~cache ~components s
-  @@ fun r per_scenario_impacts ->
+  with_results ~scenarios:[] ~cache ~components s @@ fun r ->
   Dputil.Table.print (Dpcore.Report.impact_summary r.Dpcore.Pipeline.impact);
   if breakdown then begin
     print_newline ();
@@ -449,12 +437,8 @@ let impact pats breakdown per_scenario cache run =
   end;
   if per_scenario then begin
     print_newline ();
-    let impacts =
-      with_progress s.obs ~label:"scenarios"
-        ~total:(List.length (Dptrace.Corpus.scenario_names s.corpus))
-        "pipeline.scenarios_done" per_scenario_impacts
-    in
-    Dputil.Table.print (Dpcore.Report.scenario_impacts impacts)
+    Dputil.Table.print
+      (Dpcore.Report.scenario_impacts r.Dpcore.Pipeline.per_scenario)
   end;
   0
 
@@ -551,7 +535,7 @@ let report json cache run =
   in
   with_results ~scenarios:scenario_names ~cache
     ~components:Dpcore.Component.drivers s
-  @@ fun { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } _ ->
+  @@ fun { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } ->
   if json then
     Dputil.Jsonw.output stdout
       (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov
@@ -1350,7 +1334,7 @@ let analyze out json top_patterns_n cache run =
   run @@ fun ({ path = corpus_path; corpus; coverage = cov; _ } as s) ->
   let components = Dpcore.Component.drivers in
   if json then Dpcore.Provenance.enable ();
-  with_results ~cache ~components s @@ fun results per_scenario_impacts ->
+  with_results ~cache ~components s @@ fun results ->
   let write output x =
     match out with
     | Some path ->
@@ -1402,7 +1386,7 @@ let analyze out json top_patterns_n cache run =
        (Dpcore.Report.module_breakdown results.Dpcore.Pipeline.modules));
   block
     (Dputil.Table.render
-       (Dpcore.Report.scenario_impacts (per_scenario_impacts ())));
+       (Dpcore.Report.scenario_impacts results.Dpcore.Pipeline.per_scenario));
   line "### Robustness";
   line "";
   block

@@ -31,6 +31,17 @@ type module_row = {
   m_max_wait : Dputil.Time.t;
 }
 
+let merge a b =
+  {
+    d_scn = a.d_scn + b.d_scn;
+    d_wait = a.d_wait + b.d_wait;
+    d_run = a.d_run + b.d_run;
+    d_waitdist = a.d_waitdist + b.d_waitdist;
+    instances = a.instances + b.instances;
+    counted_waits = a.counted_waits + b.counted_waits;
+    counted_runs = a.counted_runs + b.counted_runs;
+  }
+
 let sort_rows rows =
   List.sort
     (fun a b ->
@@ -49,10 +60,11 @@ type module_cell = {
 
 (* The one traversal: per graph, a BFS for the top-level component waits
    and an [iter_nodes] pass for component running time, accumulating the
-   impact result, the per-module cells and (given a collector) the
-   provenance together. A wait or running event counts iff its topmost
-   matching signature exists — the same test as [Component.stack_relevant]
-   for these kinds — and that signature's module is its cell. *)
+   impact result, the per-module cells, the graph's scenario's sums and
+   (given a collector) the provenance together. A wait or running event
+   counts iff its topmost matching signature exists — the same test as
+   [Component.stack_relevant] for these kinds — and that signature's
+   module is its cell. *)
 let fused ?collector components graphs =
   let cells : (string, module_cell) Hashtbl.t = Hashtbl.create 32 in
   let cell name =
@@ -63,17 +75,28 @@ let fused ?collector components graphs =
       Hashtbl.replace cells name c;
       c
   in
-  (* (stream id, event id) → (cell, cost), across all instances: the
-     distinct-wait set whose total is d_waitdist. An event's module is a
-     function of the event, so each cell's share is its m_waitdist.
-     Sized for the common call, one stream's part or one scenario's
-     class within a stream; it grows for larger inputs. *)
-  let distinct : (int * int, module_cell * Dputil.Time.t) Hashtbl.t =
-    Hashtbl.create 64
+  (* Per scenario name, newest first (a call sees a handful): the sums
+     over its graphs and its distinct wait time. *)
+  let scenarios = ref [] in
+  let scenario name =
+    match List.assoc_opt name !scenarios with
+    | Some s -> s
+    | None ->
+      let s = (ref empty, ref 0) in
+      scenarios := (name, s) :: !scenarios;
+      s
   in
-  let acc = ref empty in
+  (* (stream id, event id) → (cell, cost, the scenarios reaching it),
+     across all instances: the distinct-wait set whose total is
+     d_waitdist. An event's module is a function of the event, so each
+     cell's share is its m_waitdist; a wait that instances of two
+     scenarios reach is distinct in each. Sized for the common call, one
+     stream's part or one scenario's class within a stream; it grows for
+     larger inputs. *)
+  let distinct = Hashtbl.create 64 in
   let measure_graph (g : Wait_graph.t) =
     let stream_id = g.Wait_graph.stream.Dptrace.Stream.id in
+    let sc = scenario g.Wait_graph.instance.Dptrace.Scenario.scenario in
     let iref =
       lazy (Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance)
     in
@@ -97,7 +120,12 @@ let fused ?collector components graphs =
           c.c_wait <- c.c_wait + e.Event.cost;
           c.c_counted <- c.c_counted + 1;
           if e.Event.cost > c.c_max then c.c_max <- e.Event.cost;
-          Hashtbl.replace distinct (stream_id, e.Event.id) (c, e.Event.cost);
+          let key = (stream_id, e.Event.id) in
+          (match Hashtbl.find_opt distinct key with
+          | None -> Hashtbl.add distinct key (c, e.Event.cost, [ sc ])
+          | Some (_, _, scs) when List.memq sc scs -> ()
+          | Some (_, _, scs) ->
+            Hashtbl.replace distinct key (c, e.Event.cost, sc :: scs));
           Option.iter
             (fun col ->
               Provenance.Collector.record_wait col ~module_name ~stream_id
@@ -124,6 +152,7 @@ let fused ?collector components graphs =
                   ~instance:(Lazy.force iref) ~event:e ~signature)
               collector
           | None -> ());
+    let acc = fst sc in
     acc :=
       {
         !acc with
@@ -138,11 +167,20 @@ let fused ?collector components graphs =
   List.iter measure_graph graphs;
   let d_waitdist =
     Hashtbl.fold
-      (fun _ (c, cost) total ->
+      (fun _ (c, cost, scs) total ->
         c.c_waitdist <- c.c_waitdist + cost;
+        List.iter (fun (_, dist) -> dist := !dist + cost) scs;
         total + cost)
       distinct 0
   in
+  let per_scenario =
+    List.rev_map
+      (fun (name, (acc, dist)) -> (name, { !acc with d_waitdist = !dist }))
+      !scenarios
+  in
+  (* The scenarios' sums partition the whole's; their distinct waits do
+     not. *)
+  let acc = List.fold_left (fun a (_, (acc, _)) -> merge a !acc) empty !scenarios in
   let rows =
     Hashtbl.fold
       (fun module_name c acc ->
@@ -157,36 +195,25 @@ let fused ?collector components graphs =
         :: acc)
       cells []
   in
-  ({ !acc with d_waitdist }, sort_rows rows)
+  ({ acc with d_waitdist }, sort_rows rows, per_scenario)
 
 let measure components graphs =
   if not (Provenance.enabled ()) then
-    let r, rows = fused components graphs in
-    (r, Provenance.empty_impact, rows)
+    let r, rows, per_scenario = fused components graphs in
+    (r, Provenance.empty_impact, rows, per_scenario)
   else begin
     let collector = Provenance.Collector.create () in
-    let r, rows = fused ~collector components graphs in
-    (r, Provenance.Collector.impact collector, rows)
+    let r, rows, per_scenario = fused ~collector components graphs in
+    (r, Provenance.Collector.impact collector, rows, per_scenario)
   end
 
-let analyze_graphs components graphs = fst (fused components graphs)
-
 let analyze_graphs_prov components graphs =
-  let r, prov, _ = measure components graphs in
+  let r, prov, _, _ = measure components graphs in
   (r, prov)
 
-let by_module components graphs = snd (fused components graphs)
-
-let merge a b =
-  {
-    d_scn = a.d_scn + b.d_scn;
-    d_wait = a.d_wait + b.d_wait;
-    d_run = a.d_run + b.d_run;
-    d_waitdist = a.d_waitdist + b.d_waitdist;
-    instances = a.instances + b.instances;
-    counted_waits = a.counted_waits + b.counted_waits;
-    counted_runs = a.counted_runs + b.counted_runs;
-  }
+let by_module components graphs =
+  let _, rows, _ = fused components graphs in
+  rows
 
 let fdiv a b = Dputil.Stats.ratio (float_of_int a) (float_of_int b)
 

@@ -25,7 +25,7 @@
     traversal, and the other measuring functions are its projections.
     The corpus-wide measurement is {!Pipeline.run_report}, which builds
     each stream's graphs, measures them and {!merge}s the stream parts
-    in stream order. *)
+    (whole-stream and per-scenario alike) in stream order. *)
 
 type result = {
   d_scn : Dputil.Time.t;
@@ -40,18 +40,14 @@ type result = {
 val empty : result
 (** All-zero: the identity of {!merge}. *)
 
-val analyze_graphs : Component.t -> Dpwaitgraph.Wait_graph.t list -> result
-(** Measure over prebuilt Wait Graphs (graphs from the same stream must
-    share event identities, which {!Dpwaitgraph.Wait_graph.build}
-    guarantees). *)
-
 val analyze_graphs_prov :
   Component.t -> Dpwaitgraph.Wait_graph.t list -> result * Provenance.impact
-(** {!analyze_graphs} that additionally returns the provenance of the
-    measured numbers: the top-K costliest distinct wait and running
-    events, globally and per module. When {!Provenance.enabled} is false
-    this is exactly [(analyze_graphs ..., Provenance.empty_impact)] and
-    does no extra work. *)
+(** Measure over prebuilt Wait Graphs (graphs from the same stream must
+    share event identities, which {!Dpwaitgraph.Wait_graph.build}
+    guarantees), with the provenance of the measured numbers: the top-K
+    costliest distinct wait and running events, globally and per module.
+    When {!Provenance.enabled} is false the provenance is
+    {!Provenance.empty_impact}, at no extra work. *)
 
 val ia_run : result -> float
 (** Fraction in [\[0,1\]]. *)
@@ -83,17 +79,20 @@ type module_row = {
 }
 
 val by_module : Component.t -> Dpwaitgraph.Wait_graph.t list -> module_row list
-(** Same counting rules as {!analyze_graphs}, broken down per module;
+(** Same counting rules as {!analyze_graphs_prov}, broken down per module;
     sorted by [m_wait] descending. *)
 
 val measure :
   Component.t ->
   Dpwaitgraph.Wait_graph.t list ->
-  result * Provenance.impact * module_row list
-(** {!analyze_graphs_prov} and {!by_module} from one traversal of each
-    graph: one BFS for the top-level waits plus one pass over the nodes
-    for running time. The three functions above are projections of this
-    pass, so their results agree by construction. *)
+  result * Provenance.impact * module_row list * (string * result) list
+(** {!analyze_graphs_prov}, {!by_module} and each scenario's impact from
+    one traversal of each graph: one BFS for the top-level waits plus one
+    pass over the nodes for running time. The two functions above are
+    projections of this pass, so their results agree by construction.
+    The last component is the impact of each scenario's graphs alone, in
+    first-appearance order: a wait that two scenarios' instances reach
+    is distinct in each one's [d_waitdist], and once in the whole's. *)
 
 val merge_modules : module_row list -> module_row list -> module_row list
 (** Combine breakdowns measured over {e disjoint streams} (sums, max of

@@ -17,15 +17,6 @@ type scenario_result = {
 let span = Dpobs.Span.with_span
 let scenarios_done = lazy (Dpobs.Metrics.counter "pipeline.scenarios_done")
 
-(* The per-scenario impact table's order: wait mass descending, then name. *)
-let by_d_wait l =
-  List.sort
-    (fun (na, (a : Impact.result)) (nb, (b : Impact.result)) ->
-      match compare b.Impact.d_wait a.Impact.d_wait with
-      | 0 -> compare na nb
-      | c -> c)
-    l
-
 let build_graphs ?pool _corpus entries =
   span "pipeline.build_graphs" @@ fun () ->
   (* Group the instances by stream — each group resolves the stream's
@@ -120,51 +111,48 @@ let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
   finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
     ~slow_awg mining
 
-let impact_per_scenario ?pool components corpus =
-  (* Scenario-level fan-out; graph building inside each scenario stays
-     sequential (one unit of work per worker, no nested parallelism). The
-     final order is fixed by the sort, never by completion order. *)
-  let impact_of name =
-    let graphs = build_graphs corpus (Dptrace.Corpus.instances_of corpus name) in
-    let r = (name, Impact.analyze_graphs components graphs) in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
-    r
-  in
-  let names = Dptrace.Corpus.scenario_names corpus in
-  by_d_wait
-    (match pool with
-    | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool impact_of names
-    | None -> List.map impact_of names)
-
 type report = {
   impact : Impact.result;
   impact_prov : Provenance.impact;
   modules : Impact.module_row list;
   streams : Impact.result list;
   scenarios : (string * scenario_result) list;
+  per_scenario : (string * Impact.result) list;
 }
 
 (* The one scenario assembly, behind run_report and run_report_snap
    alike. [parts] holds, per stream in corpus stream order, the stream's
-   whole-corpus part [(impact, provenance, module rows)] and a lookup of
-   its class parts by scenario name. The whole-corpus parts merge left to
-   right. Each requested scenario with a spec is classified, then folds
-   its class parts in the same order into running accumulators (impact,
-   provenance and two [Awg.Partial.merger]s), so a part decoded off a
-   cache file's bytes is garbage once absorbed. [mine name f] returns the
+   whole-stream part [(impact, provenance, module rows, per-scenario
+   impacts)] and a lookup of its class parts by scenario name. The
+   whole-stream parts merge left to right, each scenario's impacts into
+   that scenario's row of the per-scenario table. Each requested
+   scenario with a spec is classified, then folds its class parts in the
+   same order into running accumulators (impact, provenance and two
+   [Awg.Partial.merger]s), so a part decoded off a cache file's bytes is
+   garbage once absorbed. [mine name f] returns the
    scenario's mining result, [f ()] computing it. The callers differ only
    in where the parts come from and in [mine], so a cached report is the
    fresh one by construction. *)
 let assemble ?pool ~k ~reduce ?scenarios ~mine corpus parts =
   let impact, impact_prov, modules =
     List.fold_left
-      (fun (r, p, m) ((r', p', m'), _) ->
+      (fun (r, p, m) ((r', p', m', _), _) ->
         (Impact.merge r r', Provenance.merge_impact p p', Impact.merge_modules m m'))
       (Impact.empty, Provenance.empty_impact, [])
       parts
   in
-  let streams = List.map (fun ((r, _, _), _) -> r) parts in
+  let per_scenario =
+    Dptrace.Corpus.scenario_names corpus
+    |> List.map (fun name ->
+           ( name,
+             List.fold_left
+               (fun acc ((_, _, _, sc), _) ->
+                 Option.fold ~none:acc ~some:(Impact.merge acc) (List.assoc_opt name sc))
+               Impact.empty parts ))
+    |> List.sort (fun (na, (a : Impact.result)) (nb, b) ->
+           match compare b.Impact.d_wait a.Impact.d_wait with 0 -> compare na nb | c -> c)
+  in
+  let streams = List.map (fun ((r, _, _, _), _) -> r) parts in
   let scenario name =
     span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
     let classification =
@@ -220,7 +208,7 @@ let assemble ?pool ~k ~reduce ?scenarios ~mine corpus parts =
     | None -> List.map one names)
     |> List.filter_map Fun.id
   in
-  { impact; impact_prov; modules; streams; scenarios }
+  { impact; impact_prov; modules; streams; scenarios; per_scenario }
 
 let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
     components (corpus : Dptrace.Corpus.t) =
@@ -233,10 +221,7 @@ let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
   in
   let of_stream st =
     let part, groups = Snapshot.stream_step components ~spec_of st in
-    let classes =
-      List.filter_map (fun (name, _, c) -> Option.map (fun c -> (name, c)) c) groups
-    in
-    (part, fun name -> List.assoc_opt name classes)
+    (part, fun name -> Option.join (List.assoc_opt name groups))
   in
   let parts =
     span "pipeline.report_streams" @@ fun () ->
@@ -258,21 +243,6 @@ let run_impact_prov ?pool components corpus =
    reservoirs, AWG forests, mined patterns — is bit-identical to the
    uncached run whatever mix of cache hits and misses produced the
    entries. *)
-
-let impact_per_scenario_snap snapshot (corpus : Dptrace.Corpus.t) =
-  let impact_of name =
-    let r =
-      List.fold_left
-        (fun acc st ->
-          Snapshot.entry_scenario_impact (Snapshot.entry snapshot st) name
-          |> Option.fold ~none:acc ~some:(Impact.merge acc))
-        Impact.empty corpus.Dptrace.Corpus.streams
-    in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
-    (name, r)
-  in
-  by_d_wait (List.map impact_of (Dptrace.Corpus.scenario_names corpus))
 
 let run_report_snap ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
     snapshot (corpus : Dptrace.Corpus.t) =

@@ -2,28 +2,27 @@
     causality analysis.
 
     {!run_report} is the one from-scratch corpus traversal: one pass per
-    stream ({!Snapshot.stream_step}) resolves the stream's memoised index
-    (see {!Dptrace.Stream.shared_index}), builds each instance's Wait
+    stream ({!Snapshot.stream_step}) takes the stream's index for that
+    pass (see {!Dptrace.Stream.pass_index}), builds each instance's Wait
     Graph once and traverses it once ({!Impact.measure}) for the corpus
-    impact, its provenance and the module table; the same graphs then
-    become each requested scenario's per-stream class part (slow impact
-    and provenance, fast and slow {!Awg.Partial} forests) and die with
-    their stream. One assembly merges those parts in stream order into
-    the report. {!run_report_snap} runs the same assembly over a
-    snapshot's entries, which hold the same parts, so cached ≡ fresh
-    holds by construction. {!run_impact_prov} is a projection of
-    {!run_report}. {!build_graphs}, {!run_scenario} and
-    {!impact_per_scenario} serve narrower questions and build the graphs
-    they need themselves.
+    impact, its provenance, the module table and each scenario's
+    all-instance impact; the same graphs then become each requested
+    scenario's per-stream class part (slow impact and provenance, fast
+    and slow {!Awg.Partial} forests) and die with their stream. One
+    assembly merges those parts in stream order into the report, the
+    per-scenario impact table included. {!run_report_snap} runs the same
+    assembly over a snapshot's entries, which hold the same parts, so
+    cached ≡ fresh holds by construction. {!run_impact_prov} is a
+    projection of {!run_report}. {!build_graphs} and {!run_scenario}
+    serve narrower questions and build the graphs they need themselves.
 
     Every from-scratch entry point takes an optional [?pool] (a
     {!Dppar.Pool.t}); when given, independent units of work — streams
-    within {!run_report} and {!build_graphs}, scenarios within
-    {!run_report} and {!impact_per_scenario} — fan out across its
-    domains. Parallel results are {e bit-identical} to sequential ones:
-    work is only split along independence boundaries, results are merged
-    in input order (never completion order), and reductions run in a
-    fixed association. *)
+    within {!run_report} and {!build_graphs}, then scenarios within
+    {!run_report} — fan out across its domains. Parallel results are
+    {e bit-identical} to sequential ones: work is only split along
+    independence boundaries, results are merged in input order (never
+    completion order), and reductions run in a fixed association. *)
 
 type scenario_result = {
   classification : Classify.t;
@@ -72,8 +71,14 @@ type report = {
       (** Each stream's impact, in corpus stream order: the parts
           [impact] merges, and the input of {!Robustness.bootstrap}. *)
   scenarios : (string * scenario_result) list;
+  per_scenario : (string * Impact.result) list;
+      (** Each {!Dptrace.Corpus.scenario_names}' impact (Section 3), by
+          [d_wait] descending, then name. Its rows sum to [impact] except
+          in [d_waitdist]: a wait two scenarios share is distinct in
+          each. *)
 }
-(** Everything [report --json] renders, plus the per-stream impacts. *)
+(** Everything [report --json] renders, plus the per-stream impacts and
+    the per-scenario table. *)
 
 val run_report :
   ?pool:Dppar.Pool.t ->
@@ -103,18 +108,6 @@ val run_impact_prov :
   Impact.result * Provenance.impact
 (** The whole-corpus impact and its provenance: [(r.impact,
     r.impact_prov)] of [run_report ?pool ~scenarios:[]]. *)
-
-val impact_per_scenario :
-  ?pool:Dppar.Pool.t ->
-  Component.t ->
-  Dptrace.Corpus.t ->
-  (string * Impact.result) list
-(** The impact metrics measured separately over each scenario's instances
-    (Section 3: "performance analysts can narrow down the investigation
-    scope"). Sorted by [d_wait] descending, then by name. The
-    per-scenario results sum to the whole-corpus [d_scn]/[d_wait]/[d_run],
-    but not [d_waitdist]: a wait shared by instances of two scenarios is
-    distinct in each. *)
 
 (** {1 Snapshot-backed (incremental) variants}
 
@@ -159,10 +152,6 @@ val run_impact_prov_snap :
 val modules_snap : Snapshot.t -> Dptrace.Corpus.t -> Impact.module_row list
 (** Cached equivalent of {!Impact.by_module} over every instance's graph
     (what [report --json] embeds): a projection of {!run_report_snap}. *)
-
-val impact_per_scenario_snap :
-  Snapshot.t -> Dptrace.Corpus.t -> (string * Impact.result) list
-(** Cached {!impact_per_scenario}. *)
 
 val driver_cost_fraction : scenario_result -> float
 (** Distinct slow-class driver time ([d_waitdist + d_run]) over slow-class

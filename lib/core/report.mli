@@ -14,7 +14,7 @@ val module_breakdown : ?top:int -> Impact.module_row list -> Dputil.Table.t
     default 12). *)
 
 val scenario_impacts : (string * Impact.result) list -> Dputil.Table.t
-(** Per-scenario IA metrics (from {!Pipeline.impact_per_scenario}). *)
+(** Per-scenario IA metrics (a {!Pipeline.report}'s [per_scenario]). *)
 
 val scenario_classes : (string * Classify.t) list -> Dputil.Table.t
 (** Table 1: instances and contrast-class sizes per scenario. *)

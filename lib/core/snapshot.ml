@@ -83,13 +83,19 @@ type entry = {
 (* --- the per-stream step (the unit of caching) ---
 
    Everything downstream merging needs from one stream, computed from
-   the stream's wait graphs built once (and, for the whole-stream
-   numbers, traversed once by [Impact.measure]): its contribution to the
-   whole-corpus impact (+ provenance), to the per-module breakdown, to
+   the stream's wait graphs built once (and traversed once by
+   [Impact.measure] for the whole-stream part): its contribution to the
+   whole-corpus impact (+ provenance), to the per-module breakdown and to
    each scenario's all-instance impact, and — for scenarios with a spec —
    the class part. A fresh report runs the same step and keeps only the
-   class parts. The step is the stream's only pass, so it takes
+   requested class parts. The step is the stream's only pass, so it takes
    [Stream.pass_index]: like the graphs, the index dies with it. *)
+
+type part =
+  Impact.result
+  * Provenance.impact
+  * Impact.module_row list
+  * (string * Impact.result) list
 
 let class_part components spec items =
   let graphs cls =
@@ -109,45 +115,37 @@ let class_part components spec items =
 
 let stream_step components ~spec_of (st : Stream.t) =
   let index = Stream.pass_index st in
-  let instances = st.Stream.instances in
-  let graphs = List.map (Wait_graph.build ~index st) instances in
-  let part = Impact.measure components graphs in
-  (* Group (instance, graph) pairs by scenario name, preserving both the
-     within-stream instance order and the names' first-appearance order
-     (the entry's wire form must be a pure function of the stream). *)
-  let by_name : (string, (Scenario.instance * Wait_graph.t) list ref) Hashtbl.t
-      =
-    Hashtbl.create 8
+  let items =
+    List.map (fun i -> (i, Wait_graph.build ~index st i)) st.Stream.instances
   in
-  let order = ref [] in
-  List.iter2
-    (fun (i : Scenario.instance) g ->
-      match Hashtbl.find_opt by_name i.Scenario.scenario with
-      | Some items -> items := (i, g) :: !items
-      | None ->
-        let items = ref [ (i, g) ] in
-        Hashtbl.replace by_name i.Scenario.scenario items;
-        order := (i.Scenario.scenario, items) :: !order)
-    instances graphs;
+  let ((_, _, _, per_scenario) as part) =
+    Impact.measure components (List.map snd items)
+  in
+  (* [measure] lists the scenarios in first-appearance order, and each
+     group keeps instance order: the entry's wire form must be a pure
+     function of the stream. *)
+  let class_of name spec =
+    class_part components spec
+      (List.filter
+         (fun ((i : Scenario.instance), _) -> i.Scenario.scenario = name)
+         items)
+  in
   ( part,
-    List.rev_map
-      (fun (name, items) ->
-        let items = List.rev !items in
-        ( name,
-          List.map snd items,
-          Option.map (fun spec -> class_part components spec items) (spec_of name) ))
-      !order )
+    List.map
+      (fun (name, _) -> (name, Option.map (class_of name) (spec_of name)))
+      per_scenario )
 
 let analyze_stream components ~specs (st : Stream.t) =
   let spec_of name =
     List.find_opt (fun (s : Scenario.spec) -> s.Scenario.name = name) specs
   in
-  let (e_impact, e_prov, e_modules), groups = stream_step components ~spec_of st in
+  let (e_impact, e_prov, e_modules, per_scenario), groups =
+    stream_step components ~spec_of st
+  in
   let e_scenarios =
-    List.map
-      (fun (name, graphs, sc_class) ->
-        (name, Decoded { sc_all = Impact.analyze_graphs components graphs; sc_class }))
-      groups
+    List.map2
+      (fun (name, sc_all) (_, sc_class) -> (name, Decoded { sc_all; sc_class }))
+      per_scenario groups
   in
   { e_stream_id = st.Stream.id; e_impact; e_prov; e_modules; e_scenarios }
 
@@ -460,13 +458,17 @@ let read_entry cur =
   in
   { e_stream_id; e_impact; e_prov; e_modules; e_scenarios }
 
-let entry_part e = (e.e_impact, e.e_prov, e.e_modules)
-
-let entry_scenario_impact e name =
-  match List.assoc_opt name e.e_scenarios with
-  | None -> None
-  | Some (Decoded s) -> Some s.sc_all
-  | Some (Stored { data; off; _ }) -> Some (read_impact { Wire.data; pos = off })
+(* A section's all-instance impact is its header: a stored section
+   decodes only that. *)
+let entry_part e =
+  let sc_all = function
+    | Decoded s -> s.sc_all
+    | Stored { data; off; _ } -> read_impact { Wire.data; pos = off }
+  in
+  ( e.e_impact,
+    e.e_prov,
+    e.e_modules,
+    List.map (fun (name, s) -> (name, sc_all s)) e.e_scenarios )
 
 let entry_scenario_class e name =
   Option.bind (List.assoc_opt name e.e_scenarios) (fun s ->
@@ -489,7 +491,7 @@ type t = {
          it was loaded from; [save] copies these verbatim. Guarded by
          [lock], like [scenarios]. *)
   entries : (string, entry) Hashtbl.t;  (* key -> entry *)
-  used : (string, unit) Hashtbl.t;  (* keys referenced by this corpus *)
+  used : (string, unit) Hashtbl.t;  (* keys the last [ensure]'s corpus references *)
   scenarios : (string, string * Mining.result) Hashtbl.t;
       (* scenario name -> (digest, mining); guarded by [lock] because
          the pipeline's scenario assembly consults it from pool workers *)
@@ -733,6 +735,7 @@ let ensure ?pool t components (corpus : Corpus.t) =
   Dpobs.Span.with_span "snapshot.ensure" @@ fun () ->
   let specs = corpus.Corpus.specs in
   let misses = ref [] and hits = ref 0 in
+  Hashtbl.reset t.used;
   List.iter
     (fun st ->
       let key = key_of st in
@@ -759,6 +762,18 @@ let ensure ?pool t components (corpus : Corpus.t) =
     Dpobs.Metrics.add (Lazy.force miss_c) (List.length misses);
     Dpobs.Metrics.add (Lazy.force stale_c) (stale t)
   end
+
+let drop_stale t =
+  Mutex.protect t.lock @@ fun () ->
+  Hashtbl.filter_map_inplace
+    (fun key e ->
+      if Hashtbl.mem t.used key then Some e
+      else begin
+        Hashtbl.remove t.stored key;
+        t.dirty <- true;
+        None
+      end)
+    t.entries
 
 let entry t st =
   match Hashtbl.find_opt t.entries (key_of st) with

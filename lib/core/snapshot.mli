@@ -14,13 +14,14 @@
     {!Pipeline.run_report} runs too — computes for the stream:
     {!Impact.result} partials (merged with {!Impact.merge}), provenance
     ({!Provenance.merge_impact}), per-module rows
-    ({!Impact.merge_modules}) and, per spec'd scenario, a {!class_part}.
-    Fresh and cached reports then go through the same assembly, so
-    reports — including [--json] output and provenance witnesses — do not
-    depend on which entries came from disk. An entry also keeps what a
-    fresh report does not: each scenario's all-instance impact (for
-    {!Pipeline.impact_per_scenario_snap}), and a class part for every
-    spec'd scenario, whichever a run requested.
+    ({!Impact.merge_modules}), each scenario's all-instance impact
+    ({!Impact.merge} again, into the per-scenario table) and, per spec'd
+    scenario, a {!class_part}. Fresh and cached reports then go through
+    the same assembly, so reports — including [--json] output,
+    provenance witnesses and the per-scenario table — do not depend on
+    which entries came from disk. An entry also keeps what a fresh
+    report does not: a class part for every spec'd scenario, whichever a
+    run requested.
 
     On top of the per-stream entries the snapshot caches each scenario's
     {!Mining.result} (see {!find_mining}): re-mining is the dominant cost
@@ -40,9 +41,10 @@
     either is dropped, and its stream becomes a miss. A loaded entry then
     keeps only its head (stream id, impact, provenance, module rows) and,
     per scenario section, the name, whether it has a class part, and the
-    section's offset in the file's bytes. {!entry_scenario_impact} and
-    {!entry_scenario_class} decode a loaded section from those bytes each
-    time they are asked, so a merge holds one decoded section at a time.
+    section's offset in the file's bytes. {!entry_part} decodes each
+    section's header (its all-instance impact) and
+    {!entry_scenario_class} the whole section from those bytes each time
+    they are asked, so a merge holds one decoded class part at a time.
     Entries {!ensure} computes are fresh and stay fully decoded; an
     in-memory snapshot holds only fresh entries.
 
@@ -88,32 +90,34 @@ type class_part = {
 }
 (** One stream's contribution to one spec'd scenario's result. *)
 
+type part =
+  Impact.result
+  * Provenance.impact
+  * Impact.module_row list
+  * (string * Impact.result) list
+(** A stream's whole-stream part, as {!Impact.measure} returns it. *)
+
 val stream_step :
   Component.t ->
   spec_of:(string -> Dptrace.Scenario.spec option) ->
   Dptrace.Stream.t ->
-  (Impact.result * Provenance.impact * Impact.module_row list)
-  * (string * Dpwaitgraph.Wait_graph.t list * class_part option) list
-(** Build the stream's wait graphs once (via its memoised shared index)
-    and measure them once ({!Impact.measure}). Then group them by
-    scenario name, in first-appearance order, and give each group its
-    class part when [spec_of] names a spec for it. A group lists its
-    graphs in instance order. *)
+  part * (string * class_part option) list
+(** Build the stream's wait graphs once (taking the stream's index for
+    this pass only, {!Dptrace.Stream.pass_index}) and measure them once
+    ({!Impact.measure}). Then group them by scenario name, in
+    first-appearance order, and give each group its class part when
+    [spec_of] names a spec for it. No graph outlives the step. *)
 
 (** {1 Per-stream entries} *)
 
 type entry
 (** One stream's complete analysis contribution: {!stream_step} under
-    every spec of the corpus, plus each scenario's all-instance impact. *)
+    every spec of the corpus. *)
 
-val entry_part :
-  entry -> Impact.result * Provenance.impact * Impact.module_row list
-(** The stream's whole-corpus part, as {!Impact.measure} returned it. *)
-
-val entry_scenario_impact : entry -> string -> Impact.result option
-(** Impact over the stream's instances of the named scenario; [None] when
-    the stream has none. Decoded from the cache file's bytes for a loaded
-    entry. *)
+val entry_part : entry -> part
+(** The stream's whole-stream part, as {!stream_step} returned it. For a
+    loaded entry, each scenario's impact is decoded from its section's
+    header in the cache file's bytes. *)
 
 val entry_scenario_class : entry -> string -> class_part option
 (** The named scenario's class part; [None] when the stream has no
@@ -140,6 +144,11 @@ val ensure : ?pool:Dppar.Pool.t -> t -> Component.t -> Dptrace.Corpus.t -> unit
     parallel across [pool] when given, one stream per task. Merging cached
     and fresh entries is exact, so downstream results never depend on the
     hit/miss split. *)
+
+val drop_stale : t -> unit
+(** Forget the entries the last {!ensure}'s corpus does not reference
+    (its [s_stale]), here and in the next {!save}: for a corpus that
+    slides over time, such as the monitor's window. *)
 
 val entry : t -> Dptrace.Stream.t -> entry
 (** Lookup after {!ensure}.
@@ -173,7 +182,7 @@ val store_mining :
 type stats = {
   s_hits : int;  (** {!ensure} lookups served from cache. *)
   s_misses : int;  (** Streams (re)analysed. *)
-  s_stale : int;  (** Loaded entries no current stream references. *)
+  s_stale : int;  (** Entries the last {!ensure}'s corpus leaves out. *)
   s_loaded : int;  (** Records read intact from disk. *)
   s_dropped : int;  (** On-disk records discarded as corrupt. *)
   s_mining_hits : int;  (** Scenarios whose mining result was reused. *)

@@ -39,7 +39,9 @@
 type config = {
   components : Dpcore.Component.t;
   rules : Rules.rule list;
-  window : int;  (** Rolling window, in most recent corpus files. *)
+  window : int;
+      (** Rolling window, in most recent corpus files. A file that
+          leaves it keeps only what {!scan} needs to skip it. *)
   k : int;  (** Mining segment-length bound. *)
   top_patterns : int;
       (** Pattern-rule focus: only the new window's top-N ranked mined
@@ -105,7 +107,8 @@ val scan : t -> string -> int
 val tick : t -> Rules.alert list
 (** Run one ingest tick over everything fed since the last one:
     rebuild the window corpus, {!Dpcore.Snapshot.ensure} it (only new
-    streams analyse), take its report from the snapshot
+    streams analyse) and {!Dpcore.Snapshot.drop_stale} what left the
+    window, take its report from the snapshot
     ({!Dpcore.Pipeline.run_report_snap}), evaluate the rules against the
     rolling baseline, emit alerts and
     rewrite the exposition. A tick with no pending changes skips the

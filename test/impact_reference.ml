@@ -82,6 +82,21 @@ let analyze_graphs_into ?collector components graphs =
   let d_waitdist = Hashtbl.fold (fun _ cost total -> total + cost) distinct 0 in
   { !acc with d_waitdist }
 
+let analyze_graphs components graphs = analyze_graphs_into components graphs
+
+(* The per-scenario impact table as the pipeline once composed it: each
+   scenario's instances' graphs built and measured on their own, then
+   sorted by wait mass descending, then by name. *)
+let per_scenario components corpus =
+  Dptrace.Corpus.scenario_names corpus
+  |> List.map (fun name ->
+         let graphs =
+           Dpcore.Pipeline.build_graphs corpus (Dptrace.Corpus.instances_of corpus name)
+         in
+         (name, analyze_graphs components graphs))
+  |> List.sort (fun (na, a) (nb, b) ->
+         match compare b.d_wait a.d_wait with 0 -> compare na nb | c -> c)
+
 let analyze_graphs_prov components graphs =
   if not (Provenance.enabled ()) then
     (analyze_graphs_into components graphs, Provenance.empty_impact)

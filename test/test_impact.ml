@@ -60,8 +60,9 @@ let test_component_filter_excludes () =
   check Alcotest.bool "d_scn still measured" true (r.Impact.d_scn > 0)
 
 (* Two instances observe the same holder wait through an app-level queue:
-   D_wait counts it twice, D_waitdist once. *)
-let shared_corpus () =
+   D_wait counts it twice, D_waitdist once. [scenarios] names the two
+   victims' scenarios. *)
+let shared_corpus ?(scenarios = ("S", "S")) () =
   let engine = Engine.create ~stream_id:0 () in
   let queue = Engine.new_lock engine ~name:"Q" in
   let svc = Engine.new_service engine ~name:"W" ~worker_stack:[ P.kernel_worker ] in
@@ -77,9 +78,9 @@ let shared_corpus () =
           ];
       ]
   in
-  let spawn_victim i =
+  let spawn_victim i scenario =
     ignore
-      (Engine.spawn engine ~scenario:"S"
+      (Engine.spawn engine ~scenario
          ~start_at:(Time.ms (1 + i))
          ~name:(Printf.sprintf "v%d" i)
          ~base_stack:[ sig_ "app!op" ]
@@ -88,8 +89,8 @@ let shared_corpus () =
              [ P.compute (Time.ms 1) ];
          ])
   in
-  spawn_victim 0;
-  spawn_victim 1;
+  spawn_victim 0 (fst scenarios);
+  spawn_victim 1 (snd scenarios);
   let st = Engine.run engine in
   Dptrace.Corpus.create ~streams:[ st ]
     ~specs:[ Dptrace.Scenario.spec ~name:"S" ~tfast:(Time.ms 5) ~tslow:(Time.ms 8) ]
@@ -155,7 +156,7 @@ let test_analyze_graphs_equals_analyze () =
       corpus.Dptrace.Corpus.streams
   in
   let a = corpus_impact drivers corpus in
-  let b = Impact.analyze_graphs drivers graphs in
+  let b = fst (Impact.analyze_graphs_prov drivers graphs) in
   check Alcotest.int "same d_wait" a.Impact.d_wait b.Impact.d_wait;
   check Alcotest.int "same d_waitdist" a.Impact.d_waitdist b.Impact.d_waitdist;
   check Alcotest.int "same d_run" a.Impact.d_run b.Impact.d_run
@@ -202,7 +203,7 @@ let test_by_module_totals_match () =
         List.map (Dpwaitgraph.Wait_graph.build ~index st) st.Dptrace.Stream.instances)
       corpus.Dptrace.Corpus.streams
   in
-  let total = Impact.analyze_graphs drivers graphs in
+  let total = fst (Impact.analyze_graphs_prov drivers graphs) in
   let rows = Impact.by_module drivers graphs in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
   check Alcotest.int "wait partitions" total.Impact.d_wait
@@ -215,10 +216,13 @@ let test_by_module_totals_match () =
     (sum (fun r -> r.Impact.m_counted_waits))
 
 
-let test_impact_per_scenario_partitions () =
+let per_scenario corpus =
+  (Dpcore.Pipeline.run_report ~scenarios:[] drivers corpus).Dpcore.Pipeline.per_scenario
+
+let test_per_scenario_partitions () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.03) in
   let whole = corpus_impact drivers corpus in
-  let per = Dpcore.Pipeline.impact_per_scenario drivers corpus in
+  let per = per_scenario corpus in
   check Alcotest.int "every scenario present"
     (List.length (Dptrace.Corpus.scenario_names corpus))
     (List.length per);
@@ -243,6 +247,28 @@ let test_impact_per_scenario_partitions () =
     | _ -> true
   in
   check Alcotest.bool "sorted" true (sorted per)
+
+(* The victims of [shared_corpus] in two scenarios: each scenario's
+   instance reaches the one 40 ms holder wait, which is distinct in each
+   scenario and counted once in the whole. *)
+let test_shared_wait_per_scenario () =
+  let corpus = shared_corpus ~scenarios:("S", "T") () in
+  let whole = corpus_impact drivers corpus in
+  check Alcotest.int "whole: counted twice" 2 whole.Impact.counted_waits;
+  check Alcotest.int "whole: d_wait doubles" (Time.ms 80) whole.Impact.d_wait;
+  check Alcotest.int "whole: d_waitdist once" (Time.ms 40) whole.Impact.d_waitdist;
+  match per_scenario corpus with
+  | [ ("S", s); ("T", t) ] ->
+    List.iter
+      (fun (name, (r : Impact.result)) ->
+        check Alcotest.int (name ^ ": one instance") 1 r.Impact.instances;
+        check Alcotest.int (name ^ ": counted once") 1 r.Impact.counted_waits;
+        check Alcotest.int (name ^ ": d_wait") (Time.ms 40) r.Impact.d_wait;
+        check Alcotest.int (name ^ ": d_waitdist once") (Time.ms 40) r.Impact.d_waitdist)
+      [ ("S", s); ("T", t) ]
+  | l ->
+    Alcotest.failf "expected rows S and T, got [%s]"
+      (String.concat "; " (List.map fst l))
 
 (* --- one traversal ≡ the two-walk reference --- *)
 
@@ -270,16 +296,31 @@ let prop_measure_equals_reference =
       let components = component_sets.(which) in
       if prov then Dpcore.Provenance.enable ();
       Fun.protect ~finally:Dpcore.Provenance.disable @@ fun () ->
-      let r, p, rows = Impact.measure components graphs in
+      let r, p, rows, per = Impact.measure components graphs in
       let r', p' = Impact_reference.analyze_graphs_prov components graphs in
       let rows' = Impact_reference.by_module components graphs in
+      (* Each scenario's graphs measured alone, names in first-appearance
+         order. *)
+      let scenario (g : Dpwaitgraph.Wait_graph.t) =
+        g.Dpwaitgraph.Wait_graph.instance.Dptrace.Scenario.scenario
+      in
+      let per' =
+        List.fold_left
+          (fun names g -> if List.mem (scenario g) names then names else scenario g :: names)
+          [] graphs
+        |> List.rev_map (fun name ->
+               ( name,
+                 Impact_reference.analyze_graphs components
+                   (List.filter (fun g -> scenario g = name) graphs) ))
+      in
       r = r'
       && rows = rows'
+      && per = per'
       && prov_lists p = prov_lists p'
-      && Impact.analyze_graphs components graphs = r'
       && Impact.by_module components graphs = rows'
-      && (prov_lists (snd (Impact.analyze_graphs_prov components graphs))
-         = prov_lists p'))
+      &&
+      let r'', p'' = Impact.analyze_graphs_prov components graphs in
+      r'' = r' && prov_lists p'' = prov_lists p')
 
 let () =
   Alcotest.run "dpcore-impact"
@@ -298,7 +339,9 @@ let () =
         ] );
       ( "per_scenario",
         [
-          Alcotest.test_case "partitions" `Quick test_impact_per_scenario_partitions;
+          Alcotest.test_case "partitions" `Quick test_per_scenario_partitions;
+          Alcotest.test_case "shared wait distinct in each" `Quick
+            test_shared_wait_per_scenario;
         ] );
       ( "by_module",
         [

@@ -234,6 +234,41 @@ let test_scan_incremental () =
   gen_save ~seed:3 ~scale:0.06 ~cross:false (Filename.concat dir "b.dpf");
   check Alcotest.int "changed file reloads" 1 (Monitor.scan t dir)
 
+(* --- a sliding window forgets --- *)
+
+(* Window 2 over four files arriving one per tick: from the third tick
+   on, one file leaves the window each tick, and the snapshot counts
+   exactly that file's streams stale, then drops them. A file that left
+   keeps its scan bookkeeping, so it is not loaded again. *)
+let test_window_forgets () =
+  let dir = fresh_dir () in
+  let t =
+    Monitor.create { Monitor.default_config with window = 2; replicates = 10 }
+  in
+  Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
+  Monitor.set_clock t 0;
+  let stale = Dpobs.Metrics.counter "snapshot.stale" in
+  let streams = ref [] in
+  for i = 1 to 4 do
+    let path = Filename.concat dir (Printf.sprintf "w%d.dpf" i) in
+    gen_save ~seed:(20 + i) ~scale:0.03 ~cross:false path;
+    streams :=
+      !streams @ [ Dptrace.Corpus.stream_count (fst (Codec_v2.load ~mode:`Strict path)) ];
+    check Alcotest.int (Printf.sprintf "scan %d loads the new file" i) 1
+      (Monitor.scan t dir);
+    let before = Dpobs.Metrics.counter_value stale in
+    ignore (Monitor.tick t : Rules.alert list);
+    check Alcotest.int
+      (Printf.sprintf "tick %d: stale = the streams of the file that left" i)
+      (if i > 2 then List.nth !streams (i - 3) else 0)
+      (Dpobs.Metrics.counter_value stale - before);
+    match Monitor.snapshot_stats t with
+    | Some s -> check Alcotest.int "and none is kept" 0 s.Dpcore.Snapshot.s_stale
+    | None -> Alcotest.fail "snapshot should exist after an analysed tick"
+  done;
+  check Alcotest.int "files out of the window are not reloaded" 0
+    (Monitor.scan t dir)
+
 (* --- the OpenMetrics exposition --- *)
 
 let test_openmetrics_exposition () =
@@ -529,6 +564,8 @@ let () =
             test_snapshot_reuse;
           Alcotest.test_case "scan picks up new and changed files" `Quick
             test_scan_incremental;
+          Alcotest.test_case "a sliding window forgets what left it" `Quick
+            test_window_forgets;
         ] );
       ( "exposition",
         [

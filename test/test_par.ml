@@ -184,9 +184,12 @@ let test_impact_deterministic () =
   Pool.with_pool ~domains:4 (fun pool ->
       let par = Dpcore.Pipeline.run_impact_prov ~pool drivers corpus in
       check Alcotest.bool "identical impact records" true (fst seq = fst par);
-      let seq_ps = Dpcore.Pipeline.impact_per_scenario drivers corpus in
-      let par_ps = Dpcore.Pipeline.impact_per_scenario ~pool drivers corpus in
-      check Alcotest.bool "identical per-scenario impact" true (seq_ps = par_ps))
+      let per_scenario ?pool () =
+        (Dpcore.Pipeline.run_report ?pool ~scenarios:[] drivers corpus)
+          .Dpcore.Pipeline.per_scenario
+      in
+      check Alcotest.bool "identical per-scenario impact" true
+        (per_scenario () = per_scenario ~pool ()))
 
 let test_run_report_deterministic () =
   let corpus = Lazy.force small_corpus in

@@ -249,8 +249,10 @@ let fresh_cache_dir name =
    Awg.build over all its graphs, so the oracle checks the merge against
    the single-pass build. The scenario list carries a name without a
    spec, which both must skip. Its per-stream impacts, and so the
-   bootstrap over them, must equal the oracle's, from scratch and from a
-   snapshot cache read cold and then warm from disk. *)
+   bootstrap over them, must equal the oracle's, and so must its
+   per-scenario table, the reference impact of each scenario's graphs
+   built on their own, from scratch and from a snapshot cache read cold
+   and then warm from disk. *)
 let test_run_report_equals_composed () =
   let corpus = Lazy.force corpus in
   let scenarios = [ "BrowserTabCreate"; "NoSuchScenario"; "AppNonResponsive" ] in
@@ -259,11 +261,14 @@ let test_run_report_equals_composed () =
   in
   let oracle = per_stream_impacts corpus in
   let bootstrap = Dpcore.Robustness.bootstrap ~replicates:50 in
-  let check_streams ~msg (r : Pipeline.report) =
+  let per_scenario = Impact_reference.per_scenario drivers corpus in
+  let check_tables ~msg (r : Pipeline.report) =
     check Alcotest.bool (msg ^ ": per-stream impacts = oracle") true
       (r.Pipeline.streams = oracle);
     check Alcotest.bool (msg ^ ": bootstrap = oracle's") true
-      (bootstrap r.Pipeline.streams = bootstrap oracle)
+      (bootstrap r.Pipeline.streams = bootstrap oracle);
+    check Alcotest.bool (msg ^ ": per-scenario table = oracle") true
+      (r.Pipeline.per_scenario = per_scenario)
   in
   let composed ?pool () =
     let graphs =
@@ -291,7 +296,7 @@ let test_run_report_equals_composed () =
       (contains want "NoSuchScenario");
     let r = Pipeline.run_report ?pool ~scenarios drivers corpus in
     check Alcotest.string msg want (render_report r);
-    check_streams ~msg r
+    check_tables ~msg r
   in
   let cached ~prov =
     let dir = fresh_cache_dir "snapcache_report" in
@@ -305,14 +310,14 @@ let test_run_report_equals_composed () =
       snap
     in
     let cold = open_snap () in
-    check_streams ~msg:(prov ^ ", cold cache")
+    check_tables ~msg:(prov ^ ", cold cache")
       (Pipeline.run_report_snap ~scenarios cold corpus);
     Dpcore.Snapshot.save cold;
     let warm = open_snap () in
     check Alcotest.int (prov ^ ", warm cache: every stream from disk")
       (Dptrace.Corpus.stream_count corpus)
       (Dpcore.Snapshot.stats warm).Dpcore.Snapshot.s_hits;
-    check_streams ~msg:(prov ^ ", warm cache")
+    check_tables ~msg:(prov ^ ", warm cache")
       (Pipeline.run_report_snap ~scenarios warm corpus)
   in
   let both_pools ~prov =

@@ -56,9 +56,6 @@ let render_doc { Pipeline.impact; impact_prov; modules; scenarios; _ } =
   Dputil.Jsonw.to_string
     (Report.Json.document ~impact ~impact_prov ~modules ~scenarios ())
 
-let fresh_doc ?pool corpus =
-  render_doc (Pipeline.run_report ?pool components corpus)
-
 let snap_doc ?pool ?scenarios snap corpus =
   render_doc (Pipeline.run_report_snap ?pool ?scenarios snap corpus)
 
@@ -86,12 +83,14 @@ let per_scenario_str l =
        l)
 
 let check_identical ?pool ~msg snap corpus =
-  check Alcotest.string (msg ^ ": json document") (fresh_doc ?pool corpus)
-    (snap_doc ?pool snap corpus);
+  let fresh = Pipeline.run_report ?pool components corpus in
+  let cached = Pipeline.run_report_snap ?pool snap corpus in
+  check Alcotest.string (msg ^ ": json document") (render_doc fresh)
+    (render_doc cached);
   check Alcotest.string
     (msg ^ ": per-scenario impact")
-    (per_scenario_str (Pipeline.impact_per_scenario ?pool components corpus))
-    (per_scenario_str (Pipeline.impact_per_scenario_snap snap corpus))
+    (per_scenario_str fresh.Pipeline.per_scenario)
+    (per_scenario_str cached.Pipeline.per_scenario)
 
 (* --- stream identity --- *)
 
@@ -571,8 +570,8 @@ let prop_cached_equals_fresh =
       List.map fst fresh.Pipeline.scenarios = kept
       && List.map fst cached.Pipeline.scenarios = kept
       && render_doc fresh = render_doc cached
-      && per_scenario_str (Pipeline.impact_per_scenario components full)
-         = per_scenario_str (Pipeline.impact_per_scenario_snap snap full)
+      && per_scenario_str fresh.Pipeline.per_scenario
+         = per_scenario_str cached.Pipeline.per_scenario
       && saved_bytes dir = cold_file ~scenarios full)
 
 let () =
