@@ -177,6 +177,14 @@ let with_cli_pool j f =
   let domains = if j <= 0 then Dppar.Pool.default_domains () else j in
   Dppar.Pool.with_pool ~domains f
 
+(* Every one-scenario command checks its name before any work: a
+   scenario with no spec in the corpus is one error line and exit 1. *)
+let require_spec corpus scenario =
+  if Option.is_none (Dptrace.Corpus.find_spec corpus scenario) then begin
+    Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
+    exit 1
+  end
+
 (* --- incremental snapshot cache (--cache DIR) ---
 
    The directory is made ready before any work: it and its missing
@@ -464,6 +472,7 @@ let impact_cmd =
 
 let causality pats scenario k top run =
   run @@ fun { pool; corpus; coverage; _ } ->
+  require_spec corpus scenario;
   print_coverage coverage;
   let components = components_of pats in
   let r = Dpcore.Pipeline.run_scenario ~pool ~k components corpus scenario in
@@ -632,6 +641,7 @@ let validate_cmd =
 
 let dot corpus scenario out mode =
   let corpus = read_corpus ~mode corpus in
+  require_spec corpus scenario;
   let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
   let text = Dpcore.Awg.to_dot r.Dpcore.Pipeline.slow_awg in
   (match out with
@@ -800,6 +810,8 @@ let convert_cmd =
 let diff before after scenario threshold min_support json mode =
   let before_c = read_corpus ~mode (Some before)
   and after_c = read_corpus ~mode (Some after) in
+  require_spec before_c scenario;
+  require_spec after_c scenario;
   let run c = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers c scenario in
   let rb = run before_c and ra = run after_c in
   let entries =
@@ -894,6 +906,7 @@ let baseline_cmd =
 
 let witness corpus scenario rank limit mode =
   let corpus = read_corpus ~mode corpus in
+  require_spec corpus scenario;
   let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
   match List.nth_opt patterns (rank - 1) with
@@ -967,6 +980,7 @@ let explain_component ~pool ~timeline components corpus name =
     0
 
 let explain_pattern ~pool ~timeline components corpus scenario rank limit =
+  require_spec corpus scenario;
   let r = Dpcore.Pipeline.run_scenario ~pool components corpus scenario in
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
   match List.nth_opt patterns (rank - 1) with
@@ -1124,14 +1138,12 @@ let export_trace corpus scenario slow fast rank out pats j mode obs =
   let components = components_of pats in
   with_cli_pool j @@ fun pool ->
   let corpus = read_corpus ~pool ~mode corpus in
+  require_spec corpus scenario;
   let exemplars =
     match rank with
-    | None -> (
-      match Dpcore.Classify.classify corpus scenario with
-      | exception Not_found ->
-        Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
-        []
-      | c -> Dpviz.Trace_export.exemplars_of_classes ~slow ~fast c)
+    | None ->
+      Dpviz.Trace_export.exemplars_of_classes ~slow ~fast
+        (Dpcore.Classify.classify corpus scenario)
     | Some rank -> (
       (* Provenance-resolved exemplars: the instances that realise the
          ranked contrast pattern, their matched chains as markers. *)
@@ -1212,28 +1224,25 @@ let flame corpus scenario out_dir slow fast top pats j mode obs =
   let components = components_of pats in
   with_cli_pool j @@ fun pool ->
   let corpus = read_corpus ~pool ~mode corpus in
-  match Dpcore.Classify.classify corpus scenario with
-  | exception Not_found ->
-    Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
-    1
-  | c ->
-    let b = Dpviz.Bundle.write ~components ~slow ~fast ~dir:out_dir c in
-    List.iter (Printf.printf "wrote %s\n") b.Dpviz.Bundle.files;
-    let nf, _, ns = Dpcore.Classify.counts c in
-    Printf.printf
-      "\nslow-vs-fast differential (%d slow vs %d fast instance(s)), \
-       per-instance AWG cost growth:\n"
-      ns nf;
-    if b.Dpviz.Bundle.diff = [] then
-      print_endline "  (no positive slow-minus-fast path)"
-    else
-      List.iteri
-        (fun i (path, delta) ->
-          if i < top then
-            Printf.printf "  #%d  +%dus  %s\n" (i + 1) delta
-              (String.concat ";" path))
-        b.Dpviz.Bundle.diff;
-    0
+  require_spec corpus scenario;
+  let r = Dpcore.Pipeline.run_scenario ~pool components corpus scenario in
+  let b = Dpviz.Bundle.write ~components ~slow ~fast ~dir:out_dir r in
+  List.iter (Printf.printf "wrote %s\n") b.Dpviz.Bundle.files;
+  let nf, _, ns = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in
+  Printf.printf
+    "\nslow-vs-fast differential (%d slow vs %d fast instance(s)), \
+     per-instance AWG cost growth:\n"
+    ns nf;
+  if b.Dpviz.Bundle.diff = [] then
+    print_endline "  (no positive slow-minus-fast path)"
+  else
+    List.iteri
+      (fun i (path, delta) ->
+        if i < top then
+          Printf.printf "  #%d  +%dus  %s\n" (i + 1) delta
+            (String.concat ";" path))
+      b.Dpviz.Bundle.diff;
+  0
 
 let flame_cmd =
   let scenario =

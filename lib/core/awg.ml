@@ -195,20 +195,13 @@ let finish ~reduce forest =
   { forest; stats }
 
 (* Convert the graphs and merge them into [forest]: the loop behind
-   [build] and [Partial.build]. Per-graph conversion is pure and
-   dominates, so [pool] fans it out. The merge stays sequential in the
-   given graph order, so the forest — keyed by status, with commutative
-   cost/count/max accumulation — is identical whether the conversions
-   ran on one domain or eight. When provenance is on, the merge also
-   folds each source graph's scenario instance into the witness
-   accumulator of every node it touches; that add is commutative over
-   instances too. *)
-let add_graphs ?pool components forest graphs =
-  let converted =
-    match pool with
-    | Some pool -> Dppar.Pool.parallel_map pool (convert components) graphs
-    | None -> List.map (convert components) graphs
-  in
+   [build] and [Partial.build]. The merge runs in the given graph order
+   into a forest keyed by status, with commutative cost/count/max
+   accumulation. When provenance is on, the merge also folds each source
+   graph's scenario instance into the witness accumulator of every node
+   it touches; that add is commutative over instances too. *)
+let add_graphs components forest graphs =
+  let converted = List.map (convert components) graphs in
   if Provenance.enabled () then
     List.iter2
       (fun (g : Wait_graph.t) cnodes ->
@@ -218,12 +211,12 @@ let add_graphs ?pool components forest graphs =
   else List.iter (List.iter (merge_into forest)) converted;
   forest
 
-let build ?pool ?(reduce = true) components graphs =
+let build ?(reduce = true) components graphs =
   (* [finish] reduces, canonicalises witnesses and freezes the
-     sorted-children arrays while still single-domain: after this point
-     the forest is read-only and the frozen views can be shared by
-     parallel mining without publication races. *)
-  finish ~reduce (add_graphs ?pool components (Hashtbl.create 64) graphs)
+     sorted-children arrays: after this point the forest is read-only
+     and the frozen views can be shared across domains without
+     publication races. *)
+  finish ~reduce (add_graphs components (Hashtbl.create 64) graphs)
 
 let roots t = sorted_nodes t.forest
 

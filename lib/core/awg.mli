@@ -60,17 +60,14 @@ type reduction_stats = {
 type t
 
 val build :
-  ?pool:Dppar.Pool.t ->
   ?reduce:bool ->
   Component.t ->
   Dpwaitgraph.Wait_graph.t list ->
   t
 (** Aggregate the given Wait Graphs. [reduce] (default [true]) applies the
-    non-optimisable-portion pruning. [pool] parallelises the per-graph
-    conversion step; the merge itself is sequential in list order and all
-    traversals iterate children in sorted-status order, so the result does
-    not depend on scheduling — [build ?pool] is bit-identical to the
-    sequential build. *)
+    non-optimisable-portion pruning. All traversals iterate children in
+    sorted-status order, so the result does not depend on the order the
+    graphs are given in. *)
 
 val roots : t -> node list
 (** Deterministically ordered (by status). *)

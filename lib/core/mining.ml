@@ -282,11 +282,6 @@ module Cellmap = struct
 
   let iter f t =
     Array.iteri (fun i k -> if k >= 0 then f t.vals.(i)) t.keys
-
-  let fold f t acc =
-    let acc = ref acc in
-    iter (fun v -> acc := f v !acc) t;
-    !acc
 end
 
 let freeze_scratch sc =
@@ -350,8 +345,7 @@ let freeze fr =
    arrival order and folded only at finalisation: {!Provenance.Wset.union}
    truncates to the top-k entries and is therefore not associative, so to
    stay bit-identical with the naive sequential miner the engine must
-   apply the unions in exactly its left-to-right segment order —
-   including when roots were enumerated on different domains. *)
+   apply the unions in exactly its left-to-right segment order. *)
 type macc = {
   mt : Tuple.t;
   mb : int array;
@@ -381,8 +375,7 @@ type estate = {
   mutable nsegs : int;
 }
 
-let estate ?(cells = 512) () =
-  { esc = scratch3 (); cells = Cellmap.create cells; nsegs = 0 }
+let estate () = { esc = scratch3 (); cells = Cellmap.create 2048; nsegs = 0 }
 
 (* Walk the bucket updating the matching accumulator in place; [true]
    iff no entry matched (allocation-free on the hit path). *)
@@ -444,9 +437,6 @@ let enumerate_subtrees st ~k ~prov roots =
       done
   done
 
-let maccs_of st =
-  Cellmap.fold (fun ms acc -> List.rev_append ms acc) st.cells []
-
 let meta_of_macc (m : macc) =
   {
     tuple = m.mt;
@@ -455,61 +445,23 @@ let meta_of_macc (m : macc) =
     m_witnesses = wset_of_rev m.a_wrev;
   }
 
-let meta_table ?pool awg ~k =
+(* One state across all roots: accumulators fill in global segment
+   order directly. *)
+let meta_table awg ~k =
   if k < 1 then invalid_arg "Mining.meta_table: k must be >= 1";
-  let prov = Provenance.enabled () in
-  let roots = Awg.roots awg in
-  match pool with
-  | None ->
-    (* One shared state across all roots: accumulators fill in global
-       segment order directly. *)
-    let st = estate ~cells:2048 () in
-    enumerate_subtrees st ~k ~prov roots;
-    Dpobs.Metrics.add c_segments st.nsegs;
-    let table : meta Tuple_table.t = Tuple_table.create (Tuple.interned_count ()) in
-    Cellmap.iter
-      (fun ms ->
-        List.iter (fun m -> Tuple_table.add_new table m.mt (meta_of_macc m)) ms)
-      st.cells;
-    Dpobs.Metrics.add c_tuples (Tuple_table.length table);
-    table
-  | Some pool ->
-    (* Fan out per root, then merge in root order. Tuple ids partition
-       the merge: across distinct ids it is independent, and within one
-       id the cost/count sums are commutative while the reversed witness
-       lists concatenate newest-in-front — reproducing the global
-       segment order, hence bit-identical truncating unions. *)
-    let parts =
-      Dppar.Pool.parallel_map pool
-        (fun r ->
-          let st = estate () in
-          enumerate_subtrees st ~k ~prov [ r ];
-          (maccs_of st, st.nsegs))
-        roots
-    in
-    Dpobs.Metrics.add c_segments
-      (List.fold_left (fun acc (_, n) -> acc + n) 0 parts);
-    let merged : (int, macc) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun (ms, _) ->
-        List.iter
-          (fun (m : macc) ->
-            let id = Tuple.id m.mt in
-            match Hashtbl.find_opt merged id with
-            | Some acc ->
-              acc.a_cost <- acc.a_cost + m.a_cost;
-              acc.a_count <- acc.a_count + m.a_count;
-              acc.a_wrev <- m.a_wrev @ acc.a_wrev
-            | None -> Hashtbl.replace merged id m)
-          ms)
-      parts;
-    Dpobs.Metrics.add c_tuples (Hashtbl.length merged);
-    let table : meta Tuple_table.t = Tuple_table.create (Tuple.interned_count ()) in
-    Hashtbl.iter (fun _ m -> Tuple_table.add_new table m.mt (meta_of_macc m)) merged;
-    table
+  let st = estate () in
+  enumerate_subtrees st ~k ~prov:(Provenance.enabled ()) (Awg.roots awg);
+  Dpobs.Metrics.add c_segments st.nsegs;
+  let table : meta Tuple_table.t = Tuple_table.create (Tuple.interned_count ()) in
+  Cellmap.iter
+    (fun ms ->
+      List.iter (fun m -> Tuple_table.add_new table m.mt (meta_of_macc m)) ms)
+    st.cells;
+  Dpobs.Metrics.add c_tuples (Tuple_table.length table);
+  table
 
-let enumerate_metas ?pool awg ~k =
-  Tuple_table.fold (fun m acc -> m :: acc) (meta_table ?pool awg ~k) []
+let enumerate_metas awg ~k =
+  Tuple_table.fold (fun m acc -> m :: acc) (meta_table awg ~k) []
   |> List.sort (fun (a : meta) (b : meta) -> Tuple.compare a.tuple b.tuple)
 
 let discover_contrasts ~fast_table ~slow_table ~ratio_threshold =
@@ -738,17 +690,16 @@ let select_patterns ~slow ~contrast_metas =
            | 0 -> Tuple.compare a.tuple b.tuple
            | c -> c)
 
-let mine ?pool ?(k = default_k) ~fast ~slow ~(spec : Dptrace.Scenario.spec) ()
-    =
+let mine ?(k = default_k) ~fast ~slow ~(spec : Dptrace.Scenario.spec) () =
   (* Tuple enumeration dominates mining cost; give each class its own
      span so the trace shows where k bites. *)
   let fast_table =
     Dpobs.Span.with_span ~args:[ ("class", "fast") ] "mining.enumerate_tuples"
-      (fun () -> meta_table ?pool fast ~k)
+      (fun () -> meta_table fast ~k)
   in
   let slow_table =
     Dpobs.Span.with_span ~args:[ ("class", "slow") ] "mining.enumerate_tuples"
-      (fun () -> meta_table ?pool slow ~k)
+      (fun () -> meta_table slow ~k)
   in
   let ratio_threshold =
     Dputil.Stats.ratio (float_of_int spec.tslow) (float_of_int spec.tfast)

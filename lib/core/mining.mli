@@ -90,15 +90,13 @@ module Tuple_table : sig
   type 'a t
 end
 
-val meta_table : ?pool:Dppar.Pool.t -> Awg.t -> k:int -> meta Tuple_table.t
+val meta_table : Awg.t -> k:int -> meta Tuple_table.t
 (** Step 1's raw table — the body of the [mining.enumerate_tuples] span,
     exposed so the stage can be timed without the diagnostic sort of
     {!enumerate_metas}. *)
 
-val enumerate_metas : ?pool:Dppar.Pool.t -> Awg.t -> k:int -> meta list
-(** Step 1 alone, sorted by tuple (exposed for tests and ablations).
-    [pool] fans the per-root enumeration over domains; the merged table
-    is bit-identical to the sequential one. *)
+val enumerate_metas : Awg.t -> k:int -> meta list
+(** Step 1 alone, sorted by tuple (exposed for tests and ablations). *)
 
 val select_patterns :
   slow:Awg.t -> contrast_metas:contrast_meta list -> pattern list
@@ -106,7 +104,6 @@ val select_patterns :
     generation + subset verification over the slow class's full paths. *)
 
 val mine :
-  ?pool:Dppar.Pool.t ->
   ?k:int ->
   fast:Awg.t ->
   slow:Awg.t ->
@@ -114,8 +111,7 @@ val mine :
   unit ->
   result
 (** Run all three steps. The contrast ratio threshold is
-    [spec.tslow / spec.tfast]. [pool] parallelises step 1 per AWG root;
-    the result is bit-identical with or without it. *)
+    [spec.tslow / spec.tfast]. *)
 
 val avg_cost : pattern -> float
 (** [P.C/P.N] in microseconds — the ranking key. *)

@@ -15,7 +15,7 @@ type scenario_result = {
    scenario fan-out per domain in the Chrome trace. The scenarios_done
    counter drives the --progress line. *)
 let span = Dpobs.Span.with_span
-let scenarios_done = lazy (Dpobs.Metrics.counter "pipeline.scenarios_done")
+let scenarios_done = Dpobs.Metrics.lazy_counter "pipeline.scenarios_done"
 
 let build_graphs ?pool _corpus entries =
   span "pipeline.build_graphs" @@ fun () ->
@@ -59,10 +59,44 @@ let build_graphs ?pool _corpus entries =
     Array.to_list out
     |> List.map (function Some g -> g | None -> assert false)
 
-(* The tail every scenario path shares, from-scratch or cached: the
-   coverages of the mined patterns, then the result record. *)
-let finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
-    ~slow_awg mining =
+(* The one scenario tail, behind every scenario result, fresh or
+   cached, whole-report or one-scenario: classify, fold the scenario's
+   per-stream class parts in stream order into running accumulators
+   (impact, provenance and two [Awg.Partial.merger]s), reduce the merged
+   forests, mine, then the coverages. [part_of x] is the class part of
+   each [x] of [parts] (in stream order), if any, taken one at a time, so
+   a part decoded off a cache file's bytes is garbage once absorbed.
+   [mine f] returns the mining result, [f ()] computing it. *)
+let scenario_of_parts ~k ~reduce ~mine corpus name part_of parts =
+  let classification =
+    span "pipeline.classify" (fun () -> Classify.classify corpus name)
+  in
+  let fast = Awg.Partial.merger () and slow = Awg.Partial.merger () in
+  let slow_impact, slow_impact_prov =
+    span "pipeline.awg_merge" @@ fun () ->
+    List.fold_left
+      (fun ((r, p) as acc) x ->
+        match (part_of x : Snapshot.class_part option) with
+        | None -> acc
+        | Some c ->
+          Awg.Partial.absorb fast c.cl_fast;
+          Awg.Partial.absorb slow c.cl_slow;
+          (Impact.merge r c.cl_slow_impact, Provenance.merge_impact p c.cl_slow_prov))
+      (Impact.empty, Provenance.empty_impact)
+      parts
+  in
+  let fast_awg =
+    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce fast)
+  in
+  let slow_awg =
+    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce slow)
+  in
+  let mining =
+    span "pipeline.mining" (fun () ->
+        mine (fun () ->
+            Mining.mine ~k ~fast:fast_awg ~slow:slow_awg
+              ~spec:classification.Classify.spec ()))
+  in
   (* Coverage denominator: everything the slow-class aggregation absorbed
      at its end nodes, plus the non-optimisable mass the reduction pruned
      (counted as unexplainable driver cost). Bounded and consistent with
@@ -89,27 +123,40 @@ let finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
 let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
     corpus name =
   span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
-  let classification =
-    span "pipeline.classify" (fun () -> Classify.classify corpus name)
+  let spec =
+    match Dptrace.Corpus.find_spec corpus name with
+    | Some spec -> spec
+    | None -> raise Not_found
   in
-  let fast = build_graphs ?pool corpus classification.Classify.fast in
-  let slow = build_graphs ?pool corpus classification.Classify.slow in
-  let slow_impact, slow_impact_prov =
-    span "pipeline.impact" (fun () -> Impact.analyze_graphs_prov components slow)
+  (* Per stream: graphs for the scenario's fast and slow instances only,
+     turned into the stream's class part there and then. The index is the
+     stream's memoised one: explain, witness and the viz exports come
+     back to the same streams after this pass. *)
+  let of_stream (st : Dptrace.Stream.t) =
+    match
+      List.filter
+        (fun (i : Dptrace.Scenario.instance) ->
+          i.Dptrace.Scenario.scenario = name
+          && Dptrace.Scenario.classify spec i <> Dptrace.Scenario.Middle)
+        st.Dptrace.Stream.instances
+    with
+    | [] -> None
+    | instances ->
+      let index = Dptrace.Stream.shared_index st in
+      Some
+        (Snapshot.class_part components spec
+           (List.map (fun i -> (i, Wait_graph.build ~index st i)) instances))
   in
-  let fast_awg =
-    span "pipeline.awg_build" (fun () -> Awg.build ?pool ~reduce components fast)
+  (* One stream per task: only the streams holding the scenario's
+     instances cost anything, so larger chunks leave a domain idle. *)
+  let parts =
+    span "pipeline.class_parts" @@ fun () ->
+    match pool with
+    | Some pool ->
+      Dppar.Pool.parallel_map ~chunk:1 pool of_stream corpus.Dptrace.Corpus.streams
+    | None -> List.map of_stream corpus.Dptrace.Corpus.streams
   in
-  let slow_awg =
-    span "pipeline.awg_build" (fun () -> Awg.build ?pool ~reduce components slow)
-  in
-  let mining =
-    span "pipeline.mining" (fun () ->
-        Mining.mine ?pool ~k ~fast:fast_awg ~slow:slow_awg
-          ~spec:classification.Classify.spec ())
-  in
-  finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
-    ~slow_awg mining
+  scenario_of_parts ~k ~reduce ~mine:(fun f -> f ()) corpus name Fun.id parts
 
 type report = {
   impact : Impact.result;
@@ -120,16 +167,14 @@ type report = {
   per_scenario : (string * Impact.result) list;
 }
 
-(* The one scenario assembly, behind run_report and run_report_snap
+(* The one report assembly, behind run_report and run_report_snap
    alike. [parts] holds, per stream in corpus stream order, the stream's
    whole-stream part [(impact, provenance, module rows, per-scenario
    impacts)] and a lookup of its class parts by scenario name. The
    whole-stream parts merge left to right, each scenario's impacts into
    that scenario's row of the per-scenario table. Each requested
-   scenario with a spec is classified, then folds its class parts in the
-   same order into running accumulators (impact, provenance and two
-   [Awg.Partial.merger]s), so a part decoded off a cache file's bytes is
-   garbage once absorbed. [mine name f] returns the
+   scenario with a spec goes through [scenario_of_parts] over its class
+   parts, looked up lazily in the same order. [mine name f] returns the
    scenario's mining result, [f ()] computing it. The callers differ only
    in where the parts come from and in [mine], so a cached report is the
    fresh one by construction. *)
@@ -155,37 +200,9 @@ let assemble ?pool ~k ~reduce ?scenarios ~mine corpus parts =
   let streams = List.map (fun ((r, _, _, _), _) -> r) parts in
   let scenario name =
     span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
-    let classification =
-      span "pipeline.classify" (fun () -> Classify.classify corpus name)
-    in
-    let fast = Awg.Partial.merger () and slow = Awg.Partial.merger () in
-    let slow_impact, slow_impact_prov =
-      span "pipeline.awg_merge" @@ fun () ->
-      List.fold_left
-        (fun ((r, p) as acc) (_, class_of) ->
-          match class_of name with
-          | None -> acc
-          | Some (c : Snapshot.class_part) ->
-            Awg.Partial.absorb fast c.cl_fast;
-            Awg.Partial.absorb slow c.cl_slow;
-            (Impact.merge r c.cl_slow_impact, Provenance.merge_impact p c.cl_slow_prov))
-        (Impact.empty, Provenance.empty_impact)
-        parts
-    in
-    let fast_awg =
-      span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce fast)
-    in
-    let slow_awg =
-      span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce slow)
-    in
-    let mining =
-      span "pipeline.mining" (fun () ->
-          mine name (fun () ->
-              Mining.mine ~k ~fast:fast_awg ~slow:slow_awg
-                ~spec:classification.Classify.spec ()))
-    in
-    finish_scenario classification ~slow_impact ~slow_impact_prov ~fast_awg
-      ~slow_awg mining
+    scenario_of_parts ~k ~reduce ~mine:(mine name) corpus name
+      (fun (_, class_of) -> class_of name)
+      parts
   in
   (* One scenario per work item, mining sequential inside the worker,
      results in request order, spec-less names skipped. *)
@@ -196,7 +213,7 @@ let assemble ?pool ~k ~reduce ?scenarios ~mine corpus parts =
         (Dptrace.Corpus.find_spec corpus name)
     in
     if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
+      Dpobs.Metrics.incr (scenarios_done ());
     r
   in
   let names =

@@ -12,17 +12,22 @@
     assembly merges those parts in stream order into the report, the
     per-scenario impact table included. {!run_report_snap} runs the same
     assembly over a snapshot's entries, which hold the same parts, so
-    cached ≡ fresh holds by construction. {!run_impact_prov} is a
-    projection of {!run_report}. {!build_graphs} and {!run_scenario}
-    serve narrower questions and build the graphs they need themselves.
+    cached ≡ fresh holds by construction. {!run_scenario} answers one
+    scenario with the same scenario tail, over class parts it makes from
+    that scenario's instances alone, so its result is the report's
+    entry for that scenario. {!run_impact_prov} is a projection of
+    {!run_report}. {!build_graphs} builds the graphs of given instances
+    for callers that look at the graphs themselves.
 
     Every from-scratch entry point takes an optional [?pool] (a
     {!Dppar.Pool.t}); when given, independent units of work — streams
-    within {!run_report} and {!build_graphs}, then scenarios within
-    {!run_report} — fan out across its domains. Parallel results are
-    {e bit-identical} to sequential ones: work is only split along
-    independence boundaries, results are merged in input order (never
-    completion order), and reductions run in a fixed association. *)
+    within {!run_report}, {!run_scenario} and {!build_graphs}, then
+    scenarios within {!run_report} — fan out across its domains. Within
+    one scenario, AWG merging and mining run on one domain. Parallel
+    results are {e bit-identical} to sequential ones: work is only split
+    along independence boundaries, results are merged in input order
+    (never completion order), and reductions run in a fixed
+    association. *)
 
 type scenario_result = {
   classification : Classify.t;
@@ -58,8 +63,13 @@ val run_scenario :
 (** Classify the scenario's instances, aggregate both contrast classes,
     mine contrast patterns and compute coverages. [k] defaults to
     {!Mining.default_k}; [reduce] (default [true]) controls the AWG
-    non-optimisable-portion reduction. [pool] parallelises graph building
-    and AWG conversion within the scenario.
+    non-optimisable-portion reduction. One pass over the streams builds
+    the graphs of the scenario's fast and slow instances, on the
+    stream's memoised index ({!Dptrace.Stream.shared_index}), and turns
+    each stream's into its {!Snapshot.class_part}; with [pool] the
+    streams fan out, order-preserving. The parts then go through
+    {!run_report}'s scenario tail, so the result equals the report's
+    entry for [name] with the same [k] and [reduce].
     @raise Not_found if the corpus has no spec for the scenario. *)
 
 type report = {

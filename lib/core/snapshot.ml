@@ -19,12 +19,12 @@ let magic = "DPSN\x01"
    Codec_v2.max_frame_len). *)
 let max_entry_len = 1 lsl 30
 
-let hit_c = lazy (Dpobs.Metrics.counter "snapshot.hit")
-let miss_c = lazy (Dpobs.Metrics.counter "snapshot.miss")
-let stale_c = lazy (Dpobs.Metrics.counter "snapshot.stale")
-let bytes_c = lazy (Dpobs.Metrics.counter "snapshot.bytes")
-let mining_hit_c = lazy (Dpobs.Metrics.counter "snapshot.mining_hit")
-let mining_miss_c = lazy (Dpobs.Metrics.counter "snapshot.mining_miss")
+let hit_c = Dpobs.Metrics.lazy_counter "snapshot.hit"
+let miss_c = Dpobs.Metrics.lazy_counter "snapshot.miss"
+let stale_c = Dpobs.Metrics.lazy_counter "snapshot.stale"
+let bytes_c = Dpobs.Metrics.lazy_counter "snapshot.bytes"
+let mining_hit_c = Dpobs.Metrics.lazy_counter "snapshot.mining_hit"
+let mining_miss_c = Dpobs.Metrics.lazy_counter "snapshot.mining_miss"
 
 (* --- config fingerprint --- *)
 
@@ -616,7 +616,7 @@ let create ?dir ~fingerprint:fp () =
       match read_file (file_of ~dir ~fp) with
       | data ->
         if Dpobs.metrics_on () then
-          Dpobs.Metrics.add (Lazy.force bytes_c) (String.length data);
+          Dpobs.Metrics.add (bytes_c ()) (String.length data);
         (data, parse_file data ~expect_fp:(Some fp) ~feed)
       | exception Sys_error _ -> ("", (0, 0, false)))
   in
@@ -720,7 +720,7 @@ let save t =
       match Dpfault.Retry.run Dpfault.Snapshot_write write_tmp with
       | size ->
         Sys.rename tmp path;
-        if Dpobs.metrics_on () then Dpobs.Metrics.add (Lazy.force bytes_c) size
+        if Dpobs.metrics_on () then Dpobs.Metrics.add (bytes_c ()) size
       | exception Dpfault.Injected _ ->
         (* Budget spent: abandon this save. The previous cache file (if
            any) stays authoritative; the leftover tmp is overwritten by
@@ -758,9 +758,9 @@ let ensure ?pool t components (corpus : Corpus.t) =
   List.iter (fun (key, e) -> Hashtbl.replace t.entries key e) fresh;
   if fresh <> [] then t.dirty <- true;
   if Dpobs.metrics_on () then begin
-    Dpobs.Metrics.add (Lazy.force hit_c) !hits;
-    Dpobs.Metrics.add (Lazy.force miss_c) (List.length misses);
-    Dpobs.Metrics.add (Lazy.force stale_c) (stale t)
+    Dpobs.Metrics.add (hit_c ()) !hits;
+    Dpobs.Metrics.add (miss_c ()) (List.length misses);
+    Dpobs.Metrics.add (stale_c ()) (stale t)
   end
 
 let drop_stale t =
@@ -817,11 +817,11 @@ let find_mining t corpus name ~reduce ~k =
   match Hashtbl.find_opt t.scenarios name with
   | Some (d, mining) when d = digest ->
     t.mining_hits <- t.mining_hits + 1;
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force mining_hit_c);
+    if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_hit_c ());
     Some mining
   | Some _ | None ->
     t.mining_misses <- t.mining_misses + 1;
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force mining_miss_c);
+    if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_miss_c ());
     None
 
 let store_mining t corpus name ~reduce ~k mining =

@@ -90,6 +90,16 @@ type class_part = {
 }
 (** One stream's contribution to one spec'd scenario's result. *)
 
+val class_part :
+  Component.t ->
+  Dptrace.Scenario.spec ->
+  (Dptrace.Scenario.instance * Dpwaitgraph.Wait_graph.t) list ->
+  class_part
+(** One stream's class part for the scenario [spec] names, from that
+    stream's instances of it and their graphs, in instance order:
+    instances [spec] classifies neither fast nor slow contribute
+    nothing. *)
+
 type part =
   Impact.result
   * Provenance.impact

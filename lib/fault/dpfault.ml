@@ -208,9 +208,9 @@ let call_count site = Atomic.get counters.(site_index site)
 
 (* --- telemetry (lazy: no registry churn when never armed) --- *)
 
-let injected_c = lazy (Dpobs.Metrics.counter "fault.injected")
-let attempts_c = lazy (Dpobs.Metrics.counter "retry.attempts")
-let gave_up_c = lazy (Dpobs.Metrics.counter "retry.gave_up")
+let injected_c = Dpobs.Metrics.lazy_counter "fault.injected"
+let attempts_c = Dpobs.Metrics.lazy_counter "retry.attempts"
+let gave_up_c = Dpobs.Metrics.lazy_counter "retry.gave_up"
 
 (* --- the decision function --- *)
 
@@ -240,7 +240,7 @@ let check site =
       match draw plan site i with
       | None -> None
       | Some kind ->
-        Dpobs.Metrics.incr (Lazy.force injected_c);
+        Dpobs.Metrics.incr (injected_c ());
         Some kind)
 
 let act site kind =
@@ -297,13 +297,13 @@ module Retry = struct
       | v -> v
       | exception e when transient e ->
         if attempt + 1 >= budget then begin
-          Dpobs.Metrics.incr (Lazy.force gave_up_c);
+          Dpobs.Metrics.incr (gave_up_c ());
           Dpobs.Log.debug "fault: %s gave up after %d attempt(s): %s"
             (site_name site) budget (Printexc.to_string e);
           raise e
         end
         else begin
-          Dpobs.Metrics.incr (Lazy.force attempts_c);
+          Dpobs.Metrics.incr (attempts_c ());
           Unix.sleepf (backoff site attempt);
           go (attempt + 1)
         end

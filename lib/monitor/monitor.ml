@@ -509,9 +509,9 @@ let tick t =
           List.filter_map (fun (_, s, _, _) -> s) out
           |> List.sort_uniq compare
           |> List.filter_map (fun scn ->
-                 match Dpcore.Classify.classify corpus scn with
-                 | exception Not_found -> None
-                 | c ->
+                 match List.assoc_opt scn report.Pipeline.scenarios with
+                 | None -> None
+                 | Some r ->
                    let dir =
                      Filename.concat vdir
                        (Printf.sprintf "tick-%d-%s" t.tick_count
@@ -521,7 +521,7 @@ let tick t =
                    in
                    let b =
                      Dpviz.Bundle.write ~components:t.config.components
-                       ~dir c
+                       ~dir r
                    in
                    Dpobs.Log.info "monitor: view bundle %s (%d files)" dir
                      (List.length b.Dpviz.Bundle.files);

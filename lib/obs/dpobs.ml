@@ -105,6 +105,18 @@ module Metrics = struct
       (fun () -> C { c_name = name; cell = Atomic.make 0; watcher = None })
       (function C c -> Some c | _ -> None)
 
+  (* A [lazy] forced by two domains at once raises [Lazy.Undefined];
+     racing first uses here both intern the same name instead. *)
+  let lazy_counter name =
+    let cell = Atomic.make None in
+    fun () ->
+      match Atomic.get cell with
+      | Some c -> c
+      | None ->
+        let c = counter name in
+        Atomic.set cell (Some c);
+        c
+
   let gauge name =
     intern name
       (fun () -> G { g_name = name; g_cell = Atomic.make 0 })

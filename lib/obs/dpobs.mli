@@ -73,6 +73,11 @@ module Metrics : sig
       same name always yields the same cell.
       @raise Invalid_argument if [name] is registered as another kind. *)
 
+  val lazy_counter : string -> unit -> counter
+  (** [lazy_counter name ()] is [counter name], registered on the first
+      call only. Unlike a [lazy], it is safe to resolve from several
+      domains at once: racing first calls get the same counter. *)
+
   val gauge : string -> gauge
   val histogram : string -> histogram
 

@@ -18,7 +18,7 @@ type t = {
    counter is resolved once per domain through DLS so the per-task cost
    is one hashtable-free lookup. *)
 
-let tasks_counter = lazy (Dpobs.Metrics.counter "pool.tasks")
+let tasks_counter = Dpobs.Metrics.lazy_counter "pool.tasks"
 let queue_depth_gauge = lazy (Dpobs.Metrics.gauge "pool.queue_depth.max")
 
 let busy_key : Dpobs.Metrics.counter option Domain.DLS.key =
@@ -146,7 +146,7 @@ let run_jobs : 'b. t -> (unit -> 'b) array -> 'b array =
     if Dpobs.metrics_on () then begin
       let us = Int64.to_int (Int64.div (Int64.sub (Dpobs.now_ns ()) t0) 1000L) in
       Dpobs.Metrics.add (busy_counter ()) us;
-      Dpobs.Metrics.incr (Lazy.force tasks_counter)
+      Dpobs.Metrics.incr (tasks_counter ())
     end;
     Mutex.lock t.mutex;
     decr remaining;

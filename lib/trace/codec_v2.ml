@@ -14,13 +14,13 @@ let max_frame_len = 1 lsl 30
    convert progress line; the per-stream encode/decode spans land on the
    recording domain's tid, so a pooled (de)serialisation shows its fan-out
    in the Chrome trace. All behind [Dpobs.metrics_on]/[spans_on]. *)
-let bytes_written_c = lazy (Dpobs.Metrics.counter "codec_v2.bytes_written")
-let bytes_read_c = lazy (Dpobs.Metrics.counter "codec_v2.bytes_read")
-let frames_written_c = lazy (Dpobs.Metrics.counter "codec_v2.frames_written")
-let frames_read_c = lazy (Dpobs.Metrics.counter "codec_v2.frames_read")
-let frames_dropped_c = lazy (Dpobs.Metrics.counter "codec_v2.frames_dropped")
-let streams_written_c = lazy (Dpobs.Metrics.counter "codec_v2.streams_written")
-let streams_read_c = lazy (Dpobs.Metrics.counter "codec_v2.streams_read")
+let bytes_written_c = Dpobs.Metrics.lazy_counter "codec_v2.bytes_written"
+let bytes_read_c = Dpobs.Metrics.lazy_counter "codec_v2.bytes_read"
+let frames_written_c = Dpobs.Metrics.lazy_counter "codec_v2.frames_written"
+let frames_read_c = Dpobs.Metrics.lazy_counter "codec_v2.frames_read"
+let frames_dropped_c = Dpobs.Metrics.lazy_counter "codec_v2.frames_dropped"
+let streams_written_c = Dpobs.Metrics.lazy_counter "codec_v2.streams_written"
+let streams_read_c = Dpobs.Metrics.lazy_counter "codec_v2.streams_read"
 
 type mode = [ `Strict | `Recover ]
 type diagnostic = { frame : int; offset : int; reason : string }
@@ -183,7 +183,7 @@ let stream_payload st =
   Dpobs.Span.with_span "codec_v2.encode_stream" @@ fun () ->
   let payload = stream_payload_raw st in
   if Dpobs.metrics_on () then
-    Dpobs.Metrics.incr (Lazy.force streams_written_c);
+    Dpobs.Metrics.incr (streams_written_c ());
   payload
 
 let decode_header payload =
@@ -211,7 +211,7 @@ let decode_stream_payload ?key payload =
   in
   let st = read_stream cur ~sig_of in
   if not (at_end cur) then corrupt "stream frame: trailing bytes";
-  if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force streams_read_c);
+  if Dpobs.metrics_on () then Dpobs.Metrics.incr (streams_read_c ());
   (* The frame checksum was already verified by the reader; memoising it
      as the stream's content identity makes cache-keyed re-analysis free
      of re-encoding for loaded corpora. *)
@@ -258,7 +258,7 @@ let emit ?pool put (c : Corpus.t) =
   Dpobs.Span.with_span "codec_v2.encode" @@ fun () ->
   let put =
     if Dpobs.metrics_on () then (fun s ->
-      Dpobs.Metrics.add (Lazy.force bytes_written_c) (String.length s);
+      Dpobs.Metrics.add (bytes_written_c ()) (String.length s);
       put s)
     else put
   in
@@ -273,7 +273,7 @@ let emit ?pool put (c : Corpus.t) =
   List.iter (fun p -> put (frame_string 'S' p)) payloads;
   put (frame_string 'E' (trailer_payload (List.length c.Corpus.streams)));
   if Dpobs.metrics_on () then
-    Dpobs.Metrics.add (Lazy.force frames_written_c)
+    Dpobs.Metrics.add (frames_written_c ())
       (2 + List.length c.Corpus.streams)
 
 let encode ?pool c =
@@ -520,8 +520,8 @@ let iter_frames mode src ~f =
     end
   done;
   if Dpobs.metrics_on () then begin
-    Dpobs.Metrics.add (Lazy.force bytes_read_c) (offset src);
-    Dpobs.Metrics.add (Lazy.force frames_read_c) !idx
+    Dpobs.Metrics.add (bytes_read_c ()) (offset src);
+    Dpobs.Metrics.add (frames_read_c ()) !idx
   end;
   (List.rev !diags, !idx, offset src)
 
@@ -625,7 +625,7 @@ let load_src mode pool src =
       ~end_off diags
   in
   if Dpobs.metrics_on () then
-    Dpobs.Metrics.add (Lazy.force frames_dropped_c) (List.length diags);
+    Dpobs.Metrics.add (frames_dropped_c ()) (List.length diags);
   ( Corpus.create ~streams ~specs:!specs,
     { frames; streams = List.length streams; dropped = diags } )
 

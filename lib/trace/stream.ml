@@ -96,14 +96,14 @@ let index t =
 (* Cache effectiveness of the memoised index — a racing double build
    counts as two misses, which is exactly the wasted work. A
    [pass_index] build counts as a miss too: the lookup is the same. *)
-let index_hits = lazy (Dpobs.Metrics.counter "stream.index.hit")
-let index_misses = lazy (Dpobs.Metrics.counter "stream.index.miss")
+let index_hits = Dpobs.Metrics.lazy_counter "stream.index.hit"
+let index_misses = Dpobs.Metrics.lazy_counter "stream.index.miss"
 
 let memoised t =
   let memo = Atomic.get t.memo_index in
   if Dpobs.metrics_on () then
     Dpobs.Metrics.incr
-      (Lazy.force (if Option.is_some memo then index_hits else index_misses));
+      ((if Option.is_some memo then index_hits else index_misses) ());
   memo
 
 let pass_index t = match memoised t with Some idx -> idx | None -> index t

@@ -8,14 +8,9 @@ let write_file path text =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc text)
 
-let graphs_of pairs =
-  List.map
-    (fun ((st : Stream.t), inst) ->
-      Dpwaitgraph.Wait_graph.build ~index:(Stream.shared_index st) st inst)
-    pairs
-
 let write ?(components = Dpcore.Component.drivers) ?slow ?fast ~dir
-    (c : Dpcore.Classify.t) =
+    (r : Dpcore.Pipeline.scenario_result) =
+  let c = r.Dpcore.Pipeline.classification in
   Dputil.Fs.mkdir_p dir;
   let files = ref [] in
   let emit name text =
@@ -37,10 +32,8 @@ let write ?(components = Dpcore.Component.drivers) ?slow ?fast ~dir
        (Flame.to_speedscope
           ~name:(c.Dpcore.Classify.spec.Scenario.name ^ " slow: running time")
           run_slow));
-  let awg_slow = Dpcore.Awg.build components (graphs_of slow_pairs)
-  and awg_fast = Dpcore.Awg.build components (graphs_of fast_pairs) in
-  let f_slow = Flame.folded_awg awg_slow
-  and f_fast = Flame.folded_awg awg_fast in
+  let f_slow = Flame.folded_awg r.Dpcore.Pipeline.slow_awg
+  and f_fast = Flame.folded_awg r.Dpcore.Pipeline.fast_awg in
   emit "flame_awg_slow.folded" (Flame.to_folded f_slow);
   emit "flame_awg_fast.folded" (Flame.to_folded f_fast);
   let diff =

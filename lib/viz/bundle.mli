@@ -18,12 +18,15 @@ val write :
   ?slow:int ->
   ?fast:int ->
   dir:string ->
-  Dpcore.Classify.t ->
+  Dpcore.Pipeline.scenario_result ->
   t
-(** Write the bundle for one classified scenario into [dir] (created,
-    with parents, if missing): [trace.json] (exemplar Perfetto export,
-    [slow]/[fast] exemplars each, default 3),
+(** Write the bundle for one analysed scenario into [dir] (created, with
+    parents, if missing): [trace.json] (exemplar Perfetto export over
+    [components], [slow]/[fast] exemplars each, default 3),
     [flame_running_{slow,fast}.folded], [flame_running_slow.speedscope.json],
     [flame_awg_{slow,fast}.folded], [flame_diff.folded] and
-    [flame_diff.speedscope.json]. Deterministic byte-for-byte for equal
-    inputs. *)
+    [flame_diff.speedscope.json]. The AWG views are the result's own
+    [fast_awg] and [slow_awg], so no AWG is built here (the running-time
+    flames still build each exemplar's wait graph); [components] must be
+    the ones [r] was computed with. Deterministic byte-for-byte for
+    equal inputs. *)

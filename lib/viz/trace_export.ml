@@ -1,7 +1,7 @@
 open Dptrace
 
-let c_slices = lazy (Dpobs.Metrics.counter "viz.slices_emitted")
-let c_flows = lazy (Dpobs.Metrics.counter "viz.flows_emitted")
+let c_slices = Dpobs.Metrics.lazy_counter "viz.slices_emitted"
+let c_flows = Dpobs.Metrics.lazy_counter "viz.flows_emitted"
 
 type exemplar = {
   x_stream : Stream.t;
@@ -176,6 +176,6 @@ let export ?(components = Dpcore.Component.drivers) exemplars =
             ~ph:'i' ~pid ~tid:e.Event.tid ~ts_us:(us e.Event.ts) "match")
         x.x_marks)
     exemplars;
-  Dpobs.Metrics.add (Lazy.force c_slices) !slices;
-  Dpobs.Metrics.add (Lazy.force c_flows) !flows;
+  Dpobs.Metrics.add (c_slices ()) !slices;
+  Dpobs.Metrics.add (c_flows ()) !flows;
   Dpobs.Trace_writer.contents w

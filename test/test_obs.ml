@@ -82,6 +82,33 @@ let test_counter_atomicity_under_pool () =
     Alcotest.failf "pool.tasks did not advance (%d -> %d)" tasks0 tasks;
   Obs.disable ()
 
+(* Regression: counters registered on first use were [lazy] values, and
+   a [lazy] forced by two domains at once raises [Lazy.Undefined]. Forced
+   in a pool worker after its job, that killed the worker and hung the
+   caller. Each round releases three domains onto a fresh getter at once. *)
+let test_lazy_counter_racing_domains () =
+  for round = 1 to 200 do
+    let name = Printf.sprintf "test.lazy_counter.%d" round in
+    let get = Obs.Metrics.lazy_counter name in
+    let go = Atomic.make false in
+    let race () =
+      while not (Atomic.get go) do
+        Domain.cpu_relax ()
+      done;
+      get ()
+    in
+    let others = List.init 2 (fun _ -> Domain.spawn race) in
+    Atomic.set go true;
+    let mine = race () in
+    List.iter
+      (fun d ->
+        if Domain.join d != mine then
+          Alcotest.failf "round %d: two counters for %s" round name)
+      others;
+    if Obs.Metrics.counter name != mine then
+      Alcotest.failf "round %d: not the registered counter" round
+  done
+
 let test_metric_kinds_and_values () =
   Obs.enable ~spans:false ();
   let c = Obs.Metrics.counter "test.kinds.c" in
@@ -291,6 +318,8 @@ let () =
         [
           Alcotest.test_case "counter atomicity under pool" `Quick
             test_counter_atomicity_under_pool;
+          Alcotest.test_case "lazy counter from racing domains" `Quick
+            test_lazy_counter_racing_domains;
           Alcotest.test_case "kinds and values" `Quick
             test_metric_kinds_and_values;
           Alcotest.test_case "watcher" `Quick test_watcher;

@@ -243,12 +243,12 @@ let fresh_cache_dir name =
 
 (* run_report's one per-stream pass must render exactly the document of
    a composition built in test code: the two-walk reference impact and
-   module table over every instance's graph at once, and run_scenario
-   for each requested name that has a spec. run_report merges per-stream
-   Awg.Partial forests; run_scenario builds each class's AWG with one
-   Awg.build over all its graphs, so the oracle checks the merge against
-   the single-pass build. The scenario list carries a name without a
-   spec, which both must skip. Its per-stream impacts, and so the
+   module table over every instance's graph at once, and
+   Scenario_reference.run for each requested name that has a spec.
+   run_report merges per-stream Awg.Partial forests; the reference
+   builds each class's AWG with one Awg.build over all its graphs, so
+   the oracle checks the merge against the single-pass build. The
+   scenario list carries a name without a spec, which both must skip. Its per-stream impacts, and so the
    bootstrap over them, must equal the oracle's, and so must its
    per-scenario table, the reference impact of each scenario's graphs
    built on their own, from scratch and from a snapshot cache read cold
@@ -279,7 +279,7 @@ let test_run_report_equals_composed () =
     let named =
       List.filter_map
         (fun name ->
-          match Pipeline.run_scenario ?pool drivers corpus name with
+          match Scenario_reference.run drivers corpus name with
           | r -> Some (name, r)
           | exception Not_found -> None)
         scenarios
@@ -325,6 +325,64 @@ let test_run_report_equals_composed () =
     Dppar.Pool.with_pool ~domains:2 (fun pool ->
         compare_both ~msg:(prov ^ ", 2-domain pool") ~pool ());
     cached ~prov
+  in
+  both_pools ~prov:"provenance off";
+  with_provenance (fun () -> both_pools ~prov:"provenance on")
+
+(* Everything a scenario result carries: class counts, the slow impact
+   with its provenance, both AWGs, the ranked patterns with their
+   witnesses, and the coverages. *)
+let scenario_fingerprint (r : Pipeline.scenario_result) =
+  let f, m, s = Dpcore.Classify.counts r.Pipeline.classification in
+  let c = r.Pipeline.coverages in
+  String.concat "\n--\n"
+    [
+      Printf.sprintf "classes %d/%d/%d" f m s;
+      J.to_string
+        (Report.Json.of_impact ~prov:r.Pipeline.slow_impact_prov
+           r.Pipeline.slow_impact);
+      Dpcore.Awg.render r.Pipeline.fast_awg;
+      Dpcore.Awg.render r.Pipeline.slow_awg;
+      J.to_string
+        (J.Arr
+           (List.mapi
+              (fun i p -> Report.Json.of_pattern ~rank:(i + 1) p)
+              r.Pipeline.mining.Dpcore.Mining.patterns));
+      Printf.sprintf "metas %d/%d, itc %h, ttc %h"
+        r.Pipeline.mining.Dpcore.Mining.fast_meta_count
+        r.Pipeline.mining.Dpcore.Mining.slow_meta_count c.Dpcore.Evaluation.itc
+        c.Dpcore.Evaluation.ttc;
+    ]
+
+(* run_scenario runs the report's scenario tail over class parts it
+   makes itself; it must give the composed path's result for every
+   scenario with a spec, sequentially and on a 2-domain pool, with
+   provenance off and on, and still raise Not_found for a spec-less
+   name. *)
+let test_run_scenario_equals_composed () =
+  let corpus = Lazy.force corpus in
+  let names = Dptrace.Corpus.scenario_names corpus in
+  let compare_all ~msg ?pool () =
+    List.iter
+      (fun name ->
+        match Scenario_reference.run drivers corpus name with
+        | exception Not_found -> ()
+        | want ->
+          check Alcotest.string
+            (Printf.sprintf "%s: %s" msg name)
+            (scenario_fingerprint want)
+            (scenario_fingerprint
+               (Pipeline.run_scenario ?pool drivers corpus name)))
+      names;
+    check Alcotest.bool (msg ^ ": a spec-less name raises Not_found") true
+      (match Pipeline.run_scenario ?pool drivers corpus "NoSuchScenario" with
+      | _ -> false
+      | exception Not_found -> true)
+  in
+  let both_pools ~prov =
+    compare_all ~msg:(prov ^ ", sequential") ();
+    Dppar.Pool.with_pool ~domains:2 (fun pool ->
+        compare_all ~msg:(prov ^ ", 2-domain pool") ~pool ())
   in
   both_pools ~prov:"provenance off";
   with_provenance (fun () -> both_pools ~prov:"provenance on")
@@ -414,6 +472,8 @@ let () =
             test_provenance_changes_no_number;
           Alcotest.test_case "run_report = composed path" `Quick
             test_run_report_equals_composed;
+          Alcotest.test_case "run_scenario = composed path" `Quick
+            test_run_scenario_equals_composed;
           Alcotest.test_case "run_report: the index dies with its pass" `Quick
             test_run_report_index_dies_with_pass;
           Alcotest.test_case "escaping round-trips" `Quick

@@ -301,8 +301,12 @@ let test_bundle_deterministic () =
   | [] -> Alcotest.fail "fixture has no classified scenario"
   | c :: _ ->
     let base = fresh_dir () in
-    let b1 = Bundle.write ~dir:(Filename.concat base "a") c in
-    let b2 = Bundle.write ~dir:(Filename.concat base "b") c in
+    let r =
+      Dpcore.Pipeline.run_scenario Component.drivers corpus
+        c.Classify.spec.Scenario.name
+    in
+    let b1 = Bundle.write ~dir:(Filename.concat base "a") r in
+    let b2 = Bundle.write ~dir:(Filename.concat base "b") r in
     check Alcotest.int "same file set" (List.length b1.Bundle.files)
       (List.length b2.Bundle.files);
     List.iter2
@@ -311,6 +315,22 @@ let test_bundle_deterministic () =
           ("byte-identical re-export: " ^ Filename.basename f1)
           (read_file f1) (read_file f2))
       b1.Bundle.files b2.Bundle.files;
+    (* The AWG views come from the result's merged forests; they must
+       read as one Awg.build over each class's graphs. *)
+    List.iter
+      (fun (cls, pairs) ->
+        let awg =
+          Awg.build Component.drivers
+            (List.map
+               (fun ((st : Dptrace.Stream.t), i) ->
+                 Wait_graph.build ~index:(Dptrace.Stream.shared_index st) st i)
+               pairs)
+        in
+        let name = Printf.sprintf "flame_awg_%s.folded" cls in
+        check Alcotest.string (name ^ " = one Awg.build's")
+          (Flame.to_folded (Flame.folded_awg awg))
+          (read_file (Filename.concat (Filename.concat base "a") name)))
+      [ ("slow", c.Classify.slow); ("fast", c.Classify.fast) ];
     (* Every JSON artifact of the bundle parses. *)
     List.iter
       (fun f ->
