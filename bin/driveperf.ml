@@ -39,8 +39,9 @@ let record_input_bytes bytes fmt =
     in
     Dpobs.Metrics.add (Dpobs.Metrics.counter name) bytes
 
-let load_corpus ?pool ~mode path =
-  match Dptrace.Corpus_dir.load ?pool ~mode path with
+(* A corpus file's read, loaded whole or folded: an error is one line
+   and exit 1; recovered frames are summarised on stderr. *)
+let check_read path = function
   | Error msg ->
     Dpobs.Log.error "%s" msg;
     exit 1
@@ -62,10 +63,26 @@ let load_corpus ?pool ~mode path =
     | _ -> ());
     loaded
 
+let load_corpus ?pool ~mode path =
+  check_read path (Dptrace.Corpus_dir.load ?pool ~mode path)
+
+let generated () =
+  Dpworkload.Corpus_gen.generate Dpworkload.Corpus_gen.default_config
+
 let read_corpus ?pool ~mode = function
   | Some path -> (load_corpus ?pool ~mode path).Dptrace.Corpus_dir.l_corpus
-  | None ->
-    Dpworkload.Corpus_gen.generate Dpworkload.Corpus_gen.default_config
+  | None -> generated ()
+
+(* The corpus handed over stream by stream: a framed file is decoded a
+   batch at a time; a text file or the generated corpus is built whole
+   first. *)
+let fold_input ~pool ~mode path ~step ~consume =
+  match path with
+  | Some path ->
+    (check_read path
+       (Dptrace.Corpus_dir.fold ~pool ~mode ~step ~consume path))
+      .Dptrace.Corpus_dir.l_corpus
+  | None -> Dptrace.Corpus_dir.fold_corpus ~pool ~step ~consume (generated ())
 
 (* --- common options --- *)
 
@@ -319,13 +336,13 @@ let with_progress o ~label ~total counter_name f =
    One term for their common flags (-c, -j, --strict/--recover,
    --fault-plan and the telemetry options). It yields a runner that arms
    telemetry, then the fault plan, then a pool of -j domains, and hands
-   the body the corpus loaded on that pool and screened. *)
+   the body how to read the corpus: loaded whole ([resident]) or folded
+   into a report ([with_results]). Nothing is read before the body. *)
 
 type setup = {
   path : string option;  (** [-c]; [None] for the generated corpus *)
+  mode : Dptrace.Codec_v2.mode;
   pool : Dppar.Pool.t;
-  corpus : Dptrace.Corpus.t;  (** screened *)
-  coverage : Dpcore.Pipeline.coverage;
   obs : obs_opts;
 }
 
@@ -333,34 +350,47 @@ let setup_term =
   let run path j mode faults obs f =
     with_obs obs @@ fun () ->
     with_faults faults @@ fun () ->
-    with_cli_pool j @@ fun pool ->
-    let corpus, coverage =
-      Dpcore.Pipeline.screen (read_corpus ~pool ~mode path)
-    in
-    f { path; pool; corpus; coverage; obs }
+    with_cli_pool j @@ fun pool -> f { path; mode; pool; obs }
   in
   Term.(
     const run $ corpus_arg $ domains_arg $ mode_arg $ fault_arg
     $ obs_opts_term)
 
-(* The analysis behind impact, report and analyze: the report (computed
-   under the --progress line) handed to the body. Under --cache it comes
-   from the snapshot's partials: the cache is opened for this
-   configuration, ensured for the corpus (misses analysed in parallel)
-   and written back after the body. Otherwise it comes from the one
-   per-stream pass that builds and traverses each wait graph once. *)
-let with_results ?scenarios ~cache ~components { pool; corpus; obs; _ } f =
-  let names =
-    Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
-  in
-  let report run =
-    f (with_progress obs ~label:"scenarios" ~total:(List.length names)
+(* The corpus loaded whole on the set-up's pool, and screened. *)
+let resident { path; mode; pool; _ } =
+  Dpcore.Pipeline.screen (read_corpus ~pool ~mode path)
+
+(* The analysis behind impact, report and analyze: the coverage and the
+   report (its scenario tails under the --progress line) handed to the
+   body. Without --cache it is folded out of the corpus file, each
+   stream stepped as it is decoded, unless the caller already holds the
+   [resident] corpus. Under --cache the corpus is loaded whole, the
+   cache opened for this configuration, ensured for the corpus (misses
+   analysed in parallel) and written back after the body. *)
+let with_results ?scenarios ?resident:held ~cache ~components s f =
+  let report (corpus, coverage) run =
+    let names =
+      Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
+    in
+    f coverage
+      (with_progress s.obs ~label:"scenarios" ~total:(List.length names)
          "pipeline.scenarios_done" run)
   in
-  match cache with
-  | None ->
-    report (fun () -> Dpcore.Pipeline.run_report ~pool ?scenarios components corpus)
-  | Some dir ->
+  let pool = s.pool in
+  match (cache, held) with
+  | None, None ->
+    let acc, corpus, coverage =
+      Dpcore.Pipeline.fold_report ?scenarios components
+        (fold_input ~pool ~mode:s.mode s.path)
+    in
+    report (corpus, coverage) (fun () -> Dpcore.Pipeline.finish ~pool acc corpus)
+  | None, Some ((corpus, _) as held) ->
+    report held (fun () ->
+        Dpcore.Pipeline.run_report ~pool ?scenarios components corpus)
+  | Some dir, _ ->
+    let ((corpus, _) as held) =
+      match held with Some held -> held | None -> resident s
+    in
     let fingerprint =
       Dpcore.Snapshot.fingerprint ~components
         ~specs:corpus.Dptrace.Corpus.specs ~k:Dpcore.Mining.default_k ()
@@ -368,7 +398,8 @@ let with_results ?scenarios ~cache ~components { pool; corpus; obs; _ } f =
     let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
     Dpcore.Snapshot.ensure ~pool snap components corpus;
     let r =
-      report (fun () -> Dpcore.Pipeline.run_report_snap ~pool ?scenarios snap corpus)
+      report held (fun () ->
+          Dpcore.Pipeline.run_report_snap ~pool ?scenarios snap corpus)
     in
     Dpcore.Snapshot.save snap;
     let s = Dpcore.Snapshot.stats snap in
@@ -435,9 +466,9 @@ let generate_cmd =
 
 let impact pats breakdown per_scenario cache run =
   run @@ fun s ->
-  print_coverage s.coverage;
   let components = components_of pats in
-  with_results ~scenarios:[] ~cache ~components s @@ fun r ->
+  with_results ~scenarios:[] ~cache ~components s @@ fun coverage r ->
+  print_coverage coverage;
   Dputil.Table.print (Dpcore.Report.impact_summary r.Dpcore.Pipeline.impact);
   if breakdown then begin
     print_newline ();
@@ -471,7 +502,8 @@ let impact_cmd =
 (* --- causality --- *)
 
 let causality pats scenario k top run =
-  run @@ fun { pool; corpus; coverage; _ } ->
+  run @@ fun ({ pool; _ } as s) ->
+  let corpus, coverage = resident s in
   require_spec corpus scenario;
   print_coverage coverage;
   let components = components_of pats in
@@ -534,8 +566,7 @@ let causality_cmd =
 
 let report json cache run =
   run @@ fun s ->
-  let cov = s.coverage in
-  if json then Dpcore.Provenance.enable () else print_coverage cov;
+  if json then Dpcore.Provenance.enable ();
   let scenario_names =
     List.map
       (fun (tpl : Dpworkload.Scenarios.template) ->
@@ -544,12 +575,14 @@ let report json cache run =
   in
   with_results ~scenarios:scenario_names ~cache
     ~components:Dpcore.Component.drivers s
-  @@ fun { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } ->
+  @@ fun cov
+         { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } ->
   if json then
     Dputil.Jsonw.output stdout
       (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov
          ~modules ~scenarios:named ())
   else begin
+    print_coverage cov;
     Dputil.Table.print (Dpcore.Report.impact_summary impact);
     let classes =
       List.map (fun (n, r) -> (n, r.Dpcore.Pipeline.classification)) named
@@ -1340,10 +1373,8 @@ let timeline_cmd =
 (* --- analyze: the one-shot full report --- *)
 
 let analyze out json top_patterns_n cache run =
-  run @@ fun ({ path = corpus_path; corpus; coverage = cov; _ } as s) ->
+  run @@ fun s ->
   let components = Dpcore.Component.drivers in
-  if json then Dpcore.Provenance.enable ();
-  with_results ~cache ~components s @@ fun results ->
   let write output x =
     match out with
     | Some path ->
@@ -1354,15 +1385,20 @@ let analyze out json top_patterns_n cache run =
     | None -> output stdout x
   in
   if json then begin
-    let { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } =
-      results
-    in
+    Dpcore.Provenance.enable ();
+    with_results ~cache ~components s
+    @@ fun cov
+           { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } ->
     write Dputil.Jsonw.output
       (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov ~modules
          ~scenarios:named ());
     0
   end
   else begin
+  (* Corpus statistics, witnesses and the baselines read events, so the
+     text report keeps the corpus resident. *)
+  let ((corpus, cov) as held) = resident s in
+  with_results ~resident:held ~cache ~components s @@ fun _ results ->
   let buf = Buffer.create 65536 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let block text =
@@ -1375,7 +1411,7 @@ let analyze out json top_patterns_n cache run =
   line "# driveperf analysis report";
   line "";
   line "Corpus: %s"
-    (match corpus_path with Some p -> p | None -> "(generated, default config)");
+    (match s.path with Some p -> p | None -> "(generated, default config)");
   line "";
   line "## Corpus";
   line "";

@@ -24,7 +24,7 @@ let matches_signature t s = Signature.matches t.compiled s
 
 let stack_relevant t stack = Callstack.contains_matching t.compiled stack
 
-let none_sig = lazy (Signature.of_string "<none>")
+let none_sig = Signature.of_string "<none>"
 
 let event_signature t (e : Event.t) =
   match e.kind with
@@ -40,4 +40,4 @@ let event_signature_or_top t (e : Event.t) =
   | None -> (
     match Callstack.top e.stack with
     | Some s -> s
-    | None -> Lazy.force none_sig)
+    | None -> none_sig)

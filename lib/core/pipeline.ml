@@ -59,37 +59,50 @@ let build_graphs ?pool _corpus entries =
     Array.to_list out
     |> List.map (function Some g -> g | None -> assert false)
 
-(* The one scenario tail, behind every scenario result, fresh or
-   cached, whole-report or one-scenario: classify, fold the scenario's
-   per-stream class parts in stream order into running accumulators
-   (impact, provenance and two [Awg.Partial.merger]s), reduce the merged
-   forests, mine, then the coverages. [part_of x] is the class part of
-   each [x] of [parts] (in stream order), if any, taken one at a time, so
-   a part decoded off a cache file's bytes is garbage once absorbed.
-   [mine f] returns the mining result, [f ()] computing it. *)
-let scenario_of_parts ~k ~reduce ~mine corpus name part_of parts =
+(* --- the one report accumulator ---
+
+   Every result, fresh or cached, whole-report or one-scenario, is built
+   by absorbing per-stream parts, in stream order, into running
+   accumulators, then running each scenario's tail over its
+   accumulator. The sources differ only in where the parts come from: a
+   resident corpus, a corpus file folded stream by stream, or a
+   snapshot's entries. *)
+
+(* One scenario's class parts absorbed so far: the two class forests
+   and the slow class's impact with its provenance. *)
+type class_acc = {
+  a_fast : Awg.Partial.merger;
+  a_slow : Awg.Partial.merger;
+  mutable a_impact : Impact.result;
+  mutable a_prov : Provenance.impact;
+}
+
+let class_acc () =
+  {
+    a_fast = Awg.Partial.merger ();
+    a_slow = Awg.Partial.merger ();
+    a_impact = Impact.empty;
+    a_prov = Provenance.empty_impact;
+  }
+
+let absorb_class a (c : Snapshot.class_part) =
+  Awg.Partial.absorb a.a_fast c.cl_fast;
+  Awg.Partial.absorb a.a_slow c.cl_slow;
+  a.a_impact <- Impact.merge a.a_impact c.cl_slow_impact;
+  a.a_prov <- Provenance.merge_impact a.a_prov c.cl_slow_prov
+
+(* The one scenario tail: classify, reduce the merged forests, mine,
+   then the coverages. [mine f] returns the mining result, [f ()]
+   computing it. *)
+let scenario_tail ~k ~reduce ~mine corpus name a =
   let classification =
     span "pipeline.classify" (fun () -> Classify.classify corpus name)
   in
-  let fast = Awg.Partial.merger () and slow = Awg.Partial.merger () in
-  let slow_impact, slow_impact_prov =
-    span "pipeline.awg_merge" @@ fun () ->
-    List.fold_left
-      (fun ((r, p) as acc) x ->
-        match (part_of x : Snapshot.class_part option) with
-        | None -> acc
-        | Some c ->
-          Awg.Partial.absorb fast c.cl_fast;
-          Awg.Partial.absorb slow c.cl_slow;
-          (Impact.merge r c.cl_slow_impact, Provenance.merge_impact p c.cl_slow_prov))
-      (Impact.empty, Provenance.empty_impact)
-      parts
-  in
   let fast_awg =
-    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce fast)
+    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce a.a_fast)
   in
   let slow_awg =
-    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce slow)
+    span "pipeline.awg_merge" (fun () -> Awg.Partial.merged ~reduce a.a_slow)
   in
   let mining =
     span "pipeline.mining" (fun () ->
@@ -112,8 +125,8 @@ let scenario_of_parts ~k ~reduce ~mine corpus name part_of parts =
   in
   {
     classification;
-    slow_impact;
-    slow_impact_prov;
+    slow_impact = a.a_impact;
+    slow_impact_prov = a.a_prov;
     fast_awg;
     slow_awg;
     mining;
@@ -156,7 +169,9 @@ let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
       Dppar.Pool.parallel_map ~chunk:1 pool of_stream corpus.Dptrace.Corpus.streams
     | None -> List.map of_stream corpus.Dptrace.Corpus.streams
   in
-  scenario_of_parts ~k ~reduce ~mine:(fun f -> f ()) corpus name Fun.id parts
+  let a = class_acc () in
+  span "pipeline.awg_merge" (fun () -> List.iter (Option.iter (absorb_class a)) parts);
+  scenario_tail ~k ~reduce ~mine:(fun f -> f ()) corpus name a
 
 type report = {
   impact : Impact.result;
@@ -167,49 +182,61 @@ type report = {
   per_scenario : (string * Impact.result) list;
 }
 
-(* The one report assembly, behind run_report and run_report_snap
-   alike. [parts] holds, per stream in corpus stream order, the stream's
-   whole-stream part [(impact, provenance, module rows, per-scenario
-   impacts)] and a lookup of its class parts by scenario name. The
-   whole-stream parts merge left to right, each scenario's impacts into
-   that scenario's row of the per-scenario table. Each requested
-   scenario with a spec goes through [scenario_of_parts] over its class
-   parts, looked up lazily in the same order. [mine name f] returns the
-   scenario's mining result, [f ()] computing it. The callers differ only
-   in where the parts come from and in [mine], so a cached report is the
-   fresh one by construction. *)
-let assemble ?pool ~k ~reduce ?scenarios ~mine corpus parts =
-  let impact, impact_prov, modules =
-    List.fold_left
-      (fun (r, p, m) ((r', p', m', _), _) ->
-        (Impact.merge r r', Provenance.merge_impact p p', Impact.merge_modules m m'))
-      (Impact.empty, Provenance.empty_impact, [])
-      parts
-  in
-  let per_scenario =
-    Dptrace.Corpus.scenario_names corpus
-    |> List.map (fun name ->
-           ( name,
-             List.fold_left
-               (fun acc ((_, _, _, sc), _) ->
-                 Option.fold ~none:acc ~some:(Impact.merge acc) (List.assoc_opt name sc))
-               Impact.empty parts ))
-    |> List.sort (fun (na, (a : Impact.result)) (nb, b) ->
-           match compare b.Impact.d_wait a.Impact.d_wait with 0 -> compare na nb | c -> c)
-  in
-  let streams = List.map (fun ((r, _, _, _), _) -> r) parts in
-  let scenario name =
-    span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
-    scenario_of_parts ~k ~reduce ~mine:(mine name) corpus name
-      (fun (_, class_of) -> class_of name)
-      parts
-  in
-  (* One scenario per work item, mining sequential inside the worker,
-     results in request order, spec-less names skipped. *)
+(* A report in progress: the whole-stream parts absorbed so far (the
+   corpus impact with its provenance, the module table, each stream's
+   impact, newest first, and each scenario's row of the per-scenario
+   table), plus a class accumulator per requested scenario that has had
+   a class part. *)
+type acc = {
+  k : int;
+  reduce : bool;
+  wanted : string list option;
+  mutable t_impact : Impact.result;
+  mutable t_prov : Provenance.impact;
+  mutable t_modules : Impact.module_row list;
+  mutable t_streams_rev : Impact.result list;
+  t_rows : (string, Impact.result) Hashtbl.t;
+  classes : (string, class_acc) Hashtbl.t;
+}
+
+let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios () =
+  {
+    k;
+    reduce;
+    wanted = scenarios;
+    t_impact = Impact.empty;
+    t_prov = Provenance.empty_impact;
+    t_modules = [];
+    t_streams_rev = [];
+    t_rows = Hashtbl.create 32;
+    classes = Hashtbl.create 16;
+  }
+
+let absorb_part t ((r, p, m, per_scenario) : Snapshot.part) =
+  t.t_impact <- Impact.merge t.t_impact r;
+  t.t_prov <- Provenance.merge_impact t.t_prov p;
+  t.t_modules <- Impact.merge_modules t.t_modules m;
+  t.t_streams_rev <- r :: t.t_streams_rev;
+  List.iter
+    (fun (name, r) ->
+      let row = Option.value ~default:Impact.empty (Hashtbl.find_opt t.t_rows name) in
+      Hashtbl.replace t.t_rows name (Impact.merge row r))
+    per_scenario
+
+(* Each requested scenario with a spec goes through the scenario tail
+   over [class_acc_of name], one scenario per work item (mining
+   sequential inside the worker), results in request order, spec-less
+   names skipped. [mine name f] returns the scenario's mining result,
+   [f ()] computing it. *)
+let assemble ?pool ~mine ~class_acc_of corpus t =
   let one name =
     let r =
       Option.map
-        (fun _ -> (name, scenario name))
+        (fun _ ->
+          ( name,
+            span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
+            scenario_tail ~k:t.k ~reduce:t.reduce ~mine:(mine name) corpus name
+              (class_acc_of name) ))
         (Dptrace.Corpus.find_spec corpus name)
     in
     if Dpobs.metrics_on () then
@@ -217,7 +244,7 @@ let assemble ?pool ~k ~reduce ?scenarios ~mine corpus parts =
     r
   in
   let names =
-    Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
+    Option.value t.wanted ~default:(Dptrace.Corpus.scenario_names corpus)
   in
   let scenarios =
     (match pool with
@@ -225,28 +252,68 @@ let assemble ?pool ~k ~reduce ?scenarios ~mine corpus parts =
     | None -> List.map one names)
     |> List.filter_map Fun.id
   in
-  { impact; impact_prov; modules; streams; scenarios; per_scenario }
+  let per_scenario =
+    Hashtbl.fold (fun name r acc -> (name, r) :: acc) t.t_rows []
+    |> List.sort (fun (na, (a : Impact.result)) (nb, b) ->
+           match compare b.Impact.d_wait a.Impact.d_wait with 0 -> compare na nb | c -> c)
+  in
+  {
+    impact = t.t_impact;
+    impact_prov = t.t_prov;
+    modules = t.t_modules;
+    streams = List.rev t.t_streams_rev;
+    scenarios;
+    per_scenario;
+  }
 
-let run_report ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
-    components (corpus : Dptrace.Corpus.t) =
-  (* Per stream: every instance's graph built once and measured once;
-     only the class parts of requested scenarios outlive the pass. *)
+type stepped = {
+  skeleton : Dptrace.Stream.t;
+  part : Snapshot.part;
+  class_parts : (string * Snapshot.class_part option) list;
+}
+
+(* Per stream: every instance's graph built once and measured once;
+   only the class parts of requested scenarios with a spec are made. *)
+let step components acc specs (st : Dptrace.Stream.t) =
   let spec_of name =
-    match scenarios with
+    match acc.wanted with
     | Some names when not (List.mem name names) -> None
-    | _ -> Dptrace.Corpus.find_spec corpus name
+    | _ -> List.find_opt (fun (s : Dptrace.Scenario.spec) -> s.name = name) specs
   in
-  let of_stream st =
-    let part, groups = Snapshot.stream_step components ~spec_of st in
-    (part, fun name -> Option.join (List.assoc_opt name groups))
-  in
-  let parts =
-    span "pipeline.report_streams" @@ fun () ->
-    match pool with
-    | Some pool -> Dppar.Pool.parallel_map pool of_stream corpus.Dptrace.Corpus.streams
-    | None -> List.map of_stream corpus.Dptrace.Corpus.streams
-  in
-  assemble ?pool ~k ~reduce ?scenarios ~mine:(fun _ f -> f ()) corpus parts
+  let part, class_parts = Snapshot.stream_step components ~spec_of st in
+  { skeleton = Dptrace.Stream.skeleton st; part; class_parts }
+
+let absorb acc s =
+  absorb_part acc s.part;
+  List.iter
+    (function
+      | name, Some c ->
+        let a =
+          match Hashtbl.find_opt acc.classes name with
+          | Some a -> a
+          | None ->
+            let a = class_acc () in
+            Hashtbl.add acc.classes name a;
+            a
+        in
+        absorb_class a c
+      | _, None -> ())
+    s.class_parts
+
+let finish ?pool acc corpus =
+  assemble ?pool ~mine:(fun _ f -> f ())
+    ~class_acc_of:(fun name ->
+      Option.value ~default:(class_acc ()) (Hashtbl.find_opt acc.classes name))
+    corpus acc
+
+let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t) =
+  let acc = accumulator ?k ?reduce ?scenarios () in
+  span "pipeline.report_streams" (fun () ->
+      Dppar.Pool.iter_batched ?pool
+        (step components acc corpus.Dptrace.Corpus.specs)
+        (absorb acc)
+        (fun push -> List.iter push corpus.Dptrace.Corpus.streams));
+  finish ?pool acc corpus
 
 let run_impact_prov ?pool components corpus =
   let r = run_report ?pool ~scenarios:[] components corpus in
@@ -255,32 +322,38 @@ let run_impact_prov ?pool components corpus =
 (* --- snapshot-backed variants ---
 
    The snapshot's entries hold what the fresh pass computes per stream,
-   so the cached report is the same assembly over entries instead of
+   so the cached report is the same accumulator over entries instead of
    fresh parts: every cached result — impact integers, provenance
    reservoirs, AWG forests, mined patterns — is bit-identical to the
    uncached run whatever mix of cache hits and misses produced the
-   entries. *)
+   entries. Each scenario's work item absorbs its class parts itself,
+   decoding each off the cache file's bytes just before absorbing it. *)
 
-let run_report_snap ?pool ?(k = Mining.default_k) ?(reduce = true) ?scenarios
-    snapshot (corpus : Dptrace.Corpus.t) =
-  let part st =
-    let e = Snapshot.entry snapshot st in
-    (Snapshot.entry_part e, Snapshot.entry_scenario_class e)
+let run_report_snap ?pool ?k ?reduce ?scenarios snapshot (corpus : Dptrace.Corpus.t) =
+  let entries = List.map (Snapshot.entry snapshot) corpus.Dptrace.Corpus.streams in
+  let t = accumulator ?k ?reduce ?scenarios () in
+  List.iter (fun e -> absorb_part t (Snapshot.entry_part e)) entries;
+  let class_acc_of name =
+    let a = class_acc () in
+    span "pipeline.awg_merge" (fun () ->
+        List.iter
+          (fun e -> Option.iter (absorb_class a) (Snapshot.entry_scenario_class e name))
+          entries);
+    a
   in
   (* The miner dominates a warm re-analysis, and its inputs are a pure
      function of the snapshot fingerprint + contributing streams, so its
      result is cached at scenario granularity (digest-checked; identical
      either way). *)
   let mine name f =
-    match Snapshot.find_mining snapshot corpus name ~reduce ~k with
+    match Snapshot.find_mining snapshot corpus name ~reduce:t.reduce ~k:t.k with
     | Some m -> m
     | None ->
       let m = f () in
-      Snapshot.store_mining snapshot corpus name ~reduce ~k m;
+      Snapshot.store_mining snapshot corpus name ~reduce:t.reduce ~k:t.k m;
       m
   in
-  assemble ?pool ~k ~reduce ?scenarios ~mine corpus
-    (List.map part corpus.Dptrace.Corpus.streams)
+  assemble ?pool ~mine ~class_acc_of corpus t
 
 let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
   (run_report_snap ?pool ?k ?reduce ?scenarios snapshot corpus).scenarios
@@ -308,42 +381,65 @@ type coverage = {
   cov_quarantined : (int * string) list;
 }
 
+(* One [corpus.read] probe per stream, in corpus order (so the plan's
+   per-call draws are reproducible): a stream whose retries exhaust is
+   quarantined with its reason instead of aborting the run. *)
+type screener = {
+  mutable seen : int;
+  mutable quarantined : (int * string) list;  (* newest first *)
+}
+
+let screener () = { seen = 0; quarantined = [] }
+
+let admit s (st : Dptrace.Stream.t) =
+  s.seen <- s.seen + 1;
+  (not (Dpfault.armed ()))
+  ||
+  match
+    Dpfault.Retry.run Dpfault.Corpus_read (fun () ->
+        Dpfault.guard Dpfault.Corpus_read)
+  with
+  | () -> true
+  | exception Dpfault.Injected { kind; _ } ->
+    s.quarantined <-
+      ( st.Dptrace.Stream.id,
+        Printf.sprintf "injected %s at corpus.read exhausted %d attempt(s)"
+          (Dpfault.kind_name kind)
+          (Dpfault.Retry.budget Dpfault.Corpus_read) )
+      :: s.quarantined;
+    false
+
+let close_screen s =
+  let quarantined = List.rev s.quarantined in
+  List.iter
+    (fun (sid, reason) -> Dpobs.Log.warn "stream %d quarantined: %s" sid reason)
+    quarantined;
+  {
+    cov_total = s.seen;
+    cov_analyzed = s.seen - List.length quarantined;
+    cov_quarantined = quarantined;
+  }
+
+(* The kept streams preserve corpus order, and a screening that
+   quarantines nothing returns the input corpus, so every downstream
+   result — text and JSON — stays byte-identical to a fault-free run. *)
 let screen (corpus : Dptrace.Corpus.t) =
-  if not (Dpfault.armed ()) then
-    let n = Dptrace.Corpus.stream_count corpus in
-    (corpus, { cov_total = n; cov_analyzed = n; cov_quarantined = [] })
-  else begin
-    (* One [corpus.read] probe per stream, in corpus order (so the
-       plan's per-call draws are reproducible): a stream whose retries
-       exhaust is quarantined with its reason instead of aborting the
-       run. The kept streams preserve corpus order, so a screening that
-       quarantines nothing leaves every downstream result — text and
-       JSON — byte-identical to a fault-free run. *)
-    let kept, quarantined =
-      List.partition_map
-        (fun (st : Dptrace.Stream.t) ->
-          match
-            Dpfault.Retry.run Dpfault.Corpus_read (fun () ->
-                Dpfault.guard Dpfault.Corpus_read)
-          with
-          | () -> Left st
-          | exception Dpfault.Injected { kind; _ } ->
-            Right
-              ( st.Dptrace.Stream.id,
-                Printf.sprintf
-                  "injected %s at corpus.read exhausted %d attempt(s)"
-                  (Dpfault.kind_name kind)
-                  (Dpfault.Retry.budget Dpfault.Corpus_read) ))
-        corpus.Dptrace.Corpus.streams
-    in
-    List.iter
-      (fun (sid, reason) ->
-        Dpobs.Log.warn "stream %d quarantined: %s" sid reason)
-      quarantined;
-    ( Dptrace.Corpus.create ~streams:kept ~specs:corpus.Dptrace.Corpus.specs,
-      {
-        cov_total = Dptrace.Corpus.stream_count corpus;
-        cov_analyzed = List.length kept;
-        cov_quarantined = quarantined;
-      } )
-  end
+  let s = screener () in
+  let kept = List.filter (admit s) corpus.Dptrace.Corpus.streams in
+  ( (if s.quarantined = [] then corpus
+     else Dptrace.Corpus.create ~streams:kept ~specs:corpus.Dptrace.Corpus.specs),
+    close_screen s )
+
+let fold_report ?k ?reduce ?scenarios components source =
+  let acc = accumulator ?k ?reduce ?scenarios () in
+  let s = screener () in
+  let corpus =
+    span "pipeline.report_streams" @@ fun () ->
+    source ~step:(step components acc) ~consume:(fun x ->
+        if admit s x.skeleton then begin
+          absorb acc x;
+          Some x.skeleton
+        end
+        else None)
+  in
+  (acc, corpus, close_screen s)

@@ -1,33 +1,42 @@
 (** End-to-end orchestration: corpus → impact analysis and per-scenario
     causality analysis.
 
-    {!run_report} is the one from-scratch corpus traversal: one pass per
-    stream ({!Snapshot.stream_step}) takes the stream's index for that
-    pass (see {!Dptrace.Stream.pass_index}), builds each instance's Wait
-    Graph once and traverses it once ({!Impact.measure}) for the corpus
-    impact, its provenance, the module table and each scenario's
-    all-instance impact; the same graphs then become each requested
-    scenario's per-stream class part (slow impact and provenance, fast
-    and slow {!Awg.Partial} forests) and die with their stream. One
-    assembly merges those parts in stream order into the report, the
-    per-scenario impact table included. {!run_report_snap} runs the same
-    assembly over a snapshot's entries, which hold the same parts, so
-    cached ≡ fresh holds by construction. {!run_scenario} answers one
-    scenario with the same scenario tail, over class parts it makes from
-    that scenario's instances alone, so its result is the report's
-    entry for that scenario. {!run_impact_prov} is a projection of
-    {!run_report}. {!build_graphs} builds the graphs of given instances
-    for callers that look at the graphs themselves.
+    {b One accumulator.} Every report and scenario result is built the
+    same way. Per-stream parts are absorbed, in stream order, into
+    running accumulators: the corpus impact with its provenance, the
+    module table, the per-scenario impact table and the per-stream
+    impacts of the bootstrap, plus one class accumulator per requested
+    scenario (the two {!Awg.Partial.merger}s and the slow class's impact
+    with its provenance). Each scenario's tail (classify, reduce the
+    merged forests, mine, coverages) then runs from its class
+    accumulator. The sources differ only in where the parts come from:
+
+    - {!run_report}: a resident corpus, each stream stepped once by
+      {!Snapshot.stream_step} (each Wait Graph built once and traversed
+      once by {!Impact.measure});
+    - {!fold_report}: the same step, run as each stream is decoded from
+      a corpus file ({!Dptrace.Corpus_dir.fold}), its result absorbed at
+      once, so no stream's events outlive its pass and only
+      {!Dptrace.Stream.skeleton}s stay;
+    - {!run_report_snap}: a snapshot's entries, which hold the same
+      parts, each scenario's work item absorbing its own class parts;
+    - {!run_scenario}: one scenario's class parts, made from that
+      scenario's instances alone, so its result is the report's entry
+      for that scenario.
+
+    So fresh ≡ fold ≡ cached ≡ one-scenario holds by construction.
+    {!run_impact_prov} is a projection of {!run_report}. {!build_graphs}
+    builds the graphs of given instances for callers that look at the
+    graphs themselves.
 
     Every from-scratch entry point takes an optional [?pool] (a
     {!Dppar.Pool.t}); when given, independent units of work — streams
-    within {!run_report}, {!run_scenario} and {!build_graphs}, then
-    scenarios within {!run_report} — fan out across its domains. Within
-    one scenario, AWG merging and mining run on one domain. Parallel
-    results are {e bit-identical} to sequential ones: work is only split
-    along independence boundaries, results are merged in input order
-    (never completion order), and reductions run in a fixed
-    association. *)
+    (in batches, {!Dppar.Pool.iter_batched}), then scenario tails —
+    fan out across its domains. Within one scenario, AWG merging and
+    mining run on one domain. Parallel results are {e bit-identical} to
+    sequential ones: work is only split along independence boundaries,
+    parts are absorbed in stream order (never completion order), and
+    results are returned in request order. *)
 
 type scenario_result = {
   classification : Classify.t;
@@ -67,9 +76,10 @@ val run_scenario :
     the graphs of the scenario's fast and slow instances, on the
     stream's memoised index ({!Dptrace.Stream.shared_index}), and turns
     each stream's into its {!Snapshot.class_part}; with [pool] the
-    streams fan out, order-preserving. The parts then go through
-    {!run_report}'s scenario tail, so the result equals the report's
-    entry for [name] with the same [k] and [reduce].
+    streams fan out, order-preserving. The parts are absorbed into the
+    report's class accumulator and go through its scenario tail, so the
+    result equals the report's entry for [name] with the same [k] and
+    [reduce].
     @raise Not_found if the corpus has no spec for the scenario. *)
 
 type report = {
@@ -103,13 +113,13 @@ val run_report :
     {!run_scenario} gives for each of [scenarios] (default: every
     scenario name in the corpus; names without a spec are skipped, the
     rest keep their order), from one per-stream pass that builds and
-    traverses each Wait Graph once ({!Impact.measure}) and keeps only
-    the class parts of requested scenarios. Stream parts merge in stream
-    order with {!Impact.merge}, {!Provenance.merge_impact} and
-    {!Impact.merge_modules}; class parts with {!Impact.merge},
+    traverses each Wait Graph once ({!Impact.measure}) and makes only
+    the class parts of requested scenarios. Each stream's parts are
+    absorbed as its step returns, in stream order: whole-stream parts
+    with {!Impact.merge}, {!Provenance.merge_impact} and
+    {!Impact.merge_modules}, class parts with {!Impact.merge},
     {!Provenance.merge_impact} and {!Awg.Partial.absorb}. With [pool],
-    streams fan out (order-preserving), then scenarios, one per work
-    item. *)
+    streams fan out in batches, then scenarios, one per work item. *)
 
 val run_impact_prov :
   ?pool:Dppar.Pool.t ->
@@ -123,9 +133,10 @@ val run_impact_prov :
 
     Each answers its from-scratch counterpart's question over a
     {!Snapshot.t} the caller has {!Snapshot.ensure}d for the corpus. The
-    report variants run {!run_report}'s own assembly over the entries'
-    parts; only the miner's result may come from the snapshot's mining
-    records. Results are {e bit-identical} to the uncached entry points —
+    report variants absorb the entries' parts into {!run_report}'s own
+    accumulators; each scenario's work item decodes and absorbs its own
+    class parts. Only the miner's result may come from the snapshot's
+    mining records. Results are {e bit-identical} to the uncached entry points —
     including provenance and [--json] rendering — regardless of which
     entries were cache hits.
 
@@ -150,7 +161,7 @@ val run_report_snap :
   Snapshot.t ->
   Dptrace.Corpus.t ->
   report
-(** Cached {!run_report}: the same assembly over the entries' parts.
+(** Cached {!run_report}: the same accumulators over the entries' parts.
     Each scenario's mining result is looked up with
     {!Snapshot.find_mining} and, on a miss, mined and recorded with
     {!Snapshot.store_mining}. *)
@@ -185,7 +196,45 @@ type coverage = {
 
 val screen : Dptrace.Corpus.t -> Dptrace.Corpus.t * coverage
 (** Probe each stream's [corpus.read] site under the armed fault plan
-    and drop the streams whose retries exhaust. With no plan armed this
-    is free (one atomic load) and returns the corpus unchanged; with
-    zero quarantines the returned corpus is the input (same streams,
-    same order), so downstream output stays byte-identical. *)
+    and drop the streams whose retries exhaust, logging one warning per
+    quarantined stream. With no plan armed this costs one atomic load
+    per stream; with zero quarantines the returned corpus is the input,
+    so downstream output stays byte-identical. *)
+
+(** {1 Folding a corpus file}
+
+    {!fold_report} feeds the report's accumulators from a source that
+    hands over streams one at a time ({!Dptrace.Corpus_dir.fold} or
+    {!Dptrace.Corpus_dir.fold_corpus}), so a report's memory is bounded
+    by the source's batch, the accumulators and the skeletons, not by
+    the corpus. *)
+
+type acc
+(** A report being accumulated. *)
+
+type stepped
+(** One stream's step result: its parts and its skeleton. *)
+
+val fold_report :
+  ?k:int ->
+  ?reduce:bool ->
+  ?scenarios:string list ->
+  Component.t ->
+  (step:(Dptrace.Scenario.spec list -> Dptrace.Stream.t -> stepped) ->
+  consume:(stepped -> Dptrace.Stream.t option) ->
+  Dptrace.Corpus.t) ->
+  acc * Dptrace.Corpus.t * coverage
+(** [fold_report components source] runs [source ~step ~consume]: [step]
+    is {!run_report}'s per-stream step (safe on pool workers) and
+    [consume] screens the stream as {!screen} does, absorbs its parts
+    and returns its {!Dptrace.Stream.skeleton}, or [None] for a
+    quarantined stream, whose parts are discarded. [consume] must see
+    the streams in corpus order, on one domain. Returns the
+    accumulator, the source's corpus of skeletons (for {!finish}) and
+    the screening's coverage. Arguments as for {!run_report}. *)
+
+val finish : ?pool:Dppar.Pool.t -> acc -> Dptrace.Corpus.t -> report
+(** Run the requested scenarios' tails (fanned out over [pool]) and
+    return the report: given {!fold_report}'s outputs, equal to
+    {!run_report} over the screened resident corpus. [corpus] supplies
+    only specs and instances, so skeletons suffice. *)

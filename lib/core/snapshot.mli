@@ -16,8 +16,8 @@
     ({!Provenance.merge_impact}), per-module rows
     ({!Impact.merge_modules}), each scenario's all-instance impact
     ({!Impact.merge} again, into the per-scenario table) and, per spec'd
-    scenario, a {!class_part}. Fresh and cached reports then go through
-    the same assembly, so reports — including [--json] output,
+    scenario, a {!class_part}. Fresh and cached reports then absorb
+    these parts into the same accumulators, so reports — including [--json] output,
     provenance witnesses and the per-scenario table — do not depend on
     which entries came from disk. An entry also keeps what a fresh
     report does not: a class part for every spec'd scenario, whichever a

@@ -79,6 +79,10 @@ module Metrics : sig
       domains at once: racing first calls get the same counter. *)
 
   val gauge : string -> gauge
+
+  val lazy_gauge : string -> unit -> gauge
+  (** {!lazy_counter} for a gauge. *)
+
   val histogram : string -> histogram
 
   val add : counter -> int -> unit

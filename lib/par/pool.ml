@@ -19,7 +19,7 @@ type t = {
    is one hashtable-free lookup. *)
 
 let tasks_counter = Dpobs.Metrics.lazy_counter "pool.tasks"
-let queue_depth_gauge = lazy (Dpobs.Metrics.gauge "pool.queue_depth.max")
+let queue_depth_gauge = Dpobs.Metrics.lazy_gauge "pool.queue_depth.max"
 
 let busy_key : Dpobs.Metrics.counter option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -158,7 +158,7 @@ let run_jobs : 'b. t -> (unit -> 'b) array -> 'b array =
     Queue.add (task i) t.queue
   done;
   if Dpobs.metrics_on () then
-    Dpobs.Metrics.set_max (Lazy.force queue_depth_gauge) (Queue.length t.queue);
+    Dpobs.Metrics.set_max (queue_depth_gauge ()) (Queue.length t.queue);
   Condition.broadcast t.cond;
   let rec drain () =
     match Queue.take_opt t.queue with
@@ -186,3 +186,25 @@ let parallel_map ?chunk t f lst =
     let chunks = Array.of_list (chunks_of ~chunk lst) in
     let jobs = Array.map (fun items () -> List.map f items) chunks in
     run_jobs t jobs |> Array.to_list |> List.concat
+
+(* Batches of [4 * size] items, one item per task: a batch bounds what
+   is held at once (its items and their results), and the consumer sees
+   every result in feed order, on the calling domain. *)
+let iter_batched ?pool f consume feed =
+  let map, batch =
+    match pool with
+    | Some t when t.size > 1 -> (parallel_map ~chunk:1 t, 4 * t.size)
+    | _ -> (List.map, 1)
+  in
+  let pending = ref [] and held = ref 0 in
+  let flush () =
+    let items = List.rev !pending in
+    pending := [];
+    held := 0;
+    List.iter consume (map f items)
+  in
+  feed (fun x ->
+      pending := x :: !pending;
+      incr held;
+      if !held >= batch then flush ());
+  flush ()

@@ -51,6 +51,18 @@ val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
     list into about [4 * size pool] chunks.
     @raise Invalid_argument if [chunk < 1]. *)
 
+val iter_batched :
+  ?pool:t -> ('a -> 'b) -> ('b -> unit) -> (('a -> unit) -> unit) -> unit
+(** [iter_batched ?pool f consume feed] calls [feed push]; every item
+    pushed is mapped through [f] and its result handed to [consume], in
+    push order, on the calling domain. With a pool of size > 1 the items
+    are mapped in batches of [4 * size pool], one item per task, and a
+    batch is consumed before the next is gathered, so at most one
+    batch's items and results are held at once. Without a pool (or with
+    a pool of size 1) each item is mapped and consumed as it is pushed.
+    An exception from [f] propagates out of the [push] that completed
+    its batch. *)
+
 val default_domains : unit -> int
 (** The pool size used when [?domains] is omitted: the
     [DRIVEPERF_DOMAINS] environment variable when set to a positive

@@ -564,75 +564,66 @@ let checked_stream mode st =
         (fun fmt v -> Validate.pp_violation fmt v)
         v)
 
-(* Frames are checksum-verified in file order (cheap) and their stream
-   payloads decoded in batches, in parallel on a pool of size > 1. The
-   batch size bounds the payload bytes held at once, and both maps keep
-   file order, so every pool size yields the same corpus and report. *)
-let load_src mode pool src =
+(* The one decode loop. Frames are checksum-verified in file order
+   (cheap); stream payloads are decoded, then stepped, in batches on the
+   pool ([Dppar.Pool.iter_batched]), and each result is consumed on the
+   calling domain in file order. The batch bounds the payloads, streams
+   and results held at once, and every pool size yields the same
+   results in the same order. The header must be frame 0, so every
+   stream is stepped under the specs the corpus ends up with. *)
+let fold_src mode pool src ~step ~consume =
   Dpobs.Span.with_span "codec_v2.decode" @@ fun () ->
-  let map, batch_size =
-    match pool with
-    | Some pool when Dppar.Pool.size pool > 1 ->
-      (Dppar.Pool.parallel_map ~chunk:1 pool, 4 * Dppar.Pool.size pool)
-    | _ -> (List.map, 1)
+  let specs = ref [] and declared = ref None in
+  let kept = ref [] and delivered = ref 0 and late = ref [] in
+  let decode (specs, frame, off, crc, payload) =
+    let key = key_of_crc crc ~len:(String.length payload) in
+    match checked_stream mode (decode_stream_payload ~key payload) with
+    | st -> Ok (step specs st)
+    | exception Corrupt m -> (
+      match mode with
+      | `Strict -> corrupt "frame %d at byte %d: %s" frame off m
+      | `Recover -> Error { frame; offset = off; reason = m })
   in
-  let specs = ref [] in
-  let declared = ref None in
-  let pending = ref [] in
-  let streams = ref [] in
-  let late = ref [] in
-  let flush () =
-    match List.rev !pending with
-    | [] -> ()
-    | items ->
-      pending := [];
-      let results =
-        map
-          (fun (frame, off, crc, payload) ->
-            let key = key_of_crc crc ~len:(String.length payload) in
-            match checked_stream mode (decode_stream_payload ~key payload) with
-            | st -> Ok st
-            | exception Corrupt m -> (
-              match mode with
-              | `Strict -> corrupt "frame %d at byte %d: %s" frame off m
-              | `Recover -> Error { frame; offset = off; reason = m }))
-          items
-      in
-      List.iter
-        (function
-          | Ok st -> streams := st :: !streams
-          | Error d -> late := d :: !late)
-        results
+  let deliver = function
+    | Ok x ->
+      incr delivered;
+      Option.iter (fun st -> kept := st :: !kept) (consume x)
+    | Error d -> late := d :: !late
   in
-  let diags, frames, end_off =
-    iter_frames mode src ~f:(fun ~frame ~offset ~crc kind payload ->
-        match kind with
-        | 'H' -> specs := !specs @ decode_header payload
-        | 'E' -> declared := Some (decode_trailer payload)
-        | _ ->
-          pending := (frame, offset, crc, payload) :: !pending;
-          if List.length !pending >= batch_size then flush ())
-  in
-  flush ();
-  let streams = List.rev !streams in
+  let framed = ref ([], 0, 0) in
+  Dppar.Pool.iter_batched ?pool decode deliver (fun push ->
+      framed :=
+        iter_frames mode src ~f:(fun ~frame ~offset ~crc kind payload ->
+            match kind with
+            | 'H' when frame = 0 -> specs := decode_header payload
+            | 'H' ->
+              corrupt "late header frame %d (the header must be frame 0)" frame
+            | 'E' -> declared := Some (decode_trailer payload)
+            | _ -> push (!specs, frame, offset, crc, payload)));
+  let diags, frames, end_off = !framed in
   let diags =
     List.sort
       (fun a b -> compare (a.offset, a.frame) (b.offset, b.frame))
       (diags @ List.rev !late)
   in
   let diags =
-    check_trailer mode ~declared:!declared ~loaded:(List.length streams) ~frames
-      ~end_off diags
+    check_trailer mode ~declared:!declared ~loaded:!delivered ~frames ~end_off
+      diags
   in
   if Dpobs.metrics_on () then
     Dpobs.Metrics.add (frames_dropped_c ()) (List.length diags);
-  ( Corpus.create ~streams ~specs:!specs,
-    { frames; streams = List.length streams; dropped = diags } )
+  ( Corpus.create ~streams:(List.rev !kept) ~specs:!specs,
+    { frames; streams = !delivered; dropped = diags } )
 
-let decode ?(mode = `Strict) ?pool data = load_src mode pool (src_of_string data)
-
-let load ?(mode = `Strict) ?pool path =
+let fold ?(mode = `Strict) ?pool ~step ~consume path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> load_src mode pool (src_of_channel ic))
+    (fun () -> fold_src mode pool ~step ~consume (src_of_channel ic))
+
+let keep _ st = st
+
+let decode ?(mode = `Strict) ?pool data =
+  fold_src mode pool ~step:keep ~consume:Option.some (src_of_string data)
+
+let load ?mode ?pool path = fold ?mode ?pool ~step:keep ~consume:Option.some path

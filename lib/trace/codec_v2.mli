@@ -21,7 +21,7 @@
       length   u32     payload byte count
       crc32    u32     CRC-32 of kind byte + payload
       payload  length bytes
-    'H' (header, first):  v #specs, each: str name, v tfast, v tslow
+    'H' (header, frame 0): v #specs, each: str name, v tfast, v tslow
     'S' (one per stream): v #signatures, each str     (frame-local table)
                           v id
                           v #threads,   each: v tid, str name
@@ -39,6 +39,12 @@
     refused (unknown event kind, stack depth above 65535, signature
     index out of range, instance with [t1 < t0], varint overflow) exactly
     where the text reader would refuse the same stream.
+
+    {b The header is frame 0, enforced.} Readers step streams as they
+    arrive, under the specs the header declared, so a specs frame
+    anywhere else is damage: [`Strict] raises {!Wire.Corrupt} on it and
+    [`Recover] drops it with a diagnostic. A file whose frame 0 is not a
+    header (or whose header frame is corrupt) has no specs.
 
     {b Recovery.} In [`Strict] mode (the default) any corruption raises
     {!Wire.Corrupt}, including truncation at a clean frame boundary (the
@@ -77,11 +83,32 @@ val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> unit
     per-stream frame payloads are encoded in parallel (output order is
     the corpus order either way). *)
 
+val fold :
+  ?mode:mode ->
+  ?pool:Dppar.Pool.t ->
+  step:(Scenario.spec list -> Stream.t -> 'a) ->
+  consume:('a -> Stream.t option) ->
+  string ->
+  Corpus.t * report
+(** The one read of a framed file: one pass that never holds more than
+    a batch of streams. Frames are checksum-verified in file order. Each
+    stream payload is decoded and handed to [step] (with the header's
+    specs) inside the same work item, in batches of [4 * size pool] on
+    a [pool] of size > 1. Each result then goes to [consume] on the
+    calling domain, in file order. The returned corpus holds the
+    header's specs and the streams [consume] returned, in file order: a
+    {!Stream.skeleton} keeps it small, [None] keeps nothing. The
+    report's [streams] counts every stream handed to [consume]. Results
+    are identical for every pool size. Under [`Recover], a stream frame
+    that fails to decode or validate never reaches [step].
+    @raise Wire.Corrupt in [`Strict] mode on any corruption, possibly
+    after earlier streams were consumed
+    @raise Sys_error if the file cannot be opened. *)
+
 val decode : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
 val load : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
-(** With a [pool] of size > 1, frame payloads are checksum-verified in
-    file order but decoded in parallel batches; results are in file order
-    and bit-identical to the sequential load.
+(** {!fold} with a [step] that keeps each stream whole, over a string
+    or a file.
     @raise Wire.Corrupt in [`Strict] mode on any corruption
     @raise Sys_error if the file cannot be opened. *)
 

@@ -53,7 +53,16 @@ let file_size path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   in_channel_length ic
 
-let load ?pool ?(mode = `Strict) path =
+let fold_corpus ?pool ~step ~consume (c : Corpus.t) =
+  let kept = ref [] in
+  Dppar.Pool.iter_batched ?pool (step c.Corpus.specs)
+    (fun x -> Option.iter (fun st -> kept := st :: !kept) (consume x))
+    (fun push -> List.iter push c.Corpus.streams);
+  Corpus.create ~streams:(List.rev !kept) ~specs:c.Corpus.specs
+
+(* Sniff [path], then read it with [framed] (returning the corpus and
+   the recovery report) or [text] (given the whole text corpus). *)
+let read path ~framed ~text =
   match
     (* The open/sniff is the [corpus.open] fault site: transient
        injected errors (and real EINTR/EAGAIN) retry with backoff; a
@@ -64,14 +73,14 @@ let load ?pool ?(mode = `Strict) path =
           Dpfault.guard Dpfault.Corpus_open;
           (sniff_format path, file_size path))
     in
-    match fmt with
-    | Framed ->
-      let corpus, report = Codec_v2.load ~mode ?pool path in
-      { l_corpus = corpus; l_format = fmt; l_bytes = bytes;
-        l_report = Some report }
-    | Text ->
-      { l_corpus = Codec.load path; l_format = fmt; l_bytes = bytes;
-        l_report = None }
+    let l_corpus, l_report =
+      match fmt with
+      | Framed ->
+        let corpus, report = framed () in
+        (corpus, Some report)
+      | Text -> (text (Codec.load path), None)
+    in
+    { l_corpus; l_format = fmt; l_bytes = bytes; l_report }
   with
   | loaded -> Ok loaded
   | exception Wire.Corrupt m ->
@@ -83,6 +92,14 @@ let load ?pool ?(mode = `Strict) path =
     Error
       (Printf.sprintf "%s: injected %s fault at %s exhausted the retry budget"
          path (Dpfault.kind_name kind) (Dpfault.site_name site))
+
+let fold ?pool ?(mode = `Strict) ~step ~consume path =
+  read path
+    ~framed:(fun () -> Codec_v2.fold ~mode ?pool ~step ~consume path)
+    ~text:(fold_corpus ?pool ~step ~consume)
+
+let load ?pool ?(mode = `Strict) path =
+  read path ~framed:(fun () -> Codec_v2.load ~mode ?pool path) ~text:Fun.id
 
 let save ?pool path corpus =
   let fmt = format_of_path path in

@@ -41,21 +41,47 @@ val scan : string -> entry list
 (** {1 Loading and saving} *)
 
 type loaded = {
-  l_corpus : Corpus.t;
+  l_corpus : Corpus.t;  (** What the read kept; see {!fold}. *)
   l_format : format;
   l_bytes : int;  (** File size. *)
   l_report : Codec_v2.report option;  (** Framed v2 loads only. *)
 }
+
+val fold :
+  ?pool:Dppar.Pool.t ->
+  ?mode:Codec_v2.mode ->
+  step:(Scenario.spec list -> Stream.t -> 'a) ->
+  consume:('a -> Stream.t option) ->
+  string ->
+  (loaded, string) result
+(** Sniff one corpus file and hand it over stream by stream: each stream
+    goes through [step] (with the corpus specs), on [pool] in batches,
+    and each result through [consume], on the calling domain in file
+    order. [l_corpus] holds the specs and the streams [consume]
+    returned. A framed v2 file is read by {!Codec_v2.fold}, so only a
+    batch of its streams is ever decoded at once; a text file is loaded
+    whole and then handed over by {!fold_corpus}. All decode failures —
+    including [`Strict]-mode corruption and text parse errors — come
+    back as [Error message] rather than an exception, so a long-running
+    caller can count the failure and move on. [mode] defaults to
+    [`Strict]. *)
 
 val load :
   ?pool:Dppar.Pool.t ->
   ?mode:Codec_v2.mode ->
   string ->
   (loaded, string) result
-(** Sniff and decode one corpus file. All decode failures — including
-    [`Strict]-mode corruption and text parse errors — come back as
-    [Error message] rather than an exception, so a long-running caller
-    can count the failure and move on. [mode] defaults to [`Strict]. *)
+(** {!fold} that keeps every stream whole: the resident corpus. A text
+    file is returned as loaded. *)
+
+val fold_corpus :
+  ?pool:Dppar.Pool.t ->
+  step:(Scenario.spec list -> Stream.t -> 'a) ->
+  consume:('a -> Stream.t option) ->
+  Corpus.t ->
+  Corpus.t
+(** {!fold}'s hand-over for a corpus already in memory: the same
+    batches on [pool] and the same consumption order. *)
 
 val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> format * int
 (** Encode by extension — [.dpf] framed v2 (payloads encoded on [pool]),

@@ -54,6 +54,15 @@ let create ~id ~events ~instances ~threads =
     memo_key = Atomic.make None;
   }
 
+let skeleton t =
+  {
+    t with
+    events = [||];
+    threads = [];
+    memo_index = Atomic.make None;
+    memo_key = Atomic.make (Atomic.get t.memo_key);
+  }
+
 let thread_name t tid =
   match List.assoc_opt tid t.threads with
   | Some name -> name

@@ -37,6 +37,16 @@ val create :
     afterwards. Otherwise [events] is left untouched and the stream gets a
     sorted, renumbered copy; the result is the same either way. *)
 
+val skeleton : t -> t
+(** The stream's id, instances and content key ({!key_memo}), without
+    its events or thread names: [event_count = 0], [threads = []]. What
+    a corpus fold keeps of each stream once its one pass has run, so
+    that instance records ({!Corpus.instances_of}, classification)
+    outlive the events. Thread names are read only together with events
+    (timelines, witnesses, trace export), and at about 26 threads per
+    stream they would be most of a skeleton. Nothing that reads events
+    or thread names may be given a skeleton. *)
+
 val thread_name : t -> int -> string
 (** Name of a thread, or ["tid<N>"] if unregistered. *)
 

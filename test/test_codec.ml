@@ -456,6 +456,52 @@ let test_v2_count_bounded_by_remaining () =
   check Alcotest.bool "recover: count diagnosed" true
     (List.exists (fun d -> contains d.V2.reason "element count") report.V2.dropped)
 
+(* The header is frame 0. A specs frame anywhere else, late or a
+   duplicate, is damage: strict refuses the file, and recover drops that
+   frame with a diagnostic and keeps the frame-0 specs, so a fold that
+   steps streams before the stray frame agrees with a whole load. *)
+let test_v2_header_is_frame_zero () =
+  let c = gen_corpus ~scale:0.01 () in
+  let encoded = V2.encode c in
+  let frames =
+    List.map
+      (fun (off, payload, len) -> String.sub encoded off (payload + len - off))
+      (frame_spans encoded)
+  in
+  let stray =
+    let buf = Buffer.create 16 in
+    Wire.wv buf 1;
+    Wire.wstr buf "Stray";
+    Wire.wv buf 1;
+    Wire.wv buf 2;
+    V2_frames.frame "H" (Buffer.contents buf)
+  in
+  List.iter
+    (fun at ->
+      let before = List.filteri (fun i _ -> i < at) frames in
+      let data =
+        V2.magic
+        ^ String.concat ""
+            (before @ [ stray ] @ List.filteri (fun i _ -> i >= at) frames)
+      in
+      let what = Printf.sprintf "header copy at frame %d" at in
+      (match V2.decode data with
+      | exception Wire.Corrupt m ->
+        check Alcotest.bool (what ^ ": strict names the header: " ^ m) true
+          (contains m "header")
+      | _ -> Alcotest.failf "%s: strict accepted it" what);
+      let recovered, report = V2.decode ~mode:`Recover data in
+      check Alcotest.string (what ^ ": recover keeps frame-0 specs and streams")
+        (text_of c) (text_of recovered);
+      match report.V2.dropped with
+      | [ d ] ->
+        check Alcotest.int (what ^ ": diagnostic frame") at d.V2.frame;
+        check Alcotest.int (what ^ ": diagnostic offset")
+          (String.length (String.concat "" (V2.magic :: before)))
+          d.V2.offset
+      | ds -> Alcotest.failf "%s: %d diagnostics" what (List.length ds))
+    [ 1; 3 ]
+
 let test_v2_save_load () =
   let c = gen_corpus ~scale:0.01 () in
   let path = Filename.temp_file "driveperf" ".dpf" in
@@ -504,6 +550,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_v2_bit_flip;
           Alcotest.test_case "pooled load identical" `Quick
             test_v2_pooled_load_identical;
+          Alcotest.test_case "header is frame 0" `Quick
+            test_v2_header_is_frame_zero;
           Alcotest.test_case "save/load" `Quick test_v2_save_load;
           Alcotest.test_case "frames_dropped counts each drop" `Quick
             test_v2_frames_dropped_counter;

@@ -417,6 +417,93 @@ let test_run_report_index_dies_with_pass () =
   check Alcotest.bool "and stays memoised" true
     (match memo first with Some i -> i == idx | None -> false)
 
+(* The CLI's fold, each stream stepped as it is decoded from a framed
+   file and its parts absorbed at once, must render exactly the
+   document, and feed exactly the bootstrap, that run_report gives over
+   the resident corpus: for every scenario and for a subset,
+   sequentially and on two domains, with provenance on and off. Under
+   --recover on a damaged file (one frame CRC-resealed around an
+   undecodable payload, one with a bad checksum) it must also drop the
+   same frames with the same diagnostics. The classifications of a
+   fold-built report reach stream skeletons only. *)
+let test_fold_equals_resident () =
+  let corpus = Lazy.force corpus in
+  let clean = Dptrace.Codec_v2.encode corpus in
+  let damaged =
+    let b = Bytes.of_string clean in
+    let spans = V2_frames.frame_spans clean in
+    let _, payload, len = List.nth spans 2 in
+    Bytes.set b payload '\x00';
+    V2_frames.reseal b ~payload ~len;
+    let _, payload, len = List.nth spans 5 in
+    let at = payload + (len / 2) in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+    Bytes.to_string b
+  in
+  let render cov (r : Pipeline.report) =
+    J.to_string
+      (Report.Json.document ~coverage:cov ~impact:r.Pipeline.impact
+         ~impact_prov:r.Pipeline.impact_prov ~modules:r.Pipeline.modules
+         ~scenarios:r.Pipeline.scenarios ())
+  in
+  let bootstrap (r : Pipeline.report) =
+    Dpcore.Robustness.bootstrap ~replicates:50 r.Pipeline.streams
+  in
+  let compare ~msg ?pool ?scenarios ~mode data =
+    let path = Filename.temp_file "driveperf_fold" ".dpf" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc data);
+    let ok = function Ok l -> l | Error m -> Alcotest.failf "%s: %s" msg m in
+    let loaded = ok (Dptrace.Corpus_dir.load ?pool ~mode path) in
+    let resident, cov = Pipeline.screen loaded.Dptrace.Corpus_dir.l_corpus in
+    let want = Pipeline.run_report ?pool ?scenarios drivers resident in
+    let folded = ref loaded in
+    let acc, skeletons, fold_cov =
+      Pipeline.fold_report ?scenarios drivers (fun ~step ~consume ->
+          folded := ok (Dptrace.Corpus_dir.fold ?pool ~mode ~step ~consume path);
+          !folded.Dptrace.Corpus_dir.l_corpus)
+    in
+    let got = Pipeline.finish ?pool acc skeletons in
+    check Alcotest.string (msg ^ ": document") (render cov want)
+      (render fold_cov got);
+    check Alcotest.bool (msg ^ ": bootstrap") true (bootstrap want = bootstrap got);
+    check Alcotest.bool (msg ^ ": same frames and diagnostics") true
+      (!folded.Dptrace.Corpus_dir.l_report = loaded.Dptrace.Corpus_dir.l_report);
+    check Alcotest.bool (msg ^ ": classifications hold skeletons") true
+      (List.for_all
+         (fun (_, (r : Pipeline.scenario_result)) ->
+           let c = r.Pipeline.classification in
+           List.for_all
+             (fun ((st : Dptrace.Stream.t), _) ->
+               Dptrace.Stream.event_count st = 0 && st.Dptrace.Stream.threads = [])
+             (c.Dpcore.Classify.fast @ c.Dpcore.Classify.middle
+            @ c.Dpcore.Classify.slow))
+         got.Pipeline.scenarios);
+    loaded
+  in
+  let subset = [ "BrowserTabCreate"; "AppNonResponsive" ] in
+  let matrix ~prov =
+    Dppar.Pool.with_pool ~domains:2 @@ fun pool ->
+    ignore (compare ~msg:(prov ^ ", sequential") ~mode:`Strict clean);
+    ignore
+      (compare ~msg:(prov ^ ", 2 domains, subset") ~pool ~scenarios:subset
+         ~mode:`Strict clean);
+    let recovered =
+      compare ~msg:(prov ^ ", recover, subset") ~scenarios:subset ~mode:`Recover
+        damaged
+    in
+    check
+      Alcotest.(list int)
+      (prov ^ ", recover: two frames dropped, the trailer count flagged")
+      [ 2; 5; List.length (V2_frames.frame_spans clean) ]
+      (match recovered.Dptrace.Corpus_dir.l_report with
+      | Some r -> List.map (fun d -> d.Dptrace.Codec_v2.frame) r.Dptrace.Codec_v2.dropped
+      | None -> []);
+    ignore (compare ~msg:(prov ^ ", recover, 2 domains") ~pool ~mode:`Recover damaged)
+  in
+  matrix ~prov:"provenance off";
+  with_provenance (fun () -> matrix ~prov:"provenance on")
+
 let test_jsonw_escaping_round_trips () =
   let doc =
     J.Obj
@@ -476,6 +563,8 @@ let () =
             test_run_scenario_equals_composed;
           Alcotest.test_case "run_report: the index dies with its pass" `Quick
             test_run_report_index_dies_with_pass;
+          Alcotest.test_case "fold = resident run_report" `Quick
+            test_fold_equals_resident;
           Alcotest.test_case "escaping round-trips" `Quick
             test_jsonw_escaping_round_trips;
         ] );
