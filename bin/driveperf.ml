@@ -335,9 +335,9 @@ let with_progress o ~label ~total counter_name f =
 
    One term for their common flags (-c, -j, --strict/--recover,
    --fault-plan and the telemetry options). It yields a runner that arms
-   telemetry, then the fault plan, then a pool of -j domains, and hands
-   the body how to read the corpus: loaded whole ([resident]) or folded
-   into a report ([with_results]). Nothing is read before the body. *)
+   telemetry, then the fault plan, then a pool of -j domains. The body
+   reads the corpus itself: loaded whole, or folded into a report
+   ([with_results]). Nothing is read before the body. *)
 
 type setup = {
   path : string option;  (** [-c]; [None] for the generated corpus *)
@@ -356,61 +356,68 @@ let setup_term =
     const run $ corpus_arg $ domains_arg $ mode_arg $ fault_arg
     $ obs_opts_term)
 
-(* The corpus loaded whole on the set-up's pool, and screened. *)
-let resident { path; mode; pool; _ } =
-  Dpcore.Pipeline.screen (read_corpus ~pool ~mode path)
+(* The --cache snapshot for this configuration, opened by the fold's
+   first step, the first to know the specs the fingerprint covers.
+   Steps run on pool workers, hence the lock. *)
+let snapshot_of ~components dir =
+  let cell = ref None and lock = Mutex.create () in
+  fun specs ->
+    Mutex.protect lock @@ fun () ->
+    match !cell with
+    | Some snap -> snap
+    | None ->
+      let fingerprint =
+        Dpcore.Snapshot.fingerprint ~components ~specs ~k:Dpcore.Mining.default_k ()
+      in
+      let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
+      cell := Some snap;
+      snap
 
-(* The analysis behind impact, report and analyze: the coverage and the
-   report (its scenario tails under the --progress line) handed to the
-   body. Without --cache it is folded out of the corpus file, each
-   stream stepped as it is decoded, unless the caller already holds the
-   [resident] corpus. Under --cache the corpus is loaded whole, the
-   cache opened for this configuration, ensured for the corpus (misses
-   analysed in parallel) and written back after the body. *)
-let with_results ?scenarios ?resident:held ~cache ~components s f =
-  let report (corpus, coverage) run =
-    let names =
-      Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus)
-    in
-    f coverage
-      (with_progress s.obs ~label:"scenarios" ~total:(List.length names)
-         "pipeline.scenarios_done" run)
-  in
+(* The analysis behind impact, report and analyze: the kept corpus with
+   the coverage, and the report (its scenario tails under the --progress
+   line), handed to the body. Each stream is stepped as it is decoded
+   from the corpus file, or taken from [loaded], whose kept streams stay
+   whole (otherwise only skeletons stay). Under --cache the step looks
+   each stream up in the cache, analysing only the misses, and the cache
+   is written back after the body. *)
+let with_results ?scenarios ?loaded ~cache ~components s f =
   let pool = s.pool in
-  match (cache, held) with
-  | None, None ->
-    let acc, corpus, coverage =
-      Dpcore.Pipeline.fold_report ?scenarios components
-        (fold_input ~pool ~mode:s.mode s.path)
-    in
-    report (corpus, coverage) (fun () -> Dpcore.Pipeline.finish ~pool acc corpus)
-  | None, Some ((corpus, _) as held) ->
-    report held (fun () ->
-        Dpcore.Pipeline.run_report ~pool ?scenarios components corpus)
-  | Some dir, _ ->
-    let ((corpus, _) as held) =
-      match held with Some held -> held | None -> resident s
-    in
-    let fingerprint =
-      Dpcore.Snapshot.fingerprint ~components
-        ~specs:corpus.Dptrace.Corpus.specs ~k:Dpcore.Mining.default_k ()
-    in
-    let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
-    Dpcore.Snapshot.ensure ~pool snap components corpus;
-    let r =
-      report held (fun () ->
-          Dpcore.Pipeline.run_report_snap ~pool ?scenarios snap corpus)
-    in
-    Dpcore.Snapshot.save snap;
-    let s = Dpcore.Snapshot.stats snap in
-    Dpobs.Log.info
-      "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d dropped, \
-       mining %d hit(s) / %d miss(es)"
-      dir s.Dpcore.Snapshot.s_hits s.Dpcore.Snapshot.s_misses
-      s.Dpcore.Snapshot.s_stale s.Dpcore.Snapshot.s_loaded
-      s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
-      s.Dpcore.Snapshot.s_mining_misses;
-    r
+  let source =
+    match loaded with
+    | None -> fold_input ~pool ~mode:s.mode s.path
+    | Some corpus ->
+      fun ~step ~consume ->
+        Dptrace.Corpus_dir.fold_corpus ~pool
+          ~step:(fun specs st -> (st, step specs st))
+          ~consume:(fun (st, x) -> Option.map (fun _ -> st) (consume x))
+          corpus
+  in
+  let snapshot = Option.map (snapshot_of ~components) cache in
+  let acc, corpus, coverage =
+    Dpcore.Pipeline.fold_report ?scenarios ~cache:snapshot components source
+  in
+  let total =
+    List.length (Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus))
+  in
+  let r =
+    f (corpus, coverage)
+      (with_progress s.obs ~label:"scenarios" ~total "pipeline.scenarios_done"
+         (fun () -> Dpcore.Pipeline.finish ~pool acc corpus))
+  in
+  Option.iter
+    (fun snapshot ->
+      let snap = snapshot corpus.Dptrace.Corpus.specs in
+      Dpcore.Snapshot.save snap;
+      let s = Dpcore.Snapshot.stats snap in
+      Dpobs.Log.info
+        "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d dropped, \
+         mining %d hit(s) / %d miss(es)"
+        (Option.get cache) s.Dpcore.Snapshot.s_hits s.Dpcore.Snapshot.s_misses
+        s.Dpcore.Snapshot.s_stale s.Dpcore.Snapshot.s_loaded
+        s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
+        s.Dpcore.Snapshot.s_mining_misses)
+    snapshot;
+  r
 
 (* --- generate --- *)
 
@@ -467,7 +474,7 @@ let generate_cmd =
 let impact pats breakdown per_scenario cache run =
   run @@ fun s ->
   let components = components_of pats in
-  with_results ~scenarios:[] ~cache ~components s @@ fun coverage r ->
+  with_results ~scenarios:[] ~cache ~components s @@ fun (_, coverage) r ->
   print_coverage coverage;
   Dputil.Table.print (Dpcore.Report.impact_summary r.Dpcore.Pipeline.impact);
   if breakdown then begin
@@ -502,8 +509,8 @@ let impact_cmd =
 (* --- causality --- *)
 
 let causality pats scenario k top run =
-  run @@ fun ({ pool; _ } as s) ->
-  let corpus, coverage = resident s in
+  run @@ fun { path; mode; pool; _ } ->
+  let corpus, coverage = Dpcore.Pipeline.screen (read_corpus ~pool ~mode path) in
   require_spec corpus scenario;
   print_coverage coverage;
   let components = components_of pats in
@@ -575,7 +582,7 @@ let report json cache run =
   in
   with_results ~scenarios:scenario_names ~cache
     ~components:Dpcore.Component.drivers s
-  @@ fun cov
+  @@ fun (_, cov)
          { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } ->
   if json then
     Dputil.Jsonw.output stdout
@@ -1387,7 +1394,7 @@ let analyze out json top_patterns_n cache run =
   if json then begin
     Dpcore.Provenance.enable ();
     with_results ~cache ~components s
-    @@ fun cov
+    @@ fun (_, cov)
            { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } ->
     write Dputil.Jsonw.output
       (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov ~modules
@@ -1397,8 +1404,8 @@ let analyze out json top_patterns_n cache run =
   else begin
   (* Corpus statistics, witnesses and the baselines read events, so the
      text report keeps the corpus resident. *)
-  let ((corpus, cov) as held) = resident s in
-  with_results ~resident:held ~cache ~components s @@ fun _ results ->
+  let loaded = read_corpus ~pool:s.pool ~mode:s.mode s.path in
+  with_results ~loaded ~cache ~components s @@ fun (corpus, cov) results ->
   let buf = Buffer.create 65536 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let block text =

@@ -440,7 +440,7 @@ module Partial = struct
     n.cost <- Wire.rv cur;
     n.count <- Wire.rv cur;
     n.max_cost <- Wire.rv cur;
-    let nw = Wire.rv cur in
+    let nw = Wire.rcount cur in
     if nw > 0 then begin
       let acc = node_wacc n in
       for _ = 1 to nw do
@@ -450,8 +450,7 @@ module Partial = struct
         Provenance.Wacc.add_entry acc (r, cost, count)
       done
     end;
-    let nkids = Wire.rv cur in
-    for _ = 1 to nkids do
+    for _ = 1 to Wire.rcount cur do
       let c = read_node cur in
       if Hashtbl.mem n.children c.status then
         Wire.corrupt "Awg.Partial: duplicate child status";
@@ -466,8 +465,7 @@ module Partial = struct
 
   let read cur : partial =
     let forest : partial = Hashtbl.create 16 in
-    let nroots = Wire.rv cur in
-    for _ = 1 to nroots do
+    for _ = 1 to Wire.rcount cur do
       let n = read_node cur in
       if Hashtbl.mem forest n.status then
         Wire.corrupt "Awg.Partial: duplicate root status";

@@ -186,11 +186,12 @@ type report = {
    corpus impact with its provenance, the module table, each stream's
    impact, newest first, and each scenario's row of the per-scenario
    table), plus a class accumulator per requested scenario that has had
-   a class part. *)
+   a class part. [cache] gives a cached report's snapshot by specs. *)
 type acc = {
   k : int;
   reduce : bool;
   wanted : string list option;
+  cache : (Dptrace.Scenario.spec list -> Snapshot.t) option;
   mutable t_impact : Impact.result;
   mutable t_prov : Provenance.impact;
   mutable t_modules : Impact.module_row list;
@@ -199,11 +200,12 @@ type acc = {
   classes : (string, class_acc) Hashtbl.t;
 }
 
-let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios () =
+let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios cache =
   {
     k;
     reduce;
     wanted = scenarios;
+    cache;
     t_impact = Impact.empty;
     t_prov = Provenance.empty_impact;
     t_modules = [];
@@ -223,12 +225,20 @@ let absorb_part t ((r, p, m, per_scenario) : Snapshot.part) =
       Hashtbl.replace t.t_rows name (Impact.merge row r))
     per_scenario
 
+let class_acc_of t name =
+  match Hashtbl.find_opt t.classes name with
+  | Some a -> a
+  | None ->
+    let a = class_acc () in
+    Hashtbl.add t.classes name a;
+    a
+
 (* Each requested scenario with a spec goes through the scenario tail
-   over [class_acc_of name], one scenario per work item (mining
+   over its class accumulator, one scenario per work item (mining
    sequential inside the worker), results in request order, spec-less
    names skipped. [mine name f] returns the scenario's mining result,
    [f ()] computing it. *)
-let assemble ?pool ~mine ~class_acc_of corpus t =
+let assemble ?pool ~mine corpus t =
   let one name =
     let r =
       Option.map
@@ -236,7 +246,7 @@ let assemble ?pool ~mine ~class_acc_of corpus t =
           ( name,
             span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
             scenario_tail ~k:t.k ~reduce:t.reduce ~mine:(mine name) corpus name
-              (class_acc_of name) ))
+              (Option.value ~default:(class_acc ()) (Hashtbl.find_opt t.classes name)) ))
         (Dptrace.Corpus.find_spec corpus name)
     in
     if Dpobs.metrics_on () then
@@ -266,48 +276,68 @@ let assemble ?pool ~mine ~class_acc_of corpus t =
     per_scenario;
   }
 
+(* [settle]: a cached step's entry, for the consumer to book. *)
 type stepped = {
   skeleton : Dptrace.Stream.t;
   part : Snapshot.part;
   class_parts : (string * Snapshot.class_part option) list;
+  settle : (Snapshot.t * Snapshot.entry) option;
 }
+
+let wants acc name =
+  match acc.wanted with Some names -> List.mem name names | None -> true
 
 (* Per stream: every instance's graph built once and measured once;
    only the class parts of requested scenarios with a spec are made. *)
 let step components acc specs (st : Dptrace.Stream.t) =
   let spec_of name =
-    match acc.wanted with
-    | Some names when not (List.mem name names) -> None
-    | _ -> List.find_opt (fun (s : Dptrace.Scenario.spec) -> s.name = name) specs
+    List.find_opt
+      (fun (s : Dptrace.Scenario.spec) -> s.name = name && wants acc name)
+      specs
   in
   let part, class_parts = Snapshot.stream_step components ~spec_of st in
-  { skeleton = Dptrace.Stream.skeleton st; part; class_parts }
+  { skeleton = Dptrace.Stream.skeleton st; part; class_parts; settle = None }
+
+(* A cached stream's parts, decoded where the step runs: the entry's
+   whole-stream part and its requested class parts (an entry has one for
+   every spec'd scenario). *)
+let of_entry acc e skeleton settle =
+  let ((_, _, _, per_scenario) as part) = Snapshot.entry_part e in
+  let class_of (name, _) =
+    (name, if wants acc name then Snapshot.entry_scenario_class e name else None)
+  in
+  { skeleton; part; class_parts = List.map class_of per_scenario; settle }
+
+(* The key is taken first: the skeleton keeps it. *)
+let cached_step snapshot components acc specs st =
+  let snap = snapshot specs in
+  let e = Snapshot.lookup_or_step snap components ~specs st in
+  of_entry acc e (Dptrace.Stream.skeleton st) (Some (snap, e))
 
 let absorb acc s =
   absorb_part acc s.part;
   List.iter
     (function
-      | name, Some c ->
-        let a =
-          match Hashtbl.find_opt acc.classes name with
-          | Some a -> a
-          | None ->
-            let a = class_acc () in
-            Hashtbl.add acc.classes name a;
-            a
-        in
-        absorb_class a c
+      | name, Some c -> absorb_class (class_acc_of acc name) c
       | _, None -> ())
     s.class_parts
 
-let finish ?pool acc corpus =
-  assemble ?pool ~mine:(fun _ f -> f ())
-    ~class_acc_of:(fun name ->
-      Option.value ~default:(class_acc ()) (Hashtbl.find_opt acc.classes name))
-    corpus acc
+(* The miner dominates a warm re-analysis, and its inputs are a pure
+   function of the snapshot fingerprint + contributing streams, so a
+   cached report's mining result is cached at scenario granularity
+   (digest-checked; identical either way). *)
+let finish ?pool acc (corpus : Dptrace.Corpus.t) =
+  let mine =
+    match acc.cache with
+    | None -> fun _ f -> f ()
+    | Some snapshot ->
+      Snapshot.mining (snapshot corpus.Dptrace.Corpus.specs) corpus
+        ~reduce:acc.reduce ~k:acc.k
+  in
+  assemble ?pool ~mine corpus acc
 
 let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t) =
-  let acc = accumulator ?k ?reduce ?scenarios () in
+  let acc = accumulator ?k ?reduce ?scenarios None in
   span "pipeline.report_streams" (fun () ->
       Dppar.Pool.iter_batched ?pool
         (step components acc corpus.Dptrace.Corpus.specs)
@@ -326,34 +356,15 @@ let run_impact_prov ?pool components corpus =
    fresh parts: every cached result — impact integers, provenance
    reservoirs, AWG forests, mined patterns — is bit-identical to the
    uncached run whatever mix of cache hits and misses produced the
-   entries. Each scenario's work item absorbs its class parts itself,
-   decoding each off the cache file's bytes just before absorbing it. *)
+   entries. *)
 
 let run_report_snap ?pool ?k ?reduce ?scenarios snapshot (corpus : Dptrace.Corpus.t) =
-  let entries = List.map (Snapshot.entry snapshot) corpus.Dptrace.Corpus.streams in
-  let t = accumulator ?k ?reduce ?scenarios () in
-  List.iter (fun e -> absorb_part t (Snapshot.entry_part e)) entries;
-  let class_acc_of name =
-    let a = class_acc () in
-    span "pipeline.awg_merge" (fun () ->
-        List.iter
-          (fun e -> Option.iter (absorb_class a) (Snapshot.entry_scenario_class e name))
-          entries);
-    a
-  in
-  (* The miner dominates a warm re-analysis, and its inputs are a pure
-     function of the snapshot fingerprint + contributing streams, so its
-     result is cached at scenario granularity (digest-checked; identical
-     either way). *)
-  let mine name f =
-    match Snapshot.find_mining snapshot corpus name ~reduce:t.reduce ~k:t.k with
-    | Some m -> m
-    | None ->
-      let m = f () in
-      Snapshot.store_mining snapshot corpus name ~reduce:t.reduce ~k:t.k m;
-      m
-  in
-  assemble ?pool ~mine ~class_acc_of corpus t
+  let acc = accumulator ?k ?reduce ?scenarios (Some (fun _ -> snapshot)) in
+  Dppar.Pool.iter_batched ?pool
+    (fun st -> of_entry acc (Snapshot.entry snapshot st) st None)
+    (absorb acc)
+    (fun push -> List.iter push corpus.Dptrace.Corpus.streams);
+  finish ?pool acc corpus
 
 let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
   (run_report_snap ?pool ?k ?reduce ?scenarios snapshot corpus).scenarios
@@ -430,13 +441,19 @@ let screen (corpus : Dptrace.Corpus.t) =
      else Dptrace.Corpus.create ~streams:kept ~specs:corpus.Dptrace.Corpus.specs),
     close_screen s )
 
-let fold_report ?k ?reduce ?scenarios components source =
-  let acc = accumulator ?k ?reduce ?scenarios () in
+let fold_report ?k ?reduce ?scenarios ~cache components source =
+  let acc = accumulator ?k ?reduce ?scenarios cache in
+  let step =
+    match cache with
+    | None -> step components acc
+    | Some snapshot -> cached_step snapshot components acc
+  in
   let s = screener () in
   let corpus =
     span "pipeline.report_streams" @@ fun () ->
-    source ~step:(step components acc) ~consume:(fun x ->
+    source ~step ~consume:(fun x ->
         if admit s x.skeleton then begin
+          Option.iter (fun (snap, e) -> Snapshot.settle snap e) x.settle;
           absorb acc x;
           Some x.skeleton
         end

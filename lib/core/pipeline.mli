@@ -17,9 +17,9 @@
     - {!fold_report}: the same step, run as each stream is decoded from
       a corpus file ({!Dptrace.Corpus_dir.fold}), its result absorbed at
       once, so no stream's events outlive its pass and only
-      {!Dptrace.Stream.skeleton}s stay;
-    - {!run_report_snap}: a snapshot's entries, which hold the same
-      parts, each scenario's work item absorbing its own class parts;
+      {!Dptrace.Stream.skeleton}s stay; with a cache, the parts are the
+      stream's snapshot entry's, decoded in the step;
+    - {!run_report_snap}: a snapshot's entries, decoded the same way;
     - {!run_scenario}: one scenario's class parts, made from that
       scenario's instances alone, so its result is the report's entry
       for that scenario.
@@ -134,8 +134,7 @@ val run_impact_prov :
     Each answers its from-scratch counterpart's question over a
     {!Snapshot.t} the caller has {!Snapshot.ensure}d for the corpus. The
     report variants absorb the entries' parts into {!run_report}'s own
-    accumulators; each scenario's work item decodes and absorbs its own
-    class parts. Only the miner's result may come from the snapshot's
+    accumulators. Only the miner's result may come from the snapshot's
     mining records. Results are {e bit-identical} to the uncached entry points —
     including provenance and [--json] rendering — regardless of which
     entries were cache hits.
@@ -161,10 +160,9 @@ val run_report_snap :
   Snapshot.t ->
   Dptrace.Corpus.t ->
   report
-(** Cached {!run_report}: the same accumulators over the entries' parts.
-    Each scenario's mining result is looked up with
-    {!Snapshot.find_mining} and, on a miss, mined and recorded with
-    {!Snapshot.store_mining}. *)
+(** Cached {!run_report}: each stream's entry decoded into its parts
+    and absorbed, in batches, then {!finish}, whose tails take their
+    mining results through {!Snapshot.mining}. *)
 
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact
@@ -207,7 +205,8 @@ val screen : Dptrace.Corpus.t -> Dptrace.Corpus.t * coverage
     hands over streams one at a time ({!Dptrace.Corpus_dir.fold} or
     {!Dptrace.Corpus_dir.fold_corpus}), so a report's memory is bounded
     by the source's batch, the accumulators and the skeletons, not by
-    the corpus. *)
+    the corpus. A snapshot's entries are bytes, decoded a batch at a
+    time, so that holds with a cache too. *)
 
 type acc
 (** A report being accumulated. *)
@@ -219,22 +218,30 @@ val fold_report :
   ?k:int ->
   ?reduce:bool ->
   ?scenarios:string list ->
+  cache:(Dptrace.Scenario.spec list -> Snapshot.t) option ->
   Component.t ->
   (step:(Dptrace.Scenario.spec list -> Dptrace.Stream.t -> stepped) ->
   consume:(stepped -> Dptrace.Stream.t option) ->
   Dptrace.Corpus.t) ->
   acc * Dptrace.Corpus.t * coverage
-(** [fold_report components source] runs [source ~step ~consume]: [step]
-    is {!run_report}'s per-stream step (safe on pool workers) and
-    [consume] screens the stream as {!screen} does, absorbs its parts
-    and returns its {!Dptrace.Stream.skeleton}, or [None] for a
-    quarantined stream, whose parts are discarded. [consume] must see
-    the streams in corpus order, on one domain. Returns the
-    accumulator, the source's corpus of skeletons (for {!finish}) and
-    the screening's coverage. Arguments as for {!run_report}. *)
+(** [fold_report ~cache components source] runs [source ~step
+    ~consume]. [step] (safe on pool workers) is {!run_report}'s
+    per-stream step or, with [Some snapshot], {!Snapshot.lookup_or_step}
+    on [snapshot specs] and the entry's parts decoded; [snapshot] is
+    called from pool workers, so it must open its snapshot once, under
+    a lock. [consume] screens the stream as {!screen} does: a kept
+    stream is {!Snapshot.settle}d (with a cache), its parts absorbed and
+    its {!Dptrace.Stream.skeleton} returned; a quarantined one's parts
+    are discarded. [consume] must see the streams in corpus order, on
+    one domain, never while a [step] runs. Returns the accumulator, the
+    source's corpus of skeletons (for {!finish}) and the screening's
+    coverage. Other arguments as for {!run_report}. *)
 
 val finish : ?pool:Dppar.Pool.t -> acc -> Dptrace.Corpus.t -> report
 (** Run the requested scenarios' tails (fanned out over [pool]) and
     return the report: given {!fold_report}'s outputs, equal to
     {!run_report} over the screened resident corpus. [corpus] supplies
-    only specs and instances, so skeletons suffice. *)
+    only specs and instances, so skeletons suffice. With a cache, mining
+    goes through the snapshot's records as in {!run_report_snap}; the
+    snapshot is asked for by [corpus]'s specs, so a corpus with no
+    streams opens it here. *)

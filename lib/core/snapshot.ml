@@ -58,26 +58,20 @@ type class_part = {
   cl_slow : Awg.Partial.partial;
 }
 
-type scen_entry = {
-  sc_all : Impact.result;  (* over every instance of the scenario here *)
-  sc_class : class_part option;  (* present iff the scenario has a spec *)
-}
-
-(* A fresh entry holds its scenario sections decoded. An entry loaded
-   from a cache file keeps each section as where it starts in the file's
-   bytes (verified when the file was opened) and decodes it again only
-   when a merge asks for it: the class parts' AWG forests are most of an
-   entry, and a merge needs one scenario's at a time. *)
-type section =
-  | Decoded of scen_entry
-  | Stored of { data : string; off : int; has_class : bool }
-
+(* An entry is its framed record, byte for byte what [save] writes for
+   it: a span of the cache file's bytes when it was loaded, a string of
+   its own when it was computed. Beside the span it keeps where each
+   scenario section starts and whether the section has a class part, so
+   a merge decodes only the sections it asks for: the class parts' AWG
+   forests are most of an entry. *)
 type entry = {
-  e_stream_id : int;
-  e_impact : Impact.result;
-  e_prov : Provenance.impact;
-  e_modules : Impact.module_row list;
-  e_scenarios : (string * section) list;  (* first-appearance order *)
+  key : string;
+  data : string;
+  off : int;  (* the framed record is [len] bytes of [data] from [off] *)
+  len : int;
+  head : int;  (* where the payload starts: stream id, impact, provenance, module rows *)
+  sections : (string * int * bool) list;
+      (* first-appearance order: name, offset in [data], has a class part *)
 }
 
 (* --- the per-stream step (the unit of caching) ---
@@ -135,20 +129,6 @@ let stream_step components ~spec_of (st : Stream.t) =
       (fun (name, _) -> (name, Option.map (class_of name) (spec_of name)))
       per_scenario )
 
-let analyze_stream components ~specs (st : Stream.t) =
-  let spec_of name =
-    List.find_opt (fun (s : Scenario.spec) -> s.Scenario.name = name) specs
-  in
-  let (e_impact, e_prov, e_modules, per_scenario), groups =
-    stream_step components ~spec_of st
-  in
-  let e_scenarios =
-    List.map2
-      (fun (name, sc_all) (_, sc_class) -> (name, Decoded { sc_all; sc_class }))
-      per_scenario groups
-  in
-  { e_stream_id = st.Stream.id; e_impact; e_prov; e_modules; e_scenarios }
-
 (* --- entry wire form --- *)
 
 let write_impact buf (r : Impact.result) =
@@ -199,8 +179,7 @@ let write_topk buf t =
    list is already canonical (best-first, <= cap), so re-adding in order
    reproduces the exact representation. *)
 let read_topk cur =
-  let n = Wire.rv cur in
-  let items = List.init n (fun _ -> read_wait_record cur) in
+  let items = Wire.rlist cur read_wait_record in
   Provenance.Topk.add_list
     (Provenance.Topk.create ~cap:Provenance.default_k
        ~compare:Provenance.compare_wait_record)
@@ -219,9 +198,8 @@ let write_prov buf (p : Provenance.impact) =
 let read_prov cur : Provenance.impact =
   let top_waits = read_topk cur in
   let top_runs = read_topk cur in
-  let n = Wire.rv cur in
   let by_module =
-    List.init n (fun _ ->
+    Wire.rlist cur (fun cur ->
         let name = Wire.rstr cur in
         let t = read_topk cur in
         (name, t))
@@ -256,28 +234,20 @@ let read_module_row cur : Impact.module_row =
    stream only perturbs the digests of the scenarios that stream actually
    contains — every other scenario's mining result is reused verbatim. *)
 
-let write_f64 buf f =
-  let bits = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    Wire.w8 buf
-      (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL))
-  done
+let write_f64 buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
 let read_f64 cur =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits :=
-      Int64.logor !bits (Int64.shift_left (Int64.of_int (Wire.r8 cur)) (8 * i))
-  done;
-  Int64.float_of_bits !bits
+  Wire.need cur 8;
+  let bits = String.get_int64_le cur.Wire.data cur.Wire.pos in
+  cur.Wire.pos <- cur.Wire.pos + 8;
+  Int64.float_of_bits bits
 
 let write_signature_set buf (a : Dptrace.Signature.t array) =
   Wire.wv buf (Array.length a);
   Array.iter (fun s -> Wire.wstr buf (Dptrace.Signature.name s)) a
 
 let read_signature_list cur =
-  let n = Wire.rv cur in
-  List.init n (fun _ -> Dptrace.Signature.of_string (Wire.rstr cur))
+  Wire.rlist cur (fun cur -> Dptrace.Signature.of_string (Wire.rstr cur))
 
 let write_tuple buf (t : Tuple.t) =
   write_signature_set buf t.Tuple.waits;
@@ -304,9 +274,8 @@ let write_wset buf w =
     entries
 
 let read_wset cur =
-  let n = Wire.rv cur in
   Provenance.Wset.of_entries
-    (List.init n (fun _ ->
+    (Wire.rlist cur (fun cur ->
          let r = Provenance.read_ref cur in
          let cost = Wire.rv cur in
          let count = Wire.rv cur in
@@ -373,10 +342,8 @@ let write_scen_record buf ~digest (m : Mining.result) =
 
 let read_scen_record cur =
   let digest = Wire.rstr cur in
-  let ncm = Wire.rv cur in
-  let contrast_metas = List.init ncm (fun _ -> read_contrast cur) in
-  let np = Wire.rv cur in
-  let patterns = List.init np (fun _ -> read_pattern cur) in
+  let contrast_metas = Wire.rlist cur read_contrast in
+  let patterns = Wire.rlist cur read_pattern in
   let fast_meta_count = Wire.rv cur in
   let slow_meta_count = Wire.rv cur in
   (digest, { Mining.contrast_metas; patterns; fast_meta_count; slow_meta_count })
@@ -385,48 +352,43 @@ let read_scen_record cur =
    stream keys are hex-and-dash, so the prefix cannot collide. *)
 let scen_prefix = "scn!"
 
-let is_scen_key key =
-  String.length key >= String.length scen_prefix
-  && String.sub key 0 (String.length scen_prefix) = scen_prefix
+let is_scen_key key = String.starts_with ~prefix:scen_prefix key
 
 let scen_name key =
   String.sub key (String.length scen_prefix)
     (String.length key - String.length scen_prefix)
 
+(* A scenario section: the all-instance impact, then the class part. *)
 let read_section cur =
   let sc_all = read_impact cur in
-  let sc_class =
-    match Wire.r8 cur with
-    | 0 -> None
-    | 1 ->
-      let cl_slow_impact = read_impact cur in
-      let cl_slow_prov = read_prov cur in
-      let cl_fast = Awg.Partial.read cur in
-      let cl_slow = Awg.Partial.read cur in
-      Some { cl_slow_impact; cl_slow_prov; cl_fast; cl_slow }
-    | k -> Wire.corrupt "snapshot entry: bad class tag %d" k
-  in
-  { sc_all; sc_class }
+  match Wire.r8 cur with
+  | 0 -> (sc_all, None)
+  | 1 ->
+    let cl_slow_impact = read_impact cur in
+    let cl_slow_prov = read_prov cur in
+    let cl_fast = Awg.Partial.read cur in
+    let cl_slow = Awg.Partial.read cur in
+    (sc_all, Some { cl_slow_impact; cl_slow_prov; cl_fast; cl_slow })
+  | k -> Wire.corrupt "snapshot entry: bad class tag %d" k
 
-(* A stored section was decoded once when its file was opened, from the
-   same immutable bytes, so decoding it again cannot fail. *)
-let section_value = function
-  | Decoded s -> s
-  | Stored { data; off; _ } -> read_section { Wire.data; pos = off }
-
-let write_entry buf e =
-  Wire.wv buf e.e_stream_id;
-  write_impact buf e.e_impact;
-  write_prov buf e.e_prov;
-  Wire.wv buf (List.length e.e_modules);
-  List.iter (write_module_row buf) e.e_modules;
-  Wire.wv buf (List.length e.e_scenarios);
-  List.iter
-    (fun (name, s) ->
+(* The payload of a stream's entry, from its step under every spec:
+   stream id, impact, provenance, module rows, then one section per
+   scenario. Returns each section's name, offset in [buf] and class
+   flag. *)
+let write_entry buf id ((impact, prov, modules, per_scenario) : part) groups =
+  Wire.wv buf id;
+  write_impact buf impact;
+  write_prov buf prov;
+  Wire.wv buf (List.length modules);
+  List.iter (write_module_row buf) modules;
+  Wire.wv buf (List.length per_scenario);
+  let sections = ref [] in
+  List.iter2
+    (fun (name, sc_all) (_, sc_class) ->
       Wire.wstr buf name;
-      let s = section_value s in
-      write_impact buf s.sc_all;
-      match s.sc_class with
+      sections := (name, Buffer.length buf, Option.is_some sc_class) :: !sections;
+      write_impact buf sc_all;
+      match sc_class with
       | None -> Wire.w8 buf 0
       | Some c ->
         Wire.w8 buf 1;
@@ -434,51 +396,73 @@ let write_entry buf e =
         write_prov buf c.cl_slow_prov;
         Awg.Partial.write buf c.cl_fast;
         Awg.Partial.write buf c.cl_slow)
-    e.e_scenarios
+    per_scenario groups;
+  List.rev !sections
 
-(* Decode a whole entry — every section too, which is what verifies it —
-   but keep only its head and each section's name, class flag and
-   offset. *)
+(* Decode a whole entry payload — every section too, which is what
+   verifies it — and keep only each section's name, offset and class
+   flag. *)
 let read_entry cur =
-  let e_stream_id = Wire.rv cur in
-  let e_impact = read_impact cur in
-  let e_prov = read_prov cur in
-  let nmods = Wire.rv cur in
-  let e_modules = List.init nmods (fun _ -> read_module_row cur) in
-  let nscens = Wire.rv cur in
-  let e_scenarios =
-    List.init nscens (fun _ ->
-        let name = Wire.rstr cur in
-        let off = cur.Wire.pos in
-        let s = read_section cur in
-        ( name,
-          Stored
-            { data = cur.Wire.data; off; has_class = Option.is_some s.sc_class }
-        ))
-  in
-  { e_stream_id; e_impact; e_prov; e_modules; e_scenarios }
+  ignore (Wire.rv cur : int);
+  ignore (read_impact cur : Impact.result);
+  ignore (read_prov cur : Provenance.impact);
+  ignore (Wire.rlist cur read_module_row : Impact.module_row list);
+  Wire.rlist cur (fun cur ->
+      let name = Wire.rstr cur in
+      let off = cur.Wire.pos in
+      let _, sc_class = read_section cur in
+      (name, off, Option.is_some sc_class))
 
-(* A section's all-instance impact is its header: a stored section
-   decodes only that. *)
+(* A record as [save] writes it: key, payload length, payload CRC,
+   payload. *)
+let frame key payload =
+  let buf = Buffer.create (String.length key + String.length payload + 16) in
+  Wire.wstr buf key;
+  Wire.w32 buf (String.length payload);
+  Wire.w32 buf (Dputil.Crc32.string payload);
+  Buffer.add_string buf payload;
+  buf
+
+(* A stream's entry computed afresh: its step under every spec, framed
+   once. *)
+let fresh_entry components ~specs key (st : Stream.t) =
+  let spec_of name =
+    List.find_opt (fun (s : Scenario.spec) -> s.Scenario.name = name) specs
+  in
+  let part, groups = stream_step components ~spec_of st in
+  let payload = Buffer.create 4096 in
+  let sections = write_entry payload st.Stream.id part groups in
+  let framed = frame key (Buffer.contents payload) in
+  let head = Buffer.length framed - Buffer.length payload in
+  {
+    key;
+    data = Buffer.contents framed;
+    off = 0;
+    len = Buffer.length framed;
+    head;
+    sections = List.map (fun (name, off, c) -> (name, head + off, c)) sections;
+  }
+
+(* The head and each section's header (its all-instance impact). *)
 let entry_part e =
-  let sc_all = function
-    | Decoded s -> s.sc_all
-    | Stored { data; off; _ } -> read_impact { Wire.data; pos = off }
-  in
-  ( e.e_impact,
-    e.e_prov,
-    e.e_modules,
-    List.map (fun (name, s) -> (name, sc_all s)) e.e_scenarios )
+  let cur = { Wire.data = e.data; pos = e.head } in
+  ignore (Wire.rv cur : int);
+  let impact = read_impact cur in
+  let prov = read_prov cur in
+  let modules = Wire.rlist cur read_module_row in
+  ( impact,
+    prov,
+    modules,
+    List.map
+      (fun (name, off, _) -> (name, read_impact { Wire.data = e.data; pos = off }))
+      e.sections )
 
+(* A loaded section was decoded once when its file was opened, and a
+   fresh one was written by [write_entry], so decoding it cannot fail. *)
 let entry_scenario_class e name =
-  Option.bind (List.assoc_opt name e.e_scenarios) (fun s ->
-      (section_value s).sc_class)
-
-let entry_has_class e name =
-  match List.assoc_opt name e.e_scenarios with
-  | Some (Decoded { sc_class; _ }) -> Option.is_some sc_class
-  | Some (Stored { has_class; _ }) -> has_class
-  | None -> false
+  match List.find_opt (fun (n, _, _) -> n = name) e.sections with
+  | Some (_, off, true) -> snd (read_section { Wire.data = e.data; pos = off })
+  | Some (_, _, false) | None -> None
 
 (* --- cache files --- *)
 
@@ -486,15 +470,13 @@ type t = {
   dir : string option;
   fp : string;
   data : string;  (* the cache file's bytes as opened; "" if none *)
-  stored : (string, int * int) Hashtbl.t;
-      (* record key -> (offset, length) in [data] of the framed record
-         it was loaded from; [save] copies these verbatim. Guarded by
-         [lock], like [scenarios]. *)
   entries : (string, entry) Hashtbl.t;  (* key -> entry *)
-  used : (string, unit) Hashtbl.t;  (* keys the last [ensure]'s corpus references *)
-  scenarios : (string, string * Mining.result) Hashtbl.t;
-      (* scenario name -> (digest, mining); guarded by [lock] because
-         the pipeline's scenario assembly consults it from pool workers *)
+  used : (string, unit) Hashtbl.t;  (* keys the current pass has settled *)
+  scenarios : (string, string * Mining.result * (int * int) option) Hashtbl.t;
+      (* scenario name -> (digest, mining, the (offset, length) in [data]
+         of the framed record it was loaded from, which [save] copies
+         verbatim); guarded by [lock] because the pipeline's scenario
+         assembly consults it from pool workers *)
   lock : Mutex.t;
   mutable dirty : bool;
       (* [save] would write bytes other than the file's: it was absent,
@@ -536,31 +518,31 @@ let stats t =
 
 let file_of ~dir ~fp = Filename.concat dir (fp ^ ".dpsnap")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Walk one cache file, handing [feed key record span] every record
-   whose checksum holds and whose payload decodes to exactly its length;
-   [span] is the framed record's (offset, length) in [data]. Per-record
-   containment: a checksum-failing or undecodable record is skipped
-   (counted corrupt) and the walk continues at the next record; damaged
-   framing (implausible length) abandons the remainder of the file. The
-   result is [(ok, bad, in_order)], [in_order] when the keys come in the
-   order [save] writes them, each once. Never raises. *)
+(* Walk one cache file, handing [feed] every record whose checksum holds
+   and whose payload decodes to exactly its length: a stream's entry, or
+   a scenario's mining record with its framed span in [data].
+   Per-record containment: a checksum-failing or undecodable record is
+   skipped (counted corrupt) and the walk continues at the next record;
+   damaged framing (implausible length) abandons the remainder of the
+   file. The result is [(fp, ok, bad, in_order)]: the fingerprint read
+   (or a placeholder), and [in_order] when the keys come in the order
+   [save] writes them, each once. Never raises. *)
 let parse_file data ~expect_fp ~feed =
   let ok = ref 0 and bad = ref 0 and in_order = ref true and last = ref None in
+  let fp = ref "(unreadable)" in
   (try
      let cur = Wire.cursor data in
      Wire.need cur (String.length magic);
-     if String.sub data 0 (String.length magic) <> magic then
-       Wire.corrupt "bad snapshot magic";
+     if String.sub data 0 (String.length magic) <> magic then begin
+       fp := "(bad magic)";
+       Wire.corrupt "bad snapshot magic"
+     end;
      cur.Wire.pos <- String.length magic;
-     let fp = Wire.rstr cur in
+     fp := Wire.rstr cur;
      (match expect_fp with
-     | Some expect when expect <> fp -> Wire.corrupt "fingerprint mismatch"
+     | Some expect when expect <> !fp -> Wire.corrupt "fingerprint mismatch"
      | _ -> ());
      let len = String.length data in
      while cur.Wire.pos < len do
@@ -585,46 +567,43 @@ let parse_file data ~expect_fp ~feed =
          match
            if is_scen_key key then
              let digest, mining = read_scen_record rcur in
-             `Mining (scen_name key, digest, mining)
-           else `Entry (read_entry rcur)
+             `Mining (scen_name key, (digest, mining, Some (start, stop - start)))
+           else
+             let sections = read_entry rcur in
+             `Entry { key; data; off = start; len = stop - start; head = pos; sections }
          with
          | record when rcur.Wire.pos = stop ->
-           feed key record (start, stop - start);
+           feed record;
            incr ok
          | _ -> incr bad  (* trailing bytes *)
          | exception Wire.Corrupt _ -> incr bad
        end
      done
    with _ -> incr bad);
-  (!ok, !bad, !in_order)
+  (!fp, !ok, !bad, !in_order)
 
 let create ?dir ~fingerprint:fp () =
-  let entries = Hashtbl.create 64
-  and scenarios = Hashtbl.create 16
-  and stored = Hashtbl.create 64 in
-  let feed key record span =
-    Hashtbl.replace stored key span;
-    match record with
-    | `Entry e -> Hashtbl.replace entries key e
-    | `Mining (name, digest, mining) ->
-      Hashtbl.replace scenarios name (digest, mining)
+  Dpobs.Span.with_span "snapshot.open" @@ fun () ->
+  let entries = Hashtbl.create 64 and scenarios = Hashtbl.create 16 in
+  let feed = function
+    | `Entry e -> Hashtbl.replace entries e.key e
+    | `Mining (name, record) -> Hashtbl.replace scenarios name record
   in
-  let data, (loaded, dropped, in_order) =
+  let data, (_, loaded, dropped, in_order) =
     match dir with
-    | None -> ("", (0, 0, false))
+    | None -> ("", ("", 0, 0, false))
     | Some dir -> (
       match read_file (file_of ~dir ~fp) with
       | data ->
         if Dpobs.metrics_on () then
           Dpobs.Metrics.add (bytes_c ()) (String.length data);
         (data, parse_file data ~expect_fp:(Some fp) ~feed)
-      | exception Sys_error _ -> ("", (0, 0, false)))
+      | exception Sys_error _ -> ("", ("", 0, 0, false)))
   in
   {
     dir;
     fp;
     data;
-    stored;
     entries;
     used = Hashtbl.create 64;
     scenarios;
@@ -640,41 +619,39 @@ let create ?dir ~fingerprint:fp () =
 
 (* Stream the file: magic, fingerprint, then every record in sorted key
    order — per-stream entries, then scenario mining records — so the file
-   is a pure function of its contents. A record loaded from the current
-   file is copied as stored; only fresh entries and re-mined scenarios
-   are encoded, one at a time. Returns the bytes written. *)
+   is a pure function of its contents. Entries are already framed, and a
+   mining record loaded from the current file is copied as stored; only
+   re-mined scenarios are encoded. Returns the bytes written. *)
 let write_records t oc =
-  let header = Buffer.create 64 and payload = Buffer.create 4096 in
+  let header = Buffer.create 64 in
   Wire.wstr header t.fp;
   output_string oc magic;
   Buffer.output_buffer oc header;
-  let record key encode =
-    match Hashtbl.find_opt t.stored key with
-    | Some (off, len) -> output_substring oc t.data off len
-    | None ->
-      Buffer.clear payload;
-      encode payload;
-      let p = Buffer.contents payload in
-      Buffer.clear header;
-      Wire.wstr header key;
-      Wire.w32 header (String.length p);
-      Wire.w32 header (Dputil.Crc32.string p);
-      Buffer.output_buffer oc header;
-      output_string oc p
-  in
   let sorted tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
   List.iter
-    (fun key -> record key (fun buf -> write_entry buf (Hashtbl.find t.entries key)))
+    (fun key ->
+      let e = Hashtbl.find t.entries key in
+      output_substring oc e.data e.off e.len)
     (sorted t.entries);
   List.iter
     (fun name ->
-      record (scen_prefix ^ name) (fun buf ->
-          let digest, mining = Hashtbl.find t.scenarios name in
-          write_scen_record buf ~digest mining))
+      match Hashtbl.find t.scenarios name with
+      | _, _, Some (off, len) -> output_substring oc t.data off len
+      | digest, mining, None ->
+        let payload = Buffer.create 4096 in
+        write_scen_record payload ~digest mining;
+        Buffer.output_buffer oc (frame (scen_prefix ^ name) (Buffer.contents payload)))
     (sorted t.scenarios);
   pos_out oc
 
+(* The entries a pass leaves out are counted stale once: when they are
+   dropped, or when they are saved. *)
+let count_stale n =
+  if Dpobs.metrics_on () then Dpobs.Metrics.add (stale_c ()) n
+
 let save t =
+  Dpobs.Span.with_span "snapshot.save" @@ fun () ->
+  count_stale (stale t);
   match t.dir with
   | None -> ()
   | Some dir ->
@@ -729,51 +706,50 @@ let save t =
           "snapshot: save of %s abandoned after injected write faults" path
     end
 
+(* --- the cached per-stream step ---
+
+   [lookup_or_step] runs where the stream is (a pool worker, inside the
+   fold's decode work item) and only reads [entries]; [settle] runs on
+   the consumer's domain, between batches, and is the only writer. *)
+
 let key_of = Codec_v2.stream_key
+
+let lookup_or_step t components ~specs st =
+  let key = key_of st in
+  match Hashtbl.find_opt t.entries key with
+  | Some e -> e
+  | None -> fresh_entry components ~specs key st
+
+let settle t e =
+  Hashtbl.replace t.used e.key ();
+  if Hashtbl.mem t.entries e.key then begin
+    t.hits <- t.hits + 1;
+    if Dpobs.metrics_on () then Dpobs.Metrics.incr (hit_c ())
+  end
+  else begin
+    Hashtbl.replace t.entries e.key e;
+    t.misses <- t.misses + 1;
+    t.dirty <- true;
+    if Dpobs.metrics_on () then Dpobs.Metrics.incr (miss_c ())
+  end
 
 let ensure ?pool t components (corpus : Corpus.t) =
   Dpobs.Span.with_span "snapshot.ensure" @@ fun () ->
-  let specs = corpus.Corpus.specs in
-  let misses = ref [] and hits = ref 0 in
   Hashtbl.reset t.used;
-  List.iter
-    (fun st ->
-      let key = key_of st in
-      Hashtbl.replace t.used key ();
-      if Hashtbl.mem t.entries key then incr hits
-      else misses := (key, st) :: !misses)
-    corpus.Corpus.streams;
-  let misses = List.rev !misses in
-  t.hits <- t.hits + !hits;
-  t.misses <- t.misses + List.length misses;
-  let fresh =
-    match pool with
-    | Some pool when Dppar.Pool.size pool > 1 ->
-      Dppar.Pool.parallel_map ~chunk:1 pool
-        (fun (key, st) -> (key, analyze_stream components ~specs st))
-        misses
-    | _ ->
-      List.map (fun (key, st) -> (key, analyze_stream components ~specs st)) misses
-  in
-  List.iter (fun (key, e) -> Hashtbl.replace t.entries key e) fresh;
-  if fresh <> [] then t.dirty <- true;
-  if Dpobs.metrics_on () then begin
-    Dpobs.Metrics.add (hit_c ()) !hits;
-    Dpobs.Metrics.add (miss_c ()) (List.length misses);
-    Dpobs.Metrics.add (stale_c ()) (stale t)
-  end
+  Dppar.Pool.iter_batched ?pool
+    (lookup_or_step t components ~specs:corpus.Corpus.specs)
+    (settle t)
+    (fun push -> List.iter push corpus.Corpus.streams)
 
 let drop_stale t =
   Mutex.protect t.lock @@ fun () ->
+  let before = Hashtbl.length t.entries in
   Hashtbl.filter_map_inplace
-    (fun key e ->
-      if Hashtbl.mem t.used key then Some e
-      else begin
-        Hashtbl.remove t.stored key;
-        t.dirty <- true;
-        None
-      end)
-    t.entries
+    (fun key e -> if Hashtbl.mem t.used key then Some e else None)
+    t.entries;
+  let dropped = before - Hashtbl.length t.entries in
+  if dropped > 0 then t.dirty <- true;
+  count_stale dropped
 
 let entry t st =
   match Hashtbl.find_opt t.entries (key_of st) with
@@ -792,8 +768,9 @@ let entry t st =
    reproduce the stored result bit for bit. Streams are identified by
    the same codec-v2 content keys as the per-stream entries.
 
-   Requires [ensure] to have run for this corpus (keys are memoised and
-   [entries] is read-only by then, so concurrent readers are safe). *)
+   Requires every stream of the corpus to be settled (keys are memoised
+   and [entries] is read-only by then, so concurrent readers are
+   safe). *)
 let scenario_digest t (corpus : Corpus.t) name ~reduce ~k =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "scenario:%s\nreduce:%b\nk:%d\n" name reduce k;
@@ -801,7 +778,7 @@ let scenario_digest t (corpus : Corpus.t) name ~reduce ~k =
     (fun st ->
       let key = key_of st in
       match Hashtbl.find_opt t.entries key with
-      | Some e when entry_has_class e name ->
+      | Some e when List.exists (fun (n, _, c) -> n = name && c) e.sections ->
         Buffer.add_string buf key;
         Buffer.add_char buf '\n'
       | _ -> ())
@@ -811,25 +788,28 @@ let scenario_digest t (corpus : Corpus.t) name ~reduce ~k =
     (Dputil.Crc32.string s land 0xffffffff)
     (Dputil.Crc32.string (s ^ "#dpscn") land 0xffffffff)
 
-let find_mining t corpus name ~reduce ~k =
+let mining t corpus name ~reduce ~k mine =
   let digest = scenario_digest t corpus name ~reduce ~k in
-  Mutex.protect t.lock @@ fun () ->
-  match Hashtbl.find_opt t.scenarios name with
-  | Some (d, mining) when d = digest ->
-    t.mining_hits <- t.mining_hits + 1;
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_hit_c ());
-    Some mining
-  | Some _ | None ->
-    t.mining_misses <- t.mining_misses + 1;
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_miss_c ());
-    None
-
-let store_mining t corpus name ~reduce ~k mining =
-  let digest = scenario_digest t corpus name ~reduce ~k in
-  Mutex.protect t.lock @@ fun () ->
-  Hashtbl.replace t.scenarios name (digest, mining);
-  Hashtbl.remove t.stored (scen_prefix ^ name);
-  t.dirty <- true
+  let cached =
+    Mutex.protect t.lock @@ fun () ->
+    match Hashtbl.find_opt t.scenarios name with
+    | Some (d, m, _) when d = digest ->
+      t.mining_hits <- t.mining_hits + 1;
+      if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_hit_c ());
+      Some m
+    | Some _ | None ->
+      t.mining_misses <- t.mining_misses + 1;
+      if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_miss_c ());
+      None
+  in
+  match cached with
+  | Some m -> m
+  | None ->
+    let m = mine () in
+    Mutex.protect t.lock (fun () ->
+        Hashtbl.replace t.scenarios name (digest, m, None);
+        t.dirty <- true);
+    m
 
 (* --- cache-directory tooling (driveperf cache) --- *)
 
@@ -852,18 +832,7 @@ let list_files dir =
 
 let inspect path =
   let data = try read_file path with Sys_error _ -> "" in
-  let fp =
-    try
-      let cur = Wire.cursor data in
-      Wire.need cur (String.length magic);
-      if String.sub data 0 (String.length magic) <> magic then "(bad magic)"
-      else begin
-        cur.Wire.pos <- String.length magic;
-        Wire.rstr cur
-      end
-    with _ -> "(unreadable)"
-  in
-  let ok, bad, _ = parse_file data ~expect_fp:None ~feed:(fun _ _ _ -> ()) in
+  let fp, ok, bad, _ = parse_file data ~expect_fp:None ~feed:ignore in
   let mtime = try (Unix.stat path).Unix.st_mtime with _ -> 0.0 in
   {
     fi_path = path;
@@ -881,12 +850,7 @@ let gc ~keep dir =
       (fun a b -> compare b.fi_mtime a.fi_mtime)
       (List.map inspect files)
   in
-  let rec drop n = function
-    | [] -> []
-    | _ :: _ as rest when n = 0 -> rest
-    | _ :: rest -> drop (n - 1) rest
-  in
-  let victims = drop (max keep 0) by_age in
+  let victims = List.filteri (fun i _ -> i >= keep) by_age in
   List.iter (fun fi -> try Sys.remove fi.fi_path with Sys_error _ -> ()) victims;
   ( List.length victims,
     List.fold_left (fun acc fi -> acc + fi.fi_bytes) 0 victims )

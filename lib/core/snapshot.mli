@@ -24,7 +24,7 @@
     run requested.
 
     On top of the per-stream entries the snapshot caches each scenario's
-    {!Mining.result} (see {!find_mining}): re-mining is the dominant cost
+    {!Mining.result} (see {!mining}): re-mining is the dominant cost
     of a warm re-analysis and its inputs are a deterministic function of
     the fingerprint plus the ordered set of contributing streams, so a
     digest match lets the pipeline skip the miner without affecting
@@ -36,31 +36,30 @@
     fingerprint, a checksum failure or an undecodable entry all degrade to
     cache misses, never to errors or wrong results.
 
-    Record lifecycle. {!create} keeps the cache file's bytes and verifies
-    every record: its CRC, then one full decode. A record that fails
-    either is dropped, and its stream becomes a miss. A loaded entry then
-    keeps only its head (stream id, impact, provenance, module rows) and,
-    per scenario section, the name, whether it has a class part, and the
-    section's offset in the file's bytes. {!entry_part} decodes each
-    section's header (its all-instance impact) and
-    {!entry_scenario_class} the whole section from those bytes each time
-    they are asked, so a merge holds one decoded class part at a time.
-    Entries {!ensure} computes are fresh and stay fully decoded; an
-    in-memory snapshot holds only fresh entries.
+    Record lifecycle. An entry has one form: its framed record, the
+    bytes {!save} writes for it. {!create} keeps the cache file's bytes
+    and verifies every record: its CRC, then one full decode. A record
+    that fails either is dropped, and its stream becomes a miss. A loaded
+    entry is its span of those bytes; a fresh one, computed on a miss, is
+    framed once. Beside the bytes an entry keeps only each scenario
+    section's name, offset and class flag. {!entry_part} and
+    {!entry_scenario_class} decode from the bytes each time they are
+    asked, so a merge holds one decoded class part at a time.
 
     What {!save} writes, and when. Nothing, if the snapshot still
     matches its file: no miss was analysed, no mining result stored, and
     the file was read whole, undamaged and in save order. It then only
     refreshes the file's mtime, which is what {!gc} ranks recency by.
-    Otherwise it streams a new file: records loaded from the old one are
-    copied byte for byte, and only fresh entries and re-mined scenario
-    records are encoded, one at a time. Either way the file is the one a
-    from-scratch save of the same contents would write.
+    Otherwise it streams a new file: entry records and loaded mining
+    records are copied byte for byte; only re-mined scenario records are
+    encoded. Either way the file is the one a from-scratch save of the
+    same contents would write.
 
-    Observability: {!create}/{!save}/{!ensure} bump the
-    [snapshot.hit]/[snapshot.miss]/[snapshot.stale]/[snapshot.bytes]
-    metrics, and {!find_mining} the
-    [snapshot.mining_hit]/[snapshot.mining_miss] pair, when
+    Observability: spans [snapshot.open] ({!create}), [snapshot.ensure]
+    and [snapshot.save]; metrics [snapshot.hit]/[snapshot.miss]
+    ({!settle}), [snapshot.bytes], [snapshot.stale] (by {!drop_stale} or
+    {!save}, whichever meets the stale entry first) and
+    [snapshot.mining_hit]/[snapshot.mining_miss], when
     {!Dpobs.metrics_on}. *)
 
 val code_version : string
@@ -125,16 +124,14 @@ type entry
     every spec of the corpus. *)
 
 val entry_part : entry -> part
-(** The stream's whole-stream part, as {!stream_step} returned it. For a
-    loaded entry, each scenario's impact is decoded from its section's
-    header in the cache file's bytes. *)
+(** The stream's whole-stream part, as {!stream_step} returned it. Safe
+    from pool workers. *)
 
 val entry_scenario_class : entry -> string -> class_part option
 (** The named scenario's class part; [None] when the stream has no
-    instances of it (or it had no spec when the entry was computed). For
-    a loaded entry each call decodes the section afresh from the cache
-    file's bytes, so the caller alone holds the result. Safe from pool
-    workers. *)
+    instances of it (or it had no spec when the entry was computed).
+    Decoded afresh at each call, so the caller alone holds it. Safe from
+    pool workers. *)
 
 (** {1 Cache instances} *)
 
@@ -148,51 +145,59 @@ val create : ?dir:string -> fingerprint:string -> unit -> t
     saving. Without [dir] the snapshot is purely in-memory (useful in
     tests). *)
 
+val lookup_or_step :
+  t -> Component.t -> specs:Dptrace.Scenario.spec list -> Dptrace.Stream.t -> entry
+(** The per-stream step of a pass: on a hit, the stream's entry, looked
+    up by content key; on a miss, {!stream_step} under every spec,
+    framed. Books nothing, so it is safe on pool workers, provided no
+    {!settle} runs meanwhile. *)
+
+val settle : t -> entry -> unit
+(** Book a stepped stream, on one domain in corpus order: mark its key
+    used by this pass, and count a hit, or a miss, storing the entry.
+    Only streams a pass keeps are settled, so a quarantined stream leaves
+    no entry. *)
+
 val ensure : ?pool:Dppar.Pool.t -> t -> Component.t -> Dptrace.Corpus.t -> unit
-(** Make an entry available for every stream of the corpus: look each
-    stream up by content key, and compute the misses' entries — in
-    parallel across [pool] when given, one stream per task. Merging cached
-    and fresh entries is exact, so downstream results never depend on the
-    hit/miss split. *)
+(** A pass over a resident corpus: forget the last pass's used keys,
+    then {!lookup_or_step} every stream (in batches across [pool]) and
+    {!settle} each. Merging cached and fresh entries is exact, so
+    downstream results never depend on the hit/miss split. *)
 
 val drop_stale : t -> unit
-(** Forget the entries the last {!ensure}'s corpus does not reference
-    (its [s_stale]), here and in the next {!save}: for a corpus that
-    slides over time, such as the monitor's window. *)
+(** Forget the entries the last pass did not settle (its [s_stale]),
+    here and in the next {!save}: for a corpus that slides over time,
+    such as the monitor's window. *)
 
 val entry : t -> Dptrace.Stream.t -> entry
-(** Lookup after {!ensure}.
-    @raise Invalid_argument for a stream never ensured. *)
+(** Lookup after a pass that settled the stream.
+    @raise Invalid_argument for a stream never settled. *)
 
 val save : t -> unit
 (** Write every entry back to [dir/<fingerprint>.dpsnap] (creating [dir]
     and its missing parents if needed) via a temp file and atomic rename.
     Entries are written in sorted key order: the file is a pure function
-    of its contents. Untouched records are copied as loaded, and a
-    snapshot that still matches its file only refreshes the file's mtime
-    (see the record lifecycle above). No-op for in-memory snapshots. *)
+    of its contents. A snapshot that still matches its file only
+    refreshes the file's mtime (see the record lifecycle above). No-op
+    for in-memory snapshots. *)
 
 (** {1 Scenario mining cache} *)
 
-val find_mining :
+val mining :
   t -> Dptrace.Corpus.t -> string -> reduce:bool -> k:int ->
-  Mining.result option
-(** The cached mining result for the named scenario, provided its digest
-    — over the ordered content keys of the corpus streams contributing
-    class parts, plus [reduce] and [k] — matches the current corpus.
-    [None] (a mining miss) otherwise. Call only after {!ensure} on the
-    same corpus. Safe from pool workers. *)
-
-val store_mining :
-  t -> Dptrace.Corpus.t -> string -> reduce:bool -> k:int ->
-  Mining.result -> unit
-(** Record a freshly mined result under the current digest, replacing any
-    stale record for that scenario. Safe from pool workers. *)
+  (unit -> Mining.result) -> Mining.result
+(** [mining t corpus name ~reduce ~k mine]: the named scenario's cached
+    mining result, provided its digest — over the ordered content keys
+    of the corpus streams contributing class parts, plus [reduce] and
+    [k] — matches; otherwise [mine ()], recorded under that digest in
+    place of any stale record. Call only after a pass settled every
+    stream of the corpus. Safe from pool workers; [mine] runs outside
+    the lock. *)
 
 type stats = {
-  s_hits : int;  (** {!ensure} lookups served from cache. *)
-  s_misses : int;  (** Streams (re)analysed. *)
-  s_stale : int;  (** Entries the last {!ensure}'s corpus leaves out. *)
+  s_hits : int;  (** Settled streams served from cache. *)
+  s_misses : int;  (** Settled streams (re)analysed. *)
+  s_stale : int;  (** Entries the last pass did not settle. *)
   s_loaded : int;  (** Records read intact from disk. *)
   s_dropped : int;  (** On-disk records discarded as corrupt. *)
   s_mining_hits : int;  (** Scenarios whose mining result was reused. *)

@@ -156,7 +156,7 @@ let trailer_payload nstreams =
    [stream_key], which re-encodes cache-less streams for their identity
    and must not count them as written. *)
 let stream_payload_raw (st : Stream.t) =
-  let buf = Buffer.create 65536 in
+  let buf = Buffer.create 4096 in
   (* Frame-local signature table, first-appearance order: every frame
      decodes on its own, so one corrupt frame cannot strand the table —
      hence the data — of any other. *)

@@ -233,6 +233,33 @@ let test_render_smoke () =
     in
     contains 0)
 
+(* A partial's root count above the bytes left is refused as an element
+   count before any root is read: every root takes at least one byte. *)
+let test_partial_count_bounded () =
+  let module Wire = Dptrace.Wire in
+  let buf = Buffer.create 256 in
+  Awg.Partial.write buf
+    (Awg.Partial.build drivers (graphs_of (episode ~stream_id:0 ~hold_ms:30)));
+  let encoded = Buffer.contents buf in
+  let cur = Wire.cursor encoded in
+  ignore (Wire.rv cur : int);
+  let rest = String.sub encoded cur.Wire.pos (String.length encoded - cur.Wire.pos) in
+  let forged = Buffer.create 256 in
+  Wire.wv forged (String.length rest + 1);
+  Buffer.add_string forged rest;
+  let names_count m =
+    let pat = "element count" in
+    let rec at i =
+      i + String.length pat <= String.length m
+      && (String.sub m i (String.length pat) = pat || at (i + 1))
+    in
+    at 0
+  in
+  match Awg.Partial.read (Wire.cursor (Buffer.contents forged)) with
+  | exception Wire.Corrupt m ->
+    check Alcotest.bool ("count refused: " ^ m) true (names_count m)
+  | _ -> Alcotest.fail "accepted a root count above the bytes left"
+
 let () =
   Alcotest.run "dpcore-awg"
     [
@@ -250,5 +277,7 @@ let () =
           Alcotest.test_case "cost consistency" `Quick test_costs_consistency;
           Alcotest.test_case "empty" `Quick test_empty_awg;
           Alcotest.test_case "render smoke" `Quick test_render_smoke;
+          Alcotest.test_case "partial count bounded by the bytes left" `Quick
+            test_partial_count_bounded;
         ] );
     ]

@@ -459,7 +459,7 @@ let test_fold_equals_resident () =
     let want = Pipeline.run_report ?pool ?scenarios drivers resident in
     let folded = ref loaded in
     let acc, skeletons, fold_cov =
-      Pipeline.fold_report ?scenarios drivers (fun ~step ~consume ->
+      Pipeline.fold_report ?scenarios ~cache:None drivers (fun ~step ~consume ->
           folded := ok (Dptrace.Corpus_dir.fold ?pool ~mode ~step ~consume path);
           !folded.Dptrace.Corpus_dir.l_corpus)
     in

@@ -82,6 +82,43 @@ let per_scenario_str l =
        (fun (n, r) -> Format.asprintf "%s: %a" n Impact.pp r)
        l)
 
+(* A framed corpus folded through the cache in [dir] the way [report
+   --cache] runs it: each stream looked up, or stepped on a miss, as it
+   is decoded; the snapshot opened by the first step (or by [finish],
+   for a corpus with no streams); the scenario tails; the save. Returns
+   the report, the screening's coverage and the snapshot's stats. *)
+let fold_ctr = ref 0
+
+let fold_cached ?pool ?scenarios ?(mode = `Strict) ~dir data =
+  incr fold_ctr;
+  let path = Printf.sprintf "snapfold_%d.dpf" !fold_ctr in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let cell = ref None and lock = Mutex.create () in
+  let snapshot specs =
+    Mutex.protect lock @@ fun () ->
+    match !cell with
+    | Some snap -> snap
+    | None ->
+      let fingerprint =
+        Snapshot.fingerprint ~components ~specs ~k:Dpcore.Mining.default_k ()
+      in
+      let snap = Snapshot.create ~dir ~fingerprint () in
+      cell := Some snap;
+      snap
+  in
+  let acc, skeletons, coverage =
+    Pipeline.fold_report ?scenarios ~cache:(Some snapshot) components
+      (fun ~step ~consume ->
+        match Dptrace.Corpus_dir.fold ?pool ~mode ~step ~consume path with
+        | Ok l -> l.Dptrace.Corpus_dir.l_corpus
+        | Error m -> Alcotest.failf "fold: %s" m)
+  in
+  let report = Pipeline.finish ?pool acc skeletons in
+  let snap = snapshot skeletons.Corpus.specs in
+  Snapshot.save snap;
+  (report, coverage, Snapshot.stats snap)
+
 let check_identical ?pool ~msg snap corpus =
   let fresh = Pipeline.run_report ?pool components corpus in
   let cached = Pipeline.run_report_snap ?pool snap corpus in
@@ -567,12 +604,105 @@ let prop_cached_equals_fresh =
       let fresh = Pipeline.run_report ~scenarios components full in
       let cached = Pipeline.run_report_snap ~scenarios snap full in
       Snapshot.save snap;
+      let cold = cold_file ~scenarios full in
+      (* The same split folded from framed files: cold, then delta. *)
+      let fold_dir = fresh_dir () in
+      let encode = Dptrace.Codec_v2.encode in
+      ignore (fold_cached ~scenarios ~dir:fold_dir (encode prefix));
+      let folded, _, _ = fold_cached ~scenarios ~dir:fold_dir (encode full) in
+      let same r =
+        List.map fst r.Pipeline.scenarios = kept
+        && render_doc fresh = render_doc r
+        && per_scenario_str fresh.Pipeline.per_scenario
+           = per_scenario_str r.Pipeline.per_scenario
+      in
       List.map fst fresh.Pipeline.scenarios = kept
-      && List.map fst cached.Pipeline.scenarios = kept
-      && render_doc fresh = render_doc cached
-      && per_scenario_str fresh.Pipeline.per_scenario
-         = per_scenario_str cached.Pipeline.per_scenario
-      && saved_bytes dir = cold_file ~scenarios full)
+      && same cached && same folded
+      && saved_bytes dir = cold
+      && saved_bytes fold_dir = cold)
+
+(* --- the cached fold over damaged, screened and empty corpora --- *)
+
+(* Under [`Recover] the cached fold drops the damaged frames as the
+   resident load does — one frame resealed around an undecodable
+   payload, one with a bad checksum — sequentially and on two domains,
+   cold and then warm, and saves the file a cold cache writes for the
+   recovered corpus. *)
+let test_fold_recover () =
+  let corpus = gen 0.03 in
+  let clean = Dptrace.Codec_v2.encode corpus in
+  let damaged =
+    let b = Bytes.of_string clean in
+    let spans = V2_frames.frame_spans clean in
+    let _, payload, len = List.nth spans 2 in
+    Bytes.set b payload '\x00';
+    V2_frames.reseal b ~payload ~len;
+    let _, payload, len = List.nth spans 5 in
+    let at = payload + (len / 2) in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+    Bytes.to_string b
+  in
+  let recovered, _ = Dptrace.Codec_v2.decode ~mode:`Recover damaged in
+  check Alcotest.int "two frames dropped" 2
+    (List.length corpus.Corpus.streams - List.length recovered.Corpus.streams);
+  let fresh = Pipeline.run_report components recovered in
+  let cold = cold_file recovered in
+  let run ?pool msg =
+    let dir = fresh_dir () in
+    List.iter
+      (fun state ->
+        let r, _, _ = fold_cached ?pool ~mode:`Recover ~dir damaged in
+        check Alcotest.string (msg ^ ", " ^ state ^ ": json document")
+          (render_doc fresh) (render_doc r);
+        check Alcotest.string (msg ^ ", " ^ state ^ ": per-scenario impact")
+          (per_scenario_str fresh.Pipeline.per_scenario)
+          (per_scenario_str r.Pipeline.per_scenario);
+        check Alcotest.bool (msg ^ ", " ^ state ^ ": saved = cold save") true
+          (saved_bytes dir = cold))
+      [ "cold"; "warm" ]
+  in
+  run "-j 1";
+  Dppar.Pool.with_pool ~domains:2 (fun pool -> run ~pool "-j 2")
+
+(* A stream the fault plan quarantines is never settled: it leaves no
+   entry, so the saved file is a cold save of the screened corpus, and
+   the report and coverage are those of the screened run. *)
+let test_fold_quarantine () =
+  let corpus = gen 0.03 in
+  let plan = "5:corpus.read=fail@0.3!1" in
+  let screened, coverage = with_plan plan (fun () -> Pipeline.screen corpus) in
+  check Alcotest.bool "the plan quarantines some streams, not all" true
+    (coverage.Pipeline.cov_quarantined <> []
+    && screened.Corpus.streams <> []);
+  let dir = fresh_dir () in
+  let r, cov, stats =
+    with_plan plan (fun () ->
+        fold_cached ~dir (Dptrace.Codec_v2.encode corpus))
+  in
+  check Alcotest.bool "same quarantine" true
+    (cov.Pipeline.cov_quarantined = coverage.Pipeline.cov_quarantined);
+  check Alcotest.int "only kept streams are settled"
+    (List.length screened.Corpus.streams)
+    (stats.Snapshot.s_hits + stats.Snapshot.s_misses);
+  check Alcotest.string "json document"
+    (render_doc (Pipeline.run_report components screened))
+    (render_doc r);
+  check Alcotest.bool "saved = cold save of the screened corpus" true
+    (saved_bytes dir = cold_file screened)
+
+(* A corpus with no streams still opens and saves its cache, mining
+   records of the requested scenarios included. *)
+let test_fold_empty () =
+  let specs = (gen 0.01).Corpus.specs in
+  let empty = Corpus.create ~streams:[] ~specs in
+  let scenarios = List.map (fun (s : Dptrace.Scenario.spec) -> s.Dptrace.Scenario.name) specs in
+  let dir = fresh_dir () in
+  let r, _, _ = fold_cached ~scenarios ~dir (Dptrace.Codec_v2.encode empty) in
+  check Alcotest.string "json document"
+    (render_doc (Pipeline.run_report ~scenarios components empty))
+    (render_doc r);
+  check Alcotest.bool "saved = cold save" true
+    (saved_bytes dir = cold_file ~scenarios empty)
 
 let () =
   Alcotest.run "snapshot"
@@ -619,6 +749,14 @@ let () =
             test_stale_garbage_tmp_overwritten;
           Alcotest.test_case "torn file counted by cache verify" `Slow
             test_torn_file_verifies_as_corrupt;
+        ] );
+      ( "cached fold",
+        [
+          Alcotest.test_case "recover: damaged frames dropped" `Slow
+            test_fold_recover;
+          Alcotest.test_case "quarantined streams leave no entry" `Slow
+            test_fold_quarantine;
+          Alcotest.test_case "a corpus with no streams" `Quick test_fold_empty;
         ] );
       ("properties", [ qcheck prop_cached_equals_fresh ]);
     ]
