@@ -388,7 +388,7 @@ let with_results ?scenarios ?loaded ~cache ~components s f =
     | Some corpus ->
       fun ~step ~consume ->
         Dptrace.Corpus_dir.fold_corpus ~pool
-          ~step:(fun specs st -> (st, step specs st))
+          ~step:(fun specs f -> (Dptrace.Codec_v2.frame_stream f, step specs f))
           ~consume:(fun (st, x) -> Option.map (fun _ -> st) (consume x))
           corpus
   in
@@ -781,7 +781,7 @@ let import_etw_cmd =
   in
   let spec =
     let parse text =
-      let bad = Error (`Msg "want NAME:TFAST_MS:TSLOW_MS, 0 < TFAST_MS <= TSLOW_MS") in
+      let bad = Error (`Msg "want NAME:TFAST_MS:TSLOW_MS, 0 < TFAST <= TSLOW") in
       match String.split_on_char ':' text with
       | [ name; tfast; tslow ] -> (
         let ms s = Dputil.Time.ms (int_of_string s) in

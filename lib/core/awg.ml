@@ -472,4 +472,138 @@ module Partial = struct
       Hashtbl.replace forest n.status n
     done;
     forest
+
+  (* --- validation walk ---
+
+     [walk] makes every check [read] makes and builds nothing. The
+     duplicate-status checks compare statuses as [read] does, by tag and
+     decoded names (a name's length may be a padded varint, so equal
+     statuses need not have equal bytes). Each status is pushed on the
+     walker's stack as five ints — tag, then offset and length of each
+     name in the input — and a node's children, pushed contiguously once
+     their own subtrees have been popped, are sorted in place and
+     compared neighbour to neighbour: O(n log n) in the sibling count,
+     with scratch space the widest sibling set and the path above it. *)
+
+  type walker = { mutable stack : int array; mutable top : int }
+
+  let walker () = { stack = Array.make 320 0; top = 0 }
+
+  let push w tag o1 l1 o2 l2 =
+    if w.top + 5 > Array.length w.stack then begin
+      let bigger = Array.make (2 * Array.length w.stack) 0 in
+      Array.blit w.stack 0 bigger 0 w.top;
+      w.stack <- bigger
+    end;
+    let s = w.stack and i = w.top in
+    s.(i) <- tag;
+    s.(i + 1) <- o1;
+    s.(i + 2) <- l1;
+    s.(i + 3) <- o2;
+    s.(i + 4) <- l2;
+    w.top <- i + 5
+
+  (* The offset of a name's bytes, [cur] left after them. *)
+  let skip_name cur =
+    let len = Wire.rv cur in
+    Wire.need cur len;
+    let off = cur.Wire.pos in
+    cur.Wire.pos <- off + len;
+    off
+
+  let walk_status w cur =
+    match Wire.r8 cur with
+    | 0 ->
+      let o1 = skip_name cur in
+      let l1 = cur.Wire.pos - o1 in
+      let o2 = skip_name cur in
+      push w 0 o1 l1 o2 (cur.Wire.pos - o2)
+    | (1 | 2) as tag ->
+      let o1 = skip_name cur in
+      push w tag o1 (cur.Wire.pos - o1) 0 0
+    | k -> Wire.corrupt "Awg.Partial: unknown status tag %d" k
+
+  let rec compare_bytes data a b i len =
+    if i = len then 0
+    else
+      match
+        Char.compare (String.unsafe_get data (a + i)) (String.unsafe_get data (b + i))
+      with
+      | 0 -> compare_bytes data a b (i + 1) len
+      | c -> c
+
+  let compare_name data oa la ob lb =
+    if la <> lb then Int.compare la lb else compare_bytes data oa ob 0 la
+
+  (* Statuses at stack positions [i] and [j]: equal exactly when [read]
+     would find them equal. *)
+  let compare_at data s i j =
+    match Int.compare s.(i) s.(j) with
+    | 0 -> (
+      match compare_name data s.(i + 1) s.(i + 2) s.(j + 1) s.(j + 2) with
+      | 0 -> compare_name data s.(i + 3) s.(i + 4) s.(j + 3) s.(j + 4)
+      | c -> c)
+    | c -> c
+
+  let swap s i j =
+    for d = 0 to 4 do
+      let t = s.(i + d) in
+      s.(i + d) <- s.(j + d);
+      s.(j + d) <- t
+    done
+
+  (* Heapsort of the [n] statuses from stack position [base]. *)
+  let rec sift data s base n k =
+    let l = (2 * k) + 1 in
+    if l < n then begin
+      let m =
+        if l + 1 < n && compare_at data s (base + (5 * (l + 1))) (base + (5 * l)) > 0
+        then l + 1
+        else l
+      in
+      if compare_at data s (base + (5 * m)) (base + (5 * k)) > 0 then begin
+        swap s (base + (5 * m)) (base + (5 * k));
+        sift data s base n m
+      end
+    end
+
+  let check_distinct w data base what =
+    let s = w.stack and n = (w.top - base) / 5 in
+    if n > 1 then begin
+      for k = (n / 2) - 1 downto 0 do
+        sift data s base n k
+      done;
+      for last = n - 1 downto 1 do
+        swap s base (base + (5 * last));
+        sift data s base last 0
+      done;
+      for k = 1 to n - 1 do
+        if compare_at data s (base + (5 * (k - 1))) (base + (5 * k)) = 0 then
+          Wire.corrupt "Awg.Partial: duplicate %s status" what
+      done
+    end;
+    w.top <- base
+
+  let rec walk_node w cur =
+    walk_status w cur;
+    for _ = 1 to 3 do
+      ignore (Wire.rv cur : int)
+    done;
+    for _ = 1 to Wire.rcount cur do
+      Provenance.skip_ref cur;
+      ignore (Wire.rv cur : int);
+      ignore (Wire.rv cur : int)
+    done;
+    walk_siblings w cur "child"
+
+  and walk_siblings w cur what =
+    let base = w.top in
+    for _ = 1 to Wire.rcount cur do
+      walk_node w cur
+    done;
+    check_distinct w cur.Wire.data base what
+
+  let walk w cur =
+    w.top <- 0;
+    walk_siblings w cur "root"
 end

@@ -158,4 +158,16 @@ module Partial : sig
   val read : Dptrace.Wire.cursor -> partial
   (** Inverse of {!write}.
       @raise Dptrace.Wire.Corrupt on malformed input. *)
+
+  type walker
+  (** Scratch space for {!walk}, reused from one partial to the next. *)
+
+  val walker : unit -> walker
+
+  val walk : walker -> Dptrace.Wire.cursor -> unit
+  (** Step over a partial's wire form, making every check {!read} makes
+      (duplicate root and child statuses included, compared by decoded
+      names) but building nothing: no node, table or signature. Its time
+      is O(n log n) in the widest sibling set.
+      @raise Dptrace.Wire.Corrupt exactly when {!read} would. *)
 end

@@ -289,7 +289,8 @@ let wants acc name =
 
 (* Per stream: every instance's graph built once and measured once;
    only the class parts of requested scenarios with a spec are made. *)
-let step components acc specs (st : Dptrace.Stream.t) =
+let step components acc specs f =
+  let st = Dptrace.Codec_v2.frame_stream f in
   let spec_of name =
     List.find_opt
       (fun (s : Dptrace.Scenario.spec) -> s.name = name && wants acc name)
@@ -308,11 +309,10 @@ let of_entry acc e skeleton settle =
   in
   { skeleton; part; class_parts = List.map class_of per_scenario; settle }
 
-(* The key is taken first: the skeleton keeps it. *)
-let cached_step snapshot components acc specs st =
+let cached_step snapshot components acc specs f =
   let snap = snapshot specs in
-  let e = Snapshot.lookup_or_step snap components ~specs st in
-  of_entry acc e (Dptrace.Stream.skeleton st) (Some (snap, e))
+  let e, skeleton = Snapshot.lookup_or_step snap components ~specs f in
+  of_entry acc e skeleton (Some (snap, e))
 
 let absorb acc s =
   absorb_part acc s.part;
@@ -340,7 +340,8 @@ let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t
   let acc = accumulator ?k ?reduce ?scenarios None in
   span "pipeline.report_streams" (fun () ->
       Dppar.Pool.iter_batched ?pool
-        (step components acc corpus.Dptrace.Corpus.specs)
+        (fun st ->
+          step components acc corpus.Dptrace.Corpus.specs (Dptrace.Codec_v2.resident st))
         (absorb acc)
         (fun push -> List.iter push corpus.Dptrace.Corpus.streams));
   finish ?pool acc corpus

@@ -18,7 +18,8 @@
       a corpus file ({!Dptrace.Corpus_dir.fold}), its result absorbed at
       once, so no stream's events outlive its pass and only
       {!Dptrace.Stream.skeleton}s stay; with a cache, the parts are the
-      stream's snapshot entry's, decoded in the step;
+      stream's snapshot entry's, decoded in the step, and a hit's
+      events are never built;
     - {!run_report_snap}: a snapshot's entries, decoded the same way;
     - {!run_scenario}: one scenario's class parts, made from that
       scenario's instances alone, so its result is the report's entry
@@ -220,14 +221,16 @@ val fold_report :
   ?scenarios:string list ->
   cache:(Dptrace.Scenario.spec list -> Snapshot.t) option ->
   Component.t ->
-  (step:(Dptrace.Scenario.spec list -> Dptrace.Stream.t -> stepped) ->
+  (step:(Dptrace.Scenario.spec list -> Dptrace.Codec_v2.frame -> stepped) ->
   consume:(stepped -> Dptrace.Stream.t option) ->
   Dptrace.Corpus.t) ->
   acc * Dptrace.Corpus.t * coverage
 (** [fold_report ~cache components source] runs [source ~step
     ~consume]. [step] (safe on pool workers) is {!run_report}'s
-    per-stream step or, with [Some snapshot], {!Snapshot.lookup_or_step}
-    on [snapshot specs] and the entry's parts decoded; [snapshot] is
+    per-stream step, which decodes the frame ({!Dptrace.Codec_v2.frame_stream}),
+    or, with [Some snapshot], {!Snapshot.lookup_or_step} on [snapshot
+    specs] (which takes only a hit's skeleton) and the entry's parts
+    decoded; [snapshot] is
     called from pool workers, so it must open its snapshot once, under
     a lock. [consume] screens the stream as {!screen} does: a kept
     stream is {!Snapshot.settle}d (with a cache), its parts absorbed and

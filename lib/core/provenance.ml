@@ -56,6 +56,13 @@ let read_ref cur =
   let t1 = Dptrace.Wire.rv cur in
   { stream_id; scenario; tid; t0; t1 }
 
+let skip_ref cur =
+  ignore (Dptrace.Wire.rv cur : int);
+  Dptrace.Wire.skip_str cur;
+  for _ = 1 to 3 do
+    ignore (Dptrace.Wire.rv cur : int)
+  done
+
 module Topk = struct
   (* Sorted list, best first, never longer than [cap]. Caps are small
      (default_k), so linear inserts beat any heap at this size — and the

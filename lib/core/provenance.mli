@@ -61,6 +61,9 @@ val read_ref : Dptrace.Wire.cursor -> instance_ref
 (** Inverse of {!write_ref}.
     @raise Dptrace.Wire.Corrupt on malformed input. *)
 
+val skip_ref : Dptrace.Wire.cursor -> unit
+(** Step over a ref with {!read_ref}'s checks, building nothing. *)
+
 (** {1 Bounded best-first reservoirs} *)
 
 module Topk : sig

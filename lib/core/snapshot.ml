@@ -399,9 +399,9 @@ let write_entry buf id ((impact, prov, modules, per_scenario) : part) groups =
     per_scenario groups;
   List.rev !sections
 
-(* Decode a whole entry payload — every section too, which is what
-   verifies it — and keep only each section's name, offset and class
-   flag. *)
+(* Decode a whole entry payload, every section too, and keep only each
+   section's name, offset and class flag: the reader [walk_entry] must
+   agree with. *)
 let read_entry cur =
   ignore (Wire.rv cur : int);
   ignore (read_impact cur : Impact.result);
@@ -412,6 +412,71 @@ let read_entry cur =
       let off = cur.Wire.pos in
       let _, sc_class = read_section cur in
       (name, off, Option.is_some sc_class))
+
+(* --- the validation walk ---
+
+   [walk_entry] makes every check [read_entry] makes, in the same order,
+   and returns the same section index, but builds only that index: no
+   impact, reservoir, module row or forest, and no signature is
+   interned. *)
+
+let skip_varints cur n =
+  for _ = 1 to n do
+    ignore (Wire.rv cur : int)
+  done
+
+let skip_impact cur = skip_varints cur 7
+
+let skip_topk cur =
+  for _ = 1 to Wire.rcount cur do
+    Provenance.skip_ref cur;
+    skip_varints cur 1;
+    Wire.skip_str cur;
+    skip_varints cur 4
+  done
+
+let skip_prov cur =
+  skip_topk cur;
+  skip_topk cur;
+  for _ = 1 to Wire.rcount cur do
+    Wire.skip_str cur;
+    skip_topk cur
+  done
+
+let walk_section w cur =
+  skip_impact cur;
+  match Wire.r8 cur with
+  | 0 -> false
+  | 1 ->
+    skip_impact cur;
+    skip_prov cur;
+    Awg.Partial.walk w cur;
+    Awg.Partial.walk w cur;
+    true
+  | k -> Wire.corrupt "snapshot entry: bad class tag %d" k
+
+let walk_entry_at w cur =
+  skip_varints cur 1;
+  skip_impact cur;
+  skip_prov cur;
+  for _ = 1 to Wire.rcount cur do
+    Wire.skip_str cur;
+    skip_varints cur 5
+  done;
+  Wire.rlist cur (fun cur ->
+      let name = Wire.rstr cur in
+      let off = cur.Wire.pos in
+      (name, off, walk_section w cur))
+
+(* One record's payload, read whole by [read]. *)
+let whole read payload =
+  let cur = Wire.cursor payload in
+  let sections = read cur in
+  if not (Wire.at_end cur) then Wire.corrupt "snapshot entry: trailing bytes";
+  sections
+
+let walk_entry payload = whole (walk_entry_at (Awg.Partial.walker ())) payload
+let decode_entry payload = whole read_entry payload
 
 (* A record as [save] writes it: key, payload length, payload CRC,
    payload. *)
@@ -457,8 +522,9 @@ let entry_part e =
       (fun (name, off, _) -> (name, read_impact { Wire.data = e.data; pos = off }))
       e.sections )
 
-(* A loaded section was decoded once when its file was opened, and a
-   fresh one was written by [write_entry], so decoding it cannot fail. *)
+(* A loaded section was walked when its file was opened, with every
+   check its decode makes, and a fresh one was written by [write_entry],
+   so decoding it cannot fail. *)
 let entry_scenario_class e name =
   match List.find_opt (fun (n, _, _) -> n = name) e.sections with
   | Some (_, off, true) -> snd (read_section { Wire.data = e.data; pos = off })
@@ -521,8 +587,9 @@ let file_of ~dir ~fp = Filename.concat dir (fp ^ ".dpsnap")
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Walk one cache file, handing [feed] every record whose checksum holds
-   and whose payload decodes to exactly its length: a stream's entry, or
-   a scenario's mining record with its framed span in [data].
+   and whose payload reads to exactly its length: a stream's entry
+   (walked, not decoded), or a scenario's mining record (decoded) with
+   its framed span in [data].
    Per-record containment: a checksum-failing or undecodable record is
    skipped (counted corrupt) and the walk continues at the next record;
    damaged framing (implausible length) abandons the remainder of the
@@ -531,6 +598,7 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
    [save] writes them, each once. Never raises. *)
 let parse_file data ~expect_fp ~feed =
   let ok = ref 0 and bad = ref 0 and in_order = ref true and last = ref None in
+  let walker = Awg.Partial.walker () in
   let fp = ref "(unreadable)" in
   (try
      let cur = Wire.cursor data in
@@ -569,7 +637,7 @@ let parse_file data ~expect_fp ~feed =
              let digest, mining = read_scen_record rcur in
              `Mining (scen_name key, (digest, mining, Some (start, stop - start)))
            else
-             let sections = read_entry rcur in
+             let sections = walk_entry_at walker rcur in
              `Entry { key; data; off = start; len = stop - start; head = pos; sections }
          with
          | record when rcur.Wire.pos = stop ->
@@ -714,11 +782,15 @@ let save t =
 
 let key_of = Codec_v2.stream_key
 
-let lookup_or_step t components ~specs st =
-  let key = key_of st in
+(* A hit needs only the frame's key and the stream's skeleton, so its
+   events are never built. *)
+let lookup_or_step t components ~specs f =
+  let key = Codec_v2.frame_key f in
   match Hashtbl.find_opt t.entries key with
-  | Some e -> e
-  | None -> fresh_entry components ~specs key st
+  | Some e -> (e, Codec_v2.frame_skeleton f)
+  | None ->
+    let st = Codec_v2.frame_stream f in
+    (fresh_entry components ~specs key st, Stream.skeleton st)
 
 let settle t e =
   Hashtbl.replace t.used e.key ();
@@ -737,7 +809,8 @@ let ensure ?pool t components (corpus : Corpus.t) =
   Dpobs.Span.with_span "snapshot.ensure" @@ fun () ->
   Hashtbl.reset t.used;
   Dppar.Pool.iter_batched ?pool
-    (lookup_or_step t components ~specs:corpus.Corpus.specs)
+    (fun st ->
+      fst (lookup_or_step t components ~specs:corpus.Corpus.specs (Codec_v2.resident st)))
     (settle t)
     (fun push -> List.iter push corpus.Corpus.streams)
 

@@ -38,7 +38,8 @@
 
     Record lifecycle. An entry has one form: its framed record, the
     bytes {!save} writes for it. {!create} keeps the cache file's bytes
-    and verifies every record: its CRC, then one full decode. A record
+    and verifies every record: its CRC, then a walk ({!walk_entry}) that
+    makes every check the decode makes but builds nothing. A record
     that fails either is dropped, and its stream becomes a miss. A loaded
     entry is its span of those bytes; a fresh one, computed on a miss, is
     framed once. Beside the bytes an entry keeps only each scenario
@@ -133,6 +134,23 @@ val entry_scenario_class : entry -> string -> class_part option
     Decoded afresh at each call, so the caller alone holds it. Safe from
     pool workers. *)
 
+(** {1 Entry records}
+
+    An entry record's payload has two readers: the decode that
+    {!entry_part} and {!entry_scenario_class} are made of, and the walk
+    {!create} validates each record with, which makes the same checks
+    but builds nothing. Both take one record's payload and return its
+    section index: each scenario section's name, offset in the payload
+    and whether it has a class part. *)
+
+val walk_entry : string -> (string * int * bool) list
+(** The validation walk.
+    @raise Dptrace.Wire.Corrupt exactly when {!decode_entry} would. *)
+
+val decode_entry : string -> (string * int * bool) list
+(** The full decode, every section included.
+    @raise Dptrace.Wire.Corrupt on a malformed payload. *)
+
 (** {1 Cache instances} *)
 
 type t
@@ -146,11 +164,17 @@ val create : ?dir:string -> fingerprint:string -> unit -> t
     tests). *)
 
 val lookup_or_step :
-  t -> Component.t -> specs:Dptrace.Scenario.spec list -> Dptrace.Stream.t -> entry
-(** The per-stream step of a pass: on a hit, the stream's entry, looked
-    up by content key; on a miss, {!stream_step} under every spec,
-    framed. Books nothing, so it is safe on pool workers, provided no
-    {!settle} runs meanwhile. *)
+  t ->
+  Component.t ->
+  specs:Dptrace.Scenario.spec list ->
+  Dptrace.Codec_v2.frame ->
+  entry * Dptrace.Stream.t
+(** The per-stream step of a pass, with the stream's skeleton: on a hit,
+    the stream's entry, looked up by the frame's key, and
+    {!Dptrace.Codec_v2.frame_skeleton}, so a hit's events are never
+    built (under [`Strict]); on a miss, {!stream_step} under every spec
+    of the decoded stream, framed. Books nothing, so it is safe on pool
+    workers, provided no {!settle} runs meanwhile. *)
 
 val settle : t -> entry -> unit
 (** Book a stepped stream, on one domain in corpus order: mark its key
@@ -214,7 +238,7 @@ type file_info = {
   fi_path : string;
   fi_fingerprint : string;
   fi_bytes : int;
-  fi_entries : int;  (** Entries that decode and pass their checksum. *)
+  fi_entries : int;  (** Records that pass their checksum and read whole. *)
   fi_corrupt : int;
   fi_mtime : float;
 }

@@ -86,48 +86,98 @@ let write_stream buf ~sig_index (st : Stream.t) =
       wv buf i.t1)
     st.Stream.instances
 
-(* A stack's bytes identify it within its frame (signature indices are
-   frame-local), so they are its key in the stream's [stacks] table: the
-   stack is skipped once to find them, and decoded only on its first
-   sighting. *)
-let read_stack cur ~stacks ~sig_of =
-  let start = cur.pos in
+(* Step over one stack, checking its depth and every signature index
+   against the frame's table of [nsigs]. *)
+let skip_stack cur ~nsigs =
   let depth = rv cur in
   if depth > 0xffff then corrupt "implausible stack depth %d" depth;
   for _ = 1 to depth do
-    ignore (rv cur)
-  done;
+    let i = rv cur in
+    if i >= nsigs then corrupt "signature index %d out of range" i
+  done
+
+(* A stack's bytes identify it within its frame (signature indices are
+   frame-local), so they are its key in the stream's [stacks] table: the
+   stack is checked once to find them, and decoded only on its first
+   sighting. *)
+let read_stack cur ~stacks ~nsigs ~sig_of =
+  let start = cur.pos in
+  skip_stack cur ~nsigs;
   let key = String.sub cur.data start (cur.pos - start) in
   Callstack.shared stacks key (fun () ->
       let cur = cursor key in
       let depth = rv cur in
       Callstack.of_list (List.init depth (fun _ -> sig_of (rv cur))))
 
-(* Validation parity with the text reader: unknown kinds, implausible
-   stack depths, out-of-range signature indices (via [sig_of]) and
-   instances with t1 < t0 are refused, and [rv] refuses any negative
-   ts/cost/tid. The writer stores events in stream order, so each event
-   is built once, with its position as its id, and [Stream.create] keeps
-   the array as it is. *)
-let read_stream cur ~sig_of =
+(* What a decoded event array holds until the parse overwrites it. *)
+let no_event =
+  {
+    Event.id = 0;
+    kind = Event.Running;
+    stack = Callstack.of_list [];
+    ts = 0;
+    cost = 0;
+    tid = 0;
+    wtid = -1;
+  }
+
+(* The one stream-payload parser, with two consumers. With [build] it
+   decodes the stream: it interns the signature table and builds every
+   event (once, with its position as its id, in the stream order the
+   writer stores, so [Stream.create] keeps the array as it is). Without
+   [build] it only walks the events and thread names, and yields the
+   stream's skeleton: no signature is interned and no event built. Both
+   make the same checks, in the same order, with the same messages —
+   element counts against the bytes left, varint overflow (via [rv]),
+   kind codes, stack depths, signature indices, instances with t1 < t0
+   and trailing bytes — so the walk refuses exactly the payloads the
+   decode refuses, which is where the text reader would refuse the same
+   stream. *)
+let read_stream_payload ~build ~key payload =
+  Dpobs.Span.with_span "codec_v2.decode_stream" @@ fun () ->
+  let cur = cursor payload in
+  let nsigs = rcount cur in
+  let sigs =
+    if build then Array.init nsigs (fun _ -> Signature.of_string (rstr cur))
+    else begin
+      for _ = 1 to nsigs do
+        skip_str cur
+      done;
+      [||]
+    end
+  in
+  let sig_of i = sigs.(i) in
   let id = rv cur in
+  let nthreads = rcount cur in
   let threads =
-    rlist cur (fun cur ->
-        let tid = rv cur in
-        let name = rstr cur in
-        (tid, name))
+    if build then
+      List.init nthreads (fun _ ->
+          let tid = rv cur in
+          let name = rstr cur in
+          (tid, name))
+    else begin
+      for _ = 1 to nthreads do
+        ignore (rv cur : int);
+        skip_str cur
+      done;
+      []
+    end
   in
+  let nevents = rcount cur in
   let stacks = Callstack.table () in
-  let events =
-    Array.init (rcount cur) (fun id ->
-        let kind = kind_of_code (r8 cur) in
-        let tid = rv cur in
-        let wtid = rv cur - 1 in
-        let ts = rv cur in
-        let cost = rv cur in
-        let stack = read_stack cur ~stacks ~sig_of in
-        { Event.id; kind; stack; ts; cost; tid; wtid })
-  in
+  let events = if build then Array.make nevents no_event else [||] in
+  for id = 0 to nevents - 1 do
+    let kind = kind_of_code (r8 cur) in
+    let tid = rv cur in
+    let wtid = rv cur - 1 in
+    let ts = rv cur in
+    let cost = rv cur in
+    if build then begin
+      let stack = read_stack cur ~stacks ~nsigs ~sig_of in
+      events.(id) <- { Event.id; kind; stack; ts; cost; tid; wtid }
+    end
+    else skip_stack cur ~nsigs
+  done;
   let instances =
     rlist cur (fun cur ->
         let scenario = rstr cur in
@@ -137,7 +187,14 @@ let read_stream cur ~sig_of =
         if t1 < t0 then corrupt "instance %s has t1 < t0" scenario;
         { Scenario.scenario; tid; t0; t1 })
   in
-  Stream.create ~id ~events ~instances ~threads
+  if not (at_end cur) then corrupt "stream frame: trailing bytes";
+  if Dpobs.metrics_on () then Dpobs.Metrics.incr (streams_read_c ());
+  let st = Stream.create ~id ~events ~instances ~threads in
+  (* The frame checksum was already verified by the reader; memoising it
+     as the stream's content identity makes cache-keyed re-analysis free
+     of re-encoding for loaded corpora. *)
+  Stream.set_key_memo st key;
+  st
 
 (* --- frame payloads --- *)
 
@@ -197,26 +254,6 @@ let decode_trailer payload =
   let n = rv cur in
   if not (at_end cur) then corrupt "trailer frame: trailing bytes";
   n
-
-let decode_stream_payload ?key payload =
-  Dpobs.Span.with_span "codec_v2.decode_stream" @@ fun () ->
-  let cur = cursor payload in
-  let sigs =
-    Array.of_list (rlist cur (fun c -> Signature.of_string (rstr c)))
-  in
-  let sig_of i =
-    if i < 0 || i >= Array.length sigs then
-      corrupt "signature index %d out of range" i
-    else sigs.(i)
-  in
-  let st = read_stream cur ~sig_of in
-  if not (at_end cur) then corrupt "stream frame: trailing bytes";
-  if Dpobs.metrics_on () then Dpobs.Metrics.incr (streams_read_c ());
-  (* The frame checksum was already verified by the reader; memoising it
-     as the stream's content identity makes cache-keyed re-analysis free
-     of re-encoding for loaded corpora. *)
-  (match key with Some k -> Stream.set_key_memo st k | None -> ());
-  st
 
 (* --- frame envelope --- *)
 
@@ -564,9 +601,48 @@ let checked_stream mode st =
         (fun fmt v -> Validate.pp_violation fmt v)
         v)
 
+(* --- the stream a fold hands to its step ---
+
+   A stream frame's key is known from its envelope before its payload is
+   parsed, so a step that needs only the key and the skeleton (a cache
+   hit) never has the events built. A payload's damage surfaces as
+   [Bad_payload] from [frame_stream]/[frame_skeleton], which the fold
+   turns into the frame's diagnostic; the step's own exceptions pass
+   through. *)
+
+type payload = { mode : mode; key : string; payload : string }
+type frame = Payload of payload | Resident of Stream.t
+
+exception Bad_payload of string
+
+let resident st = Resident st
+
+let frame_key = function
+  | Payload p -> p.key
+  | Resident st -> stream_key st
+
+let parse ~build p =
+  try
+    let st = read_stream_payload ~build ~key:p.key p.payload in
+    if build then checked_stream p.mode st else st
+  with Corrupt m -> raise (Bad_payload m)
+
+let frame_stream = function
+  | Payload p -> parse ~build:true p
+  | Resident st -> st
+
+(* Under [`Recover] a skeleton is taken from the validated stream, so a
+   stream that decodes but fails [Validate.check] is dropped the same
+   whether or not its events are wanted. *)
+let frame_skeleton = function
+  | Payload ({ mode = `Strict; _ } as p) -> parse ~build:false p
+  | Payload ({ mode = `Recover; _ } as p) -> Stream.skeleton (parse ~build:true p)
+  | Resident st -> Stream.skeleton st
+
 (* The one decode loop. Frames are checksum-verified in file order
-   (cheap); stream payloads are decoded, then stepped, in batches on the
-   pool ([Dppar.Pool.iter_batched]), and each result is consumed on the
+   (cheap); each stream frame is handed to the step, which parses its
+   payload as far as it needs, in batches on the pool
+   ([Dppar.Pool.iter_batched]), and each result is consumed on the
    calling domain in file order. The batch bounds the payloads, streams
    and results held at once, and every pool size yields the same
    results in the same order. The header must be frame 0, so every
@@ -577,9 +653,9 @@ let fold_src mode pool src ~step ~consume =
   let kept = ref [] and delivered = ref 0 and late = ref [] in
   let decode (specs, frame, off, crc, payload) =
     let key = key_of_crc crc ~len:(String.length payload) in
-    match checked_stream mode (decode_stream_payload ~key payload) with
-    | st -> Ok (step specs st)
-    | exception Corrupt m -> (
+    match step specs (Payload { mode; key; payload }) with
+    | x -> Ok x
+    | exception Bad_payload m -> (
       match mode with
       | `Strict -> corrupt "frame %d at byte %d: %s" frame off m
       | `Recover -> Error { frame; offset = off; reason = m })
@@ -621,7 +697,7 @@ let fold ?(mode = `Strict) ?pool ~step ~consume path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> fold_src mode pool ~step ~consume (src_of_channel ic))
 
-let keep _ st = st
+let keep _ = frame_stream
 
 let decode ?(mode = `Strict) ?pool data =
   fold_src mode pool ~step:keep ~consume:Option.some (src_of_string data)

@@ -83,31 +83,57 @@ val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> unit
     per-stream frame payloads are encoded in parallel (output order is
     the corpus order either way). *)
 
+(** {1 Folding} *)
+
+type frame
+(** One stream as a fold hands it to its step: its content key, known
+    before anything is parsed, and the stream, parsed on demand. A
+    frame is valid only inside the step it was given to. *)
+
+val frame_key : frame -> string
+(** The stream's {!stream_key}: for a stream frame, what its envelope
+    stores, so nothing is parsed. *)
+
+val frame_stream : frame -> Stream.t
+(** The stream, decoded in full (and, under [`Recover], validated). *)
+
+val frame_skeleton : frame -> Stream.t
+(** [Stream.skeleton (frame_stream f)], computed under [`Strict] by a
+    walk of the payload that makes every check the decode makes but
+    builds no event and interns no signature. Under [`Recover] it decodes
+    and validates in full, so a stream that fails {!Validate.check} is
+    dropped whether or not its events are wanted. *)
+
+val resident : Stream.t -> frame
+(** A stream already in memory, handed over as a frame. *)
+
 val fold :
   ?mode:mode ->
   ?pool:Dppar.Pool.t ->
-  step:(Scenario.spec list -> Stream.t -> 'a) ->
+  step:(Scenario.spec list -> frame -> 'a) ->
   consume:('a -> Stream.t option) ->
   string ->
   Corpus.t * report
 (** The one read of a framed file: one pass that never holds more than
     a batch of streams. Frames are checksum-verified in file order. Each
-    stream payload is decoded and handed to [step] (with the header's
-    specs) inside the same work item, in batches of [4 * size pool] on
-    a [pool] of size > 1. Each result then goes to [consume] on the
-    calling domain, in file order. The returned corpus holds the
-    header's specs and the streams [consume] returned, in file order: a
-    {!Stream.skeleton} keeps it small, [None] keeps nothing. The
+    stream frame is handed to [step] (with the header's specs), which
+    parses it as far as it needs ({!frame_stream} or
+    {!frame_skeleton}), inside one work item, in batches of
+    [4 * size pool] on a [pool] of size > 1. Each result then goes to
+    [consume] on the calling domain, in file order. The returned corpus
+    holds the header's specs and the streams [consume] returned, in file
+    order: a {!Stream.skeleton} keeps it small, [None] keeps nothing. The
     report's [streams] counts every stream handed to [consume]. Results
     are identical for every pool size. Under [`Recover], a stream frame
-    that fails to decode or validate never reaches [step].
+    that fails to parse or validate in [step] is dropped with its
+    diagnostic and never reaches [consume].
     @raise Wire.Corrupt in [`Strict] mode on any corruption, possibly
     after earlier streams were consumed
     @raise Sys_error if the file cannot be opened. *)
 
 val decode : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
 val load : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
-(** {!fold} with a [step] that keeps each stream whole, over a string
+(** {!fold} with a [step] that decodes each stream whole, over a string
     or a file.
     @raise Wire.Corrupt in [`Strict] mode on any corruption
     @raise Sys_error if the file cannot be opened. *)

@@ -55,7 +55,8 @@ let file_size path =
 
 let fold_corpus ?pool ~step ~consume (c : Corpus.t) =
   let kept = ref [] in
-  Dppar.Pool.iter_batched ?pool (step c.Corpus.specs)
+  Dppar.Pool.iter_batched ?pool
+    (fun st -> step c.Corpus.specs (Codec_v2.resident st))
     (fun x -> Option.iter (fun st -> kept := st :: !kept) (consume x))
     (fun push -> List.iter push c.Corpus.streams);
   Corpus.create ~streams:(List.rev !kept) ~specs:c.Corpus.specs

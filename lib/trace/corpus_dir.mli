@@ -50,7 +50,7 @@ type loaded = {
 val fold :
   ?pool:Dppar.Pool.t ->
   ?mode:Codec_v2.mode ->
-  step:(Scenario.spec list -> Stream.t -> 'a) ->
+  step:(Scenario.spec list -> Codec_v2.frame -> 'a) ->
   consume:('a -> Stream.t option) ->
   string ->
   (loaded, string) result
@@ -76,12 +76,13 @@ val load :
 
 val fold_corpus :
   ?pool:Dppar.Pool.t ->
-  step:(Scenario.spec list -> Stream.t -> 'a) ->
+  step:(Scenario.spec list -> Codec_v2.frame -> 'a) ->
   consume:('a -> Stream.t option) ->
   Corpus.t ->
   Corpus.t
 (** {!fold}'s hand-over for a corpus already in memory: the same
-    batches on [pool] and the same consumption order. *)
+    batches on [pool] and the same consumption order, each stream handed
+    over as a {!Codec_v2.resident} frame. *)
 
 val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> format * int
 (** Encode by extension — [.dpf] framed v2 (payloads encoded on [pool]),

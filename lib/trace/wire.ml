@@ -26,8 +26,10 @@ type cursor = { data : string; mutable pos : int }
 let cursor data = { data; pos = 0 }
 let at_end cur = cur.pos = String.length cur.data
 
+(* Compared as [n] against the bytes left, so a length near [max_int]
+   cannot overflow past the check. *)
 let need cur n =
-  if cur.pos + n > String.length cur.data then
+  if n > String.length cur.data - cur.pos then
     corrupt "truncated input at byte %d (need %d more)" cur.pos n
 
 let r8 cur =
@@ -36,19 +38,31 @@ let r8 cur =
   cur.pos <- cur.pos + 1;
   v
 
+(* Top-level and tail-recursive, so reading a varint allocates nothing:
+   a closure over [cur] would cost every call five words. *)
+let rec rv_from cur shift acc =
+  let b = r8 cur in
+  (* After eight bytes only bits 56..61 of a 63-bit int remain: a ninth
+     byte with bit 6 set would land in the sign bit, and a continuation
+     would go past it — either way a crafted file could smuggle a
+     negative ts/cost/tid past every writer-side invariant. *)
+  if shift = 56 && b land 0xc0 <> 0 then
+    corrupt "varint overflow at byte %d" (cur.pos - 1);
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else rv_from cur (shift + 7) acc
+
+(* Most varints are one byte: read those inline. *)
 let rv cur =
-  let rec go shift acc =
-    let b = r8 cur in
-    (* After eight bytes only bits 56..61 of a 63-bit int remain: a ninth
-       byte with bit 6 set would land in the sign bit, and a continuation
-       would go past it — either way a crafted file could smuggle a
-       negative ts/cost/tid past every writer-side invariant. *)
-    if shift = 56 && b land 0xc0 <> 0 then
-      corrupt "varint overflow at byte %d" (cur.pos - 1);
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+  let pos = cur.pos in
+  if pos < String.length cur.data then begin
+    let b = Char.code (String.unsafe_get cur.data pos) in
+    if b < 0x80 then begin
+      cur.pos <- pos + 1;
+      b
+    end
+    else rv_from cur 0 0
+  end
+  else rv_from cur 0 0
 
 let rstr cur =
   let n = rv cur in
@@ -56,6 +70,11 @@ let rstr cur =
   let s = String.sub cur.data cur.pos n in
   cur.pos <- cur.pos + n;
   s
+
+let skip_str cur =
+  let n = rv cur in
+  need cur n;
+  cur.pos <- cur.pos + n
 
 let rcount cur =
   let n = rv cur in

@@ -46,6 +46,9 @@ val rv : cursor -> int
 
 val rstr : cursor -> string
 
+val skip_str : cursor -> unit
+(** Step over a string, with {!rstr}'s checks, without copying it. *)
+
 val rcount : cursor -> int
 (** An element count. Every element takes at least one byte, so a count
     above the bytes left is refused before anything is allocated for it.

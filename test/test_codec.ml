@@ -145,6 +145,18 @@ let test_varint_overflow_rejected () =
   let cur = Wire.cursor (String.make 8 '\xff' ^ "\x3f") in
   check Alcotest.int "max encodable" max_int (Wire.rv cur)
 
+(* A string length of [max_int] is refused as truncation, by the copying
+   and the skipping reader alike: added to the position, it would wrap
+   negative and slip past the bounds check. *)
+let test_huge_length_refused () =
+  let data = String.make 8 '\xff' ^ "\x3f" ^ "abc" in
+  List.iter
+    (fun (what, read) ->
+      match read (Wire.cursor data) with
+      | exception Wire.Corrupt _ -> ()
+      | () -> Alcotest.failf "%s: accepted a length of max_int" what)
+    [ ("rstr", fun cur -> ignore (Wire.rstr cur : string)); ("skip_str", Wire.skip_str) ]
+
 (* A crafted stream payload in a correctly checksummed frame must be
    refused by the stream decoder itself: strict raises [Wire.Corrupt],
    recovery drops the stream and says why. *)
@@ -456,6 +468,46 @@ let test_v2_count_bounded_by_remaining () =
   check Alcotest.bool "recover: count diagnosed" true
     (List.exists (fun d -> contains d.V2.reason "element count") report.V2.dropped)
 
+(* A strict fold's two ways to a skeleton agree on every payload: the
+   walk ([frame_skeleton]) refuses exactly the CRC-resealed mutants the
+   decode ([frame_stream]) refuses, with the same message, and otherwise
+   yields the same id, instances and key. *)
+let prop_skeleton_walk_matches_decode =
+  let base = V2.encode (gen_corpus ~scale:0.01 ()) in
+  let streams =
+    match V2_frames.frame_spans base with
+    | _header :: rest -> List.filteri (fun i _ -> i < List.length rest - 1) rest
+    | [] -> []
+  in
+  let fold data skeleton =
+    let path = Filename.temp_file "driveperf" ".dpf" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+    match V2.fold path ~step:(fun _ f -> skeleton f) ~consume:Option.some with
+    | c, _ ->
+      Ok
+        (List.map
+           (fun (st : Stream.t) ->
+             ( st.Stream.id,
+               st.Stream.instances,
+               Stream.key_memo st,
+               Stream.event_count st,
+               st.Stream.threads ))
+           c.Corpus.streams)
+    | exception Wire.Corrupt m -> Error m
+  in
+  QCheck.Test.make ~name:"skeleton walk refuses exactly what decode refuses"
+    ~count:300
+    QCheck.(triple small_nat (int_bound 1_000_000) (int_range 0 255))
+    (fun (frame_seed, pos_seed, byte) ->
+      let _, payload, len = List.nth streams (frame_seed mod List.length streams) in
+      let b = Bytes.of_string base in
+      Bytes.set b (payload + (pos_seed mod len)) (Char.chr byte);
+      V2_frames.reseal b ~payload ~len;
+      let data = Bytes.to_string b in
+      fold data (fun f -> Stream.skeleton (V2.frame_stream f))
+      = fold data V2.frame_skeleton)
+
 (* The header is frame 0. A specs frame anywhere else, late or a
    duplicate, is damage: strict refuses the file, and recover drops that
    frame with a diagnostic and keeps the frame-0 specs, so a fold that
@@ -531,6 +583,8 @@ let () =
             test_varint_roundtrip_extremes;
           Alcotest.test_case "varint overflow rejected" `Quick
             test_varint_overflow_rejected;
+          Alcotest.test_case "huge string length refused" `Quick
+            test_huge_length_refused;
           Alcotest.test_case "smuggled negative ts rejected" `Quick
             test_binary_rejects_smuggled_negative_ts;
           Alcotest.test_case "backwards instance rejected" `Quick
@@ -548,6 +602,7 @@ let () =
           Alcotest.test_case "single bad frame recovery" `Quick
             test_v2_single_bad_frame_recovery;
           QCheck_alcotest.to_alcotest prop_v2_bit_flip;
+          QCheck_alcotest.to_alcotest prop_skeleton_walk_matches_decode;
           Alcotest.test_case "pooled load identical" `Quick
             test_v2_pooled_load_identical;
           Alcotest.test_case "header is frame 0" `Quick

@@ -86,7 +86,8 @@ let per_scenario_str l =
    --cache] runs it: each stream looked up, or stepped on a miss, as it
    is decoded; the snapshot opened by the first step (or by [finish],
    for a corpus with no streams); the scenario tails; the save. Returns
-   the report, the screening's coverage and the snapshot's stats. *)
+   the report, the screening's coverage, the snapshot's stats and the
+   frames the read dropped. *)
 let fold_ctr = ref 0
 
 let fold_cached ?pool ?scenarios ?(mode = `Strict) ~dir data =
@@ -107,17 +108,22 @@ let fold_cached ?pool ?scenarios ?(mode = `Strict) ~dir data =
       cell := Some snap;
       snap
   in
+  let dropped = ref [] in
   let acc, skeletons, coverage =
     Pipeline.fold_report ?scenarios ~cache:(Some snapshot) components
       (fun ~step ~consume ->
         match Dptrace.Corpus_dir.fold ?pool ~mode ~step ~consume path with
-        | Ok l -> l.Dptrace.Corpus_dir.l_corpus
+        | Ok l ->
+          Option.iter
+            (fun r -> dropped := r.Dptrace.Codec_v2.dropped)
+            l.Dptrace.Corpus_dir.l_report;
+          l.Dptrace.Corpus_dir.l_corpus
         | Error m -> Alcotest.failf "fold: %s" m)
   in
   let report = Pipeline.finish ?pool acc skeletons in
   let snap = snapshot skeletons.Corpus.specs in
   Snapshot.save snap;
-  (report, coverage, Snapshot.stats snap)
+  (report, coverage, Snapshot.stats snap, !dropped)
 
 let check_identical ?pool ~msg snap corpus =
   let fresh = Pipeline.run_report ?pool components corpus in
@@ -388,6 +394,150 @@ let test_resealed_record_dropped () =
   Snapshot.save snap;
   check Alcotest.bool "the next save heals the file" true (read_bin path = clean)
 
+(* --- the validation walk ---
+
+   [create] validates each entry record with a walk that builds nothing.
+   It must accept exactly the records the decode accepts, and return the
+   same section index. *)
+
+module Wire = Dptrace.Wire
+
+(* [(offset of its payload, payload)] of every stream entry record of a
+   cache file. *)
+let entry_records data =
+  let cur = Wire.cursor data in
+  cur.Wire.pos <- String.length "DPSN\x01";
+  ignore (Wire.rstr cur : string);
+  let rec go acc =
+    if Wire.at_end cur then List.rev acc
+    else begin
+      let key = Wire.rstr cur in
+      let len = Wire.r32 cur in
+      ignore (Wire.r32 cur : int);
+      let pos = cur.Wire.pos in
+      cur.Wire.pos <- pos + len;
+      go
+        (if String.starts_with ~prefix:"scn!" key then acc
+         else (pos, String.sub data pos len) :: acc)
+    end
+  in
+  go []
+
+let verdict read payload =
+  match read payload with
+  | index -> Ok index
+  | exception Wire.Corrupt _ -> Error ()
+
+(* One byte of one entry's payload rewritten and its CRC resealed: the
+   walk and the decode agree, and [create] drops the record exactly when
+   the decode refuses it. Provenance is on, so the records carry
+   reservoirs and witnesses too. *)
+let prop_walk_matches_decode =
+  with_prov true @@ fun () ->
+  let corpus = gen 0.02 in
+  let base = cold_file corpus in
+  let records = entry_records base in
+  let fingerprint =
+    Snapshot.fingerprint ~components ~specs:corpus.Corpus.specs
+      ~k:Dpcore.Mining.default_k ()
+  in
+  let dir = fresh_dir () in
+  let path = Filename.concat dir (fingerprint ^ ".dpsnap") in
+  let loaded data =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data);
+    Snapshot.stats (Snapshot.create ~dir ~fingerprint ())
+  in
+  let records_in_file = (loaded (Bytes.of_string base)).Snapshot.s_loaded in
+  QCheck.Test.make ~name:"entry walk accepts exactly what the decode accepts"
+    ~count:200
+    QCheck.(triple small_nat (int_bound 1_000_000) (int_range 0 255))
+    (fun (record_seed, pos_seed, byte) ->
+      let pos, payload = List.nth records (record_seed mod List.length records) in
+      let b = Bytes.of_string payload in
+      Bytes.set b (pos_seed mod Bytes.length b) (Char.chr byte);
+      let payload = Bytes.to_string b in
+      let data = Bytes.of_string base in
+      Bytes.blit_string payload 0 data pos (String.length payload);
+      Bytes.set_int32_le data (pos - 4) (Int32.of_int (Dputil.Crc32.string payload));
+      let decoded = verdict Snapshot.decode_entry payload in
+      let stats = loaded data in
+      decoded = verdict Snapshot.walk_entry payload
+      && stats.Snapshot.s_dropped = (if Result.is_ok decoded then 0 else 1)
+      && stats.Snapshot.s_loaded + stats.Snapshot.s_dropped = records_in_file)
+
+(* An entry payload with one scenario section whose class part has
+   [fast] as its fast forest and an empty slow one; every number 0. *)
+let entry_with_fast_forest fast =
+  let b = Buffer.create (64 + String.length fast) in
+  let zeros n = for _ = 1 to n do Wire.wv b 0 done in
+  zeros 1 (* stream id *);
+  zeros 7 (* impact *);
+  zeros 3 (* provenance: two empty reservoirs, no module reservoirs *);
+  zeros 1 (* module rows *);
+  Wire.wv b 1;
+  Wire.wstr b "S";
+  zeros 7 (* the section's all-instance impact *);
+  Wire.w8 b 1;
+  zeros 7 (* slow-class impact *);
+  zeros 3 (* its provenance *);
+  Buffer.add_string b fast;
+  zeros 1 (* the slow forest: no roots *);
+  Buffer.contents b
+
+(* A [Running name] node with no cost or witnesses, over [kids]; with
+   [padded] the name's length is a two-byte varint, as no writer emits
+   it but the reader accepts. *)
+let running_node ?(padded = false) name kids =
+  let b = Buffer.create 32 in
+  Wire.w8 b 1;
+  if padded then begin
+    Wire.w8 b (0x80 lor String.length name);
+    Wire.w8 b 0
+  end
+  else Wire.wv b (String.length name);
+  Buffer.add_string b name;
+  for _ = 1 to 4 do Wire.wv b 0 done;
+  Wire.wv b (List.length kids);
+  List.iter (Buffer.add_string b) kids;
+  Buffer.contents b
+
+let forest roots =
+  let b = Buffer.create 64 in
+  Wire.wv b (List.length roots);
+  List.iter (Buffer.add_string b) roots;
+  Buffer.contents b
+
+(* Two sibling statuses with equal names, the second's length padded:
+   their bytes differ, their decoded statuses do not, so the decode
+   refuses the record and so must the walk, among children and among
+   roots alike. Distinct names pass both. *)
+let test_walk_padded_duplicates () =
+  let a = running_node "a!b" [] and a' = running_node ~padded:true "a!b" [] in
+  check Alcotest.bool "the two encodings differ" true (a <> a');
+  List.iter
+    (fun (what, fast, ok) ->
+      let payload = entry_with_fast_forest fast in
+      let decoded = verdict Snapshot.decode_entry payload in
+      check Alcotest.bool (what ^ ": decode") ok (Result.is_ok decoded);
+      check Alcotest.bool (what ^ ": walk = decode") true
+        (verdict Snapshot.walk_entry payload = decoded))
+    [
+      ("children", forest [ running_node "m!f" [ a; a' ] ], false);
+      ("roots", forest [ a; a' ], false);
+      ("distinct children", forest [ running_node "m!f" [ a; running_node "a!c" [] ] ], true);
+    ]
+
+(* A forest of 100,000 distinct roots walks in well under a second:
+   the duplicate check must not compare every pair of siblings. *)
+let test_walk_wide_forest () =
+  let roots = List.init 100_000 (fun i -> running_node (Printf.sprintf "m!f%d" i) []) in
+  let payload = entry_with_fast_forest (forest roots) in
+  let t0 = Sys.time () in
+  let index = Snapshot.walk_entry payload in
+  let elapsed = Sys.time () -. t0 in
+  check Alcotest.int "one section" 1 (List.length index);
+  if elapsed > 2.0 then Alcotest.failf "walk took %.2fs" elapsed
+
 let test_fingerprint_isolation () =
   let specs = [ Dptrace.Scenario.spec ~name:"S" ~tfast:100 ~tslow:500 ] in
   let fp ~k () = Snapshot.fingerprint ~components ~specs ~k () in
@@ -609,7 +759,7 @@ let prop_cached_equals_fresh =
       let fold_dir = fresh_dir () in
       let encode = Dptrace.Codec_v2.encode in
       ignore (fold_cached ~scenarios ~dir:fold_dir (encode prefix));
-      let folded, _, _ = fold_cached ~scenarios ~dir:fold_dir (encode full) in
+      let folded, _, _, _ = fold_cached ~scenarios ~dir:fold_dir (encode full) in
       let same r =
         List.map fst r.Pipeline.scenarios = kept
         && render_doc fresh = render_doc r
@@ -651,7 +801,7 @@ let test_fold_recover () =
     let dir = fresh_dir () in
     List.iter
       (fun state ->
-        let r, _, _ = fold_cached ?pool ~mode:`Recover ~dir damaged in
+        let r, _, _, _ = fold_cached ?pool ~mode:`Recover ~dir damaged in
         check Alcotest.string (msg ^ ", " ^ state ^ ": json document")
           (render_doc fresh) (render_doc r);
         check Alcotest.string (msg ^ ", " ^ state ^ ": per-scenario impact")
@@ -660,6 +810,51 @@ let test_fold_recover () =
         check Alcotest.bool (msg ^ ", " ^ state ^ ": saved = cold save") true
           (saved_bytes dir = cold))
       [ "cold"; "warm" ]
+  in
+  run "-j 1";
+  Dppar.Pool.with_pool ~domains:2 (fun pool -> run ~pool "-j 2")
+
+(* A stream that decodes but fails [Validate.check] (a running event
+   naming a thread to wake): a strict run caches it like any other, and
+   a warm [`Recover] fold still drops it with its diagnostic, on one
+   domain and on two. Under [`Recover] a hit's stream is decoded and
+   validated, not only walked. *)
+let test_fold_recover_validates_hits () =
+  let corpus = gen 0.03 in
+  let invalid, rest =
+    match corpus.Corpus.streams with
+    | st :: rest -> (st, rest)
+    | [] -> Alcotest.fail "empty corpus"
+  in
+  let events = Array.copy invalid.Dptrace.Stream.events in
+  let i = ref 0 in
+  while events.(!i).Dptrace.Event.kind <> Dptrace.Event.Running do incr i done;
+  events.(!i) <- { (events.(!i)) with Dptrace.Event.wtid = events.(!i).Dptrace.Event.tid };
+  let invalid =
+    Dptrace.Stream.create ~id:invalid.Dptrace.Stream.id ~events
+      ~instances:invalid.Dptrace.Stream.instances ~threads:invalid.Dptrace.Stream.threads
+  in
+  check Alcotest.bool "the stream fails validation" false (Dptrace.Validate.is_valid invalid);
+  let id = invalid.Dptrace.Stream.id in
+  let specs = corpus.Corpus.specs in
+  let data = Dptrace.Codec_v2.encode (Corpus.create ~streams:(invalid :: rest) ~specs) in
+  let fresh = Pipeline.run_report components (Corpus.create ~streams:rest ~specs) in
+  let run ?pool msg =
+    let dir = fresh_dir () in
+    let _, _, stats, _ = fold_cached ?pool ~dir data in
+    check Alcotest.int (msg ^ ": strict caches every stream")
+      (List.length rest + 1) stats.Snapshot.s_misses;
+    let r, _, stats, dropped = fold_cached ?pool ~mode:`Recover ~dir data in
+    let reasons = List.map (fun d -> d.Dptrace.Codec_v2.reason) dropped in
+    check Alcotest.bool
+      (msg ^ ": dropped for validation: " ^ String.concat "; " reasons)
+      true
+      (List.exists
+         (String.starts_with
+            ~prefix:(Printf.sprintf "decoded stream %d fails validation" id))
+         reasons);
+    check Alcotest.int (msg ^ ": the others hit") (List.length rest) stats.Snapshot.s_hits;
+    check Alcotest.string (msg ^ ": json document") (render_doc fresh) (render_doc r)
   in
   run "-j 1";
   Dppar.Pool.with_pool ~domains:2 (fun pool -> run ~pool "-j 2")
@@ -675,7 +870,7 @@ let test_fold_quarantine () =
     (coverage.Pipeline.cov_quarantined <> []
     && screened.Corpus.streams <> []);
   let dir = fresh_dir () in
-  let r, cov, stats =
+  let r, cov, stats, _ =
     with_plan plan (fun () ->
         fold_cached ~dir (Dptrace.Codec_v2.encode corpus))
   in
@@ -697,7 +892,7 @@ let test_fold_empty () =
   let empty = Corpus.create ~streams:[] ~specs in
   let scenarios = List.map (fun (s : Dptrace.Scenario.spec) -> s.Dptrace.Scenario.name) specs in
   let dir = fresh_dir () in
-  let r, _, _ = fold_cached ~scenarios ~dir (Dptrace.Codec_v2.encode empty) in
+  let r, _, _, _ = fold_cached ~scenarios ~dir (Dptrace.Codec_v2.encode empty) in
   check Alcotest.string "json document"
     (render_doc (Pipeline.run_report ~scenarios components empty))
     (render_doc r);
@@ -738,6 +933,10 @@ let () =
             test_stale_entries_counted;
           Alcotest.test_case "gc keeps the newest files" `Quick
             test_gc_keeps_newest;
+          Alcotest.test_case "walk refuses padded duplicate statuses" `Quick
+            test_walk_padded_duplicates;
+          Alcotest.test_case "walk of 100k sibling statuses" `Quick
+            test_walk_wide_forest;
         ] );
       ( "crash consistency",
         [
@@ -754,9 +953,12 @@ let () =
         [
           Alcotest.test_case "recover: damaged frames dropped" `Slow
             test_fold_recover;
+          Alcotest.test_case "recover validates cache hits" `Slow
+            test_fold_recover_validates_hits;
           Alcotest.test_case "quarantined streams leave no entry" `Slow
             test_fold_quarantine;
           Alcotest.test_case "a corpus with no streams" `Quick test_fold_empty;
         ] );
-      ("properties", [ qcheck prop_cached_equals_fresh ]);
+      ( "properties",
+        [ qcheck prop_cached_equals_fresh; qcheck prop_walk_matches_decode ] );
     ]
