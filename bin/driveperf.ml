@@ -1546,7 +1546,7 @@ let cache_action action dir keep =
       List.fold_left (fun a fi -> a + fi.Dpcore.Snapshot.fi_corrupt) 0 infos
     in
     if corrupt = 0 then begin
-      Printf.printf "ok: every entry passes its checksum\n";
+      Printf.printf "ok: every entry passes its checksum and reads whole\n";
       0
     end
     else begin
@@ -1572,8 +1572,9 @@ let cache_cmd =
       & info [] ~docv:"ACTION"
           ~doc:
             "$(b,stats) lists cache files with entry counts and sizes; \
-             $(b,verify) checks every entry's checksum (exit 1 on \
-             damage); $(b,gc) deletes all but the newest files.")
+             $(b,verify) checks every entry's checksum and reads it \
+             whole (exit 1 on damage); $(b,gc) deletes all but the newest \
+             files.")
   in
   let dir =
     Arg.(

@@ -126,22 +126,14 @@ let rec merge_into ?src ?parent table (c : cnode) =
 let is_hw_leaf n =
   match n.status with Hw _ -> Hashtbl.length n.children = 0 | _ -> false
 
-(* Hashtbl bindings in sorted-status order. Statuses are the (distinct)
-   keys, so the sort is a total order and every fold/merge that walks a
-   level through here is independent of hash-table insertion order —
-   which is what keeps traversals identical however the source graphs
-   were partitioned for parallel construction. *)
-let sorted_bindings table =
-  Hashtbl.fold (fun status n acc -> (status, n) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* Prune root waiting nodes whose only child is a hardware-service leaf:
-   raw hardware latency with no propagation is not actionable. *)
+   raw hardware latency with no propagation is not actionable. The sums
+   commute, so the roots are visited in table order. *)
 let reduce_forest forest =
   let pruned_roots = ref 0 and pruned_cost = ref 0 and total = ref 0 in
   let victims = ref [] in
-  List.iter
-    (fun (status, n) ->
+  Hashtbl.iter
+    (fun status n ->
       total := !total + n.cost;
       match n.status with
       | Waiting _ when Hashtbl.length n.children = 1 ->
@@ -153,7 +145,7 @@ let reduce_forest forest =
           victims := status :: !victims
         | Some _ | None -> ())
       | Waiting _ | Running _ | Hw _ -> ())
-    (sorted_bindings forest);
+    forest;
   List.iter (Hashtbl.remove forest) !victims;
   {
     pruned_roots = !pruned_roots;
@@ -346,8 +338,6 @@ module Partial = struct
   let build components graphs : partial =
     add_graphs components (Hashtbl.create 16) graphs
 
-  let is_empty (p : partial) = Hashtbl.length p = 0
-
   (* Merging never adopts a source node: partials must stay intact (the
      snapshot cache serialises them after merging), so targets are always
      fresh and sources only read. All accumulation is commutative —
@@ -387,121 +377,72 @@ module Partial = struct
 
   (* --- wire form (inside snapshot-cache frames) ---
 
-     Statuses carry signature *names* (interning is process-local), all
-     numbers are LEB128 varints, children are written in sorted-status
-     order so the byte form of a partial is a pure function of its
-     content. Witness entries are the exact accumulator's, so a reloaded
-     partial merges bit-identically to a fresh one. *)
+     Statuses carry signature *names* (interning is process-local) and
+     all numbers are LEB128 varints. Every sibling set, roots and
+     children alike, is written in strictly increasing name order: by
+     tag, then each name by length, then by bytes. So the bytes of a
+     partial are a pure function of its content, whatever order its
+     names were interned in, and the reader needs no sort: it checks
+     each status against the sibling before it, which also refuses
+     duplicates. Witness entries are the exact accumulator's, so a
+     reloaded partial merges bit-identically to a fresh one. *)
 
-  let write_status buf = function
-    | Waiting { wait_sig; unwait_sig } ->
-      Wire.w8 buf 0;
-      Wire.wstr buf (Signature.name wait_sig);
-      Wire.wstr buf (Signature.name unwait_sig)
-    | Running s ->
-      Wire.w8 buf 1;
-      Wire.wstr buf (Signature.name s)
-    | Hw s ->
-      Wire.w8 buf 2;
-      Wire.wstr buf (Signature.name s)
+  let tag = function Waiting _ -> 0 | Running _ -> 1 | Hw _ -> 2
 
-  let read_status cur =
-    match Wire.r8 cur with
-    | 0 ->
-      let wait_sig = Signature.of_string (Wire.rstr cur) in
-      let unwait_sig = Signature.of_string (Wire.rstr cur) in
-      Waiting { wait_sig; unwait_sig }
-    | 1 -> Running (Signature.of_string (Wire.rstr cur))
-    | 2 -> Hw (Signature.of_string (Wire.rstr cur))
-    | k -> Wire.corrupt "Awg.Partial: unknown status tag %d" k
+  let rec compare_bytes a oa b ob i len =
+    if i = len then 0
+    else
+      match Char.compare (String.unsafe_get a (oa + i)) (String.unsafe_get b (ob + i)) with
+      | 0 -> compare_bytes a oa b ob (i + 1) len
+      | c -> c
 
-  let rec write_node buf n =
-    write_status buf n.status;
-    Wire.wv buf n.cost;
-    Wire.wv buf n.count;
-    Wire.wv buf n.max_cost;
-    let wentries =
-      match n.wacc with Some a -> Provenance.Wacc.entries a | None -> []
+  (* Names by length, then by bytes; each given as a span of a string. *)
+  let compare_span a oa la b ob lb =
+    if la <> lb then Int.compare la lb else compare_bytes a oa b ob 0 la
+
+  let compare_name a b =
+    let a = Signature.name a and b = Signature.name b in
+    compare_span a 0 (String.length a) b 0 (String.length b)
+
+  let compare_status a b =
+    match (a, b) with
+    | Waiting a, Waiting b -> (
+      match compare_name a.wait_sig b.wait_sig with
+      | 0 -> compare_name a.unwait_sig b.unwait_sig
+      | c -> c)
+    | Running a, Running b | Hw a, Hw b -> compare_name a b
+    | _ -> Int.compare (tag a) (tag b)
+
+  let rec write buf (level : partial) =
+    let nodes =
+      List.sort
+        (fun a b -> compare_status a.status b.status)
+        (Hashtbl.fold (fun _ n acc -> n :: acc) level [])
     in
-    Wire.wv buf (List.length wentries);
+    Wire.wv buf (List.length nodes);
     List.iter
-      (fun (r, cost, count) ->
-        Provenance.write_ref buf r;
-        Wire.wv buf cost;
-        Wire.wv buf count)
-      wentries;
-    let kids = sorted_bindings n.children in
-    Wire.wv buf (List.length kids);
-    List.iter (fun (_, c) -> write_node buf c) kids
-
-  let rec read_node cur =
-    let status = read_status cur in
-    let n = fresh_node status in
-    n.cost <- Wire.rv cur;
-    n.count <- Wire.rv cur;
-    n.max_cost <- Wire.rv cur;
-    let nw = Wire.rcount cur in
-    if nw > 0 then begin
-      let acc = node_wacc n in
-      for _ = 1 to nw do
-        let r = Provenance.read_ref cur in
-        let cost = Wire.rv cur in
-        let count = Wire.rv cur in
-        Provenance.Wacc.add_entry acc (r, cost, count)
-      done
-    end;
-    for _ = 1 to Wire.rcount cur do
-      let c = read_node cur in
-      if Hashtbl.mem n.children c.status then
-        Wire.corrupt "Awg.Partial: duplicate child status";
-      Hashtbl.replace n.children c.status c
-    done;
-    n
-
-  let write buf (p : partial) =
-    let roots = sorted_bindings p in
-    Wire.wv buf (List.length roots);
-    List.iter (fun (_, n) -> write_node buf n) roots
-
-  let read cur : partial =
-    let forest : partial = Hashtbl.create 16 in
-    for _ = 1 to Wire.rcount cur do
-      let n = read_node cur in
-      if Hashtbl.mem forest n.status then
-        Wire.corrupt "Awg.Partial: duplicate root status";
-      Hashtbl.replace forest n.status n
-    done;
-    forest
-
-  (* --- validation walk ---
-
-     [walk] makes every check [read] makes and builds nothing. The
-     duplicate-status checks compare statuses as [read] does, by tag and
-     decoded names (a name's length may be a padded varint, so equal
-     statuses need not have equal bytes). Each status is pushed on the
-     walker's stack as five ints — tag, then offset and length of each
-     name in the input — and a node's children, pushed contiguously once
-     their own subtrees have been popped, are sorted in place and
-     compared neighbour to neighbour: O(n log n) in the sibling count,
-     with scratch space the widest sibling set and the path above it. *)
-
-  type walker = { mutable stack : int array; mutable top : int }
-
-  let walker () = { stack = Array.make 320 0; top = 0 }
-
-  let push w tag o1 l1 o2 l2 =
-    if w.top + 5 > Array.length w.stack then begin
-      let bigger = Array.make (2 * Array.length w.stack) 0 in
-      Array.blit w.stack 0 bigger 0 w.top;
-      w.stack <- bigger
-    end;
-    let s = w.stack and i = w.top in
-    s.(i) <- tag;
-    s.(i + 1) <- o1;
-    s.(i + 2) <- l1;
-    s.(i + 3) <- o2;
-    s.(i + 4) <- l2;
-    w.top <- i + 5
+      (fun n ->
+        Wire.w8 buf (tag n.status);
+        (match n.status with
+        | Waiting { wait_sig; unwait_sig } ->
+          Wire.wstr buf (Signature.name wait_sig);
+          Wire.wstr buf (Signature.name unwait_sig)
+        | Running s | Hw s -> Wire.wstr buf (Signature.name s));
+        Wire.wv buf n.cost;
+        Wire.wv buf n.count;
+        Wire.wv buf n.max_cost;
+        let wentries =
+          match n.wacc with Some a -> Provenance.Wacc.entries a | None -> []
+        in
+        Wire.wv buf (List.length wentries);
+        List.iter
+          (fun (r, cost, count) ->
+            Provenance.write_ref buf r;
+            Wire.wv buf cost;
+            Wire.wv buf count)
+          wentries;
+        write buf n.children)
+      nodes
 
   (* The offset of a name's bytes, [cur] left after them. *)
   let skip_name cur =
@@ -511,99 +452,76 @@ module Partial = struct
     cur.Wire.pos <- off + len;
     off
 
-  let walk_status w cur =
-    match Wire.r8 cur with
-    | 0 ->
+  let name_at data off len = Signature.of_string (String.sub data off len)
+
+  (* The one parser of the wire form: a sibling set, each status checked
+     against the one before it, held as five ints — tag, then offset and
+     length of each name — so the scratch is five ints per level of the
+     path. Given a level of a forest it builds the nodes into it; given
+     none it builds nothing and interns no name. *)
+  let rec read_level level cur what =
+    let data = cur.Wire.data in
+    let ptag = ref (-1) and po1 = ref 0 and pl1 = ref 0 and po2 = ref 0 and pl2 = ref 0 in
+    for _ = 1 to Wire.rcount cur do
+      let tag = Wire.r8 cur in
+      if tag > 2 then Wire.corrupt "Awg.Partial: unknown status tag %d" tag;
       let o1 = skip_name cur in
       let l1 = cur.Wire.pos - o1 in
-      let o2 = skip_name cur in
-      push w 0 o1 l1 o2 (cur.Wire.pos - o2)
-    | (1 | 2) as tag ->
-      let o1 = skip_name cur in
-      push w tag o1 (cur.Wire.pos - o1) 0 0
-    | k -> Wire.corrupt "Awg.Partial: unknown status tag %d" k
-
-  let rec compare_bytes data a b i len =
-    if i = len then 0
-    else
-      match
-        Char.compare (String.unsafe_get data (a + i)) (String.unsafe_get data (b + i))
-      with
-      | 0 -> compare_bytes data a b (i + 1) len
-      | c -> c
-
-  let compare_name data oa la ob lb =
-    if la <> lb then Int.compare la lb else compare_bytes data oa ob 0 la
-
-  (* Statuses at stack positions [i] and [j]: equal exactly when [read]
-     would find them equal. *)
-  let compare_at data s i j =
-    match Int.compare s.(i) s.(j) with
-    | 0 -> (
-      match compare_name data s.(i + 1) s.(i + 2) s.(j + 1) s.(j + 2) with
-      | 0 -> compare_name data s.(i + 3) s.(i + 4) s.(j + 3) s.(j + 4)
-      | c -> c)
-    | c -> c
-
-  let swap s i j =
-    for d = 0 to 4 do
-      let t = s.(i + d) in
-      s.(i + d) <- s.(j + d);
-      s.(j + d) <- t
+      let o2 = if tag = 0 then skip_name cur else 0 in
+      let l2 = if tag = 0 then cur.Wire.pos - o2 else 0 in
+      let order =
+        if tag <> !ptag then Int.compare tag !ptag
+        else
+          match compare_span data o1 l1 data !po1 !pl1 with
+          | 0 -> compare_span data o2 l2 data !po2 !pl2
+          | c -> c
+      in
+      if order <= 0 then Wire.corrupt "Awg.Partial: %s statuses not strictly increasing" what;
+      ptag := tag;
+      po1 := o1;
+      pl1 := l1;
+      po2 := o2;
+      pl2 := l2;
+      let cost = Wire.rv cur in
+      let count = Wire.rv cur in
+      let max_cost = Wire.rv cur in
+      let node =
+        match level with
+        | None -> None
+        | Some level ->
+          let s = name_at data o1 l1 in
+          let status =
+            match tag with
+            | 0 -> Waiting { wait_sig = s; unwait_sig = name_at data o2 l2 }
+            | 1 -> Running s
+            | _ -> Hw s
+          in
+          let n = fresh_node status in
+          n.cost <- cost;
+          n.count <- count;
+          n.max_cost <- max_cost;
+          Hashtbl.add level status n;
+          Some n
+      in
+      for _ = 1 to Wire.rcount cur do
+        match node with
+        | Some n ->
+          let r = Provenance.read_ref cur in
+          let cost = Wire.rv cur in
+          let count = Wire.rv cur in
+          Provenance.Wacc.add_entry (node_wacc n) (r, cost, count)
+        | None ->
+          Provenance.skip_ref cur;
+          ignore (Wire.rv cur : int);
+          ignore (Wire.rv cur : int)
+      done;
+      read_level (Option.map (fun n -> n.children) node) cur "child"
     done
 
-  (* Heapsort of the [n] statuses from stack position [base]. *)
-  let rec sift data s base n k =
-    let l = (2 * k) + 1 in
-    if l < n then begin
-      let m =
-        if l + 1 < n && compare_at data s (base + (5 * (l + 1))) (base + (5 * l)) > 0
-        then l + 1
-        else l
-      in
-      if compare_at data s (base + (5 * m)) (base + (5 * k)) > 0 then begin
-        swap s (base + (5 * m)) (base + (5 * k));
-        sift data s base n m
-      end
-    end
+  let read cur : partial =
+    let forest = Hashtbl.create 16 in
+    read_level (Some forest) cur "root";
+    forest
 
-  let check_distinct w data base what =
-    let s = w.stack and n = (w.top - base) / 5 in
-    if n > 1 then begin
-      for k = (n / 2) - 1 downto 0 do
-        sift data s base n k
-      done;
-      for last = n - 1 downto 1 do
-        swap s base (base + (5 * last));
-        sift data s base last 0
-      done;
-      for k = 1 to n - 1 do
-        if compare_at data s (base + (5 * (k - 1))) (base + (5 * k)) = 0 then
-          Wire.corrupt "Awg.Partial: duplicate %s status" what
-      done
-    end;
-    w.top <- base
-
-  let rec walk_node w cur =
-    walk_status w cur;
-    for _ = 1 to 3 do
-      ignore (Wire.rv cur : int)
-    done;
-    for _ = 1 to Wire.rcount cur do
-      Provenance.skip_ref cur;
-      ignore (Wire.rv cur : int);
-      ignore (Wire.rv cur : int)
-    done;
-    walk_siblings w cur "child"
-
-  and walk_siblings w cur what =
-    let base = w.top in
-    for _ = 1 to Wire.rcount cur do
-      walk_node w cur
-    done;
-    check_distinct w cur.Wire.data base what
-
-  let walk w cur =
-    w.top <- 0;
-    walk_siblings w cur "root"
+  let walk cur = read_level None cur "root"
 end

@@ -149,25 +149,20 @@ module Partial : sig
       and freeze — the final AWG. The merger must not be used again. An
       empty merge yields the empty AWG. *)
 
-  val is_empty : partial -> bool
-
   val write : Buffer.t -> partial -> unit
-  (** Deterministic wire form (children in sorted-status order, signature
-      names, LEB128 varints) — the snapshot cache's payload. *)
+  (** The snapshot cache's payload: signature names and LEB128 varints,
+      every sibling set (roots and children alike) in strictly increasing
+      name order — by tag, then each name by length, then by bytes — so
+      the bytes do not depend on the order names were interned in. *)
 
   val read : Dptrace.Wire.cursor -> partial
-  (** Inverse of {!write}.
+  (** Inverse of {!write}. A sibling set out of name order, or with two
+      equal statuses, is refused.
       @raise Dptrace.Wire.Corrupt on malformed input. *)
 
-  type walker
-  (** Scratch space for {!walk}, reused from one partial to the next. *)
-
-  val walker : unit -> walker
-
-  val walk : walker -> Dptrace.Wire.cursor -> unit
-  (** Step over a partial's wire form, making every check {!read} makes
-      (duplicate root and child statuses included, compared by decoded
-      names) but building nothing: no node, table or signature. Its time
-      is O(n log n) in the widest sibling set.
+  val walk : Dptrace.Wire.cursor -> unit
+  (** {!read}'s parser building nothing: no node, table or signature. It
+      makes every check {!read} makes, in one pass with scratch for five
+      ints per level of depth.
       @raise Dptrace.Wire.Corrupt exactly when {!read} would. *)
 end

@@ -11,7 +11,7 @@ module Wait_graph = Dpwaitgraph.Wait_graph
 (* Bump whenever the analysis semantics or the entry wire form change:
    the version participates in the config fingerprint, so old caches
    degrade to misses instead of deserialising garbage. *)
-let code_version = "dpsnap-1"
+let code_version = "dpsnap-2"
 
 let magic = "DPSN\x01"
 
@@ -129,7 +129,27 @@ let stream_step components ~spec_of (st : Stream.t) =
       (fun (name, _) -> (name, Option.map (class_of name) (spec_of name)))
       per_scenario )
 
-(* --- entry wire form --- *)
+(* --- entry wire form ---
+
+   The entry readers take [build], as [Codec_v2.read_stream_payload]
+   does: with it they decode; without it they make the same checks, in
+   the same order, build no reservoir, module row or forest, and intern
+   no signature. *)
+
+let skip_varints cur n =
+  for _ = 1 to n do
+    ignore (Wire.rv cur : int)
+  done
+
+(* A counted list: read whole with [build], else stepped over by [skip]. *)
+let read_list ~build cur read skip =
+  if build then Wire.rlist cur read
+  else begin
+    for _ = 1 to Wire.rcount cur do
+      skip cur
+    done;
+    []
+  end
 
 let write_impact buf (r : Impact.result) =
   Wire.wv buf r.Impact.d_scn;
@@ -175,15 +195,22 @@ let write_topk buf t =
   Wire.wv buf (List.length items);
   List.iter (write_wait_record buf) items
 
+let skip_wait_record cur =
+  Provenance.skip_ref cur;
+  skip_varints cur 1;
+  Wire.skip_str cur;
+  skip_varints cur 4
+
+let no_waits =
+  Provenance.Topk.create ~cap:Provenance.default_k
+    ~compare:Provenance.compare_wait_record
+
 (* Reservoirs are reconstructed at the pipeline's cap; the serialised
    list is already canonical (best-first, <= cap), so re-adding in order
    reproduces the exact representation. *)
-let read_topk cur =
-  let items = Wire.rlist cur read_wait_record in
-  Provenance.Topk.add_list
-    (Provenance.Topk.create ~cap:Provenance.default_k
-       ~compare:Provenance.compare_wait_record)
-    items
+let read_topk ~build cur =
+  Provenance.Topk.add_list no_waits
+    (read_list ~build cur read_wait_record skip_wait_record)
 
 let write_prov buf (p : Provenance.impact) =
   write_topk buf p.Provenance.top_waits;
@@ -195,16 +222,20 @@ let write_prov buf (p : Provenance.impact) =
       write_topk buf t)
     p.Provenance.by_module
 
-let read_prov cur : Provenance.impact =
-  let top_waits = read_topk cur in
-  let top_runs = read_topk cur in
+let read_prov ~build cur : Provenance.impact =
+  let top_waits = read_topk ~build cur in
+  let top_runs = read_topk ~build cur in
   let by_module =
-    Wire.rlist cur (fun cur ->
+    read_list ~build cur
+      (fun cur ->
         let name = Wire.rstr cur in
-        let t = read_topk cur in
+        let t = read_topk ~build:true cur in
         (name, t))
+      (fun cur ->
+        Wire.skip_str cur;
+        ignore (read_topk ~build:false cur : Provenance.wait_record Provenance.Topk.t))
   in
-  { Provenance.top_waits; top_runs; by_module }
+  if build then { Provenance.top_waits; top_runs; by_module } else Provenance.empty_impact
 
 let write_module_row buf (r : Impact.module_row) =
   Wire.wstr buf r.Impact.module_name;
@@ -222,6 +253,17 @@ let read_module_row cur : Impact.module_row =
   let m_counted_waits = Wire.rv cur in
   let m_max_wait = Wire.rv cur in
   { Impact.module_name; m_wait; m_waitdist; m_run; m_counted_waits; m_max_wait }
+
+let skip_module_row cur =
+  Wire.skip_str cur;
+  skip_varints cur 5
+
+(* An entry's head: stream id, impact, provenance and module rows. *)
+let read_head ~build cur =
+  ignore (Wire.rv cur : int);
+  let impact = read_impact cur in
+  let prov = read_prov ~build cur in
+  (impact, prov, read_list ~build cur read_module_row skip_module_row)
 
 (* --- scenario mining records ---
 
@@ -358,17 +400,27 @@ let scen_name key =
   String.sub key (String.length scen_prefix)
     (String.length key - String.length scen_prefix)
 
-(* A scenario section: the all-instance impact, then the class part. *)
-let read_section cur =
-  let sc_all = read_impact cur in
+(* A scenario section: the all-instance impact, then a class tag and,
+   for tag 1, the class part. [None] when there is no class part; with
+   [build] the part is decoded, without it only checked: [Some None]. *)
+let read_section ~build cur =
+  (* The all-instance impact: [entry_part] reads it at the section's offset. *)
+  skip_varints cur 7;
   match Wire.r8 cur with
-  | 0 -> (sc_all, None)
+  | 0 -> None
   | 1 ->
     let cl_slow_impact = read_impact cur in
-    let cl_slow_prov = read_prov cur in
-    let cl_fast = Awg.Partial.read cur in
-    let cl_slow = Awg.Partial.read cur in
-    (sc_all, Some { cl_slow_impact; cl_slow_prov; cl_fast; cl_slow })
+    let cl_slow_prov = read_prov ~build cur in
+    if build then begin
+      let cl_fast = Awg.Partial.read cur in
+      let cl_slow = Awg.Partial.read cur in
+      Some (Some { cl_slow_impact; cl_slow_prov; cl_fast; cl_slow })
+    end
+    else begin
+      Awg.Partial.walk cur;
+      Awg.Partial.walk cur;
+      Some None
+    end
   | k -> Wire.corrupt "snapshot entry: bad class tag %d" k
 
 (* The payload of a stream's entry, from its step under every spec:
@@ -399,84 +451,21 @@ let write_entry buf id ((impact, prov, modules, per_scenario) : part) groups =
     per_scenario groups;
   List.rev !sections
 
-(* Decode a whole entry payload, every section too, and keep only each
-   section's name, offset and class flag: the reader [walk_entry] must
-   agree with. *)
-let read_entry cur =
-  ignore (Wire.rv cur : int);
-  ignore (read_impact cur : Impact.result);
-  ignore (read_prov cur : Provenance.impact);
-  ignore (Wire.rlist cur read_module_row : Impact.module_row list);
+(* The one reader of an entry payload, every section included; it
+   returns the section index: each section's name, offset and class
+   flag. [create] runs it without [build] on every record it loads. *)
+let read_entry ~build cur =
+  ignore (read_head ~build cur);
   Wire.rlist cur (fun cur ->
       let name = Wire.rstr cur in
       let off = cur.Wire.pos in
-      let _, sc_class = read_section cur in
-      (name, off, Option.is_some sc_class))
+      (name, off, Option.is_some (read_section ~build cur)))
 
-(* --- the validation walk ---
-
-   [walk_entry] makes every check [read_entry] makes, in the same order,
-   and returns the same section index, but builds only that index: no
-   impact, reservoir, module row or forest, and no signature is
-   interned. *)
-
-let skip_varints cur n =
-  for _ = 1 to n do
-    ignore (Wire.rv cur : int)
-  done
-
-let skip_impact cur = skip_varints cur 7
-
-let skip_topk cur =
-  for _ = 1 to Wire.rcount cur do
-    Provenance.skip_ref cur;
-    skip_varints cur 1;
-    Wire.skip_str cur;
-    skip_varints cur 4
-  done
-
-let skip_prov cur =
-  skip_topk cur;
-  skip_topk cur;
-  for _ = 1 to Wire.rcount cur do
-    Wire.skip_str cur;
-    skip_topk cur
-  done
-
-let walk_section w cur =
-  skip_impact cur;
-  match Wire.r8 cur with
-  | 0 -> false
-  | 1 ->
-    skip_impact cur;
-    skip_prov cur;
-    Awg.Partial.walk w cur;
-    Awg.Partial.walk w cur;
-    true
-  | k -> Wire.corrupt "snapshot entry: bad class tag %d" k
-
-let walk_entry_at w cur =
-  skip_varints cur 1;
-  skip_impact cur;
-  skip_prov cur;
-  for _ = 1 to Wire.rcount cur do
-    Wire.skip_str cur;
-    skip_varints cur 5
-  done;
-  Wire.rlist cur (fun cur ->
-      let name = Wire.rstr cur in
-      let off = cur.Wire.pos in
-      (name, off, walk_section w cur))
-
-(* One record's payload, read whole by [read]. *)
-let whole read payload =
+let entry_index ~build payload =
   let cur = Wire.cursor payload in
-  let sections = read cur in
+  let sections = read_entry ~build cur in
   if not (Wire.at_end cur) then Wire.corrupt "snapshot entry: trailing bytes";
   sections
-
-let walk_entry payload = whole (walk_entry_at (Awg.Partial.walker ())) payload
-let decode_entry payload = whole read_entry payload
 
 (* A record as [save] writes it: key, payload length, payload CRC,
    payload. *)
@@ -510,24 +499,22 @@ let fresh_entry components ~specs key (st : Stream.t) =
 
 (* The head and each section's header (its all-instance impact). *)
 let entry_part e =
-  let cur = { Wire.data = e.data; pos = e.head } in
-  ignore (Wire.rv cur : int);
-  let impact = read_impact cur in
-  let prov = read_prov cur in
-  let modules = Wire.rlist cur read_module_row in
+  let impact, prov, modules = read_head ~build:true { Wire.data = e.data; pos = e.head } in
   ( impact,
     prov,
     modules,
     List.map
-      (fun (name, off, _) -> (name, read_impact { Wire.data = e.data; pos = off }))
+      (fun (name, off, _) ->
+        (name, read_impact { Wire.data = e.data; pos = off }))
       e.sections )
 
-(* A loaded section was walked when its file was opened, with every
-   check its decode makes, and a fresh one was written by [write_entry],
-   so decoding it cannot fail. *)
+(* A loaded section was read without [build] when its file was opened,
+   which makes every check the decode makes, and a fresh one was
+   written by [write_entry], so decoding it cannot fail. *)
 let entry_scenario_class e name =
   match List.find_opt (fun (n, _, _) -> n = name) e.sections with
-  | Some (_, off, true) -> snd (read_section { Wire.data = e.data; pos = off })
+  | Some (_, off, true) ->
+    Option.join (read_section ~build:true { Wire.data = e.data; pos = off })
   | Some (_, _, false) | None -> None
 
 (* --- cache files --- *)
@@ -588,7 +575,7 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Walk one cache file, handing [feed] every record whose checksum holds
    and whose payload reads to exactly its length: a stream's entry
-   (walked, not decoded), or a scenario's mining record (decoded) with
+   (read without [build]), or a scenario's mining record (decoded) with
    its framed span in [data].
    Per-record containment: a checksum-failing or undecodable record is
    skipped (counted corrupt) and the walk continues at the next record;
@@ -598,7 +585,6 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
    [save] writes them, each once. Never raises. *)
 let parse_file data ~expect_fp ~feed =
   let ok = ref 0 and bad = ref 0 and in_order = ref true and last = ref None in
-  let walker = Awg.Partial.walker () in
   let fp = ref "(unreadable)" in
   (try
      let cur = Wire.cursor data in
@@ -637,7 +623,7 @@ let parse_file data ~expect_fp ~feed =
              let digest, mining = read_scen_record rcur in
              `Mining (scen_name key, (digest, mining, Some (start, stop - start)))
            else
-             let sections = walk_entry_at walker rcur in
+             let sections = read_entry ~build:false rcur in
              `Entry { key; data; off = start; len = stop - start; head = pos; sections }
          with
          | record when rcur.Wire.pos = stop ->

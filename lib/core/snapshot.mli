@@ -38,14 +38,14 @@
 
     Record lifecycle. An entry has one form: its framed record, the
     bytes {!save} writes for it. {!create} keeps the cache file's bytes
-    and verifies every record: its CRC, then a walk ({!walk_entry}) that
-    makes every check the decode makes but builds nothing. A record
-    that fails either is dropped, and its stream becomes a miss. A loaded
-    entry is its span of those bytes; a fresh one, computed on a miss, is
-    framed once. Beside the bytes an entry keeps only each scenario
-    section's name, offset and class flag. {!entry_part} and
-    {!entry_scenario_class} decode from the bytes each time they are
-    asked, so a merge holds one decoded class part at a time.
+    and verifies every record: its CRC, then its one reader without
+    [build] (see {!entry_index}). A record that fails either is dropped,
+    and its stream becomes a miss. A loaded entry is its span of those
+    bytes; a fresh one, computed on a miss, is framed once. Beside the
+    bytes an entry keeps only each scenario section's name, offset and
+    class flag. {!entry_part} and {!entry_scenario_class} decode from the
+    bytes each time they are asked, so a merge holds one decoded class
+    part at a time.
 
     What {!save} writes, and when. Nothing, if the snapshot still
     matches its file: no miss was analysed, no mining result stored, and
@@ -136,20 +136,18 @@ val entry_scenario_class : entry -> string -> class_part option
 
 (** {1 Entry records}
 
-    An entry record's payload has two readers: the decode that
-    {!entry_part} and {!entry_scenario_class} are made of, and the walk
-    {!create} validates each record with, which makes the same checks
-    but builds nothing. Both take one record's payload and return its
-    section index: each scenario section's name, offset in the payload
-    and whether it has a class part. *)
+    An entry record's payload has one reader, with two modes as
+    {!Dptrace.Codec_v2}'s stream payload has. With [build] it decodes:
+    {!entry_part} and {!entry_scenario_class} are made of it. Without
+    [build] it makes the same checks, in the same order, but builds no
+    reservoir, module row or forest and interns no signature: {!create}
+    and {!inspect} check every record they load that way. *)
 
-val walk_entry : string -> (string * int * bool) list
-(** The validation walk.
-    @raise Dptrace.Wire.Corrupt exactly when {!decode_entry} would. *)
-
-val decode_entry : string -> (string * int * bool) list
-(** The full decode, every section included.
-    @raise Dptrace.Wire.Corrupt on a malformed payload. *)
+val entry_index : build:bool -> string -> (string * int * bool) list
+(** Read one record's payload whole and return its section index: each
+    scenario section's name, offset in the payload and class flag.
+    @raise Dptrace.Wire.Corrupt on a malformed payload, with the same
+    message whether or not [build] is set. *)
 
 (** {1 Cache instances} *)
 

@@ -260,6 +260,64 @@ let test_partial_count_bounded () =
     check Alcotest.bool ("count refused: " ^ m) true (names_count m)
   | _ -> Alcotest.fail "accepted a root count above the bytes left"
 
+(* Root and child sibling sets over the names [name 0 .. name 7]: the
+   holder runs three computes (children of the victim's wait) under the
+   lock the victim waits on, and the victim runs three more computes
+   (roots beside its wait). [name] is called in index order, so a fresh
+   name is interned in that order. *)
+let named_episode name =
+  let engine = Engine.create ~stream_id:0 () in
+  let lock = Engine.new_lock engine ~name:"L" in
+  let computes lo = List.init 3 (fun i -> P.compute ~frame:(name (lo + i)) (Time.ms (i + 1))) in
+  let _holder =
+    Engine.spawn engine ~start_at:0 ~name:"h" ~base_stack:[ sig_ "bg!w" ]
+      [ P.call (name 0) [ P.locked lock (computes 1) ] ]
+  in
+  let _victim =
+    Engine.spawn engine ~scenario:"S" ~start_at:(Time.ms 1) ~name:"v"
+      ~base_stack:[ sig_ "app!op" ]
+      (P.call (name 4) [ P.locked lock [ P.compute (Time.ms 1) ] ] :: computes 5)
+  in
+  Engine.run engine
+
+let substitute ~from ~into s =
+  let n = String.length from in
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    if i >= String.length s then ()
+    else if i + n <= String.length s && String.sub s i n = from then begin
+      Buffer.add_string b into;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* A partial's bytes depend on its names, not on the order they were
+   interned in. The renamed copy swaps a module name for another of the
+   same length, which keeps every name's length and relative byte order;
+   its names are interned in reverse order before anything is built. *)
+let test_partial_bytes_ignore_interning () =
+  let fresh i = sig_ (Printf.sprintf "ordp.sys!f%d" i)
+  and renamed i = Printf.sprintf "ordq.sys!f%d" i in
+  for i = 7 downto 0 do
+    ignore (sig_ (renamed i))
+  done;
+  let bytes name =
+    let buf = Buffer.create 512 in
+    Awg.Partial.write buf (Awg.Partial.build drivers (graphs_of (named_episode name)));
+    Buffer.contents buf
+  in
+  let original = bytes fresh and copy = bytes (fun i -> sig_ (renamed i)) in
+  check Alcotest.bool "several sibling statuses" true (String.length original > 100);
+  check Alcotest.string "equal modulo the renaming"
+    (substitute ~from:"ordp.sys" ~into:"ordq.sys" original)
+    copy
+
 let () =
   Alcotest.run "dpcore-awg"
     [
@@ -279,5 +337,7 @@ let () =
           Alcotest.test_case "render smoke" `Quick test_render_smoke;
           Alcotest.test_case "partial count bounded by the bytes left" `Quick
             test_partial_count_bounded;
+          Alcotest.test_case "partial bytes do not depend on interning order" `Quick
+            test_partial_bytes_ignore_interning;
         ] );
     ]

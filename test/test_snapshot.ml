@@ -394,11 +394,12 @@ let test_resealed_record_dropped () =
   Snapshot.save snap;
   check Alcotest.bool "the next save heals the file" true (read_bin path = clean)
 
-(* --- the validation walk ---
+(* --- the entry reader's two modes ---
 
-   [create] validates each entry record with a walk that builds nothing.
-   It must accept exactly the records the decode accepts, and return the
-   same section index. *)
+   [create] validates each entry record with the entry reader run
+   without [build], which builds nothing. It must accept exactly the
+   records the decode (the same reader with [build]) accepts, refuse the
+   rest with the same message, and return the same section index. *)
 
 module Wire = Dptrace.Wire
 
@@ -423,10 +424,10 @@ let entry_records data =
   in
   go []
 
-let verdict read payload =
-  match read payload with
+let verdict ~build payload =
+  match Snapshot.entry_index ~build payload with
   | index -> Ok index
-  | exception Wire.Corrupt _ -> Error ()
+  | exception Wire.Corrupt m -> Error m
 
 (* One byte of one entry's payload rewritten and its CRC resealed: the
    walk and the decode agree, and [create] drops the record exactly when
@@ -459,9 +460,9 @@ let prop_walk_matches_decode =
       let data = Bytes.of_string base in
       Bytes.blit_string payload 0 data pos (String.length payload);
       Bytes.set_int32_le data (pos - 4) (Int32.of_int (Dputil.Crc32.string payload));
-      let decoded = verdict Snapshot.decode_entry payload in
+      let decoded = verdict ~build:true payload in
       let stats = loaded data in
-      decoded = verdict Snapshot.walk_entry payload
+      decoded = verdict ~build:false payload
       && stats.Snapshot.s_dropped = (if Result.is_ok decoded then 0 else 1)
       && stats.Snapshot.s_loaded + stats.Snapshot.s_dropped = records_in_file)
 
@@ -507,36 +508,71 @@ let forest roots =
   List.iter (Buffer.add_string b) roots;
   Buffer.contents b
 
-(* Two sibling statuses with equal names, the second's length padded:
-   their bytes differ, their decoded statuses do not, so the decode
-   refuses the record and so must the walk, among children and among
-   roots alike. Distinct names pass both. *)
+(* Siblings are stored in strictly increasing name order, so a pair out
+   of order is refused, and so is a pair of equal statuses, among
+   children and among roots alike, with the same message with and
+   without [build]. A padded-length duplicate has bytes of its own but
+   the same decoded name, and the order compares decoded names, so it is
+   refused too. Siblings in order pass both. *)
 let test_walk_padded_duplicates () =
   let a = running_node "a!b" [] and a' = running_node ~padded:true "a!b" [] in
+  let c = running_node "a!c" [] in
   check Alcotest.bool "the two encodings differ" true (a <> a');
+  let refused what =
+    Error (Printf.sprintf "Awg.Partial: %s statuses not strictly increasing" what)
+  in
   List.iter
-    (fun (what, fast, ok) ->
+    (fun (case, fast, expect) ->
       let payload = entry_with_fast_forest fast in
-      let decoded = verdict Snapshot.decode_entry payload in
-      check Alcotest.bool (what ^ ": decode") ok (Result.is_ok decoded);
-      check Alcotest.bool (what ^ ": walk = decode") true
-        (verdict Snapshot.walk_entry payload = decoded))
+      let decoded = verdict ~build:true payload in
+      (match (decoded, expect) with
+      | Ok _, Ok () -> ()
+      | Error m, Error m' -> check Alcotest.string (case ^ ": message") m' m
+      | Ok _, Error _ -> Alcotest.failf "%s: accepted" case
+      | Error m, Ok () -> Alcotest.failf "%s: refused (%s)" case m);
+      check Alcotest.bool (case ^ ": walk = decode") true
+        (verdict ~build:false payload = decoded))
     [
-      ("children", forest [ running_node "m!f" [ a; a' ] ], false);
-      ("roots", forest [ a; a' ], false);
-      ("distinct children", forest [ running_node "m!f" [ a; running_node "a!c" [] ] ], true);
+      ("swapped children", forest [ running_node "m!f" [ c; a ] ], refused "child");
+      ("swapped roots", forest [ c; a ], refused "root");
+      ("duplicate children", forest [ running_node "m!f" [ a; a ] ], refused "child");
+      ("duplicate roots", forest [ a; a ], refused "root");
+      ("padded duplicate children", forest [ running_node "m!f" [ a; a' ] ], refused "child");
+      ("padded duplicate roots", forest [ a; a' ], refused "root");
+      ("children in order", forest [ running_node "m!f" [ a; c ] ], Ok ());
+      ("roots in order", forest [ a'; c ], Ok ());
     ]
 
-(* A forest of 100,000 distinct roots walks in well under a second:
-   the duplicate check must not compare every pair of siblings. *)
-let test_walk_wide_forest () =
-  let roots = List.init 100_000 (fun i -> running_node (Printf.sprintf "m!f%d" i) []) in
+(* A forest of 100,000 distinct roots, in name order: [m!f0] < [m!f1]
+   < ... since a shorter name sorts first. *)
+let wide_roots () = List.init 100_000 (fun i -> running_node (Printf.sprintf "m!f%d" i) [])
+
+(* The entry reader's verdict on a forest of [roots], with and without
+   [build], each within a 2 s deadline: the order check compares each
+   sibling with the one before it, never every pair. *)
+let wide_verdicts roots =
   let payload = entry_with_fast_forest (forest roots) in
-  let t0 = Sys.time () in
-  let index = Snapshot.walk_entry payload in
-  let elapsed = Sys.time () -. t0 in
-  check Alcotest.int "one section" 1 (List.length index);
-  if elapsed > 2.0 then Alcotest.failf "walk took %.2fs" elapsed
+  List.map
+    (fun build ->
+      let t0 = Sys.time () in
+      let v = verdict ~build payload in
+      let elapsed = Sys.time () -. t0 in
+      if elapsed > 2.0 then Alcotest.failf "read took %.2fs" elapsed;
+      v)
+    [ true; false ]
+
+let test_walk_wide_forest () =
+  List.iter
+    (function
+      | Ok index -> check Alcotest.int "one section" 1 (List.length index)
+      | Error m -> Alcotest.failf "refused in-order roots: %s" m)
+    (wide_verdicts (wide_roots ()))
+
+let test_walk_wide_forest_reversed () =
+  match wide_verdicts (List.rev (wide_roots ())) with
+  | [ (Error m as decoded); walked ] ->
+    check Alcotest.bool ("walk = decode: " ^ m) true (walked = decoded)
+  | _ -> Alcotest.fail "reverse-ordered roots accepted"
 
 let test_fingerprint_isolation () =
   let specs = [ Dptrace.Scenario.spec ~name:"S" ~tfast:100 ~tslow:500 ] in
@@ -937,6 +973,8 @@ let () =
             test_walk_padded_duplicates;
           Alcotest.test_case "walk of 100k sibling statuses" `Quick
             test_walk_wide_forest;
+          Alcotest.test_case "walk of 100k reversed sibling statuses" `Quick
+            test_walk_wide_forest_reversed;
         ] );
       ( "crash consistency",
         [
