@@ -791,9 +791,11 @@ let settle t e =
     if Dpobs.metrics_on () then Dpobs.Metrics.incr (miss_c ())
   end
 
+let new_pass t = Hashtbl.reset t.used
+
 let ensure ?pool t components (corpus : Corpus.t) =
   Dpobs.Span.with_span "snapshot.ensure" @@ fun () ->
-  Hashtbl.reset t.used;
+  new_pass t;
   Dppar.Pool.iter_batched ?pool
     (fun st ->
       fst (lookup_or_step t components ~specs:corpus.Corpus.specs (Codec_v2.resident st)))

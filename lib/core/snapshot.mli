@@ -178,13 +178,19 @@ val settle : t -> entry -> unit
 (** Book a stepped stream, on one domain in corpus order: mark its key
     used by this pass, and count a hit, or a miss, storing the entry.
     Only streams a pass keeps are settled, so a quarantined stream leaves
-    no entry. *)
+    no entry. An entry may be settled long after its step, and under
+    another {!t} of the same fingerprint: whether it counts as a hit is
+    decided here, by this snapshot's entries. *)
+
+val new_pass : t -> unit
+(** Forget the last pass's used keys: the {!settle}s that follow make
+    the next pass, which {!drop_stale} and {!save} then see. *)
 
 val ensure : ?pool:Dppar.Pool.t -> t -> Component.t -> Dptrace.Corpus.t -> unit
-(** A pass over a resident corpus: forget the last pass's used keys,
-    then {!lookup_or_step} every stream (in batches across [pool]) and
-    {!settle} each. Merging cached and fresh entries is exact, so
-    downstream results never depend on the hit/miss split. *)
+(** A pass over a resident corpus: {!new_pass}, then {!lookup_or_step}
+    every stream (in batches across [pool]) and {!settle} each. Merging
+    cached and fresh entries is exact, so downstream results never
+    depend on the hit/miss split. *)
 
 val drop_stale : t -> unit
 (** Forget the entries the last pass did not settle (its [s_stale]),

@@ -5,8 +5,10 @@ module Impact = Dpcore.Impact
 module Robustness = Dpcore.Robustness
 module Diff = Dpcore.Diff
 module Mining = Dpcore.Mining
+module Classify = Dpcore.Classify
 module Corpus = Dptrace.Corpus
 module Corpus_dir = Dptrace.Corpus_dir
+module Codec_v2 = Dptrace.Codec_v2
 module Scenario = Dptrace.Scenario
 module J = Dputil.Jsonw
 module M = Dpobs.Metrics
@@ -42,8 +44,19 @@ let default_config =
     view_dir = None;
   }
 
+(* What a window file's fold keeps: its specs and stream skeletons, in
+   file order, each stream's snapshot entry, in the same order, and the
+   fingerprint the entries were stepped under ([None] when the file has
+   no stream). *)
+type folded = {
+  w_corpus : Corpus.t;
+  w_entries : Snapshot.entry list;
+  w_fp : string option;
+}
+
 type lfile = {
-  mutable f_corpus : Corpus.t option;  (* [None] once out of the window *)
+  f_path : string;
+  mutable f_folded : folded option;  (* [None] once out of the window *)
   mutable f_seq : int;
   mutable f_mtime_ms : int;
   mutable f_size : int;
@@ -66,7 +79,10 @@ type t = {
   mutable pending_failures : (string * string) list;  (* newest first *)
   mutable last_arrival_ms : int option;
   mutable baseline : baseline option;
-  mutable snap : (string * Snapshot.t) option;  (* fingerprint * cache *)
+  mutable snap : (string * Snapshot.t) option;  (* the last tick's: fingerprint * cache *)
+  mutable opened : (string * Snapshot.t) list;
+      (* opened since, by ingests under other fingerprints *)
+  snap_lock : Mutex.t;  (* ingest steps open snapshots from pool workers *)
   mutable tick_count : int;
   mutable alert_count : int;
   alert_oc : out_channel option;
@@ -124,6 +140,8 @@ let create ?pool ?(fresh_log = false) config =
     last_arrival_ms = None;
     baseline = None;
     snap = None;
+    opened = [];
+    snap_lock = Mutex.create ();
     tick_count = 0;
     alert_count = 0;
     alert_oc;
@@ -154,6 +172,96 @@ let now_ms t =
 let set_clock t ms = t.vclock <- Some ms
 let advance_clock t d = t.vclock <- Some (now_ms t + d)
 
+(* --- the window and its snapshots --- *)
+
+let newest_first t =
+  Hashtbl.fold (fun _ f acc -> f :: acc) t.files []
+  |> List.sort (fun a b -> compare b.f_seq a.f_seq)
+
+(* The files of the window, newest first. A file older than the newest
+   [window] forgets its fold for good (only a re-ingest, which makes it
+   the newest, brings one back) but keeps its bookkeeping, so [scan]
+   does not load it again. *)
+let window_newest_first t =
+  List.filteri
+    (fun i f ->
+      if i >= t.config.window then f.f_folded <- None;
+      f.f_folded <> None)
+    (newest_first t)
+
+(* The specs of a window, given its files' specs oldest first: the first
+   spec of each name wins. *)
+let merge_specs specs =
+  List.fold_left
+    (fun acc (s : Scenario.spec) ->
+      let same (s' : Scenario.spec) = s'.Scenario.name = s.Scenario.name in
+      if List.exists same acc then acc else acc @ [ s ])
+    [] (List.concat specs)
+
+let fingerprint t specs =
+  Snapshot.fingerprint ~components:t.config.components ~specs ~k:t.config.k ()
+
+(* The snapshot under fingerprint [fp]: the last tick's if it has that
+   fingerprint, else one an ingest opened since, else a new one. *)
+let snapshot_for t fp =
+  Mutex.protect t.snap_lock @@ fun () ->
+  match t.snap with
+  | Some (fp', snap) when fp' = fp -> snap
+  | _ -> (
+    match List.assoc_opt fp t.opened with
+    | Some snap -> snap
+    | None ->
+      let snap = Snapshot.create ?dir:t.config.cache_dir ~fingerprint:fp () in
+      t.opened <- (fp, snap) :: t.opened;
+      snap)
+
+let snapshot_stats t = Option.map (fun (_, s) -> Snapshot.stats s) t.snap
+
+(* Fold one corpus file through a snapshot: each stream is looked up, or
+   stepped, as it is decoded, and only its skeleton and entry stay.
+   [under specs] gives the window's specs, its fingerprint and snapshot
+   for a file with these specs; it is asked once, by the first step,
+   from a pool worker, hence the lock. *)
+let fold_file t ~under path =
+  let cell = ref None and lock = Mutex.create () and entries = ref [] in
+  let under specs =
+    Mutex.protect lock @@ fun () ->
+    match !cell with
+    | Some u -> u
+    | None ->
+      let u = under specs in
+      cell := Some u;
+      u
+  in
+  Corpus_dir.fold ?pool:t.pool ~mode:t.config.mode
+    ~step:(fun specs f ->
+      let specs, _, snap = under specs in
+      Snapshot.lookup_or_step snap t.config.components ~specs f)
+    ~consume:(fun (e, skeleton) ->
+      entries := e :: !entries;
+      Some skeleton)
+    path
+  |> Result.map (fun (l : Corpus_dir.loaded) ->
+         ( l,
+           {
+             w_corpus = l.Corpus_dir.l_corpus;
+             w_entries = List.rev !entries;
+             w_fp = Option.map (fun (_, fp, _) -> fp) !cell;
+           } ))
+
+(* The window [path] makes when it is (re)ingested: it becomes the
+   newest file, joined by the newest [window - 1] others. *)
+let joining t path specs =
+  let others =
+    List.filter (fun f -> f.f_path <> path) (newest_first t)
+    |> List.filteri (fun i _ -> i < t.config.window - 1)
+    |> List.filter_map (fun f ->
+           Option.map (fun w -> w.w_corpus.Corpus.specs) f.f_folded)
+  in
+  let specs = merge_specs (List.rev (specs :: others)) in
+  let fp = fingerprint t specs in
+  (specs, fp, snapshot_for t fp)
+
 (* --- feeding --- *)
 
 (* [monitor.stat] fault site: injected stat races (and real transient
@@ -178,7 +286,7 @@ let ingest t ?mtime_ms path =
     match
       Dpfault.Retry.run Dpfault.Monitor_tail (fun () ->
           Dpfault.guard Dpfault.Monitor_tail;
-          Corpus_dir.load ?pool:t.pool ~mode:t.config.mode path)
+          fold_file t ~under:(joining t path) path)
     with
     | result -> result
     | exception Dpfault.Injected { site; kind } ->
@@ -193,7 +301,7 @@ let ingest t ?mtime_ms path =
     t.pending_failures <- (path, msg) :: t.pending_failures;
     Dpobs.Log.warn "monitor: %s" msg;
     Error msg
-  | Ok { Corpus_dir.l_corpus; l_bytes; l_report; _ } ->
+  | Ok ({ Corpus_dir.l_corpus; l_bytes; l_report; _ }, folded) ->
     (match l_report with
     | Some { Dptrace.Codec_v2.dropped = _ :: _ as dropped; _ } ->
       Dpobs.Log.warn "monitor: %s: recovered with %d dropped frame(s)" path
@@ -206,19 +314,21 @@ let ingest t ?mtime_ms path =
     t.seq <- t.seq + 1;
     (match Hashtbl.find_opt t.files path with
     | Some f ->
-      f.f_corpus <- Some l_corpus;
+      f.f_folded <- Some folded;
       f.f_seq <- t.seq;
       f.f_mtime_ms <- mtime;
       f.f_size <- l_bytes
     | None ->
       Hashtbl.replace t.files path
-        { f_corpus = Some l_corpus; f_seq = t.seq; f_mtime_ms = mtime;
-          f_size = l_bytes });
+        { f_path = path; f_folded = Some folded; f_seq = t.seq;
+          f_mtime_ms = mtime; f_size = l_bytes });
     t.last_arrival_ms <-
       Some
         (match t.last_arrival_ms with
         | None -> mtime
         | Some a -> max a mtime);
+    (* A file this one pushes out of the window forgets its fold now. *)
+    ignore (window_newest_first t : lfile list);
     t.pending_changed <- true;
     M.incr t.m_files;
     M.add t.m_streams (Corpus.stream_count l_corpus);
@@ -247,41 +357,44 @@ let scan t dir =
 
 (* --- window assembly --- *)
 
-(* The newest [window] files' corpora, oldest first. A file older than
-   the window forgets its corpus for good (only a re-ingest, which makes
-   it the newest, brings one back) but keeps its bookkeeping, so [scan]
-   does not load it again. *)
-let window_corpus t =
-  let newest_first =
-    Hashtbl.fold (fun _ f acc -> f :: acc) t.files []
-    |> List.sort (fun a b -> compare b.f_seq a.f_seq)
-  in
-  List.iteri (fun i f -> if i >= t.config.window then f.f_corpus <- None) newest_first;
-  let corpora = List.rev (List.filter_map (fun f -> f.f_corpus) newest_first) in
-  let streams = List.concat_map (fun (c : Corpus.t) -> c.Corpus.streams) corpora in
-  let specs =
-    List.fold_left
-      (fun acc (s : Scenario.spec) ->
-        let same (s' : Scenario.spec) = s'.Scenario.name = s.Scenario.name in
-        if List.exists same acc then acc else acc @ [ s ])
-      []
-      (List.concat_map (fun (c : Corpus.t) -> c.Corpus.specs) corpora)
-  in
-  (List.length corpora, Corpus.create ~streams ~specs)
+let keys (c : Corpus.t) = List.map Codec_v2.stream_key c.Corpus.streams
 
-let snapshot_for t (corpus : Corpus.t) =
-  let fp =
-    Snapshot.fingerprint ~components:t.config.components
-      ~specs:corpus.Corpus.specs ~k:t.config.k ()
-  in
-  match t.snap with
-  | Some (fp', snap) when fp' = fp -> snap
-  | _ ->
-    let snap = Snapshot.create ?dir:t.config.cache_dir ~fingerprint:fp () in
-    t.snap <- Some (fp, snap);
-    snap
+(* The window's files under the tick's snapshot: a file whose entries
+   were stepped under another fingerprint (the window's specs changed
+   since its ingest) is folded again from its path. A file that changed
+   on disk since its ingest leaves the window; [scan] sees the change
+   and ingests it anew. *)
+let refold t ~specs ~fp snap files =
+  List.filter_map
+    (fun (f, w) ->
+      match w.w_fp with
+      | Some fp' when fp' <> fp -> (
+        match fold_file t ~under:(fun _ -> (specs, fp, snap)) f.f_path with
+        | Ok (_, w')
+          when keys w'.w_corpus = keys w.w_corpus
+               && w'.w_corpus.Corpus.specs = w.w_corpus.Corpus.specs ->
+          f.f_folded <- Some w';
+          Some (f, w')
+        | result ->
+          Dpobs.Log.warn "monitor: %s leaves the window: %s" f.f_path
+            (match result with
+            | Error msg -> msg
+            | Ok _ -> "changed since it was ingested");
+          f.f_folded <- None;
+          None)
+      | _ -> Some (f, w))
+    files
 
-let snapshot_stats t = Option.map (fun (_, s) -> Snapshot.stats s) t.snap
+(* The tick's window, oldest first, with its specs, fingerprint and
+   snapshot. A file that leaves it on its second fold may take specs
+   with it, so the window is taken again without it. *)
+let rec tick_window t files =
+  let specs = merge_specs (List.map (fun (_, w) -> w.w_corpus.Corpus.specs) files) in
+  let fp = fingerprint t specs in
+  let snap = snapshot_for t fp in
+  let kept = refold t ~specs ~fp snap files in
+  if List.compare_lengths kept files = 0 then (kept, specs, fp, snap)
+  else tick_window t kept
 
 (* --- rule evaluation --- *)
 
@@ -390,6 +503,60 @@ let evaluate_relative t b impact patterns =
       | Rules.Ingest_lag _ | Rules.Parse_failure -> [])
     t.config.rules
 
+(* --- view bundles ---
+
+   A bundle reads its exemplars' events, which the window does not keep:
+   the files holding a scenario's class streams are loaded again, once
+   per tick, and each loaded stream must carry its skeleton's key. *)
+
+let reloads t files =
+  List.map
+    (fun (f, w) ->
+      ( w.w_corpus.Corpus.streams,
+        lazy
+          (match Corpus_dir.load ?pool:t.pool ~mode:t.config.mode f.f_path with
+          | Error msg -> Error msg
+          | Ok { Corpus_dir.l_corpus; _ } ->
+            if keys l_corpus = keys w.w_corpus then Ok l_corpus.Corpus.streams
+            else Error (f.f_path ^ " changed since it was ingested")) ))
+    files
+
+(* [r] with its class streams' events back, from the files holding them. *)
+let with_events reloads (r : Pipeline.scenario_result) =
+  let c = r.Pipeline.classification in
+  let key = Codec_v2.stream_key in
+  let wanted = Hashtbl.create 64 and full = Hashtbl.create 64 in
+  List.iter (fun (st, _) -> Hashtbl.replace wanted (key st) ()) (c.Classify.fast @ c.Classify.slow);
+  let failure =
+    List.find_map
+      (fun (skeletons, streams) ->
+        if not (List.exists (fun st -> Hashtbl.mem wanted (key st)) skeletons) then None
+        else
+          match Lazy.force streams with
+          | Error msg -> Some msg
+          | Ok streams ->
+            List.iter (fun st -> Hashtbl.replace full (key st) st) streams;
+            None)
+      reloads
+  in
+  let back =
+    List.map (fun (st, i) -> (Option.value ~default:st (Hashtbl.find_opt full (key st)), i))
+  in
+  match failure with
+  | Some msg -> Error msg
+  | None ->
+    Ok
+      {
+        r with
+        Pipeline.classification =
+          {
+            c with
+            Classify.fast = back c.Classify.fast;
+            middle = back c.Classify.middle;
+            slow = back c.Classify.slow;
+          };
+      }
+
 (* --- the tick --- *)
 
 let status_line t =
@@ -459,10 +626,21 @@ let tick t =
   let relative, views =
     if not changed then ([], [])
     else begin
-      let n_files, corpus = window_corpus t in
-      let snap = snapshot_for t corpus in
-      Snapshot.ensure ?pool:t.pool snap t.config.components corpus;
+      let files, specs, fp, snap =
+        tick_window t
+          (List.rev_map (fun f -> (f, Option.get f.f_folded)) (window_newest_first t))
+      in
+      t.snap <- Some (fp, snap);
+      t.opened <- [];
+      Snapshot.new_pass snap;
+      List.iter (fun (_, w) -> List.iter (Snapshot.settle snap) w.w_entries) files;
       Snapshot.drop_stale snap;
+      let n_files = List.length files in
+      let corpus =
+        Corpus.create
+          ~streams:(List.concat_map (fun (_, w) -> w.w_corpus.Corpus.streams) files)
+          ~specs
+      in
       let report =
         Pipeline.run_report_snap ?pool:t.pool ~k:t.config.k snap corpus
       in
@@ -506,26 +684,32 @@ let tick t =
         match t.config.view_dir with
         | None -> []
         | Some vdir ->
+          let reloads = reloads t files in
           List.filter_map (fun (_, s, _, _) -> s) out
           |> List.sort_uniq compare
           |> List.filter_map (fun scn ->
                  match List.assoc_opt scn report.Pipeline.scenarios with
                  | None -> None
-                 | Some r ->
-                   let dir =
-                     Filename.concat vdir
-                       (Printf.sprintf "tick-%d-%s" t.tick_count
-                          (String.map
-                             (function '/' | '\\' -> '_' | ch -> ch)
-                             scn))
-                   in
-                   let b =
-                     Dpviz.Bundle.write ~components:t.config.components
-                       ~dir r
-                   in
-                   Dpobs.Log.info "monitor: view bundle %s (%d files)" dir
-                     (List.length b.Dpviz.Bundle.files);
-                   Some (scn, dir))
+                 | Some r -> (
+                   match with_events reloads r with
+                   | Error msg ->
+                     Dpobs.Log.warn "monitor: no view bundle for %s: %s" scn msg;
+                     None
+                   | Ok r ->
+                     let dir =
+                       Filename.concat vdir
+                         (Printf.sprintf "tick-%d-%s" t.tick_count
+                            (String.map
+                               (function '/' | '\\' -> '_' | ch -> ch)
+                               scn))
+                     in
+                     let b =
+                       Dpviz.Bundle.write ~components:t.config.components
+                         ~dir r
+                     in
+                     Dpobs.Log.info "monitor: view bundle %s (%d files)" dir
+                       (List.length b.Dpviz.Bundle.files);
+                     Some (scn, dir)))
       in
       (out, views)
     end

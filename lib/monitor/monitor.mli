@@ -5,9 +5,10 @@
     tables — but its closing observation (mined patterns are "clues for
     similar cases" to re-check on the next snapshot) is a loop. This
     module runs that loop: watch a directory into which tracing sessions
-    drop corpus files, ingest each delta incrementally through the
-    {!Dpcore.Snapshot} cache, maintain a rolling baseline over the last
-    [window] files, and on every tick compare the fresh window against
+    drop corpus files, fold each delta through the {!Dpcore.Snapshot}
+    cache as it is ingested, keep a rolling window of the last [window]
+    files (their stream skeletons and snapshot entries, never their
+    events), and on every tick compare the fresh window against
     the baseline — {!Dpcore.Diff.compare_patterns} over each scenario's
     top-K mined patterns plus a bootstrap-CI drift test on the impact
     metrics ({!Dpcore.Robustness}) — feeding a declarative
@@ -40,8 +41,10 @@ type config = {
   components : Dpcore.Component.t;
   rules : Rules.rule list;
   window : int;
-      (** Rolling window, in most recent corpus files. A file that
-          leaves it keeps only what {!scan} needs to skip it. *)
+      (** Rolling window, in most recent corpus files. A window file
+          keeps its specs, stream skeletons and snapshot entries; a
+          file that leaves the window keeps only what {!scan} needs to
+          skip it. *)
   k : int;  (** Mining segment-length bound. *)
   top_patterns : int;
       (** Pattern-rule focus: only the new window's top-N ranked mined
@@ -62,7 +65,12 @@ type config = {
       (** When set, every tick that raises scenario-tagged alerts also
           writes a {!Dpviz.Bundle} view bundle per alerted scenario
           under [view_dir/tick-N-SCENARIO/], and those alerts carry the
-          directory in their [view] field. *)
+          directory in their [view] field. A bundle reads its
+          exemplars' events, so the tick loads the window files that
+          hold the scenario's class streams again and checks each
+          stream's content key against its skeleton; a file changed on
+          disk since its ingest costs that scenario its bundle (with a
+          logged warning), not the alert. *)
 }
 
 val default_config : config
@@ -94,10 +102,16 @@ val now_ms : t -> int
 (** {1 Feeding} *)
 
 val ingest : t -> ?mtime_ms:int -> string -> (unit, string) result
-(** Load (or reload) one corpus file into the window. [mtime_ms]
-    defaults to the file's mtime (replay passes the virtual clock). A
-    load failure is remembered for the next tick's [parse_failure]
-    rule and counted in [monitor.parse_failures]. *)
+(** Fold (or fold again) one corpus file into the window, as the newest
+    file: {!Dptrace.Corpus_dir.fold} hands each stream, as it is
+    decoded, to {!Dpcore.Snapshot.lookup_or_step} under the snapshot
+    whose fingerprint covers the window's specs once this file joins
+    (opened on the first step if need be), so a hit's events are never
+    built and a miss is analysed here. The file keeps only its specs,
+    skeletons and entries. [mtime_ms] defaults to the file's mtime
+    (replay passes the virtual clock). A read failure is remembered for
+    the next tick's [parse_failure] rule and counted in
+    [monitor.parse_failures]. *)
 
 val scan : t -> string -> int
 (** {!ingest} every new or changed corpus file directly under the
@@ -105,16 +119,21 @@ val scan : t -> string -> int
     The watch loop calls this every interval. *)
 
 val tick : t -> Rules.alert list
-(** Run one ingest tick over everything fed since the last one:
-    rebuild the window corpus, {!Dpcore.Snapshot.ensure} it (only new
-    streams analyse) and {!Dpcore.Snapshot.drop_stale} what left the
-    window, take its report from the snapshot
-    ({!Dpcore.Pipeline.run_report_snap}), evaluate the rules against the
-    rolling baseline, emit alerts and
-    rewrite the exposition. A tick with no pending changes skips the
-    analysis entirely and raises no relative alerts. The first
-    analysed tick establishes the baseline and raises no relative
-    alerts either. *)
+(** Run one ingest tick over everything fed since the last one. Take
+    the window's snapshot by the fingerprint of its specs, fold again
+    (from its path) any window file whose entries were stepped under
+    another fingerprint (a file that no longer reads as it did leaves
+    the window, with a logged warning), then start a pass
+    ({!Dpcore.Snapshot.new_pass}) and {!Dpcore.Snapshot.settle} every
+    window entry in window order: the tick steps no stream, and its
+    hit/miss counts are those of a pass over the resident window.
+    {!Dpcore.Snapshot.drop_stale} what left the window, take the report
+    over the window's skeletons from the snapshot
+    ({!Dpcore.Pipeline.run_report_snap}), evaluate the rules against
+    the rolling baseline, emit alerts and rewrite the exposition. A
+    tick with no pending changes skips the analysis entirely and raises
+    no relative alerts. The first analysed tick establishes the
+    baseline and raises no relative alerts either. *)
 
 val ticks : t -> int
 val alerts_total : t -> int

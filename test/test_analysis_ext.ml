@@ -259,6 +259,63 @@ let test_bootstrap_replicates_positive () =
       | exception Invalid_argument _ -> ())
     [ 0; -1 ]
 
+(* The list-based bootstrap the loop replaced: each replicate is a
+   [List.init] of draws merged with [Impact.merge]. *)
+let bootstrap_reference ~replicates ~seed streams =
+  let module R = Dpcore.Robustness in
+  let merge_all = List.fold_left Dpcore.Impact.merge Dpcore.Impact.empty in
+  let per_stream = Array.of_list streams in
+  let n = Array.length per_stream in
+  let prng = Dputil.Prng.of_int seed in
+  let samples =
+    Array.init replicates (fun _ ->
+        merge_all (List.init n (fun _ -> per_stream.(Dputil.Prng.int prng n))))
+  in
+  let full = merge_all streams in
+  let ci metric =
+    let xs = Array.map metric samples in
+    {
+      R.point = metric full;
+      mean = Dputil.Stats.mean xs;
+      lo = Dputil.Stats.percentile xs 2.5;
+      hi = Dputil.Stats.percentile xs 97.5;
+    }
+  in
+  {
+    R.ia_wait = ci Dpcore.Impact.ia_wait;
+    ia_run = ci Dpcore.Impact.ia_run;
+    ia_opt = ci Dpcore.Impact.ia_opt;
+    propagation_ratio = ci Dpcore.Impact.propagation_ratio;
+    replicates;
+  }
+
+(* Random per-stream impacts, [n] of them. *)
+let gen_streams n =
+  let open QCheck.Gen in
+  let impact =
+    map
+      (fun (d_scn, d_wait, d_run, d_waitdist, instances, counted_waits, counted_runs) ->
+        { Dpcore.Impact.d_scn; d_wait; d_run; d_waitdist; instances; counted_waits;
+          counted_runs })
+      (tup7 (int_bound 100_000) (int_bound 50_000) (int_bound 50_000)
+         (int_bound 30_000) (int_bound 20) (int_bound 40) (int_bound 40))
+  in
+  pair (int_bound 1000) (n >>= fun n -> list_repeat n impact)
+
+(* Below and above 10,000 streams, where older [List.init]s switch to a
+   tail-recursive branch. *)
+let test_bootstrap_matches_reference (name, n) =
+  QCheck.Test.make ~name:("bootstrap loop = list-based reference, " ^ name) ~count:6
+    (QCheck.make
+       ~print:(fun (seed, xs) -> Printf.sprintf "seed %d, %d streams" seed (List.length xs))
+       (gen_streams n))
+    (fun (seed, streams) ->
+      let replicates = 5 in
+      compare
+        (Dpcore.Robustness.bootstrap ~replicates ~seed streams)
+        (bootstrap_reference ~replicates ~seed streams)
+      = 0)
+
 let () =
   Alcotest.run "analysis-ext"
     [
@@ -291,5 +348,11 @@ let () =
           Alcotest.test_case "empty corpus" `Quick test_bootstrap_empty;
           Alcotest.test_case "replicates must be positive" `Quick
             test_bootstrap_replicates_positive;
-        ] );
+        ]
+        @ List.map
+            (fun case -> QCheck_alcotest.to_alcotest (test_bootstrap_matches_reference case))
+            [
+              ("n <= 300", QCheck.Gen.int_range 1 300);
+              ("n > 10,000", QCheck.Gen.int_range 10_001 12_000);
+            ] );
     ]

@@ -269,6 +269,207 @@ let test_window_forgets () =
   check Alcotest.int "files out of the window are not reloaded" 0
     (Monitor.scan t dir)
 
+(* --- the window's numbers, against a resident-corpus oracle --- *)
+
+(* A window's resident corpus, as the monitor once kept it: its files
+   loaded whole, oldest first, streams concatenated, the first spec of
+   each name winning. *)
+let resident_window ~mode paths =
+  let corpora =
+    List.map
+      (fun path ->
+        match Dptrace.Corpus_dir.load ~mode path with
+        | Ok l -> l.Dptrace.Corpus_dir.l_corpus
+        | Error e -> Alcotest.failf "load %s: %s" path e)
+      paths
+  in
+  let specs =
+    List.fold_left
+      (fun acc (s : Dptrace.Scenario.spec) ->
+        if List.exists (fun (s' : Dptrace.Scenario.spec) -> s'.name = s.name) acc then acc
+        else acc @ [ s ])
+      []
+      (List.concat_map (fun (c : Dptrace.Corpus.t) -> c.Dptrace.Corpus.specs) corpora)
+  in
+  Dptrace.Corpus.create
+    ~streams:(List.concat_map (fun (c : Dptrace.Corpus.t) -> c.Dptrace.Corpus.streams) corpora)
+    ~specs
+
+(* The gauges an analysed tick sets, as Pipeline.run_report over the
+   resident corpus of the window's files gives them. *)
+let check_gauges ~what (cfg : Monitor.config) paths =
+  let module M = Dpobs.Metrics in
+  let corpus = resident_window ~mode:cfg.Monitor.mode paths in
+  let report = Dpcore.Pipeline.run_report ~k:cfg.Monitor.k cfg.Monitor.components corpus in
+  let gauge name = M.gauge_value (M.gauge name) in
+  check Alcotest.int (what ^ ": window_files") (List.length paths)
+    (gauge "monitor.window_files");
+  check Alcotest.int (what ^ ": window_streams") (Dptrace.Corpus.stream_count corpus)
+    (gauge "monitor.window_streams");
+  check Alcotest.int (what ^ ": window_instances") (Dptrace.Corpus.instance_count corpus)
+    (gauge "monitor.window_instances");
+  check Alcotest.bool (what ^ ": some scenario rows") true
+    (report.Dpcore.Pipeline.per_scenario <> []);
+  List.iter
+    (fun (scn, r) ->
+      check Alcotest.int
+        (Printf.sprintf "%s: %s ia_wait ppm" what scn)
+        (int_of_float ((Dpcore.Impact.ia_wait r *. 1e6) +. 0.5))
+        (gauge (M.labelled "monitor.scenario_ia_wait_ppm" [ ("scenario", scn) ])))
+    report.Dpcore.Pipeline.per_scenario
+
+(* Flip four bytes in the middle of a file: one stream frame fails its
+   checksum. *)
+let damage path =
+  let data = Bytes.of_string (read_file path) in
+  Bytes.blit_string "\xff\xff\xff\xff" 0 data (Bytes.length data / 2) 4;
+  let oc = open_out_bin path in
+  output_bytes oc data;
+  close_out oc
+
+(* Window 2, under [`Recover]: a file with a damaged frame, a file whose
+   specs change the window's spec set after the next file's ingest (so
+   the tick folds that file again under the new specs), a changed file
+   ingested again, and a file rewritten before its second fold. After
+   every analysed tick the window gauges equal the resident oracle's. *)
+let test_window_oracle () =
+  let dir = fresh_dir () in
+  let p name = Filename.concat dir name in
+  let gen ?(scale = 0.04) seed =
+    Corpus_gen.generate
+      { Corpus_gen.default_config with seed; scale; cross_traffic = false }
+  in
+  Codec_v2.save (p "a.dpf") (gen 31);
+  Codec_v2.save (p "b.dpf") (gen 32);
+  (* c's first spec is slower than everyone else's. *)
+  (let c = gen 33 in
+   let specs =
+     match c.Dptrace.Corpus.specs with
+     | s :: rest -> { s with Dptrace.Scenario.tslow = s.Dptrace.Scenario.tslow * 2 } :: rest
+     | [] -> Alcotest.fail "fixture has no spec"
+   in
+   Codec_v2.save (p "c.dpf") (Dptrace.Corpus.create ~streams:c.Dptrace.Corpus.streams ~specs));
+  Codec_v2.save (p "d.dpf") (gen 34);
+  damage (p "d.dpf");
+  (match Dptrace.Corpus_dir.load ~mode:`Recover (p "d.dpf") with
+  | Ok { Dptrace.Corpus_dir.l_report = Some { Codec_v2.dropped = _ :: _; _ }; _ } -> ()
+  | _ -> Alcotest.fail "d.dpf should recover with a dropped frame");
+  let cfg = { Monitor.default_config with window = 2; replicates = 10; mode = `Recover } in
+  let specs_of paths = (resident_window ~mode:`Recover paths).Dptrace.Corpus.specs in
+  check Alcotest.bool "c's ingest and the next tick see different specs" true
+    (specs_of [ p "b.dpf"; p "c.dpf" ] <> specs_of [ p "c.dpf"; p "d.dpf" ]);
+  let t = Monitor.create cfg in
+  Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
+  Monitor.set_clock t 0;
+  let ingest name =
+    match Monitor.ingest t ~mtime_ms:(Monitor.now_ms t) (p name) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "ingest %s: %s" name e
+  in
+  let frames_read = Dpobs.Metrics.counter "codec_v2.frames_read" in
+  (* A tick, with the frames it read from disk. *)
+  let tick () =
+    let before = Dpobs.Metrics.counter_value frames_read in
+    ignore (Monitor.tick t : Rules.alert list);
+    Dpobs.Metrics.counter_value frames_read - before
+  in
+  ingest "a.dpf";
+  ingest "b.dpf";
+  check Alcotest.int "tick 1 reads nothing" 0 (tick ());
+  check_gauges ~what:"tick 1" cfg [ p "a.dpf"; p "b.dpf" ];
+  ingest "c.dpf";
+  ingest "d.dpf";
+  check Alcotest.bool "tick 2 folds c again" true (tick () > 0);
+  check_gauges ~what:"tick 2" cfg [ p "c.dpf"; p "d.dpf" ];
+  Codec_v2.save (p "b.dpf") (gen ~scale:0.05 35);
+  ingest "b.dpf";
+  check Alcotest.bool "tick 3 folds d again" true (tick () > 0);
+  check_gauges ~what:"tick 3" cfg [ p "d.dpf"; p "b.dpf" ];
+  (* c joins under b's specs and must be folded again under its own once
+     a joins, but it was rewritten meanwhile: it leaves the window. *)
+  ingest "c.dpf";
+  ingest "a.dpf";
+  Codec_v2.save (p "c.dpf") (gen 36);
+  check Alcotest.bool "tick 4 tries c again" true (tick () > 0);
+  check_gauges ~what:"tick 4" cfg [ p "a.dpf" ];
+  check Alcotest.int "a no-op tick reads nothing" 0 (tick ())
+
+(* A view bundle reads its exemplars' events back from the window's
+   files. A file rewritten on disk since its ingest no longer holds the
+   streams the window analysed, so its scenarios get no view. *)
+let test_changed_file_gets_no_view () =
+  let fixture_dir = Lazy.force fixture in
+  let dir = fresh_dir () in
+  let copy name =
+    let path = Filename.concat dir name in
+    let oc = open_out_bin path in
+    output_string oc (read_file (Filename.concat fixture_dir name));
+    close_out oc;
+    path
+  in
+  let paths = List.map copy [ "calm1.dpf"; "calm2.dpf"; "slow.dpf" ] in
+  let t =
+    Monitor.create
+      { (config ~dir ~tag:"views") with view_dir = Some (Filename.concat dir "views") }
+  in
+  Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
+  Monitor.set_clock t 0;
+  let ingest path =
+    match Monitor.ingest t ~mtime_ms:0 path with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "ingest: %s" e
+  in
+  List.iter ingest [ List.nth paths 0; List.nth paths 1 ];
+  ignore (Monitor.tick t : Rules.alert list);
+  ingest (List.nth paths 2);
+  List.iter (fun path -> gen_save ~seed:77 ~scale:0.05 ~cross:false path)
+    [ List.nth paths 0; List.nth paths 1 ];
+  let alerts = Monitor.tick t in
+  check Alcotest.bool "scenario alerts raised" true
+    (List.exists (fun a -> a.Rules.a_scenario <> None) alerts);
+  check Alcotest.bool "none carries a view" true
+    (List.for_all (fun a -> a.Rules.a_view = None) alerts)
+
+(* --- bounded memory: the window keeps skeletons and entries --- *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* Window 2 over six files: once a tick is done, what the monitor keeps
+   live is under half of what one of those files takes loaded whole. *)
+let test_window_memory () =
+  let dir = fresh_dir () in
+  let paths =
+    List.init 6 (fun i ->
+        let path = Filename.concat dir (Printf.sprintf "m%d.dpf" i) in
+        gen_save ~seed:(60 + i) ~scale:0.1 ~cross:false path;
+        path)
+  in
+  let resident =
+    let base = live_words () in
+    let corpus = fst (Codec_v2.load ~mode:`Strict (List.hd paths)) in
+    let words = live_words () - base in
+    ignore (Sys.opaque_identity corpus);
+    words
+  in
+  let base = live_words () in
+  let t = Monitor.create { Monitor.default_config with window = 2; replicates = 10 } in
+  Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
+  Monitor.set_clock t 0;
+  List.iteri
+    (fun i path ->
+      (match Monitor.ingest t ~mtime_ms:i path with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "ingest: %s" e);
+      ignore (Monitor.tick t : Rules.alert list);
+      let kept = live_words () - base in
+      if kept >= resident / 2 then
+        Alcotest.failf "tick %d: %d live words kept, one file loaded whole takes %d"
+          (i + 1) kept resident)
+    paths;
+  ignore (Sys.opaque_identity t)
+
 (* --- the OpenMetrics exposition --- *)
 
 let test_openmetrics_exposition () =
@@ -566,6 +767,12 @@ let () =
             test_scan_incremental;
           Alcotest.test_case "a sliding window forgets what left it" `Quick
             test_window_forgets;
+          Alcotest.test_case "window gauges = resident run_report" `Slow
+            test_window_oracle;
+          Alcotest.test_case "the window keeps skeletons, not events" `Slow
+            test_window_memory;
+          Alcotest.test_case "a file changed on disk gets no view" `Slow
+            test_changed_file_gets_no_view;
         ] );
       ( "exposition",
         [

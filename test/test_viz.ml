@@ -359,35 +359,43 @@ let write_lines path lines =
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc
 
+(* One replay with --view-dir over three files arriving one per tick,
+   shared by the monitor tests: its directory, view directory, files in
+   arrival order and parsed alerts. *)
+let monitor_replay =
+  lazy
+    (let dir = fresh_dir () in
+     let p name = Filename.concat dir name in
+     let files = [ p "calm1.dpf"; p "calm2.dpf"; p "slow.dpf" ] in
+     List.iter2 Dptrace.Codec_v2.save files
+       [ gen ~cross:false 1; gen ~cross:false 2; gen ~cores:1 9 ];
+     let manifest = p "replay.manifest" in
+     write_lines manifest
+       [
+         "clock 1000"; "add calm1.dpf"; "tick"; "clock +5000"; "add calm2.dpf";
+         "tick"; "clock +5000"; "add slow.dpf"; "tick";
+       ];
+     let view_dir = p "views" in
+     let config =
+       {
+         Dpmon.Monitor.default_config with
+         replicates = 40;
+         alert_log = Some (p "alerts.jsonl");
+         view_dir = Some view_dir;
+       }
+     in
+     let s = Dpmon.Monitor.replay config ~manifest in
+     check Alcotest.bool "replay raised alerts" true (s.Dpmon.Monitor.r_alerts > 0);
+     let alerts =
+       read_file (p "alerts.jsonl")
+       |> String.split_on_char '\n'
+       |> List.filter (fun l -> String.trim l <> "")
+       |> List.map Tjson.parse
+     in
+     (dir, view_dir, files, alerts))
+
 let test_monitor_view_bundles () =
-  let dir = fresh_dir () in
-  let p name = Filename.concat dir name in
-  Dptrace.Codec_v2.save (p "calm1.dpf") (gen ~cross:false 1);
-  Dptrace.Codec_v2.save (p "calm2.dpf") (gen ~cross:false 2);
-  Dptrace.Codec_v2.save (p "slow.dpf") (gen ~cores:1 9);
-  let manifest = p "replay.manifest" in
-  write_lines manifest
-    [
-      "clock 1000"; "add calm1.dpf"; "tick"; "clock +5000"; "add calm2.dpf";
-      "tick"; "clock +5000"; "add slow.dpf"; "tick";
-    ];
-  let view_dir = p "views" in
-  let config =
-    {
-      Dpmon.Monitor.default_config with
-      replicates = 40;
-      alert_log = Some (p "alerts.jsonl");
-      view_dir = Some view_dir;
-    }
-  in
-  let s = Dpmon.Monitor.replay config ~manifest in
-  check Alcotest.bool "replay raised alerts" true (s.Dpmon.Monitor.r_alerts > 0);
-  let alerts =
-    read_file (p "alerts.jsonl")
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.map Tjson.parse
-  in
+  let _, view_dir, _, alerts = Lazy.force monitor_replay in
   let with_scenario =
     List.filter (fun a -> Tjson.str (Tjson.get "scenario" a) <> None) alerts
   in
@@ -412,6 +420,69 @@ let test_monitor_view_bundles () =
         check Alcotest.bool "no view on scenario-less alerts" true
           (Tjson.member "view" a = None))
     alerts
+
+(* The monitor keeps no events, so its bundles read them back from the
+   window's files: each must be byte for byte what Bundle.write makes of
+   the scenario's result over the window's resident corpus (tick N's
+   window is the first N files). *)
+let test_monitor_views_match_resident () =
+  let dir, _, files, alerts = Lazy.force monitor_replay in
+  let reports = Hashtbl.create 4 in
+  let report_at tick =
+    match Hashtbl.find_opt reports tick with
+    | Some r -> r
+    | None ->
+      let corpora =
+        List.filteri (fun i _ -> i < tick) files
+        |> List.map (fun path -> fst (Dptrace.Codec_v2.load ~mode:`Strict path))
+      in
+      let corpus =
+        Corpus.create
+          ~streams:(List.concat_map (fun (c : Corpus.t) -> c.Corpus.streams) corpora)
+          ~specs:(List.hd corpora).Corpus.specs
+      in
+      let r = Dpcore.Pipeline.run_report Component.drivers corpus in
+      Hashtbl.add reports tick r;
+      r
+  in
+  let views =
+    List.filter_map
+      (fun a ->
+        match Tjson.member "view" a with
+        | Some _ ->
+          Some
+            ( int_of_float (Tjson.get_num "tick" a),
+              Tjson.get_str "scenario" a,
+              Tjson.get_str "view" a )
+        | None -> None)
+      alerts
+    |> List.sort_uniq compare
+  in
+  check Alcotest.bool "some alert has a view" true (views <> []);
+  List.iter
+    (fun (tick, scn, view) ->
+      let r = List.assoc scn (report_at tick).Dpcore.Pipeline.scenarios in
+      let b =
+        Bundle.write
+          ~dir:(Filename.concat dir (Printf.sprintf "resident-%d-%s" tick scn))
+          r
+      in
+      let slices =
+        Tjson.get_arr "traceEvents" (Tjson.parse (read_file (List.hd b.Bundle.files)))
+        |> List.filter (fun e ->
+               Tjson.member "ph" e = Some (Tjson.Str "X")
+               && Tjson.member "cat" e <> Some (Tjson.Str "instance"))
+      in
+      check Alcotest.bool "the resident trace has event slices" true (slices <> []);
+      List.iter
+        (fun path ->
+          let name = Filename.basename path in
+          check Alcotest.string
+            (Printf.sprintf "tick %d %s: %s" tick scn name)
+            (read_file path)
+            (read_file (Filename.concat view name)))
+        b.Bundle.files)
+    views
 
 let () =
   Alcotest.run "viz"
@@ -444,5 +515,7 @@ let () =
           Alcotest.test_case "viz counters count" `Quick test_viz_counters;
           Alcotest.test_case "monitor exports per-alert views" `Slow
             test_monitor_view_bundles;
+          Alcotest.test_case "monitor views = resident-corpus bundles" `Slow
+            test_monitor_views_match_resident;
         ] );
     ]
