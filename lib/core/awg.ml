@@ -41,48 +41,6 @@ type t = {
   mutable stats : reduction_stats;
 }
 
-(* Intermediate per-graph tree after irrelevant-node elimination and
-   wait/unwait merging; merged into the AWG trie on signature prefixes. *)
-type cnode = { cstatus : status; ccost : Dputil.Time.t; ckids : cnode list }
-
-let convert components (g : Wait_graph.t) =
-  let visited : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let rec conv (n : Wait_graph.node) : cnode list =
-    let e = n.Wait_graph.event in
-    if Hashtbl.mem visited e.Event.id then []
-    else begin
-      Hashtbl.replace visited e.Event.id ();
-      match e.Event.kind with
-      | Event.Unwait -> [] (* never a graph child; pairing held in [waker] *)
-      | Event.Running ->
-        (match Component.event_signature components e with
-        | Some s -> [ { cstatus = Running s; ccost = e.Event.cost; ckids = [] } ]
-        | None -> [])
-      | Event.Hw_service ->
-        (match Component.event_signature components e with
-        | Some s -> [ { cstatus = Hw s; ccost = e.Event.cost; ckids = [] } ]
-        | None -> [])
-      | Event.Wait ->
-        let kids () = List.concat_map conv n.Wait_graph.children in
-        (match Component.event_signature components e with
-        | None -> kids () (* irrelevant: promote children *)
-        | Some wait_sig ->
-          let unwait_sig =
-            match n.Wait_graph.waker with
-            | Some u -> Component.event_signature_or_top components u
-            | None -> Signature.of_string "<lost-unwait>"
-          in
-          [
-            {
-              cstatus = Waiting { wait_sig; unwait_sig };
-              ccost = e.Event.cost;
-              ckids = kids ();
-            };
-          ])
-    end
-  in
-  List.concat_map conv g.Wait_graph.roots
-
 let fresh_node status =
   {
     status;
@@ -102,26 +60,6 @@ let node_wacc n =
     let a = Provenance.Wacc.create () in
     n.wacc <- Some a;
     a
-
-let rec merge_into ?src ?parent table (c : cnode) =
-  let n =
-    match Hashtbl.find_opt table c.cstatus with
-    | Some n -> n
-    | None ->
-      let n = fresh_node c.cstatus in
-      Hashtbl.replace table c.cstatus n;
-      (* A new child invalidates the parent's frozen view (only relevant
-         if anything froze mid-build; [build] freezes at the end). *)
-      (match parent with Some p -> p.frozen_kids <- None | None -> ());
-      n
-  in
-  n.cost <- n.cost + c.ccost;
-  n.count <- n.count + 1;
-  if c.ccost > n.max_cost then n.max_cost <- c.ccost;
-  (match src with
-  | Some r -> Provenance.Wacc.add (node_wacc n) r ~cost:c.ccost
-  | None -> ());
-  List.iter (merge_into ?src ~parent:n n.children) c.ckids
 
 let is_hw_leaf n =
   match n.status with Hw _ -> Hashtbl.length n.children = 0 | _ -> false
@@ -186,21 +124,75 @@ let finish ~reduce forest =
   List.iter final (sorted_nodes forest);
   { forest; stats }
 
-(* Convert the graphs and merge them into [forest]: the loop behind
-   [build] and [Partial.build]. The merge runs in the given graph order
-   into a forest keyed by status, with commutative cost/count/max
-   accumulation. When provenance is on, the merge also folds each source
-   graph's scenario instance into the witness accumulator of every node
-   it touches; that add is commutative over instances too. *)
+(* Merge one source event into [table], a level of the forest: the node
+   of its status, created on first sight (which invalidates the parent's
+   frozen view, relevant only if anything froze mid-build; [build] freezes
+   at the end), absorbs its cost, and, when provenance is on, the source
+   graph's scenario instance. *)
+let absorb_event ?src ?parent table status cost =
+  let n =
+    match Hashtbl.find_opt table status with
+    | Some n -> n
+    | None ->
+      let n = fresh_node status in
+      Hashtbl.replace table status n;
+      (match parent with Some p -> p.frozen_kids <- None | None -> ());
+      n
+  in
+  n.cost <- n.cost + cost;
+  n.count <- n.count + 1;
+  if cost > n.max_cost then n.max_cost <- cost;
+  (match src with
+  | Some r -> Provenance.Wacc.add (node_wacc n) r ~cost
+  | None -> ());
+  n
+
+(* Walk each graph and merge it into [forest] as it goes: the loop behind
+   [build] and [Partial.build]. The walk is a preorder over the graph's
+   distinct events (each met once, by the graph's marks). An irrelevant
+   event is eliminated: a wait's children are promoted to its place, and
+   other kinds vanish. A relevant event merges into the level of its
+   nearest relevant ancestor, a wait merging with its pairing unwait;
+   unwaits are never graph children. Accumulation into the forest is
+   commutative (cost, count, max, exact witness add), so only the
+   forest's insertion order follows the walk. *)
 let add_graphs components forest graphs =
-  let converted = List.map (convert components) graphs in
-  if Provenance.enabled () then
-    List.iter2
-      (fun (g : Wait_graph.t) cnodes ->
-        let src = Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance in
-        List.iter (merge_into ~src forest) cnodes)
-      graphs converted
-  else List.iter (List.iter (merge_into forest)) converted;
+  let prov = Provenance.enabled () in
+  List.iter
+    (fun (g : Wait_graph.t) ->
+      let src =
+        if prov then Some (Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance)
+        else None
+      in
+      Wait_graph.with_marks g @@ fun marks ->
+      let rec walk parent table (n : Wait_graph.node) =
+        let e = n.Wait_graph.event in
+        if Wait_graph.first_visit marks e then
+          match e.Event.kind with
+          | Event.Unwait -> ()
+          | Event.Running | Event.Hw_service -> (
+            match Component.event_signature components e with
+            | Some s ->
+              let status = if e.Event.kind = Event.Running then Running s else Hw s in
+              ignore (absorb_event ?src ?parent table status e.Event.cost : node)
+            | None -> ())
+          | Event.Wait -> (
+            match Component.event_signature components e with
+            | None -> List.iter (walk parent table) n.Wait_graph.children
+            | Some wait_sig ->
+              let unwait_sig =
+                match n.Wait_graph.waker with
+                | Some u -> Component.event_signature_or_top components u
+                | None -> Signature.of_string "<lost-unwait>"
+              in
+              let m =
+                absorb_event ?src ?parent table (Waiting { wait_sig; unwait_sig })
+                  e.Event.cost
+              in
+              List.iter (walk (Some m) m.children) n.Wait_graph.children)
+      in
+      List.iter (walk None forest) g.Wait_graph.roots)
+    graphs;
   forest
 
 let build ?(reduce = true) components graphs =

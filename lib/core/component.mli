@@ -18,14 +18,19 @@ val drivers : t
 val patterns : t -> string list
 
 val matches_signature : t -> Dptrace.Signature.t -> bool
-(** Does a single signature's module part match? *)
+(** Does a single signature's module part match? Equal to
+    [Dptrace.Signature.matches] over the compiled patterns, with each
+    signature's verdict computed once per [t] and kept; safe to call
+    from several domains at once. *)
 
 val stack_relevant : t -> Dptrace.Callstack.t -> bool
 (** Does any frame of the callstack match? *)
 
 val event_signature : t -> Dptrace.Event.t -> Dptrace.Signature.t option
-(** The paper's per-event "signature": the topmost matching frame on the
-    callstack, if any; for hardware-service events, the dummy signature. *)
+(** The paper's per-event "signature": the topmost frame whose module part
+    matches one of the patterns (Definition 2's preamble), or [None] when
+    the event is component-irrelevant; for hardware-service events under
+    {!drivers}, the dummy signature. *)
 
 val event_signature_or_top : t -> Dptrace.Event.t -> Dptrace.Signature.t
 (** [event_signature], falling back to the topmost frame, then to

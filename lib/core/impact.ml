@@ -58,14 +58,33 @@ type module_cell = {
   mutable c_max : Dputil.Time.t;
 }
 
+(* A spec'd scenario's slow class, measured in the same traversal as
+   everything else: its own sums, distinct-wait set and provenance
+   collector, fed in graph order, so it equals measuring the class's
+   graphs alone. *)
+type slow_class = {
+  in_class : Dptrace.Scenario.instance -> bool;
+  mutable s_sum : result;
+  s_distinct : (int * int, Dputil.Time.t) Hashtbl.t;
+  s_collector : Provenance.Collector.t option;
+}
+
+(* One scenario's sums over its graphs, its distinct wait time, and its
+   slow class when asked for. *)
+type scenario_acc = {
+  mutable sum : result;
+  mutable dist : Dputil.Time.t;
+  slow : slow_class option;
+}
+
 (* The one traversal: per graph, a BFS for the top-level component waits
    and an [iter_nodes] pass for component running time, accumulating the
-   impact result, the per-module cells, the graph's scenario's sums and
-   (given a collector) the provenance together. A wait or running event
-   counts iff its topmost matching signature exists — the same test as
-   [Component.stack_relevant] for these kinds — and that signature's
-   module is its cell. *)
-let fused ?collector components graphs =
+   impact result, the per-module cells, the graph's scenario's sums, its
+   slow class's and (given a collector) the provenance together. A wait
+   or running event counts iff its topmost matching signature exists —
+   the same test as [Component.stack_relevant] for these kinds — and
+   that signature's module is its cell. *)
+let fused ?collector ?(slow = fun _ -> None) components graphs =
   let cells : (string, module_cell) Hashtbl.t = Hashtbl.create 32 in
   let cell name =
     match Hashtbl.find_opt cells name with
@@ -75,14 +94,25 @@ let fused ?collector components graphs =
       Hashtbl.replace cells name c;
       c
   in
-  (* Per scenario name, newest first (a call sees a handful): the sums
-     over its graphs and its distinct wait time. *)
+  (* Per scenario name, newest first (a call sees a handful). *)
   let scenarios = ref [] in
   let scenario name =
     match List.assoc_opt name !scenarios with
     | Some s -> s
     | None ->
-      let s = (ref empty, ref 0) in
+      let slow =
+        Option.map
+          (fun in_class ->
+            {
+              in_class;
+              s_sum = empty;
+              s_distinct = Hashtbl.create 16;
+              s_collector =
+                Option.map (fun _ -> Provenance.Collector.create ()) collector;
+            })
+          (slow name)
+      in
+      let s = { sum = empty; dist = 0; slow } in
       scenarios := (name, s) :: !scenarios;
       s
   in
@@ -97,44 +127,53 @@ let fused ?collector components graphs =
   let measure_graph (g : Wait_graph.t) =
     let stream_id = g.Wait_graph.stream.Dptrace.Stream.id in
     let sc = scenario g.Wait_graph.instance.Dptrace.Scenario.scenario in
+    let cls =
+      match sc.slow with
+      | Some c when c.in_class g.Wait_graph.instance -> Some c
+      | Some _ | None -> None
+    in
     let iref =
       lazy (Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance)
     in
-    (* BFS that counts a matching wait and does not descend into it.
-       Per-graph visited set keeps the DAG linear. *)
-    let visited : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    (* BFS that counts a matching wait and does not descend into it. The
+       graph's marks keep the DAG linear. *)
     let d_wait = ref 0 and counted_waits = ref 0 in
-    let rec bfs (n : Wait_graph.node) =
-      let e = n.Wait_graph.event in
-      if not (Hashtbl.mem visited e.Event.id) then begin
-        Hashtbl.replace visited e.Event.id ();
-        match
-          if Event.is_wait e then Component.event_signature components e
-          else None
-        with
-        | Some signature ->
-          let module_name = Dptrace.Signature.module_part signature in
-          let c = cell module_name in
-          d_wait := !d_wait + e.Event.cost;
-          incr counted_waits;
-          c.c_wait <- c.c_wait + e.Event.cost;
-          c.c_counted <- c.c_counted + 1;
-          if e.Event.cost > c.c_max then c.c_max <- e.Event.cost;
-          let key = (stream_id, e.Event.id) in
-          (match Hashtbl.find_opt distinct key with
-          | None -> Hashtbl.add distinct key (c, e.Event.cost, [ sc ])
-          | Some (_, _, scs) when List.memq sc scs -> ()
-          | Some (_, _, scs) ->
-            Hashtbl.replace distinct key (c, e.Event.cost, sc :: scs));
-          Option.iter
-            (fun col ->
-              Provenance.Collector.record_wait col ~module_name ~stream_id
-                ~instance:(Lazy.force iref) ~event:e ~signature)
-            collector
-        | None -> List.iter bfs n.Wait_graph.children
-      end
-    in
-    List.iter bfs g.Wait_graph.roots;
+    Wait_graph.with_marks g (fun marks ->
+        let rec bfs (n : Wait_graph.node) =
+          let e = n.Wait_graph.event in
+          if Wait_graph.first_visit marks e then
+            match
+              if Event.is_wait e then Component.event_signature components e
+              else None
+            with
+            | Some signature ->
+              let module_name = Dptrace.Signature.module_part signature in
+              let c = cell module_name in
+              d_wait := !d_wait + e.Event.cost;
+              incr counted_waits;
+              c.c_wait <- c.c_wait + e.Event.cost;
+              c.c_counted <- c.c_counted + 1;
+              if e.Event.cost > c.c_max then c.c_max <- e.Event.cost;
+              let key = (stream_id, e.Event.id) in
+              (match Hashtbl.find_opt distinct key with
+              | None -> Hashtbl.add distinct key (c, e.Event.cost, [ sc ])
+              | Some (_, _, scs) when List.memq sc scs -> ()
+              | Some (_, _, scs) ->
+                Hashtbl.replace distinct key (c, e.Event.cost, sc :: scs));
+              let record col =
+                Provenance.Collector.record_wait col ~module_name ~stream_id
+                  ~instance:(Lazy.force iref) ~event:e ~signature
+              in
+              Option.iter record collector;
+              Option.iter
+                (fun s ->
+                  if not (Hashtbl.mem s.s_distinct key) then
+                    Hashtbl.add s.s_distinct key e.Event.cost;
+                  Option.iter record s.s_collector)
+                cls
+            | None -> List.iter bfs n.Wait_graph.children
+        in
+        List.iter bfs g.Wait_graph.roots);
     (* Component running time over all distinct nodes of the graph. *)
     let d_run = ref 0 and counted_runs = ref 0 in
     Wait_graph.iter_nodes g (fun n ->
@@ -146,41 +185,57 @@ let fused ?collector components graphs =
             d_run := !d_run + e.Event.cost;
             incr counted_runs;
             c.c_run <- c.c_run + e.Event.cost;
-            Option.iter
-              (fun col ->
-                Provenance.Collector.record_run col ~stream_id
-                  ~instance:(Lazy.force iref) ~event:e ~signature)
-              collector
+            let record col =
+              Provenance.Collector.record_run col ~stream_id
+                ~instance:(Lazy.force iref) ~event:e ~signature
+            in
+            Option.iter record collector;
+            Option.iter (fun s -> Option.iter record s.s_collector) cls
           | None -> ());
-    let acc = fst sc in
-    acc :=
+    let add (acc : result) =
       {
-        !acc with
-        d_scn = !acc.d_scn + Dptrace.Scenario.duration g.Wait_graph.instance;
-        d_wait = !acc.d_wait + !d_wait;
-        d_run = !acc.d_run + !d_run;
-        instances = !acc.instances + 1;
-        counted_waits = !acc.counted_waits + !counted_waits;
-        counted_runs = !acc.counted_runs + !counted_runs;
+        acc with
+        d_scn = acc.d_scn + Dptrace.Scenario.duration g.Wait_graph.instance;
+        d_wait = acc.d_wait + !d_wait;
+        d_run = acc.d_run + !d_run;
+        instances = acc.instances + 1;
+        counted_waits = acc.counted_waits + !counted_waits;
+        counted_runs = acc.counted_runs + !counted_runs;
       }
+    in
+    sc.sum <- add sc.sum;
+    Option.iter (fun s -> s.s_sum <- add s.s_sum) cls
   in
   List.iter measure_graph graphs;
   let d_waitdist =
     Hashtbl.fold
       (fun _ (c, cost, scs) total ->
         c.c_waitdist <- c.c_waitdist + cost;
-        List.iter (fun (_, dist) -> dist := !dist + cost) scs;
+        List.iter (fun s -> s.dist <- s.dist + cost) scs;
         total + cost)
       distinct 0
   in
+  let in_order = List.rev !scenarios in
   let per_scenario =
-    List.rev_map
-      (fun (name, (acc, dist)) -> (name, { !acc with d_waitdist = !dist }))
-      !scenarios
+    List.map (fun (name, s) -> (name, { s.sum with d_waitdist = s.dist })) in_order
+  in
+  let slow_classes =
+    List.filter_map
+      (fun (name, s) ->
+        Option.map
+          (fun c ->
+            let d_waitdist = Hashtbl.fold (fun _ cost t -> t + cost) c.s_distinct 0 in
+            ( name,
+              ( { c.s_sum with d_waitdist },
+                match c.s_collector with
+                | Some col -> Provenance.Collector.impact col
+                | None -> Provenance.empty_impact ) ))
+          s.slow)
+      in_order
   in
   (* The scenarios' sums partition the whole's; their distinct waits do
      not. *)
-  let acc = List.fold_left (fun a (_, (acc, _)) -> merge a !acc) empty !scenarios in
+  let acc = List.fold_left (fun a (_, s) -> merge a s.sum) empty in_order in
   let rows =
     Hashtbl.fold
       (fun module_name c acc ->
@@ -195,24 +250,26 @@ let fused ?collector components graphs =
         :: acc)
       cells []
   in
-  ({ acc with d_waitdist }, sort_rows rows, per_scenario)
+  ({ acc with d_waitdist }, sort_rows rows, per_scenario, slow_classes)
 
-let measure components graphs =
-  if not (Provenance.enabled ()) then
-    let r, rows, per_scenario = fused components graphs in
-    (r, Provenance.empty_impact, rows, per_scenario)
-  else begin
-    let collector = Provenance.Collector.create () in
-    let r, rows, per_scenario = fused ~collector components graphs in
-    (r, Provenance.Collector.impact collector, rows, per_scenario)
-  end
+let measure ?slow components graphs =
+  let collector =
+    if Provenance.enabled () then Some (Provenance.Collector.create ()) else None
+  in
+  let r, rows, per_scenario, slow_classes = fused ?collector ?slow components graphs in
+  let prov =
+    match collector with
+    | Some col -> Provenance.Collector.impact col
+    | None -> Provenance.empty_impact
+  in
+  (r, prov, rows, per_scenario, slow_classes)
 
 let analyze_graphs_prov components graphs =
-  let r, prov, _, _ = measure components graphs in
+  let r, prov, _, _, _ = measure components graphs in
   (r, prov)
 
 let by_module components graphs =
-  let _, rows, _ = fused components graphs in
+  let _, rows, _, _ = fused components graphs in
   rows
 
 let fdiv a b = Dputil.Stats.ratio (float_of_int a) (float_of_int b)

@@ -83,16 +83,28 @@ val by_module : Component.t -> Dpwaitgraph.Wait_graph.t list -> module_row list
     sorted by [m_wait] descending. *)
 
 val measure :
+  ?slow:(string -> (Dptrace.Scenario.instance -> bool) option) ->
   Component.t ->
   Dpwaitgraph.Wait_graph.t list ->
-  result * Provenance.impact * module_row list * (string * result) list
+  result
+  * Provenance.impact
+  * module_row list
+  * (string * result) list
+  * (string * (result * Provenance.impact)) list
 (** {!analyze_graphs_prov}, {!by_module} and each scenario's impact from
     one traversal of each graph: one BFS for the top-level waits plus one
     pass over the nodes for running time. The two functions above are
     projections of this pass, so their results agree by construction.
-    The last component is the impact of each scenario's graphs alone, in
-    first-appearance order: a wait that two scenarios' instances reach
-    is distinct in each one's [d_waitdist], and once in the whole's. *)
+    The fourth component is the impact of each scenario's graphs alone,
+    in first-appearance order: a wait that two scenarios' instances reach
+    is distinct in each one's [d_waitdist], and once in the whole's.
+
+    [slow name], looked up once per scenario, selects the scenario's slow
+    class, if it has one (default: none does). The last component lists,
+    in the same order, each scenario with a class and
+    [analyze_graphs_prov] of the graphs in it, measured in the same
+    traversal with the class's own distinct-wait set and provenance
+    collector. *)
 
 val merge_modules : module_row list -> module_row list -> module_row list
 (** Combine breakdowns measured over {e disjoint streams} (sums, max of

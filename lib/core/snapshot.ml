@@ -91,43 +91,55 @@ type part =
   * Impact.module_row list
   * (string * Impact.result) list
 
-let class_part components spec items =
-  let graphs cls =
-    List.filter_map
-      (fun ((i : Scenario.instance), g) ->
-        if Scenario.classify spec i = cls then Some g else None)
-      items
-  in
-  let fast = graphs Scenario.Fast and slow = graphs Scenario.Slow in
-  let cl_slow_impact, cl_slow_prov = Impact.analyze_graphs_prov components slow in
+let class_graphs spec items cls =
+  List.filter_map
+    (fun ((i : Scenario.instance), g) ->
+      if Scenario.classify spec i = cls then Some g else None)
+    items
+
+(* A class part around its slow class's impact: the AWG partials of the
+   class's fast and slow graphs, in instance order. *)
+let with_partials components spec items (cl_slow_impact, cl_slow_prov) =
   {
     cl_slow_impact;
     cl_slow_prov;
-    cl_fast = Awg.Partial.build components fast;
-    cl_slow = Awg.Partial.build components slow;
+    cl_fast = Awg.Partial.build components (class_graphs spec items Scenario.Fast);
+    cl_slow = Awg.Partial.build components (class_graphs spec items Scenario.Slow);
   }
+
+let class_part components spec items =
+  with_partials components spec items
+    (Impact.analyze_graphs_prov components (class_graphs spec items Scenario.Slow))
 
 let stream_step components ~spec_of (st : Stream.t) =
   let index = Stream.pass_index st in
   let items =
     List.map (fun i -> (i, Wait_graph.build ~index st i)) st.Stream.instances
   in
-  let ((_, _, _, per_scenario) as part) =
-    Impact.measure components (List.map snd items)
+  (* One traversal measures the stream, its scenarios and each spec'd
+     scenario's slow class. [measure] lists the scenarios in
+     first-appearance order, and each group keeps instance order: the
+     entry's wire form must be a pure function of the stream. *)
+  let slow name =
+    Option.map
+      (fun spec i -> Scenario.classify spec i = Scenario.Slow)
+      (spec_of name)
   in
-  (* [measure] lists the scenarios in first-appearance order, and each
-     group keeps instance order: the entry's wire form must be a pure
-     function of the stream. *)
-  let class_of name spec =
-    class_part components spec
-      (List.filter
-         (fun ((i : Scenario.instance), _) -> i.Scenario.scenario = name)
-         items)
+  let r, prov, rows, per_scenario, slow_classes =
+    Impact.measure ~slow components (List.map snd items)
   in
-  ( part,
-    List.map
-      (fun (name, _) -> (name, Option.map (class_of name) (spec_of name)))
-      per_scenario )
+  let class_of name =
+    match (spec_of name, List.assoc_opt name slow_classes) with
+    | Some spec, Some slow_class ->
+      Some
+        (with_partials components spec
+           (List.filter
+              (fun ((i : Scenario.instance), _) -> i.Scenario.scenario = name)
+              items)
+           slow_class)
+    | _ -> None
+  in
+  ((r, prov, rows, per_scenario), List.map (fun (name, _) -> (name, class_of name)) per_scenario)
 
 (* --- entry wire form ---
 

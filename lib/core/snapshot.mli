@@ -114,9 +114,11 @@ val stream_step :
   part * (string * class_part option) list
 (** Build the stream's wait graphs once (taking the stream's index for
     this pass only, {!Dptrace.Stream.pass_index}) and measure them once
-    ({!Impact.measure}). Then group them by scenario name, in
-    first-appearance order, and give each group its class part when
-    [spec_of] names a spec for it. No graph outlives the step. *)
+    ({!Impact.measure}, which also measures each spec'd scenario's slow
+    class). Then group them by scenario name, in first-appearance order,
+    and give each group its class part when [spec_of] names a spec for
+    it: equal to {!class_part} of the group. No graph outlives the
+    step. *)
 
 (** {1 Per-stream entries} *)
 

@@ -24,18 +24,6 @@ let push f t =
   Array.blit t 0 fresh 1 n;
   fresh
 
-let topmost_matching patterns t =
-  let n = Array.length t in
-  let rec go i =
-    if i = n then None
-    else if Signature.matches patterns t.(i) then Some t.(i)
-    else go (i + 1)
-  in
-  go 0
-
-let contains_matching patterns t =
-  Array.exists (Signature.matches patterns) t
-
 let contains f t = Array.exists (Signature.equal f) t
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Signature.equal a b

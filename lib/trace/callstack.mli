@@ -41,15 +41,6 @@ val depth : t -> int
 val push : Signature.t -> t -> t
 (** [push f s] adds [f] as the new topmost frame. *)
 
-val topmost_matching : Dputil.Wildcard.t list -> t -> Signature.t option
-(** The paper's "signature" of an event for chosen components: the topmost
-    frame whose module part matches one of the component filters
-    (Definition 2's preamble), or [None] when the event is
-    component-irrelevant. *)
-
-val contains_matching : Dputil.Wildcard.t list -> t -> bool
-(** Whether any frame matches the component filters. *)
-
 val contains : Signature.t -> t -> bool
 
 val equal : t -> t -> bool

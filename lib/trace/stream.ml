@@ -153,23 +153,32 @@ let lower_bound (arr : Event.t array) target =
   in
   go 0 (Array.length arr)
 
-let thread_events_overlapping idx ~tid ~from_ts ~to_ts =
+let map_overlapping idx ~tid ~from_ts ~to_ts ~keep f =
   let arr = events_of_thread idx tid in
   (* An event overlaps iff ts <= to_ts and end_ts >= from_ts. Events are
-     ts-sorted; a long event may start well before [from_ts], so scan back
+     ts-sorted; a long event may start well before [from_ts], so look back
      from the first event starting at/after [from_ts] while spans still can
      reach the window. Per-thread events do not overlap each other, so at
-     most one predecessor qualifies. *)
+     most one predecessor qualifies. [f] runs in timestamp order, and the
+     list is built in that order with no intermediate list. *)
   let start = lower_bound arr from_ts in
-  let before =
-    if start > 0 && Event.end_ts arr.(start - 1) >= from_ts then [ arr.(start - 1) ]
-    else []
+  let[@tail_mod_cons] rec scan i =
+    if i >= Array.length arr || arr.(i).Event.ts > to_ts then []
+    else
+      let e = arr.(i) in
+      if keep e then
+        let x = f e in
+        x :: scan (i + 1)
+      else scan (i + 1)
   in
-  let rec collect i acc =
-    if i >= Array.length arr || arr.(i).Event.ts > to_ts then List.rev acc
-    else collect (i + 1) (arr.(i) :: acc)
-  in
-  before @ collect start []
+  if start > 0 && Event.end_ts arr.(start - 1) >= from_ts && keep arr.(start - 1)
+  then
+    let x = f arr.(start - 1) in
+    x :: scan start
+  else scan start
+
+let thread_events_overlapping idx ~tid ~from_ts ~to_ts =
+  map_overlapping idx ~tid ~from_ts ~to_ts ~keep:(fun _ -> true) Fun.id
 
 let find_waker idx (w : Event.t) =
   let arr = Option.value ~default:[||] (Hashtbl.find_opt idx.unwaits_by_wtid w.tid) in

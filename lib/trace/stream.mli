@@ -105,6 +105,18 @@ val thread_events_overlapping :
     [\[from_ts, to_ts\]], in timestamp order. Zero-cost events (unwaits)
     count as intersecting when their instant lies within the window. *)
 
+val map_overlapping :
+  index ->
+  tid:int ->
+  from_ts:Dputil.Time.t ->
+  to_ts:Dputil.Time.t ->
+  keep:(Event.t -> bool) ->
+  (Event.t -> 'a) ->
+  'a list
+(** [f] of each event {!thread_events_overlapping} lists that [keep]
+    accepts, in timestamp order: one binary search for the window, then
+    one in-order scan that calls [f] on each kept event in turn. *)
+
 val find_waker : index -> Event.t -> Event.t option
 (** [find_waker idx w] is the unwait event that ended wait [w]: the first
     unwait with [wtid = w.tid] and timestamp in [(w.ts, w.ts + w.cost\]]

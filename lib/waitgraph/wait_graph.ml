@@ -15,56 +15,125 @@ type t = {
 
 let max_depth = 128
 
+(* A domain's scratch behind the marks (see the interface) and [build]:
+   [stamp] holds generations, indexed by event id; [memo.(slot.(id))] is
+   the node [build] made for event [id] while [stamp.(id)] is that
+   build's "built" generation. A traversal that finds the scratch [busy]
+   (one nested in another's callback) takes a fresh one. *)
+type scratch = {
+  mutable stamp : int array;
+  mutable slot : int array;
+  mutable memo : node array;
+  mutable gen : int;
+  mutable busy : bool;
+}
+
+(* What an empty memo slot holds. *)
+let no_node =
+  {
+    event =
+      { Event.id = -1; kind = Event.Running; stack = Dptrace.Callstack.of_list [];
+        ts = 0; cost = 0; tid = 0; wtid = -1 };
+    waker = None;
+    children = [];
+  }
+
+let fresh_scratch n =
+  { stamp = Array.make n 0; slot = Array.make n 0; memo = [||]; gen = 0; busy = false }
+
+let scratch_key = Domain.DLS.new_key (fun () -> fresh_scratch 0)
+
+let with_scratch n f =
+  let own = Domain.DLS.get scratch_key in
+  let s = if own.busy then fresh_scratch n else own in
+  if Array.length s.stamp < n then begin
+    let len = max n (2 * Array.length s.stamp) in
+    s.stamp <- Array.make len 0;
+    s.slot <- Array.make len 0
+  end;
+  s.busy <- true;
+  match f s with
+  | v ->
+    s.busy <- false;
+    v
+  | exception exn ->
+    s.busy <- false;
+    raise exn
+
+let next_gen s =
+  s.gen <- s.gen + 1;
+  s.gen
+
+type marks = { m_stamp : int array; m_gen : int }
+
+let with_marks t f =
+  with_scratch (Stream.event_count t.stream) (fun s ->
+      f { m_stamp = s.stamp; m_gen = next_gen s })
+
+let first_visit m (e : Event.t) =
+  m.m_stamp.(e.id) <> m.m_gen
+  && begin
+    m.m_stamp.(e.id) <- m.m_gen;
+    true
+  end
+
+let leaf e = { event = e; waker = None; children = [] }
+
 let build ?index stream (instance : Dptrace.Scenario.instance) =
   let idx = match index with Some i -> i | None -> Stream.index stream in
-  let memo : (int, node) Hashtbl.t = Hashtbl.create 64 in
-  let building : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  with_scratch (Stream.event_count stream) @@ fun s ->
+  let building = next_gen s in
+  let built = next_gen s in
+  let count = ref 0 in
+  let memoise id n =
+    if !count = Array.length s.memo then begin
+      let memo = Array.make (max 16 (2 * !count)) no_node in
+      Array.blit s.memo 0 memo 0 !count;
+      s.memo <- memo
+    end;
+    s.memo.(!count) <- n;
+    s.slot.(id) <- !count;
+    s.stamp.(id) <- built;
+    incr count
+  in
   let rec node_of depth (e : Event.t) =
-    match Hashtbl.find_opt memo e.id with
-    | Some n -> n
-    | None ->
-      if Hashtbl.mem building e.id || depth > max_depth then
-        (* Back edge or runaway chain: cut here with a childless view. *)
-        { event = e; waker = None; children = [] }
-      else begin
-        Hashtbl.replace building e.id ();
-        let n =
-          if Event.is_wait e then expand_wait depth e
-          else { event = e; waker = None; children = [] }
-        in
-        Hashtbl.remove building e.id;
-        Hashtbl.replace memo e.id n;
-        n
-      end
+    let mark = s.stamp.(e.id) in
+    if mark = built then s.memo.(s.slot.(e.id))
+    else if mark = building || depth > max_depth then
+      (* Back edge or runaway chain: cut here with a childless view,
+         memoised for neither. *)
+      leaf e
+    else begin
+      s.stamp.(e.id) <- building;
+      let n = if Event.is_wait e then expand_wait depth e else leaf e in
+      memoise e.id n;
+      n
+    end
   and expand_wait depth (w : Event.t) =
     match Stream.find_waker idx w with
-    | None -> { event = w; waker = None; children = [] }
+    | None -> leaf w
     | Some u ->
-      let window =
-        Stream.thread_events_overlapping idx ~tid:u.Event.tid ~from_ts:w.ts
-          ~to_ts:u.Event.ts
-      in
       let children =
-        window
-        |> List.filter (fun (e : Event.t) ->
-               (not (Event.is_unwait e)) && e.ts < u.Event.ts)
-        |> List.map (node_of (depth + 1))
+        Stream.map_overlapping idx ~tid:u.Event.tid ~from_ts:w.ts ~to_ts:u.Event.ts
+          ~keep:(fun (e : Event.t) -> (not (Event.is_unwait e)) && e.ts < u.Event.ts)
+          (node_of (depth + 1))
       in
       { event = w; waker = Some u; children }
   in
   let roots =
-    Stream.thread_events_overlapping idx ~tid:instance.tid ~from_ts:instance.t0
+    Stream.map_overlapping idx ~tid:instance.tid ~from_ts:instance.t0
       ~to_ts:instance.t1
-    |> List.filter (fun (e : Event.t) -> not (Event.is_unwait e))
-    |> List.map (node_of 0)
+      ~keep:(fun (e : Event.t) -> not (Event.is_unwait e))
+      (node_of 0)
   in
+  (* Drop the memo's hold on this graph's nodes. *)
+  Array.fill s.memo 0 !count no_node;
   { stream; instance; roots }
 
 let iter_nodes t f =
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  with_marks t @@ fun m ->
   let rec go n =
-    if not (Hashtbl.mem seen n.event.Event.id) then begin
-      Hashtbl.replace seen n.event.Event.id ();
+    if first_visit m n.event then begin
       f n;
       List.iter go n.children
     end
@@ -83,18 +152,20 @@ let wait_time t =
       if Event.is_wait n.event then acc + n.event.Event.cost else acc)
 
 let depth t =
-  let memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  with_scratch (Stream.event_count t.stream) @@ fun s ->
+  let gen = next_gen s in
+  (* [slot.(id)] is the memoised depth of a node stamped [gen]. *)
   let rec go n =
-    match Hashtbl.find_opt memo n.event.Event.id with
-    | Some d -> d
-    | None ->
+    let id = n.event.Event.id in
+    if s.stamp.(id) = gen then s.slot.(id)
+    else begin
       (* Seed with 1 so revisits along a cycle-cut path terminate. *)
-      Hashtbl.replace memo n.event.Event.id 1;
-      let d =
-        1 + List.fold_left (fun acc c -> max acc (go c)) 0 n.children
-      in
-      Hashtbl.replace memo n.event.Event.id d;
+      s.stamp.(id) <- gen;
+      s.slot.(id) <- 1;
+      let d = 1 + List.fold_left (fun acc c -> max acc (go c)) 0 n.children in
+      s.slot.(id) <- d;
       d
+    end
   in
   List.fold_left (fun acc n -> max acc (go n)) 0 t.roots
 

@@ -32,12 +32,50 @@ type t = {
 }
 
 val build : ?index:Dptrace.Stream.index -> Dptrace.Stream.t -> Dptrace.Scenario.instance -> t
-(** Construct the Wait Graph of one instance. Pass [index] to share the
-    stream index across the many instances of one stream. Expansion is
-    bounded (depth 128) and cycle-guarded, so it is total on any input. *)
+(** Construct the Wait Graph of one instance. Pass [index] (the stream's
+    own) to share the stream index across the many instances of one
+    stream. Expansion is total on any input: it is cut, with a childless
+    view of the event ([waker = None], [children = []]), in two cases.
+
+    - A back edge: an event met again while its own expansion is still
+      running. The view is not memoised; the expansion in progress
+      finishes and is memoised as usual.
+    - Depth: an event first met beyond depth {!max_depth} (roots are at
+      depth 0). The view is not memoised either, so the same event met
+      later at depth [<= max_depth] is expanded in full, and from then
+      on every meeting, at any depth, returns that expanded node.
+
+    Every other meeting of an event returns the one memoised node. A
+    build allocates in proportion to the graph, not the stream: its
+    memo and cycle guard are the calling domain's marks (see
+    {!with_marks}). *)
+
+val max_depth : int
+(** 128. *)
 
 val iter_nodes : t -> (node -> unit) -> unit
-(** Visit every distinct node exactly once (preorder from the roots). *)
+(** Visit every distinct event's node exactly once, preorder from the
+    roots, children in order. Distinctness is by event id, so a cut view
+    met before its event's expanded node hides the expanded one. *)
+
+(** {1 Marks}
+
+    A set of events for one traversal of one graph. Event ids are
+    positions in the stream's event array, so a mark is one int store
+    into an array stamped with the traversal's generation. Each domain
+    keeps one such array, grown to the longest stream it has traversed,
+    and reuses it for every traversal: no traversal allocates in
+    proportion to its stream. A traversal started inside another on the
+    same domain gets a fresh array. Marks never cross domains: use them
+    only inside the [with_marks] call that made them. *)
+
+type marks
+
+val with_marks : t -> (marks -> 'a) -> 'a
+(** [with_marks g f] runs [f] with an empty set over [g]'s events. *)
+
+val first_visit : marks -> Dptrace.Event.t -> bool
+(** [true] the first time the event is given, marking it; [false] after. *)
 
 val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 

@@ -179,3 +179,24 @@ let by_module components graphs =
          match compare b.m_wait a.m_wait with
          | 0 -> compare a.module_name b.module_name
          | c -> c)
+
+(* The two-pass slow classes: after the whole measurement, each scenario
+   [slow] gives a class predicate for is measured again, by
+   [Dpcore.Impact.analyze_graphs_prov], over its class's graphs alone,
+   names in first-appearance order. *)
+let slow_classes ~slow components graphs =
+  let scenario (g : Wait_graph.t) = g.Wait_graph.instance.Dptrace.Scenario.scenario in
+  List.fold_left
+    (fun names g -> if List.mem (scenario g) names then names else scenario g :: names)
+    [] graphs
+  |> List.rev
+  |> List.filter_map (fun name ->
+         Option.map
+           (fun in_class ->
+             ( name,
+               Dpcore.Impact.analyze_graphs_prov components
+                 (List.filter
+                    (fun (g : Wait_graph.t) ->
+                      scenario g = name && in_class g.Wait_graph.instance)
+                    graphs) ))
+           (slow name))

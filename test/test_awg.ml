@@ -318,6 +318,47 @@ let test_partial_bytes_ignore_interning () =
     (substitute ~from:"ordp.sys" ~into:"ordq.sys" original)
     copy
 
+(* --- merge-while-walking ≡ the convert-then-merge reference --- *)
+
+let component_sets =
+  [|
+    drivers;
+    Dpcore.Component.of_patterns [ "*" ];
+    Dpcore.Component.of_patterns [ "*s*"; "app*" ];
+  |]
+
+(* Each stream's partial over all its graphs, as bytes, built both ways. *)
+let partials_agree components (corpus : Dptrace.Corpus.t) =
+  List.for_all
+    (fun st ->
+      let graphs = graphs_of st in
+      let buf = Buffer.create 1024 in
+      Awg.Partial.write buf (Awg.Partial.build components graphs);
+      Buffer.contents buf = Awg_reference.partial_bytes components graphs)
+    corpus.Dptrace.Corpus.streams
+
+let with_provenance on f =
+  if on then Dpcore.Provenance.enable ();
+  Fun.protect ~finally:Dpcore.Provenance.disable f
+
+let prop_partial_equals_reference =
+  QCheck.Test.make ~name:"Partial.build bytes = convert/merge reference" ~count:8
+    QCheck.(triple (int_range 1 10_000) (int_range 0 2) bool)
+    (fun (seed, which, prov) ->
+      let corpus = Graph_inputs.corpus seed in
+      with_provenance prov @@ fun () -> partials_agree component_sets.(which) corpus)
+
+let test_adversarial_partials () =
+  let corpus = Graph_inputs.adversarial () in
+  Array.iter
+    (fun components ->
+      List.iter
+        (fun prov ->
+          check Alcotest.bool "same bytes" true
+            (with_provenance prov @@ fun () -> partials_agree components corpus))
+        [ false; true ])
+    component_sets
+
 let () =
   Alcotest.run "dpcore-awg"
     [
@@ -339,5 +380,8 @@ let () =
             test_partial_count_bounded;
           Alcotest.test_case "partial bytes do not depend on interning order" `Quick
             test_partial_bytes_ignore_interning;
+          QCheck_alcotest.to_alcotest prop_partial_equals_reference;
+          Alcotest.test_case "adversarial streams = reference" `Quick
+            test_adversarial_partials;
         ] );
     ]

@@ -296,7 +296,7 @@ let prop_measure_equals_reference =
       let components = component_sets.(which) in
       if prov then Dpcore.Provenance.enable ();
       Fun.protect ~finally:Dpcore.Provenance.disable @@ fun () ->
-      let r, p, rows, per = Impact.measure components graphs in
+      let r, p, rows, per, _ = Impact.measure components graphs in
       let r', p' = Impact_reference.analyze_graphs_prov components graphs in
       let rows' = Impact_reference.by_module components graphs in
       (* Each scenario's graphs measured alone, names in first-appearance
@@ -321,6 +321,110 @@ let prop_measure_equals_reference =
       &&
       let r'', p'' = Impact.analyze_graphs_prov components graphs in
       r'' = r' && prov_lists p'' = prov_lists p')
+
+(* --- one measure pass for the stream and its slow classes ≡ two passes --- *)
+
+let slow_of (corpus : Dptrace.Corpus.t) name =
+  Option.map
+    (fun spec i -> Dptrace.Scenario.classify spec i = Dptrace.Scenario.Slow)
+    (Dptrace.Corpus.find_spec corpus name)
+
+(* Per stream, as the step measures, and over the whole corpus at once. *)
+let slow_classes_agree components (corpus : Dptrace.Corpus.t) =
+  let slow = slow_of corpus in
+  let agree graphs =
+    let r, p, rows, per, classes = Impact.measure ~slow components graphs in
+    let r', p', rows', per', none = Impact.measure components graphs in
+    let classes' = Impact_reference.slow_classes ~slow components graphs in
+    let lists = List.map (fun (name, (r, p)) -> (name, r, prov_lists p)) in
+    none = []
+    && (r, prov_lists p, rows, per) = (r', prov_lists p', rows', per')
+    && lists classes = lists classes'
+  in
+  let graphs_of (st : Dptrace.Stream.t) =
+    let index = Dptrace.Stream.index st in
+    List.map (Dpwaitgraph.Wait_graph.build ~index st) st.Dptrace.Stream.instances
+  in
+  List.for_all (fun st -> agree (graphs_of st)) corpus.Dptrace.Corpus.streams
+  && agree (List.concat_map graphs_of corpus.Dptrace.Corpus.streams)
+
+let with_provenance on f =
+  if on then Dpcore.Provenance.enable ();
+  Fun.protect ~finally:Dpcore.Provenance.disable f
+
+let prop_slow_classes_equal_two_pass =
+  QCheck.Test.make ~name:"measure ~slow = two-pass slow classes (random corpora)"
+    ~count:8
+    QCheck.(triple (int_range 1 10_000) (int_range 0 2) bool)
+    (fun (seed, which, prov) ->
+      let corpus = Graph_inputs.corpus seed in
+      with_provenance prov @@ fun () ->
+      slow_classes_agree component_sets.(which) corpus)
+
+let test_adversarial_slow_classes () =
+  let corpus = Graph_inputs.adversarial () in
+  Array.iter
+    (fun components ->
+      List.iter
+        (fun prov ->
+          check Alcotest.bool "same slow classes" true
+            (with_provenance prov @@ fun () -> slow_classes_agree components corpus))
+        [ false; true ])
+    component_sets
+
+(* --- the per-signature verdict cache ≡ the uncached glob --- *)
+
+let pattern_sets =
+  [ [ "*.SYS" ]; [ "acpi?sys"; "*.Sys" ]; [ "fs.sys"; "K*"; "?pp*"; "*.sYs" ] ]
+
+(* Every interned name's cached verdict against [Signature.matches]. *)
+let verdicts_agree c patterns =
+  let compiled = List.map Dputil.Wildcard.compile patterns in
+  let ok = ref true in
+  for id = 0 to Dptrace.Signature.interned_count () - 1 do
+    let s = Dptrace.Signature.of_int_unsafe id in
+    if Component.matches_signature c s <> Dptrace.Signature.matches compiled s then
+      ok := false
+  done;
+  !ok
+
+(* Module parts in mixed case, some matching each set and some not. *)
+let fresh_name tag i =
+  let modules = [| "ACPI.sys"; "acpixSYS"; "Fs.Sys"; "kernel"; "App"; "Disk.SYS"; "net" |] in
+  Printf.sprintf "%s!%s%d" modules.(i mod Array.length modules) tag i
+
+let test_verdicts_equal_uncached () =
+  List.iter
+    (fun patterns ->
+      let c = Component.of_patterns patterns in
+      check Alcotest.bool "first lookup of every name" true (verdicts_agree c patterns);
+      check Alcotest.bool "cached lookups" true (verdicts_agree c patterns);
+      (* Names interned after the cache filled make it grow. *)
+      for i = 0 to 2_999 do
+        ignore (sig_ (fresh_name (String.concat "," patterns) i))
+      done;
+      check Alcotest.bool "after growth" true (verdicts_agree c patterns))
+    pattern_sets;
+  check Alcotest.bool "drivers" true (verdicts_agree drivers [ "*.sys" ])
+
+let test_verdicts_across_domains () =
+  List.iter
+    (fun patterns ->
+      let c = Component.of_patterns patterns in
+      let compiled = List.map Dputil.Wildcard.compile patterns in
+      let tag = "par" ^ String.concat "," patterns in
+      let resolved =
+        Dppar.Pool.with_pool ~domains:2 @@ fun pool ->
+        Dppar.Pool.parallel_map ~chunk:16 pool
+          (fun i ->
+            let s = sig_ (fresh_name tag i) in
+            (s, Component.matches_signature c s))
+          (List.init 10_000 Fun.id)
+      in
+      check Alcotest.bool "each domain's verdict" true
+        (List.for_all (fun (s, v) -> v = Dptrace.Signature.matches compiled s) resolved);
+      check Alcotest.bool "the cache after the race" true (verdicts_agree c patterns))
+    pattern_sets
 
 let () =
   Alcotest.run "dpcore-impact"
@@ -348,6 +452,18 @@ let () =
           Alcotest.test_case "shared corpus" `Quick test_by_module;
           Alcotest.test_case "totals partition" `Quick test_by_module_totals_match;
         ] );
+      ( "verdicts",
+        [
+          Alcotest.test_case "cached = uncached, with growth" `Quick
+            test_verdicts_equal_uncached;
+          Alcotest.test_case "two domains resolving fresh names" `Quick
+            test_verdicts_across_domains;
+        ] );
       ( "reference",
-        [ QCheck_alcotest.to_alcotest prop_measure_equals_reference ] );
+        [
+          QCheck_alcotest.to_alcotest prop_measure_equals_reference;
+          QCheck_alcotest.to_alcotest prop_slow_classes_equal_two_pass;
+          Alcotest.test_case "adversarial slow classes = two passes" `Quick
+            test_adversarial_slow_classes;
+        ] );
     ]

@@ -935,9 +935,70 @@ let test_fold_empty () =
   check Alcotest.bool "saved = cold save" true
     (saved_bytes dir = cold_file ~scenarios empty)
 
+(* --- the step's scratch is bounded by the graphs, not the stream --- *)
+
+(* One stream of 200k events and 2k instances. Each instance is a wait
+   of thread 0 whose waker, on thread 1, ran a driver frame during the
+   wait: two graph nodes. Thread 2 fills every window with 97 short
+   events that no graph reaches. *)
+let long_stream () =
+  let ev kind tid ts cost wtid frame =
+    { Dptrace.Event.id = 0; kind; stack = Dptrace.Callstack.of_strings [ frame ]; ts;
+      cost; tid; wtid }
+  in
+  let per_instance i =
+    let t0 = i * 1_000 in
+    ev Dptrace.Event.Wait 0 t0 500 (-1) "x.sys!Wait"
+    :: ev Dptrace.Event.Running 1 (t0 + 100) 300 (-1) "x.sys!Work"
+    :: ev Dptrace.Event.Unwait 1 (t0 + 500) 0 0 "x.sys!Wake"
+    :: List.init 97 (fun j -> ev Dptrace.Event.Running 2 (t0 + (10 * j)) 5 (-1) "app!Idle")
+  in
+  let instances =
+    List.init 2_000 (fun i ->
+        { Dptrace.Scenario.scenario = "S"; tid = 0; t0 = i * 1_000; t1 = (i * 1_000) + 999 })
+  in
+  Dptrace.Stream.create ~id:0
+    ~events:(Array.of_list (List.concat (List.init 2_000 per_instance)))
+    ~instances ~threads:[]
+
+(* Words allocated so far, the large arrays made straight in the major
+   heap included: a stream-sized array per instance would be those. *)
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+let test_step_allocation_bounded () =
+  let st = long_stream () in
+  let spec = Dptrace.Scenario.spec ~name:"S" ~tfast:1 ~tslow:999 in
+  let components = Dpcore.Component.drivers in
+  let before = allocated_words () in
+  let _ = Snapshot.stream_step components ~spec_of:(fun _ -> Some spec) st in
+  let words = allocated_words () -. before in
+  let index = Dptrace.Stream.index st in
+  let nodes =
+    List.fold_left
+      (fun acc i ->
+        acc + Dpwaitgraph.Wait_graph.node_count (Dpwaitgraph.Wait_graph.build ~index st i))
+      0 st.Dptrace.Stream.instances
+  in
+  let events = Dptrace.Stream.event_count st in
+  check Alcotest.int "events" 200_000 events;
+  check Alcotest.int "graph nodes" 4_000 nodes;
+  (* About 14 on this input: 8 words per event for the stream index, 2
+     for growing the domain's marks on first use, the rest per graph. *)
+  let bound = 20. *. float_of_int (events + nodes) in
+  if words > bound then
+    Alcotest.failf "the step allocated %.0f words, above 20 x (events + nodes) = %.0f"
+      words bound
+
 let () =
   Alcotest.run "snapshot"
     [
+      ( "scratch",
+        [
+          Alcotest.test_case "step allocation bounded by graphs, not stream" `Quick
+            test_step_allocation_bounded;
+        ] );
       ( "identity",
         [
           Alcotest.test_case "stream keys stable and distinct" `Quick

@@ -69,14 +69,22 @@ let test_callstack_push () =
   check Alcotest.int "depth" 2 (Callstack.depth s');
   check Alcotest.int "original untouched" 1 (Callstack.depth s)
 
+(* An event's signature is its stack's topmost frame whose module
+   matches a component pattern. *)
 let test_callstack_topmost_matching () =
-  let s = stack [ "kernel!AcquireLock"; "fv.sys!Q"; "fs.sys!R"; "App!Main" ] in
+  let components = Dpcore.Component.of_patterns [ "*.sys" ] in
+  let signature frames =
+    Option.map Signature.name
+      (Dpcore.Component.event_signature components
+         { Event.id = 0; kind = Event.Wait; stack = stack frames; ts = 0; cost = 1; tid = 1;
+           wtid = -1 })
+  in
+  let s = [ "kernel!AcquireLock"; "fv.sys!Q"; "fs.sys!R"; "App!Main" ] in
   check (Alcotest.option Alcotest.string) "first driver frame" (Some "fv.sys!Q")
-    (Option.map Signature.name (Callstack.topmost_matching sys_pats s));
-  check (Alcotest.option Alcotest.string) "no match" None
-    (Option.map Signature.name
-       (Callstack.topmost_matching sys_pats (stack [ "App!Main" ])));
-  check Alcotest.bool "contains_matching" true (Callstack.contains_matching sys_pats s)
+    (signature s);
+  check (Alcotest.option Alcotest.string) "no match" None (signature [ "App!Main" ]);
+  check Alcotest.bool "stack_relevant" true
+    (Dpcore.Component.stack_relevant components (stack s))
 
 let test_callstack_equal_hash () =
   let a = stack [ "x!1"; "y!2" ] and b = stack [ "x!1"; "y!2" ] in

@@ -212,6 +212,60 @@ let test_pp_smoke () =
   let rendered = Format.asprintf "%a" WG.pp g in
   check Alcotest.bool "mentions victim scenario" true (String.length rendered > 40)
 
+(* --- position-indexed marks ≡ the Hashtbl reference --- *)
+
+(* The graph [WG.build] makes and the one the reference makes, compared
+   node for node in [iter_nodes] order, as physical DAGs and by depth;
+   and [WG.iter_nodes] and [WG.depth] against the reference's on the same
+   graph. *)
+let agrees ?index st inst =
+  let g = WG.build ?index st inst and g' = Waitgraph_reference.build ?index st inst in
+  Waitgraph_reference.(listing WG.iter_nodes g = listing iter_nodes g')
+  && Waitgraph_reference.(listing WG.iter_nodes g' = listing iter_nodes g')
+  && Waitgraph_reference.shape g = Waitgraph_reference.shape g'
+  && WG.depth g = Waitgraph_reference.depth g'
+  && WG.depth g' = Waitgraph_reference.depth g'
+
+let prop_build_equals_reference =
+  QCheck.Test.make ~name:"build = Hashtbl reference (random corpora)" ~count:6
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      List.for_all
+        (fun (st : Stream.t) ->
+          let index = Stream.index st in
+          List.for_all (agrees ~index st) st.Stream.instances)
+        (Graph_inputs.corpus seed).Dptrace.Corpus.streams)
+
+let test_adversarial_equal_reference () =
+  List.iter
+    (fun (st : Stream.t) ->
+      List.iter
+        (fun inst -> check Alcotest.bool "same graph" true (agrees st inst))
+        st.Stream.instances)
+    (Graph_inputs.adversarial ()).Dptrace.Corpus.streams
+
+let test_depth_cut_not_memoised () =
+  let events, d = Graph_inputs.depth_cut_events () in
+  let inst = Graph_inputs.instance ~tid:0 ~t0:0 ~t1:1_000 in
+  let st = Stream.create ~id:0 ~events ~instances:[ inst ] ~threads:[] in
+  let g = WG.build st inst in
+  match g.WG.roots with
+  | [ w0; y ] ->
+    let rec down k (n : WG.node) =
+      if k = 0 then n
+      else match n.WG.children with [ c ] -> down (k - 1) c | _ -> Alcotest.fail "chain broken"
+    in
+    let deep = down d w0 in
+    check Alcotest.int "deep view is W_d" d deep.WG.event.Event.tid;
+    check Alcotest.int "cut beyond max_depth: childless" 0 (List.length deep.WG.children);
+    (match y.WG.children with
+    | [ shallow ] ->
+      check Alcotest.int "same event" deep.WG.event.Event.id shallow.WG.event.Event.id;
+      check Alcotest.int "met shallow later: expanded" 1 (List.length shallow.WG.children)
+    | _ -> Alcotest.fail "Y should have W_d as its one child");
+    check Alcotest.bool "same graph as the reference" true (agrees st inst)
+  | _ -> Alcotest.fail "expected roots W_0 and Y"
+
 let () =
   Alcotest.run "dpwaitgraph"
     [
@@ -225,6 +279,14 @@ let () =
           Alcotest.test_case "window filtering" `Quick
             test_instance_window_excludes_outside_events;
           Alcotest.test_case "shared event identity" `Quick test_shared_event_identity;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_build_equals_reference;
+          Alcotest.test_case "adversarial streams = reference" `Quick
+            test_adversarial_equal_reference;
+          Alcotest.test_case "depth cut is not memoised" `Quick
+            test_depth_cut_not_memoised;
         ] );
       ( "robustness",
         [
