@@ -327,8 +327,14 @@ module Partial = struct
      pruning rule only inspects the final forest). *)
   type partial = (status, node) Hashtbl.t
 
+  (* Witnesses are sealed here, on the worker that built them. *)
   let build components graphs : partial =
-    add_graphs components (Hashtbl.create 16) graphs
+    let forest = add_graphs components (Hashtbl.create 16) graphs in
+    let rec seal level =
+      Hashtbl.iter (fun _ n -> Option.iter Provenance.Wacc.seal n.wacc; seal n.children) level
+    in
+    seal forest;
+    forest
 
   (* Merging never adopts a source node: partials must stay intact (the
      snapshot cache serialises them after merging), so targets are always
@@ -423,16 +429,7 @@ module Partial = struct
         Wire.wv buf n.cost;
         Wire.wv buf n.count;
         Wire.wv buf n.max_cost;
-        let wentries =
-          match n.wacc with Some a -> Provenance.Wacc.entries a | None -> []
-        in
-        Wire.wv buf (List.length wentries);
-        List.iter
-          (fun (r, cost, count) ->
-            Provenance.write_ref buf r;
-            Wire.wv buf cost;
-            Wire.wv buf count)
-          wentries;
+        (match n.wacc with Some a -> Provenance.Wacc.write buf a | None -> Wire.wv buf 0);
         write buf n.children)
       nodes
 
@@ -495,18 +492,9 @@ module Partial = struct
           Hashtbl.add level status n;
           Some n
       in
-      for _ = 1 to Wire.rcount cur do
-        match node with
-        | Some n ->
-          let r = Provenance.read_ref cur in
-          let cost = Wire.rv cur in
-          let count = Wire.rv cur in
-          Provenance.Wacc.add_entry (node_wacc n) (r, cost, count)
-        | None ->
-          Provenance.skip_ref cur;
-          ignore (Wire.rv cur : int);
-          ignore (Wire.rv cur : int)
-      done;
+      (match node with
+      | Some n -> n.wacc <- Provenance.Wacc.read cur
+      | None -> Provenance.Wacc.skip cur);
       read_level (Option.map (fun n -> n.children) node) cur "child"
     done
 

@@ -126,7 +126,7 @@ module Partial : sig
   val build : Component.t -> Dpwaitgraph.Wait_graph.t list -> partial
   (** Convert and aggregate one stream's graphs (the conversion and merge
       loop {!Awg.build} runs, minus reduce/freeze). Records exact witness
-      accumulators when {!Provenance.enabled}. *)
+      accumulators, each sealed, when {!Provenance.enabled}. *)
 
   type merger
   (** A merge in progress: the running, still unreduced forest. Partials
@@ -142,7 +142,7 @@ module Partial : sig
   (** Accumulate one partial into the merge. Every accumulation commutes,
       so the result does not depend on the order partials arrive in. The
       source is only read, never adopted or mutated, so it stays valid
-      for serialisation. *)
+      for serialisation; its sealed witness chunks are shared. *)
 
   val merged : ?reduce:bool -> merger -> t
   (** Finish the merge: reduce (default [true]), canonicalise witnesses
@@ -156,8 +156,8 @@ module Partial : sig
       the bytes do not depend on the order names were interned in. *)
 
   val read : Dptrace.Wire.cursor -> partial
-  (** Inverse of {!write}. A sibling set out of name order, or with two
-      equal statuses, is refused.
+  (** Inverse of {!write}. A sibling set out of name order or with two
+      equal statuses is refused, as are witnesses {!Provenance.Wacc.read} refuses.
       @raise Dptrace.Wire.Corrupt on malformed input. *)
 
   val walk : Dptrace.Wire.cursor -> unit

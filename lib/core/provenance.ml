@@ -110,100 +110,184 @@ module Wset = struct
     | 0 -> compare_ref a.e_ref b.e_ref
     | c -> c
 
-  let rec truncate n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: truncate (n - 1) rest
+  let sum a b = { a with e_cost = a.e_cost + b.e_cost; e_count = a.e_count + b.e_count }
 
-  let renorm cap entries = truncate cap (List.sort order entries)
-
-  let add ?(cap = default_k) t r ~cost =
-    let found = ref false in
-    let merged =
-      List.map
-        (fun e ->
-          if (not !found) && compare_ref e.e_ref r = 0 then begin
-            found := true;
-            { e with e_cost = e.e_cost + cost; e_count = e.e_count + 1 }
-          end
-          else e)
-        t
-    in
-    let merged =
-      if !found then merged
-      else { e_ref = r; e_cost = cost; e_count = 1 } :: merged
-    in
-    renorm cap merged
-
+  (* Equal refs summed through an association list (each side holds at
+     most [cap] entries); the entry fed first, [a]'s, keeps its ref. *)
   let union ?(cap = default_k) a b =
-    let tbl = Hashtbl.create 16 in
-    let feed e =
-      let key = (e.e_ref.stream_id, e.e_ref.t0, e.e_ref.tid, e.e_ref.scenario) in
-      match Hashtbl.find_opt tbl key with
-      | Some prev ->
-        Hashtbl.replace tbl key
-          { prev with e_cost = prev.e_cost + e.e_cost; e_count = prev.e_count + e.e_count }
-      | None -> Hashtbl.replace tbl key e
+    let feed acc e =
+      let same x = compare_ref x.e_ref e.e_ref = 0 in
+      if List.exists same acc then List.map (fun x -> if same x then sum x e else x) acc
+      else e :: acc
     in
-    List.iter feed a;
-    List.iter feed b;
-    renorm cap (Hashtbl.fold (fun _ e acc -> e :: acc) tbl [])
+    let summed = List.fold_left feed (List.fold_left feed [] a) b in
+    List.filteri (fun i _ -> i < cap) (List.sort order summed)
 
   let entries t = List.map (fun e -> (e.e_ref, e.e_cost, e.e_count)) t
 
-  (* Exact inverse of [entries]: trusts the caller's order and cap, so a
-     serialised set round-trips to the identical representation. *)
+  let write buf t =
+    Dptrace.Wire.wv buf (List.length t);
+    List.iter
+      (fun e -> write_ref buf e.e_ref; Dptrace.Wire.wv buf e.e_cost; Dptrace.Wire.wv buf e.e_count)
+      t
+
+  let none =
+    { e_ref = { stream_id = 0; scenario = ""; tid = 0; t0 = 0; t1 = 0 }; e_cost = 0; e_count = 0 }
+
+  (* Scenario names as [compare] orders strings, each a span of [s]. *)
+  let rec compare_span s o1 l1 o2 l2 =
+    if l1 = 0 || l2 = 0 then Int.compare l1 l2
+    else
+      match Char.compare s.[o1] s.[o2] with
+      | 0 -> compare_span s (o1 + 1) (l1 - 1) (o2 + 1) (l2 - 1)
+      | c -> c
+
+  (* The one reader of [write]'s form: each entry must be strictly after
+     the one before it under [order], compared on the wire fields, so it
+     needs no sort, and checks the same with [build] or without. *)
+  let read_entries ~build ~cap cur =
+    let module W = Dptrace.Wire in
+    let n = W.rcount cur in
+    if n > cap then W.corrupt "witnesses: %d entries, above the cap of %d" n cap;
+    let es = Array.make (if build then n else 0) none in
+    let pc = ref 0 and ps = ref 0 and pt0 = ref 0 and ptid = ref 0 in
+    let po = ref 0 and pl = ref 0 in
+    for i = 0 to n - 1 do
+      let stream_id = W.rv cur in
+      let l = W.rv cur in
+      W.need cur l;
+      let o = cur.W.pos in
+      cur.W.pos <- o + l;
+      let tid = W.rv cur in
+      let t0 = W.rv cur in
+      let t1 = W.rv cur in
+      let cost = W.rv cur in
+      let count = W.rv cur in
+      let after =
+        if cost <> !pc then cost < !pc
+        else if stream_id <> !ps then stream_id > !ps
+        else if t0 <> !pt0 then t0 > !pt0
+        else if tid <> !ptid then tid > !ptid
+        else compare_span cur.W.data o l !po !pl > 0
+      in
+      if i > 0 && not after then W.corrupt "witnesses: entries not strictly increasing";
+      pc := cost; ps := stream_id; pt0 := t0; ptid := tid; po := o; pl := l;
+      if build then
+        es.(i) <- { e_ref = { stream_id; scenario = String.sub cur.W.data o l; tid; t0; t1 };
+                    e_cost = cost; e_count = count }
+    done;
+    es
+
+  let read cur = Array.to_list (read_entries ~build:true ~cap:default_k cur)
+
   let of_entries l =
-    List.map (fun (e_ref, e_cost, e_count) -> { e_ref; e_cost; e_count }) l
-  let total_cost t = List.fold_left (fun acc e -> acc + e.e_cost) 0 t
-  let is_empty t = t = []
+    let b = Buffer.create 256 in
+    write b (List.map (fun (e_ref, e_cost, e_count) -> { e_ref; e_cost; e_count }) l);
+    read (Dptrace.Wire.cursor (Buffer.contents b))
 end
 
 module Wacc = struct
-  (* Exact (uncapped) witness accumulation. A capped [Wset.add] sequence
-     is path-dependent: once a ref is evicted, re-adding it restarts its
-     sums, so per-stream partials unioned later could disagree with the
-     sequential fold. Accumulating exactly and truncating once at the end
-     makes the whole computation commutative and associative — the
-     property the snapshot cache's merge correctness rests on. Node
-     counts bound the table size by the node's distinct supporting
-     instances, and extraction renormalises to a canonical capped
-     [Wset.t]. *)
-  type t = (int * Dputil.Time.t * int * string, Wset.entry) Hashtbl.t
+  (* Exact (uncapped) accumulation, capped once at the end, so partials
+     merge in any order to the sequential fold. Cells while a node is
+     built, then one sealed chunk — canonical entries and their
+     stream-id range — and a merge conses chunks. DESIGN.md §9 shows
+     why selecting over groups of overlapping ranges is exact. *)
+  type cell = { c_ref : instance_ref; mutable c_cost : Dputil.Time.t; mutable c_count : int }
+  type chunk = { lo : int; hi : int; es : Wset.entry array }
+  type t = { mutable cells : cell list; mutable chunks : chunk list }
 
-  let create () : t = Hashtbl.create 8
+  let create () = { cells = []; chunks = [] }
 
-  let key (r : instance_ref) = (r.stream_id, r.t0, r.tid, r.scenario)
+  let add t r ~cost =
+    match t.cells with
+    | c :: _ when c.c_ref == r ->
+      c.c_cost <- c.c_cost + cost;
+      c.c_count <- c.c_count + 1
+    | cells -> t.cells <- { c_ref = r; c_cost = cost; c_count = 1 } :: cells
 
-  let add_entry (t : t) (r, cost, count) =
-    let k = key r in
-    match Hashtbl.find_opt t k with
-    | Some e ->
-      Hashtbl.replace t k
-        {
-          e with
-          Wset.e_cost = e.Wset.e_cost + cost;
-          Wset.e_count = e.Wset.e_count + count;
-        }
-    | None -> Hashtbl.replace t k { Wset.e_ref = r; e_cost = cost; e_count = count }
+  let id (e : Wset.entry) = e.e_ref.stream_id
 
-  let add t r ~cost = add_entry t (r, cost, 1)
+  (* Entries newest first, in a fresh array: summed per ref (the
+     first-arrived kept) and sorted by [Wset.order], with their range. *)
+  let chunk_of_newest es =
+    Array.stable_sort (fun a b -> compare_ref a.Wset.e_ref b.Wset.e_ref) es;
+    let n = ref 0 in
+    Array.iter
+      (fun e ->
+        if !n > 0 && compare_ref es.(!n - 1).Wset.e_ref e.Wset.e_ref = 0 then
+          es.(!n - 1) <- Wset.sum e es.(!n - 1)
+        else (es.(!n) <- e; incr n))
+      es;
+    let es = if !n = Array.length es then es else Array.sub es 0 !n in
+    let lo = id es.(0) and hi = id es.(!n - 1) in
+    Array.sort Wset.order es;
+    { lo; hi; es }
 
-  let merge_into ~into (src : t) =
-    Hashtbl.iter
-      (fun _ (e : Wset.entry) ->
-        add_entry into (e.Wset.e_ref, e.Wset.e_cost, e.Wset.e_count))
-      src
+  let seal t =
+    let entry c = { Wset.e_ref = c.c_ref; e_cost = c.c_cost; e_count = c.c_count } in
+    if t.cells <> [] then begin
+      t.chunks <- chunk_of_newest (Array.map entry (Array.of_list t.cells)) :: t.chunks;
+      t.cells <- []
+    end
 
-  let entries (t : t) =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t []
-    |> List.sort Wset.order
-    |> List.map (fun (e : Wset.entry) -> (e.Wset.e_ref, e.Wset.e_cost, e.Wset.e_count))
+  let merge_into ~into src = seal src; into.chunks <- src.chunks @ into.chunks
 
-  let to_wset ?(cap = default_k) (t : t) =
-    Wset.renorm cap (Hashtbl.fold (fun _ e acc -> e :: acc) t [])
+  (* The exact accumulation: one canonical array per group of chunks
+     whose stream ranges overlap, the chunks stably sorted by [lo]. A
+     larger group is summed with its chunks back in order, newest first. *)
+  let groups t =
+    seal t;
+    let close group acc =
+      match group with
+      | [] -> acc
+      | [ (_, c) ] -> c.es :: acc
+      | _ ->
+        let newest = List.sort (fun (i, _) (j, _) -> Int.compare j i) group in
+        (chunk_of_newest (Array.concat (List.map (fun (_, c) -> c.es) newest))).es
+        :: acc
+    in
+    let rec go hi group acc = function
+      | ((_, c) as x) :: rest when c.lo <= hi -> go (max hi c.hi) (x :: group) acc rest
+      | ((_, c) as x) :: rest -> go c.hi [ x ] (close group acc) rest
+      | [] -> close group acc
+    in
+    go min_int [] []
+      (List.stable_sort
+         (fun (_, a) (_, b) -> Int.compare a.lo b.lo)
+         (List.mapi (fun i c -> (i, c)) (List.rev t.chunks)))
 
-  let is_empty (t : t) = Hashtbl.length t = 0
+  let all t = List.sort Wset.order (List.concat_map Array.to_list (groups t))
+
+  let entries t = Wset.entries (all t)
+
+  (* A sorted buffer of the best [cap]; a group stops at its first loser. *)
+  let to_wset ?(cap = default_k) t =
+    let best = Array.make cap Wset.none and n = ref 0 in
+    let rec offer es i =
+      if i < min cap (Array.length es) && (!n < cap || Wset.order es.(i) best.(cap - 1) < 0)
+      then begin
+        let j = ref (min !n (cap - 1)) in
+        while !j > 0 && Wset.order es.(i) best.(!j - 1) < 0 do decr j done;
+        Array.blit best !j best (!j + 1) (min !n (cap - 1) - !j);
+        best.(!j) <- es.(i);
+        n := min cap (!n + 1);
+        offer es (i + 1)
+      end
+    in
+    List.iter (fun es -> offer es 0) (groups t);
+    List.init !n (Array.get best)
+
+  let write buf t = Wset.write buf (all t)
+
+  let read cur =
+    match Wset.read_entries ~build:true ~cap:max_int cur with
+    | [||] -> None
+    | es ->
+      let lo = Array.fold_left (fun m e -> min m (id e)) max_int es
+      and hi = Array.fold_left (fun m e -> max m (id e)) 0 es in
+      Some { cells = []; chunks = [ { lo; hi; es } ] }
+
+  let skip cur = ignore (Wset.read_entries ~build:false ~cap:max_int cur : Wset.entry array)
 end
 
 type wait_record = {

@@ -45,9 +45,10 @@ type instance_ref = {
   t0 : Dputil.Time.t;
   t1 : Dputil.Time.t;
 }
-(** Identifies one scenario instance: [(stream, scenario, tid, window)]
-    is unique within a corpus (instances of one stream never share a
-    start). *)
+(** One scenario instance: {!compare_ref} orders by [(stream_id, t0,
+    tid, scenario)], unique within one corpus file but not across files
+    (the monitor's window concatenates files whose stream ids all
+    restart at 0). Accumulators sum equal refs, keeping the first. *)
 
 val ref_of : Dptrace.Stream.t -> Dptrace.Scenario.instance -> instance_ref
 val compare_ref : instance_ref -> instance_ref -> int
@@ -98,56 +99,61 @@ module Wset : sig
 
   val empty : t
 
-  val add : ?cap:int -> t -> instance_ref -> cost:Dputil.Time.t -> t
-  (** Merge one occurrence ([count + 1], [cost + cost]) for [ref];
-      [cap] defaults to {!default_k}. *)
-
   val union : ?cap:int -> t -> t -> t
-  (** Per-ref sums, then re-capped. *)
+  (** Per-ref sums (keeping [a]'s ref), then re-capped. *)
 
   val entries : t -> (instance_ref * Dputil.Time.t * int) list
   (** [(ref, contributed cost, occurrences)], cost-descending. *)
 
   val of_entries : (instance_ref * Dputil.Time.t * int) list -> t
-  (** Exact inverse of {!entries}: rebuilds the identical representation
-      from a previously serialised entry list. The caller must preserve
-      [entries] order and respect the cap — intended for
-      {!Snapshot}-style round-tripping, not general construction. *)
+  (** Inverse of {!entries}, checked as {!read} checks: it reads what
+      {!write} makes of the list. *)
 
-  val total_cost : t -> Dputil.Time.t
-  val is_empty : t -> bool
+  val write : Buffer.t -> t -> unit
+  (** A count, then each entry's {!write_ref}, cost and count. *)
+
+  val read : Dptrace.Wire.cursor -> t
+  (** Inverse of {!write}.
+      @raise Dptrace.Wire.Corrupt on more than {!default_k} entries, or
+      unless each is strictly after the one before it in {!entries}'
+      order (ties by {!compare_ref}). *)
 end
 
 module Wacc : sig
   type t
   (** A mutable {e exact} witness accumulator: per {!instance_ref}, total
-      contributed cost and occurrence count, with no cap. Unlike a
-      sequence of capped {!Wset.add}s — path-dependent once eviction
-      starts — exact accumulation is commutative and associative, so
-      per-stream accumulators merged in any order agree with the
-      sequential fold. {!Awg.build} accumulates through here and
-      truncates to a canonical capped {!Wset.t} only when the node
-      freezes; the snapshot cache serialises the exact entries so cached
-      merges stay bit-identical to from-scratch runs. *)
+      contributed cost and occurrence count, with no cap, so merges in
+      any order agree with the sequential fold. {!Awg.build} accumulates
+      through here and truncates to a canonical capped {!Wset.t} only
+      when the node freezes; the snapshot cache serialises the exact
+      entries. {!seal} turns the adds into one chunk, and a merge only
+      shares the source's chunks. *)
 
   val create : unit -> t
+
   val add : t -> instance_ref -> cost:Dputil.Time.t -> unit
   (** One occurrence: [cost + cost], [count + 1]. *)
 
-  val add_entry : t -> instance_ref * Dputil.Time.t * int -> unit
-  (** Merge a pre-aggregated [(ref, cost, count)] entry. *)
-
+  val seal : t -> unit
   val merge_into : into:t -> t -> unit
+  (** O(chunks) after sealing the source, which stays valid. *)
 
   val entries : t -> (instance_ref * Dputil.Time.t * int) list
-  (** All entries, cost-descending (ties on ref) — canonical, for
-      serialisation. *)
+  (** All entries, in {!Wset.entries}' order. *)
 
   val to_wset : ?cap:int -> t -> Wset.t
   (** Renormalise to the capped canonical form; [cap] defaults to
       {!default_k}. *)
 
-  val is_empty : t -> bool
+  val write : Buffer.t -> t -> unit
+  (** {!entries} in {!Wset.write}'s form. *)
+
+  val read : Dptrace.Wire.cursor -> t option
+  (** Inverse of {!write}, as one sealed chunk ([None] for no entries),
+      checked as {!Wset.read} checks but for the cap. *)
+
+  val skip : Dptrace.Wire.cursor -> unit
+  (** {!read}'s checks, building nothing. *)
 end
 
 (** {1 Impact provenance} *)

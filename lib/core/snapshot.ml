@@ -317,35 +317,17 @@ let read_tuple cur =
   let runnings = read_signature_list cur in
   Tuple.make ~waits ~unwaits ~runnings
 
-let write_wset buf w =
-  let entries = Provenance.Wset.entries w in
-  Wire.wv buf (List.length entries);
-  List.iter
-    (fun (r, cost, count) ->
-      Provenance.write_ref buf r;
-      Wire.wv buf cost;
-      Wire.wv buf count)
-    entries
-
-let read_wset cur =
-  Provenance.Wset.of_entries
-    (Wire.rlist cur (fun cur ->
-         let r = Provenance.read_ref cur in
-         let cost = Wire.rv cur in
-         let count = Wire.rv cur in
-         (r, cost, count)))
-
 let write_meta buf (m : Mining.meta) =
   write_tuple buf m.Mining.tuple;
   Wire.wv buf m.Mining.cost;
   Wire.wv buf m.Mining.count;
-  write_wset buf m.Mining.m_witnesses
+  Provenance.Wset.write buf m.Mining.m_witnesses
 
 let read_meta cur : Mining.meta =
   let tuple = read_tuple cur in
   let cost = Wire.rv cur in
   let count = Wire.rv cur in
-  let m_witnesses = read_wset cur in
+  let m_witnesses = Provenance.Wset.read cur in
   { Mining.tuple; cost; count; m_witnesses }
 
 let write_contrast buf (c : Mining.contrast_meta) =
@@ -355,7 +337,7 @@ let write_contrast buf (c : Mining.contrast_meta) =
   | Mining.Cost_ratio r ->
     Wire.w8 buf 1;
     write_f64 buf r);
-  write_wset buf c.Mining.cm_fast_witnesses
+  Provenance.Wset.write buf c.Mining.cm_fast_witnesses
 
 let read_contrast cur : Mining.contrast_meta =
   let cm_meta = read_meta cur in
@@ -365,7 +347,7 @@ let read_contrast cur : Mining.contrast_meta =
     | 1 -> Mining.Cost_ratio (read_f64 cur)
     | k -> Wire.corrupt "snapshot scenario record: bad contrast tag %d" k
   in
-  let cm_fast_witnesses = read_wset cur in
+  let cm_fast_witnesses = Provenance.Wset.read cur in
   { Mining.cm_meta; reason; cm_fast_witnesses }
 
 let write_pattern buf (p : Mining.pattern) =
@@ -373,16 +355,16 @@ let write_pattern buf (p : Mining.pattern) =
   Wire.wv buf p.Mining.cost;
   Wire.wv buf p.Mining.count;
   Wire.wv buf p.Mining.max_single;
-  write_wset buf p.Mining.witnesses;
-  write_wset buf p.Mining.fast_witnesses
+  Provenance.Wset.write buf p.Mining.witnesses;
+  Provenance.Wset.write buf p.Mining.fast_witnesses
 
 let read_pattern cur : Mining.pattern =
   let tuple = read_tuple cur in
   let cost = Wire.rv cur in
   let count = Wire.rv cur in
   let max_single = Wire.rv cur in
-  let witnesses = read_wset cur in
-  let fast_witnesses = read_wset cur in
+  let witnesses = Provenance.Wset.read cur in
+  let fast_witnesses = Provenance.Wset.read cur in
   { Mining.tuple; cost; count; max_single; witnesses; fast_witnesses }
 
 let write_scen_record buf ~digest (m : Mining.result) =

@@ -7,7 +7,11 @@
    seen ids. [merge_into] then folds the trees of all graphs, in graph
    order, into a trie of its own keyed by status. [write] serialises the
    trie in the partial wire form, with its own sibling sort, so a
-   forest's bytes compare against [Awg.Partial.write]. *)
+   forest's bytes compare against [Awg.Partial.write]. Witnesses go
+   through the hash-table accumulator of [Provenance_reference].
+   [absorb] merges the streams' tries as [Awg.Partial.absorb] merges
+   partials, and [witness_table] pairs each node of a finished AWG with
+   the reference's capped witnesses at the same status path. *)
 
 module Event = Dptrace.Event
 module Signature = Dptrace.Signature
@@ -55,7 +59,7 @@ type rnode = {
   mutable cost : Dputil.Time.t;
   mutable count : int;
   mutable max_cost : Dputil.Time.t;
-  wacc : Provenance.Wacc.t;
+  wacc : Provenance_reference.Wacc.t;
   children : (status, rnode) Hashtbl.t;
 }
 
@@ -65,7 +69,7 @@ let rec merge_into ?src table (c : cnode) =
     | Some n -> n
     | None ->
       let n =
-        { cost = 0; count = 0; max_cost = 0; wacc = Provenance.Wacc.create ();
+        { cost = 0; count = 0; max_cost = 0; wacc = Provenance_reference.Wacc.create ();
           children = Hashtbl.create 4 }
       in
       Hashtbl.replace table c.cstatus n;
@@ -74,7 +78,7 @@ let rec merge_into ?src table (c : cnode) =
   n.cost <- n.cost + c.ccost;
   n.count <- n.count + 1;
   if c.ccost > n.max_cost then n.max_cost <- c.ccost;
-  Option.iter (fun r -> Provenance.Wacc.add n.wacc r ~cost:c.ccost) src;
+  Option.iter (fun r -> Provenance_reference.Wacc.add n.wacc r ~cost:c.ccost) src;
   List.iter (merge_into ?src n.children) c.ckids
 
 (* One stream's forest: every graph converted first, then merged. *)
@@ -117,7 +121,7 @@ let rec write buf level =
       Wire.wv buf n.cost;
       Wire.wv buf n.count;
       Wire.wv buf n.max_cost;
-      let entries = Provenance.Wacc.entries n.wacc in
+      let entries = Provenance_reference.Wacc.entries n.wacc in
       Wire.wv buf (List.length entries);
       List.iter
         (fun (r, cost, count) ->
@@ -132,3 +136,45 @@ let partial_bytes components graphs =
   let buf = Buffer.create 1024 in
   write buf (partial components graphs);
   Buffer.contents buf
+
+(* Merge a stream's forest into [into], as [Awg.Partial.absorb] merges
+   partials: call it per stream, in corpus order. *)
+let rec absorb into (src : (status, rnode) Hashtbl.t) =
+  Hashtbl.iter
+    (fun status (c : rnode) ->
+      let n =
+        match Hashtbl.find_opt into status with
+        | Some n -> n
+        | None ->
+          let n =
+            { cost = 0; count = 0; max_cost = 0; wacc = Provenance_reference.Wacc.create ();
+              children = Hashtbl.create 4 }
+          in
+          Hashtbl.replace into status n;
+          n
+      in
+      n.cost <- n.cost + c.cost;
+      n.count <- n.count + c.count;
+      if c.max_cost > n.max_cost then n.max_cost <- c.max_cost;
+      Provenance_reference.Wacc.merge_into ~into:n.wacc c.wacc;
+      absorb n.children c.children)
+    src
+
+module Nodes = Hashtbl.Make (struct
+  type t = node
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Each node of [awg] (a finished forest) with the capped witness set of
+   the node at the same status path in the reference [forest]. *)
+let witness_table awg forest =
+  let tbl = Nodes.create 256 in
+  let rec go level (n : node) =
+    let r = Hashtbl.find level n.status in
+    Nodes.replace tbl n (Provenance_reference.Wacc.to_wset r.wacc);
+    Array.iter (go r.children) (sorted_children n)
+  in
+  List.iter (go forest) (roots awg);
+  tbl

@@ -5,16 +5,23 @@
    children at every visit, tables keyed and compared by tuple content
    (never by the interner's ids), and an exhaustive metas × paths subset
    scan for pattern selection. None of the engine's scratches, frozen
-   child arrays, id-indexed tables or inverted index is shared, so the
-   engine ≡ reference properties in test_mining compare two independent
-   implementations. The child sort key (polymorphic compare on [status])
+   child arrays, id-indexed tables or inverted index is shared, and
+   witness sets are unioned by the hash-table oracle
+   ([Provenance_reference]), so the engine ≡ reference properties in
+   test_mining compare two independent implementations. [mine
+   ~witnesses] takes each node's witness set from the caller instead of
+   the node. The child sort key (polymorphic compare on [status])
    matches [Awg.sorted_children]'s, keeping enumeration order — and with
    it every order-sensitive witness union — the same in both miners. *)
 
 module Awg = Dpcore.Awg
 module Tuple = Dpcore.Tuple
 module Mining = Dpcore.Mining
-module Wset = Dpcore.Provenance.Wset
+module Wset = struct
+  include Dpcore.Provenance.Wset
+
+  let union = Provenance_reference.union
+end
 
 let sorted_nodes (children : (Awg.status, Awg.node) Hashtbl.t) =
   Hashtbl.fold (fun _ n acc -> n :: acc) children []
@@ -66,7 +73,7 @@ end
 
 module T = Hashtbl.Make (Content_key)
 
-let meta_table awg ~k =
+let meta_table ~wit awg ~k =
   let prov = Dpcore.Provenance.enabled () in
   let table : Mining.meta T.t = T.create 256 in
   iter_segments awg ~k ~f:(fun segment ->
@@ -81,7 +88,7 @@ let meta_table awg ~k =
             cost = m.cost + cost;
             count = m.count + count;
             m_witnesses =
-              (if prov then Wset.union m.m_witnesses last.Awg.witnesses
+              (if prov then Wset.union m.m_witnesses (wit last)
                else m.m_witnesses);
           }
       | None ->
@@ -90,7 +97,7 @@ let meta_table awg ~k =
             Mining.tuple;
             cost;
             count;
-            m_witnesses = (if prov then last.Awg.witnesses else Wset.empty);
+            m_witnesses = (if prov then wit last else Wset.empty);
           });
   table
 
@@ -122,7 +129,7 @@ let discover_contrasts ~fast_table ~slow_table ~ratio_threshold =
   |> List.sort (fun (a : Mining.contrast_meta) b ->
          Tuple.compare a.cm_meta.tuple b.cm_meta.tuple)
 
-let select_patterns ~slow ~(contrast_metas : Mining.contrast_meta list) =
+let select_patterns ~wit ~slow ~(contrast_metas : Mining.contrast_meta list) =
   let prov = Dpcore.Provenance.enabled () in
   let table : Mining.pattern T.t = T.create 128 in
   List.iter
@@ -140,7 +147,7 @@ let select_patterns ~slow ~(contrast_metas : Mining.contrast_meta list) =
         let cost = leaf.Awg.cost
         and count = leaf.Awg.count
         and max_single = root.Awg.max_cost in
-        let witnesses = if prov then leaf.Awg.witnesses else Wset.empty in
+        let witnesses = if prov then wit leaf else Wset.empty in
         let fast_witnesses =
           if prov then
             List.fold_left
@@ -175,10 +182,11 @@ let select_patterns ~slow ~(contrast_metas : Mining.contrast_meta list) =
          | 0 -> Tuple.compare a.tuple b.tuple
          | c -> c)
 
-let mine ?(k = Mining.default_k) ~fast ~slow ~(spec : Dptrace.Scenario.spec) ()
-    =
-  let fast_table = meta_table fast ~k in
-  let slow_table = meta_table slow ~k in
+let mine ?(k = Mining.default_k) ?(witnesses = fun (n : Awg.node) -> n.Awg.witnesses)
+    ~fast ~slow ~(spec : Dptrace.Scenario.spec) () =
+  let wit = witnesses in
+  let fast_table = meta_table ~wit fast ~k in
+  let slow_table = meta_table ~wit slow ~k in
   let ratio_threshold =
     Dputil.Stats.ratio (float_of_int spec.tslow) (float_of_int spec.tfast)
   in
@@ -187,7 +195,7 @@ let mine ?(k = Mining.default_k) ~fast ~slow ~(spec : Dptrace.Scenario.spec) ()
   in
   {
     Mining.contrast_metas;
-    patterns = select_patterns ~slow ~contrast_metas;
+    patterns = select_patterns ~wit ~slow ~contrast_metas;
     fast_meta_count = T.length fast_table;
     slow_meta_count = T.length slow_table;
   }

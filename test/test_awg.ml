@@ -359,6 +359,158 @@ let test_adversarial_partials () =
         [ false; true ])
     component_sets
 
+(* --- witnesses: sealed chunks against the hash-table oracle --- *)
+
+module Prov = Dpcore.Provenance
+module Wire = Dptrace.Wire
+
+(* 48 refs over 24 identities — 4 stream ids, 3 starts, 2 names — each
+   identity with two ends, so stream ids collide across chunks and refs
+   that differ only in [t1] meet. *)
+let ref_pool =
+  Array.of_list
+    (List.concat_map
+       (fun stream_id ->
+         List.concat_map
+           (fun t0 ->
+             List.concat_map
+               (fun scenario ->
+                 List.map (fun t1 -> { Prov.stream_id; scenario; tid = 1; t0; t1 }) [ 100; 101 ])
+               [ "A"; "B" ])
+           [ 0; 5; 9 ])
+       [ 0; 1; 2; 3 ])
+
+let caps = QCheck.Gen.oneofl [ 1; 2; 3; 8; 100 ]
+
+(* Adds as [(pool index, cost, chunk)] — an index past the pool repeats
+   the chunk's previous ref, the same value, as one graph's adds do —
+   then the order the chunks are absorbed in, and a cap. *)
+let gen_wacc_case =
+  QCheck.Gen.(
+    let* chunks = int_range 1 4 in
+    let* adds =
+      list_size (int_range 0 60) (triple (int_bound 71) (int_bound 30) (int_bound (chunks - 1)))
+    in
+    let* order = shuffle_l (List.init chunks Fun.id) in
+    let* cap = caps in
+    return (adds, order, cap))
+
+(* The chunks built by adds, then absorbed in [order]: by
+   [Provenance.Wacc] and by the oracle. *)
+let accumulate adds order =
+  let chunks = List.length order in
+  let acc = Array.init chunks (fun _ -> Prov.Wacc.create ())
+  and oracle = Array.init chunks (fun _ -> Provenance_reference.Wacc.create ())
+  and last = Array.make chunks 0 in
+  List.iter
+    (fun (i, cost, c) ->
+      let i = if i < Array.length ref_pool then i else last.(c) in
+      last.(c) <- i;
+      Prov.Wacc.add acc.(c) ref_pool.(i) ~cost;
+      Provenance_reference.Wacc.add oracle.(c) ref_pool.(i) ~cost)
+    adds;
+  let into = Prov.Wacc.create () and ointo = Provenance_reference.Wacc.create () in
+  List.iter
+    (fun c ->
+      Prov.Wacc.merge_into ~into acc.(c);
+      Provenance_reference.Wacc.merge_into ~into:ointo oracle.(c))
+    order;
+  (into, ointo)
+
+let prop_wacc_equals_reference =
+  QCheck.Test.make ~name:"Wacc to_wset/entries/wire = hash-table oracle" ~count:500
+    (QCheck.make gen_wacc_case) (fun (adds, order, cap) ->
+      let acc, oracle = accumulate adds order in
+      let expect = Provenance_reference.Wacc.entries oracle in
+      let buf = Buffer.create 256 in
+      Prov.Wacc.write buf acc;
+      let reread =
+        Option.fold ~none:[] ~some:Prov.Wacc.entries
+          (Prov.Wacc.read (Wire.cursor (Buffer.contents buf)))
+      in
+      Prov.Wset.entries (Prov.Wacc.to_wset ~cap acc)
+      = Provenance_reference.Wacc.to_entries ~cap oracle
+      && Prov.Wacc.entries acc = expect
+      && reread = expect)
+
+(* Two sides, each folded from single entries by [union], so a side's
+   draw repeats refs (and their [t1] twins), which the other side shares. *)
+let prop_union_equals_reference =
+  let side = QCheck.Gen.(list_size (int_range 0 12) (pair (int_bound 47) (int_bound 30))) in
+  QCheck.Test.make ~name:"Wset.union = hash-table oracle" ~count:500
+    (QCheck.make QCheck.Gen.(triple side side caps))
+    (fun (a, b, cap) ->
+      let entry (i, cost) = (ref_pool.(i), cost, 1 + (cost mod 3)) in
+      let fold l =
+        List.fold_left
+          (fun acc x -> Prov.Wset.union ~cap acc (Prov.Wset.of_entries [ entry x ]))
+          Prov.Wset.empty l
+      and ofold l =
+        List.fold_left (fun acc x -> Provenance_reference.union_entries ~cap acc [ entry x ]) [] l
+      in
+      Prov.Wset.entries (Prov.Wset.union ~cap (fold a) (fold b))
+      = Provenance_reference.union_entries ~cap (ofold a) (ofold b))
+
+(* A partial of one root [Running m!f] whose witnesses are [entries],
+   written as given. *)
+let one_node_partial entries =
+  let b = Buffer.create 64 in
+  Wire.wv b 1;
+  Wire.w8 b 1;
+  Wire.wstr b "m!f";
+  for _ = 1 to 3 do Wire.wv b 0 done;
+  Wire.wv b (List.length entries);
+  List.iter
+    (fun (r, cost, count) ->
+      Prov.write_ref b r;
+      Wire.wv b cost;
+      Wire.wv b count)
+    entries;
+  Wire.wv b 0;
+  Buffer.contents b
+
+(* Witness entries are stored canonical, so the reader, and the walk
+   alike, refuse two swapped, a duplicate, and a duplicate differing
+   only in [t1]; entries in order pass both. *)
+let test_witness_order_checked () =
+  let e i cost = (ref_pool.(i), cost, 1) in
+  let verdict f s = match f (Wire.cursor s) with () -> Ok () | exception Wire.Corrupt m -> Error m in
+  let read s = ignore (Awg.Partial.read s : Awg.Partial.partial) in
+  let refused = Error "witnesses: entries not strictly increasing" in
+  List.iter
+    (fun (case, entries, expect) ->
+      let s = one_node_partial entries in
+      check Alcotest.(result unit string) (case ^ ": read") expect (verdict read s);
+      check Alcotest.(result unit string) (case ^ ": walk") expect (verdict Awg.Partial.walk s))
+    [
+      ("in order", [ e 0 9; e 2 9; e 4 3 ], Ok ());
+      ("swapped", [ e 1 3; e 0 9 ], refused);
+      ("swapped on a cost tie", [ e 2 9; e 0 9 ], refused);
+      ("duplicate", [ e 0 9; e 0 9 ], refused);
+      ("t1 twins", [ e 0 9; e 1 9 ], refused);
+    ]
+
+(* Absorbing a one-node partial conses its sealed chunk: the words it
+   allocates do not depend on how many witnesses the node carries. *)
+let test_absorb_words_constant () =
+  let words n =
+    let entries =
+      List.init n (fun i -> ({ Prov.stream_id = i; scenario = "S"; tid = 1; t0 = 0; t1 = 1 }, 5, 1))
+    in
+    let p = Awg.Partial.read (Wire.cursor (one_node_partial entries)) in
+    let m = Awg.Partial.merger () in
+    let before = Gc.minor_words () in
+    Awg.Partial.absorb m p;
+    let words = Gc.minor_words () -. before in
+    match Awg.roots (Awg.Partial.merged ~reduce:false m) with
+    | [ root ] ->
+      check Alcotest.int "the costliest cap survive" (min n Prov.default_k)
+        (List.length (Prov.Wset.entries root.Awg.witnesses));
+      words
+    | _ -> Alcotest.fail "one root expected"
+  in
+  check (Alcotest.float 0.) "10 vs 10k witness entries" (words 10) (words 10_000)
+
 let () =
   Alcotest.run "dpcore-awg"
     [
@@ -383,5 +535,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_partial_equals_reference;
           Alcotest.test_case "adversarial streams = reference" `Quick
             test_adversarial_partials;
+          QCheck_alcotest.to_alcotest prop_wacc_equals_reference;
+          QCheck_alcotest.to_alcotest prop_union_equals_reference;
+          Alcotest.test_case "wire order checked by read and walk" `Quick
+            test_witness_order_checked;
+          Alcotest.test_case "absorb allocation independent of witness count" `Quick
+            test_absorb_words_constant;
         ] );
     ]

@@ -394,6 +394,104 @@ let test_window_oracle () =
   check_gauges ~what:"tick 4" cfg [ p "a.dpf" ];
   check Alcotest.int "a no-op tick reads nothing" 0 (tick ())
 
+(* --- a window of twins: one file under two names --- *)
+
+(* A window holding one file twice, under two names: every stream id,
+   and so every witness ref, of the second copy equals the first's, and
+   each AWG node's witnesses meet their twins from another stream's
+   chunk. With provenance on, the window's report — from the resident
+   window, and from a snapshot as the monitor's tick takes it — is byte
+   for byte a composition over the hash-table oracle: each scenario's
+   class forests rebuilt per stream by [Awg_reference], merged in window
+   order by the reference accumulator, and mined by [Mining_reference]
+   with those witnesses. *)
+let test_twin_files_collide () =
+  let dir = fresh_dir () in
+  let p = Filename.concat dir in
+  gen_save ~seed:43 ~scale:0.05 (p "a.dpf");
+  let oc = open_out_bin (p "b.dpf") in
+  output_string oc (read_file (p "a.dpf"));
+  close_out oc;
+  let paths = [ p "a.dpf"; p "b.dpf" ] in
+  Dpcore.Provenance.enable ();
+  Fun.protect ~finally:Dpcore.Provenance.disable @@ fun () ->
+  let cfg = { Monitor.default_config with replicates = 10 } in
+  let t = Monitor.create cfg in
+  Fun.protect ~finally:(fun () -> Monitor.close t) (fun () ->
+      Monitor.set_clock t 0;
+      check Alcotest.int "both copies ingested" 2 (Monitor.scan t dir);
+      ignore (Monitor.tick t : Rules.alert list));
+  check_gauges ~what:"twins" cfg paths;
+  let corpus = resident_window ~mode:cfg.Monitor.mode paths in
+  let components = cfg.Monitor.components and k = cfg.Monitor.k in
+  let streams = corpus.Dptrace.Corpus.streams in
+  check Alcotest.bool "stream ids collide" true
+    (List.length (List.sort_uniq compare (List.map (fun st -> st.Dptrace.Stream.id) streams))
+     * 2
+     = List.length streams);
+  let doc (r : Dpcore.Pipeline.report) =
+    Dputil.Jsonw.to_string
+      (Dpcore.Report.Json.document ~impact:r.impact ~impact_prov:r.impact_prov
+         ~modules:r.modules ~scenarios:r.scenarios ())
+  in
+  let resident = Dpcore.Pipeline.run_report ~k components corpus in
+  let snap =
+    Dpcore.Snapshot.create
+      ~fingerprint:
+        (Dpcore.Snapshot.fingerprint ~components ~specs:corpus.Dptrace.Corpus.specs ~k ())
+      ()
+  in
+  Dpcore.Snapshot.ensure snap components corpus;
+  let cached = Dpcore.Pipeline.run_report_snap ~k snap corpus in
+  (* The reference forest of one class of [name]: each stream's class
+     graphs, in instance order, merged stream by stream. *)
+  let forest spec name cls =
+    let merged = Hashtbl.create 64 in
+    List.iter
+      (fun (st : Dptrace.Stream.t) ->
+        let index = Dptrace.Stream.index st in
+        let graphs =
+          List.filter_map
+            (fun (i : Dptrace.Scenario.instance) ->
+              if i.scenario = name && Dptrace.Scenario.classify spec i = cls then
+                Some (Dpwaitgraph.Wait_graph.build ~index st i)
+              else None)
+            st.Dptrace.Stream.instances
+        in
+        Awg_reference.absorb merged (Awg_reference.partial components graphs))
+      streams;
+    merged
+  in
+  let scenarios =
+    List.map
+      (fun (name, (sc : Dpcore.Pipeline.scenario_result)) ->
+        let spec = sc.classification.Dpcore.Classify.spec in
+        let fast = Awg_reference.witness_table sc.fast_awg (forest spec name Fast)
+        and slow = Awg_reference.witness_table sc.slow_awg (forest spec name Slow) in
+        let witnesses n =
+          match Awg_reference.Nodes.find_opt fast n with
+          | Some w -> w
+          | None -> Awg_reference.Nodes.find slow n
+        in
+        ( name,
+          { sc with
+            mining =
+              Mining_reference.mine ~k ~witnesses ~fast:sc.fast_awg ~slow:sc.slow_awg ~spec ()
+          } ))
+      resident.scenarios
+  in
+  let composed = doc { resident with scenarios } in
+  check Alcotest.bool "some pattern has witnesses" true
+    (List.exists
+       (fun (_, (sc : Dpcore.Pipeline.scenario_result)) ->
+         List.exists
+           (fun (pat : Dpcore.Mining.pattern) ->
+             Dpcore.Provenance.Wset.entries pat.witnesses <> [])
+           sc.mining.Dpcore.Mining.patterns)
+       scenarios);
+  check Alcotest.string "resident window = reference composition" composed (doc resident);
+  check Alcotest.string "snapshot window = reference composition" composed (doc cached)
+
 (* A view bundle reads its exemplars' events back from the window's
    files. A file rewritten on disk since its ingest no longer holds the
    streams the window analysed, so its scenarios get no view. *)
@@ -767,6 +865,8 @@ let () =
             test_scan_incremental;
           Alcotest.test_case "a sliding window forgets what left it" `Quick
             test_window_forgets;
+          Alcotest.test_case "twin files: report = reference composition" `Slow
+            test_twin_files_collide;
           Alcotest.test_case "window gauges = resident run_report" `Slow
             test_window_oracle;
           Alcotest.test_case "the window keeps skeletons, not events" `Slow

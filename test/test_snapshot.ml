@@ -352,22 +352,33 @@ let test_truncated_and_garbage_files () =
   check Alcotest.int "garbage loads nothing" 0 stats.Snapshot.s_loaded;
   check_identical ~msg:"garbage" snap corpus
 
-(* Rewrite the file's first record — a per-stream entry, since stream
-   keys sort before scenario records — with its payload cut to half and
-   its length and checksum resealed: the framing and the CRC hold, and
-   only decoding the record can tell it is damaged. *)
-let reseal_first_record_truncated path =
+(* Every record of a cache file, in file order: [(start, key, payload
+   offset, payload)]. *)
+let records data =
   let module Wire = Dptrace.Wire in
-  let data = read_bin path in
   let cur = Wire.cursor data in
   cur.Wire.pos <- String.length "DPSN\x01";
   ignore (Wire.rstr cur : string);
-  let start = cur.Wire.pos in
-  let key = Wire.rstr cur in
-  let len = Wire.r32 cur in
-  ignore (Wire.r32 cur : int);
-  let payload = String.sub data cur.Wire.pos (len / 2) in
-  let rest = cur.Wire.pos + len in
+  let rec go acc =
+    if Wire.at_end cur then List.rev acc
+    else begin
+      let start = cur.Wire.pos in
+      let key = Wire.rstr cur in
+      let len = Wire.r32 cur in
+      ignore (Wire.r32 cur : int);
+      let pos = cur.Wire.pos in
+      cur.Wire.pos <- pos + len;
+      go ((start, key, pos, String.sub data pos len) :: acc)
+    end
+  in
+  go []
+
+(* [data] with [payload] in place of the record's, its length and
+   checksum resealed: the framing and the CRC hold, and only decoding
+   the record can tell it is damaged. *)
+let with_payload data (start, key, pos, old) payload =
+  let module Wire = Dptrace.Wire in
+  let rest = pos + String.length old in
   let buf = Buffer.create (String.length data) in
   Buffer.add_string buf (String.sub data 0 start);
   Wire.wstr buf key;
@@ -375,7 +386,17 @@ let reseal_first_record_truncated path =
   Wire.w32 buf (Dputil.Crc32.string payload);
   Buffer.add_string buf payload;
   Buffer.add_string buf (String.sub data rest (String.length data - rest));
-  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf)
+  Buffer.contents buf
+
+let write_bin path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* Rewrite the file's first record — a per-stream entry, since stream
+   keys sort before scenario records — with its payload cut to half. *)
+let reseal_first_record_truncated path =
+  let data = read_bin path in
+  let ((_, _, _, payload) as first) = List.hd (records data) in
+  write_bin path (with_payload data first (String.sub payload 0 (String.length payload / 2)))
 
 let test_resealed_record_dropped () =
   let corpus = gen 0.03 in
@@ -406,23 +427,10 @@ module Wire = Dptrace.Wire
 (* [(offset of its payload, payload)] of every stream entry record of a
    cache file. *)
 let entry_records data =
-  let cur = Wire.cursor data in
-  cur.Wire.pos <- String.length "DPSN\x01";
-  ignore (Wire.rstr cur : string);
-  let rec go acc =
-    if Wire.at_end cur then List.rev acc
-    else begin
-      let key = Wire.rstr cur in
-      let len = Wire.r32 cur in
-      ignore (Wire.r32 cur : int);
-      let pos = cur.Wire.pos in
-      cur.Wire.pos <- pos + len;
-      go
-        (if String.starts_with ~prefix:"scn!" key then acc
-         else (pos, String.sub data pos len) :: acc)
-    end
-  in
-  go []
+  List.filter_map
+    (fun (_, key, pos, payload) ->
+      if String.starts_with ~prefix:"scn!" key then None else Some (pos, payload))
+    (records data)
 
 let verdict ~build payload =
   match Snapshot.entry_index ~build payload with
@@ -573,6 +581,195 @@ let test_walk_wide_forest_reversed () =
   | [ (Error m as decoded); walked ] ->
     check Alcotest.bool ("walk = decode: " ^ m) true (walked = decoded)
   | _ -> Alcotest.fail "reverse-ordered roots accepted"
+
+(* --- witness lists: stored canonical, checked on read ---
+
+   A witness list is a count, then per entry a ref, a cost and a count,
+   each entry strictly after the one before it (cost-descending, ties by
+   ref); a mining record's lists hold at most the cap. These helpers
+   find the lists in real records, so the tests below can damage one. *)
+
+module Prov = Dpcore.Provenance
+
+(* The witness list at [cur], stepped over: where it starts, and each
+   entry's byte span. *)
+let witness_list cur =
+  let start = cur.Wire.pos in
+  let spans = ref [] in
+  for _ = 1 to Wire.rcount cur do
+    let s = cur.Wire.pos in
+    ignore (Prov.read_ref cur : Prov.instance_ref);
+    ignore (Wire.rv cur : int);
+    ignore (Wire.rv cur : int);
+    spans := (s, cur.Wire.pos) :: !spans
+  done;
+  (start, List.rev !spans)
+
+let skip_topk cur =
+  for _ = 1 to Wire.rcount cur do
+    ignore (Prov.read_ref cur : Prov.instance_ref);
+    ignore (Wire.rv cur : int);
+    Wire.skip_str cur;
+    for _ = 1 to 4 do ignore (Wire.rv cur : int) done
+  done
+
+(* The witness lists of a partial's nodes, consed onto [acc]. *)
+let rec forest_witnesses acc cur =
+  let acc = ref acc in
+  for _ = 1 to Wire.rcount cur do
+    let tag = Wire.r8 cur in
+    Wire.skip_str cur;
+    if tag = 0 then Wire.skip_str cur;
+    for _ = 1 to 3 do ignore (Wire.rv cur : int) done;
+    acc := witness_list cur :: !acc;
+    acc := forest_witnesses !acc cur
+  done;
+  !acc
+
+(* The witness lists of an entry payload's class forests: each class
+   section holds the all-instance impact, a tag, the slow class's impact
+   and provenance, then the two forests. *)
+let entry_witnesses payload =
+  List.concat_map
+    (fun (_, off, has_class) ->
+      if not has_class then []
+      else begin
+        let cur = { (Wire.cursor payload) with Wire.pos = off } in
+        for _ = 1 to 7 do ignore (Wire.rv cur : int) done;
+        ignore (Wire.r8 cur : int);
+        for _ = 1 to 7 do ignore (Wire.rv cur : int) done;
+        skip_topk cur;
+        skip_topk cur;
+        for _ = 1 to Wire.rcount cur do
+          Wire.skip_str cur;
+          skip_topk cur
+        done;
+        forest_witnesses (forest_witnesses [] cur) cur
+      end)
+    (Snapshot.entry_index ~build:false payload)
+
+(* The witness lists of a mining record's contrast metas: each a tuple,
+   cost, count, witnesses, a reason (tag 1 with a float) and the fast
+   witnesses. *)
+let mining_witnesses payload =
+  let cur = Wire.cursor payload in
+  Wire.skip_str cur;
+  let lists = ref [] in
+  for _ = 1 to Wire.rcount cur do
+    for _ = 1 to 3 do
+      for _ = 1 to Wire.rcount cur do Wire.skip_str cur done
+    done;
+    ignore (Wire.rv cur : int);
+    ignore (Wire.rv cur : int);
+    lists := witness_list cur :: !lists;
+    if Wire.r8 cur = 1 then cur.Wire.pos <- cur.Wire.pos + 8;
+    lists := witness_list cur :: !lists
+  done;
+  !lists
+
+let span s a b = String.sub s a (b - a)
+
+let swap_first_two s (_, spans) =
+  match spans with
+  | (s1, e1) :: (s2, e2) :: _ ->
+    span s 0 s1 ^ span s s2 e2 ^ span s s1 e1 ^ span s e2 (String.length s)
+  | _ -> assert false
+
+let repeat_first s (_, spans) =
+  match spans with
+  | (s1, e1) :: (_, e2) :: _ ->
+    span s 0 s1 ^ span s s1 e1 ^ span s s1 e1 ^ span s e2 (String.length s)
+  | _ -> assert false
+
+(* The list replaced by one of [default_k + 1] entries, in order. *)
+let over_cap s (start, spans) =
+  let b = Buffer.create 128 in
+  Wire.wv b (Prov.default_k + 1);
+  for i = 0 to Prov.default_k do
+    Prov.write_ref b { Prov.stream_id = i; scenario = "S"; tid = 0; t0 = 0; t1 = 0 };
+    Wire.wv b 1;
+    Wire.wv b 1
+  done;
+  let stop = List.fold_left (fun _ (_, e) -> e) (start + 1) spans in
+  span s 0 start ^ Buffer.contents b ^ span s stop (String.length s)
+
+(* Two entries of a real witness list swapped, or the second replaced
+   by a copy of the first, in a stream entry's forest and in a mining
+   record, and a mining record's list grown past the cap: the reader
+   refuses each with [Wire.Corrupt] (an entry's both with and without
+   [build]), [cache verify] counts the record corrupt, and through the
+   cache it is dropped and becomes a miss, with the report unchanged. *)
+let test_witness_mutations_refused () =
+  with_prov true @@ fun () ->
+  let corpus = gen 0.03 in
+  let dir = fresh_dir () in
+  let snap = open_snap ~dir corpus in
+  ignore (snap_doc snap corpus);
+  Snapshot.save snap;
+  let path = List.hd (Snapshot.list_files dir) in
+  let clean = read_bin path in
+  let is_scn = String.starts_with ~prefix:"scn!" in
+  (* The first record [pick] takes with a witness list of two entries
+     or more, and that list. *)
+  let first pick lists_of =
+    match
+      List.find_map
+        (fun ((_, key, _, payload) as r) ->
+          if not (pick key) then None
+          else
+            Option.map (fun l -> (r, l))
+              (List.find_opt (fun (_, spans) -> List.length spans >= 2) (lists_of payload)))
+        (records clean)
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "no witness list of two entries"
+  in
+  let entry = first (Fun.negate is_scn) entry_witnesses
+  and mining = first is_scn mining_witnesses in
+  let unordered = "witnesses: entries not strictly increasing" in
+  let too_many =
+    Printf.sprintf "witnesses: %d entries, above the cap of %d" (Prov.default_k + 1) Prov.default_k
+  in
+  let refused case msg f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" case
+    | exception Wire.Corrupt m -> check Alcotest.string (case ^ ": refused") msg m
+  in
+  List.iter
+    (fun (case, (((_, _, _, payload) as r), l), mutate, msg) ->
+      let damaged = mutate payload l in
+      let mined = r == fst mining in
+      if mined then
+        refused case msg (fun () ->
+            let cur = { (Wire.cursor damaged) with Wire.pos = fst l } in
+            let entries =
+              Wire.rlist cur (fun cur ->
+                  let r = Prov.read_ref cur in
+                  let cost = Wire.rv cur in
+                  (r, cost, Wire.rv cur))
+            in
+            ignore (Prov.Wset.of_entries entries : Prov.Wset.t))
+      else
+        List.iter
+          (fun build ->
+            refused case msg (fun () -> ignore (Snapshot.entry_index ~build damaged)))
+          [ true; false ];
+      write_bin path (with_payload clean r damaged);
+      check Alcotest.int (case ^ ": cache verify") 1 (Snapshot.inspect path).Snapshot.fi_corrupt;
+      let snap = open_snap ~dir corpus in
+      check Alcotest.int (case ^ ": dropped") 1 (Snapshot.stats snap).Snapshot.s_dropped;
+      check Alcotest.int (case ^ ": stream misses") (if mined then 0 else 1)
+        (Snapshot.stats snap).Snapshot.s_misses;
+      check_identical ~msg:case snap corpus;
+      check Alcotest.int (case ^ ": mining misses") (if mined then 1 else 0)
+        (Snapshot.stats snap).Snapshot.s_mining_misses)
+    [
+      ("entry: swapped", entry, swap_first_two, unordered);
+      ("entry: repeated", entry, repeat_first, unordered);
+      ("mining: swapped", mining, swap_first_two, unordered);
+      ("mining: repeated", mining, repeat_first, unordered);
+      ("mining: over the cap", mining, over_cap, too_many);
+    ]
 
 let test_fingerprint_isolation () =
   let specs = [ Dptrace.Scenario.spec ~name:"S" ~tfast:100 ~tslow:500 ] in
@@ -1034,6 +1231,8 @@ let () =
             test_walk_padded_duplicates;
           Alcotest.test_case "walk of 100k sibling statuses" `Quick
             test_walk_wide_forest;
+          Alcotest.test_case "damaged witness lists refused, then missed" `Slow
+            test_witness_mutations_refused;
           Alcotest.test_case "walk of 100k reversed sibling statuses" `Quick
             test_walk_wide_forest_reversed;
         ] );
