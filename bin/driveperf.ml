@@ -410,12 +410,10 @@ let with_results ?scenarios ?loaded ~cache ~components s f =
       Dpcore.Snapshot.save snap;
       let s = Dpcore.Snapshot.stats snap in
       Dpobs.Log.info
-        "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d dropped, \
-         mining %d hit(s) / %d miss(es)"
+        "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d dropped"
         (Option.get cache) s.Dpcore.Snapshot.s_hits s.Dpcore.Snapshot.s_misses
         s.Dpcore.Snapshot.s_stale s.Dpcore.Snapshot.s_loaded
-        s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
-        s.Dpcore.Snapshot.s_mining_misses)
+        s.Dpcore.Snapshot.s_dropped)
     snapshot;
   r
 

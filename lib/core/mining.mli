@@ -18,16 +18,16 @@
     The miner enumerates segments incrementally — per-role sorted
     multiset scratches updated in O(log n) as the walk extends or
     retracts a segment, hash-consed tuples frozen once per distinct
-    (hash, content) per root, tables keyed by dense tuple ids — can fan
-    enumeration over the AWG roots on a {!Dppar.Pool}, and replaces the
-    exhaustive metas × paths subset scan of step 3 with an inverted
-    signature index (each contrast meta indexed under its rarest
-    signature; candidates generated from the signatures a path actually
-    contains, then subset-verified in original meta order). Its
-    {!result}s are bit-identical to the naive algorithms' (the test
-    suite keeps those as the oracle) — including provenance witness
-    sets, whose truncating unions are order-sensitive and therefore
-    applied in naive segment order even under parallel enumeration. *)
+    (hash, content) per root, tables keyed by dense tuple ids — on one
+    domain, and replaces the exhaustive metas × paths subset scan of
+    step 3 with an inverted signature index (each contrast meta indexed
+    under its rarest signature; candidates generated from the signatures
+    a path actually contains, then subset-verified in original meta
+    order). Its {!result}s are bit-identical to the naive algorithms'
+    (the test suite keeps those as the oracle) — including provenance
+    witness sets, whose truncating unions are order-sensitive and
+    therefore applied in naive segment order. A report mines each
+    scenario on one domain; only different scenarios run in parallel. *)
 
 type meta = {
   tuple : Tuple.t;

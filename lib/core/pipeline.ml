@@ -92,9 +92,8 @@ let absorb_class a (c : Snapshot.class_part) =
   a.a_prov <- Provenance.merge_impact a.a_prov c.cl_slow_prov
 
 (* The one scenario tail: classify, reduce the merged forests, mine,
-   then the coverages. [mine f] returns the mining result, [f ()]
-   computing it. *)
-let scenario_tail ~k ~reduce ~mine corpus name a =
+   then the coverages. *)
+let scenario_tail ~k ~reduce corpus name a =
   let classification =
     span "pipeline.classify" (fun () -> Classify.classify corpus name)
   in
@@ -106,9 +105,8 @@ let scenario_tail ~k ~reduce ~mine corpus name a =
   in
   let mining =
     span "pipeline.mining" (fun () ->
-        mine (fun () ->
-            Mining.mine ~k ~fast:fast_awg ~slow:slow_awg
-              ~spec:classification.Classify.spec ()))
+        Mining.mine ~k ~fast:fast_awg ~slow:slow_awg
+          ~spec:classification.Classify.spec ())
   in
   (* Coverage denominator: everything the slow-class aggregation absorbed
      at its end nodes, plus the non-optimisable mass the reduction pruned
@@ -171,7 +169,7 @@ let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
   in
   let a = class_acc () in
   span "pipeline.awg_merge" (fun () -> List.iter (Option.iter (absorb_class a)) parts);
-  scenario_tail ~k ~reduce ~mine:(fun f -> f ()) corpus name a
+  scenario_tail ~k ~reduce corpus name a
 
 type report = {
   impact : Impact.result;
@@ -186,12 +184,11 @@ type report = {
    corpus impact with its provenance, the module table, each stream's
    impact, newest first, and each scenario's row of the per-scenario
    table), plus a class accumulator per requested scenario that has had
-   a class part. [cache] gives a cached report's snapshot by specs. *)
+   a class part. *)
 type acc = {
   k : int;
   reduce : bool;
   wanted : string list option;
-  cache : (Dptrace.Scenario.spec list -> Snapshot.t) option;
   mutable t_impact : Impact.result;
   mutable t_prov : Provenance.impact;
   mutable t_modules : Impact.module_row list;
@@ -200,12 +197,11 @@ type acc = {
   classes : (string, class_acc) Hashtbl.t;
 }
 
-let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios cache =
+let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios () =
   {
     k;
     reduce;
     wanted = scenarios;
-    cache;
     t_impact = Impact.empty;
     t_prov = Provenance.empty_impact;
     t_modules = [];
@@ -236,16 +232,15 @@ let class_acc_of t name =
 (* Each requested scenario with a spec goes through the scenario tail
    over its class accumulator, one scenario per work item (mining
    sequential inside the worker), results in request order, spec-less
-   names skipped. [mine name f] returns the scenario's mining result,
-   [f ()] computing it. *)
-let assemble ?pool ~mine corpus t =
+   names skipped. *)
+let finish ?pool t corpus =
   let one name =
     let r =
       Option.map
         (fun _ ->
           ( name,
             span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
-            scenario_tail ~k:t.k ~reduce:t.reduce ~mine:(mine name) corpus name
+            scenario_tail ~k:t.k ~reduce:t.reduce corpus name
               (Option.value ~default:(class_acc ()) (Hashtbl.find_opt t.classes name)) ))
         (Dptrace.Corpus.find_spec corpus name)
     in
@@ -322,22 +317,8 @@ let absorb acc s =
       | _, None -> ())
     s.class_parts
 
-(* The miner dominates a warm re-analysis, and its inputs are a pure
-   function of the snapshot fingerprint + contributing streams, so a
-   cached report's mining result is cached at scenario granularity
-   (digest-checked; identical either way). *)
-let finish ?pool acc (corpus : Dptrace.Corpus.t) =
-  let mine =
-    match acc.cache with
-    | None -> fun _ f -> f ()
-    | Some snapshot ->
-      Snapshot.mining (snapshot corpus.Dptrace.Corpus.specs) corpus
-        ~reduce:acc.reduce ~k:acc.k
-  in
-  assemble ?pool ~mine corpus acc
-
 let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t) =
-  let acc = accumulator ?k ?reduce ?scenarios None in
+  let acc = accumulator ?k ?reduce ?scenarios () in
   span "pipeline.report_streams" (fun () ->
       Dppar.Pool.iter_batched ?pool
         (fun st ->
@@ -355,12 +336,12 @@ let run_impact_prov ?pool components corpus =
    The snapshot's entries hold what the fresh pass computes per stream,
    so the cached report is the same accumulator over entries instead of
    fresh parts: every cached result — impact integers, provenance
-   reservoirs, AWG forests, mined patterns — is bit-identical to the
-   uncached run whatever mix of cache hits and misses produced the
-   entries. *)
+   reservoirs, AWG forests, and so the patterns mined from them — is
+   bit-identical to the uncached run whatever mix of cache hits and
+   misses produced the entries. *)
 
 let run_report_snap ?pool ?k ?reduce ?scenarios snapshot (corpus : Dptrace.Corpus.t) =
-  let acc = accumulator ?k ?reduce ?scenarios (Some (fun _ -> snapshot)) in
+  let acc = accumulator ?k ?reduce ?scenarios () in
   Dppar.Pool.iter_batched ?pool
     (fun st -> of_entry acc (Snapshot.entry snapshot st) st None)
     (absorb acc)
@@ -443,7 +424,7 @@ let screen (corpus : Dptrace.Corpus.t) =
     close_screen s )
 
 let fold_report ?k ?reduce ?scenarios ~cache components source =
-  let acc = accumulator ?k ?reduce ?scenarios cache in
+  let acc = accumulator ?k ?reduce ?scenarios () in
   let step =
     match cache with
     | None -> step components acc

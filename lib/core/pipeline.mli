@@ -135,10 +135,10 @@ val run_impact_prov :
     Each answers its from-scratch counterpart's question over a
     {!Snapshot.t} the caller has {!Snapshot.ensure}d for the corpus. The
     report variants absorb the entries' parts into {!run_report}'s own
-    accumulators. Only the miner's result may come from the snapshot's
-    mining records. Results are {e bit-identical} to the uncached entry points —
-    including provenance and [--json] rendering — regardless of which
-    entries were cache hits.
+    accumulators and mine the merged forests with {!Mining.mine}, as
+    {!run_report} does. Results are {e bit-identical} to the uncached
+    entry points — including provenance and [--json] rendering —
+    regardless of which entries were cache hits.
 
     All raise [Invalid_argument] if the snapshot lacks an entry for some
     stream (i.e. {!Snapshot.ensure} was not run for this corpus). *)
@@ -162,8 +162,7 @@ val run_report_snap :
   Dptrace.Corpus.t ->
   report
 (** Cached {!run_report}: each stream's entry decoded into its parts
-    and absorbed, in batches, then {!finish}, whose tails take their
-    mining results through {!Snapshot.mining}. *)
+    and absorbed, in batches, then {!finish}. *)
 
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact
@@ -244,7 +243,7 @@ val finish : ?pool:Dppar.Pool.t -> acc -> Dptrace.Corpus.t -> report
 (** Run the requested scenarios' tails (fanned out over [pool]) and
     return the report: given {!fold_report}'s outputs, equal to
     {!run_report} over the screened resident corpus. [corpus] supplies
-    only specs and instances, so skeletons suffice. With a cache, mining
-    goes through the snapshot's records as in {!run_report_snap}; the
-    snapshot is asked for by [corpus]'s specs, so a corpus with no
-    streams opens it here. *)
+    only specs and instances, so skeletons suffice. It never touches a
+    cache: every tail mines its merged forests. A corpus with no streams
+    never ran a step, so a caller that saves the cache opens it by
+    [corpus]'s specs. *)

@@ -178,12 +178,11 @@ module Wset = struct
     done;
     es
 
-  let read cur = Array.to_list (read_entries ~build:true ~cap:default_k cur)
-
   let of_entries l =
     let b = Buffer.create 256 in
     write b (List.map (fun (e_ref, e_cost, e_count) -> { e_ref; e_cost; e_count }) l);
-    read (Dptrace.Wire.cursor (Buffer.contents b))
+    Array.to_list
+      (read_entries ~build:true ~cap:default_k (Dptrace.Wire.cursor (Buffer.contents b)))
 end
 
 module Wacc = struct

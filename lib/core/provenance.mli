@@ -106,14 +106,9 @@ module Wset : sig
   (** [(ref, contributed cost, occurrences)], cost-descending. *)
 
   val of_entries : (instance_ref * Dputil.Time.t * int) list -> t
-  (** Inverse of {!entries}, checked as {!read} checks: it reads what
-      {!write} makes of the list. *)
-
-  val write : Buffer.t -> t -> unit
-  (** A count, then each entry's {!write_ref}, cost and count. *)
-
-  val read : Dptrace.Wire.cursor -> t
-  (** Inverse of {!write}.
+  (** Inverse of {!entries}. It writes the list in the witness wire form
+      (a count, then each entry's {!write_ref}, cost and count) and reads
+      it back with the checks {!Wacc.read} makes.
       @raise Dptrace.Wire.Corrupt on more than {!default_k} entries, or
       unless each is strictly after the one before it in {!entries}'
       order (ties by {!compare_ref}). *)
@@ -146,11 +141,12 @@ module Wacc : sig
       {!default_k}. *)
 
   val write : Buffer.t -> t -> unit
-  (** {!entries} in {!Wset.write}'s form. *)
+  (** {!entries} in the witness wire form (see {!Wset.of_entries}). *)
 
   val read : Dptrace.Wire.cursor -> t option
-  (** Inverse of {!write}, as one sealed chunk ([None] for no entries),
-      checked as {!Wset.read} checks but for the cap. *)
+  (** Inverse of {!write}, as one sealed chunk ([None] for no entries).
+      @raise Dptrace.Wire.Corrupt unless each entry is strictly after the
+      one before it in {!Wset.entries}' order; there is no cap. *)
 
   val skip : Dptrace.Wire.cursor -> unit
   (** {!read}'s checks, building nothing. *)

@@ -11,7 +11,7 @@ module Wait_graph = Dpwaitgraph.Wait_graph
 (* Bump whenever the analysis semantics or the entry wire form change:
    the version participates in the config fingerprint, so old caches
    degrade to misses instead of deserialising garbage. *)
-let code_version = "dpsnap-2"
+let code_version = "dpsnap-3"
 
 let magic = "DPSN\x01"
 
@@ -23,8 +23,6 @@ let hit_c = Dpobs.Metrics.lazy_counter "snapshot.hit"
 let miss_c = Dpobs.Metrics.lazy_counter "snapshot.miss"
 let stale_c = Dpobs.Metrics.lazy_counter "snapshot.stale"
 let bytes_c = Dpobs.Metrics.lazy_counter "snapshot.bytes"
-let mining_hit_c = Dpobs.Metrics.lazy_counter "snapshot.mining_hit"
-let mining_miss_c = Dpobs.Metrics.lazy_counter "snapshot.mining_miss"
 
 (* --- config fingerprint --- *)
 
@@ -277,123 +275,6 @@ let read_head ~build cur =
   let prov = read_prov ~build cur in
   (impact, prov, read_list ~build cur read_module_row skip_module_row)
 
-(* --- scenario mining records ---
-
-   Mining re-runs cost the same whether the per-stream partials came from
-   the cache or not, so a warm re-analysis would be bounded below by the
-   miner. The snapshot therefore also caches each scenario's
-   {!Mining.result}, keyed by a digest of everything the merged AWGs are a
-   deterministic function of beyond the file fingerprint: the ordered
-   contributing stream keys, [k] and the [reduce] switch. Appending a
-   stream only perturbs the digests of the scenarios that stream actually
-   contains — every other scenario's mining result is reused verbatim. *)
-
-let write_f64 buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let read_f64 cur =
-  Wire.need cur 8;
-  let bits = String.get_int64_le cur.Wire.data cur.Wire.pos in
-  cur.Wire.pos <- cur.Wire.pos + 8;
-  Int64.float_of_bits bits
-
-let write_signature_set buf (a : Dptrace.Signature.t array) =
-  Wire.wv buf (Array.length a);
-  Array.iter (fun s -> Wire.wstr buf (Dptrace.Signature.name s)) a
-
-let read_signature_list cur =
-  Wire.rlist cur (fun cur -> Dptrace.Signature.of_string (Wire.rstr cur))
-
-let write_tuple buf (t : Tuple.t) =
-  write_signature_set buf t.Tuple.waits;
-  write_signature_set buf t.Tuple.unwaits;
-  write_signature_set buf t.Tuple.runnings
-
-(* [Tuple.make] re-interns under the current process's signature order,
-   so the reconstructed tuple is physically the canonical one — mining
-   results built from it compare and render identically. *)
-let read_tuple cur =
-  let waits = read_signature_list cur in
-  let unwaits = read_signature_list cur in
-  let runnings = read_signature_list cur in
-  Tuple.make ~waits ~unwaits ~runnings
-
-let write_meta buf (m : Mining.meta) =
-  write_tuple buf m.Mining.tuple;
-  Wire.wv buf m.Mining.cost;
-  Wire.wv buf m.Mining.count;
-  Provenance.Wset.write buf m.Mining.m_witnesses
-
-let read_meta cur : Mining.meta =
-  let tuple = read_tuple cur in
-  let cost = Wire.rv cur in
-  let count = Wire.rv cur in
-  let m_witnesses = Provenance.Wset.read cur in
-  { Mining.tuple; cost; count; m_witnesses }
-
-let write_contrast buf (c : Mining.contrast_meta) =
-  write_meta buf c.Mining.cm_meta;
-  (match c.Mining.reason with
-  | Mining.Slow_only -> Wire.w8 buf 0
-  | Mining.Cost_ratio r ->
-    Wire.w8 buf 1;
-    write_f64 buf r);
-  Provenance.Wset.write buf c.Mining.cm_fast_witnesses
-
-let read_contrast cur : Mining.contrast_meta =
-  let cm_meta = read_meta cur in
-  let reason =
-    match Wire.r8 cur with
-    | 0 -> Mining.Slow_only
-    | 1 -> Mining.Cost_ratio (read_f64 cur)
-    | k -> Wire.corrupt "snapshot scenario record: bad contrast tag %d" k
-  in
-  let cm_fast_witnesses = Provenance.Wset.read cur in
-  { Mining.cm_meta; reason; cm_fast_witnesses }
-
-let write_pattern buf (p : Mining.pattern) =
-  write_tuple buf p.Mining.tuple;
-  Wire.wv buf p.Mining.cost;
-  Wire.wv buf p.Mining.count;
-  Wire.wv buf p.Mining.max_single;
-  Provenance.Wset.write buf p.Mining.witnesses;
-  Provenance.Wset.write buf p.Mining.fast_witnesses
-
-let read_pattern cur : Mining.pattern =
-  let tuple = read_tuple cur in
-  let cost = Wire.rv cur in
-  let count = Wire.rv cur in
-  let max_single = Wire.rv cur in
-  let witnesses = Provenance.Wset.read cur in
-  let fast_witnesses = Provenance.Wset.read cur in
-  { Mining.tuple; cost; count; max_single; witnesses; fast_witnesses }
-
-let write_scen_record buf ~digest (m : Mining.result) =
-  Wire.wstr buf digest;
-  Wire.wv buf (List.length m.Mining.contrast_metas);
-  List.iter (write_contrast buf) m.Mining.contrast_metas;
-  Wire.wv buf (List.length m.Mining.patterns);
-  List.iter (write_pattern buf) m.Mining.patterns;
-  Wire.wv buf m.Mining.fast_meta_count;
-  Wire.wv buf m.Mining.slow_meta_count
-
-let read_scen_record cur =
-  let digest = Wire.rstr cur in
-  let contrast_metas = Wire.rlist cur read_contrast in
-  let patterns = Wire.rlist cur read_pattern in
-  let fast_meta_count = Wire.rv cur in
-  let slow_meta_count = Wire.rv cur in
-  (digest, { Mining.contrast_metas; patterns; fast_meta_count; slow_meta_count })
-
-(* Scenario records share the entry framing under a reserved key prefix;
-   stream keys are hex-and-dash, so the prefix cannot collide. *)
-let scen_prefix = "scn!"
-
-let is_scen_key key = String.starts_with ~prefix:scen_prefix key
-
-let scen_name key =
-  String.sub key (String.length scen_prefix)
-    (String.length key - String.length scen_prefix)
-
 (* A scenario section: the all-instance impact, then a class tag and,
    for tag 1, the class part. [None] when there is no class part; with
    [build] the part is decoded, without it only checked: [Some None]. *)
@@ -516,25 +397,15 @@ let entry_scenario_class e name =
 type t = {
   dir : string option;
   fp : string;
-  data : string;  (* the cache file's bytes as opened; "" if none *)
   entries : (string, entry) Hashtbl.t;  (* key -> entry *)
   used : (string, unit) Hashtbl.t;  (* keys the current pass has settled *)
-  scenarios : (string, string * Mining.result * (int * int) option) Hashtbl.t;
-      (* scenario name -> (digest, mining, the (offset, length) in [data]
-         of the framed record it was loaded from, which [save] copies
-         verbatim); guarded by [lock] because the pipeline's scenario
-         assembly consults it from pool workers *)
-  lock : Mutex.t;
   mutable dirty : bool;
       (* [save] would write bytes other than the file's: it was absent,
-         damaged or not in save order, or a miss or a re-mined scenario
-         has been added since *)
+         damaged or not in save order, or a miss has been added since *)
   mutable hits : int;
   mutable misses : int;
   loaded : int;  (* records read intact from disk *)
   dropped : int;  (* on-disk records discarded as corrupt *)
-  mutable mining_hits : int;
-  mutable mining_misses : int;
 }
 
 type stats = {
@@ -559,8 +430,8 @@ let stats t =
     s_stale = stale t;
     s_loaded = t.loaded;
     s_dropped = t.dropped;
-    s_mining_hits = t.mining_hits;
-    s_mining_misses = t.mining_misses;
+    s_mining_hits = 0;
+    s_mining_misses = 0;
   }
 
 let file_of ~dir ~fp = Filename.concat dir (fp ^ ".dpsnap")
@@ -568,9 +439,7 @@ let file_of ~dir ~fp = Filename.concat dir (fp ^ ".dpsnap")
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Walk one cache file, handing [feed] every record whose checksum holds
-   and whose payload reads to exactly its length: a stream's entry
-   (read without [build]), or a scenario's mining record (decoded) with
-   its framed span in [data].
+   and whose payload reads, without [build], to exactly its length.
    Per-record containment: a checksum-failing or undecodable record is
    skipped (counted corrupt) and the walk continues at the next record;
    damaged framing (implausible length) abandons the remainder of the
@@ -603,25 +472,17 @@ let parse_file data ~expect_fp ~feed =
        Wire.need cur elen;
        let pos = cur.Wire.pos and stop = cur.Wire.pos + elen in
        cur.Wire.pos <- stop;
-       let rank = Some (is_scen_key key, key) in
-       if compare rank !last <= 0 then in_order := false;
-       last := rank;
+       if Some key <= !last then in_order := false;
+       last := Some key;
        if
          Dputil.Crc32.bytes_sub (Bytes.unsafe_of_string data) ~pos ~len:elen
          <> stored
        then incr bad
        else begin
          let rcur = { Wire.data; pos } in
-         match
-           if is_scen_key key then
-             let digest, mining = read_scen_record rcur in
-             `Mining (scen_name key, (digest, mining, Some (start, stop - start)))
-           else
-             let sections = read_entry ~build:false rcur in
-             `Entry { key; data; off = start; len = stop - start; head = pos; sections }
-         with
-         | record when rcur.Wire.pos = stop ->
-           feed record;
+         match read_entry ~build:false rcur with
+         | sections when rcur.Wire.pos = stop ->
+           feed { key; data; off = start; len = stop - start; head = pos; sections };
            incr ok
          | _ -> incr bad  (* trailing bytes *)
          | exception Wire.Corrupt _ -> incr bad
@@ -632,11 +493,7 @@ let parse_file data ~expect_fp ~feed =
 
 let create ?dir ~fingerprint:fp () =
   Dpobs.Span.with_span "snapshot.open" @@ fun () ->
-  let entries = Hashtbl.create 64 and scenarios = Hashtbl.create 16 in
-  let feed = function
-    | `Entry e -> Hashtbl.replace entries e.key e
-    | `Mining (name, record) -> Hashtbl.replace scenarios name record
-  in
+  let entries = Hashtbl.create 64 in
   let data, (_, loaded, dropped, in_order) =
     match dir with
     | None -> ("", ("", 0, 0, false))
@@ -645,51 +502,35 @@ let create ?dir ~fingerprint:fp () =
       | data ->
         if Dpobs.metrics_on () then
           Dpobs.Metrics.add (bytes_c ()) (String.length data);
+        let feed e = Hashtbl.replace entries e.key e in
         (data, parse_file data ~expect_fp:(Some fp) ~feed)
       | exception Sys_error _ -> ("", ("", 0, 0, false)))
   in
   {
     dir;
     fp;
-    data;
     entries;
     used = Hashtbl.create 64;
-    scenarios;
-    lock = Mutex.create ();
     dirty = dropped > 0 || not in_order || data = "";
     hits = 0;
     misses = 0;
     loaded;
     dropped;
-    mining_hits = 0;
-    mining_misses = 0;
   }
 
-(* Stream the file: magic, fingerprint, then every record in sorted key
-   order — per-stream entries, then scenario mining records — so the file
-   is a pure function of its contents. Entries are already framed, and a
-   mining record loaded from the current file is copied as stored; only
-   re-mined scenarios are encoded. Returns the bytes written. *)
+(* Stream the file: magic, fingerprint, then every entry in sorted key
+   order, so the file is a pure function of its contents. Entries are
+   already framed. Returns the bytes written. *)
 let write_records t oc =
   let header = Buffer.create 64 in
   Wire.wstr header t.fp;
   output_string oc magic;
   Buffer.output_buffer oc header;
-  let sorted tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
   List.iter
     (fun key ->
       let e = Hashtbl.find t.entries key in
       output_substring oc e.data e.off e.len)
-    (sorted t.entries);
-  List.iter
-    (fun name ->
-      match Hashtbl.find t.scenarios name with
-      | _, _, Some (off, len) -> output_substring oc t.data off len
-      | digest, mining, None ->
-        let payload = Buffer.create 4096 in
-        write_scen_record payload ~digest mining;
-        Buffer.output_buffer oc (frame (scen_prefix ^ name) (Buffer.contents payload)))
-    (sorted t.scenarios);
+    (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.entries []));
   pos_out oc
 
 (* The entries a pass leaves out are counted stale once: when they are
@@ -797,7 +638,6 @@ let ensure ?pool t components (corpus : Corpus.t) =
     (fun push -> List.iter push corpus.Corpus.streams)
 
 let drop_stale t =
-  Mutex.protect t.lock @@ fun () ->
   let before = Hashtbl.length t.entries in
   Hashtbl.filter_map_inplace
     (fun key e -> if Hashtbl.mem t.used key then Some e else None)
@@ -812,59 +652,6 @@ let entry t st =
   | None ->
     invalid_arg
       (Printf.sprintf "Snapshot.entry: stream %d not ensured" st.Stream.id)
-
-(* --- scenario mining cache ---
-
-   The merged class AWGs a scenario is mined from are a deterministic
-   function of the file fingerprint (components, specs, k, provenance,
-   code version) plus: which streams contribute class parts, in what
-   order, and the [reduce] switch. The digest captures exactly that
-   remainder, so a matching digest guarantees [Mining.mine] would
-   reproduce the stored result bit for bit. Streams are identified by
-   the same codec-v2 content keys as the per-stream entries.
-
-   Requires every stream of the corpus to be settled (keys are memoised
-   and [entries] is read-only by then, so concurrent readers are
-   safe). *)
-let scenario_digest t (corpus : Corpus.t) name ~reduce ~k =
-  let buf = Buffer.create 256 in
-  Printf.bprintf buf "scenario:%s\nreduce:%b\nk:%d\n" name reduce k;
-  List.iter
-    (fun st ->
-      let key = key_of st in
-      match Hashtbl.find_opt t.entries key with
-      | Some e when List.exists (fun (n, _, c) -> n = name && c) e.sections ->
-        Buffer.add_string buf key;
-        Buffer.add_char buf '\n'
-      | _ -> ())
-    corpus.Corpus.streams;
-  let s = Buffer.contents buf in
-  Printf.sprintf "%08x%08x"
-    (Dputil.Crc32.string s land 0xffffffff)
-    (Dputil.Crc32.string (s ^ "#dpscn") land 0xffffffff)
-
-let mining t corpus name ~reduce ~k mine =
-  let digest = scenario_digest t corpus name ~reduce ~k in
-  let cached =
-    Mutex.protect t.lock @@ fun () ->
-    match Hashtbl.find_opt t.scenarios name with
-    | Some (d, m, _) when d = digest ->
-      t.mining_hits <- t.mining_hits + 1;
-      if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_hit_c ());
-      Some m
-    | Some _ | None ->
-      t.mining_misses <- t.mining_misses + 1;
-      if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_miss_c ());
-      None
-  in
-  match cached with
-  | Some m -> m
-  | None ->
-    let m = mine () in
-    Mutex.protect t.lock (fun () ->
-        Hashtbl.replace t.scenarios name (digest, m, None);
-        t.dirty <- true);
-    m
 
 (* --- cache-directory tooling (driveperf cache) --- *)
 

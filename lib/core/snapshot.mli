@@ -23,13 +23,11 @@
     report does not: a class part for every spec'd scenario, whichever a
     run requested.
 
-    On top of the per-stream entries the snapshot caches each scenario's
-    {!Mining.result} (see {!mining}): re-mining is the dominant cost
-    of a warm re-analysis and its inputs are a deterministic function of
-    the fingerprint plus the ordered set of contributing streams, so a
-    digest match lets the pipeline skip the miner without affecting
-    output. Appending a stream only invalidates the scenarios that stream
-    contains.
+    The snapshot caches nothing else. Every report, cached or not, mines
+    its scenarios with {!Mining.mine} over the merged forests: the
+    entries reproduce those forests exactly and the miner is
+    deterministic over them, so a cached report's patterns are the
+    fresh report's.
 
     Robustness: a snapshot is a cache, never a source of truth. Entries
     are individually CRC-32 framed; an unreadable file, a stale
@@ -48,19 +46,19 @@
     part at a time.
 
     What {!save} writes, and when. Nothing, if the snapshot still
-    matches its file: no miss was analysed, no mining result stored, and
-    the file was read whole, undamaged and in save order. It then only
-    refreshes the file's mtime, which is what {!gc} ranks recency by.
-    Otherwise it streams a new file: entry records and loaded mining
-    records are copied byte for byte; only re-mined scenario records are
-    encoded. Either way the file is the one a from-scratch save of the
-    same contents would write.
+    matches its file: no miss was analysed, and the file was read whole,
+    undamaged and in save order. It then only refreshes the file's
+    mtime, which is what {!gc} ranks recency by. Otherwise it streams a
+    new file of entry records, each copied byte for byte. Either way the
+    file is the one a from-scratch save of the same contents would
+    write. A file from before [dpsnap-3] has another fingerprint, so it
+    is never opened; {!inspect} counts its scenario mining records
+    corrupt.
 
     Observability: spans [snapshot.open] ({!create}), [snapshot.ensure]
     and [snapshot.save]; metrics [snapshot.hit]/[snapshot.miss]
     ({!settle}), [snapshot.bytes], [snapshot.stale] (by {!drop_stale} or
-    {!save}, whichever meets the stale entry first) and
-    [snapshot.mining_hit]/[snapshot.mining_miss], when
+    {!save}, whichever meets the stale entry first), when
     {!Dpobs.metrics_on}. *)
 
 val code_version : string
@@ -211,27 +209,16 @@ val save : t -> unit
     refreshes the file's mtime (see the record lifecycle above). No-op
     for in-memory snapshots. *)
 
-(** {1 Scenario mining cache} *)
-
-val mining :
-  t -> Dptrace.Corpus.t -> string -> reduce:bool -> k:int ->
-  (unit -> Mining.result) -> Mining.result
-(** [mining t corpus name ~reduce ~k mine]: the named scenario's cached
-    mining result, provided its digest — over the ordered content keys
-    of the corpus streams contributing class parts, plus [reduce] and
-    [k] — matches; otherwise [mine ()], recorded under that digest in
-    place of any stale record. Call only after a pass settled every
-    stream of the corpus. Safe from pool workers; [mine] runs outside
-    the lock. *)
-
 type stats = {
   s_hits : int;  (** Settled streams served from cache. *)
   s_misses : int;  (** Settled streams (re)analysed. *)
   s_stale : int;  (** Entries the last pass did not settle. *)
   s_loaded : int;  (** Records read intact from disk. *)
   s_dropped : int;  (** On-disk records discarded as corrupt. *)
-  s_mining_hits : int;  (** Scenarios whose mining result was reused. *)
-  s_mining_misses : int;  (** Scenarios re-mined. *)
+  s_mining_hits : int;
+  s_mining_misses : int;
+      (** Always 0: the snapshot caches no mining results. Kept for
+          readers of the stats that predate [dpsnap-3]. *)
 }
 
 val stats : t -> stats

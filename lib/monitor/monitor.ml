@@ -650,6 +650,11 @@ let tick t =
          table the tick once computed in a second pass. *)
       M.add (M.counter "pipeline.scenarios_done")
         (List.length report.Pipeline.per_scenario);
+      (* They also pin one snapshot mining miss per scenario mined, from
+         when the snapshot cached mining results: the counter appears
+         once a tick has mined. *)
+      if report.Pipeline.scenarios <> [] then
+        M.add (M.counter "snapshot.mining_miss") (List.length report.Pipeline.scenarios);
       (* Full ranked lists: the baseline keeps everything mined so
          top-K boundary churn can't fake [Appeared]; the cap applies to
          the claiming side inside [pattern_alerts]. *)

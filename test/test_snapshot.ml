@@ -67,8 +67,29 @@ let saved_bytes dir =
   | [ p ] -> read_bin p
   | l -> Alcotest.failf "expected one cache file, got %d" (List.length l)
 
-(* The file a cold cache writes for [corpus], after a report has stored
-   the mining record of every scenario in [scenarios] (default: all). *)
+(* Every record of a cache file, in file order: [(start, key, payload
+   offset, payload)]. *)
+let records data =
+  let module Wire = Dptrace.Wire in
+  let cur = Wire.cursor data in
+  cur.Wire.pos <- String.length "DPSN\x01";
+  ignore (Wire.rstr cur : string);
+  let rec go acc =
+    if Wire.at_end cur then List.rev acc
+    else begin
+      let start = cur.Wire.pos in
+      let key = Wire.rstr cur in
+      let len = Wire.r32 cur in
+      ignore (Wire.r32 cur : int);
+      let pos = cur.Wire.pos in
+      cur.Wire.pos <- pos + len;
+      go ((start, key, pos, String.sub data pos len) :: acc)
+    end
+  in
+  go []
+
+(* The file a cold cache writes for [corpus], after a report over
+   [scenarios] (default: all). *)
 let cold_file ?scenarios corpus =
   let dir = fresh_dir () in
   let snap = open_snap ~dir corpus in
@@ -84,8 +105,8 @@ let per_scenario_str l =
 
 (* A framed corpus folded through the cache in [dir] the way [report
    --cache] runs it: each stream looked up, or stepped on a miss, as it
-   is decoded; the snapshot opened by the first step (or by [finish],
-   for a corpus with no streams); the scenario tails; the save. Returns
+   is decoded; the snapshot opened by the first step (or after the
+   tails, for a corpus with no streams); the scenario tails; the save. Returns
    the report, the screening's coverage, the snapshot's stats and the
    frames the read dropped. *)
 let fold_ctr = ref 0
@@ -185,9 +206,8 @@ let test_append_delta_identical () =
   check Alcotest.int "delta: prefix hits" (n - 3) stats.Snapshot.s_hits;
   check Alcotest.int "delta: appended streams miss" 3 stats.Snapshot.s_misses;
   check_identical ~msg:"delta" snap full;
-  (* Untouched records, mining records of the scenarios the appended
-     streams leave alone included, are copied verbatim; the file must
-     still be the very one a cold cache writes for the grown corpus. *)
+  (* Untouched records are copied verbatim; the file must still be the
+     very one a cold cache writes for the grown corpus. *)
   Snapshot.save snap;
   check Alcotest.bool "delta-saved file = cold save on the grown corpus" true
     (saved_bytes dir = cold_file full)
@@ -237,63 +257,44 @@ let test_pooled_identical () =
     (snap_doc (open_snap ~dir:(fresh_dir ()) corpus) corpus)
     (snap_doc ~pool pooled corpus)
 
-(* Scenario mining records: a warm run re-mines nothing; appending one
-   stream re-mines only the scenarios that stream contains. *)
+(* The name predates [dpsnap-3], when the snapshot also cached each
+   scenario's mining result; it stays so that the suite's test names do
+   not move. The snapshot now caches stream entries only, so cold, warm
+   and append-delta [--cache] runs each mine the merged forests: every
+   requested scenario gets the from-scratch [Mining.result], the saved
+   file holds no scenario record, and the mining counters stay 0. *)
 let test_mining_cache_reuse () =
   let full = gen 0.05 in
   let n = List.length full.Corpus.streams in
-  let has_spec name =
-    List.exists
-      (fun (s : Dptrace.Scenario.spec) -> s.Dptrace.Scenario.name = name)
-      full.Corpus.specs
-  in
-  let mined_scenarios corpus =
-    List.filter has_spec (Corpus.scenario_names corpus)
-  in
-  let dir = fresh_dir () in
-  let cold = open_snap ~dir full in
-  ignore (snap_doc cold full);
-  let stats = Snapshot.stats cold in
-  check Alcotest.int "cold: no mining hits" 0 stats.Snapshot.s_mining_hits;
-  check Alcotest.int "cold: every scenario mined"
-    (List.length (mined_scenarios full))
-    stats.Snapshot.s_mining_misses;
-  Snapshot.save cold;
-  let warm = open_snap ~dir full in
-  ignore (snap_doc warm full);
-  let stats = Snapshot.stats warm in
-  check Alcotest.int "warm: nothing re-mined" 0 stats.Snapshot.s_mining_misses;
-  check Alcotest.int "warm: every scenario reused"
-    (List.length (mined_scenarios full))
-    stats.Snapshot.s_mining_hits;
-  (* Delta: cache the n-1-stream prefix, then analyse the full corpus. *)
   let prefix =
     Corpus.create
       ~streams:(List.filteri (fun i _ -> i < n - 1) full.Corpus.streams)
       ~specs:full.Corpus.specs
   in
-  let appended = List.nth full.Corpus.streams (n - 1) in
-  let dir = fresh_dir () in
-  let snap = open_snap ~dir prefix in
-  ignore (snap_doc snap prefix);
-  Snapshot.save snap;
-  let snap = open_snap ~dir full in
-  ignore (snap_doc snap full);
-  let stats = Snapshot.stats snap in
-  let touched =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (i : Dptrace.Scenario.instance) ->
-           if has_spec i.Dptrace.Scenario.scenario then
-             Some i.Dptrace.Scenario.scenario
-           else None)
-         appended.Dptrace.Stream.instances)
+  let scenarios = List.filteri (fun i _ -> i mod 2 = 0) (Corpus.scenario_names full) in
+  let fresh = (Pipeline.run_report ~scenarios components full).Pipeline.scenarios in
+  check Alcotest.bool "some scenario is mined" true (fresh <> []);
+  let run msg dir =
+    let r, _, stats, _ = fold_cached ~scenarios ~dir (Dptrace.Codec_v2.encode full) in
+    check Alcotest.(list string) (msg ^ ": scenarios") (List.map fst fresh)
+      (List.map fst r.Pipeline.scenarios);
+    List.iter2
+      (fun (name, (f : Pipeline.scenario_result)) (_, (c : Pipeline.scenario_result)) ->
+        check Alcotest.bool (msg ^ ": " ^ name ^ " mined as from scratch") true
+          (compare f.Pipeline.mining c.Pipeline.mining = 0))
+      fresh r.Pipeline.scenarios;
+    check Alcotest.(list string) (msg ^ ": the file holds stream entries only")
+      (List.sort compare (List.map Dptrace.Codec_v2.stream_key full.Corpus.streams))
+      (List.map (fun (_, key, _, _) -> key) (records (saved_bytes dir)));
+    check Alcotest.int (msg ^ ": no mining hits") 0 stats.Snapshot.s_mining_hits;
+    check Alcotest.int (msg ^ ": no mining misses") 0 stats.Snapshot.s_mining_misses
   in
-  check Alcotest.bool "delta: only touched scenarios re-mined" true
-    (stats.Snapshot.s_mining_misses <= List.length touched);
-  check Alcotest.int "delta: the rest reused"
-    (List.length (mined_scenarios full) - stats.Snapshot.s_mining_misses)
-    stats.Snapshot.s_mining_hits
+  let dir = fresh_dir () in
+  run "cold" dir;
+  run "warm" dir;
+  let dir = fresh_dir () in
+  ignore (fold_cached ~scenarios ~dir (Dptrace.Codec_v2.encode prefix));
+  run "delta" dir
 
 (* --- robustness --- *)
 
@@ -352,27 +353,6 @@ let test_truncated_and_garbage_files () =
   check Alcotest.int "garbage loads nothing" 0 stats.Snapshot.s_loaded;
   check_identical ~msg:"garbage" snap corpus
 
-(* Every record of a cache file, in file order: [(start, key, payload
-   offset, payload)]. *)
-let records data =
-  let module Wire = Dptrace.Wire in
-  let cur = Wire.cursor data in
-  cur.Wire.pos <- String.length "DPSN\x01";
-  ignore (Wire.rstr cur : string);
-  let rec go acc =
-    if Wire.at_end cur then List.rev acc
-    else begin
-      let start = cur.Wire.pos in
-      let key = Wire.rstr cur in
-      let len = Wire.r32 cur in
-      ignore (Wire.r32 cur : int);
-      let pos = cur.Wire.pos in
-      cur.Wire.pos <- pos + len;
-      go ((start, key, pos, String.sub data pos len) :: acc)
-    end
-  in
-  go []
-
 (* [data] with [payload] in place of the record's, its length and
    checksum resealed: the framing and the CRC hold, and only decoding
    the record can tell it is damaged. *)
@@ -391,8 +371,7 @@ let with_payload data (start, key, pos, old) payload =
 let write_bin path data =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
-(* Rewrite the file's first record — a per-stream entry, since stream
-   keys sort before scenario records — with its payload cut to half. *)
+(* Rewrite the file's first record with its payload cut to half. *)
 let reseal_first_record_truncated path =
   let data = read_bin path in
   let ((_, _, _, payload) as first) = List.hd (records data) in
@@ -424,13 +403,8 @@ let test_resealed_record_dropped () =
 
 module Wire = Dptrace.Wire
 
-(* [(offset of its payload, payload)] of every stream entry record of a
-   cache file. *)
-let entry_records data =
-  List.filter_map
-    (fun (_, key, pos, payload) ->
-      if String.starts_with ~prefix:"scn!" key then None else Some (pos, payload))
-    (records data)
+(* [(offset of its payload, payload)] of every record of a cache file. *)
+let entry_records data = List.map (fun (_, _, pos, payload) -> (pos, payload)) (records data)
 
 let verdict ~build payload =
   match Snapshot.entry_index ~build payload with
@@ -586,8 +560,8 @@ let test_walk_wide_forest_reversed () =
 
    A witness list is a count, then per entry a ref, a cost and a count,
    each entry strictly after the one before it (cost-descending, ties by
-   ref); a mining record's lists hold at most the cap. These helpers
-   find the lists in real records, so the tests below can damage one. *)
+   ref). These helpers find the lists in real records, so the tests
+   below can damage one. *)
 
 module Prov = Dpcore.Provenance
 
@@ -648,25 +622,6 @@ let entry_witnesses payload =
       end)
     (Snapshot.entry_index ~build:false payload)
 
-(* The witness lists of a mining record's contrast metas: each a tuple,
-   cost, count, witnesses, a reason (tag 1 with a float) and the fast
-   witnesses. *)
-let mining_witnesses payload =
-  let cur = Wire.cursor payload in
-  Wire.skip_str cur;
-  let lists = ref [] in
-  for _ = 1 to Wire.rcount cur do
-    for _ = 1 to 3 do
-      for _ = 1 to Wire.rcount cur do Wire.skip_str cur done
-    done;
-    ignore (Wire.rv cur : int);
-    ignore (Wire.rv cur : int);
-    lists := witness_list cur :: !lists;
-    if Wire.r8 cur = 1 then cur.Wire.pos <- cur.Wire.pos + 8;
-    lists := witness_list cur :: !lists
-  done;
-  !lists
-
 let span s a b = String.sub s a (b - a)
 
 let swap_first_two s (_, spans) =
@@ -681,24 +636,13 @@ let repeat_first s (_, spans) =
     span s 0 s1 ^ span s s1 e1 ^ span s s1 e1 ^ span s e2 (String.length s)
   | _ -> assert false
 
-(* The list replaced by one of [default_k + 1] entries, in order. *)
-let over_cap s (start, spans) =
-  let b = Buffer.create 128 in
-  Wire.wv b (Prov.default_k + 1);
-  for i = 0 to Prov.default_k do
-    Prov.write_ref b { Prov.stream_id = i; scenario = "S"; tid = 0; t0 = 0; t1 = 0 };
-    Wire.wv b 1;
-    Wire.wv b 1
-  done;
-  let stop = List.fold_left (fun _ (_, e) -> e) (start + 1) spans in
-  span s 0 start ^ Buffer.contents b ^ span s stop (String.length s)
-
 (* Two entries of a real witness list swapped, or the second replaced
-   by a copy of the first, in a stream entry's forest and in a mining
-   record, and a mining record's list grown past the cap: the reader
-   refuses each with [Wire.Corrupt] (an entry's both with and without
-   [build]), [cache verify] counts the record corrupt, and through the
-   cache it is dropped and becomes a miss, with the report unchanged. *)
+   by a copy of the first, in a stream entry's forest: the reader
+   refuses each with [Wire.Corrupt], with and without [build], [cache
+   verify] counts the record corrupt, and through the cache it is
+   dropped and becomes a miss, with the report unchanged. A capped set
+   of more than the cap is refused where the cap is enforced, in
+   [Wset.of_entries]. *)
 let test_witness_mutations_refused () =
   with_prov true @@ fun () ->
   let corpus = gen 0.03 in
@@ -708,68 +652,53 @@ let test_witness_mutations_refused () =
   Snapshot.save snap;
   let path = List.hd (Snapshot.list_files dir) in
   let clean = read_bin path in
-  let is_scn = String.starts_with ~prefix:"scn!" in
-  (* The first record [pick] takes with a witness list of two entries
-     or more, and that list. *)
-  let first pick lists_of =
+  (* The first record with a witness list of two entries or more, and
+     that list. *)
+  let entry =
     match
       List.find_map
-        (fun ((_, key, _, payload) as r) ->
-          if not (pick key) then None
-          else
-            Option.map (fun l -> (r, l))
-              (List.find_opt (fun (_, spans) -> List.length spans >= 2) (lists_of payload)))
+        (fun ((_, _, _, payload) as r) ->
+          Option.map (fun l -> (r, l))
+            (List.find_opt
+               (fun (_, spans) -> List.length spans >= 2)
+               (entry_witnesses payload)))
         (records clean)
     with
     | Some found -> found
     | None -> Alcotest.fail "no witness list of two entries"
   in
-  let entry = first (Fun.negate is_scn) entry_witnesses
-  and mining = first is_scn mining_witnesses in
   let unordered = "witnesses: entries not strictly increasing" in
-  let too_many =
-    Printf.sprintf "witnesses: %d entries, above the cap of %d" (Prov.default_k + 1) Prov.default_k
-  in
   let refused case msg f =
     match f () with
     | () -> Alcotest.failf "%s: accepted" case
     | exception Wire.Corrupt m -> check Alcotest.string (case ^ ": refused") msg m
   in
   List.iter
-    (fun (case, (((_, _, _, payload) as r), l), mutate, msg) ->
+    (fun (case, (((_, _, _, payload) as r), l), mutate) ->
       let damaged = mutate payload l in
-      let mined = r == fst mining in
-      if mined then
-        refused case msg (fun () ->
-            let cur = { (Wire.cursor damaged) with Wire.pos = fst l } in
-            let entries =
-              Wire.rlist cur (fun cur ->
-                  let r = Prov.read_ref cur in
-                  let cost = Wire.rv cur in
-                  (r, cost, Wire.rv cur))
-            in
-            ignore (Prov.Wset.of_entries entries : Prov.Wset.t))
-      else
-        List.iter
-          (fun build ->
-            refused case msg (fun () -> ignore (Snapshot.entry_index ~build damaged)))
-          [ true; false ];
+      List.iter
+        (fun build ->
+          refused case unordered (fun () -> ignore (Snapshot.entry_index ~build damaged)))
+        [ true; false ];
       write_bin path (with_payload clean r damaged);
       check Alcotest.int (case ^ ": cache verify") 1 (Snapshot.inspect path).Snapshot.fi_corrupt;
       let snap = open_snap ~dir corpus in
       check Alcotest.int (case ^ ": dropped") 1 (Snapshot.stats snap).Snapshot.s_dropped;
-      check Alcotest.int (case ^ ": stream misses") (if mined then 0 else 1)
-        (Snapshot.stats snap).Snapshot.s_misses;
-      check_identical ~msg:case snap corpus;
-      check Alcotest.int (case ^ ": mining misses") (if mined then 1 else 0)
-        (Snapshot.stats snap).Snapshot.s_mining_misses)
+      check Alcotest.int (case ^ ": stream misses") 1 (Snapshot.stats snap).Snapshot.s_misses;
+      check_identical ~msg:case snap corpus)
     [
-      ("entry: swapped", entry, swap_first_two, unordered);
-      ("entry: repeated", entry, repeat_first, unordered);
-      ("mining: swapped", mining, swap_first_two, unordered);
-      ("mining: repeated", mining, repeat_first, unordered);
-      ("mining: over the cap", mining, over_cap, too_many);
-    ]
+      ("entry: swapped", entry, swap_first_two);
+      ("entry: repeated", entry, repeat_first);
+    ];
+  refused "over the cap"
+    (Printf.sprintf "witnesses: %d entries, above the cap of %d" (Prov.default_k + 1)
+       Prov.default_k)
+    (fun () ->
+      ignore
+        (Prov.Wset.of_entries
+           (List.init (Prov.default_k + 1) (fun i ->
+                ({ Prov.stream_id = i; scenario = "S"; tid = 0; t0 = 0; t1 = 0 }, 1, 1)))
+          : Prov.Wset.t))
 
 let test_fingerprint_isolation () =
   let specs = [ Dptrace.Scenario.spec ~name:"S" ~tfast:100 ~tslow:500 ] in
@@ -796,6 +725,68 @@ let test_fingerprint_isolation () =
   let alien = Snapshot.create ~dir ~fingerprint:"0000000000000000" () in
   check Alcotest.int "other fingerprint loads nothing" 0
     (Snapshot.stats alien).Snapshot.s_loaded
+
+(* A file in the layout before [dpsnap-3]: the [dpsnap-2] fingerprint
+   (computed as that version did), one stream entry and one scenario
+   mining record under its [scn!] key, each framed with a valid CRC.
+   The entry layout did not change, so [cache verify] reads the entry
+   intact; the mining record does not read as an entry, so it counts
+   corrupt, and nothing raises. A snapshot opened under the current
+   fingerprint names another file, so it never reads this one. *)
+let test_legacy_file_refused () =
+  let corpus = gen 0.02 in
+  let specs = corpus.Corpus.specs and k = Dpcore.Mining.default_k in
+  let legacy_fp =
+    let b = Buffer.create 256 in
+    Buffer.add_string b "dpsnap-2\n";
+    List.iter (Printf.bprintf b "component:%s\n") (Dpcore.Component.patterns components);
+    List.iter
+      (fun (sp : Dptrace.Scenario.spec) ->
+        Printf.bprintf b "spec:%s:%d:%d\n" sp.Dptrace.Scenario.name sp.Dptrace.Scenario.tfast
+          sp.Dptrace.Scenario.tslow)
+      specs;
+    Printf.bprintf b "k:%d\nprov:%b\n" k (Dpcore.Provenance.enabled ());
+    let s = Buffer.contents b in
+    Printf.sprintf "%08x%08x"
+      (Dputil.Crc32.string s land 0xffffffff)
+      (Dputil.Crc32.string (s ^ "#dpsnap") land 0xffffffff)
+  in
+  let fingerprint = Snapshot.fingerprint ~components ~specs ~k () in
+  check Alcotest.bool "the fingerprint moved" true (legacy_fp <> fingerprint);
+  let _, key, _, entry = List.hd (records (cold_file corpus)) in
+  (* A mining record as [dpsnap-2] wrote it: the scenario digest, no
+     contrast metas, no patterns, then the two meta counts. *)
+  let mining =
+    let b = Buffer.create 32 in
+    Wire.wstr b "0123456789abcdef";
+    List.iter (Wire.wv b) [ 0; 0; 12; 3 ];
+    Buffer.contents b
+  in
+  let file = Buffer.create 4096 in
+  Buffer.add_string file "DPSN\x01";
+  Wire.wstr file legacy_fp;
+  List.iter
+    (fun (key, payload) ->
+      Wire.wstr file key;
+      Wire.w32 file (String.length payload);
+      Wire.w32 file (Dputil.Crc32.string payload);
+      Buffer.add_string file payload)
+    [ (key, entry); ("scn!" ^ (List.hd specs).Dptrace.Scenario.name, mining) ];
+  let dir = fresh_dir () in
+  let path = Filename.concat dir (legacy_fp ^ ".dpsnap") in
+  write_bin path (Buffer.contents file);
+  let fi = Snapshot.inspect path in
+  check Alcotest.string "inspect: fingerprint" legacy_fp fi.Snapshot.fi_fingerprint;
+  check Alcotest.int "inspect: the stream entry intact" 1 fi.Snapshot.fi_entries;
+  check Alcotest.int "inspect: the mining record corrupt" 1 fi.Snapshot.fi_corrupt;
+  let snap = Snapshot.create ~dir ~fingerprint () in
+  let stats = Snapshot.stats snap in
+  check Alcotest.int "create: nothing loaded" 0 stats.Snapshot.s_loaded;
+  check Alcotest.int "create: nothing dropped" 0 stats.Snapshot.s_dropped;
+  Snapshot.ensure snap components corpus;
+  check_identical ~msg:"beside a legacy file" snap corpus;
+  Snapshot.save snap;
+  check Alcotest.string "the legacy file untouched" (Buffer.contents file) (read_bin path)
 
 let test_stale_entries_counted () =
   let full = gen 0.03 in
@@ -1118,8 +1109,7 @@ let test_fold_quarantine () =
   check Alcotest.bool "saved = cold save of the screened corpus" true
     (saved_bytes dir = cold_file screened)
 
-(* A corpus with no streams still opens and saves its cache, mining
-   records of the requested scenarios included. *)
+(* A corpus with no streams still opens and saves its cache. *)
 let test_fold_empty () =
   let specs = (gen 0.01).Corpus.specs in
   let empty = Corpus.create ~streams:[] ~specs in
@@ -1223,6 +1213,8 @@ let () =
             test_truncated_and_garbage_files;
           Alcotest.test_case "fingerprint isolates configurations" `Quick
             test_fingerprint_isolation;
+          Alcotest.test_case "pre-dpsnap-3 file refused, never fatal" `Quick
+            test_legacy_file_refused;
           Alcotest.test_case "stale entries counted" `Quick
             test_stale_entries_counted;
           Alcotest.test_case "gc keeps the newest files" `Quick
