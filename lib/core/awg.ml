@@ -346,12 +346,13 @@ module Partial = struct
      A merger is the running forest: partials are absorbed one at a
      time, so a caller decoding them off disk holds only the one in
      hand. Each level of the source is absorbed into the same level of
-     the target, roots and children alike. *)
-  type merger = (status, node) Hashtbl.t
+     the target, roots and children alike. A distinct merger cuts a
+     node's witness chunks to their best as it goes. *)
+  type merger = { distinct : bool; forest : (status, node) Hashtbl.t }
 
-  let merger () : merger = Hashtbl.create 64
+  let merger ?(distinct = false) () = { distinct; forest = Hashtbl.create 64 }
 
-  let rec absorb (into : merger) (src : partial) =
+  let rec absorb_level distinct into (src : partial) =
     Hashtbl.iter
       (fun status (c : node) ->
         let n =
@@ -366,12 +367,14 @@ module Partial = struct
         n.count <- n.count + c.count;
         if c.max_cost > n.max_cost then n.max_cost <- c.max_cost;
         (match c.wacc with
-        | Some a -> Provenance.Wacc.merge_into ~into:(node_wacc n) a
+        | Some a -> Provenance.Wacc.merge_into ~distinct ~into:(node_wacc n) a
         | None -> ());
-        absorb n.children c.children)
+        absorb_level distinct n.children c.children)
       src
 
-  let merged ?(reduce = true) (m : merger) = finish ~reduce m
+  let absorb m src = absorb_level m.distinct m.forest src
+
+  let merged ?(reduce = true) m = finish ~reduce m.forest
 
   (* --- wire form (inside snapshot-cache frames) ---
 

@@ -135,8 +135,14 @@ module Partial : sig
       the pipeline merges a scenario's per-stream class parts, fresh or
       cached. *)
 
-  val merger : unit -> merger
-  (** An empty merge. *)
+  val merger : ?distinct:bool -> unit -> merger
+  (** An empty merge. With [~distinct:true] (default [false]) the caller
+      promises that no witness ref is in two of the partials it absorbs,
+      as holds when each is one stream's and no two share a stream id.
+      Then each node keeps only its best {!Provenance.default_k}
+      witnesses as it absorbs ({!Provenance.Wacc.merge_into}), so its
+      witness memory does not grow with the partials, and {!merged} is
+      the same AWG. *)
 
   val absorb : merger -> partial -> unit
   (** Accumulate one partial into the merge. Every accumulation commutes,

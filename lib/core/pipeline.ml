@@ -77,10 +77,10 @@ type class_acc = {
   mutable a_prov : Provenance.impact;
 }
 
-let class_acc () =
+let class_acc ?distinct () =
   {
-    a_fast = Awg.Partial.merger ();
-    a_slow = Awg.Partial.merger ();
+    a_fast = Awg.Partial.merger ?distinct ();
+    a_slow = Awg.Partial.merger ?distinct ();
     a_impact = Impact.empty;
     a_prov = Provenance.empty_impact;
   }
@@ -184,10 +184,12 @@ type report = {
    corpus impact with its provenance, the module table, each stream's
    impact, newest first, and each scenario's row of the per-scenario
    table), plus a class accumulator per requested scenario that has had
-   a class part. *)
+   a class part, whose mergers are distinct when no two streams absorbed
+   share an id. *)
 type acc = {
   k : int;
   reduce : bool;
+  distinct : bool;
   wanted : string list option;
   mutable t_impact : Impact.result;
   mutable t_prov : Provenance.impact;
@@ -197,10 +199,11 @@ type acc = {
   classes : (string, class_acc) Hashtbl.t;
 }
 
-let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios () =
+let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios ~distinct () =
   {
     k;
     reduce;
+    distinct;
     wanted = scenarios;
     t_impact = Impact.empty;
     t_prov = Provenance.empty_impact;
@@ -225,7 +228,7 @@ let class_acc_of t name =
   match Hashtbl.find_opt t.classes name with
   | Some a -> a
   | None ->
-    let a = class_acc () in
+    let a = class_acc ~distinct:t.distinct () in
     Hashtbl.add t.classes name a;
     a
 
@@ -318,7 +321,9 @@ let absorb acc s =
     s.class_parts
 
 let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t) =
-  let acc = accumulator ?k ?reduce ?scenarios () in
+  let ids = List.map (fun (st : Dptrace.Stream.t) -> st.Dptrace.Stream.id) corpus.streams in
+  let distinct = List.compare_lengths (List.sort_uniq Int.compare ids) ids = 0 in
+  let acc = accumulator ?k ?reduce ?scenarios ~distinct () in
   span "pipeline.report_streams" (fun () ->
       Dppar.Pool.iter_batched ?pool
         (fun st ->
@@ -340,8 +345,10 @@ let run_impact_prov ?pool components corpus =
    bit-identical to the uncached run whatever mix of cache hits and
    misses produced the entries. *)
 
+(* The monitor's window repeats stream ids across its files, so a
+   snapshot's report keeps every witness chunk until the tails. *)
 let run_report_snap ?pool ?k ?reduce ?scenarios snapshot (corpus : Dptrace.Corpus.t) =
-  let acc = accumulator ?k ?reduce ?scenarios () in
+  let acc = accumulator ?k ?reduce ?scenarios ~distinct:false () in
   Dppar.Pool.iter_batched ?pool
     (fun st -> of_entry acc (Snapshot.entry snapshot st) st None)
     (absorb acc)
@@ -376,31 +383,33 @@ type coverage = {
 
 (* One [corpus.read] probe per stream, in corpus order (so the plan's
    per-call draws are reproducible): a stream whose retries exhaust is
-   quarantined with its reason instead of aborting the run. *)
+   quarantined with its reason instead of aborting the run. A stream
+   that passes but repeats an admitted stream's id is quarantined too,
+   so the admitted ids are distinct. *)
 type screener = {
   mutable seen : int;
   mutable quarantined : (int * string) list;  (* newest first *)
+  admitted : (int, unit) Hashtbl.t;
 }
 
-let screener () = { seen = 0; quarantined = [] }
+let screener () = { seen = 0; quarantined = []; admitted = Hashtbl.create 1024 }
 
 let admit s (st : Dptrace.Stream.t) =
   s.seen <- s.seen + 1;
-  (not (Dpfault.armed ()))
-  ||
+  let id = st.Dptrace.Stream.id in
+  let quarantine reason = s.quarantined <- (id, reason) :: s.quarantined; false in
   match
-    Dpfault.Retry.run Dpfault.Corpus_read (fun () ->
-        Dpfault.guard Dpfault.Corpus_read)
+    if Dpfault.armed () then
+      Dpfault.Retry.run Dpfault.Corpus_read (fun () -> Dpfault.guard Dpfault.Corpus_read)
   with
-  | () -> true
   | exception Dpfault.Injected { kind; _ } ->
-    s.quarantined <-
-      ( st.Dptrace.Stream.id,
-        Printf.sprintf "injected %s at corpus.read exhausted %d attempt(s)"
-          (Dpfault.kind_name kind)
-          (Dpfault.Retry.budget Dpfault.Corpus_read) )
-      :: s.quarantined;
-    false
+    quarantine
+      (Printf.sprintf "injected %s at corpus.read exhausted %d attempt(s)"
+         (Dpfault.kind_name kind)
+         (Dpfault.Retry.budget Dpfault.Corpus_read))
+  | () when Hashtbl.mem s.admitted id ->
+    quarantine (Printf.sprintf "stream id %d repeats an earlier stream" id)
+  | () -> Hashtbl.replace s.admitted id (); true
 
 let close_screen s =
   let quarantined = List.rev s.quarantined in
@@ -423,8 +432,9 @@ let screen (corpus : Dptrace.Corpus.t) =
      else Dptrace.Corpus.create ~streams:kept ~specs:corpus.Dptrace.Corpus.specs),
     close_screen s )
 
+(* The screen admits distinct ids only, so the mergers are distinct. *)
 let fold_report ?k ?reduce ?scenarios ~cache components source =
-  let acc = accumulator ?k ?reduce ?scenarios () in
+  let acc = accumulator ?k ?reduce ?scenarios ~distinct:true () in
   let step =
     match cache with
     | None -> step components acc

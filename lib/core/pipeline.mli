@@ -119,8 +119,10 @@ val run_report :
     absorbed as its step returns, in stream order: whole-stream parts
     with {!Impact.merge}, {!Provenance.merge_impact} and
     {!Impact.merge_modules}, class parts with {!Impact.merge},
-    {!Provenance.merge_impact} and {!Awg.Partial.absorb}. With [pool],
-    streams fan out in batches, then scenarios, one per work item. *)
+    {!Provenance.merge_impact} and {!Awg.Partial.absorb}, into mergers
+    made with [~distinct:true] when one pass finds the corpus's stream
+    ids distinct ({!Awg.Partial.merger}). With [pool], streams fan out
+    in batches, then scenarios, one per work item. *)
 
 val run_impact_prov :
   ?pool:Dppar.Pool.t ->
@@ -162,7 +164,9 @@ val run_report_snap :
   Dptrace.Corpus.t ->
   report
 (** Cached {!run_report}: each stream's entry decoded into its parts
-    and absorbed, in batches, then {!finish}. *)
+    and absorbed, in batches, then {!finish}. The monitor's window
+    repeats stream ids across its files, so its mergers keep every
+    witness chunk until the tails. *)
 
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact
@@ -183,7 +187,10 @@ val driver_cost_fraction : scenario_result -> float
     When a {!Dpfault} plan is armed, every stream passes a
     [corpus.read] probe (with the plan's retry budget) before analysis;
     streams whose budget exhausts are quarantined rather than aborting
-    the run, and the report gains an explicit coverage block. *)
+    the run, and the report gains an explicit coverage block. A stream
+    that passes but repeats an admitted stream's id is quarantined too,
+    with the reason [stream id N repeats an earlier stream]: its witness
+    refs would name the same instances as the first's. *)
 
 type coverage = {
   cov_total : int;  (** streams in the corpus before screening *)
@@ -194,10 +201,11 @@ type coverage = {
 
 val screen : Dptrace.Corpus.t -> Dptrace.Corpus.t * coverage
 (** Probe each stream's [corpus.read] site under the armed fault plan
-    and drop the streams whose retries exhaust, logging one warning per
-    quarantined stream. With no plan armed this costs one atomic load
-    per stream; with zero quarantines the returned corpus is the input,
-    so downstream output stays byte-identical. *)
+    and drop the streams whose retries exhaust, then those whose id
+    repeats a kept stream's, logging one warning per quarantined
+    stream. With no plan armed this costs one atomic load and one table
+    lookup per stream; with zero quarantines the returned corpus is the
+    input, so downstream output stays byte-identical. *)
 
 (** {1 Folding a corpus file}
 
@@ -234,7 +242,9 @@ val fold_report :
     a lock. [consume] screens the stream as {!screen} does: a kept
     stream is {!Snapshot.settle}d (with a cache), its parts absorbed and
     its {!Dptrace.Stream.skeleton} returned; a quarantined one's parts
-    are discarded. [consume] must see the streams in corpus order, on
+    are discarded. The kept streams' ids are distinct, so the class
+    mergers are made with [~distinct:true] ({!Awg.Partial.merger}).
+    [consume] must see the streams in corpus order, on
     one domain, never while a [step] runs. Returns the accumulator, the
     source's corpus of skeletons (for {!finish}) and the screening's
     coverage. Other arguments as for {!run_report}. *)

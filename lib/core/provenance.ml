@@ -229,7 +229,44 @@ module Wacc = struct
       t.cells <- []
     end
 
-  let merge_into ~into src = seal src; into.chunks <- src.chunks @ into.chunks
+  (* The best [cap] of sorted arrays, in a sorted buffer; an array stops
+     offering at its first loser. *)
+  let best cap arrays =
+    let buf = Array.make cap Wset.none and n = ref 0 in
+    let rec offer es i =
+      if i < min cap (Array.length es) && (!n < cap || Wset.order es.(i) buf.(cap - 1) < 0)
+      then begin
+        let j = ref (min !n (cap - 1)) in
+        while !j > 0 && Wset.order es.(i) buf.(!j - 1) < 0 do decr j done;
+        Array.blit buf !j buf (!j + 1) (min !n (cap - 1) - !j);
+        buf.(!j) <- es.(i);
+        n := min cap (!n + 1);
+        offer es (i + 1)
+      end
+    in
+    List.iter (fun es -> offer es 0) arrays;
+    Array.sub buf 0 !n
+
+  (* Chunks a distinct merge lets a node hold before it cuts them to one.
+     Measured on [report --json -j 1] (seed 42, scale 5): 2 peaks at 36.1
+     MB, 4 at 37.5, 8 at 39.8 and 32 at 44.6; 1 peaks at 36.2 MB and
+     allocates 0.7% more minor words than 2. *)
+  let max_chunks = 2
+
+  (* Canonical entries as a chunk, with their stream-id range. *)
+  let chunk es =
+    { lo = Array.fold_left (fun m e -> min m (id e)) max_int es;
+      hi = Array.fold_left (fun m e -> max m (id e)) min_int es;
+      es }
+
+  (* When no ref is in two chunks, every entry is final, so the best
+     [default_k] of the chunks' entries are the node's for good. *)
+  let compact t = t.chunks <- [ chunk (best default_k (List.map (fun c -> c.es) t.chunks)) ]
+
+  let merge_into ?(distinct = false) ~into src =
+    seal src;
+    into.chunks <- src.chunks @ into.chunks;
+    if distinct && List.compare_length_with into.chunks max_chunks > 0 then compact into
 
   (* The exact accumulation: one canonical array per group of chunks
      whose stream ranges overlap, the chunks stably sorted by [lo]. A
@@ -259,32 +296,14 @@ module Wacc = struct
 
   let entries t = Wset.entries (all t)
 
-  (* A sorted buffer of the best [cap]; a group stops at its first loser. *)
-  let to_wset ?(cap = default_k) t =
-    let best = Array.make cap Wset.none and n = ref 0 in
-    let rec offer es i =
-      if i < min cap (Array.length es) && (!n < cap || Wset.order es.(i) best.(cap - 1) < 0)
-      then begin
-        let j = ref (min !n (cap - 1)) in
-        while !j > 0 && Wset.order es.(i) best.(!j - 1) < 0 do decr j done;
-        Array.blit best !j best (!j + 1) (min !n (cap - 1) - !j);
-        best.(!j) <- es.(i);
-        n := min cap (!n + 1);
-        offer es (i + 1)
-      end
-    in
-    List.iter (fun es -> offer es 0) (groups t);
-    List.init !n (Array.get best)
+  let to_wset ?(cap = default_k) t = Array.to_list (best cap (groups t))
 
   let write buf t = Wset.write buf (all t)
 
   let read cur =
     match Wset.read_entries ~build:true ~cap:max_int cur with
     | [||] -> None
-    | es ->
-      let lo = Array.fold_left (fun m e -> min m (id e)) max_int es
-      and hi = Array.fold_left (fun m e -> max m (id e)) 0 es in
-      Some { cells = []; chunks = [ { lo; hi; es } ] }
+    | es -> Some { cells = []; chunks = [ chunk es ] }
 
   let skip cur = ignore (Wset.read_entries ~build:false ~cap:max_int cur : Wset.entry array)
 end

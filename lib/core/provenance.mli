@@ -122,7 +122,8 @@ module Wacc : sig
       through here and truncates to a canonical capped {!Wset.t} only
       when the node freezes; the snapshot cache serialises the exact
       entries. {!seal} turns the adds into one chunk, and a merge only
-      shares the source's chunks. *)
+      shares the source's chunks, or, when distinct, cuts them to their
+      best. *)
 
   val create : unit -> t
 
@@ -130,8 +131,14 @@ module Wacc : sig
   (** One occurrence: [cost + cost], [count + 1]. *)
 
   val seal : t -> unit
-  val merge_into : into:t -> t -> unit
-  (** O(chunks) after sealing the source, which stays valid. *)
+  val merge_into : ?distinct:bool -> into:t -> t -> unit
+  (** O(chunks) after sealing the source, which stays valid. With
+      [~distinct:true] (default [false]) the caller promises that no ref
+      of the source is also in [into], now or later; then, once [into]
+      holds more than a fixed few chunks, they are cut in place to one
+      chunk of their best {!default_k} entries. That changes no
+      {!to_wset} with [cap <= default_k] (DESIGN.md §9), but {!entries}
+      and {!write} then see only the kept entries. *)
 
   val entries : t -> (instance_ref * Dputil.Time.t * int) list
   (** All entries, in {!Wset.entries}' order. *)

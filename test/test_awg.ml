@@ -511,6 +511,134 @@ let test_absorb_words_constant () =
   in
   check (Alcotest.float 0.) "10 vs 10k witness entries" (words 10) (words 10_000)
 
+(* --- distinct mergers: the best K kept while absorbing --- *)
+
+(* Single-stream chunks under distinct stream ids drawn in shuffled
+   order (so not monotone in absorb order), each chunk's adds over the
+   pool's identities moved to its id, then a cap of at most [default_k]. *)
+let gen_distinct_case =
+  QCheck.Gen.(
+    let* chunks = int_range 1 40 in
+    let* ids = shuffle_l (List.init chunks (fun i -> 3 * i)) in
+    let* adds = list_repeat chunks (list_size (int_range 1 6) (pair (int_bound 47) (int_bound 30))) in
+    let* cap = oneofl [ 1; 2; 3; 8 ] in
+    return (List.combine ids adds, cap))
+
+let prop_distinct_wacc =
+  QCheck.Test.make ~name:"distinct Wacc merge = exact merge = hash-table oracle" ~count:500
+    (QCheck.make gen_distinct_case) (fun (chunks, cap) ->
+      let distinct = Prov.Wacc.create () and exact = Prov.Wacc.create ()
+      and oracle = Provenance_reference.Wacc.create () in
+      List.iter
+        (fun (stream_id, adds) ->
+          let refs = Array.map (fun r -> { r with Prov.stream_id }) ref_pool in
+          let a = Prov.Wacc.create () and b = Prov.Wacc.create () in
+          List.iter
+            (fun (i, cost) ->
+              Prov.Wacc.add a refs.(i) ~cost;
+              Prov.Wacc.add b refs.(i) ~cost;
+              Provenance_reference.Wacc.add oracle refs.(i) ~cost)
+            adds;
+          Prov.Wacc.merge_into ~distinct:true ~into:distinct a;
+          Prov.Wacc.merge_into ~into:exact b)
+        chunks;
+      let want = Provenance_reference.Wacc.to_entries ~cap oracle in
+      Prov.Wset.entries (Prov.Wacc.to_wset ~cap distinct) = want
+      && Prov.Wset.entries (Prov.Wacc.to_wset ~cap exact) = want)
+
+(* Every node of a finished AWG: status, aggregates and witnesses. *)
+let forest_repr awg =
+  let b = Buffer.create 4096 in
+  let rec go depth (n : Awg.node) =
+    Buffer.add_string b
+      (Format.asprintf "%d %a C=%d N=%d max=%d" depth Awg.status_pp n.Awg.status n.Awg.cost
+         n.Awg.count n.Awg.max_cost);
+    List.iter
+      (fun (r, cost, count) ->
+        Buffer.add_string b (Format.asprintf " [%a %d %d]" Prov.pp_ref r cost count))
+      (Prov.Wset.entries n.Awg.witnesses);
+    Buffer.add_char b '\n';
+    Array.iter (go (depth + 1)) (Awg.sorted_children n)
+  in
+  List.iter (go 0) (Awg.roots awg);
+  let r = Awg.reduction awg in
+  Buffer.add_string b (Printf.sprintf "pruned %d %d of %d\n" r.Awg.pruned_roots
+    r.Awg.pruned_cost r.Awg.total_root_cost);
+  Buffer.contents b
+
+(* A generated corpus's streams under distinct ids in shuffled order,
+   each stream's partial absorbed by a distinct merger, an exact one and
+   the reference accumulator: the two frozen forests agree byte for
+   byte, and each node's witnesses are the oracle's. *)
+let prop_distinct_merger =
+  QCheck.Test.make ~name:"distinct merger = exact merger = hash-table oracle" ~count:6
+    QCheck.(triple (int_range 1 10_000) (int_range 0 2) (int_range 0 1_000))
+    (fun (seed, which, shuffle) ->
+      let components = component_sets.(which) in
+      let streams = (Graph_inputs.corpus seed).Dptrace.Corpus.streams in
+      let ids =
+        QCheck.Gen.generate1 ~rand:(Random.State.make [| shuffle |])
+          (QCheck.Gen.shuffle_l (List.mapi (fun i _ -> 5 * i) streams))
+      in
+      let streams =
+        List.map2
+          (fun id (st : Dptrace.Stream.t) ->
+            Dptrace.Stream.create ~id ~events:st.Dptrace.Stream.events
+              ~instances:st.Dptrace.Stream.instances ~threads:st.Dptrace.Stream.threads)
+          ids streams
+      in
+      with_provenance true @@ fun () ->
+      let distinct = Awg.Partial.merger ~distinct:true () and exact = Awg.Partial.merger ()
+      and oracle = Hashtbl.create 64 in
+      List.iter
+        (fun st ->
+          let graphs = graphs_of st in
+          Awg.Partial.absorb distinct (Awg.Partial.build components graphs);
+          Awg.Partial.absorb exact (Awg.Partial.build components graphs);
+          Awg_reference.absorb oracle (Awg_reference.partial components graphs))
+        streams;
+      let distinct = Awg.Partial.merged distinct and exact = Awg.Partial.merged exact in
+      let table = Awg_reference.witness_table distinct oracle in
+      forest_repr distinct = forest_repr exact
+      && Awg_reference.Nodes.fold
+           (fun (n : Awg.node) w ok ->
+             ok && Prov.Wset.entries n.Awg.witnesses = Prov.Wset.entries w)
+           table true
+      && Awg_reference.Nodes.length table = Awg.node_count distinct)
+
+(* One node absorbing one stream's three witnesses per partial, each
+   stream costlier than the last, so the kept set keeps changing: a
+   distinct merger's words after 2,000 streams stay under the most it
+   held over the first 100, and it keeps the costliest 8, from the last
+   three streams. An exact merger holds them all. *)
+let test_distinct_retention () =
+  let part i =
+    let w t0 cost = ({ Prov.stream_id = i; scenario = "S"; tid = 1; t0; t1 = 9 }, cost, 1) in
+    Awg.Partial.read
+      (Wire.cursor (one_node_partial [ w 0 ((3 * i) + 2); w 1 ((3 * i) + 1); w 2 (3 * i) ]))
+  in
+  let distinct = Awg.Partial.merger ~distinct:true () and exact = Awg.Partial.merger () in
+  let words m = Obj.reachable_words (Obj.repr m) in
+  let bound = ref 0 in
+  for i = 0 to 1_999 do
+    let p = part i in
+    Awg.Partial.absorb distinct p;
+    Awg.Partial.absorb exact p;
+    if i < 100 then bound := max !bound (words distinct)
+    else if words distinct > !bound then
+      Alcotest.failf "after %d streams the merger holds %d words, above %d" (i + 1)
+        (words distinct) !bound
+  done;
+  check Alcotest.bool "an exact merger grows past the bound" true (words exact > 10 * !bound);
+  match Awg.roots (Awg.Partial.merged ~reduce:false distinct) with
+  | [ root ] ->
+    check
+      Alcotest.(list int)
+      "the costliest 8"
+      (List.init 8 (fun j -> (3 * 1_999) + 2 - j))
+      (List.map (fun (_, cost, _) -> cost) (Prov.Wset.entries root.Awg.witnesses))
+  | _ -> Alcotest.fail "one root expected"
+
 let () =
   Alcotest.run "dpcore-awg"
     [
@@ -541,5 +669,9 @@ let () =
             test_witness_order_checked;
           Alcotest.test_case "absorb allocation independent of witness count" `Quick
             test_absorb_words_constant;
+          QCheck_alcotest.to_alcotest prop_distinct_wacc;
+          QCheck_alcotest.to_alcotest prop_distinct_merger;
+          Alcotest.test_case "distinct merger keeps at most K witnesses per node" `Quick
+            test_distinct_retention;
         ] );
     ]

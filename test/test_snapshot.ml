@@ -1109,6 +1109,57 @@ let test_fold_quarantine () =
   check Alcotest.bool "saved = cold save of the screened corpus" true
     (saved_bytes dir = cold_file screened)
 
+(* A corpus whose second stream takes the first's id. The screen
+   quarantines the repeat, after its fault probe, so the folded report,
+   with a cache and without, at -j 1 and on two domains, is the resident
+   report of the screened corpus, in which each id names one stream. *)
+let test_fold_repeated_id () =
+  let corpus = gen 0.03 in
+  let streams, id =
+    match corpus.Corpus.streams with
+    | a :: b :: rest ->
+      let id = a.Dptrace.Stream.id in
+      ( a
+        :: Dptrace.Stream.create ~id ~events:b.Dptrace.Stream.events
+             ~instances:b.Dptrace.Stream.instances ~threads:b.Dptrace.Stream.threads
+        :: rest,
+        id )
+    | _ -> Alcotest.fail "fixture has fewer than two streams"
+  in
+  let corpus = Corpus.create ~streams ~specs:corpus.Corpus.specs in
+  let screened, coverage = Pipeline.screen corpus in
+  check
+    Alcotest.(list (pair int string))
+    "the repeat quarantined"
+    [ (id, Printf.sprintf "stream id %d repeats an earlier stream" id) ]
+    coverage.Pipeline.cov_quarantined;
+  with_prov true @@ fun () ->
+  let data = Dptrace.Codec_v2.encode corpus in
+  let path = "snapfold_repeated.dpf" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let run ?pool msg =
+    let want = render_doc (Pipeline.run_report ?pool components screened) in
+    let uncached, cov =
+      let acc, skeletons, cov =
+        Pipeline.fold_report ~cache:None components (fun ~step ~consume ->
+            match Dptrace.Corpus_dir.fold ?pool ~mode:`Strict ~step ~consume path with
+            | Ok l -> l.Dptrace.Corpus_dir.l_corpus
+            | Error m -> Alcotest.failf "fold: %s" m)
+      in
+      (Pipeline.finish ?pool acc skeletons, cov)
+    in
+    let cached, cached_cov, _, _ = fold_cached ?pool ~dir:(fresh_dir ()) data in
+    List.iter
+      (fun (what, r, (cov : Pipeline.coverage)) ->
+        check Alcotest.bool (msg ^ what ^ ": same quarantine") true
+          (cov.Pipeline.cov_quarantined = coverage.Pipeline.cov_quarantined);
+        check Alcotest.string (msg ^ what ^ ": json document") want (render_doc r))
+      [ (" fold", uncached, cov); (" cached fold", cached, cached_cov) ]
+  in
+  run "-j 1";
+  Dppar.Pool.with_pool ~domains:2 (fun pool -> run ~pool "-j 2")
+
 (* A corpus with no streams still opens and saves its cache. *)
 let test_fold_empty () =
   let specs = (gen 0.01).Corpus.specs in
@@ -1248,6 +1299,8 @@ let () =
           Alcotest.test_case "quarantined streams leave no entry" `Slow
             test_fold_quarantine;
           Alcotest.test_case "a corpus with no streams" `Quick test_fold_empty;
+          Alcotest.test_case "a repeated stream id quarantined" `Slow
+            test_fold_repeated_id;
         ] );
       ( "properties",
         [ qcheck prop_cached_equals_fresh; qcheck prop_walk_matches_decode ] );
