@@ -189,6 +189,14 @@ let print_coverage (cov : Dpcore.Pipeline.coverage) =
     print_newline ()
   end
 
+(* The corpus read whole and screened as [report] screens it: a stream
+   whose id repeats an earlier one is quarantined and logged. [table]
+   also prints the coverage, where stdout is not a document. *)
+let read_screened ?pool ~mode ?(table = true) path =
+  let corpus, coverage = Dpcore.Pipeline.screen (read_corpus ?pool ~mode path) in
+  if table then print_coverage coverage;
+  corpus
+
 (* Run [f pool] with a pool of [j] domains (0 = auto), shut down after. *)
 let with_cli_pool j f =
   let domains = if j <= 0 then Dppar.Pool.default_domains () else j in
@@ -678,7 +686,7 @@ let validate_cmd =
 (* --- dot --- *)
 
 let dot corpus scenario out mode =
-  let corpus = read_corpus ~mode corpus in
+  let corpus = read_screened ~mode ~table:(out <> None) corpus in
   require_spec corpus scenario;
   let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
   let text = Dpcore.Awg.to_dot r.Dpcore.Pipeline.slow_awg in
@@ -846,8 +854,8 @@ let convert_cmd =
 (* --- diff --- *)
 
 let diff before after scenario threshold min_support json mode =
-  let before_c = read_corpus ~mode (Some before)
-  and after_c = read_corpus ~mode (Some after) in
+  let before_c = read_screened ~mode ~table:(not json) (Some before) in
+  let after_c = read_screened ~mode ~table:(not json) (Some after) in
   require_spec before_c scenario;
   require_spec after_c scenario;
   let run c = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers c scenario in
@@ -943,7 +951,7 @@ let baseline_cmd =
 (* --- witness --- *)
 
 let witness corpus scenario rank limit mode =
-  let corpus = read_corpus ~mode corpus in
+  let corpus = read_screened ~mode corpus in
   require_spec corpus scenario;
   let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
@@ -1088,7 +1096,7 @@ let explain corpus scenario rank component limit timeline j mode obs =
   Dpcore.Provenance.enable ();
   let components = Dpcore.Component.drivers in
   with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus in
+  let corpus = read_screened ~pool ~mode corpus in
   match (component, scenario) with
   | Some name, _ -> explain_component ~pool ~timeline components corpus name
   | None, Some scenario ->
@@ -1175,7 +1183,7 @@ let export_trace corpus scenario slow fast rank out pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
   with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus in
+  let corpus = read_screened ~pool ~mode corpus in
   require_spec corpus scenario;
   let exemplars =
     match rank with
@@ -1261,7 +1269,7 @@ let flame corpus scenario out_dir slow fast top pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
   with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus in
+  let corpus = read_screened ~pool ~mode corpus in
   require_spec corpus scenario;
   let r = Dpcore.Pipeline.run_scenario ~pool components corpus scenario in
   let b = Dpviz.Bundle.write ~components ~slow ~fast ~dir:out_dir r in

@@ -20,7 +20,8 @@
       {!Dptrace.Stream.skeleton}s stay; with a cache, the parts are the
       stream's snapshot entry's, decoded in the step, and a hit's
       events are never built;
-    - {!run_report_snap}: a snapshot's entries, decoded the same way;
+    - {!run_report_snap}: a snapshot's entries, decoded the same way
+      ({!run_report_entries}: entries the caller holds);
     - {!run_scenario}: one scenario's class parts, made from that
       scenario's instances alone, so its result is the report's entry
       for that scenario.
@@ -167,6 +168,12 @@ val run_report_snap :
     and absorbed, in batches, then {!finish}. The monitor's window
     repeats stream ids across its files, so its mergers keep every
     witness chunk until the tails. *)
+
+val run_report_entries :
+  ?pool:Dppar.Pool.t -> ?k:int -> Dptrace.Corpus.t -> Snapshot.entry list -> report
+(** {!run_report_snap} over entries the caller holds, one per stream of
+    the corpus, in order: the monitor's window keeps its files' entries,
+    so its ticks read nothing back from the cache file. *)
 
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact

@@ -424,7 +424,9 @@ module Json = struct
               ( "non_optimizable",
                 J.float (Awg.non_optimizable_fraction r.Pipeline.slow_awg) );
             ] );
-        ("patterns", J.Arr (List.mapi (fun i p -> of_pattern ~rank:(i + 1) p) patterns));
+        ( "patterns",
+          J.Arr
+            (List.mapi (fun i p -> J.Defer (fun () -> of_pattern ~rank:(i + 1) p)) patterns) );
       ]
 
   let of_coverage (cov : Pipeline.coverage) =
@@ -460,6 +462,9 @@ module Json = struct
       @ [
           ("impact", of_impact ~prov:impact_prov impact);
           ("modules", of_module_rows ~prov:impact_prov modules);
-          ("scenarios", J.Arr (List.map (fun (n, r) -> of_scenario n r) scenarios));
+          (* Each scenario, and each of its patterns, is built when the
+             printer reaches it: the document is never held whole. *)
+          ( "scenarios",
+            J.Arr (List.map (fun (n, r) -> J.Defer (fun () -> of_scenario n r)) scenarios) );
         ])
 end

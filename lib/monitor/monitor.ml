@@ -642,7 +642,8 @@ let tick t =
           ~specs
       in
       let report =
-        Pipeline.run_report_snap ?pool:t.pool ~k:t.config.k snap corpus
+        Pipeline.run_report_entries ?pool:t.pool ~k:t.config.k corpus
+          (List.concat_map (fun (_, w) -> w.w_entries) files)
       in
       Snapshot.save snap;
       (* bench/e2e/expected_digests pins the replay exposition, which

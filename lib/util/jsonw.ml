@@ -6,6 +6,7 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Defer of (unit -> t)
 
 let str s = Str s
 let int i = Int i
@@ -82,6 +83,7 @@ let to_buffer ~minify ~spill buf v =
         members;
       nl indent;
       Buffer.add_char buf '}'
+    | Defer f -> go indent (f ())
   in
   go 0 v
 

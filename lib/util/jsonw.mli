@@ -16,6 +16,11 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Defer of (unit -> t)
+      (** A subtree built only when the printer reaches it, and dropped
+          once printed: a large document need never be held whole. It
+          prints as the value it returns; the printer calls it once per
+          print. *)
 
 val str : string -> t
 val int : int -> t

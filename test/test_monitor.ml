@@ -191,6 +191,32 @@ let test_snapshot_reuse () =
     check Alcotest.bool "new streams analysed" true
       (s.Dpcore.Snapshot.s_misses > 0)
 
+(* A cached monitor holds one descriptor per open snapshot: each save
+   swaps the file it reads for the one it wrote, so ten ticks of one
+   fingerprint, each saving, hold no more descriptors than the first. *)
+let test_cache_descriptors_bounded () =
+  let fixture_dir = Lazy.force fixture in
+  let dir = fresh_dir () in
+  let t =
+    Monitor.create
+      { (config ~dir ~tag:"fds") with Monitor.cache_dir = Some (Filename.concat dir "cache") }
+  in
+  Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
+  Monitor.set_clock t 0;
+  let open_fds =
+    List.init 10 (fun i ->
+        (match Monitor.ingest t ~mtime_ms:i (Filename.concat fixture_dir "calm1.dpf") with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "ingest: %s" e);
+        ignore (Monitor.tick t : Rules.alert list);
+        Array.length (Sys.readdir "/proc/self/fd"))
+  in
+  (match Monitor.snapshot_stats t with
+  | Some s -> check Alcotest.bool "later ticks hit the cache file" true (s.Dpcore.Snapshot.s_hits > 0)
+  | None -> Alcotest.fail "snapshot should exist after an analysed tick");
+  check Alcotest.int "no descriptor gained over ten ticks" (List.hd open_fds)
+    (List.fold_left max 0 open_fds)
+
 (* --- absolute rules: parse failure and ingest lag --- *)
 
 let test_parse_failure_and_lag () =
@@ -861,6 +887,8 @@ let () =
         [
           Alcotest.test_case "warm ticks hit the snapshot" `Slow
             test_snapshot_reuse;
+          Alcotest.test_case "a cached monitor's descriptors stay bounded" `Slow
+            test_cache_descriptors_bounded;
           Alcotest.test_case "scan picks up new and changed files" `Quick
             test_scan_incremental;
           Alcotest.test_case "a sliding window forgets what left it" `Quick

@@ -106,17 +106,18 @@ let per_scenario_str l =
 (* A framed corpus folded through the cache in [dir] the way [report
    --cache] runs it: each stream looked up, or stepped on a miss, as it
    is decoded; the snapshot opened by the first step (or after the
-   tails, for a corpus with no streams); the scenario tails; the save. Returns
+   tails, for a corpus with no streams) unless [snap] is given; the
+   scenario tails; the save. Returns
    the report, the screening's coverage, the snapshot's stats and the
    frames the read dropped. *)
 let fold_ctr = ref 0
 
-let fold_cached ?pool ?scenarios ?(mode = `Strict) ~dir data =
+let fold_cached ?pool ?scenarios ?(mode = `Strict) ?snap ~dir data =
   incr fold_ctr;
   let path = Printf.sprintf "snapfold_%d.dpf" !fold_ctr in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let cell = ref None and lock = Mutex.create () in
+  let cell = ref snap and lock = Mutex.create () in
   let snapshot specs =
     Mutex.protect lock @@ fun () ->
     match !cell with
@@ -1173,6 +1174,165 @@ let test_fold_empty () =
   check Alcotest.bool "saved = cold save" true
     (saved_bytes dir = cold_file ~scenarios empty)
 
+(* --- the streaming reader: no record is held, no damage is fatal --- *)
+
+let fingerprint_of (corpus : Corpus.t) =
+  Snapshot.fingerprint ~components ~specs:corpus.Corpus.specs ~k:Dpcore.Mining.default_k ()
+
+(* A cold cache file's header and first record, then damaged framing:
+   a length field claiming 1 GiB in a file of a few KB, a key varint cut
+   short, a file cut inside a record header. Each drops the damaged
+   record and keeps the first; neither [inspect] nor [create] raises,
+   and the open allocates nothing near the claimed length. *)
+let test_damaged_framing_dropped () =
+  let corpus = gen 0.02 in
+  let data = cold_file corpus in
+  let prefix =
+    match records data with
+    | _ :: (second, _, _, _) :: _ -> String.sub data 0 second
+    | _ -> Alcotest.fail "fixture has fewer than two records"
+  in
+  let framed f =
+    let b = Buffer.create 256 in
+    Wire.wstr b "ffffffff-1";
+    f b;
+    Buffer.contents b
+  in
+  let fingerprint = fingerprint_of corpus in
+  List.iter
+    (fun (what, tail) ->
+      let dir = fresh_dir () in
+      let path = Filename.concat dir (fingerprint ^ ".dpsnap") in
+      write_bin path (prefix ^ tail);
+      let fi = Snapshot.inspect path in
+      check Alcotest.int (what ^ ": inspect keeps the first record") 1 fi.Snapshot.fi_entries;
+      check Alcotest.int (what ^ ": inspect counts the damage") 1 fi.Snapshot.fi_corrupt;
+      let before = Gc.allocated_bytes () in
+      let snap = Snapshot.create ~dir ~fingerprint () in
+      let allocated = Gc.allocated_bytes () -. before in
+      if allocated > 1e6 then Alcotest.failf "%s: the open allocated %.0f bytes" what allocated;
+      let stats = Snapshot.stats snap in
+      check Alcotest.int (what ^ ": the first record loaded") 1 stats.Snapshot.s_loaded;
+      check Alcotest.int (what ^ ": the damaged one dropped") 1 stats.Snapshot.s_dropped;
+      Snapshot.ensure snap components corpus;
+      check_identical ~msg:what snap corpus)
+    [
+      ( "a 1 GiB length claim",
+        framed (fun b ->
+            Wire.w32 b (1 lsl 30);
+            Wire.w32 b 0;
+            Buffer.add_string b (String.make 100 'x')) );
+      ("a truncated key varint", "\x80");
+      ("a file cut inside a record header", framed (fun b -> Buffer.add_string b "\x10\x00"));
+    ]
+
+exception Deadline
+
+(* [f ()], failed after [seconds] instead of hanging: a read loop that
+   spins on a 0-byte read never returns. The alarm fires again every
+   second, since the cache reader turns any exception into a dropped
+   record and would swallow a single one. *)
+let within seconds f =
+  let expire _ =
+    ignore (Unix.alarm 1 : int);
+    raise Deadline
+  in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle expire) in
+  ignore (Unix.alarm seconds : int);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0 : int);
+      Sys.set_signal Sys.sigalrm previous)
+    f
+
+(* The file under an open snapshot changes: truncated in place, or
+   replaced by a rename. A fold finishes either way, and its report is
+   the fresh one. Hits past the cut are stepped afresh and counted as
+   misses, and the next save writes the whole cold file back. A renamed
+   file changes nothing: the snapshot reads the inode it opened. *)
+let test_file_changed_under_snapshot () =
+  let corpus = gen 0.03 in
+  let n = List.length corpus.Corpus.streams in
+  let data = Dptrace.Codec_v2.encode corpus and cold = cold_file corpus in
+  let fresh = render_doc (Pipeline.run_report components corpus) in
+  let fingerprint = fingerprint_of corpus in
+  let opened () =
+    let dir = fresh_dir () in
+    let path = Filename.concat dir (fingerprint ^ ".dpsnap") in
+    write_bin path cold;
+    (dir, path, Snapshot.create ~dir ~fingerprint ())
+  in
+  let path, (r, _, stats, _) =
+    match
+      within 60 (fun () ->
+          let dir, path, snap = opened () in
+          Unix.truncate path (String.length cold / 2);
+          (path, fold_cached ~snap ~dir data))
+    with
+    | r -> r
+    | exception Deadline -> Alcotest.fail "the open or the fold over a truncated cache hung"
+  in
+  check Alcotest.string "truncated: report = fresh" fresh (render_doc r);
+  check Alcotest.int "truncated: every stream settled" n
+    (stats.Snapshot.s_hits + stats.Snapshot.s_misses);
+  check Alcotest.bool "truncated: hits before the cut, misses past it" true
+    (stats.Snapshot.s_hits > 0 && stats.Snapshot.s_misses > 0);
+  let fi = Snapshot.inspect path in
+  check Alcotest.int "truncated: the saved file verifies" 0 fi.Snapshot.fi_corrupt;
+  check Alcotest.int "truncated: whole" n fi.Snapshot.fi_entries;
+  check Alcotest.bool "truncated: saved = cold save" true (read_bin path = cold);
+  let dir, path, snap = opened () in
+  write_bin (path ^ ".other") "not a snapshot";
+  Sys.rename (path ^ ".other") path;
+  let r, _, stats, _ = fold_cached ~snap ~dir data in
+  check Alcotest.string "renamed over: report = fresh" fresh (render_doc r);
+  check Alcotest.int "renamed over: every stream hits" n stats.Snapshot.s_hits
+
+(* [n] streams of one scenario, each of [per] instances whose waker runs
+   a frame of its own, so an entry's forests, and its record, grow with
+   [per] while its key and section index do not. *)
+let growing_corpus ~n ~per =
+  let ev kind tid ts cost wtid frame =
+    { Dptrace.Event.id = 0; kind; stack = Dptrace.Callstack.of_strings [ frame ]; ts;
+      cost; tid; wtid }
+  in
+  let stream id =
+    let events =
+      List.concat
+        (List.init per (fun i ->
+             let t0 = i * 1_000 in
+             [
+               ev Dptrace.Event.Wait 0 t0 500 (-1) (Printf.sprintf "x.sys!Wait%d" i);
+               ev Dptrace.Event.Running 1 (t0 + 100) 300 (-1) (Printf.sprintf "x.sys!Work%d" i);
+               ev Dptrace.Event.Unwait 1 (t0 + 500) 0 0 (Printf.sprintf "x.sys!Wake%d" i);
+             ]))
+    in
+    let instances =
+      List.init per (fun i ->
+          { Dptrace.Scenario.scenario = "S"; tid = 0; t0 = i * 1_000; t1 = (i * 1_000) + 999 })
+    in
+    Dptrace.Stream.create ~id ~events:(Array.of_list events) ~instances ~threads:[]
+  in
+  Corpus.create ~streams:(List.init n stream)
+    ~specs:[ Dptrace.Scenario.spec ~name:"S" ~tfast:1 ~tslow:500 ]
+
+(* Two cache files of as many entries, records about 10x apart in size:
+   the snapshots open over them are the same size. *)
+let test_open_cache_holds_no_record_bytes () =
+  let opened per =
+    let corpus = growing_corpus ~n:50 ~per in
+    let dir = fresh_dir () in
+    Snapshot.save (open_snap ~dir corpus);
+    let snap = Snapshot.create ~dir ~fingerprint:(fingerprint_of corpus) () in
+    check Alcotest.int "every record loaded" 50 (Snapshot.stats snap).Snapshot.s_loaded;
+    (String.length (saved_bytes dir), Obj.reachable_words (Obj.repr snap))
+  in
+  let small_bytes, small = opened 4 and large_bytes, large = opened 48 in
+  check Alcotest.bool "records about 10x apart" true (large_bytes > 8 * small_bytes);
+  if abs (large - small) > 16 then
+    Alcotest.failf "open snapshots of %d and %d words over files of %d and %d bytes"
+      small large small_bytes large_bytes
+
 (* --- the step's scratch is bounded by the graphs, not the stream --- *)
 
 (* One stream of 200k events and 2k instances. Each instance is a wait
@@ -1278,6 +1438,12 @@ let () =
             test_witness_mutations_refused;
           Alcotest.test_case "walk of 100k reversed sibling statuses" `Quick
             test_walk_wide_forest_reversed;
+          Alcotest.test_case "damaged framing dropped, never fatal" `Quick
+            test_damaged_framing_dropped;
+          Alcotest.test_case "file truncated or replaced under an open cache" `Slow
+            test_file_changed_under_snapshot;
+          Alcotest.test_case "an open cache holds no record bytes" `Quick
+            test_open_cache_holds_no_record_bytes;
         ] );
       ( "crash consistency",
         [

@@ -476,6 +476,53 @@ let test_jsonw_output_equals_to_string () =
         (In_channel.with_open_bin path In_channel.input_all = want))
     [ true; false ]
 
+(* A tree with [Defer] nodes at random depths prints, pretty and
+   minified, through [to_string] and through [output], exactly the bytes
+   of the same tree with every node forced. A tree is drawn with the
+   seed of its deferrals: a node is deferred when the seed's next bit
+   is set. *)
+let rec force = function
+  | Jsonw.Defer f -> force (f ())
+  | Jsonw.Arr l -> Jsonw.Arr (List.map force l)
+  | Jsonw.Obj m -> Jsonw.Obj (List.map (fun (k, v) -> (k, force v)) m)
+  | v -> v
+
+let gen_deferred =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ return Jsonw.Null; map (fun b -> Jsonw.Bool b) bool; map Jsonw.int small_signed_int;
+        map Jsonw.float float; map Jsonw.str (string_size ~gen:printable (int_bound 6)) ]
+  in
+  let defer v = map (fun d -> if d then Jsonw.Defer (fun () -> v) else v) bool in
+  sized
+  @@ fix (fun self n ->
+         (if n = 0 then leaf
+          else
+            frequency
+              [ (1, leaf);
+                (2, map (fun l -> Jsonw.Arr l) (list_size (int_bound 4) (self (n / 4))));
+                ( 2,
+                  map
+                    (fun l -> Jsonw.Obj l)
+                    (list_size (int_bound 4) (pair (string_size ~gen:printable (int_bound 4)) (self (n / 4)))) ) ])
+         >>= defer)
+
+let prop_defer_prints_forced =
+  QCheck.Test.make ~name:"Jsonw: deferred nodes print as forced" ~count:300
+    (QCheck.make gen_deferred)
+    (fun doc ->
+      let forced = force doc in
+      List.for_all
+        (fun minify ->
+          let want = Jsonw.to_string ~minify forced in
+          let path = Filename.temp_file "jsonw" ".json" in
+          Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+          Out_channel.with_open_bin path (fun oc -> Jsonw.output ~minify oc doc);
+          Jsonw.to_string ~minify doc = want
+          && In_channel.with_open_bin path In_channel.input_all = want)
+        [ true; false ])
+
 let () =
   Alcotest.run "dputil"
     [
@@ -549,5 +596,6 @@ let () =
         [
           Alcotest.test_case "output = to_string, streamed" `Quick
             test_jsonw_output_equals_to_string;
+          qcheck prop_defer_prints_forced;
         ] );
     ]
