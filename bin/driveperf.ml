@@ -189,21 +189,13 @@ let print_coverage (cov : Dpcore.Pipeline.coverage) =
     print_newline ()
   end
 
-(* The corpus read whole and screened as [report] screens it: a stream
-   whose id repeats an earlier one is quarantined and logged. [table]
-   also prints the coverage, where stdout is not a document. *)
-let read_screened ?pool ~mode ?(table = true) path =
-  let corpus, coverage = Dpcore.Pipeline.screen (read_corpus ?pool ~mode path) in
-  if table then print_coverage coverage;
-  corpus
-
 (* Run [f pool] with a pool of [j] domains (0 = auto), shut down after. *)
 let with_cli_pool j f =
   let domains = if j <= 0 then Dppar.Pool.default_domains () else j in
   Dppar.Pool.with_pool ~domains f
 
-(* Every one-scenario command checks its name before any work: a
-   scenario with no spec in the corpus is one error line and exit 1. *)
+(* Every one-scenario command checks its name against the corpus it
+   analysed: a scenario with no spec is one error line and exit 1. *)
 let require_spec corpus scenario =
   if Option.is_none (Dptrace.Corpus.find_spec corpus scenario) then begin
     Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
@@ -345,20 +337,29 @@ let with_progress o ~label ~total counter_name f =
    --fault-plan and the telemetry options). It yields a runner that arms
    telemetry, then the fault plan, then a pool of -j domains. The body
    reads the corpus itself: loaded whole, or folded into a report
-   ([with_results]). Nothing is read before the body. *)
+   ([with_results]). Nothing is read before the body. Commands with
+   other flags make the same set-up with [with_setup]. *)
 
 type setup = {
   path : string option;  (** [-c]; [None] for the generated corpus *)
   mode : Dptrace.Codec_v2.mode;
   pool : Dppar.Pool.t;
   obs : obs_opts;
+  k : int;  (** the mining depth: [causality -k], otherwise the default *)
 }
+
+(* Run [f] with the set-up of -j [j] domains; a command without -j
+   runs on one. *)
+let with_setup ~j ~mode ~obs path f =
+  with_cli_pool j @@ fun pool ->
+  f { path; mode; pool; obs; k = Dpcore.Mining.default_k }
+
+let no_obs = { trace_out = None; metrics_out = None; log_level = None; progress = false }
 
 let setup_term =
   let run path j mode faults obs f =
     with_obs obs @@ fun () ->
-    with_faults faults @@ fun () ->
-    with_cli_pool j @@ fun pool -> f { path; mode; pool; obs }
+    with_faults faults @@ fun () -> with_setup ~j ~mode ~obs path f
   in
   Term.(
     const run $ corpus_arg $ domains_arg $ mode_arg $ fault_arg
@@ -381,7 +382,8 @@ let snapshot_of ~components dir =
       cell := Some snap;
       snap
 
-(* The analysis behind impact, report and analyze: the kept corpus with
+(* The analysis behind impact, report, analyze and the one-scenario
+   commands ([with_scenario], never with --cache): the kept corpus with
    the coverage, and the report (its scenario tails under the --progress
    line), handed to the body. Each stream is stepped as it is decoded
    from the corpus file, or taken from [loaded], whose kept streams stay
@@ -402,7 +404,7 @@ let with_results ?scenarios ?loaded ~cache ~components s f =
   in
   let snapshot = Option.map (snapshot_of ~components) cache in
   let acc, corpus, coverage =
-    Dpcore.Pipeline.fold_report ?scenarios ~cache:snapshot components source
+    Dpcore.Pipeline.fold_report ~k:s.k ?scenarios ~cache:snapshot components source
   in
   let total =
     List.length (Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus))
@@ -424,6 +426,18 @@ let with_results ?scenarios ?loaded ~cache ~components s f =
         s.Dpcore.Snapshot.s_dropped)
     snapshot;
   r
+
+(* The one-scenario commands: the report of [scenario] alone, its kept
+   corpus and coverage handed to the body with the scenario's result.
+   The commands that draw events (exemplars, timelines, event windows)
+   pass the corpus read whole, unscreened, as [loaded] and draw them
+   from the kept corpus; the others fold the file, so only skeletons
+   stay. Either way the fold's screen is the only screen. *)
+let with_scenario ?loaded ~components s scenario f =
+  with_results ~scenarios:[ scenario ] ?loaded ~cache:None ~components s
+  @@ fun (corpus, coverage) r ->
+  require_spec corpus scenario;
+  f (corpus, coverage) (List.assoc scenario r.Dpcore.Pipeline.scenarios)
 
 (* --- generate --- *)
 
@@ -515,12 +529,10 @@ let impact_cmd =
 (* --- causality --- *)
 
 let causality pats scenario k top run =
-  run @@ fun { path; mode; pool; _ } ->
-  let corpus, coverage = Dpcore.Pipeline.screen (read_corpus ~pool ~mode path) in
-  require_spec corpus scenario;
-  print_coverage coverage;
+  run @@ fun s ->
   let components = components_of pats in
-  let r = Dpcore.Pipeline.run_scenario ~pool ~k components corpus scenario in
+  with_scenario ~components { s with k } scenario @@ fun (corpus, coverage) r ->
+  print_coverage coverage;
   let f, m, s = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in
   Format.printf "scenario %s: %d instances (fast %d / middle %d / slow %d)@."
     scenario (f + m + s) f m s;
@@ -686,9 +698,10 @@ let validate_cmd =
 (* --- dot --- *)
 
 let dot corpus scenario out mode =
-  let corpus = read_screened ~mode ~table:(out <> None) corpus in
-  require_spec corpus scenario;
-  let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
+  with_setup ~j:1 ~mode ~obs:no_obs corpus @@ fun s ->
+  with_scenario ~components:Dpcore.Component.drivers s scenario
+  @@ fun (_, coverage) r ->
+  if out <> None then print_coverage coverage;
   let text = Dpcore.Awg.to_dot r.Dpcore.Pipeline.slow_awg in
   (match out with
   | Some path ->
@@ -854,12 +867,15 @@ let convert_cmd =
 (* --- diff --- *)
 
 let diff before after scenario threshold min_support json mode =
-  let before_c = read_screened ~mode ~table:(not json) (Some before) in
-  let after_c = read_screened ~mode ~table:(not json) (Some after) in
-  require_spec before_c scenario;
-  require_spec after_c scenario;
-  let run c = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers c scenario in
-  let rb = run before_c and ra = run after_c in
+  let run path =
+    with_setup ~j:1 ~mode ~obs:no_obs (Some path) @@ fun s ->
+    with_scenario ~components:Dpcore.Component.drivers s scenario
+    @@ fun (_, coverage) r ->
+    if not json then print_coverage coverage;
+    r
+  in
+  let rb = run before in
+  let ra = run after in
   let entries =
     Dpcore.Diff.compare_patterns ~threshold ~min_support
       ~before:rb.Dpcore.Pipeline.mining.Dpcore.Mining.patterns
@@ -950,10 +966,12 @@ let baseline_cmd =
 
 (* --- witness --- *)
 
-let witness corpus scenario rank limit mode =
-  let corpus = read_screened ~mode corpus in
-  require_spec corpus scenario;
-  let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
+let witness path scenario rank limit mode =
+  with_setup ~j:1 ~mode ~obs:no_obs path @@ fun s ->
+  let loaded = read_corpus ~pool:s.pool ~mode path in
+  with_scenario ~loaded ~components:Dpcore.Component.drivers s scenario
+  @@ fun (corpus, coverage) r ->
+  print_coverage coverage;
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
   match List.nth_opt patterns (rank - 1) with
   | None ->
@@ -998,8 +1016,7 @@ let witness_cmd =
 
 (* --- explain: provenance-tracked drill-down --- *)
 
-let explain_component ~pool ~timeline components corpus name =
-  let _impact, prov = Dpcore.Pipeline.run_impact_prov ~pool components corpus in
+let explain_component ~timeline corpus (prov : Dpcore.Provenance.impact) name =
   match List.assoc_opt name prov.Dpcore.Provenance.by_module with
   | None ->
     Printf.eprintf "no provenance recorded for module %s (known: %s)\n" name
@@ -1025,9 +1042,7 @@ let explain_component ~pool ~timeline components corpus name =
       records;
     0
 
-let explain_pattern ~pool ~timeline components corpus scenario rank limit =
-  require_spec corpus scenario;
-  let r = Dpcore.Pipeline.run_scenario ~pool components corpus scenario in
+let explain_pattern ~timeline components corpus r scenario rank limit =
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
   match List.nth_opt patterns (rank - 1) with
   | None ->
@@ -1091,16 +1106,22 @@ let explain_pattern ~pool ~timeline components corpus scenario rank limit =
         ws;
     0
 
-let explain corpus scenario rank component limit timeline j mode obs =
+let explain path scenario rank component limit timeline j mode obs =
   with_obs obs @@ fun () ->
   Dpcore.Provenance.enable ();
   let components = Dpcore.Component.drivers in
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_screened ~pool ~mode corpus in
+  with_setup ~j ~mode ~obs path @@ fun s ->
+  let loaded = read_corpus ~pool:s.pool ~mode path in
   match (component, scenario) with
-  | Some name, _ -> explain_component ~pool ~timeline components corpus name
+  | Some name, _ ->
+    with_results ~scenarios:[] ~loaded ~cache:None ~components s
+    @@ fun (corpus, coverage) r ->
+    print_coverage coverage;
+    explain_component ~timeline corpus r.Dpcore.Pipeline.impact_prov name
   | None, Some scenario ->
-    explain_pattern ~pool ~timeline components corpus scenario rank limit
+    with_scenario ~loaded ~components s scenario @@ fun (corpus, coverage) r ->
+    print_coverage coverage;
+    explain_pattern ~timeline components corpus r scenario rank limit
   | None, None ->
     prerr_endline
       "explain: give a SCENARIO (pattern drill-down) or --component MODULE";
@@ -1179,22 +1200,25 @@ let write_text path text =
   output_string oc text;
   close_out oc
 
-let export_trace corpus scenario slow fast rank out pats j mode obs =
+let export_trace path scenario slow fast rank out pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_screened ~pool ~mode corpus in
-  require_spec corpus scenario;
+  with_setup ~j ~mode ~obs path @@ fun s ->
+  let loaded = read_corpus ~pool:s.pool ~mode path in
   let exemplars =
     match rank with
     | None ->
+      let corpus, coverage = Dpcore.Pipeline.screen loaded in
+      print_coverage coverage;
+      require_spec corpus scenario;
       Dpviz.Trace_export.exemplars_of_classes ~slow ~fast
         (Dpcore.Classify.classify corpus scenario)
     | Some rank -> (
       (* Provenance-resolved exemplars: the instances that realise the
          ranked contrast pattern, their matched chains as markers. *)
       Dpcore.Provenance.enable ();
-      let r = Dpcore.Pipeline.run_scenario ~pool components corpus scenario in
+      with_scenario ~loaded ~components s scenario @@ fun (corpus, coverage) r ->
+      print_coverage coverage;
       let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
       match List.nth_opt patterns (rank - 1) with
       | None ->
@@ -1265,13 +1289,13 @@ let export_trace_cmd =
       const export_trace $ corpus_arg $ scenario $ slow $ fast $ rank $ out
       $ components_arg $ domains_arg $ mode_arg $ obs_opts_term)
 
-let flame corpus scenario out_dir slow fast top pats j mode obs =
+let flame path scenario out_dir slow fast top pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_screened ~pool ~mode corpus in
-  require_spec corpus scenario;
-  let r = Dpcore.Pipeline.run_scenario ~pool components corpus scenario in
+  with_setup ~j ~mode ~obs path @@ fun s ->
+  let loaded = read_corpus ~pool:s.pool ~mode path in
+  with_scenario ~loaded ~components s scenario @@ fun (_, coverage) r ->
+  print_coverage coverage;
   let b = Dpviz.Bundle.write ~components ~slow ~fast ~dir:out_dir r in
   List.iter (Printf.printf "wrote %s\n") b.Dpviz.Bundle.files;
   let nf, _, ns = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in

@@ -61,12 +61,11 @@ let build_graphs ?pool _corpus entries =
 
 (* --- the one report accumulator ---
 
-   Every result, fresh or cached, whole-report or one-scenario, is built
-   by absorbing per-stream parts, in stream order, into running
-   accumulators, then running each scenario's tail over its
-   accumulator. The sources differ only in where the parts come from: a
-   resident corpus, a corpus file folded stream by stream, or a
-   snapshot's entries. *)
+   Every result, fresh or cached, is built by absorbing per-stream
+   parts, in stream order, into running accumulators, then running each
+   scenario's tail over its accumulator. The sources differ only in
+   where the parts come from: a resident corpus, a corpus file folded
+   stream by stream, or a snapshot's entries. *)
 
 (* One scenario's class parts absorbed so far: the two class forests
    and the slow class's impact with its provenance. *)
@@ -130,46 +129,6 @@ let scenario_tail ~k ~reduce corpus name a =
     mining;
     coverages;
   }
-
-let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
-    corpus name =
-  span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
-  let spec =
-    match Dptrace.Corpus.find_spec corpus name with
-    | Some spec -> spec
-    | None -> raise Not_found
-  in
-  (* Per stream: graphs for the scenario's fast and slow instances only,
-     turned into the stream's class part there and then. The index is the
-     stream's memoised one: explain, witness and the viz exports come
-     back to the same streams after this pass. *)
-  let of_stream (st : Dptrace.Stream.t) =
-    match
-      List.filter
-        (fun (i : Dptrace.Scenario.instance) ->
-          i.Dptrace.Scenario.scenario = name
-          && Dptrace.Scenario.classify spec i <> Dptrace.Scenario.Middle)
-        st.Dptrace.Stream.instances
-    with
-    | [] -> None
-    | instances ->
-      let index = Dptrace.Stream.shared_index st in
-      Some
-        (Snapshot.class_part components spec
-           (List.map (fun i -> (i, Wait_graph.build ~index st i)) instances))
-  in
-  (* One stream per task: only the streams holding the scenario's
-     instances cost anything, so larger chunks leave a domain idle. *)
-  let parts =
-    span "pipeline.class_parts" @@ fun () ->
-    match pool with
-    | Some pool ->
-      Dppar.Pool.parallel_map ~chunk:1 pool of_stream corpus.Dptrace.Corpus.streams
-    | None -> List.map of_stream corpus.Dptrace.Corpus.streams
-  in
-  let a = class_acc () in
-  span "pipeline.awg_merge" (fun () -> List.iter (Option.iter (absorb_class a)) parts);
-  scenario_tail ~k ~reduce corpus name a
 
 type report = {
   impact : Impact.result;
@@ -333,6 +292,12 @@ let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t
         (absorb acc)
         (fun push -> List.iter push corpus.Dptrace.Corpus.streams));
   finish ?pool acc corpus
+
+(* One scenario's result is the report's entry for it. *)
+let run_scenario ?pool ?k ?reduce components corpus name =
+  if Dptrace.Corpus.find_spec corpus name = None then raise Not_found;
+  let r = run_report ?pool ?k ?reduce ~scenarios:[ name ] components corpus in
+  List.assoc name r.scenarios
 
 let run_impact_prov ?pool components corpus =
   let r = run_report ?pool ~scenarios:[] components corpus in

@@ -21,15 +21,13 @@
       stream's snapshot entry's, decoded in the step, and a hit's
       events are never built;
     - {!run_report_snap}: a snapshot's entries, decoded the same way
-      ({!run_report_entries}: entries the caller holds);
-    - {!run_scenario}: one scenario's class parts, made from that
-      scenario's instances alone, so its result is the report's entry
-      for that scenario.
+      ({!run_report_entries}: entries the caller holds).
 
-    So fresh ≡ fold ≡ cached ≡ one-scenario holds by construction.
-    {!run_impact_prov} is a projection of {!run_report}. {!build_graphs}
-    builds the graphs of given instances for callers that look at the
-    graphs themselves.
+    So fresh ≡ fold ≡ cached holds by construction. {!run_scenario} and
+    {!run_impact_prov} are projections of {!run_report}: one scenario's
+    result is the report's entry for it. {!build_graphs} builds the
+    graphs of given instances for callers that look at the graphs
+    themselves.
 
     Every from-scratch entry point takes an optional [?pool] (a
     {!Dppar.Pool.t}); when given, independent units of work — streams
@@ -74,14 +72,9 @@ val run_scenario :
 (** Classify the scenario's instances, aggregate both contrast classes,
     mine contrast patterns and compute coverages. [k] defaults to
     {!Mining.default_k}; [reduce] (default [true]) controls the AWG
-    non-optimisable-portion reduction. One pass over the streams builds
-    the graphs of the scenario's fast and slow instances, on the
-    stream's memoised index ({!Dptrace.Stream.shared_index}), and turns
-    each stream's into its {!Snapshot.class_part}; with [pool] the
-    streams fan out, order-preserving. The parts are absorbed into the
-    report's class accumulator and go through its scenario tail, so the
-    result equals the report's entry for [name] with the same [k] and
-    [reduce].
+    non-optimisable-portion reduction. A projection: the entry for
+    [name] of [run_report ?pool ?k ?reduce ~scenarios:[name]], so it
+    pays the report's whole per-stream pass.
     @raise Not_found if the corpus has no spec for the scenario. *)
 
 type report = {
@@ -111,10 +104,10 @@ val run_report :
   Dptrace.Corpus.t ->
   report
 (** The whole-corpus impact (Section 5.1) with its provenance,
-    {!Impact.by_module} over every instance's graph, and the result
-    {!run_scenario} gives for each of [scenarios] (default: every
-    scenario name in the corpus; names without a spec are skipped, the
-    rest keep their order), from one per-stream pass that builds and
+    {!Impact.by_module} over every instance's graph, and the causality
+    result of each of [scenarios] (default: every scenario name in the
+    corpus; names without a spec are skipped, the rest keep their
+    order), from one per-stream pass that builds and
     traverses each Wait Graph once ({!Impact.measure}) and makes only
     the class parts of requested scenarios. Each stream's parts are
     absorbed as its step returns, in stream order: whole-stream parts

@@ -94,26 +94,6 @@ type part =
   * Impact.module_row list
   * (string * Impact.result) list
 
-let class_graphs spec items cls =
-  List.filter_map
-    (fun ((i : Scenario.instance), g) ->
-      if Scenario.classify spec i = cls then Some g else None)
-    items
-
-(* A class part around its slow class's impact: the AWG partials of the
-   class's fast and slow graphs, in instance order. *)
-let with_partials components spec items (cl_slow_impact, cl_slow_prov) =
-  {
-    cl_slow_impact;
-    cl_slow_prov;
-    cl_fast = Awg.Partial.build components (class_graphs spec items Scenario.Fast);
-    cl_slow = Awg.Partial.build components (class_graphs spec items Scenario.Slow);
-  }
-
-let class_part components spec items =
-  with_partials components spec items
-    (Impact.analyze_graphs_prov components (class_graphs spec items Scenario.Slow))
-
 let stream_step components ~spec_of (st : Stream.t) =
   let index = Stream.pass_index st in
   let items =
@@ -131,15 +111,27 @@ let stream_step components ~spec_of (st : Stream.t) =
   let r, prov, rows, per_scenario, slow_classes =
     Impact.measure ~slow components (List.map snd items)
   in
+  (* A class part: the slow class's impact and the AWG partials of the
+     class's fast and slow graphs, in instance order. *)
   let class_of name =
     match (spec_of name, List.assoc_opt name slow_classes) with
-    | Some spec, Some slow_class ->
+    | Some spec, Some (cl_slow_impact, cl_slow_prov) ->
+      let items =
+        List.filter (fun ((i : Scenario.instance), _) -> i.Scenario.scenario = name) items
+      in
+      let graphs cls =
+        List.filter_map
+          (fun ((i : Scenario.instance), g) ->
+            if Scenario.classify spec i = cls then Some g else None)
+          items
+      in
       Some
-        (with_partials components spec
-           (List.filter
-              (fun ((i : Scenario.instance), _) -> i.Scenario.scenario = name)
-              items)
-           slow_class)
+        {
+          cl_slow_impact;
+          cl_slow_prov;
+          cl_fast = Awg.Partial.build components (graphs Scenario.Fast);
+          cl_slow = Awg.Partial.build components (graphs Scenario.Slow);
+        }
     | _ -> None
   in
   ((r, prov, rows, per_scenario), List.map (fun (name, _) -> (name, class_of name)) per_scenario)
@@ -423,7 +415,8 @@ type t = {
   used : (string, unit) Hashtbl.t;  (* keys the current pass has settled *)
   mutable dirty : bool;
       (* [save] would write bytes other than the file's: it was absent,
-         damaged or not in save order, or a miss has been added since *)
+         damaged or not in save order, or a miss or a drop has come
+         since it was opened or written *)
   mutable hits : int;
   mutable misses : int;
   loaded : int;  (* records read intact from disk *)
@@ -714,6 +707,7 @@ let save t =
         t.file <- file;
         Hashtbl.reset t.entries;
         List.iter (fun e -> Hashtbl.replace t.entries e.key e) written;
+        t.dirty <- false;
         if Dpobs.metrics_on () then Dpobs.Metrics.add (bytes_c ()) size
       | exception Dpfault.Injected _ ->
         (* Budget spent: abandon this save. The previous cache file (if

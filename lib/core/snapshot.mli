@@ -48,8 +48,8 @@
     asked, so a merge holds one decoded class part at a time.
 
     What {!save} writes, and when. Nothing, if the snapshot still
-    matches its file: no miss was analysed, and the file was read whole,
-    undamaged and in save order. It then only refreshes the file's
+    matches its file: it wrote the file, or read it whole, undamaged and
+    in save order, and no miss was analysed and no entry dropped since. It then only refreshes the file's
     mtime, which is what {!gc} ranks recency by. Otherwise it streams a
     new file of entry records, each copied byte for byte: a fresh one
     from its string, loaded ones from the open file. Either way the
@@ -91,16 +91,6 @@ type class_part = {
 }
 (** One stream's contribution to one spec'd scenario's result. *)
 
-val class_part :
-  Component.t ->
-  Dptrace.Scenario.spec ->
-  (Dptrace.Scenario.instance * Dpwaitgraph.Wait_graph.t) list ->
-  class_part
-(** One stream's class part for the scenario [spec] names, from that
-    stream's instances of it and their graphs, in instance order:
-    instances [spec] classifies neither fast nor slow contribute
-    nothing. *)
-
 type part =
   Impact.result
   * Provenance.impact
@@ -118,8 +108,9 @@ val stream_step :
     ({!Impact.measure}, which also measures each spec'd scenario's slow
     class). Then group them by scenario name, in first-appearance order,
     and give each group its class part when [spec_of] names a spec for
-    it: equal to {!class_part} of the group. No graph outlives the
-    step. *)
+    it: the slow class's impact and the unreduced AWG forests of the
+    group's fast and slow graphs, in instance order. No graph outlives
+    the step. *)
 
 (** {1 Per-stream entries} *)
 

@@ -193,29 +193,45 @@ let test_snapshot_reuse () =
 
 (* A cached monitor holds one descriptor per open snapshot: each save
    swaps the file it reads for the one it wrote, so ten ticks of one
-   fingerprint, each saving, hold no more descriptors than the first. *)
+   fingerprint hold no more descriptors than the first. The file never
+   changes after the first tick, so only that tick writes the cache
+   file: every later save keeps its inode. *)
 let test_cache_descriptors_bounded () =
   let fixture_dir = Lazy.force fixture in
   let dir = fresh_dir () in
+  let cache = Filename.concat dir "cache" in
   let t =
-    Monitor.create
-      { (config ~dir ~tag:"fds") with Monitor.cache_dir = Some (Filename.concat dir "cache") }
+    Monitor.create { (config ~dir ~tag:"fds") with Monitor.cache_dir = Some cache }
   in
   Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
   Monitor.set_clock t 0;
-  let open_fds =
+  let ticks =
     List.init 10 (fun i ->
         (match Monitor.ingest t ~mtime_ms:i (Filename.concat fixture_dir "calm1.dpf") with
         | Ok () -> ()
         | Error e -> Alcotest.failf "ingest: %s" e);
         ignore (Monitor.tick t : Rules.alert list);
-        Array.length (Sys.readdir "/proc/self/fd"))
+        let inode =
+          match Dpcore.Snapshot.list_files cache with
+          | [ path ] -> (Unix.stat path).Unix.st_ino
+          | l -> Alcotest.failf "expected one cache file, got %d" (List.length l)
+        in
+        (Array.length (Sys.readdir "/proc/self/fd"), inode))
   in
   (match Monitor.snapshot_stats t with
   | Some s -> check Alcotest.bool "later ticks hit the cache file" true (s.Dpcore.Snapshot.s_hits > 0)
   | None -> Alcotest.fail "snapshot should exist after an analysed tick");
+  let open_fds = List.map fst ticks in
   check Alcotest.int "no descriptor gained over ten ticks" (List.hd open_fds)
-    (List.fold_left max 0 open_fds)
+    (List.fold_left max 0 open_fds);
+  (* A rewrite renames a new file over the one still linked, so it
+     always changes the inode. *)
+  let rec rewrites = function
+    | a :: (b :: _ as rest) -> Bool.to_int (a <> b) + rewrites rest
+    | _ -> 0
+  in
+  check Alcotest.int "the cache file written once, at the first tick" 0
+    (rewrites (List.map snd ticks))
 
 (* --- absolute rules: parse failure and ingest lag --- *)
 

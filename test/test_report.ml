@@ -354,8 +354,8 @@ let scenario_fingerprint (r : Pipeline.scenario_result) =
         c.Dpcore.Evaluation.ttc;
     ]
 
-(* run_scenario runs the report's scenario tail over class parts it
-   makes itself; it must give the composed path's result for every
+(* run_scenario is the report's entry for one requested scenario; it
+   must give the composed path's result for every
    scenario with a spec, sequentially and on a 2-domain pool, with
    provenance off and on, and still raise Not_found for a spec-less
    name. *)

@@ -236,6 +236,21 @@ let test_unchanged_save_only_touches () =
   check Alcotest.bool "mtime refreshed" true (after.Unix.st_mtime > long_ago);
   check Alcotest.bool "no tmp written" false (Sys.file_exists (path ^ ".tmp"))
 
+(* The same for a snapshot that took its misses and saved them: a
+   second save has nothing new to write, so it keeps the file's inode
+   and bytes. *)
+let test_second_save_only_touches () =
+  let corpus = gen 0.03 in
+  let dir = fresh_dir () in
+  let snap = open_snap ~dir corpus in
+  Snapshot.save snap;
+  let path = List.hd (Snapshot.list_files dir) in
+  let before = read_bin path in
+  let inode = (Unix.stat path).Unix.st_ino in
+  Snapshot.save snap;
+  check Alcotest.string "file bytes unchanged" before (read_bin path);
+  check Alcotest.int "not rewritten" inode (Unix.stat path).Unix.st_ino
+
 let test_prov_identical () =
   with_prov true @@ fun () ->
   let corpus = gen 0.04 in
@@ -831,40 +846,56 @@ let with_plan spec f =
     Dpfault.install plan;
     Fun.protect ~finally:Dpfault.clear f
 
+(* [corpus] without its last stream: a cache saved over it leaves a
+   save over [corpus] one entry to write. *)
+let all_but_last (corpus : Corpus.t) =
+  let n = List.length corpus.Corpus.streams in
+  Corpus.create
+    ~streams:(List.filteri (fun i _ -> i < n - 1) corpus.Corpus.streams)
+    ~specs:corpus.Corpus.specs
+
 (* Kill point 1, a torn tmp write: the injected [Torn_write] persists
    only a prefix of the tmp before failing, so the published cache file
-   must never change, the cache must keep serving every entry, and a
-   later clean save must recover — the rename is the commit point. *)
+   must never change, the cache must keep serving every entry it holds,
+   and a later clean save must recover — the rename is the commit point.
+   The published file covers the corpus minus its last stream, so the
+   torn save has that stream's entry to write. *)
 let test_torn_write_never_replaces_cache () =
   let corpus = gen 0.03 in
+  let partial = all_but_last corpus in
   let dir = fresh_dir () in
-  let snap = open_snap ~dir corpus in
-  Snapshot.save snap;
+  Snapshot.save (open_snap ~dir partial);
   let path =
     match Snapshot.list_files dir with
     | [ p ] -> p
     | l -> Alcotest.failf "expected one cache file, got %d" (List.length l)
   in
-  let clean = read_bin path in
+  let published = read_bin path in
+  let snap = open_snap ~dir corpus in
   with_plan "1:snapshot.write=torn@1.0!2" (fun () -> Snapshot.save snap);
-  check Alcotest.string "published file byte-untouched" clean (read_bin path);
+  check Alcotest.string "published file byte-untouched" published (read_bin path);
   let tmp = path ^ ".tmp" in
   check Alcotest.bool "torn tmp left behind" true (Sys.file_exists tmp);
-  check Alcotest.bool "tmp really holds only a prefix" true
-    (String.length (read_bin tmp) < String.length clean);
+  let torn = read_bin tmp in
   (* The authoritative file still serves everything, bit-identically. *)
-  let warm = open_snap ~dir corpus in
+  let warm = open_snap ~dir partial in
   let stats = Snapshot.stats warm in
   check Alcotest.int "every stream still hits"
-    (List.length corpus.Corpus.streams)
+    (List.length partial.Corpus.streams)
     stats.Snapshot.s_hits;
-  check_identical ~msg:"after abandoned save" warm corpus;
+  check_identical ~msg:"after abandoned save" warm partial;
   (* Recovery: the next clean save rewrites the tmp from offset 0 and
      commits; the stale torn tmp is consumed by the rename. *)
   Snapshot.save snap;
   check Alcotest.bool "tmp renamed away" false (Sys.file_exists tmp);
-  check Alcotest.string "file is a pure function of its entries" clean
-    (read_bin path)
+  let clean = read_bin path in
+  check Alcotest.bool "tmp really held only a prefix" true
+    (String.length torn < String.length clean
+    && String.starts_with ~prefix:torn clean);
+  let cold = fresh_dir () in
+  Snapshot.save (open_snap ~dir:cold corpus);
+  check Alcotest.string "file is a pure function of its entries" (saved_bytes cold)
+    clean
 
 (* Kill point 2, torn very first save: nothing gets published at all —
    an absent cache beats a corrupt one. *)
@@ -906,12 +937,13 @@ let test_stale_garbage_tmp_overwritten () =
    cache file by hand (as if the machine died mid-publish with a broken
    fs). The loader must drop the cut record, never serve corrupt data,
    and [inspect] — the engine behind `driveperf cache verify` — must
-   count the damage. *)
+   count the damage. The torn save has one new entry to write, as in
+   kill point 1. *)
 let test_torn_file_verifies_as_corrupt () =
   let corpus = gen 0.03 in
   let dir = fresh_dir () in
+  Snapshot.save (open_snap ~dir (all_but_last corpus));
   let snap = open_snap ~dir corpus in
-  Snapshot.save snap;
   let path = List.hd (Snapshot.list_files dir) in
   with_plan "1:snapshot.write=torn@1.0!1" (fun () -> Snapshot.save snap);
   Sys.rename (path ^ ".tmp") path;
@@ -1407,6 +1439,8 @@ let () =
             test_append_delta_identical;
           Alcotest.test_case "unchanged save only refreshes mtime" `Slow
             test_unchanged_save_only_touches;
+          Alcotest.test_case "a second save of the same entries writes nothing" `Slow
+            test_second_save_only_touches;
           Alcotest.test_case "provenance on: cached = from-scratch" `Slow
             test_prov_identical;
           Alcotest.test_case "pooled ensure = sequential" `Slow
