@@ -73,17 +73,6 @@ let read_corpus ?pool ~mode = function
   | Some path -> (load_corpus ?pool ~mode path).Dptrace.Corpus_dir.l_corpus
   | None -> generated ()
 
-(* The corpus handed over stream by stream: a framed file is decoded a
-   batch at a time; a text file or the generated corpus is built whole
-   first. *)
-let fold_input ~pool ~mode path ~step ~consume =
-  match path with
-  | Some path ->
-    (check_read path
-       (Dptrace.Corpus_dir.fold ~pool ~mode ~step ~consume path))
-      .Dptrace.Corpus_dir.l_corpus
-  | None -> Dptrace.Corpus_dir.fold_corpus ~pool ~step ~consume (generated ())
-
 (* --- common options --- *)
 
 let corpus_arg =
@@ -195,12 +184,10 @@ let with_cli_pool j f =
   Dppar.Pool.with_pool ~domains f
 
 (* Every one-scenario command checks its name against the corpus it
-   analysed: a scenario with no spec is one error line and exit 1. *)
-let require_spec corpus scenario =
-  if Option.is_none (Dptrace.Corpus.find_spec corpus scenario) then begin
-    Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
-    exit 1
-  end
+   analyses: a scenario with no spec is one error line and exit 1. *)
+let no_spec scenario =
+  Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
+  exit 1
 
 (* --- incremental snapshot cache (--cache DIR) ---
 
@@ -382,26 +369,31 @@ let snapshot_of ~components dir =
       cell := Some snap;
       snap
 
+(* What the analysis folds, handed over stream by stream: [loaded],
+   whose kept streams stay whole, or else the corpus file, a framed one
+   decoded a batch at a time, a text one or the generated corpus built
+   whole first; only their skeletons stay. *)
+let source ?loaded s ~step ~consume =
+  let pool = s.pool in
+  match (loaded, s.path) with
+  | Some corpus, _ ->
+    Dptrace.Corpus_dir.fold_corpus ~pool
+      ~step:(fun specs f -> (Dptrace.Codec_v2.frame_stream f, step specs f))
+      ~consume:(fun (st, x) -> Option.map (fun _ -> st) (consume x))
+      corpus
+  | None, Some path ->
+    (check_read path (Dptrace.Corpus_dir.fold ~pool ~mode:s.mode ~step ~consume path))
+      .Dptrace.Corpus_dir.l_corpus
+  | None, None -> Dptrace.Corpus_dir.fold_corpus ~pool ~step ~consume (generated ())
+
 (* The analysis behind impact, report, analyze and the one-scenario
    commands ([with_scenario], never with --cache): the kept corpus with
    the coverage, and the report (its scenario tails under the --progress
-   line), handed to the body. Each stream is stepped as it is decoded
-   from the corpus file, or taken from [loaded], whose kept streams stay
-   whole (otherwise only skeletons stay). Under --cache the step looks
-   each stream up in the cache, analysing only the misses, and the cache
-   is written back after the body. *)
-let with_results ?scenarios ?loaded ~cache ~components s f =
+   line), handed to the body. Under --cache the step looks each stream
+   up in the cache, analysing only the misses, and the cache is written
+   back after the body. *)
+let fold_results ?scenarios ~cache ~components s source f =
   let pool = s.pool in
-  let source =
-    match loaded with
-    | None -> fold_input ~pool ~mode:s.mode s.path
-    | Some corpus ->
-      fun ~step ~consume ->
-        Dptrace.Corpus_dir.fold_corpus ~pool
-          ~step:(fun specs f -> (Dptrace.Codec_v2.frame_stream f, step specs f))
-          ~consume:(fun (st, x) -> Option.map (fun _ -> st) (consume x))
-          corpus
-  in
   let snapshot = Option.map (snapshot_of ~components) cache in
   let acc, corpus, coverage =
     Dpcore.Pipeline.fold_report ~k:s.k ?scenarios ~cache:snapshot components source
@@ -427,17 +419,30 @@ let with_results ?scenarios ?loaded ~cache ~components s f =
     snapshot;
   r
 
+let with_results ?scenarios ?loaded ~cache ~components s f =
+  fold_results ?scenarios ~cache ~components s (source ?loaded s) f
+
 (* The one-scenario commands: the report of [scenario] alone, its kept
    corpus and coverage handed to the body with the scenario's result.
    The commands that draw events (exemplars, timelines, event windows)
    pass the corpus read whole, unscreened, as [loaded] and draw them
    from the kept corpus; the others fold the file, so only skeletons
-   stay. Either way the fold's screen is the only screen. *)
+   stay. Either way the fold's screen is the only screen. A name without
+   a spec stops the fold at its first step, which is handed the specs. *)
 let with_scenario ?loaded ~components s scenario f =
-  with_results ~scenarios:[ scenario ] ?loaded ~cache:None ~components s
-  @@ fun (corpus, coverage) r ->
-  require_spec corpus scenario;
-  f (corpus, coverage) (List.assoc scenario r.Dpcore.Pipeline.scenarios)
+  let exception No_spec in
+  let source ~step ~consume =
+    source ?loaded s ~consume ~step:(fun specs frame ->
+        if List.exists (fun (sp : Dptrace.Scenario.spec) -> sp.name = scenario) specs
+        then step specs frame
+        else raise No_spec)
+  in
+  match
+    fold_results ~scenarios:[ scenario ] ~cache:None ~components s source
+    @@ fun kept r -> (kept, List.assoc_opt scenario r.Dpcore.Pipeline.scenarios)
+  with
+  | kept, Some r -> f kept r
+  | _, None | (exception No_spec) -> no_spec scenario
 
 (* --- generate --- *)
 
@@ -1210,7 +1215,7 @@ let export_trace path scenario slow fast rank out pats j mode obs =
     | None ->
       let corpus, coverage = Dpcore.Pipeline.screen loaded in
       print_coverage coverage;
-      require_spec corpus scenario;
+      if Dptrace.Corpus.find_spec corpus scenario = None then no_spec scenario;
       Dpviz.Trace_export.exemplars_of_classes ~slow ~fast
         (Dpcore.Classify.classify corpus scenario)
     | Some rank -> (

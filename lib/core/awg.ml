@@ -14,10 +14,9 @@ type node = {
   mutable max_cost : Dputil.Time.t;
   mutable witnesses : Provenance.Wset.t;
   mutable wacc : Provenance.Wacc.t option;
-      (* Exact witness accumulation while the node is still mutating;
-         collapsed into the canonical capped [witnesses] when the forest
-         is finalised. Exactness (no mid-build truncation) is what makes
-         witness aggregation commutative, so per-stream partial forests
+      (* Witness accumulation while the node is still mutating, collapsed
+         into the canonical capped [witnesses] when the forest is
+         finalised; its merges commute, so per-stream partial forests
          merged later ([Partial]) reproduce the sequential build bit for
          bit. [None] when provenance is off or after finalisation. *)
   children : (status, node) Hashtbl.t;
@@ -339,20 +338,20 @@ module Partial = struct
   (* Merging never adopts a source node: partials must stay intact (the
      snapshot cache serialises them after merging), so targets are always
      fresh and sources only read. All accumulation is commutative —
-     integer sums, max, exact witness-accumulator union — which is why
+     integer sums, max, witness chunks of distinct streams — which is why
      per-stream partials merged here in corpus order equal the
      single-pass [build] over the same graphs.
 
      A merger is the running forest: partials are absorbed one at a
      time, so a caller decoding them off disk holds only the one in
      hand. Each level of the source is absorbed into the same level of
-     the target, roots and children alike. A distinct merger cuts a
-     node's witness chunks to their best as it goes. *)
-  type merger = { distinct : bool; forest : (status, node) Hashtbl.t }
+     the target, roots and children alike, and a node's witness chunks
+     are cut to their best as it goes. *)
+  type merger = (status, node) Hashtbl.t
 
-  let merger ?(distinct = false) () = { distinct; forest = Hashtbl.create 64 }
+  let merger () : merger = Hashtbl.create 64
 
-  let rec absorb_level distinct into (src : partial) =
+  let rec absorb into (src : partial) =
     Hashtbl.iter
       (fun status (c : node) ->
         let n =
@@ -367,14 +366,12 @@ module Partial = struct
         n.count <- n.count + c.count;
         if c.max_cost > n.max_cost then n.max_cost <- c.max_cost;
         (match c.wacc with
-        | Some a -> Provenance.Wacc.merge_into ~distinct ~into:(node_wacc n) a
+        | Some a -> Provenance.Wacc.merge_into ~into:(node_wacc n) a
         | None -> ());
-        absorb_level distinct n.children c.children)
+        absorb n.children c.children)
       src
 
-  let absorb m src = absorb_level m.distinct m.forest src
-
-  let merged ?(reduce = true) m = finish ~reduce m.forest
+  let merged ?(reduce = true) m = finish ~reduce m
 
   (* --- wire form (inside snapshot-cache frames) ---
 
@@ -449,9 +446,10 @@ module Partial = struct
   (* The one parser of the wire form: a sibling set, each status checked
      against the one before it, held as five ints — tag, then offset and
      length of each name — so the scratch is five ints per level of the
-     path. Given a level of a forest it builds the nodes into it; given
-     none it builds nothing and interns no name. *)
-  let rec read_level level cur what =
+     path. Given a level of a forest it builds the nodes into it, its
+     witness refs under stream id [id]; given none it builds nothing and
+     interns no name. *)
+  let rec read_level id level cur what =
     let data = cur.Wire.data in
     let ptag = ref (-1) and po1 = ref 0 and pl1 = ref 0 and po2 = ref 0 and pl2 = ref 0 in
     for _ = 1 to Wire.rcount cur do
@@ -496,15 +494,15 @@ module Partial = struct
           Some n
       in
       (match node with
-      | Some n -> n.wacc <- Provenance.Wacc.read cur
+      | Some n -> n.wacc <- Provenance.Wacc.read ~id cur
       | None -> Provenance.Wacc.skip cur);
-      read_level (Option.map (fun n -> n.children) node) cur "child"
+      read_level id (Option.map (fun n -> n.children) node) cur "child"
     done
 
-  let read cur : partial =
+  let read ~id cur : partial =
     let forest = Hashtbl.create 16 in
-    read_level (Some forest) cur "root";
+    read_level id (Some forest) cur "root";
     forest
 
-  let walk cur = read_level None cur "root"
+  let walk cur = read_level 0 None cur "root"
 end

@@ -35,12 +35,10 @@ type node = private {
   mutable witnesses : Provenance.Wset.t;
       (** Contributing (stream, scenario instance) support, capped to the
           costliest {!Provenance.default_k} entries. Empty unless
-          {!Provenance.enabled} was true during {!build}. Accumulated
-          exactly (uncapped) while the forest is built and truncated once
-          at finalisation, so the cap never makes aggregation
-          order-sensitive. *)
+          {!Provenance.enabled} was true during {!build}. The cap never
+          makes aggregation order-sensitive ({!Provenance.Wacc}). *)
   mutable wacc : Provenance.Wacc.t option;
-      (** The exact in-build accumulator behind [witnesses]; [None] when
+      (** The in-build accumulator behind [witnesses]; [None] when
           provenance is off or once the forest is finalised. *)
   children : (status, node) Hashtbl.t;
   mutable frozen_kids : node array option;
@@ -135,14 +133,12 @@ module Partial : sig
       the pipeline merges a scenario's per-stream class parts, fresh or
       cached. *)
 
-  val merger : ?distinct:bool -> unit -> merger
-  (** An empty merge. With [~distinct:true] (default [false]) the caller
-      promises that no witness ref is in two of the partials it absorbs,
-      as holds when each is one stream's and no two share a stream id.
-      Then each node keeps only its best {!Provenance.default_k}
-      witnesses as it absorbs ({!Provenance.Wacc.merge_into}), so its
-      witness memory does not grow with the partials, and {!merged} is
-      the same AWG. *)
+  val merger : unit -> merger
+  (** An empty merge, of partials that are each one stream's, no two
+      sharing a stream id. Each node keeps only its best
+      {!Provenance.default_k} witnesses as it absorbs
+      ({!Provenance.Wacc.merge_into}), so its witness memory does not
+      grow with the partials, and {!merged} is the same AWG. *)
 
   val absorb : merger -> partial -> unit
   (** Accumulate one partial into the merge. Every accumulation commutes,
@@ -161,9 +157,11 @@ module Partial : sig
       name order — by tag, then each name by length, then by bytes — so
       the bytes do not depend on the order names were interned in. *)
 
-  val read : Dptrace.Wire.cursor -> partial
-  (** Inverse of {!write}. A sibling set out of name order or with two
-      equal statuses is refused, as are witnesses {!Provenance.Wacc.read} refuses.
+  val read : id:int -> Dptrace.Wire.cursor -> partial
+  (** Inverse of {!write} for one stream's partial, its witness refs
+      under stream id [id] ({!Provenance.Wacc.read}). A sibling set out
+      of name order or with two equal statuses is refused, as are
+      witnesses {!Provenance.Wacc.read} refuses.
       @raise Dptrace.Wire.Corrupt on malformed input. *)
 
   val walk : Dptrace.Wire.cursor -> unit

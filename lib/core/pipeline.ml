@@ -76,10 +76,10 @@ type class_acc = {
   mutable a_prov : Provenance.impact;
 }
 
-let class_acc ?distinct () =
+let class_acc () =
   {
-    a_fast = Awg.Partial.merger ?distinct ();
-    a_slow = Awg.Partial.merger ?distinct ();
+    a_fast = Awg.Partial.merger ();
+    a_slow = Awg.Partial.merger ();
     a_impact = Impact.empty;
     a_prov = Provenance.empty_impact;
   }
@@ -143,12 +143,10 @@ type report = {
    corpus impact with its provenance, the module table, each stream's
    impact, newest first, and each scenario's row of the per-scenario
    table), plus a class accumulator per requested scenario that has had
-   a class part, whose mergers are distinct when no two streams absorbed
-   share an id. *)
+   a class part. *)
 type acc = {
   k : int;
   reduce : bool;
-  distinct : bool;
   wanted : string list option;
   mutable t_impact : Impact.result;
   mutable t_prov : Provenance.impact;
@@ -158,11 +156,10 @@ type acc = {
   classes : (string, class_acc) Hashtbl.t;
 }
 
-let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios ~distinct () =
+let accumulator ?(k = Mining.default_k) ?(reduce = true) ?scenarios () =
   {
     k;
     reduce;
-    distinct;
     wanted = scenarios;
     t_impact = Impact.empty;
     t_prov = Provenance.empty_impact;
@@ -187,7 +184,7 @@ let class_acc_of t name =
   match Hashtbl.find_opt t.classes name with
   | Some a -> a
   | None ->
-    let a = class_acc ~distinct:t.distinct () in
+    let a = class_acc () in
     Hashtbl.add t.classes name a;
     a
 
@@ -256,13 +253,14 @@ let step components acc specs f =
   let part, class_parts = Snapshot.stream_step components ~spec_of st in
   { skeleton = Dptrace.Stream.skeleton st; part; class_parts; settle = None }
 
-(* A cached stream's parts, decoded where the step runs: the entry's
-   whole-stream part and its requested class parts (an entry has one for
-   every spec'd scenario). *)
-let of_entry acc e skeleton settle =
-  let ((_, _, _, per_scenario) as part) = Snapshot.entry_part e in
+(* A cached stream's parts, decoded where the step runs under the
+   skeleton's id: the entry's whole-stream part and its requested class
+   parts (an entry has one for every spec'd scenario). *)
+let of_entry acc e (skeleton : Dptrace.Stream.t) settle =
+  let id = skeleton.Dptrace.Stream.id in
+  let ((_, _, _, per_scenario) as part) = Snapshot.entry_part ~id e in
   let class_of (name, _) =
-    (name, if wants acc name then Snapshot.entry_scenario_class e name else None)
+    (name, if wants acc name then Snapshot.entry_scenario_class ~id e name else None)
   in
   { skeleton; part; class_parts = List.map class_of per_scenario; settle }
 
@@ -281,10 +279,81 @@ let absorb acc s =
       | _, None -> ())
     s.class_parts
 
+(* --- fault screening: graceful degradation under injected faults --- *)
+
+type coverage = {
+  cov_total : int;
+  cov_analyzed : int;
+  cov_quarantined : (int * string) list;
+}
+
+(* One [corpus.read] probe per stream, in corpus order (so the plan's
+   per-call draws are reproducible): a stream whose retries exhaust is
+   quarantined with its reason instead of aborting the run. A stream
+   that passes but repeats an admitted stream's id is quarantined too,
+   so the admitted ids are distinct. *)
+type screener = {
+  mutable seen : int;
+  mutable quarantined : (int * string) list;  (* newest first *)
+  admitted : (int, unit) Hashtbl.t;
+}
+
+let screener () = { seen = 0; quarantined = []; admitted = Hashtbl.create 1024 }
+
+let quarantine s id reason = s.quarantined <- (id, reason) :: s.quarantined; false
+
+(* The id rule: every stream a run absorbs has a distinct id. *)
+let distinct s (st : Dptrace.Stream.t) =
+  let id = st.Dptrace.Stream.id in
+  if not (Hashtbl.mem s.admitted id) then (Hashtbl.replace s.admitted id (); true)
+  else quarantine s id (Printf.sprintf "stream id %d repeats an earlier stream" id)
+
+let admit s (st : Dptrace.Stream.t) =
+  s.seen <- s.seen + 1;
+  match
+    if Dpfault.armed () then
+      Dpfault.Retry.run Dpfault.Corpus_read (fun () -> Dpfault.guard Dpfault.Corpus_read)
+  with
+  | exception Dpfault.Injected { kind; _ } ->
+    quarantine s st.Dptrace.Stream.id
+      (Printf.sprintf "injected %s at corpus.read exhausted %d attempt(s)"
+         (Dpfault.kind_name kind)
+         (Dpfault.Retry.budget Dpfault.Corpus_read))
+  | () -> distinct s st
+
+let close_screen s =
+  let quarantined = List.rev s.quarantined in
+  List.iter
+    (fun (sid, reason) -> Dpobs.Log.warn "stream %d quarantined: %s" sid reason)
+    quarantined;
+  {
+    cov_total = s.seen;
+    cov_analyzed = s.seen - List.length quarantined;
+    cov_quarantined = quarantined;
+  }
+
+(* The kept streams preserve corpus order, and a screening that
+   quarantines nothing returns the input corpus, so every downstream
+   result — text and JSON — stays byte-identical to a fault-free run. *)
+let screen (corpus : Dptrace.Corpus.t) =
+  let s = screener () in
+  let kept = List.filter (admit s) corpus.Dptrace.Corpus.streams in
+  ( (if s.quarantined = [] then corpus
+     else Dptrace.Corpus.create ~streams:kept ~specs:corpus.Dptrace.Corpus.specs),
+    close_screen s )
+
+(* The items whose streams the id rule keeps, repeats logged as the
+   screen logs them; no [corpus.read] probe, which would shift a fault
+   plan's draws for a caller that screened its input. *)
+let distinct_ids stream_of items =
+  let s = screener () in
+  let kept = List.filter (fun x -> distinct s (stream_of x)) items in
+  ignore (close_screen s : coverage);
+  kept
+
 let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t) =
-  let ids = List.map (fun (st : Dptrace.Stream.t) -> st.Dptrace.Stream.id) corpus.streams in
-  let distinct = List.compare_lengths (List.sort_uniq Int.compare ids) ids = 0 in
-  let acc = accumulator ?k ?reduce ?scenarios ~distinct () in
+  let corpus = { corpus with streams = distinct_ids Fun.id corpus.Dptrace.Corpus.streams } in
+  let acc = accumulator ?k ?reduce ?scenarios () in
   span "pipeline.report_streams" (fun () ->
       Dppar.Pool.iter_batched ?pool
         (fun st ->
@@ -312,26 +381,23 @@ let run_impact_prov ?pool components corpus =
    bit-identical to the uncached run whatever mix of cache hits and
    misses produced the entries. *)
 
-(* Each of [items] gives a stream and its entry, where the stream is
-   merged. The monitor's window repeats stream ids across its files, so
-   these reports keep every witness chunk until the tails. *)
-let merge_entries ?pool ?k ?reduce ?scenarios corpus entry_of items =
-  let acc = accumulator ?k ?reduce ?scenarios ~distinct:false () in
+(* Each of [items] gives a stream and, where the stream is merged, its
+   entry, absorbed under the stream's id. *)
+let merge_entries ?pool ?k ?reduce ?scenarios specs stream_of entry_of items =
+  let items = distinct_ids stream_of items in
+  let acc = accumulator ?k ?reduce ?scenarios () in
   Dppar.Pool.iter_batched ?pool
-    (fun x ->
-      let st, e = entry_of x in
-      of_entry acc e st None)
+    (fun x -> of_entry acc (entry_of x) (stream_of x) None)
     (absorb acc)
     (fun push -> List.iter push items);
-  finish ?pool acc corpus
+  finish ?pool acc (Dptrace.Corpus.create ~streams:(List.map stream_of items) ~specs)
 
 let run_report_snap ?pool ?k ?reduce ?scenarios snapshot (corpus : Dptrace.Corpus.t) =
-  merge_entries ?pool ?k ?reduce ?scenarios corpus
-    (fun st -> (st, Snapshot.entry snapshot st))
-    corpus.Dptrace.Corpus.streams
+  merge_entries ?pool ?k ?reduce ?scenarios corpus.specs Fun.id (Snapshot.entry snapshot)
+    corpus.streams
 
 let run_report_entries ?pool ?k (corpus : Dptrace.Corpus.t) entries =
-  merge_entries ?pool ?k corpus Fun.id (List.combine corpus.Dptrace.Corpus.streams entries)
+  merge_entries ?pool ?k corpus.specs fst snd (List.combine corpus.streams entries)
 
 let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
   (run_report_snap ?pool ?k ?reduce ?scenarios snapshot corpus).scenarios
@@ -351,68 +417,8 @@ let driver_cost_fraction r =
     (float_of_int (r.slow_impact.Impact.d_waitdist + r.slow_impact.Impact.d_run))
     (float_of_int r.slow_impact.Impact.d_scn)
 
-(* --- fault screening: graceful degradation under injected faults --- *)
-
-type coverage = {
-  cov_total : int;
-  cov_analyzed : int;
-  cov_quarantined : (int * string) list;
-}
-
-(* One [corpus.read] probe per stream, in corpus order (so the plan's
-   per-call draws are reproducible): a stream whose retries exhaust is
-   quarantined with its reason instead of aborting the run. A stream
-   that passes but repeats an admitted stream's id is quarantined too,
-   so the admitted ids are distinct. *)
-type screener = {
-  mutable seen : int;
-  mutable quarantined : (int * string) list;  (* newest first *)
-  admitted : (int, unit) Hashtbl.t;
-}
-
-let screener () = { seen = 0; quarantined = []; admitted = Hashtbl.create 1024 }
-
-let admit s (st : Dptrace.Stream.t) =
-  s.seen <- s.seen + 1;
-  let id = st.Dptrace.Stream.id in
-  let quarantine reason = s.quarantined <- (id, reason) :: s.quarantined; false in
-  match
-    if Dpfault.armed () then
-      Dpfault.Retry.run Dpfault.Corpus_read (fun () -> Dpfault.guard Dpfault.Corpus_read)
-  with
-  | exception Dpfault.Injected { kind; _ } ->
-    quarantine
-      (Printf.sprintf "injected %s at corpus.read exhausted %d attempt(s)"
-         (Dpfault.kind_name kind)
-         (Dpfault.Retry.budget Dpfault.Corpus_read))
-  | () when Hashtbl.mem s.admitted id ->
-    quarantine (Printf.sprintf "stream id %d repeats an earlier stream" id)
-  | () -> Hashtbl.replace s.admitted id (); true
-
-let close_screen s =
-  let quarantined = List.rev s.quarantined in
-  List.iter
-    (fun (sid, reason) -> Dpobs.Log.warn "stream %d quarantined: %s" sid reason)
-    quarantined;
-  {
-    cov_total = s.seen;
-    cov_analyzed = s.seen - List.length quarantined;
-    cov_quarantined = quarantined;
-  }
-
-(* The kept streams preserve corpus order, and a screening that
-   quarantines nothing returns the input corpus, so every downstream
-   result — text and JSON — stays byte-identical to a fault-free run. *)
-let screen (corpus : Dptrace.Corpus.t) =
-  let s = screener () in
-  let kept = List.filter (admit s) corpus.Dptrace.Corpus.streams in
-  ( (if s.quarantined = [] then corpus
-     else Dptrace.Corpus.create ~streams:kept ~specs:corpus.Dptrace.Corpus.specs),
-    close_screen s )
-
-(* The screen admits distinct ids only, so the mergers are distinct. *)
 let fold_report ?k ?reduce ?scenarios ~cache components source =
-  let acc = accumulator ?k ?reduce ?scenarios ~distinct:true () in
+  let acc = accumulator ?k ?reduce ?scenarios () in
   let step =
     match cache with
     | None -> step components acc

@@ -23,7 +23,9 @@
     - {!run_report_snap}: a snapshot's entries, decoded the same way
       ({!run_report_entries}: entries the caller holds).
 
-    So fresh ≡ fold ≡ cached holds by construction. {!run_scenario} and
+    Each source absorbs a stream id once ({!screen}'s id rule), so AWG
+    nodes keep their best witnesses as they absorb ({!Awg.Partial.merger}),
+    and fresh ≡ fold ≡ cached holds by construction. {!run_scenario} and
     {!run_impact_prov} are projections of {!run_report}: one scenario's
     result is the report's entry for it. {!build_graphs} builds the
     graphs of given instances for callers that look at the graphs
@@ -113,10 +115,10 @@ val run_report :
     absorbed as its step returns, in stream order: whole-stream parts
     with {!Impact.merge}, {!Provenance.merge_impact} and
     {!Impact.merge_modules}, class parts with {!Impact.merge},
-    {!Provenance.merge_impact} and {!Awg.Partial.absorb}, into mergers
-    made with [~distinct:true] when one pass finds the corpus's stream
-    ids distinct ({!Awg.Partial.merger}). With [pool], streams fan out
-    in batches, then scenarios, one per work item. *)
+    {!Provenance.merge_impact} and {!Awg.Partial.absorb}. A stream that
+    repeats an earlier one's id is dropped first, as by {!screen} but
+    with no fault probe. With [pool], streams fan out in batches, then
+    scenarios, one per work item. *)
 
 val run_impact_prov :
   ?pool:Dppar.Pool.t ->
@@ -158,15 +160,15 @@ val run_report_snap :
   Dptrace.Corpus.t ->
   report
 (** Cached {!run_report}: each stream's entry decoded into its parts
-    and absorbed, in batches, then {!finish}. The monitor's window
-    repeats stream ids across its files, so its mergers keep every
-    witness chunk until the tails. *)
+    and absorbed, in batches, then {!finish}. A repeated id is dropped
+    as {!run_report} drops it. *)
 
 val run_report_entries :
   ?pool:Dppar.Pool.t -> ?k:int -> Dptrace.Corpus.t -> Snapshot.entry list -> report
 (** {!run_report_snap} over entries the caller holds, one per stream of
     the corpus, in order: the monitor's window keeps its files' entries,
-    so its ticks read nothing back from the cache file. *)
+    so its ticks read nothing back from the cache file. Each is absorbed
+    under its stream's id ({!Snapshot.entry_part}). *)
 
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact
@@ -242,9 +244,7 @@ val fold_report :
     a lock. [consume] screens the stream as {!screen} does: a kept
     stream is {!Snapshot.settle}d (with a cache), its parts absorbed and
     its {!Dptrace.Stream.skeleton} returned; a quarantined one's parts
-    are discarded. The kept streams' ids are distinct, so the class
-    mergers are made with [~distinct:true] ({!Awg.Partial.merger}).
-    [consume] must see the streams in corpus order, on
+    are discarded. [consume] must see the streams in corpus order, on
     one domain, never while a [step] runs. Returns the accumulator, the
     source's corpus of skeletons (for {!finish}) and the screening's
     coverage. Other arguments as for {!run_report}. *)

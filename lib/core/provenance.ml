@@ -144,8 +144,9 @@ module Wset = struct
 
   (* The one reader of [write]'s form: each entry must be strictly after
      the one before it under [order], compared on the wire fields, so it
-     needs no sort, and checks the same with [build] or without. *)
-  let read_entries ~build ~cap cur =
+     needs no sort, and checks the same with [build] or without. Each
+     ref is built under stream id [id], if given. *)
+  let read_entries ~build ~cap ~id cur =
     let module W = Dptrace.Wire in
     let n = W.rcount cur in
     if n > cap then W.corrupt "witnesses: %d entries, above the cap of %d" n cap;
@@ -173,7 +174,8 @@ module Wset = struct
       if i > 0 && not after then W.corrupt "witnesses: entries not strictly increasing";
       pc := cost; ps := stream_id; pt0 := t0; ptid := tid; po := o; pl := l;
       if build then
-        es.(i) <- { e_ref = { stream_id; scenario = String.sub cur.W.data o l; tid; t0; t1 };
+        es.(i) <- { e_ref = { stream_id = Option.value id ~default:stream_id;
+                              scenario = String.sub cur.W.data o l; tid; t0; t1 };
                     e_cost = cost; e_count = count }
     done;
     es
@@ -182,18 +184,17 @@ module Wset = struct
     let b = Buffer.create 256 in
     write b (List.map (fun (e_ref, e_cost, e_count) -> { e_ref; e_cost; e_count }) l);
     Array.to_list
-      (read_entries ~build:true ~cap:default_k (Dptrace.Wire.cursor (Buffer.contents b)))
+      (read_entries ~build:true ~cap:default_k ~id:None (Dptrace.Wire.cursor (Buffer.contents b)))
 end
 
 module Wacc = struct
-  (* Exact (uncapped) accumulation, capped once at the end, so partials
-     merge in any order to the sequential fold. Cells while a node is
-     built, then one sealed chunk — canonical entries and their
-     stream-id range — and a merge conses chunks. DESIGN.md §9 shows
-     why selecting over groups of overlapping ranges is exact. *)
+  (* Exact (uncapped) accumulation while a node is built, in cells, then
+     one sealed chunk of canonical entries; a merge conses chunks. Each
+     chunk is one stream's and a run absorbs each stream id once, so no
+     ref is in two chunks: every entry is final, and the best of the
+     chunks are the node's (DESIGN.md §9). *)
   type cell = { c_ref : instance_ref; mutable c_cost : Dputil.Time.t; mutable c_count : int }
-  type chunk = { lo : int; hi : int; es : Wset.entry array }
-  type t = { mutable cells : cell list; mutable chunks : chunk list }
+  type t = { mutable cells : cell list; mutable chunks : Wset.entry array list }
 
   let create () = { cells = []; chunks = [] }
 
@@ -204,10 +205,8 @@ module Wacc = struct
       c.c_count <- c.c_count + 1
     | cells -> t.cells <- { c_ref = r; c_cost = cost; c_count = 1 } :: cells
 
-  let id (e : Wset.entry) = e.e_ref.stream_id
-
   (* Entries newest first, in a fresh array: summed per ref (the
-     first-arrived kept) and sorted by [Wset.order], with their range. *)
+     first-arrived kept) and sorted by [Wset.order]. *)
   let chunk_of_newest es =
     Array.stable_sort (fun a b -> compare_ref a.Wset.e_ref b.Wset.e_ref) es;
     let n = ref 0 in
@@ -218,9 +217,8 @@ module Wacc = struct
         else (es.(!n) <- e; incr n))
       es;
     let es = if !n = Array.length es then es else Array.sub es 0 !n in
-    let lo = id es.(0) and hi = id es.(!n - 1) in
     Array.sort Wset.order es;
-    { lo; hi; es }
+    es
 
   let seal t =
     let entry c = { Wset.e_ref = c.c_ref; e_cost = c.c_cost; e_count = c.c_count } in
@@ -247,65 +245,36 @@ module Wacc = struct
     List.iter (fun es -> offer es 0) arrays;
     Array.sub buf 0 !n
 
-  (* Chunks a distinct merge lets a node hold before it cuts them to one.
-     Measured on [report --json -j 1] (seed 42, scale 5): 2 peaks at 36.1
-     MB, 4 at 37.5, 8 at 39.8 and 32 at 44.6; 1 peaks at 36.2 MB and
-     allocates 0.7% more minor words than 2. *)
+  (* Chunks a node holds before a merge cuts them to one. Measured on
+     [report --json -j 1] (seed 42, scale 5): 2 peaks at 36.1 MB, 4 at
+     37.5, 8 at 39.8 and 32 at 44.6; 1 peaks at 36.2 MB and allocates
+     0.7% more minor words than 2. *)
   let max_chunks = 2
 
-  (* Canonical entries as a chunk, with their stream-id range. *)
-  let chunk es =
-    { lo = Array.fold_left (fun m e -> min m (id e)) max_int es;
-      hi = Array.fold_left (fun m e -> max m (id e)) min_int es;
-      es }
-
-  (* When no ref is in two chunks, every entry is final, so the best
-     [default_k] of the chunks' entries are the node's for good. *)
-  let compact t = t.chunks <- [ chunk (best default_k (List.map (fun c -> c.es) t.chunks)) ]
-
-  let merge_into ?(distinct = false) ~into src =
+  let merge_into ~into src =
     seal src;
     into.chunks <- src.chunks @ into.chunks;
-    if distinct && List.compare_length_with into.chunks max_chunks > 0 then compact into
+    if List.compare_length_with into.chunks max_chunks > 0 then
+      into.chunks <- [ best default_k into.chunks ]
 
-  (* The exact accumulation: one canonical array per group of chunks
-     whose stream ranges overlap, the chunks stably sorted by [lo]. A
-     larger group is summed with its chunks back in order, newest first. *)
-  let groups t =
+  let all t =
     seal t;
-    let close group acc =
-      match group with
-      | [] -> acc
-      | [ (_, c) ] -> c.es :: acc
-      | _ ->
-        let newest = List.sort (fun (i, _) (j, _) -> Int.compare j i) group in
-        (chunk_of_newest (Array.concat (List.map (fun (_, c) -> c.es) newest))).es
-        :: acc
-    in
-    let rec go hi group acc = function
-      | ((_, c) as x) :: rest when c.lo <= hi -> go (max hi c.hi) (x :: group) acc rest
-      | ((_, c) as x) :: rest -> go c.hi [ x ] (close group acc) rest
-      | [] -> close group acc
-    in
-    go min_int [] []
-      (List.stable_sort
-         (fun (_, a) (_, b) -> Int.compare a.lo b.lo)
-         (List.mapi (fun i c -> (i, c)) (List.rev t.chunks)))
-
-  let all t = List.sort Wset.order (List.concat_map Array.to_list (groups t))
+    List.sort Wset.order (List.concat_map Array.to_list t.chunks)
 
   let entries t = Wset.entries (all t)
 
-  let to_wset ?(cap = default_k) t = Array.to_list (best cap (groups t))
+  let to_wset ?(cap = default_k) t =
+    seal t;
+    Array.to_list (best cap t.chunks)
 
   let write buf t = Wset.write buf (all t)
 
-  let read cur =
-    match Wset.read_entries ~build:true ~cap:max_int cur with
+  let read ~id cur =
+    match Wset.read_entries ~build:true ~cap:max_int ~id:(Some id) cur with
     | [||] -> None
-    | es -> Some { cells = []; chunks = [ chunk es ] }
+    | es -> Some { cells = []; chunks = [ es ] }
 
-  let skip cur = ignore (Wset.read_entries ~build:false ~cap:max_int cur : Wset.entry array)
+  let skip cur = ignore (Wset.read_entries ~build:false ~cap:max_int ~id:None cur : Wset.entry array)
 end
 
 type wait_record = {

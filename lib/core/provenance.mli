@@ -46,9 +46,8 @@ type instance_ref = {
   t1 : Dputil.Time.t;
 }
 (** One scenario instance: {!compare_ref} orders by [(stream_id, t0,
-    tid, scenario)], unique within one corpus file but not across files
-    (the monitor's window concatenates files whose stream ids all
-    restart at 0). Accumulators sum equal refs, keeping the first. *)
+    tid, scenario)], unique within a run, which absorbs a stream id
+    once. Accumulators sum equal refs, keeping the first. *)
 
 val ref_of : Dptrace.Stream.t -> Dptrace.Scenario.instance -> instance_ref
 val compare_ref : instance_ref -> instance_ref -> int
@@ -116,14 +115,12 @@ end
 
 module Wacc : sig
   type t
-  (** A mutable {e exact} witness accumulator: per {!instance_ref}, total
-      contributed cost and occurrence count, with no cap, so merges in
-      any order agree with the sequential fold. {!Awg.build} accumulates
-      through here and truncates to a canonical capped {!Wset.t} only
-      when the node freezes; the snapshot cache serialises the exact
-      entries. {!seal} turns the adds into one chunk, and a merge only
-      shares the source's chunks, or, when distinct, cuts them to their
-      best. *)
+  (** A mutable witness accumulator: per {!instance_ref}, contributed
+      cost and occurrence count, capped to a canonical {!Wset.t} when
+      the node freezes. {!seal} turns the adds into one chunk, and a
+      merge shares the source's chunks. A merge's sources are each one
+      stream's, with no two sharing a stream id, so no ref is in two
+      chunks and every entry is final (DESIGN.md §9). *)
 
   val create : unit -> t
 
@@ -131,27 +128,27 @@ module Wacc : sig
   (** One occurrence: [cost + cost], [count + 1]. *)
 
   val seal : t -> unit
-  val merge_into : ?distinct:bool -> into:t -> t -> unit
-  (** O(chunks) after sealing the source, which stays valid. With
-      [~distinct:true] (default [false]) the caller promises that no ref
-      of the source is also in [into], now or later; then, once [into]
+
+  val merge_into : into:t -> t -> unit
+  (** O(chunks) after sealing the source, which stays valid. Once [into]
       holds more than a fixed few chunks, they are cut in place to one
-      chunk of their best {!default_k} entries. That changes no
-      {!to_wset} with [cap <= default_k] (DESIGN.md §9), but {!entries}
-      and {!write} then see only the kept entries. *)
+      chunk of their best {!default_k} entries: that changes no
+      {!to_wset} with [cap <= default_k], but {!entries} and {!write}
+      then see only the kept entries. *)
 
   val entries : t -> (instance_ref * Dputil.Time.t * int) list
-  (** All entries, in {!Wset.entries}' order. *)
+  (** The entries the chunks hold, in {!Wset.entries}' order. *)
 
   val to_wset : ?cap:int -> t -> Wset.t
-  (** Renormalise to the capped canonical form; [cap] defaults to
-      {!default_k}. *)
+  (** The best [cap] over the chunks, in canonical form; [cap] defaults
+      to {!default_k}. *)
 
   val write : Buffer.t -> t -> unit
   (** {!entries} in the witness wire form (see {!Wset.of_entries}). *)
 
-  val read : Dptrace.Wire.cursor -> t option
-  (** Inverse of {!write}, as one sealed chunk ([None] for no entries).
+  val read : id:int -> Dptrace.Wire.cursor -> t option
+  (** Inverse of {!write} for one stream's accumulator, as one sealed
+      chunk ([None] for no entries), its refs under stream id [id].
       @raise Dptrace.Wire.Corrupt unless each entry is strictly after the
       one before it in {!Wset.entries}' order; there is no cap. *)
 

@@ -186,8 +186,8 @@ let write_wait_record buf (w : Provenance.wait_record) =
   Wire.wv buf w.Provenance.wr_cost;
   Wire.wv buf w.Provenance.wr_multiplicity
 
-let read_wait_record cur : Provenance.wait_record =
-  let wr_ref = Provenance.read_ref cur in
+let read_wait_record ~id cur : Provenance.wait_record =
+  let wr_ref = { (Provenance.read_ref cur) with Provenance.stream_id = id } in
   let wr_event = Wire.rv cur in
   let wr_signature = Dptrace.Signature.of_string (Wire.rstr cur) in
   let wr_ts = Wire.rv cur in
@@ -215,9 +215,9 @@ let no_waits =
 (* Reservoirs are reconstructed at the pipeline's cap; the serialised
    list is already canonical (best-first, <= cap), so re-adding in order
    reproduces the exact representation. *)
-let read_topk ~build cur =
+let read_topk ~build ~id cur =
   Provenance.Topk.add_list no_waits
-    (read_list ~build cur read_wait_record skip_wait_record)
+    (read_list ~build cur (read_wait_record ~id) skip_wait_record)
 
 let write_prov buf (p : Provenance.impact) =
   write_topk buf p.Provenance.top_waits;
@@ -229,18 +229,18 @@ let write_prov buf (p : Provenance.impact) =
       write_topk buf t)
     p.Provenance.by_module
 
-let read_prov ~build cur : Provenance.impact =
-  let top_waits = read_topk ~build cur in
-  let top_runs = read_topk ~build cur in
+let read_prov ~build ~id cur : Provenance.impact =
+  let top_waits = read_topk ~build ~id cur in
+  let top_runs = read_topk ~build ~id cur in
   let by_module =
     read_list ~build cur
       (fun cur ->
         let name = Wire.rstr cur in
-        let t = read_topk ~build:true cur in
+        let t = read_topk ~build:true ~id cur in
         (name, t))
       (fun cur ->
         Wire.skip_str cur;
-        ignore (read_topk ~build:false cur : Provenance.wait_record Provenance.Topk.t))
+        ignore (read_topk ~build:false ~id cur : Provenance.wait_record Provenance.Topk.t))
   in
   if build then { Provenance.top_waits; top_runs; by_module } else Provenance.empty_impact
 
@@ -265,27 +265,28 @@ let skip_module_row cur =
   Wire.skip_str cur;
   skip_varints cur 5
 
-(* An entry's head: stream id, impact, provenance and module rows. *)
-let read_head ~build cur =
+(* An entry's head: stream id, impact, provenance and module rows, its
+   refs read under stream id [id]. *)
+let read_head ~build ~id cur =
   ignore (Wire.rv cur : int);
   let impact = read_impact cur in
-  let prov = read_prov ~build cur in
+  let prov = read_prov ~build ~id cur in
   (impact, prov, read_list ~build cur read_module_row skip_module_row)
 
 (* A scenario section: the all-instance impact, then a class tag and,
    for tag 1, the class part. [None] when there is no class part; with
    [build] the part is decoded, without it only checked: [Some None]. *)
-let read_section ~build cur =
+let read_section ~build ~id cur =
   (* The all-instance impact: [entry_part] reads it at the section's offset. *)
   skip_varints cur 7;
   match Wire.r8 cur with
   | 0 -> None
   | 1 ->
     let cl_slow_impact = read_impact cur in
-    let cl_slow_prov = read_prov ~build cur in
+    let cl_slow_prov = read_prov ~build ~id cur in
     if build then begin
-      let cl_fast = Awg.Partial.read cur in
-      let cl_slow = Awg.Partial.read cur in
+      let cl_fast = Awg.Partial.read ~id cur in
+      let cl_slow = Awg.Partial.read ~id cur in
       Some (Some { cl_slow_impact; cl_slow_prov; cl_fast; cl_slow })
     end
     else begin
@@ -323,15 +324,17 @@ let write_entry buf id ((impact, prov, modules, per_scenario) : part) groups =
     per_scenario groups;
   List.rev !sections
 
-(* The one reader of an entry payload, every section included; it
-   returns the section index: each section's name, offset and class
-   flag. [create] runs it without [build] on every record it loads. *)
+(* The one reader of an entry payload, every section included, refs
+   under the entry's own stream id; it returns the section index: each
+   section's name, offset and class flag. [create] runs it without
+   [build] on every record it loads. *)
 let read_entry ~build cur =
-  ignore (read_head ~build cur);
+  let id = Wire.rv { Wire.data = cur.Wire.data; pos = cur.Wire.pos } in
+  ignore (read_head ~build ~id cur);
   Wire.rlist cur (fun cur ->
       let name = Wire.rstr cur in
       let off = cur.Wire.pos in
-      (name, off, Option.is_some (read_section ~build cur)))
+      (name, off, Option.is_some (read_section ~build ~id cur)))
 
 let entry_index ~build payload =
   let cur = Wire.cursor payload in
@@ -373,8 +376,8 @@ let fresh_entry ~at components ~specs key (st : Stream.t) =
   }
 
 (* The head and each section's header (its all-instance impact). *)
-let entry_part e =
-  let impact, prov, modules = read_head ~build:true { Wire.data = e.data; pos = e.head } in
+let entry_part ~id e =
+  let impact, prov, modules = read_head ~build:true ~id { Wire.data = e.data; pos = e.head } in
   ( impact,
     prov,
     modules,
@@ -386,10 +389,10 @@ let entry_part e =
 (* A loaded section was read without [build] when its file was opened,
    which makes every check the decode makes, and a fresh one was
    written by [write_entry], so decoding it cannot fail. *)
-let entry_scenario_class e name =
+let entry_scenario_class ~id e name =
   match List.find_opt (fun (n, _, _) -> n = name) e.sections with
   | Some (_, off, true) ->
-    Option.join (read_section ~build:true { Wire.data = e.data; pos = off })
+    Option.join (read_section ~build:true ~id { Wire.data = e.data; pos = off })
   | Some (_, _, false) | None -> None
 
 (* --- cache files ---

@@ -118,15 +118,16 @@ type entry
 (** One stream's complete analysis contribution: {!stream_step} under
     every spec of the corpus. *)
 
-val entry_part : entry -> part
-(** The stream's whole-stream part, as {!stream_step} returned it. Safe
-    from pool workers. *)
+val entry_part : id:int -> entry -> part
+(** The stream's whole-stream part, as {!stream_step} returned it, its
+    refs under the id [id] the stream is absorbed under (a window id in
+    the monitor). Safe from pool workers. *)
 
-val entry_scenario_class : entry -> string -> class_part option
-(** The named scenario's class part; [None] when the stream has no
-    instances of it (or it had no spec when the entry was computed).
-    Decoded afresh at each call, so the caller alone holds it. Safe from
-    pool workers. *)
+val entry_scenario_class : id:int -> entry -> string -> class_part option
+(** The named scenario's class part, its refs under [id]; [None] when
+    the stream has no instances of it (or it had no spec when the entry
+    was computed). Decoded afresh at each call, so the caller alone
+    holds it. Safe from pool workers. *)
 
 (** {1 Entry records}
 

@@ -74,6 +74,7 @@ type t = {
   files : (string, lfile) Hashtbl.t;
   failed : (string, int * int) Hashtbl.t;  (* path -> (mtime_ms, size) *)
   mutable seq : int;
+  mutable next_id : int;  (* the window id of the next stream folded *)
   mutable vclock : int option;  (* Some ms = virtual *)
   mutable pending_changed : bool;
   mutable pending_failures : (string * string) list;  (* newest first *)
@@ -134,6 +135,7 @@ let create ?pool ?(fresh_log = false) config =
     files = Hashtbl.create 32;
     failed = Hashtbl.create 8;
     seq = 0;
+    next_id = 0;
     vclock = None;
     pending_changed = false;
     pending_failures = [];
@@ -217,9 +219,12 @@ let snapshot_for t fp =
 
 let snapshot_stats t = Option.map (fun (_, s) -> Snapshot.stats s) t.snap
 
+let patterns t = match t.baseline with Some b -> b.b_patterns | None -> []
+
 (* Fold one corpus file through a snapshot: each stream is looked up, or
-   stepped, as it is decoded, and only its skeleton and entry stay.
-   [under specs] gives the window's specs, its fingerprint and snapshot
+   stepped, as it is decoded, and only its skeleton, under the next
+   window id (the window's files all restart their ids at 0), and its
+   entry stay. [under specs] gives the window's specs, its fingerprint and snapshot
    for a file with these specs; it is asked once, by the first step,
    from a pool worker, hence the lock. *)
 let fold_file t ~under path =
@@ -239,7 +244,8 @@ let fold_file t ~under path =
       Snapshot.lookup_or_step snap t.config.components ~specs f)
     ~consume:(fun (e, skeleton) ->
       entries := e :: !entries;
-      Some skeleton)
+      t.next_id <- t.next_id + 1;
+      Some (Dptrace.Stream.with_id skeleton (t.next_id - 1)))
     path
   |> Result.map (fun (l : Corpus_dir.loaded) ->
          ( l,
@@ -539,9 +545,11 @@ let with_events reloads (r : Pipeline.scenario_result) =
             None)
       reloads
   in
-  let back =
-    List.map (fun (st, i) -> (Option.value ~default:st (Hashtbl.find_opt full (key st)), i))
+  let back (st : Dptrace.Stream.t) =
+    Option.fold ~none:st ~some:(fun full -> Dptrace.Stream.with_id full st.id)
+      (Hashtbl.find_opt full (key st))
   in
+  let back = List.map (fun (st, i) -> (back st, i)) in
   match failure with
   | Some msg -> Error msg
   | None ->

@@ -128,12 +128,12 @@ val tick : t -> Rules.alert list
     window entry in window order: the tick steps no stream, and its
     hit/miss counts are those of a pass over the resident window.
     {!Dpcore.Snapshot.drop_stale} what left the window, take the report
-    over the window's skeletons from the snapshot
-    ({!Dpcore.Pipeline.run_report_snap}), evaluate the rules against
-    the rolling baseline, emit alerts and rewrite the exposition. A
-    tick with no pending changes skips the analysis entirely and raises
-    no relative alerts. The first analysed tick establishes the
-    baseline and raises no relative alerts either. *)
+    of the window's entries, each stream under its window id
+    ({!Dpcore.Pipeline.run_report_entries}, {!patterns}), evaluate the
+    rules against the rolling baseline, emit alerts and rewrite the
+    exposition. A tick with no pending changes skips the analysis
+    entirely and raises no relative alerts. The first analysed tick
+    establishes the baseline and raises no relative alerts either. *)
 
 val ticks : t -> int
 val alerts_total : t -> int
@@ -141,6 +141,11 @@ val alerts_total : t -> int
 val snapshot_stats : t -> Dpcore.Snapshot.stats option
 (** Cache accounting of the snapshot backing the window ([None] before
     the first analysed tick). *)
+
+val patterns : t -> (string * Dpcore.Mining.pattern list) list
+(** The last analysed tick's ranked patterns per scenario ([] before
+    one), the pattern rules' baseline. A witness names its stream by its
+    window id: its number in the order the monitor folded streams. *)
 
 (** {1 Replay} *)
 

@@ -63,6 +63,9 @@ let skeleton t =
     memo_key = Atomic.make (Atomic.get t.memo_key);
   }
 
+let with_id t id =
+  { t with id; memo_index = Atomic.make None; memo_key = Atomic.make (Atomic.get t.memo_key) }
+
 let thread_name t tid =
   match List.assoc_opt tid t.threads with
   | Some name -> name

@@ -47,6 +47,10 @@ val skeleton : t -> t
     stream they would be most of a skeleton. Nothing that reads events
     or thread names may be given a skeleton. *)
 
+val with_id : t -> int -> t
+(** The same stream under another id, with the content key
+    ({!key_memo}) of the stream it renames. *)
+
 val thread_name : t -> int -> string
 (** Name of a thread, or ["tid<N>"] if unregistered. *)
 

@@ -255,7 +255,7 @@ let test_partial_count_bounded () =
     in
     at 0
   in
-  match Awg.Partial.read (Wire.cursor (Buffer.contents forged)) with
+  match Awg.Partial.read ~id:0 (Wire.cursor (Buffer.contents forged)) with
   | exception Wire.Corrupt m ->
     check Alcotest.bool ("count refused: " ^ m) true (names_count m)
   | _ -> Alcotest.fail "accepted a root count above the bytes left"
@@ -365,8 +365,7 @@ module Prov = Dpcore.Provenance
 module Wire = Dptrace.Wire
 
 (* 48 refs over 24 identities — 4 stream ids, 3 starts, 2 names — each
-   identity with two ends, so stream ids collide across chunks and refs
-   that differ only in [t1] meet. *)
+   identity with two ends, so refs that differ only in [t1] meet. *)
 let ref_pool =
   Array.of_list
     (List.concat_map
@@ -382,56 +381,76 @@ let ref_pool =
 
 let caps = QCheck.Gen.oneofl [ 1; 2; 3; 8; 100 ]
 
-(* Adds as [(pool index, cost, chunk)] — an index past the pool repeats
-   the chunk's previous ref, the same value, as one graph's adds do —
-   then the order the chunks are absorbed in, and a cap. *)
+(* Chunks, each one stream's, as a merge supports: a distinct stream id
+   per chunk, drawn in shuffled order (so not monotone in absorb order),
+   and adds [(pool index, cost)] over the pool's refs moved to that id,
+   so pool refs of other ids become equal refs of this one. An index
+   past the pool repeats the chunk's previous ref, the same value, as
+   one graph's adds do. Then a cap of at most [default_k]. *)
 let gen_wacc_case =
   QCheck.Gen.(
-    let* chunks = int_range 1 4 in
+    let* chunks = int_range 1 40 in
+    let* ids = shuffle_l (List.init chunks (fun i -> 3 * i)) in
     let* adds =
-      list_size (int_range 0 60) (triple (int_bound 71) (int_bound 30) (int_bound (chunks - 1)))
+      list_repeat chunks (list_size (int_range 0 12) (pair (int_bound 71) (int_bound 30)))
     in
-    let* order = shuffle_l (List.init chunks Fun.id) in
-    let* cap = caps in
-    return (adds, order, cap))
+    let* cap = oneofl [ 1; 2; 3; 8 ] in
+    return (List.combine ids adds, cap))
 
-(* The chunks built by adds, then absorbed in [order]: by
-   [Provenance.Wacc] and by the oracle. *)
-let accumulate adds order =
-  let chunks = List.length order in
-  let acc = Array.init chunks (fun _ -> Prov.Wacc.create ())
-  and oracle = Array.init chunks (fun _ -> Provenance_reference.Wacc.create ())
-  and last = Array.make chunks 0 in
-  List.iter
-    (fun (i, cost, c) ->
-      let i = if i < Array.length ref_pool then i else last.(c) in
-      last.(c) <- i;
-      Prov.Wacc.add acc.(c) ref_pool.(i) ~cost;
-      Provenance_reference.Wacc.add oracle.(c) ref_pool.(i) ~cost)
-    adds;
-  let into = Prov.Wacc.create () and ointo = Provenance_reference.Wacc.create () in
-  List.iter
-    (fun c ->
-      Prov.Wacc.merge_into ~into acc.(c);
-      Provenance_reference.Wacc.merge_into ~into:ointo oracle.(c))
-    order;
-  (into, ointo)
+(* The chunks built by adds and absorbed in order, by [Provenance.Wacc]
+   and by the oracle; with each chunk and its stream id. *)
+let accumulate chunks =
+  let into = Prov.Wacc.create () and oracle = Provenance_reference.Wacc.create () in
+  let chunk (stream_id, adds) =
+    let refs = Array.map (fun r -> { r with Prov.stream_id }) ref_pool in
+    let chunk = Prov.Wacc.create () and last = ref 0 in
+    List.iter
+      (fun (i, cost) ->
+        let i = if i < Array.length refs then i else !last in
+        last := i;
+        Prov.Wacc.add chunk refs.(i) ~cost;
+        Provenance_reference.Wacc.add oracle refs.(i) ~cost)
+      adds;
+    Prov.Wacc.merge_into ~into chunk;
+    (stream_id, chunk)
+  in
+  let chunks = List.map chunk chunks in
+  (into, oracle, chunks)
 
+let take n l = List.filteri (fun i _ -> i < n) l
+
+let rec sublist xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs', y :: ys' -> if x = y then sublist xs' ys' else sublist xs ys'
+
+(* The chunks' entries together are the oracle's, and each chunk's wire
+   form reads back under its stream id. A merge cuts a node's chunks to
+   their best, so its entries are some of the oracle's, each exact, the
+   best [default_k] among them. *)
 let prop_wacc_equals_reference =
   QCheck.Test.make ~name:"Wacc to_wset/entries/wire = hash-table oracle" ~count:500
-    (QCheck.make gen_wacc_case) (fun (adds, order, cap) ->
-      let acc, oracle = accumulate adds order in
+    (QCheck.make gen_wacc_case) (fun (chunks, cap) ->
+      let acc, oracle, chunks = accumulate chunks in
       let expect = Provenance_reference.Wacc.entries oracle in
-      let buf = Buffer.create 256 in
-      Prov.Wacc.write buf acc;
-      let reread =
-        Option.fold ~none:[] ~some:Prov.Wacc.entries
-          (Prov.Wacc.read (Wire.cursor (Buffer.contents buf)))
+      let kept = Prov.Wacc.entries acc in
+      let order (ra, ca, _) (rb, cb, _) =
+        match Int.compare cb ca with 0 -> Prov.compare_ref ra rb | c -> c
       in
-      Prov.Wset.entries (Prov.Wacc.to_wset ~cap acc)
-      = Provenance_reference.Wacc.to_entries ~cap oracle
-      && Prov.Wacc.entries acc = expect
-      && reread = expect)
+      let reread (id, chunk) =
+        let buf = Buffer.create 256 in
+        Prov.Wacc.write buf chunk;
+        Option.fold ~none:[] ~some:Prov.Wacc.entries
+          (Prov.Wacc.read ~id (Wire.cursor (Buffer.contents buf)))
+        = Prov.Wacc.entries chunk
+      in
+      List.sort order (List.concat_map (fun (_, c) -> Prov.Wacc.entries c) chunks) = expect
+      && List.for_all reread chunks
+      && Prov.Wset.entries (Prov.Wacc.to_wset ~cap acc)
+         = Provenance_reference.Wacc.to_entries ~cap oracle
+      && sublist kept expect
+      && take Prov.default_k kept = take Prov.default_k expect)
 
 (* Two sides, each folded from single entries by [union], so a side's
    draw repeats refs (and their [t1] twins), which the other side shares. *)
@@ -475,7 +494,7 @@ let one_node_partial entries =
 let test_witness_order_checked () =
   let e i cost = (ref_pool.(i), cost, 1) in
   let verdict f s = match f (Wire.cursor s) with () -> Ok () | exception Wire.Corrupt m -> Error m in
-  let read s = ignore (Awg.Partial.read s : Awg.Partial.partial) in
+  let read s = ignore (Awg.Partial.read ~id:0 s : Awg.Partial.partial) in
   let refused = Error "witnesses: entries not strictly increasing" in
   List.iter
     (fun (case, entries, expect) ->
@@ -495,9 +514,9 @@ let test_witness_order_checked () =
 let test_absorb_words_constant () =
   let words n =
     let entries =
-      List.init n (fun i -> ({ Prov.stream_id = i; scenario = "S"; tid = 1; t0 = 0; t1 = 1 }, 5, 1))
+      List.init n (fun t0 -> ({ Prov.stream_id = 0; scenario = "S"; tid = 1; t0; t1 = 1 }, 5, 1))
     in
-    let p = Awg.Partial.read (Wire.cursor (one_node_partial entries)) in
+    let p = Awg.Partial.read ~id:0 (Wire.cursor (one_node_partial entries)) in
     let m = Awg.Partial.merger () in
     let before = Gc.minor_words () in
     Awg.Partial.absorb m p;
@@ -511,40 +530,7 @@ let test_absorb_words_constant () =
   in
   check (Alcotest.float 0.) "10 vs 10k witness entries" (words 10) (words 10_000)
 
-(* --- distinct mergers: the best K kept while absorbing --- *)
-
-(* Single-stream chunks under distinct stream ids drawn in shuffled
-   order (so not monotone in absorb order), each chunk's adds over the
-   pool's identities moved to its id, then a cap of at most [default_k]. *)
-let gen_distinct_case =
-  QCheck.Gen.(
-    let* chunks = int_range 1 40 in
-    let* ids = shuffle_l (List.init chunks (fun i -> 3 * i)) in
-    let* adds = list_repeat chunks (list_size (int_range 1 6) (pair (int_bound 47) (int_bound 30))) in
-    let* cap = oneofl [ 1; 2; 3; 8 ] in
-    return (List.combine ids adds, cap))
-
-let prop_distinct_wacc =
-  QCheck.Test.make ~name:"distinct Wacc merge = exact merge = hash-table oracle" ~count:500
-    (QCheck.make gen_distinct_case) (fun (chunks, cap) ->
-      let distinct = Prov.Wacc.create () and exact = Prov.Wacc.create ()
-      and oracle = Provenance_reference.Wacc.create () in
-      List.iter
-        (fun (stream_id, adds) ->
-          let refs = Array.map (fun r -> { r with Prov.stream_id }) ref_pool in
-          let a = Prov.Wacc.create () and b = Prov.Wacc.create () in
-          List.iter
-            (fun (i, cost) ->
-              Prov.Wacc.add a refs.(i) ~cost;
-              Prov.Wacc.add b refs.(i) ~cost;
-              Provenance_reference.Wacc.add oracle refs.(i) ~cost)
-            adds;
-          Prov.Wacc.merge_into ~distinct:true ~into:distinct a;
-          Prov.Wacc.merge_into ~into:exact b)
-        chunks;
-      let want = Provenance_reference.Wacc.to_entries ~cap oracle in
-      Prov.Wset.entries (Prov.Wacc.to_wset ~cap distinct) = want
-      && Prov.Wset.entries (Prov.Wacc.to_wset ~cap exact) = want)
+(* --- mergers over distinct stream ids: the best K kept while absorbing --- *)
 
 (* Every node of a finished AWG: status, aggregates and witnesses. *)
 let forest_repr awg =
@@ -567,11 +553,12 @@ let forest_repr awg =
   Buffer.contents b
 
 (* A generated corpus's streams under distinct ids in shuffled order,
-   each stream's partial absorbed by a distinct merger, an exact one and
-   the reference accumulator: the two frozen forests agree byte for
-   byte, and each node's witnesses are the oracle's. *)
-let prop_distinct_merger =
-  QCheck.Test.make ~name:"distinct merger = exact merger = hash-table oracle" ~count:6
+   each stream's partial absorbed by a merger and by the reference
+   accumulator: the frozen forest is the one [Awg.build] makes of every
+   graph in one pass, byte for byte, and each node's witnesses are the
+   oracle's. *)
+let prop_merger_equals_reference =
+  QCheck.Test.make ~name:"merger over distinct stream ids = hash-table oracle" ~count:6
     QCheck.(triple (int_range 1 10_000) (int_range 0 2) (int_range 0 1_000))
     (fun (seed, which, shuffle) ->
       let components = component_sets.(which) in
@@ -588,49 +575,44 @@ let prop_distinct_merger =
           ids streams
       in
       with_provenance true @@ fun () ->
-      let distinct = Awg.Partial.merger ~distinct:true () and exact = Awg.Partial.merger ()
-      and oracle = Hashtbl.create 64 in
+      let merger = Awg.Partial.merger () and oracle = Hashtbl.create 64 in
       List.iter
         (fun st ->
           let graphs = graphs_of st in
-          Awg.Partial.absorb distinct (Awg.Partial.build components graphs);
-          Awg.Partial.absorb exact (Awg.Partial.build components graphs);
+          Awg.Partial.absorb merger (Awg.Partial.build components graphs);
           Awg_reference.absorb oracle (Awg_reference.partial components graphs))
         streams;
-      let distinct = Awg.Partial.merged distinct and exact = Awg.Partial.merged exact in
-      let table = Awg_reference.witness_table distinct oracle in
-      forest_repr distinct = forest_repr exact
+      let merged = Awg.Partial.merged merger in
+      let table = Awg_reference.witness_table merged oracle in
+      forest_repr merged = forest_repr (Awg.build components (List.concat_map graphs_of streams))
       && Awg_reference.Nodes.fold
            (fun (n : Awg.node) w ok ->
              ok && Prov.Wset.entries n.Awg.witnesses = Prov.Wset.entries w)
            table true
-      && Awg_reference.Nodes.length table = Awg.node_count distinct)
+      && Awg_reference.Nodes.length table = Awg.node_count merged)
 
 (* One node absorbing one stream's three witnesses per partial, each
-   stream costlier than the last, so the kept set keeps changing: a
-   distinct merger's words after 2,000 streams stay under the most it
-   held over the first 100, and it keeps the costliest 8, from the last
-   three streams. An exact merger holds them all. *)
+   stream costlier than the last, so the kept set keeps changing: the
+   merger's words after 2,000 streams stay under the most it held over
+   the first 100, and it keeps the costliest 8, from the last three
+   streams. *)
 let test_distinct_retention () =
   let part i =
     let w t0 cost = ({ Prov.stream_id = i; scenario = "S"; tid = 1; t0; t1 = 9 }, cost, 1) in
-    Awg.Partial.read
+    Awg.Partial.read ~id:i
       (Wire.cursor (one_node_partial [ w 0 ((3 * i) + 2); w 1 ((3 * i) + 1); w 2 (3 * i) ]))
   in
-  let distinct = Awg.Partial.merger ~distinct:true () and exact = Awg.Partial.merger () in
+  let merger = Awg.Partial.merger () in
   let words m = Obj.reachable_words (Obj.repr m) in
   let bound = ref 0 in
   for i = 0 to 1_999 do
-    let p = part i in
-    Awg.Partial.absorb distinct p;
-    Awg.Partial.absorb exact p;
-    if i < 100 then bound := max !bound (words distinct)
-    else if words distinct > !bound then
+    Awg.Partial.absorb merger (part i);
+    if i < 100 then bound := max !bound (words merger)
+    else if words merger > !bound then
       Alcotest.failf "after %d streams the merger holds %d words, above %d" (i + 1)
-        (words distinct) !bound
+        (words merger) !bound
   done;
-  check Alcotest.bool "an exact merger grows past the bound" true (words exact > 10 * !bound);
-  match Awg.roots (Awg.Partial.merged ~reduce:false distinct) with
+  match Awg.roots (Awg.Partial.merged ~reduce:false merger) with
   | [ root ] ->
     check
       Alcotest.(list int)
@@ -669,8 +651,7 @@ let () =
             test_witness_order_checked;
           Alcotest.test_case "absorb allocation independent of witness count" `Quick
             test_absorb_words_constant;
-          QCheck_alcotest.to_alcotest prop_distinct_wacc;
-          QCheck_alcotest.to_alcotest prop_distinct_merger;
+          QCheck_alcotest.to_alcotest prop_merger_equals_reference;
           Alcotest.test_case "distinct merger keeps at most K witnesses per node" `Quick
             test_distinct_retention;
         ] );

@@ -189,6 +189,36 @@ let test_report_renderers () =
     (fun t -> check Alcotest.bool "non-empty table" true (String.length t > 100))
     tables
 
+(* --- the CLI --- *)
+
+(* The driveperf binary built beside the tests. *)
+let driveperf =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/driveperf.exe"
+
+(* A one-scenario command given a name without a spec stops at its first
+   stream, before stepping it: on a framed corpus whose last stream frame
+   fails its checksum, the one error line is the spec's, not the
+   frame's. *)
+let test_no_spec_steps_no_stream () =
+  let encoded = Dptrace.Codec_v2.encode (Corpus_gen.generate (Corpus_gen.scaled 0.05)) in
+  let damaged = Bytes.of_string encoded in
+  let spans = V2_frames.frame_spans encoded in
+  let _, payload, len = List.nth spans (List.length spans - 2) in
+  let at = payload + (len / 2) in
+  Bytes.set damaged at (Char.chr (Char.code (Bytes.get damaged at) lxor 1));
+  let path = Filename.temp_file "driveperf_nospec" ".dpf"
+  and err = Filename.temp_file "driveperf_nospec" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove path; Sys.remove err) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc damaged);
+  let code =
+    Sys.command
+      (Filename.quote_command driveperf ~stdout:Filename.null ~stderr:err
+         [ "causality"; "NoSuch"; "-c"; path; "-j"; "1" ])
+  in
+  check Alcotest.int "exit code" 1 code;
+  check Alcotest.string "the spec's error line" "no spec for scenario NoSuch in the corpus\n"
+    (In_channel.with_open_bin err In_channel.input_all)
+
 let () =
   Alcotest.run "integration"
     [
@@ -214,5 +244,10 @@ let () =
           Alcotest.test_case "report renderers" `Slow test_report_renderers;
           Alcotest.test_case "witness on full corpus" `Slow
             test_witness_on_full_corpus;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "a scenario without a spec steps no stream" `Quick
+            test_no_spec_steps_no_stream;
         ] );
     ]

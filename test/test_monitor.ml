@@ -314,8 +314,9 @@ let test_window_forgets () =
 (* --- the window's numbers, against a resident-corpus oracle --- *)
 
 (* A window's resident corpus, as the monitor once kept it: its files
-   loaded whole, oldest first, streams concatenated, the first spec of
-   each name winning. *)
+   loaded whole, oldest first, streams concatenated, each under the
+   window id the monitor gives it when each file was folded once, in
+   this order, the first spec of each name winning. *)
 let resident_window ~mode paths =
   let corpora =
     List.map
@@ -334,7 +335,9 @@ let resident_window ~mode paths =
       (List.concat_map (fun (c : Dptrace.Corpus.t) -> c.Dptrace.Corpus.specs) corpora)
   in
   Dptrace.Corpus.create
-    ~streams:(List.concat_map (fun (c : Dptrace.Corpus.t) -> c.Dptrace.Corpus.streams) corpora)
+    ~streams:
+      (List.concat_map (fun (c : Dptrace.Corpus.t) -> c.Dptrace.Corpus.streams) corpora
+      |> List.mapi (fun i st -> Dptrace.Stream.with_id st i))
     ~specs
 
 (* The gauges an analysed tick sets, as Pipeline.run_report over the
@@ -438,16 +441,18 @@ let test_window_oracle () =
 
 (* --- a window of twins: one file under two names --- *)
 
-(* A window holding one file twice, under two names: every stream id,
-   and so every witness ref, of the second copy equals the first's, and
-   each AWG node's witnesses meet their twins from another stream's
-   chunk. With provenance on, the window's report — from the resident
-   window, and from a snapshot as the monitor's tick takes it — is byte
-   for byte a composition over the hash-table oracle: each scenario's
-   class forests rebuilt per stream by [Awg_reference], merged in window
-   order by the reference accumulator, and mined by [Mining_reference]
-   with those witnesses. *)
-let test_twin_files_collide () =
+(* A window holding one file twice, under two names: the copies share
+   every stream id of their file, so each window stream is known by its
+   window id, and its entry is absorbed under it. With provenance on,
+   each copy's witnesses keep their own ids, and the window's report is
+   byte for byte a composition over the hash-table oracle under those
+   ids: each scenario's class forests rebuilt per stream by
+   [Awg_reference], merged in window order by the reference
+   accumulator, and mined by [Mining_reference] with those witnesses.
+   That holds for the resident window, for the window's entries folded
+   from each file as an ingest folds them, and for the patterns the
+   tick mined. *)
+let test_twin_files_keep_witnesses () =
   let dir = fresh_dir () in
   let p = Filename.concat dir in
   gen_save ~seed:43 ~scale:0.05 (p "a.dpf");
@@ -459,32 +464,49 @@ let test_twin_files_collide () =
   Fun.protect ~finally:Dpcore.Provenance.disable @@ fun () ->
   let cfg = { Monitor.default_config with replicates = 10 } in
   let t = Monitor.create cfg in
-  Fun.protect ~finally:(fun () -> Monitor.close t) (fun () ->
-      Monitor.set_clock t 0;
-      check Alcotest.int "both copies ingested" 2 (Monitor.scan t dir);
-      ignore (Monitor.tick t : Rules.alert list));
+  let ticked =
+    Fun.protect ~finally:(fun () -> Monitor.close t) (fun () ->
+        Monitor.set_clock t 0;
+        check Alcotest.int "both copies ingested" 2 (Monitor.scan t dir);
+        ignore (Monitor.tick t : Rules.alert list);
+        Monitor.patterns t)
+  in
   check_gauges ~what:"twins" cfg paths;
   let corpus = resident_window ~mode:cfg.Monitor.mode paths in
   let components = cfg.Monitor.components and k = cfg.Monitor.k in
   let streams = corpus.Dptrace.Corpus.streams in
-  check Alcotest.bool "stream ids collide" true
-    (List.length (List.sort_uniq compare (List.map (fun st -> st.Dptrace.Stream.id) streams))
-     * 2
-     = List.length streams);
   let doc (r : Dpcore.Pipeline.report) =
     Dputil.Jsonw.to_string
       (Dpcore.Report.Json.document ~impact:r.impact ~impact_prov:r.impact_prov
          ~modules:r.modules ~scenarios:r.scenarios ())
   in
   let resident = Dpcore.Pipeline.run_report ~k components corpus in
-  let snap =
-    Dpcore.Snapshot.create
-      ~fingerprint:
-        (Dpcore.Snapshot.fingerprint ~components ~specs:corpus.Dptrace.Corpus.specs ~k ())
-      ()
+  (* Each file's entries as its ingest folds them, stepped under the ids
+     of its own frames. *)
+  let entries =
+    let snap =
+      Dpcore.Snapshot.create
+        ~fingerprint:
+          (Dpcore.Snapshot.fingerprint ~components ~specs:corpus.Dptrace.Corpus.specs ~k ())
+        ()
+    in
+    List.concat_map
+      (fun path ->
+        let entries = ref [] in
+        (match
+           Dptrace.Corpus_dir.fold ~mode:cfg.Monitor.mode
+             ~step:(fun specs f -> Dpcore.Snapshot.lookup_or_step snap components ~specs f)
+             ~consume:(fun (e, skeleton) ->
+               entries := e :: !entries;
+               Some skeleton)
+             path
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "fold %s: %s" path e);
+        List.rev !entries)
+      paths
   in
-  Dpcore.Snapshot.ensure snap components corpus;
-  let cached = Dpcore.Pipeline.run_report_snap ~k snap corpus in
+  let window = Dpcore.Pipeline.run_report_entries ~k corpus entries in
   (* The reference forest of one class of [name]: each stream's class
      graphs, in instance order, merged stream by stream. *)
   let forest spec name cls =
@@ -523,16 +545,42 @@ let test_twin_files_collide () =
       resident.scenarios
   in
   let composed = doc { resident with scenarios } in
-  check Alcotest.bool "some pattern has witnesses" true
-    (List.exists
-       (fun (_, (sc : Dpcore.Pipeline.scenario_result)) ->
-         List.exists
-           (fun (pat : Dpcore.Mining.pattern) ->
-             Dpcore.Provenance.Wset.entries pat.witnesses <> [])
-           sc.mining.Dpcore.Mining.patterns)
-       scenarios);
   check Alcotest.string "resident window = reference composition" composed (doc resident);
-  check Alcotest.string "snapshot window = reference composition" composed (doc cached)
+  check Alcotest.string "window entries = reference composition" composed (doc window);
+  let rendered patterns =
+    List.map
+      (fun (name, ps) ->
+        ( name,
+          List.mapi
+            (fun i pat -> Dputil.Jsonw.to_string (Dpcore.Report.Json.of_pattern ~rank:(i + 1) pat))
+            ps ))
+      patterns
+  in
+  check
+    Alcotest.(list (pair string (list string)))
+    "the tick's patterns = reference composition"
+    (rendered
+       (List.map
+          (fun (name, (sc : Dpcore.Pipeline.scenario_result)) ->
+            (name, sc.mining.Dpcore.Mining.patterns))
+          scenarios))
+    (rendered ticked);
+  (* A copy's witnesses name its own streams: the first copy's ids are
+     below the second's. *)
+  let copy = List.length streams / 2 in
+  let ids =
+    List.concat_map
+      (fun (_, ps) ->
+        List.concat_map
+          (fun (pat : Dpcore.Mining.pattern) ->
+            List.map
+              (fun ((r : Dpcore.Provenance.instance_ref), _, _) -> r.stream_id)
+              (Dpcore.Provenance.Wset.entries pat.witnesses))
+          ps)
+      ticked
+  in
+  check Alcotest.bool "witnesses from both copies" true
+    (List.exists (fun id -> id < copy) ids && List.exists (fun id -> id >= copy) ids)
 
 (* A view bundle reads its exemplars' events back from the window's
    files. A file rewritten on disk since its ingest no longer holds the
@@ -909,8 +957,8 @@ let () =
             test_scan_incremental;
           Alcotest.test_case "a sliding window forgets what left it" `Quick
             test_window_forgets;
-          Alcotest.test_case "twin files: report = reference composition" `Slow
-            test_twin_files_collide;
+          Alcotest.test_case "twin files keep separate witnesses" `Slow
+            test_twin_files_keep_witnesses;
           Alcotest.test_case "window gauges = resident run_report" `Slow
             test_window_oracle;
           Alcotest.test_case "the window keeps skeletons, not events" `Slow

@@ -504,6 +504,37 @@ let test_fold_equals_resident () =
   matrix ~prov:"provenance off";
   with_provenance (fun () -> matrix ~prov:"provenance on")
 
+(* A resident corpus whose second stream takes the first's id: run_report
+   and run_report_snap drop the repeat, as the screen does, so each id
+   names one stream's instances, and the document is the one of the
+   corpus without the repeat. *)
+let test_run_report_drops_repeated_id () =
+  let corpus = Lazy.force corpus in
+  let specs = corpus.Dptrace.Corpus.specs in
+  match corpus.Dptrace.Corpus.streams with
+  | a :: b :: rest ->
+    let repeated =
+      Dptrace.Corpus.create
+        ~streams:(a :: Dptrace.Stream.with_id b a.Dptrace.Stream.id :: rest)
+        ~specs
+    in
+    let doc (r : Pipeline.report) =
+      J.to_string
+        (Report.Json.document ~impact:r.Pipeline.impact ~impact_prov:r.Pipeline.impact_prov
+           ~modules:r.Pipeline.modules ~scenarios:r.Pipeline.scenarios ())
+    in
+    with_provenance @@ fun () ->
+    let want = doc (Pipeline.run_report drivers (Dptrace.Corpus.create ~streams:(a :: rest) ~specs)) in
+    check Alcotest.string "run_report" want (doc (Pipeline.run_report drivers repeated));
+    let snap =
+      Dpcore.Snapshot.create
+        ~fingerprint:(Dpcore.Snapshot.fingerprint ~components:drivers ~specs ~k:Dpcore.Mining.default_k ())
+        ()
+    in
+    Dpcore.Snapshot.ensure snap drivers repeated;
+    check Alcotest.string "run_report_snap" want (doc (Pipeline.run_report_snap snap repeated))
+  | _ -> Alcotest.fail "fixture has fewer than two streams"
+
 let test_jsonw_escaping_round_trips () =
   let doc =
     J.Obj
@@ -565,6 +596,8 @@ let () =
             test_run_report_index_dies_with_pass;
           Alcotest.test_case "fold = resident run_report" `Quick
             test_fold_equals_resident;
+          Alcotest.test_case "run_report drops a repeated stream id" `Quick
+            test_run_report_drops_repeated_id;
           Alcotest.test_case "escaping round-trips" `Quick
             test_jsonw_escaping_round_trips;
         ] );

@@ -424,7 +424,8 @@ let test_monitor_view_bundles () =
 (* The monitor keeps no events, so its bundles read them back from the
    window's files: each must be byte for byte what Bundle.write makes of
    the scenario's result over the window's resident corpus (tick N's
-   window is the first N files). *)
+   window is the first N files, each stream under its window id: its
+   number in the order the monitor folded them). *)
 let test_monitor_views_match_resident () =
   let dir, _, files, alerts = Lazy.force monitor_replay in
   let reports = Hashtbl.create 4 in
@@ -438,7 +439,9 @@ let test_monitor_views_match_resident () =
       in
       let corpus =
         Corpus.create
-          ~streams:(List.concat_map (fun (c : Corpus.t) -> c.Corpus.streams) corpora)
+          ~streams:
+            (List.concat_map (fun (c : Corpus.t) -> c.Corpus.streams) corpora
+            |> List.mapi (fun i st -> Dptrace.Stream.with_id st i))
           ~specs:(List.hd corpora).Corpus.specs
       in
       let r = Dpcore.Pipeline.run_report Component.drivers corpus in
