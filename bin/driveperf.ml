@@ -66,12 +66,13 @@ let check_read path = function
 let load_corpus ?pool ~mode path =
   check_read path (Dptrace.Corpus_dir.load ?pool ~mode path)
 
-let generated () =
-  Dpworkload.Corpus_gen.generate Dpworkload.Corpus_gen.default_config
+(* Built once: a command that draws events takes them back from it. *)
+let generated =
+  lazy (Dpworkload.Corpus_gen.generate Dpworkload.Corpus_gen.default_config)
 
-let read_corpus ?pool ~mode = function
-  | Some path -> (load_corpus ?pool ~mode path).Dptrace.Corpus_dir.l_corpus
-  | None -> generated ()
+let read_corpus ~mode = function
+  | Some path -> (load_corpus ~mode path).Dptrace.Corpus_dir.l_corpus
+  | None -> Lazy.force generated
 
 (* --- common options --- *)
 
@@ -323,8 +324,8 @@ let with_progress o ~label ~total counter_name f =
    One term for their common flags (-c, -j, --strict/--recover,
    --fault-plan and the telemetry options). It yields a runner that arms
    telemetry, then the fault plan, then a pool of -j domains. The body
-   reads the corpus itself: loaded whole, or folded into a report
-   ([with_results]). Nothing is read before the body. Commands with
+   reads the corpus itself, by folding it ([source]), mostly into a
+   report ([with_results]). Nothing is read before the body. Commands with
    other flags make the same set-up with [with_setup]. *)
 
 type setup = {
@@ -369,22 +370,40 @@ let snapshot_of ~components dir =
       cell := Some snap;
       snap
 
-(* What the analysis folds, handed over stream by stream: [loaded],
-   whose kept streams stay whole, or else the corpus file, a framed one
-   decoded a batch at a time, a text one or the generated corpus built
-   whole first; only their skeletons stay. *)
-let source ?loaded s ~step ~consume =
+(* The one read of the corpus, handed over stream by stream: the corpus
+   file, a framed one decoded a batch at a time, a text one or the
+   generated corpus built whole first. What [consume] returns stays:
+   mostly skeletons. *)
+let source s ~step ~consume =
   let pool = s.pool in
-  match (loaded, s.path) with
-  | Some corpus, _ ->
-    Dptrace.Corpus_dir.fold_corpus ~pool
-      ~step:(fun specs f -> (Dptrace.Codec_v2.frame_stream f, step specs f))
-      ~consume:(fun (st, x) -> Option.map (fun _ -> st) (consume x))
-      corpus
-  | None, Some path ->
+  match s.path with
+  | Some path ->
     (check_read path (Dptrace.Corpus_dir.fold ~pool ~mode:s.mode ~step ~consume path))
       .Dptrace.Corpus_dir.l_corpus
-  | None, None -> Dptrace.Corpus_dir.fold_corpus ~pool ~step ~consume (generated ())
+  | None -> Dptrace.Corpus_dir.fold_corpus ~pool ~step ~consume (Lazy.force generated)
+
+(* [kept], the skeletons a fold kept, with the events of those [wanted]
+   accepts back, reloaded by content key from the file the fold read
+   (or the generated corpus). A stream no longer there is one error
+   line and exit 1. *)
+let with_events s (kept : Dptrace.Corpus.t) wanted =
+  let reload keys =
+    match s.path with
+    | Some path -> Dptrace.Corpus_dir.reload ~pool:s.pool ~mode:s.mode path keys
+    | None -> Ok (Lazy.force generated).Dptrace.Corpus.streams
+  in
+  let streams = kept.Dptrace.Corpus.streams in
+  match Dpcore.Explorer.with_events [ (streams, reload) ] (List.filter wanted streams) with
+  | Ok back -> { kept with Dptrace.Corpus.streams = List.map back streams }
+  | Error msg ->
+    Dpobs.Log.error "%s" msg;
+    exit 1
+
+(* The streams that hold an instance of [scenario]. *)
+let holds scenario (st : Dptrace.Stream.t) =
+  List.exists
+    (fun (i : Dptrace.Scenario.instance) -> i.Dptrace.Scenario.scenario = scenario)
+    st.Dptrace.Stream.instances
 
 (* The analysis behind impact, report, analyze and the one-scenario
    commands ([with_scenario], never with --cache): the kept corpus with
@@ -419,20 +438,19 @@ let fold_results ?scenarios ~cache ~components s source f =
     snapshot;
   r
 
-let with_results ?scenarios ?loaded ~cache ~components s f =
-  fold_results ?scenarios ~cache ~components s (source ?loaded s) f
+let with_results ?scenarios ~cache ~components s f =
+  fold_results ?scenarios ~cache ~components s (source s) f
 
 (* The one-scenario commands: the report of [scenario] alone, its kept
-   corpus and coverage handed to the body with the scenario's result.
-   The commands that draw events (exemplars, timelines, event windows)
-   pass the corpus read whole, unscreened, as [loaded] and draw them
-   from the kept corpus; the others fold the file, so only skeletons
-   stay. Either way the fold's screen is the only screen. A name without
-   a spec stops the fold at its first step, which is handed the specs. *)
-let with_scenario ?loaded ~components s scenario f =
+   corpus of skeletons and coverage handed to the body with the
+   scenario's result. The commands that draw events (exemplars,
+   timelines, event windows) take them back with [with_events]. A name
+   without a spec stops the fold at its first step, which is handed the
+   specs. *)
+let with_scenario ~components s scenario f =
   let exception No_spec in
   let source ~step ~consume =
-    source ?loaded s ~consume ~step:(fun specs frame ->
+    source s ~consume ~step:(fun specs frame ->
         if List.exists (fun (sp : Dptrace.Scenario.spec) -> sp.name = scenario) specs
         then step specs frame
         else raise No_spec)
@@ -973,9 +991,8 @@ let baseline_cmd =
 
 let witness path scenario rank limit mode =
   with_setup ~j:1 ~mode ~obs:no_obs path @@ fun s ->
-  let loaded = read_corpus ~pool:s.pool ~mode path in
-  with_scenario ~loaded ~components:Dpcore.Component.drivers s scenario
-  @@ fun (corpus, coverage) r ->
+  with_scenario ~components:Dpcore.Component.drivers s scenario
+  @@ fun (kept, coverage) r ->
   print_coverage coverage;
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
   match List.nth_opt patterns (rank - 1) with
@@ -985,8 +1002,9 @@ let witness path scenario rank limit mode =
   | Some pattern ->
     Format.printf "pattern #%d:@.%a@.@." rank Dpcore.Mining.pp_pattern pattern;
     let ws =
-      Dpcore.Explorer.witnesses ~limit Dpcore.Component.drivers corpus ~scenario
-        ~pattern ()
+      Dpcore.Explorer.witnesses ~limit Dpcore.Component.drivers
+        (with_events s kept (holds scenario))
+        ~scenario ~pattern ()
     in
     if ws = [] then print_endline "no witness instance found";
     List.iter (fun w -> print_string (Dpcore.Explorer.render w)) ws;
@@ -1021,7 +1039,7 @@ let witness_cmd =
 
 (* --- explain: provenance-tracked drill-down --- *)
 
-let explain_component ~timeline corpus (prov : Dpcore.Provenance.impact) name =
+let explain_component ~timeline events (prov : Dpcore.Provenance.impact) name =
   match List.assoc_opt name prov.Dpcore.Provenance.by_module with
   | None ->
     Printf.eprintf "no provenance recorded for module %s (known: %s)\n" name
@@ -1029,6 +1047,10 @@ let explain_component ~timeline corpus (prov : Dpcore.Provenance.impact) name =
     1
   | Some topk ->
     let records = Dpcore.Provenance.Topk.to_list topk in
+    let named (st : Dptrace.Stream.t) (wr : Dpcore.Provenance.wait_record) =
+      wr.Dpcore.Provenance.wr_ref.Dpcore.Provenance.stream_id = st.Dptrace.Stream.id
+    in
+    let corpus = events (fun st -> List.exists (named st) records) in
     Format.printf
       "module %s: %d costliest distinct wait events behind its \
        D_wait/D_waitdist@."
@@ -1047,7 +1069,7 @@ let explain_component ~timeline corpus (prov : Dpcore.Provenance.impact) name =
       records;
     0
 
-let explain_pattern ~timeline components corpus r scenario rank limit =
+let explain_pattern ~timeline components events r scenario rank limit =
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
   match List.nth_opt patterns (rank - 1) with
   | None ->
@@ -1095,7 +1117,8 @@ let explain_pattern ~timeline components corpus r scenario rank limit =
         (match fast with (_, c, _) :: _ -> c | [] -> 0);
     (* 3. Concrete matched chains with raw event windows. *)
     let ws =
-      Dpcore.Explorer.witnesses ~limit components corpus ~scenario ~pattern ()
+      Dpcore.Explorer.witnesses ~limit components (events (holds scenario))
+        ~scenario ~pattern ()
     in
     if ws = [] then print_endline "\nno concrete witness chain found"
     else
@@ -1116,17 +1139,17 @@ let explain path scenario rank component limit timeline j mode obs =
   Dpcore.Provenance.enable ();
   let components = Dpcore.Component.drivers in
   with_setup ~j ~mode ~obs path @@ fun s ->
-  let loaded = read_corpus ~pool:s.pool ~mode path in
   match (component, scenario) with
   | Some name, _ ->
-    with_results ~scenarios:[] ~loaded ~cache:None ~components s
-    @@ fun (corpus, coverage) r ->
+    with_results ~scenarios:[] ~cache:None ~components s
+    @@ fun (kept, coverage) r ->
     print_coverage coverage;
-    explain_component ~timeline corpus r.Dpcore.Pipeline.impact_prov name
+    explain_component ~timeline (with_events s kept) r.Dpcore.Pipeline.impact_prov
+      name
   | None, Some scenario ->
-    with_scenario ~loaded ~components s scenario @@ fun (corpus, coverage) r ->
+    with_scenario ~components s scenario @@ fun (kept, coverage) r ->
     print_coverage coverage;
-    explain_pattern ~timeline components corpus r scenario rank limit
+    explain_pattern ~timeline components (with_events s kept) r scenario rank limit
   | None, None ->
     prerr_endline
       "explain: give a SCENARIO (pattern drill-down) or --component MODULE";
@@ -1209,20 +1232,24 @@ let export_trace path scenario slow fast rank out pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
   with_setup ~j ~mode ~obs path @@ fun s ->
-  let loaded = read_corpus ~pool:s.pool ~mode path in
   let exemplars =
     match rank with
     | None ->
-      let corpus, coverage = Dpcore.Pipeline.screen loaded in
+      let kept, coverage =
+        Dpcore.Pipeline.screen
+          (source s
+             ~step:(fun _ f -> Dptrace.Codec_v2.frame_skeleton f)
+             ~consume:Option.some)
+      in
       print_coverage coverage;
-      if Dptrace.Corpus.find_spec corpus scenario = None then no_spec scenario;
+      if Dptrace.Corpus.find_spec kept scenario = None then no_spec scenario;
       Dpviz.Trace_export.exemplars_of_classes ~slow ~fast
-        (Dpcore.Classify.classify corpus scenario)
+        (Dpcore.Classify.classify (with_events s kept (holds scenario)) scenario)
     | Some rank -> (
       (* Provenance-resolved exemplars: the instances that realise the
          ranked contrast pattern, their matched chains as markers. *)
       Dpcore.Provenance.enable ();
-      with_scenario ~loaded ~components s scenario @@ fun (corpus, coverage) r ->
+      with_scenario ~components s scenario @@ fun (kept, coverage) r ->
       print_coverage coverage;
       let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
       match List.nth_opt patterns (rank - 1) with
@@ -1232,8 +1259,9 @@ let export_trace path scenario slow fast rank out pats j mode obs =
         []
       | Some pattern ->
         Dpviz.Trace_export.exemplars_of_witnesses
-          (Dpcore.Explorer.witnesses ~limit:slow components corpus ~scenario
-             ~pattern ()))
+          (Dpcore.Explorer.witnesses ~limit:slow components
+             (with_events s kept (holds scenario))
+             ~scenario ~pattern ()))
   in
   if exemplars = [] then begin
     Printf.eprintf "nothing to export for scenario %s\n" scenario;
@@ -1298,9 +1326,10 @@ let flame path scenario out_dir slow fast top pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
   with_setup ~j ~mode ~obs path @@ fun s ->
-  let loaded = read_corpus ~pool:s.pool ~mode path in
-  with_scenario ~loaded ~components s scenario @@ fun (_, coverage) r ->
+  with_scenario ~components s scenario @@ fun (kept, coverage) r ->
   print_coverage coverage;
+  let corpus = with_events s kept (holds scenario) in
+  let r = { r with Dpcore.Pipeline.classification = Dpcore.Classify.classify corpus scenario } in
   let b = Dpviz.Bundle.write ~components ~slow ~fast ~dir:out_dir r in
   List.iter (Printf.printf "wrote %s\n") b.Dpviz.Bundle.files;
   let nf, _, ns = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in
@@ -1363,7 +1392,12 @@ let flame_cmd =
 (* --- timeline --- *)
 
 let timeline corpus stream_id instance_index width mode =
-  let corpus = read_corpus ~mode corpus in
+  with_setup ~j:1 ~mode ~obs:no_obs corpus @@ fun s ->
+  let corpus =
+    source s ~consume:Fun.id ~step:(fun _ f ->
+        if (Dptrace.Codec_v2.frame_skeleton f).Dptrace.Stream.id <> stream_id then None
+        else Some (Dptrace.Codec_v2.frame_stream f))
+  in
   match
     List.find_opt
       (fun (st : Dptrace.Stream.t) -> st.Dptrace.Stream.id = stream_id)
@@ -1438,9 +1472,15 @@ let analyze out json top_patterns_n cache run =
   end
   else begin
   (* Corpus statistics, witnesses and the baselines read events, so the
-     text report keeps the corpus resident. *)
-  let loaded = read_corpus ~pool:s.pool ~mode:s.mode s.path in
-  with_results ~loaded ~cache ~components s @@ fun (corpus, cov) results ->
+     text report's fold keeps each analysed stream whole. *)
+  fold_results ~cache ~components s
+    (fun ~step ~consume ->
+      source s
+        ~step:(fun specs f ->
+          let st = Dptrace.Codec_v2.frame_stream f in
+          (st, step specs (Dptrace.Codec_v2.resident st)))
+        ~consume:(fun (st, x) -> Option.map (fun _ -> st) (consume x)))
+  @@ fun (corpus, cov) results ->
   let buf = Buffer.create 65536 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let block text =

@@ -121,6 +121,22 @@ let render w =
     w.chain;
   Buffer.contents buf
 
+let with_events files wanted =
+  let key = Dptrace.Codec_v2.stream_key and full = Hashtbl.create 64 in
+  let wanted = Hashtbl.of_seq (Seq.map (fun st -> (key st, ())) (List.to_seq wanted)) in
+  let absorb (skeletons, reload) =
+    match List.filter (Hashtbl.mem wanted) (List.map key skeletons) with
+    | [] -> Ok ()
+    | keys -> Result.map (List.iter (fun st -> Hashtbl.replace full (key st) st)) (reload keys)
+  in
+  Result.map
+    (fun () (st : Dptrace.Stream.t) ->
+      match Hashtbl.find_opt full (key st) with
+      | Some f when f.Dptrace.Stream.id = st.id -> f
+      | Some f -> Dptrace.Stream.with_id f st.id
+      | None -> st)
+    (List.fold_left (fun r file -> Result.bind r (fun () -> absorb file)) (Ok ()) files)
+
 let resolve_ref (corpus : Dptrace.Corpus.t) (r : Provenance.instance_ref) =
   match
     List.find_opt

@@ -38,6 +38,17 @@ val render : witness -> string
 
 (** {1 Drill-down helpers (driveperf explain)} *)
 
+val with_events :
+  (Dptrace.Stream.t list * (string list -> (Dptrace.Stream.t list, string) result)) list ->
+  Dptrace.Stream.t list ->
+  (Dptrace.Stream.t -> Dptrace.Stream.t, string) result
+(** [with_events files wanted] gives the skeletons [wanted] their events
+    back. Each of [files] is one read's skeletons and its keyed reload
+    ({!Dptrace.Corpus_dir.reload}), called with the content keys of the
+    wanted skeletons among them, if any. The result maps a skeleton to
+    its reloaded stream, under the skeleton's id, and any other stream
+    to itself; the first reload error is the error. *)
+
 val resolve_ref :
   Dptrace.Corpus.t ->
   Provenance.instance_ref ->

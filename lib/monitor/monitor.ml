@@ -512,58 +512,14 @@ let evaluate_relative t b impact patterns =
 (* --- view bundles ---
 
    A bundle reads its exemplars' events, which the window does not keep:
-   the files holding a scenario's class streams are loaded again, once
-   per tick, and each loaded stream must carry its skeleton's key. *)
+   the window files holding the alerted scenarios' class streams are read
+   again once per tick, decoding only those streams. *)
 
-let reloads t files =
-  List.map
-    (fun (f, w) ->
-      ( w.w_corpus.Corpus.streams,
-        lazy
-          (match Corpus_dir.load ?pool:t.pool ~mode:t.config.mode f.f_path with
-          | Error msg -> Error msg
-          | Ok { Corpus_dir.l_corpus; _ } ->
-            if keys l_corpus = keys w.w_corpus then Ok l_corpus.Corpus.streams
-            else Error (f.f_path ^ " changed since it was ingested")) ))
-    files
-
-(* [r] with its class streams' events back, from the files holding them. *)
-let with_events reloads (r : Pipeline.scenario_result) =
-  let c = r.Pipeline.classification in
-  let key = Codec_v2.stream_key in
-  let wanted = Hashtbl.create 64 and full = Hashtbl.create 64 in
-  List.iter (fun (st, _) -> Hashtbl.replace wanted (key st) ()) (c.Classify.fast @ c.Classify.slow);
-  let failure =
-    List.find_map
-      (fun (skeletons, streams) ->
-        if not (List.exists (fun st -> Hashtbl.mem wanted (key st)) skeletons) then None
-        else
-          match Lazy.force streams with
-          | Error msg -> Some msg
-          | Ok streams ->
-            List.iter (fun st -> Hashtbl.replace full (key st) st) streams;
-            None)
-      reloads
-  in
-  let back (st : Dptrace.Stream.t) =
-    Option.fold ~none:st ~some:(fun full -> Dptrace.Stream.with_id full st.id)
-      (Hashtbl.find_opt full (key st))
-  in
-  let back = List.map (fun (st, i) -> (back st, i)) in
-  match failure with
-  | Some msg -> Error msg
-  | None ->
-    Ok
-      {
-        r with
-        Pipeline.classification =
-          {
-            c with
-            Classify.fast = back c.Classify.fast;
-            middle = back c.Classify.middle;
-            slow = back c.Classify.slow;
-          };
-      }
+(* [r] with its class streams mapped by [back]. *)
+let with_streams back (r : Pipeline.scenario_result) =
+  let c = r.Pipeline.classification and back = List.map (fun (st, i) -> (back st, i)) in
+  let fast = back c.Classify.fast and middle = back c.Classify.middle in
+  { r with Pipeline.classification = { c with fast; middle; slow = back c.Classify.slow } }
 
 (* --- the tick --- *)
 
@@ -698,32 +654,47 @@ let tick t =
         match t.config.view_dir with
         | None -> []
         | Some vdir ->
-          let reloads = reloads t files in
-          List.filter_map (fun (_, s, _, _) -> s) out
-          |> List.sort_uniq compare
-          |> List.filter_map (fun scn ->
-                 match List.assoc_opt scn report.Pipeline.scenarios with
-                 | None -> None
-                 | Some r -> (
-                   match with_events reloads r with
-                   | Error msg ->
-                     Dpobs.Log.warn "monitor: no view bundle for %s: %s" scn msg;
-                     None
-                   | Ok r ->
-                     let dir =
-                       Filename.concat vdir
-                         (Printf.sprintf "tick-%d-%s" t.tick_count
-                            (String.map
-                               (function '/' | '\\' -> '_' | ch -> ch)
-                               scn))
-                     in
-                     let b =
-                       Dpviz.Bundle.write ~components:t.config.components
-                         ~dir r
-                     in
-                     Dpobs.Log.info "monitor: view bundle %s (%d files)" dir
-                       (List.length b.Dpviz.Bundle.files);
-                     Some (scn, dir)))
+          let alerted =
+            List.filter_map (fun (_, s, _, _) -> s) out
+            |> List.sort_uniq compare
+            |> List.filter_map (fun scn ->
+                   Option.map (fun r -> (scn, r))
+                     (List.assoc_opt scn report.Pipeline.scenarios))
+          in
+          let reload (f, w) =
+            (w.w_corpus.Corpus.streams, Corpus_dir.reload ?pool:t.pool ~mode:t.config.mode f.f_path)
+          in
+          match
+            Dpcore.Explorer.with_events (List.map reload files)
+              (List.concat_map
+                 (fun (_, (r : Pipeline.scenario_result)) ->
+                   let c = r.Pipeline.classification in
+                   List.map fst (c.Classify.fast @ c.Classify.slow))
+                 alerted)
+          with
+          | Error msg ->
+            List.iter
+              (fun (scn, _) -> Dpobs.Log.warn "monitor: no view bundle for %s: %s" scn msg)
+              alerted;
+            []
+          | Ok back ->
+            List.map
+              (fun (scn, r) ->
+                let dir =
+                  Filename.concat vdir
+                    (Printf.sprintf "tick-%d-%s" t.tick_count
+                       (String.map
+                          (function '/' | '\\' -> '_' | ch -> ch)
+                          scn))
+                in
+                let b =
+                  Dpviz.Bundle.write ~components:t.config.components
+                    ~dir (with_streams back r)
+                in
+                Dpobs.Log.info "monitor: view bundle %s (%d files)" dir
+                  (List.length b.Dpviz.Bundle.files);
+                (scn, dir))
+              alerted
       in
       (out, views)
     end

@@ -66,11 +66,12 @@ type config = {
           writes a {!Dpviz.Bundle} view bundle per alerted scenario
           under [view_dir/tick-N-SCENARIO/], and those alerts carry the
           directory in their [view] field. A bundle reads its
-          exemplars' events, so the tick loads the window files that
-          hold the scenario's class streams again and checks each
-          stream's content key against its skeleton; a file changed on
-          disk since its ingest costs that scenario its bundle (with a
-          logged warning), not the alert. *)
+          exemplars' events, so the tick reads the window files that
+          hold alerted scenarios' class streams again, once each,
+          decoding only those streams, found by content key
+          ({!Dptrace.Corpus_dir.reload}); a file that no longer holds
+          one costs that scenario its bundle (with a logged warning),
+          not the alert. *)
 }
 
 val default_config : config

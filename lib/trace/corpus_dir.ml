@@ -53,10 +53,14 @@ let file_size path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   in_channel_length ic
 
+(* Each stream's key is memoised before it is stepped, as a framed
+   stream's is by its decode, so a skeleton the step keeps carries it. *)
 let fold_corpus ?pool ~step ~consume (c : Corpus.t) =
   let kept = ref [] in
   Dppar.Pool.iter_batched ?pool
-    (fun st -> step c.Corpus.specs (Codec_v2.resident st))
+    (fun st ->
+      ignore (Codec_v2.stream_key st : string);
+      step c.Corpus.specs (Codec_v2.resident st))
     (fun x -> Option.iter (fun st -> kept := st :: !kept) (consume x))
     (fun push -> List.iter push c.Corpus.streams);
   Corpus.create ~streams:(List.rev !kept) ~specs:c.Corpus.specs
@@ -101,6 +105,25 @@ let fold ?pool ?(mode = `Strict) ~step ~consume path =
 
 let load ?pool ?(mode = `Strict) path =
   read path ~framed:(fun () -> Codec_v2.load ~mode ?pool path) ~text:Fun.id
+
+(* The steps, on pool workers, only look [wanted] up; [consume], on the
+   calling domain, marks each key seen. *)
+let reload ?pool ?mode path keys =
+  let wanted = Hashtbl.of_seq (Seq.map (fun k -> (k, ref false)) (List.to_seq keys)) in
+  let step _ f =
+    Option.map
+      (fun seen -> (seen, Codec_v2.frame_stream f))
+      (Hashtbl.find_opt wanted (Codec_v2.frame_key f))
+  in
+  let consume = function
+    | Some (seen, st) when not !seen -> seen := true; Some st
+    | _ -> None
+  in
+  match fold ?pool ?mode ~step ~consume path with
+  | Ok l when Hashtbl.fold (fun _ seen all -> all && !seen) wanted true ->
+    Ok l.l_corpus.Corpus.streams
+  | Ok _ -> Error (path ^ " changed since it was read")
+  | Error msg -> Error msg
 
 let save ?pool path corpus =
   let fmt = format_of_path path in

@@ -74,6 +74,18 @@ val load :
 (** {!fold} that keeps every stream whole: the resident corpus. A text
     file is returned as loaded. *)
 
+val reload :
+  ?pool:Dppar.Pool.t ->
+  ?mode:Codec_v2.mode ->
+  string ->
+  string list ->
+  (Stream.t list, string) result
+(** [reload path keys]: {!fold} keeping, whole and in file order, the
+    first stream of each content key ({!Codec_v2.frame_key}) in [keys].
+    A frame is decoded only when its key is wanted, and a framed file's
+    key is read from the frame envelope. A key not in the file is
+    [Error "<path> changed since it was read"]. *)
+
 val fold_corpus :
   ?pool:Dppar.Pool.t ->
   step:(Scenario.spec list -> Codec_v2.frame -> 'a) ->
@@ -82,7 +94,8 @@ val fold_corpus :
   Corpus.t
 (** {!fold}'s hand-over for a corpus already in memory: the same
     batches on [pool] and the same consumption order, each stream handed
-    over as a {!Codec_v2.resident} frame. *)
+    over as a {!Codec_v2.resident} frame with its {!Codec_v2.stream_key}
+    memoised, so a skeleton the step keeps carries it. *)
 
 val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> format * int
 (** Encode by extension — [.dpf] framed v2 (payloads encoded on [pool]),

@@ -287,6 +287,59 @@ let test_retired_v1_refused () =
   check Alcotest.int "scan skips it" 0
     (List.length (Dptrace.Corpus_dir.scan dir))
 
+(* [Corpus_dir.reload]: the wanted streams come back whole, in file
+   order, each once, equal to what a full load gives, from a file whose
+   other frames it never parses: one of them carries a valid CRC around
+   an unparsable payload, which fails a full load. *)
+let test_keyed_reload () =
+  let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01) in
+  let s0, s1, s2 =
+    match corpus.Corpus.streams with
+    | s0 :: s1 :: s2 :: _ -> (s0, s1, s2)
+    | _ -> Alcotest.fail "corpus too small"
+  in
+  (* s1 twice: one key, repeated. *)
+  let streams = [ s0; s1; s2; s1 ] in
+  let clean = V2.encode (Corpus.create ~streams ~specs:corpus.Corpus.specs) in
+  let damaged =
+    let b = Bytes.of_string clean in
+    let _, payload, len = List.nth (V2_frames.frame_spans clean) 3 in
+    Bytes.fill b payload len '\xff';
+    V2_frames.reseal b ~payload ~len;
+    Bytes.to_string b
+  in
+  let dir = Filename.temp_dir "driveperf" "" in
+  let write name data =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc data);
+    path
+  in
+  let clean = write "clean.dpf" clean and damaged = write "damaged.dpf" damaged in
+  Fun.protect ~finally:(fun () ->
+      List.iter Sys.remove [ clean; damaged ];
+      Sys.rmdir dir)
+  @@ fun () ->
+  let text streams =
+    Dptrace.Codec.corpus_to_string (Corpus.create ~streams ~specs:corpus.Corpus.specs)
+  in
+  let loaded =
+    match Dptrace.Corpus_dir.load clean with
+    | Ok l -> l.Dptrace.Corpus_dir.l_corpus.Corpus.streams
+    | Error m -> Alcotest.fail m
+  in
+  check Alcotest.bool "a full load refuses the damaged file" true
+    (Result.is_error (Dptrace.Corpus_dir.load damaged));
+  let key = V2.stream_key in
+  match Dptrace.Corpus_dir.reload damaged [ key s1; key s0; key s1 ] with
+  | Error m -> Alcotest.fail m
+  | Ok got ->
+    check Alcotest.string "s0 and s1, once each, in file order, as loaded"
+      (text (List.filteri (fun i _ -> i < 2) loaded))
+      (text got);
+    check Alcotest.bool "a missing key is an error" true
+      (Dptrace.Corpus_dir.reload clean [ key s0; "00000000-0" ]
+      = Error (clean ^ " changed since it was read"))
+
 (* --- anonymiser --- *)
 
 let small_corpus () = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.02)
@@ -386,6 +439,8 @@ let () =
           Alcotest.test_case "smaller than text" `Quick test_binary_smaller_than_text;
           Alcotest.test_case "corruption handling" `Quick test_binary_corruption;
           QCheck_alcotest.to_alcotest prop_binary_mutation_safety;
+          Alcotest.test_case "keyed reload parses only wanted frames" `Quick
+            test_keyed_reload;
           Alcotest.test_case "retired v1 container refused" `Quick
             test_retired_v1_refused;
         ] );

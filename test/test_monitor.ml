@@ -583,40 +583,82 @@ let test_twin_files_keep_witnesses () =
     (List.exists (fun id -> id < copy) ids && List.exists (fun id -> id >= copy) ids)
 
 (* A view bundle reads its exemplars' events back from the window's
-   files. A file rewritten on disk since its ingest no longer holds the
-   streams the window analysed, so its scenarios get no view. *)
+   files, by content key. A file rewritten on disk since its ingest no
+   longer holds the class streams the window analysed, so each alerted
+   scenario gets no bundle and one warning naming it, while the alerts
+   and the window's gauges are those of a run without views; with the
+   files intact, every scenario alert carries its bundle. *)
 let test_changed_file_gets_no_view () =
   let fixture_dir = Lazy.force fixture in
-  let dir = fresh_dir () in
-  let copy name =
-    let path = Filename.concat dir name in
-    let oc = open_out_bin path in
-    output_string oc (read_file (Filename.concat fixture_dir name));
-    close_out oc;
-    path
+  let run ~views ~rewrite =
+    let dir = fresh_dir () in
+    let copy name =
+      let path = Filename.concat dir name in
+      let oc = open_out_bin path in
+      output_string oc (read_file (Filename.concat fixture_dir name));
+      close_out oc;
+      path
+    in
+    let paths = List.map copy [ "calm1.dpf"; "calm2.dpf"; "slow.dpf" ] in
+    let vdir = Filename.concat dir "views" in
+    let cfg = config ~dir ~tag:"views" in
+    let t = Monitor.create { cfg with view_dir = (if views then Some vdir else None) } in
+    Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
+    Monitor.set_clock t 0;
+    let ingest path =
+      match Monitor.ingest t ~mtime_ms:0 path with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "ingest: %s" e
+    in
+    List.iter ingest [ List.nth paths 0; List.nth paths 1 ];
+    ignore (Monitor.tick t : Rules.alert list);
+    ingest (List.nth paths 2);
+    if rewrite then
+      List.iter (fun path -> gen_save ~seed:77 ~scale:0.05 ~cross:false path)
+        [ List.nth paths 0; List.nth paths 1 ];
+    let warnings = ref [] in
+    Dputil.Logf.set_sink (fun level msg ->
+        if level = Dputil.Logf.Warn
+           && String.starts_with ~prefix:"monitor: no view bundle" msg
+        then warnings := msg :: !warnings);
+    let alerts =
+      Fun.protect
+        ~finally:(fun () ->
+          Dputil.Logf.set_sink (fun l m ->
+              Printf.eprintf "driveperf: %s: %s\n%!" (Dputil.Logf.level_name l) m))
+        (fun () -> Monitor.tick t)
+    in
+    let gauges =
+      String.split_on_char '\n' (read_file (Option.get cfg.Monitor.metrics_out))
+      |> List.filter (fun l ->
+             String.starts_with ~prefix:"monitor_window" l
+             || String.starts_with ~prefix:"monitor_scenario_ia_wait_ppm" l)
+    in
+    let bundles = if Sys.file_exists vdir then Array.length (Sys.readdir vdir) else 0 in
+    (alerts, gauges, List.rev !warnings, bundles)
   in
-  let paths = List.map copy [ "calm1.dpf"; "calm2.dpf"; "slow.dpf" ] in
-  let t =
-    Monitor.create
-      { (config ~dir ~tag:"views") with view_dir = Some (Filename.concat dir "views") }
+  let alerts, gauges, warnings, bundles = run ~views:true ~rewrite:true in
+  let plain, plain_gauges, _, _ = run ~views:false ~rewrite:false in
+  let scenarios =
+    List.sort_uniq compare (List.filter_map (fun a -> a.Rules.a_scenario) alerts)
   in
-  Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
-  Monitor.set_clock t 0;
-  let ingest path =
-    match Monitor.ingest t ~mtime_ms:0 path with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "ingest: %s" e
-  in
-  List.iter ingest [ List.nth paths 0; List.nth paths 1 ];
-  ignore (Monitor.tick t : Rules.alert list);
-  ingest (List.nth paths 2);
-  List.iter (fun path -> gen_save ~seed:77 ~scale:0.05 ~cross:false path)
-    [ List.nth paths 0; List.nth paths 1 ];
-  let alerts = Monitor.tick t in
-  check Alcotest.bool "scenario alerts raised" true
-    (List.exists (fun a -> a.Rules.a_scenario <> None) alerts);
+  check Alcotest.bool "scenario alerts raised" true (scenarios <> []);
   check Alcotest.bool "none carries a view" true
-    (List.for_all (fun a -> a.Rules.a_view = None) alerts)
+    (List.for_all (fun a -> a.Rules.a_view = None) alerts);
+  check Alcotest.int "no bundle written" 0 bundles;
+  check
+    Alcotest.(list string)
+    "one warning per alerted scenario"
+    (List.map (Printf.sprintf "monitor: no view bundle for %s") scenarios)
+    (List.map (fun w -> String.sub w 0 (String.rindex w ':')) warnings);
+  check Alcotest.bool "each names a file changed since it was read" true
+    (List.for_all (String.ends_with ~suffix:" changed since it was read") warnings);
+  check Alcotest.bool "the alerts of a run without views" true (alerts = plain);
+  check Alcotest.(list string) "the gauges of a run without views" plain_gauges gauges;
+  check Alcotest.bool "gauges exposed" true (gauges <> []);
+  let intact, _, _, _ = run ~views:true ~rewrite:false in
+  check Alcotest.bool "intact files: every scenario alert has its bundle" true
+    (List.for_all (fun a -> (a.Rules.a_scenario = None) = (a.Rules.a_view = None)) intact)
 
 (* --- bounded memory: the window keeps skeletons and entries --- *)
 

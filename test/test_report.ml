@@ -504,6 +504,34 @@ let test_fold_equals_resident () =
   matrix ~prov:"provenance off";
   with_provenance (fun () -> matrix ~prov:"provenance on")
 
+(* A fold keeps skeletons, and a command that draws events reloads its
+   streams by the skeletons' content keys, so each skeleton must carry
+   its stream's real key, including where nothing decoded a frame: a
+   text file and the generated corpus. Without it, the key of the
+   event-less skeleton is re-encoded and names no stream. The expected
+   keys come from a second generation, so the folded streams carry no
+   memo beforehand. *)
+let test_fold_skeletons_carry_keys () =
+  let config = Corpus_gen.scaled 0.05 in
+  let want =
+    List.map Dptrace.Codec_v2.stream_key (Corpus_gen.generate config).Dptrace.Corpus.streams
+  in
+  let kept_keys source =
+    let _, kept, _ = Pipeline.fold_report ~cache:None drivers source in
+    List.map Dptrace.Codec_v2.stream_key kept.Dptrace.Corpus.streams
+  in
+  check Alcotest.(list string) "generated corpus" want
+    (kept_keys (fun ~step ~consume ->
+         Dptrace.Corpus_dir.fold_corpus ~step ~consume (Corpus_gen.generate config)));
+  let path = Filename.temp_file "driveperf_keys" ".dpt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  ignore (Dptrace.Corpus_dir.save path (Corpus_gen.generate config));
+  check Alcotest.(list string) "text file" want
+    (kept_keys (fun ~step ~consume ->
+         match Dptrace.Corpus_dir.fold ~step ~consume path with
+         | Ok l -> l.Dptrace.Corpus_dir.l_corpus
+         | Error m -> Alcotest.fail m))
+
 (* A resident corpus whose second stream takes the first's id: run_report
    and run_report_snap drop the repeat, as the screen does, so each id
    names one stream's instances, and the document is the one of the
@@ -596,6 +624,8 @@ let () =
             test_run_report_index_dies_with_pass;
           Alcotest.test_case "fold = resident run_report" `Quick
             test_fold_equals_resident;
+          Alcotest.test_case "a fold's skeletons carry their keys" `Quick
+            test_fold_skeletons_carry_keys;
           Alcotest.test_case "run_report drops a repeated stream id" `Quick
             test_run_report_drops_repeated_id;
           Alcotest.test_case "escaping round-trips" `Quick
