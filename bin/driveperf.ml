@@ -325,7 +325,7 @@ let with_progress o ~label ~total counter_name f =
    --fault-plan and the telemetry options). It yields a runner that arms
    telemetry, then the fault plan, then a pool of -j domains. The body
    reads the corpus itself, by folding it ([source]), mostly into a
-   report ([with_results]). Nothing is read before the body. Commands with
+   report ([fold_results]). Nothing is read before the body. Commands with
    other flags make the same set-up with [with_setup]. *)
 
 type setup = {
@@ -371,16 +371,23 @@ let snapshot_of ~components dir =
       snap
 
 (* The one read of the corpus, handed over stream by stream: the corpus
-   file, a framed one decoded a batch at a time, a text one or the
-   generated corpus built whole first. What [consume] returns stays:
-   mostly skeletons. *)
+   file, read a batch of streams at a time, or the generated corpus,
+   built whole first. What [consume] returns stays: mostly skeletons. *)
 let source s ~step ~consume =
   let pool = s.pool in
   match s.path with
   | Some path ->
     (check_read path (Dptrace.Corpus_dir.fold ~pool ~mode:s.mode ~step ~consume path))
       .Dptrace.Corpus_dir.l_corpus
-  | None -> Dptrace.Corpus_dir.fold_corpus ~pool ~step ~consume (Lazy.force generated)
+  | None ->
+    let c = Lazy.force generated in
+    Dptrace.Corpus_dir.fold_streams ~pool ~step ~consume (fun push ->
+        List.iter (push c.Dptrace.Corpus.specs) c.Dptrace.Corpus.streams;
+        c.Dptrace.Corpus.specs)
+
+(* [source] for a fold whose skeletons get their events back
+   ([with_events]): each skeleton carries its stream's content key. *)
+let keyed s ~step ~consume = source s ~consume ~step:(Dpcore.Explorer.keyed step)
 
 (* [kept], the skeletons a fold kept, with the events of those [wanted]
    accepts back, reloaded by content key from the file the fold read
@@ -438,22 +445,20 @@ let fold_results ?scenarios ~cache ~components s source f =
     snapshot;
   r
 
-let with_results ?scenarios ~cache ~components s f =
-  fold_results ?scenarios ~cache ~components s (source s) f
-
-(* The one-scenario commands: the report of [scenario] alone, its kept
-   corpus of skeletons and coverage handed to the body with the
-   scenario's result. The commands that draw events (exemplars,
-   timelines, event windows) take them back with [with_events]. A name
-   without a spec stops the fold at its first step, which is handed the
-   specs. *)
-let with_scenario ~components s scenario f =
+(* The one-scenario commands: the report of [scenario] alone, read by
+   [read] ([keyed] for the commands that take events back with
+   [with_events]), its kept corpus of skeletons and coverage handed to
+   the body with the scenario's result. A name without a spec stops the
+   fold at its first step, which is handed the specs. *)
+let with_scenario ~components s read scenario f =
   let exception No_spec in
   let source ~step ~consume =
-    source s ~consume ~step:(fun specs frame ->
+    read s
+      ~step:(fun specs frame ->
         if List.exists (fun (sp : Dptrace.Scenario.spec) -> sp.name = scenario) specs
         then step specs frame
         else raise No_spec)
+      ~consume
   in
   match
     fold_results ~scenarios:[ scenario ] ~cache:None ~components s source
@@ -517,7 +522,7 @@ let generate_cmd =
 let impact pats breakdown per_scenario cache run =
   run @@ fun s ->
   let components = components_of pats in
-  with_results ~scenarios:[] ~cache ~components s @@ fun (_, coverage) r ->
+  fold_results ~scenarios:[] ~cache ~components s (source s) @@ fun (_, coverage) r ->
   print_coverage coverage;
   Dputil.Table.print (Dpcore.Report.impact_summary r.Dpcore.Pipeline.impact);
   if breakdown then begin
@@ -554,7 +559,7 @@ let impact_cmd =
 let causality pats scenario k top run =
   run @@ fun s ->
   let components = components_of pats in
-  with_scenario ~components { s with k } scenario @@ fun (corpus, coverage) r ->
+  with_scenario ~components { s with k } source scenario @@ fun (corpus, coverage) r ->
   print_coverage coverage;
   let f, m, s = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in
   Format.printf "scenario %s: %d instances (fast %d / middle %d / slow %d)@."
@@ -621,8 +626,8 @@ let report json cache run =
         tpl.Dpworkload.Scenarios.spec.Dptrace.Scenario.name)
       Dpworkload.Scenarios.named
   in
-  with_results ~scenarios:scenario_names ~cache
-    ~components:Dpcore.Component.drivers s
+  fold_results ~scenarios:scenario_names ~cache
+    ~components:Dpcore.Component.drivers s (source s)
   @@ fun (_, cov)
          { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } ->
   if json then
@@ -722,7 +727,7 @@ let validate_cmd =
 
 let dot corpus scenario out mode =
   with_setup ~j:1 ~mode ~obs:no_obs corpus @@ fun s ->
-  with_scenario ~components:Dpcore.Component.drivers s scenario
+  with_scenario ~components:Dpcore.Component.drivers s source scenario
   @@ fun (_, coverage) r ->
   if out <> None then print_coverage coverage;
   let text = Dpcore.Awg.to_dot r.Dpcore.Pipeline.slow_awg in
@@ -892,7 +897,7 @@ let convert_cmd =
 let diff before after scenario threshold min_support json mode =
   let run path =
     with_setup ~j:1 ~mode ~obs:no_obs (Some path) @@ fun s ->
-    with_scenario ~components:Dpcore.Component.drivers s scenario
+    with_scenario ~components:Dpcore.Component.drivers s source scenario
     @@ fun (_, coverage) r ->
     if not json then print_coverage coverage;
     r
@@ -991,7 +996,7 @@ let baseline_cmd =
 
 let witness path scenario rank limit mode =
   with_setup ~j:1 ~mode ~obs:no_obs path @@ fun s ->
-  with_scenario ~components:Dpcore.Component.drivers s scenario
+  with_scenario ~components:Dpcore.Component.drivers s keyed scenario
   @@ fun (kept, coverage) r ->
   print_coverage coverage;
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
@@ -1141,13 +1146,13 @@ let explain path scenario rank component limit timeline j mode obs =
   with_setup ~j ~mode ~obs path @@ fun s ->
   match (component, scenario) with
   | Some name, _ ->
-    with_results ~scenarios:[] ~cache:None ~components s
+    fold_results ~scenarios:[] ~cache:None ~components s (keyed s)
     @@ fun (kept, coverage) r ->
     print_coverage coverage;
     explain_component ~timeline (with_events s kept) r.Dpcore.Pipeline.impact_prov
       name
   | None, Some scenario ->
-    with_scenario ~components s scenario @@ fun (kept, coverage) r ->
+    with_scenario ~components s keyed scenario @@ fun (kept, coverage) r ->
     print_coverage coverage;
     explain_pattern ~timeline components (with_events s kept) r scenario rank limit
   | None, None ->
@@ -1237,7 +1242,7 @@ let export_trace path scenario slow fast rank out pats j mode obs =
     | None ->
       let kept, coverage =
         Dpcore.Pipeline.screen
-          (source s
+          (keyed s
              ~step:(fun _ f -> Dptrace.Codec_v2.frame_skeleton f)
              ~consume:Option.some)
       in
@@ -1249,7 +1254,7 @@ let export_trace path scenario slow fast rank out pats j mode obs =
       (* Provenance-resolved exemplars: the instances that realise the
          ranked contrast pattern, their matched chains as markers. *)
       Dpcore.Provenance.enable ();
-      with_scenario ~components s scenario @@ fun (kept, coverage) r ->
+      with_scenario ~components s keyed scenario @@ fun (kept, coverage) r ->
       print_coverage coverage;
       let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
       match List.nth_opt patterns (rank - 1) with
@@ -1326,7 +1331,7 @@ let flame path scenario out_dir slow fast top pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
   with_setup ~j ~mode ~obs path @@ fun s ->
-  with_scenario ~components s scenario @@ fun (kept, coverage) r ->
+  with_scenario ~components s keyed scenario @@ fun (kept, coverage) r ->
   print_coverage coverage;
   let corpus = with_events s kept (holds scenario) in
   let r = { r with Dpcore.Pipeline.classification = Dpcore.Classify.classify corpus scenario } in
@@ -1462,7 +1467,7 @@ let analyze out json top_patterns_n cache run =
   in
   if json then begin
     Dpcore.Provenance.enable ();
-    with_results ~cache ~components s
+    fold_results ~cache ~components s (source s)
     @@ fun (_, cov)
            { Dpcore.Pipeline.impact; impact_prov; modules; scenarios = named; _ } ->
     write Dputil.Jsonw.output

@@ -137,6 +137,10 @@ let with_events files wanted =
       | None -> st)
     (List.fold_left (fun r file -> Result.bind r (fun () -> absorb file)) (Ok ()) files)
 
+let keyed step specs f =
+  ignore (Dptrace.Codec_v2.frame_key f : string);
+  step specs f
+
 let resolve_ref (corpus : Dptrace.Corpus.t) (r : Provenance.instance_ref) =
   match
     List.find_opt

@@ -49,6 +49,16 @@ val with_events :
     its reloaded stream, under the skeleton's id, and any other stream
     to itself; the first reload error is the error. *)
 
+val keyed :
+  (Dptrace.Scenario.spec list -> Dptrace.Codec_v2.frame -> 'a) ->
+  Dptrace.Scenario.spec list ->
+  Dptrace.Codec_v2.frame ->
+  'a
+(** [keyed step]: a fold's [step] that first memoises the frame's content
+    key on its stream ({!Dptrace.Codec_v2.frame_key}), so the skeletons
+    the fold keeps carry it for {!with_events}. Only a text or in-memory
+    stream's key costs a re-encode. *)
+
 val resolve_ref :
   Dptrace.Corpus.t ->
   Provenance.instance_ref ->

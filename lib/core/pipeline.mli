@@ -213,7 +213,7 @@ val screen : Dptrace.Corpus.t -> Dptrace.Corpus.t * coverage
 
     {!fold_report} feeds the report's accumulators from a source that
     hands over streams one at a time ({!Dptrace.Corpus_dir.fold} or
-    {!Dptrace.Corpus_dir.fold_corpus}), so a report's memory is bounded
+    {!Dptrace.Corpus_dir.fold_streams}), so a report's memory is bounded
     by the source's batch, the accumulators and the skeletons, not by
     the corpus. A snapshot's entries are bytes, decoded a batch at a
     time, so that holds with a cache too. *)

@@ -56,12 +56,13 @@ let corpus_to_string (c : Corpus.t) =
   List.iter (buf_stream buf) c.streams;
   Buffer.contents buf
 
-(* --- Reading --- *)
+(* --- Reading: one stream at a time, pushed at its [end] line --- *)
 
 type parser_state = {
   mutable line : int;
   mutable specs : Scenario.spec list;
-  mutable streams : Stream.t list;
+  mutable started : bool;  (* a [stream] line was seen: no more specs *)
+  push : Scenario.spec list -> Stream.t -> unit;
   (* Current stream under construction, if any. *)
   mutable cur_id : int option;
   mutable cur_events : Event.t list;
@@ -93,13 +94,13 @@ let finish_stream st =
         ~instances:(List.rev st.cur_instances)
         ~threads:(List.rev st.cur_threads)
     in
-    st.streams <- stream :: st.streams;
     st.cur_id <- None;
     st.cur_events <- [];
     st.cur_count <- 0;
     st.cur_stacks <- Callstack.table ();
     st.cur_instances <- [];
-    st.cur_threads <- []
+    st.cur_threads <- [];
+    st.push st.specs stream
 
 let in_stream st =
   match st.cur_id with
@@ -113,12 +114,14 @@ let parse_line st raw =
   match words with
   | [] -> ()
   | "spec" :: [ name; tfast; tslow ] ->
+    if st.started then fail st.line "spec %s after the first stream" name;
     let tfast = int_field st "tfast" tfast and tslow = int_field st "tslow" tslow in
     if not (0 < tfast && tfast <= tslow) then
       fail st.line "spec %s: need 0 < tfast <= tslow" name;
-    st.specs <- Scenario.spec ~name ~tfast ~tslow :: st.specs
+    st.specs <- st.specs @ [ Scenario.spec ~name ~tfast ~tslow ]
   | "stream" :: [ id ] ->
     if st.cur_id <> None then fail st.line "nested stream block";
+    st.started <- true;
     st.cur_id <- Some (int_field st "stream id" id)
   | "thread" :: [ tid; name ] ->
     in_stream st;
@@ -158,12 +161,13 @@ let parse_line st raw =
     finish_stream st
   | word :: _ -> fail st.line "unrecognised directive %S" word
 
-let read_lines next_line =
+let read_lines next_line push =
   let st =
     {
       line = 0;
       specs = [];
-      streams = [];
+      started = false;
+      push;
       cur_id = None;
       cur_events = [];
       cur_count = 0;
@@ -197,22 +201,19 @@ let read_lines next_line =
   in
   loop ();
   if st.cur_id <> None then fail st.line "unterminated stream block";
-  Corpus.create ~streams:(List.rev st.streams) ~specs:(List.rev st.specs)
-
-let read_corpus ic =
-  read_lines (fun () -> try Some (input_line ic) with End_of_file -> None)
+  st.specs
 
 let corpus_of_string s =
-  let lines = ref (String.split_on_char '\n' s) in
-  read_lines (fun () ->
-      match !lines with
-      | [] -> None
-      | [ "" ] ->
-        lines := [];
-        None
-      | l :: rest ->
-        lines := rest;
-        Some l)
+  let lines = ref (String.split_on_char '\n' s) and streams = ref [] in
+  let next () =
+    match !lines with
+    | [] | [ "" ] -> None
+    | l :: rest ->
+      lines := rest;
+      Some l
+  in
+  let specs = read_lines next (fun _ st -> streams := st :: !streams) in
+  Corpus.create ~streams:(List.rev !streams) ~specs
 
 (* Binary mode both ways: text-mode channels translate line endings on
    some platforms, breaking byte-exact round-trips (and checksums taken
@@ -223,6 +224,5 @@ let save path c =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (corpus_to_string c))
 
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_corpus ic)
+let read path push =
+  In_channel.with_open_bin path (fun ic -> read_lines (fun () -> In_channel.input_line ic) push)

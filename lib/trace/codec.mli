@@ -19,7 +19,11 @@
     and may not contain [';'] or whitespace. [wtid] is [-1] except on
     unwaits. Thread names may not contain whitespace. A file whose first
     line is not the [dptrace 1] header is refused with an error quoting
-    at most its first 32 bytes. *)
+    at most its first 32 bytes.
+
+    Specs precede the first [stream] line, as a framed file's header is
+    its frame 0: a reader steps each stream under the specs read before
+    it, so a spec after a stream is a {!Parse_error}. *)
 
 exception Parse_error of { line : int; message : string }
 
@@ -36,7 +40,10 @@ val save : string -> Corpus.t -> unit
 (** Write to a file path, in binary mode (no newline translation).
     @raise Invalid_argument as {!corpus_to_string}. *)
 
-val load : string -> Corpus.t
-(** Read from a file path.
-    @raise Parse_error on malformed input
+val read : string -> (Scenario.spec list -> Stream.t -> unit) -> Scenario.spec list
+(** [read path push] parses a file in one pass, holding only the stream
+    being parsed: [push specs st] gets each stream at its [end] line, on
+    the calling domain in file order. Returns the specs.
+    @raise Parse_error on malformed input, after the streams before it
+    were pushed
     @raise Sys_error if the file cannot be opened. *)

@@ -701,5 +701,3 @@ let keep _ = frame_stream
 
 let decode ?(mode = `Strict) ?pool data =
   fold_src mode pool ~step:keep ~consume:Option.some (src_of_string data)
-
-let load ?mode ?pool path = fold ?mode ?pool ~step:keep ~consume:Option.some path

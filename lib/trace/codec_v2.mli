@@ -1,14 +1,14 @@
 (** Framed, checksummed corpus serialisation (format v2), the one binary
     corpus format.
 
-    The text codec ({!Codec}) slurps the whole file into one string, so
-    ingestion memory scales with corpus size and a single corrupt byte
-    aborts the whole load. At the paper's evaluation shape (~19,500
-    traces / ~505,500 scenario instances) that is not acceptable: this
-    format holds each trace stream in its own length-prefixed,
-    CRC32-checksummed frame, so a reader holds one frame at a time,
-    frames decode in parallel on a {!Dppar.Pool}, and a corrupt frame
-    costs exactly the stream it contains.
+    The text codec ({!Codec}) is read a stream at a time too, but
+    parsed on one domain, and a single corrupt byte aborts the rest of
+    the read. At the paper's evaluation shape (~19,500 traces / ~505,500
+    scenario instances) that is not acceptable: this format holds each
+    trace stream in its own length-prefixed, CRC32-checksummed frame, so
+    a reader holds one frame at a time, frames decode in parallel on a
+    {!Dppar.Pool}, and a corrupt frame costs exactly the stream it
+    contains.
 
     On-disk layout ([u32] is {!Wire.w32}; [v]/[str] are the LEB128
     varint and length-prefixed string of {!Wire}):
@@ -132,18 +132,16 @@ val fold :
     @raise Sys_error if the file cannot be opened. *)
 
 val decode : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
-val load : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
-(** {!fold} with a [step] that decodes each stream whole, over a string
-    or a file.
-    @raise Wire.Corrupt in [`Strict] mode on any corruption
-    @raise Sys_error if the file cannot be opened. *)
+(** {!fold} over a string, with a [step] that decodes each stream whole.
+    A file is loaded whole by {!Corpus_dir.load}.
+    @raise Wire.Corrupt in [`Strict] mode on any corruption *)
 
 (** {1 Stream content identity} *)
 
 val stream_key : Stream.t -> string
 (** The stream's content identity: the CRC-32 and byte length of its 'S'
     frame, as ["%08x-%d"] — exactly what the frame envelope stores on
-    disk. Streams decoded by {!load}/{!decode} carry the
+    disk. Streams decoded by {!fold}/{!decode} carry the
     key already (captured from the verified frame checksum, via
     {!Stream.key_memo}); for any other stream the payload is re-encoded
     once here and the key memoised. Two streams share a key iff their

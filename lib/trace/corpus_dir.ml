@@ -2,12 +2,8 @@ type format = Text | Framed
 
 let format_name = function Text -> "text v1" | Framed -> "framed v2"
 
-let is_framed_path path = Filename.check_suffix path ".dpf"
-
-let is_corpus_file path =
-  is_framed_path path || Filename.check_suffix path ".dpt"
-
-let format_of_path path = if is_framed_path path then Framed else Text
+let format_of_path path = if Filename.check_suffix path ".dpf" then Framed else Text
+let is_corpus_file path = format_of_path path = Framed || Filename.check_suffix path ".dpt"
 
 (* Reads close with [close_in_noerr]: a raising close must not mask the
    decode exception as [Fun.Finally_raised]. *)
@@ -53,21 +49,15 @@ let file_size path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   in_channel_length ic
 
-(* Each stream's key is memoised before it is stepped, as a framed
-   stream's is by its decode, so a skeleton the step keeps carries it. *)
-let fold_corpus ?pool ~step ~consume (c : Corpus.t) =
-  let kept = ref [] in
+let fold_streams ?pool ~step ~consume feed =
+  let kept = ref [] and specs = ref [] in
   Dppar.Pool.iter_batched ?pool
-    (fun st ->
-      ignore (Codec_v2.stream_key st : string);
-      step c.Corpus.specs (Codec_v2.resident st))
+    (fun (specs, st) -> step specs (Codec_v2.resident st))
     (fun x -> Option.iter (fun st -> kept := st :: !kept) (consume x))
-    (fun push -> List.iter push c.Corpus.streams);
-  Corpus.create ~streams:(List.rev !kept) ~specs:c.Corpus.specs
+    (fun push -> specs := feed (fun specs st -> push (specs, st)));
+  Corpus.create ~streams:(List.rev !kept) ~specs:!specs
 
-(* Sniff [path], then read it with [framed] (returning the corpus and
-   the recovery report) or [text] (given the whole text corpus). *)
-let read path ~framed ~text =
+let fold ?pool ?(mode = `Strict) ~step ~consume path =
   match
     (* The open/sniff is the [corpus.open] fault site: transient
        injected errors (and real EINTR/EAGAIN) retry with backoff; a
@@ -81,9 +71,9 @@ let read path ~framed ~text =
     let l_corpus, l_report =
       match fmt with
       | Framed ->
-        let corpus, report = framed () in
+        let corpus, report = Codec_v2.fold ~mode ?pool ~step ~consume path in
         (corpus, Some report)
-      | Text -> (text (Codec.load path), None)
+      | Text -> (fold_streams ?pool ~step ~consume (Codec.read path), None)
     in
     { l_corpus; l_format = fmt; l_bytes = bytes; l_report }
   with
@@ -98,13 +88,8 @@ let read path ~framed ~text =
       (Printf.sprintf "%s: injected %s fault at %s exhausted the retry budget"
          path (Dpfault.kind_name kind) (Dpfault.site_name site))
 
-let fold ?pool ?(mode = `Strict) ~step ~consume path =
-  read path
-    ~framed:(fun () -> Codec_v2.fold ~mode ?pool ~step ~consume path)
-    ~text:(fold_corpus ?pool ~step ~consume)
-
-let load ?pool ?(mode = `Strict) path =
-  read path ~framed:(fun () -> Codec_v2.load ~mode ?pool path) ~text:Fun.id
+let load ?pool ?mode path =
+  fold ?pool ?mode ~step:(fun _ f -> Codec_v2.frame_stream f) ~consume:Option.some path
 
 (* The steps, on pool workers, only look [wanted] up; [consume], on the
    calling domain, marks each key seen. *)

@@ -17,14 +17,6 @@ type format = Text | Framed
 val format_name : format -> string
 (** ["text v1"] / ["framed v2"]. *)
 
-val sniff_format : string -> format
-(** Read the first bytes of [path] and match the magics ("dptrace",
-    "DPTF"); falls back to the extension ([.dpf] is framed), then to
-    text. *)
-
-val is_corpus_file : string -> bool
-(** By extension: [.dpt] or [.dpf]. *)
-
 (** {1 Directory scanning} *)
 
 type entry = {
@@ -54,25 +46,24 @@ val fold :
   consume:('a -> Stream.t option) ->
   string ->
   (loaded, string) result
-(** Sniff one corpus file and hand it over stream by stream: each stream
-    goes through [step] (with the corpus specs), on [pool] in batches,
-    and each result through [consume], on the calling domain in file
-    order. [l_corpus] holds the specs and the streams [consume]
-    returned. A framed v2 file is read by {!Codec_v2.fold}, so only a
-    batch of its streams is ever decoded at once; a text file is loaded
-    whole and then handed over by {!fold_corpus}. All decode failures —
-    including [`Strict]-mode corruption and text parse errors — come
-    back as [Error message] rather than an exception, so a long-running
-    caller can count the failure and move on. [mode] defaults to
-    [`Strict]. *)
+(** Sniff one corpus file and hand it over stream by stream, holding at
+    most a batch of whole streams: each stream goes through [step] (with
+    the corpus specs), on [pool] in batches, and each result through
+    [consume], on the calling domain in file order. [l_corpus] holds the
+    specs and the streams [consume] returned. A framed v2 file is read
+    by {!Codec_v2.fold}, a text file by {!Codec.read} through
+    {!fold_streams}. All decode failures — including [`Strict]-mode
+    corruption and text parse errors, met after the streams before them
+    were stepped — come back as [Error message] rather than an
+    exception, so a long-running caller can count the failure and move
+    on. [mode] defaults to [`Strict]. *)
 
 val load :
   ?pool:Dppar.Pool.t ->
   ?mode:Codec_v2.mode ->
   string ->
   (loaded, string) result
-(** {!fold} that keeps every stream whole: the resident corpus. A text
-    file is returned as loaded. *)
+(** {!fold} keeping every stream whole: the resident corpus. *)
 
 val reload :
   ?pool:Dppar.Pool.t ->
@@ -83,19 +74,21 @@ val reload :
 (** [reload path keys]: {!fold} keeping, whole and in file order, the
     first stream of each content key ({!Codec_v2.frame_key}) in [keys].
     A frame is decoded only when its key is wanted, and a framed file's
-    key is read from the frame envelope. A key not in the file is
+    key is read from the frame envelope; a text file's streams are
+    parsed again and each one's key computed. A key not in the file is
     [Error "<path> changed since it was read"]. *)
 
-val fold_corpus :
+val fold_streams :
   ?pool:Dppar.Pool.t ->
   step:(Scenario.spec list -> Codec_v2.frame -> 'a) ->
   consume:('a -> Stream.t option) ->
-  Corpus.t ->
+  ((Scenario.spec list -> Stream.t -> unit) -> Scenario.spec list) ->
   Corpus.t
-(** {!fold}'s hand-over for a corpus already in memory: the same
-    batches on [pool] and the same consumption order, each stream handed
-    over as a {!Codec_v2.resident} frame with its {!Codec_v2.stream_key}
-    memoised, so a skeleton the step keeps carries it. *)
+(** [fold_streams ~step ~consume feed]: {!fold}'s hand-over for parsed
+    streams. [feed push], on the calling domain, pushes each stream with
+    its specs and returns the corpus specs. Each stream is stepped as a
+    {!Codec_v2.resident} frame, in the batches and order of a framed
+    file's, so at most a batch of pushed streams is held. *)
 
 val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> format * int
 (** Encode by extension — [.dpf] framed v2 (payloads encoded on [pool]),

@@ -114,7 +114,9 @@ let test_text_binary_mode_roundtrip () =
   close_in ic;
   check Alcotest.bool "no channel translation" true (on_disk = text_of c);
   check Alcotest.string "load round trip" (text_of c)
-    (text_of (Codec.load path))
+    (match Dptrace.Corpus_dir.load path with
+    | Ok l -> text_of l.Dptrace.Corpus_dir.l_corpus
+    | Error m -> Alcotest.fail m)
 
 (* --- wire primitives and the stream decoder --- *)
 
@@ -559,7 +561,7 @@ let test_v2_save_load () =
   let path = Filename.temp_file "driveperf" ".dpf" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   V2.save path c;
-  let loaded, report = V2.load path in
+  let loaded, report = V2.fold path ~step:(fun _ -> V2.frame_stream) ~consume:Option.some in
   check Alcotest.string "load round trip" (text_of c) (text_of loaded);
   check Alcotest.int "clean" 0 (List.length report.V2.dropped)
 

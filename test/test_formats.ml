@@ -340,6 +340,31 @@ let test_keyed_reload () =
       (Dptrace.Corpus_dir.reload clean [ key s0; "00000000-0" ]
       = Error (clean ^ " changed since it was read"))
 
+(* A text file folds a stream at a time: every stream before a malformed
+   last one is stepped, in file order, and then the parse error comes
+   back naming the file and line. *)
+let test_text_fold_steps_before_error () =
+  let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01) in
+  let text = Dptrace.Codec.corpus_to_string corpus in
+  (* The last stream's [end] line becomes a bad directive before it. *)
+  let line = List.length (String.split_on_char '\n' text) - 1 in
+  let text = String.sub text 0 (String.length text - 4) ^ "bogus\nend\n" in
+  let path = Filename.temp_file "driveperf_cut" ".dpt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let stepped = ref [] in
+  let step _ f = stepped := (V2.frame_stream f).Stream.id :: !stepped in
+  match Dptrace.Corpus_dir.fold ~step ~consume:(fun () -> None) path with
+  | Ok _ -> Alcotest.fail "folded a malformed file"
+  | Error m ->
+    check Alcotest.string "file, line and message"
+      (Printf.sprintf "%s:%d: unrecognised directive \"bogus\"" path line)
+      m;
+    let ids = List.map (fun (st : Stream.t) -> st.Stream.id) corpus.Corpus.streams in
+    check Alcotest.(list int) "every stream before it stepped, in file order"
+      (List.filteri (fun i _ -> i < List.length ids - 1) ids)
+      (List.rev !stepped)
+
 (* --- anonymiser --- *)
 
 let small_corpus () = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.02)
@@ -443,6 +468,8 @@ let () =
             test_keyed_reload;
           Alcotest.test_case "retired v1 container refused" `Quick
             test_retired_v1_refused;
+          Alcotest.test_case "text file folds a stream at a time" `Quick
+            test_text_fold_steps_before_error;
         ] );
       ( "anonymize",
         [

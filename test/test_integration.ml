@@ -219,6 +219,78 @@ let test_no_spec_steps_no_stream () =
   check Alcotest.string "the spec's error line" "no spec for scenario NoSuch in the corpus\n"
     (In_channel.with_open_bin err In_channel.input_all)
 
+(* [driveperf args]: its exit code, stdout and stderr. *)
+let run_cli args =
+  let out = Filename.temp_file "driveperf_cli" ".out"
+  and err = Filename.temp_file "driveperf_cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let code = Sys.command (Filename.quote_command driveperf ~stdout:out ~stderr:err args) in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (code, read out, read err)
+
+(* [f file] in a fresh directory, removed afterwards with its files,
+   where [file name] is a path in it. *)
+let in_temp_dir f =
+  let dir = Filename.temp_dir "driveperf_cli" "" in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> remove (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> remove dir) @@ fun () -> f (Filename.concat dir)
+
+(* The drawing commands reload the streams they draw by the content keys
+   of the skeletons their fold kept, so every fold behind them must key
+   its skeletons, including those that are no one-scenario report
+   ([explain --component], [export-trace] without [--rank]): on a text
+   corpus they print what they print on its framed copy. *)
+let test_drawing_text_matches_framed () =
+  in_temp_dir @@ fun file ->
+  let corpus = Corpus_gen.generate (Corpus_gen.scaled 0.05) in
+  List.iter (fun name -> ignore (Dptrace.Corpus_dir.save (file name) corpus)) [ "c.dpt"; "c.dpf" ];
+  let trace = file "trace.json" in
+  List.iter
+    (fun args ->
+      let name = String.concat " " args in
+      let run c =
+        let code, out, err = run_cli (args @ [ "-c"; file c ]) in
+        check Alcotest.string (name ^ " on " ^ c ^ ": stderr") "" err;
+        check Alcotest.int (name ^ " on " ^ c ^ ": exit code") 0 code;
+        if not (Sys.file_exists trace) then out
+        else begin
+          let json = In_channel.with_open_bin trace In_channel.input_all in
+          Sys.remove trace;
+          out ^ json
+        end
+      in
+      check Alcotest.string name (run "c.dpf") (run "c.dpt"))
+    [
+      [ "explain"; "--component"; "fs.sys" ];
+      [ "export-trace"; "BrowserTabCreate"; "-o"; trace ];
+      [ "witness"; "BrowserTabCreate"; "--rank"; "1" ];
+    ]
+
+(* A text file whose last stream is malformed is folded up to it under
+   --cache, then refused: one error line naming the file and line, exit
+   1, and no cache file written. *)
+let test_text_parse_error_writes_no_cache () =
+  in_temp_dir @@ fun file ->
+  let text = Dptrace.Codec.corpus_to_string (Corpus_gen.generate (Corpus_gen.scaled 0.02)) in
+  let line = List.length (String.split_on_char '\n' text) - 1 in
+  let path = file "cut.dpt" and cache = file "cache" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub text 0 (String.length text - 4) ^ "bogus\nend\n"));
+  let code, out, err = run_cli [ "report"; "--json"; "-c"; path; "--cache"; cache; "-j"; "1" ] in
+  check Alcotest.int "exit code" 1 code;
+  check Alcotest.string "no report" "" out;
+  check Alcotest.string "the parse error's line"
+    (Printf.sprintf "driveperf: error: %s:%d: unrecognised directive \"bogus\"\n" path line)
+    err;
+  check Alcotest.(list string) "no cache file" []
+    (if Sys.file_exists cache then Array.to_list (Sys.readdir cache) else [])
+
 let () =
   Alcotest.run "integration"
     [
@@ -249,5 +321,9 @@ let () =
         [
           Alcotest.test_case "a scenario without a spec steps no stream" `Quick
             test_no_spec_steps_no_stream;
+          Alcotest.test_case "drawing commands: text as framed" `Quick
+            test_drawing_text_matches_framed;
+          Alcotest.test_case "a text parse error writes no cache" `Quick
+            test_text_parse_error_writes_no_cache;
         ] );
     ]

@@ -12,6 +12,10 @@ module Rules = Dpmon.Rules
 
 let check = Alcotest.check
 
+(* A framed file read whole. *)
+let load path =
+  fst (Codec_v2.fold path ~step:(fun _ -> Codec_v2.frame_stream) ~consume:Option.some)
+
 (* --- sandboxed fixtures --- *)
 
 let dir_ctr = ref 0
@@ -295,7 +299,7 @@ let test_window_forgets () =
     let path = Filename.concat dir (Printf.sprintf "w%d.dpf" i) in
     gen_save ~seed:(20 + i) ~scale:0.03 ~cross:false path;
     streams :=
-      !streams @ [ Dptrace.Corpus.stream_count (fst (Codec_v2.load ~mode:`Strict path)) ];
+      !streams @ [ Dptrace.Corpus.stream_count (load path) ];
     check Alcotest.int (Printf.sprintf "scan %d loads the new file" i) 1
       (Monitor.scan t dir);
     let before = Dpobs.Metrics.counter_value stale in
@@ -678,7 +682,7 @@ let test_window_memory () =
   in
   let resident =
     let base = live_words () in
-    let corpus = fst (Codec_v2.load ~mode:`Strict (List.hd paths)) in
+    let corpus = load (List.hd paths) in
     let words = live_words () - base in
     ignore (Sys.opaque_identity corpus);
     words

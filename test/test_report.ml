@@ -504,33 +504,43 @@ let test_fold_equals_resident () =
   matrix ~prov:"provenance off";
   with_provenance (fun () -> matrix ~prov:"provenance on")
 
-(* A fold keeps skeletons, and a command that draws events reloads its
-   streams by the skeletons' content keys, so each skeleton must carry
-   its stream's real key, including where nothing decoded a frame: a
-   text file and the generated corpus. Without it, the key of the
-   event-less skeleton is re-encoded and names no stream. The expected
-   keys come from a second generation, so the folded streams carry no
-   memo beforehand. *)
+(* A command that draws events folds with [Explorer.keyed] steps, keeps
+   skeletons, and reloads its streams by the skeletons' content keys, so
+   each skeleton must carry its stream's real key, including where
+   nothing decoded a frame: a text file and the generated corpus.
+   Without it, the key of the event-less skeleton is re-encoded and
+   names no stream. The expected keys come from a second generation, so
+   the folded streams carry no memo beforehand. A plain report fold over
+   a text file computes no key. *)
 let test_fold_skeletons_carry_keys () =
   let config = Corpus_gen.scaled 0.05 in
   let want =
     List.map Dptrace.Codec_v2.stream_key (Corpus_gen.generate config).Dptrace.Corpus.streams
   in
-  let kept_keys source =
+  let kept source =
     let _, kept, _ = Pipeline.fold_report ~cache:None drivers source in
-    List.map Dptrace.Codec_v2.stream_key kept.Dptrace.Corpus.streams
+    kept.Dptrace.Corpus.streams
   in
-  check Alcotest.(list string) "generated corpus" want
-    (kept_keys (fun ~step ~consume ->
-         Dptrace.Corpus_dir.fold_corpus ~step ~consume (Corpus_gen.generate config)));
+  let keys source = List.map Dptrace.Codec_v2.stream_key (kept source) in
+  let keyed source ~step ~consume = source ~step:(Dpcore.Explorer.keyed step) ~consume in
+  let generated ~step ~consume =
+    let c = Corpus_gen.generate config in
+    Dptrace.Corpus_dir.fold_streams ~step ~consume (fun push ->
+        List.iter (push c.Dptrace.Corpus.specs) c.Dptrace.Corpus.streams;
+        c.Dptrace.Corpus.specs)
+  in
+  check Alcotest.(list string) "generated corpus" want (keys (keyed generated));
   let path = Filename.temp_file "driveperf_keys" ".dpt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   ignore (Dptrace.Corpus_dir.save path (Corpus_gen.generate config));
-  check Alcotest.(list string) "text file" want
-    (kept_keys (fun ~step ~consume ->
-         match Dptrace.Corpus_dir.fold ~step ~consume path with
-         | Ok l -> l.Dptrace.Corpus_dir.l_corpus
-         | Error m -> Alcotest.fail m))
+  let text ~step ~consume =
+    match Dptrace.Corpus_dir.fold ~step ~consume path with
+    | Ok l -> l.Dptrace.Corpus_dir.l_corpus
+    | Error m -> Alcotest.fail m
+  in
+  check Alcotest.(list string) "text file" want (keys (keyed text));
+  check Alcotest.bool "a plain fold over a text file computes no key" true
+    (List.for_all (fun st -> Dptrace.Stream.key_memo st = None) (kept text))
 
 (* A resident corpus whose second stream takes the first's id: run_report
    and run_report_snap drop the repeat, as the screen does, so each id

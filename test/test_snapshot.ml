@@ -164,7 +164,9 @@ let test_stream_key_stable () =
   let keys = List.map Dptrace.Codec_v2.stream_key corpus.Corpus.streams in
   let path = "snapkey_corpus.dpf" in
   Dptrace.Codec_v2.save path corpus;
-  let loaded, _report = Dptrace.Codec_v2.load ~mode:`Strict path in
+  let loaded, _report =
+    Dptrace.Codec_v2.fold path ~step:(fun _ -> Dptrace.Codec_v2.frame_stream) ~consume:Option.some
+  in
   let keys' = List.map Dptrace.Codec_v2.stream_key loaded.Corpus.streams in
   check Alcotest.(list string) "keys survive encode/decode" keys keys';
   let distinct = List.sort_uniq compare keys in

@@ -340,7 +340,10 @@ let test_codec_errors () =
   expect_parse_error "dptrace 1\nstream 0\n";
   (* unterminated *)
   expect_parse_error "dptrace 1\nfrobnicate\n";
-  expect_parse_error "dptrace 1\nspec S 100 50\n" (* tfast > tslow *)
+  expect_parse_error "dptrace 1\nspec S 100 50\n";
+  (* tfast > tslow *)
+  expect_parse_error "dptrace 1\nstream 0\nend\nspec S 50 100\n"
+  (* a spec after a stream *)
 
 (* Fuzz safety: mutating a valid corpus text must either parse or raise
    Parse_error — never any other exception. *)

@@ -435,7 +435,11 @@ let test_monitor_views_match_resident () =
     | None ->
       let corpora =
         List.filteri (fun i _ -> i < tick) files
-        |> List.map (fun path -> fst (Dptrace.Codec_v2.load ~mode:`Strict path))
+        |> List.map (fun path ->
+               fst
+                 (Dptrace.Codec_v2.fold path
+                    ~step:(fun _ -> Dptrace.Codec_v2.frame_stream)
+                    ~consume:Option.some))
       in
       let corpus =
         Corpus.create
