@@ -1,5 +1,6 @@
 (* Incremental snapshot cache. See snapshot.mli for the contract and
-   DESIGN.md §11 for the format and the bit-identity argument. *)
+   DESIGN.md §11 for the format and the bit-identity argument. Cache
+   files are read through [Wire.window], the corpus fold's reader. *)
 
 module Stream = Dptrace.Stream
 module Scenario = Dptrace.Scenario
@@ -398,10 +399,12 @@ let entry_scenario_class ~id e name =
 (* --- cache files ---
 
    A cache file is read through one descriptor and never held whole:
-   [create] and [inspect] walk it front to back through a window, a hit
-   reads its record back with a positioned read, and [save] copies
-   loaded records through a window. Writers only rename over the path,
-   so an open descriptor's inode never changes under us. *)
+   [create] and [inspect] walk it front to back through a [Wire.window],
+   which clamps every length to the bytes the file has left before it
+   allocates, a hit reads its one record back with a locked positioned
+   read, and [save] copies loaded records through a window. Writers
+   only rename over the path, so an open descriptor's inode never
+   changes under us. *)
 
 type file = {
   fd : Unix.file_descr;
@@ -470,10 +473,10 @@ let open_file path =
     Gc.finalise close_file f;
     Some f
 
-(* Fill the first [len] bytes of [buf] from [f] at [pos]: the count
+(* Read [len] bytes from [f] at [pos] into [buf] at [off]: the count
    read, short at end of file or on an I/O error. A 0-byte read ends it,
    so a file truncated under us cannot make it spin. *)
-let pread f ~pos ~len buf =
+let pread f pos buf off len =
   Mutex.protect f.lock @@ fun () ->
   match Unix.lseek f.fd pos Unix.SEEK_SET with
   | exception Unix.Unix_error _ -> 0
@@ -481,46 +484,22 @@ let pread f ~pos ~len buf =
     let rec go n =
       if n = len then n
       else
-        match Unix.read f.fd buf n (len - n) with
+        match Unix.read f.fd buf (off + n) (len - n) with
         | 0 -> n
         | k -> go (n + k)
         | exception Unix.Unix_error _ -> n
     in
     go 0
 
-(* A window onto a file, read 64 KB at a time and grown only to the
-   largest record. *)
-type window = {
-  f : file;
-  mutable buf : Bytes.t;
-  mutable base : int;  (* the file offset of [buf]'s first byte *)
-  mutable lim : int;  (* the bytes of [buf] read *)
-}
-
-let window f = { f; buf = Bytes.create 65536; base = 0; lim = 0 }
-
-(* A cursor at file offset [pos] with the [n] bytes from it resident.
-   [n] is checked against the bytes the file has left before anything
-   is allocated for it. *)
-let window_at w pos n =
-  if n > w.f.size - pos then
-    Wire.corrupt "truncated input at byte %d (need %d more)" pos n;
-  if pos < w.base || pos + n > w.base + w.lim then begin
-    if n > Bytes.length w.buf then w.buf <- Bytes.create (max n (2 * Bytes.length w.buf));
-    w.base <- pos;
-    w.lim <- pread w.f ~pos ~len:(Bytes.length w.buf) w.buf;
-    if w.lim < n then Wire.corrupt "file cut at byte %d" (pos + w.lim)
-  end;
-  { Wire.data = Bytes.unsafe_to_string w.buf; pos = pos - w.base }
-
 (* A loaded entry with its record read back from the file into [buf
    e.len], a string of its own unless the caller lends a buffer; [None]
-   when it can no longer be read whole. *)
+   when it can no longer be read whole. A hit is one record at a
+   random offset, so it is read alone, not through a window. *)
 let read_back ?(buf = Bytes.create) t e =
   match t.file with
   | Some f when e.len <= f.size - e.at ->
     let b = buf e.len in
-    if pread f ~pos:e.at ~len:e.len b = e.len then
+    if pread f e.at b 0 e.len = e.len then
       Some { e with data = Bytes.unsafe_to_string b }
     else None
   | _ -> None
@@ -546,18 +525,24 @@ let walk f ~expect_fp ~feed =
   let ok = ref 0 and bad = ref 0 and in_order = ref true and last = ref None in
   let fp = ref "(unreadable)" in
   (try
-     let w = window f in
-     (* A string at [pos] and the offset after it. A length that runs
-        past the end of the file fails the next [window_at]. *)
-     let str pos =
-       let cur = window_at w pos (min 10 (f.size - pos)) in
-       let n = Wire.rv cur in
-       let pos = w.base + cur.Wire.pos in
-       let cur = window_at w pos n in
-       (Bytes.sub_string w.buf cur.Wire.pos n, pos + n)
+     let w = Wire.window ~size:f.size (pread f) in
+     (* A cursor at file offset [pos] with the [n] bytes from it
+        resident: a span that runs past the end of the file is damage. *)
+     let span pos n =
+       if Wire.fill w pos n < n then Wire.corrupt "cut at byte %d" pos;
+       Wire.at w pos
      in
-     let cur = window_at w 0 (String.length magic) in
-     if Bytes.sub_string w.buf cur.Wire.pos (String.length magic) <> magic then begin
+     (* A string at [pos] and the offset after it. *)
+     let str pos =
+       let cur = span pos (min 10 (f.size - pos)) in
+       let from = cur.Wire.pos in
+       let n = Wire.rv cur in
+       let pos = pos + cur.Wire.pos - from in
+       let cur = span pos n in
+       (String.sub cur.Wire.data cur.Wire.pos n, pos + n)
+     in
+     let cur = span 0 (String.length magic) in
+     if String.sub cur.Wire.data cur.Wire.pos (String.length magic) <> magic then begin
        fp := "(bad magic)";
        Wire.corrupt "bad snapshot magic"
      end;
@@ -570,19 +555,20 @@ let walk f ~expect_fp ~feed =
      while !pos < f.size do
        let start = !pos in
        let key, p = str start in
-       let cur = window_at w p 8 in
+       let cur = span p 8 in
        let elen = Wire.r32 cur in
        let stored = Wire.r32 cur in
        if elen > max_entry_len then
          Wire.corrupt "implausible entry length %d" elen;
-       let cur = window_at w (p + 8) elen in
+       let cur = span (p + 8) elen in
        let off = cur.Wire.pos in
        pos := p + 8 + elen;
        if Some key <= !last then in_order := false;
        last := Some key;
-       if Dputil.Crc32.bytes_sub w.buf ~pos:off ~len:elen <> stored then incr bad
+       if Wire.crc cur elen <> stored then incr bad
        else begin
-         let rel (name, o, c) = (name, w.base + o - start, c) in
+         let shift = p + 8 - off - start in
+         let rel (name, o, c) = (name, o + shift, c) in
          match read_entry ~build:false cur with
          | sections when cur.Wire.pos = off + elen ->
            feed
@@ -631,17 +617,18 @@ let write_records t oc =
   Wire.wstr header t.fp;
   output_string oc magic;
   Buffer.output_buffer oc header;
-  let w = Option.map window t.file in
+  let w = Option.map (fun f -> Wire.window ~size:f.size (pread f)) t.file in
   let write key =
     let e = Hashtbl.find t.entries key in
     let written = { e with data = ""; at = pos_out oc } in
     match (e.data, w) with
-    | "", Some w -> (
-      match window_at w e.at e.len with
-      | cur ->
-        output oc w.buf cur.Wire.pos e.len;
+    | "", Some w ->
+      if Wire.fill w e.at e.len < e.len then None
+      else begin
+        let cur = Wire.at w e.at in
+        output_substring oc cur.Wire.data cur.Wire.pos e.len;
         Some written
-      | exception Wire.Corrupt _ -> None)
+      end
     | data, _ ->
       output_string oc data;
       Some written

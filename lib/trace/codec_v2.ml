@@ -324,243 +324,169 @@ let save ?pool path c =
     ~finally:(fun () -> close_out oc)
     (fun () -> emit ?pool (output_string oc) c)
 
-(* --- buffered source: a channel or a string, with bounded lookahead ---
-
-   The reader never materialises more than one frame (plus a refill
-   chunk): ingestion memory is bounded by the largest single frame, not
-   by the corpus. *)
-
-type src = {
-  refill : Bytes.t -> int -> int -> int;
-  mutable buf : Bytes.t;
-  mutable pos : int;  (* next unread byte in [buf] *)
-  mutable lim : int;  (* end of valid data in [buf] *)
-  mutable base : int;  (* absolute file offset of [buf.[0]] *)
-  mutable eof : bool;
-}
-
-let src_of_channel ic =
-  {
-    refill = input ic;
-    buf = Bytes.create 65536;
-    pos = 0;
-    lim = 0;
-    base = 0;
-    eof = false;
-  }
-
-let src_of_string s =
-  {
-    refill = (fun _ _ _ -> 0);
-    buf = Bytes.of_string s;
-    pos = 0;
-    lim = String.length s;
-    base = 0;
-    eof = true;
-  }
-
-let available src = src.lim - src.pos
-let offset src = src.base + src.pos
-
-let compact src =
-  if src.pos > 0 then begin
-    let n = available src in
-    Bytes.blit src.buf src.pos src.buf 0 n;
-    src.base <- src.base + src.pos;
-    src.pos <- 0;
-    src.lim <- n
-  end
-
-(* Make [n] bytes available at the head if the input has them; returns
-   the available count, < [n] only at end of input. *)
-let fill src n =
-  if available src < n then begin
-    compact src;
-    if n > Bytes.length src.buf then begin
-      let fresh = Bytes.create (max n (2 * Bytes.length src.buf)) in
-      Bytes.blit src.buf 0 fresh 0 src.lim;
-      src.buf <- fresh
-    end;
-    while (not src.eof) && src.lim < n do
-      let k = src.refill src.buf src.lim (Bytes.length src.buf - src.lim) in
-      if k = 0 then src.eof <- true else src.lim <- src.lim + k
-    done
-  end;
-  available src
-
-let head_matches_marker src =
-  (* caller has filled >= 4 *)
-  Bytes.get src.buf src.pos = marker.[0]
-  && Bytes.get src.buf (src.pos + 1) = marker.[1]
-  && Bytes.get src.buf (src.pos + 2) = marker.[2]
-  && Bytes.get src.buf (src.pos + 3) = marker.[3]
-
-(* Advance to the next occurrence of the frame marker (possibly the
-   current head); false when the input ends first. *)
-let scan_to_marker src =
-  let continue = ref true and found = ref false in
-  while !continue do
-    if fill src 4 < 4 then continue := false
-    else begin
-      let i = ref src.pos in
-      let limit = src.lim - 4 in
-      while (not !found) && !i <= limit do
-        if
-          Bytes.get src.buf !i = marker.[0]
-          && Bytes.get src.buf (!i + 1) = marker.[1]
-          && Bytes.get src.buf (!i + 2) = marker.[2]
-          && Bytes.get src.buf (!i + 3) = marker.[3]
-        then found := true
-        else incr i
-      done;
-      if !found then begin
-        src.pos <- !i;
-        continue := false
-      end
-      else begin
-        (* Keep the last 3 bytes: the marker may straddle the refill. *)
-        src.pos <- src.lim - 3;
-        if src.eof then continue := false
-        else ignore (fill src (available src + 1))
-      end
-    end
-  done;
-  !found
-
 (* --- frame-level reader ---
 
-   Walks the file frame by frame, verifying checksums. [f] sees only
+   Walks the file frame by frame through a [Wire.window], verifying
+   checksums, at an absolute offset [pos]. The window holds one frame
+   (plus a refill chunk), and a frame's length is clamped to the bytes
+   the file has left before the window grows for it: ingestion memory is
+   bounded by the largest frame the file really holds. [f] sees only
    checksum-verified frames. In [`Recover] mode, framing damage and
    exceptions raised by [f] become diagnostics and the walk
    resynchronises on the next marker; in [`Strict] mode they raise.
    Returns (diagnostics in file order, frames seen, end offset). *)
 
-let iter_frames mode src ~f =
+let marker_at data i =
+  data.[i] = marker.[0]
+  && data.[i + 1] = marker.[1]
+  && data.[i + 2] = marker.[2]
+  && data.[i + 3] = marker.[3]
+
+(* Whether a frame marker lies at or after [pos], and the offset of the
+   first one, or where the scan stopped when the file ends first (its
+   last 3 bytes, which could begin a marker). *)
+let rec scan_to_marker w pos =
+  let n = fill w pos 65536 in
+  if n < 4 then (false, pos)
+  else begin
+    let cur = at w pos in
+    let rec find i =
+      if i > cur.pos + n - 4 then None
+      else if marker_at cur.data i then Some i
+      else find (i + 1)
+    in
+    match find cur.pos with
+    | Some i -> (true, pos + i - cur.pos)
+    | None when n < 65536 -> (false, pos + n - 3)
+    | None -> scan_to_marker w (pos + n - 3)
+  end
+
+let iter_frames mode w ~f =
   let diags = ref [] in
   let diag ~frame ~offset fmt =
     Format.kasprintf
       (fun reason -> diags := { frame; offset; reason } :: !diags)
       fmt
   in
+  let pos = ref 0 in
+  (* Move to the next marker at or after [from]; false when none is left. *)
+  let resync from =
+    let found, p = scan_to_marker w from in
+    pos := p;
+    found
+  in
   let magic_ok =
-    let have = fill src 5 in
-    if have >= 5 && Bytes.sub_string src.buf src.pos 5 = magic then begin
-      src.pos <- src.pos + 5;
+    let have = fill w 0 5 in
+    let cur = at w 0 in
+    let head = String.sub cur.data cur.pos have in
+    if head = magic then begin
+      pos := 5;
       true
     end
     else
       match mode with
       | `Strict ->
         if have < 5 then corrupt "not a v2 corpus: shorter than the magic"
-        else
-          corrupt "not a v2 corpus: bad magic %S"
-            (Bytes.sub_string src.buf src.pos 5)
+        else corrupt "not a v2 corpus: bad magic %S" head
       | `Recover ->
         (* A flipped byte in the magic must not discard an otherwise
            intact file: diagnose and resynchronise on the first frame
            marker (the header frame sits right behind the magic). *)
         diag ~frame:0 ~offset:0 "bad file magic";
-        scan_to_marker src
+        resync 0
   in
   let idx = ref 0 in
   let continue = ref magic_ok in
   while !continue do
-    if fill src 1 = 0 then continue := false (* clean EOF *)
+    let off = !pos in
+    let have = fill w off 13 in
+    let head = at w off in
+    if have = 0 then continue := false (* clean EOF *)
+    else if have < 13 then begin
+      match mode with
+      | `Strict -> corrupt "truncated frame header at byte %d" off
+      | `Recover ->
+        diag ~frame:!idx ~offset:off "truncated frame header (%d bytes)" have;
+        pos := off + have;
+        continue := false
+    end
+    else if not (marker_at head.data head.pos) then begin
+      match mode with
+      | `Strict -> corrupt "bad frame marker at byte %d" off
+      | `Recover ->
+        let resynced = resync (off + 1) in
+        diag ~frame:!idx ~offset:off "skipped %d bytes of garbage" (!pos - off);
+        if not resynced then continue := false
+    end
     else begin
-      let off = offset src in
-      let have = fill src 13 in
-      if have < 13 then begin
+      head.pos <- head.pos + 4;
+      let kind = Char.chr (r8 head) in
+      let len = r32 head in
+      let stored = r32 head in
+      if not (kind = 'H' || kind = 'S' || kind = 'E') then begin
         match mode with
-        | `Strict -> corrupt "truncated frame header at byte %d" off
+        | `Strict -> corrupt "unknown frame kind %C at byte %d" kind off
         | `Recover ->
-          diag ~frame:!idx ~offset:off "truncated frame header (%d bytes)" have;
-          src.pos <- src.lim;
-          continue := false
+          diag ~frame:!idx ~offset:off "unknown frame kind %C" kind;
+          if not (resync (off + 4)) then continue := false
       end
-      else if not (head_matches_marker src) then begin
+      else if len > max_frame_len then begin
         match mode with
-        | `Strict -> corrupt "bad frame marker at byte %d" off
+        | `Strict -> corrupt "implausible frame length %d at byte %d" len off
         | `Recover ->
-          src.pos <- src.pos + 1;
-          let resynced = scan_to_marker src in
-          diag ~frame:!idx ~offset:off "skipped %d bytes of garbage"
-            (offset src - off);
-          if not resynced then continue := false
+          diag ~frame:!idx ~offset:off "implausible frame length %d" len;
+          if not (resync (off + 4)) then continue := false
       end
       else begin
-        let head = cursor (Bytes.sub_string src.buf (src.pos + 4) 9) in
-        let kind = Char.chr (r8 head) in
-        let len = r32 head in
-        let stored = r32 head in
-        if not (kind = 'H' || kind = 'S' || kind = 'E') then begin
+        let start = off + 13 in
+        let have = fill w start len in
+        if have < len then begin
           match mode with
-          | `Strict -> corrupt "unknown frame kind %C at byte %d" kind off
+          | `Strict ->
+            corrupt "frame %d at byte %d: truncated payload (need %d, have %d)"
+              !idx off len have
           | `Recover ->
-            diag ~frame:!idx ~offset:off "unknown frame kind %C" kind;
-            src.pos <- src.pos + 4;
-            if not (scan_to_marker src) then continue := false
-        end
-        else if len > max_frame_len then begin
-          match mode with
-          | `Strict -> corrupt "implausible frame length %d at byte %d" len off
-          | `Recover ->
-            diag ~frame:!idx ~offset:off "implausible frame length %d" len;
-            src.pos <- src.pos + 4;
-            if not (scan_to_marker src) then continue := false
+            diag ~frame:!idx ~offset:off "truncated payload (need %d, have %d)"
+              len have;
+            pos := start + have;
+            continue := false
         end
         else begin
-          src.pos <- src.pos + 13;
-          if fill src len < len then begin
+          let body = at w start in
+          let crc = Wire.crc ~crc:(Dputil.Crc32.string (String.make 1 kind)) body len in
+          if crc <> stored then begin
+            let frame = !idx in
+            incr idx;
             match mode with
-            | `Strict ->
-              corrupt "frame %d at byte %d: truncated payload (need %d, have %d)"
-                !idx off len (available src)
+            | `Strict -> corrupt "frame %d at byte %d: checksum mismatch" frame off
             | `Recover ->
-              diag ~frame:!idx ~offset:off "truncated payload (need %d, have %d)"
-                len (available src);
-              src.pos <- src.lim;
-              continue := false
+              diag ~frame ~offset:off "checksum mismatch";
+              (* Rescan from the payload start: if the length field was
+                 the corrupt part, the next real frame may begin inside
+                 what it claimed as payload. *)
+              if not (resync start) then continue := false
           end
           else begin
-            let crc =
-              Dputil.Crc32.bytes_sub
-                ~crc:(Dputil.Crc32.string (String.make 1 kind))
-                src.buf ~pos:src.pos ~len
-            in
-            if crc <> stored then begin
-              let frame = !idx in
-              incr idx;
-              match mode with
-              | `Strict -> corrupt "frame %d at byte %d: checksum mismatch" frame off
-              | `Recover ->
-                diag ~frame ~offset:off "checksum mismatch";
-                (* Rescan from the payload start: if the length field was
-                   the corrupt part, the next real frame may begin inside
-                   what it claimed as payload. *)
-                if not (scan_to_marker src) then continue := false
-            end
-            else begin
-              let payload = Bytes.sub_string src.buf src.pos len in
-              src.pos <- src.pos + len;
-              let frame = !idx in
-              incr idx;
-              match f ~frame ~offset:off ~crc kind payload with
-              | () -> ()
-              | exception Corrupt m ->
-                (match mode with
-                | `Strict -> raise (Corrupt m)
-                | `Recover -> diag ~frame ~offset:off "%s" m)
-            end
+            let payload = String.sub body.data body.pos len in
+            pos := start + len;
+            let frame = !idx in
+            incr idx;
+            match f ~frame ~offset:off ~crc kind payload with
+            | () -> ()
+            | exception Corrupt m ->
+              (match mode with
+              | `Strict -> raise (Corrupt m)
+              | `Recover -> diag ~frame ~offset:off "%s" m)
           end
         end
       end
     end
   done;
   if Dpobs.metrics_on () then begin
-    Dpobs.Metrics.add (bytes_read_c ()) (offset src);
+    Dpobs.Metrics.add (bytes_read_c ()) !pos;
     Dpobs.Metrics.add (frames_read_c ()) !idx
   end;
-  (List.rev !diags, !idx, offset src)
+  (List.rev !diags, !idx, !pos)
 
 (* Trailer accounting: a strict load must end on a trailer whose count
    matches; a recovering one records the mismatch as a diagnostic. *)
@@ -647,7 +573,14 @@ let frame_skeleton = function
    and results held at once, and every pool size yields the same
    results in the same order. The header must be frame 0, so every
    stream is stepped under the specs the corpus ends up with. *)
-let fold_src mode pool src ~step ~consume =
+let fold ?(mode = `Strict) ?pool ~step ~consume path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  let read pos buf off len =
+    seek_in ic pos;
+    input ic buf off len
+  in
+  let w = window ~size:(in_channel_length ic) read in
   Dpobs.Span.with_span "codec_v2.decode" @@ fun () ->
   let specs = ref [] and declared = ref None in
   let kept = ref [] and delivered = ref 0 and late = ref [] in
@@ -669,7 +602,7 @@ let fold_src mode pool src ~step ~consume =
   let framed = ref ([], 0, 0) in
   Dppar.Pool.iter_batched ?pool decode deliver (fun push ->
       framed :=
-        iter_frames mode src ~f:(fun ~frame ~offset ~crc kind payload ->
+        iter_frames mode w ~f:(fun ~frame ~offset ~crc kind payload ->
             match kind with
             | 'H' when frame = 0 -> specs := decode_header payload
             | 'H' ->
@@ -690,14 +623,3 @@ let fold_src mode pool src ~step ~consume =
     Dpobs.Metrics.add (frames_dropped_c ()) (List.length diags);
   ( Corpus.create ~streams:(List.rev !kept) ~specs:!specs,
     { frames; streams = !delivered; dropped = diags } )
-
-let fold ?(mode = `Strict) ?pool ~step ~consume path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> fold_src mode pool ~step ~consume (src_of_channel ic))
-
-let keep _ = frame_stream
-
-let decode ?(mode = `Strict) ?pool data =
-  fold_src mode pool ~step:keep ~consume:Option.some (src_of_string data)

@@ -8,7 +8,9 @@
     trace stream in its own length-prefixed, CRC32-checksummed frame, so
     a reader holds one frame at a time, frames decode in parallel on a
     {!Dppar.Pool}, and a corrupt frame costs exactly the stream it
-    contains.
+    contains. A file is read through a {!Wire.window}, which clamps a
+    frame's length to the bytes the file has left before it allocates,
+    so a damaged length field costs no more memory than the file.
 
     On-disk layout ([u32] is {!Wire.w32}; [v]/[str] are the LEB128
     varint and length-prefixed string of {!Wire}):
@@ -123,7 +125,10 @@ val fold :
     [consume] on the calling domain, in file order. The returned corpus
     holds the header's specs and the streams [consume] returned, in file
     order: a {!Stream.skeleton} keeps it small, [None] keeps nothing. The
-    report's [streams] counts every stream handed to [consume]. Results
+    report's [streams] counts every stream handed to [consume]. The
+    file is read as long as it was when opened; a frame longer than the
+    bytes left is refused ([truncated payload]) without allocating its
+    length. Results
     are identical for every pool size. Under [`Recover], a stream frame
     that fails to parse or validate in [step] is dropped with its
     diagnostic and never reaches [consume].
@@ -131,18 +136,13 @@ val fold :
     after earlier streams were consumed
     @raise Sys_error if the file cannot be opened. *)
 
-val decode : ?mode:mode -> ?pool:Dppar.Pool.t -> string -> Corpus.t * report
-(** {!fold} over a string, with a [step] that decodes each stream whole.
-    A file is loaded whole by {!Corpus_dir.load}.
-    @raise Wire.Corrupt in [`Strict] mode on any corruption *)
-
 (** {1 Stream content identity} *)
 
 val stream_key : Stream.t -> string
 (** The stream's content identity: the CRC-32 and byte length of its 'S'
     frame, as ["%08x-%d"] — exactly what the frame envelope stores on
-    disk. Streams decoded by {!fold}/{!decode} carry the
-    key already (captured from the verified frame checksum, via
+    disk. Streams decoded by {!fold} carry the key
+    already (captured from the verified frame checksum, via
     {!Stream.key_memo}); for any other stream the payload is re-encoded
     once here and the key memoised. Two streams share a key iff their
     serialised content is identical, which is what makes it safe as a

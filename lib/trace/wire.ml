@@ -89,3 +89,55 @@ let r32 cur =
   let v = Int32.to_int (String.get_int32_le cur.data cur.pos) land 0xffff_ffff in
   cur.pos <- cur.pos + 4;
   v
+
+let crc ?crc cur n =
+  Dputil.Crc32.bytes_sub ?crc (Bytes.unsafe_of_string cur.data) ~pos:cur.pos ~len:n
+
+(* --- a window onto a file --- *)
+
+type window = {
+  size : int;
+  read : int -> Bytes.t -> int -> int -> int;
+  mutable buf : Bytes.t;
+  mutable base : int;  (* the file offset of [buf]'s first byte *)
+  mutable lim : int;  (* the bytes of [buf] read *)
+}
+
+let window ~size read =
+  { size; read; buf = Bytes.create (Int.min 65536 size); base = 0; lim = 0 }
+
+(* Read behind the resident bytes until [n] of them are there, or the
+   file ends, asking for up to [want]. *)
+let rec read_to w n want =
+  if w.lim < n then
+    match w.read (w.base + w.lim) w.buf w.lim (want - w.lim) with
+    | 0 -> ()
+    | k ->
+      w.lim <- w.lim + k;
+      read_to w n want
+
+(* Keep the resident bytes from [pos] on, then read behind them up to
+   the buffer's end, or at least to [n]. *)
+let refill w pos n =
+  let keep = if pos >= w.base then Int.max 0 (w.base + w.lim - pos) else 0 in
+  let buf =
+    if n <= Bytes.length w.buf then w.buf
+    else Bytes.create (Int.max n (Int.min (2 * Bytes.length w.buf) w.size))
+  in
+  if keep > 0 then Bytes.blit w.buf (pos - w.base) buf 0 keep;
+  w.buf <- buf;
+  w.base <- pos;
+  w.lim <- keep;
+  read_to w n (Int.min (Bytes.length buf) (w.size - pos))
+
+(* [n] is clamped to the bytes the file has left before anything is
+   allocated for it. *)
+let fill w pos n =
+  let n = Int.min n (w.size - pos) in
+  if n <= 0 then 0
+  else begin
+    if pos < w.base || pos + n > w.base + w.lim then refill w pos n;
+    Int.min n (w.base + w.lim - pos)
+  end
+
+let at w pos = { data = Bytes.unsafe_to_string w.buf; pos = pos - w.base }

@@ -60,3 +60,32 @@ val rlist : cursor -> (cursor -> 'a) -> 'a list
 val r32 : cursor -> int
 (** Inverse of {!w32}: an unsigned value in [0, 2{^32}).
     @raise Corrupt on truncation. *)
+
+val crc : ?crc:int -> cursor -> int -> int
+(** [crc cur n] is the {!Dputil.Crc32} of the [n] bytes at [cur],
+    chained onto [crc]; the cursor does not move. *)
+
+(** {1 Reading a file through a window}
+
+    The one buffered reader of the framed file formats (the v2 corpus
+    and the snapshot cache): a buffer over a file of known size that
+    starts at 64 KB (or the file's size, if smaller) and grows only to
+    the largest span asked for, never past the file's size. *)
+
+type window
+
+val window : size:int -> (int -> Bytes.t -> int -> int -> int) -> window
+(** [window ~size read] reads a file of [size] bytes, where
+    [read pos buf off len] reads up to [len] bytes from file offset
+    [pos] into [buf] at [off] and returns the count, 0 at end of file. *)
+
+val fill : window -> int -> int -> int
+(** [fill w pos n] makes up to [n] bytes from file offset [pos]
+    resident and returns how many are: [n] clamped to the bytes the file
+    has left, which is checked before the buffer grows, or fewer if the
+    file is cut under the reader. A short count is for the caller to
+    judge. *)
+
+val at : window -> int -> cursor
+(** A cursor at file offset [pos], which the last {!fill} made resident;
+    valid until the next {!fill}. *)

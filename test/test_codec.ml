@@ -164,12 +164,12 @@ let test_huge_length_refused () =
    recovery drops the stream and says why. *)
 let expect_stream_refused what payload =
   let data = V2_frames.corpus_of_stream_payload payload in
-  (match V2.decode data with
+  (match V2_frames.decode data with
   | exception Wire.Corrupt _ -> ()
   | c, _ ->
     Alcotest.failf "%s: accepted %d stream(s)" what
       (List.length c.Corpus.streams));
-  let c, report = V2.decode ~mode:`Recover data in
+  let c, report = V2_frames.decode ~mode:`Recover data in
   check Alcotest.int (what ^ ": recovered streams") 0
     (List.length c.Corpus.streams);
   check Alcotest.bool (what ^ ": diagnosed") true (report.V2.dropped <> [])
@@ -220,20 +220,20 @@ let test_binary_hostile_names_roundtrip () =
       ~specs:[ Dptrace.Scenario.spec ~name:"Open Doc" ~tfast:1 ~tslow:2 ]
   in
   check Alcotest.bool "framed v2" true
-    (corpus_equal c (fst (V2.decode (V2.encode c))))
+    (corpus_equal c (fst (V2_frames.decode (V2.encode c))))
 
 let prop_codec_roundtrip_any_seed =
   QCheck.Test.make ~name:"v2 round-trip generated corpora" ~count:10
     QCheck.small_int (fun seed ->
       let c = gen_corpus ~scale:0.01 ~seed () in
-      text_of (fst (V2.decode (V2.encode c))) = text_of c)
+      text_of (fst (V2_frames.decode (V2.encode c))) = text_of c)
 
 (* --- framed v2 --- *)
 
 let test_v2_roundtrip () =
   let c = gen_corpus () in
   let encoded = V2.encode c in
-  let decoded, report = V2.decode encoded in
+  let decoded, report = V2_frames.decode encoded in
   check Alcotest.string "text-identical" (text_of c) (text_of decoded);
   check Alcotest.int "no drops" 0 (List.length report.V2.dropped);
   check Alcotest.int "streams" (List.length c.Corpus.streams) report.V2.streams;
@@ -246,7 +246,7 @@ let test_v2_magic () =
   check Alcotest.string "magic" V2.magic (String.sub encoded 0 5)
 
 let expect_v2_corrupt what data =
-  match V2.decode data with
+  match V2_frames.decode data with
   | exception Wire.Corrupt _ -> ()
   | _ -> Alcotest.failf "%s: expected Corrupt" what
 
@@ -288,7 +288,7 @@ let test_v2_single_bad_frame_recovery () =
     (Char.chr (Char.code (Bytes.get b (payload + (len / 2))) lxor 0x01));
   let corrupted = Bytes.to_string b in
   expect_v2_corrupt "strict refuses" corrupted;
-  let recovered, report = V2.decode ~mode:`Recover corrupted in
+  let recovered, report = V2_frames.decode ~mode:`Recover corrupted in
   (* The diagnostic names the damaged frame and its offset. *)
   (match report.V2.dropped with
   | d :: _ ->
@@ -334,12 +334,12 @@ let prop_v2_bit_flip =
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip));
       let data = Bytes.to_string b in
       let strict_ok =
-        match V2.decode data with
-        | decoded, _ -> text_of (fst (V2.decode base)) = text_of decoded
+        match V2_frames.decode data with
+        | decoded, _ -> text_of (fst (V2_frames.decode base)) = text_of decoded
         | exception Wire.Corrupt _ -> true
       in
       let recover_ok =
-        let c, report = V2.decode ~mode:`Recover data in
+        let c, report = V2_frames.decode ~mode:`Recover data in
         List.for_all
           (fun st -> Dptrace.Validate.check st = [])
           c.Corpus.streams
@@ -352,8 +352,8 @@ let test_v2_pooled_load_identical () =
   Dppar.Pool.with_pool ~domains:2 @@ fun pool ->
   check Alcotest.bool "pooled encode identical" true
     (V2.encode ~pool c = V2.encode c);
-  let seq, _ = V2.decode (V2.encode c) in
-  let par, _ = V2.decode ~pool (V2.encode c) in
+  let seq, _ = V2_frames.decode (V2.encode c) in
+  let par, _ = V2_frames.decode ~pool (V2.encode c) in
   check Alcotest.string "pooled decode identical" (text_of seq) (text_of par);
   (* Recovery parity: pooled and sequential agree on survivors and
      diagnostics. *)
@@ -361,8 +361,8 @@ let test_v2_pooled_load_identical () =
   Bytes.set b (Bytes.length b / 2)
     (Char.chr (Char.code (Bytes.get b (Bytes.length b / 2)) lxor 0xff));
   let data = Bytes.to_string b in
-  let cs, rs = V2.decode ~mode:`Recover data in
-  let cp, rp = V2.decode ~mode:`Recover ~pool data in
+  let cs, rs = V2_frames.decode ~mode:`Recover data in
+  let cp, rp = V2_frames.decode ~mode:`Recover ~pool data in
   check Alcotest.string "pooled recovery streams" (text_of cs) (text_of cp);
   check Alcotest.bool "pooled recovery diagnostics" true
     (rs.V2.dropped = rp.V2.dropped && rs.V2.frames = rp.V2.frames)
@@ -385,7 +385,7 @@ let test_v2_frames_dropped_counter () =
   let counter = Dpobs.Metrics.counter "codec_v2.frames_dropped" in
   let dropped_delta ?pool () =
     let before = Dpobs.Metrics.counter_value counter in
-    let _, report = V2.decode ~mode:`Recover ?pool data in
+    let _, report = V2_frames.decode ~mode:`Recover ?pool data in
     (List.length report.V2.dropped, Dpobs.Metrics.counter_value counter - before)
   in
   Dpobs.enable ~spans:false ~metrics:true ();
@@ -426,10 +426,10 @@ let stacks_shared (c : Corpus.t) =
 let test_decoded_stacks_shared () =
   let c = gen_corpus () in
   let encoded = V2.encode c in
-  check Alcotest.bool "v2, sequential" true (stacks_shared (fst (V2.decode encoded)));
+  check Alcotest.bool "v2, sequential" true (stacks_shared (fst (V2_frames.decode encoded)));
   Dppar.Pool.with_pool ~domains:2 (fun pool ->
       check Alcotest.bool "v2, 2-domain pool" true
-        (stacks_shared (fst (V2.decode ~pool encoded))));
+        (stacks_shared (fst (V2_frames.decode ~pool encoded))));
   check Alcotest.bool "text" true (stacks_shared (Codec.corpus_of_string (text_of c)))
 
 let contains haystack needle =
@@ -460,12 +460,12 @@ let test_v2_count_bounded_by_remaining () =
   let data =
     V2_frames.corpus_of_stream_payload (head ^ Buffer.contents count ^ rest)
   in
-  (match V2.decode data with
+  (match V2_frames.decode data with
   | exception Wire.Corrupt m ->
     check Alcotest.bool ("strict: count refused: " ^ m) true
       (contains m "element count")
   | _ -> Alcotest.fail "strict: accepted the count");
-  let c, report = V2.decode ~mode:`Recover data in
+  let c, report = V2_frames.decode ~mode:`Recover data in
   check Alcotest.int "recover: frame dropped" 0 (List.length c.Corpus.streams);
   check Alcotest.bool "recover: count diagnosed" true
     (List.exists (fun d -> contains d.V2.reason "element count") report.V2.dropped)
@@ -539,12 +539,12 @@ let test_v2_header_is_frame_zero () =
             (before @ [ stray ] @ List.filteri (fun i _ -> i >= at) frames)
       in
       let what = Printf.sprintf "header copy at frame %d" at in
-      (match V2.decode data with
+      (match V2_frames.decode data with
       | exception Wire.Corrupt m ->
         check Alcotest.bool (what ^ ": strict names the header: " ^ m) true
           (contains m "header")
       | _ -> Alcotest.failf "%s: strict accepted it" what);
-      let recovered, report = V2.decode ~mode:`Recover data in
+      let recovered, report = V2_frames.decode ~mode:`Recover data in
       check Alcotest.string (what ^ ": recover keeps frame-0 specs and streams")
         (text_of c) (text_of recovered);
       match report.V2.dropped with
@@ -556,12 +556,63 @@ let test_v2_header_is_frame_zero () =
       | ds -> Alcotest.failf "%s: %d diagnostics" what (List.length ds))
     [ 1; 3 ]
 
+(* Words allocated by [f ()] on this domain, minor and major. *)
+let words_allocated f =
+  let total () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = total () in
+  let r = f () in
+  (r, total () -. before)
+
+(* A stream frame whose length field claims far more bytes than the file
+   has: both modes name the frame with the same reason, and the reader
+   allocates for the bytes the file holds, not for the claim. *)
+let test_v2_overlong_frame_bounded () =
+  let base = V2.encode (gen_corpus ~scale:0.005 ()) in
+  let off, payload, _ = List.nth (V2_frames.frame_spans base) 1 in
+  let claim = 200 * 1024 * 1024 in
+  let b = Bytes.of_string base in
+  Bytes.set_int32_le b (off + 5) (Int32.of_int claim);
+  let size = Bytes.length b in
+  let reason =
+    Printf.sprintf "truncated payload (need %d, have %d)" claim (size - payload)
+  in
+  (* Four times the file's bytes, in words. *)
+  let bound = 4. *. float_of_int size /. float_of_int (Sys.word_size / 8) in
+  V2_frames.with_file (Bytes.to_string b) @@ fun path ->
+  (* The first fold of a run pays one-off initialisation. *)
+  (try ignore (V2_frames.load path) with Wire.Corrupt _ -> ());
+  let strict, words =
+    words_allocated (fun () ->
+        match V2_frames.load path with
+        | exception Wire.Corrupt m -> m
+        | _ -> Alcotest.fail "strict: accepted an overlong frame")
+  in
+  check Alcotest.string "strict message"
+    (Printf.sprintf "frame 1 at byte %d: %s" off reason)
+    strict;
+  if words > bound then
+    Alcotest.failf "strict: %.0f words allocated for a %d-byte file" words size;
+  let (c, report), words =
+    words_allocated (fun () -> V2_frames.load ~mode:`Recover path)
+  in
+  check Alcotest.int "recover: no stream" 0 (List.length c.Corpus.streams);
+  (match report.V2.dropped with
+  | d :: _ ->
+    check Alcotest.(triple int int string) "recover diagnostic" (1, off, reason)
+      (d.V2.frame, d.V2.offset, d.V2.reason)
+  | [] -> Alcotest.fail "recover: no diagnostic");
+  if words > bound then
+    Alcotest.failf "recover: %.0f words allocated for a %d-byte file" words size
+
 let test_v2_save_load () =
   let c = gen_corpus ~scale:0.01 () in
   let path = Filename.temp_file "driveperf" ".dpf" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   V2.save path c;
-  let loaded, report = V2.fold path ~step:(fun _ -> V2.frame_stream) ~consume:Option.some in
+  let loaded, report = V2_frames.load path in
   check Alcotest.string "load round trip" (text_of c) (text_of loaded);
   check Alcotest.int "clean" 0 (List.length report.V2.dropped)
 
@@ -610,6 +661,8 @@ let () =
           Alcotest.test_case "header is frame 0" `Quick
             test_v2_header_is_frame_zero;
           Alcotest.test_case "save/load" `Quick test_v2_save_load;
+          Alcotest.test_case "overlong frame allocates for the file" `Quick
+            test_v2_overlong_frame_bounded;
           Alcotest.test_case "frames_dropped counts each drop" `Quick
             test_v2_frames_dropped_counter;
           Alcotest.test_case "count bounded by the bytes left" `Quick

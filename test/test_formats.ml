@@ -201,7 +201,7 @@ let prop_etw_mutation_safety =
 (* --- binary codec --- *)
 
 let text_of c = Dptrace.Codec.corpus_to_string c
-let roundtrip c = fst (V2.decode (V2.encode c))
+let roundtrip c = fst (V2_frames.decode (V2.encode c))
 
 let test_binary_roundtrip_small () =
   let case = Dpworkload.Motivating_case.build () in
@@ -225,7 +225,7 @@ let test_binary_smaller_than_text () =
   check Alcotest.bool "at least 3x smaller" true (bin * 3 < text)
 
 let expect_corrupt data =
-  match V2.decode data with
+  match V2_frames.decode data with
   | exception Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "expected Corrupt"
 
@@ -266,8 +266,8 @@ let prop_binary_mutation_safety =
       Bytes.set b (payload + (pos_seed mod len)) (Char.chr byte);
       V2_frames.reseal b ~payload ~len;
       let data = Bytes.to_string b in
-      (match V2.decode data with _ -> true | exception Wire.Corrupt _ -> true)
-      && (ignore (V2.decode ~mode:`Recover data); true))
+      (match V2_frames.decode data with _ -> true | exception Wire.Corrupt _ -> true)
+      && (ignore (V2_frames.decode ~mode:`Recover data); true))
 
 (* The binary v1 container is retired: its magic is no corpus magic, and
    its extension no corpus name. *)

@@ -1051,7 +1051,7 @@ let test_fold_recover () =
     Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
     Bytes.to_string b
   in
-  let recovered, _ = Dptrace.Codec_v2.decode ~mode:`Recover damaged in
+  let recovered, _ = V2_frames.decode ~mode:`Recover damaged in
   check Alcotest.int "two frames dropped" 2
     (List.length corpus.Corpus.streams - List.length recovered.Corpus.streams);
   let fresh = Pipeline.run_report components recovered in

@@ -368,7 +368,7 @@ let test_codec_rejects_spacey_names () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument");
   (* The framed binary codec handles them fine. *)
-  let roundtripped, _ = Dptrace.Codec_v2.decode (Dptrace.Codec_v2.encode c) in
+  let roundtripped, _ = V2_frames.decode (Dptrace.Codec_v2.encode c) in
   check Alcotest.string "binary keeps the name" "has space"
     (Stream.thread_name (List.hd roundtripped.Corpus.streams) 1)
 

@@ -43,3 +43,17 @@ let corpus_of_stream_payload payload =
 let reseal b ~payload ~len =
   Bytes.set_int32_le b (payload - 4)
     (Int32.of_int (crc "S" (Bytes.sub_string b payload len)))
+
+(* [f] on a temporary file holding [data]. *)
+let with_file data f =
+  let path = Filename.temp_file "v2frames" ".dpf" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+  f path
+
+(* The framed file at [path], folded with each stream decoded whole. *)
+let load ?mode ?pool path =
+  V2.fold ?mode ?pool ~step:(fun _ -> V2.frame_stream) ~consume:Option.some path
+
+(* [data] read the only way the codec reads: from a file. *)
+let decode ?mode ?pool data = with_file data (load ?mode ?pool)
