@@ -516,13 +516,20 @@ let lend n =
 (* Walk one cache file, handing [feed] every record whose checksum holds
    and whose payload reads, without [build], to exactly its length.
    Per-record containment: a checksum-failing or undecodable record is
-   skipped (counted corrupt) and the walk continues at the next record;
-   damaged framing (implausible length) abandons the remainder of the
-   file. The result is [(fp, ok, bad, in_order)]: the fingerprint read
-   (or a placeholder), and [in_order] when the keys come in the order
-   [save] writes them, each once. Never raises. *)
+   skipped and the walk continues at the next record; damaged framing
+   (implausible length) abandons the remainder of the file. [bad]
+   counts damaged spans: a run of failing records, and the framing
+   damage that may end it, count once (a garbage tail parses as many
+   small records). The result is [(fp, ok, bad, in_order)]: the
+   fingerprint read (or a placeholder), and [in_order] when the keys
+   come in the order [save] writes them, each once. Never raises. *)
 let walk f ~expect_fp ~feed =
   let ok = ref 0 and bad = ref 0 and in_order = ref true and last = ref None in
+  let damaged = ref false in
+  let fail () =
+    if not !damaged then incr bad;
+    damaged := true
+  in
   let fp = ref "(unreadable)" in
   (try
      let w = Wire.window ~size:f.size (pread f) in
@@ -565,7 +572,7 @@ let walk f ~expect_fp ~feed =
        pos := p + 8 + elen;
        if Some key <= !last then in_order := false;
        last := Some key;
-       if Wire.crc cur elen <> stored then incr bad
+       if Wire.crc cur elen <> stored then fail ()
        else begin
          let shift = p + 8 - off - start in
          let rel (name, o, c) = (name, o + shift, c) in
@@ -574,12 +581,13 @@ let walk f ~expect_fp ~feed =
            feed
              { key; data = ""; at = start; len = !pos - start; head = p + 8 - start;
                sections = List.map rel sections };
-           incr ok
-         | _ -> incr bad  (* trailing bytes *)
-         | exception Wire.Corrupt _ -> incr bad
+           incr ok;
+           damaged := false
+         | _ -> fail ()  (* trailing bytes *)
+         | exception Wire.Corrupt _ -> fail ()
        end
      done
-   with _ -> incr bad);
+   with _ -> fail ());
   (!fp, !ok, !bad, !in_order)
 
 let create ?dir ~fingerprint:fp () =

@@ -1,22 +1,11 @@
 type t = Signature.t array
 
 let of_list frames = Array.of_list frames
+let init = Array.init
 let of_strings texts = Array.of_list (List.map Signature.of_string texts)
 let frames t = t
 let top t = if Array.length t = 0 then None else Some t.(0)
 let depth = Array.length
-
-type table = (string, t) Hashtbl.t
-
-let table () : table = Hashtbl.create 64
-
-let shared tbl key build =
-  match Hashtbl.find_opt tbl key with
-  | Some s -> s
-  | None ->
-    let s = build () in
-    Hashtbl.add tbl key s;
-    s
 
 let push f t =
   let n = Array.length t in

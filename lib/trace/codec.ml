@@ -67,7 +67,6 @@ type parser_state = {
   mutable cur_id : int option;
   mutable cur_events : Event.t list;
   mutable cur_count : int;  (* length of [cur_events] *)
-  mutable cur_stacks : Callstack.table;
   mutable cur_instances : Scenario.instance list;
   mutable cur_threads : (int * string) list;
 }
@@ -77,12 +76,22 @@ let int_field st what s =
   | Some v -> v
   | None -> fail st.line "invalid %s: %S" what s
 
-(* Keyed on the raw frames token: a repeated stack is one lookup, and
-   interns none of its signatures again. *)
-let parse_stack st s =
-  Callstack.shared st.cur_stacks s (fun () ->
+(* Each domain's stacks so far, keyed on their raw frames token: a
+   repeated stack, in any stream, is one lookup that allocates nothing
+   and interns none of its signatures again. *)
+let stacks = Domain.DLS.new_key Dputil.Span_table.create
+
+let parse_stack s =
+  let seen = Domain.DLS.get stacks in
+  match Dputil.Span_table.find seen s 0 (String.length s) with
+  | -1 ->
+    let stack =
       if s = "-" then Callstack.of_list []
-      else Callstack.of_strings (String.split_on_char ';' s))
+      else Callstack.of_strings (String.split_on_char ';' s)
+    in
+    Dputil.Span_table.add seen s stack;
+    stack
+  | e -> Dputil.Span_table.get seen e
 
 let finish_stream st =
   match st.cur_id with
@@ -97,7 +106,6 @@ let finish_stream st =
     st.cur_id <- None;
     st.cur_events <- [];
     st.cur_count <- 0;
-    st.cur_stacks <- Callstack.table ();
     st.cur_instances <- [];
     st.cur_threads <- [];
     st.push st.specs stream
@@ -139,7 +147,7 @@ let parse_line st raw =
       {
         id = st.cur_count;
         kind;
-        stack = parse_stack st frames;
+        stack = parse_stack frames;
         ts = int_field st "ts" ts;
         cost = int_field st "cost" cost;
         tid = int_field st "tid" tid;
@@ -171,7 +179,6 @@ let read_lines next_line push =
       cur_id = None;
       cur_events = [];
       cur_count = 0;
-      cur_stacks = Callstack.table ();
       cur_instances = [];
       cur_threads = [];
     }

@@ -96,18 +96,52 @@ let skip_stack cur ~nsigs =
     if i >= nsigs then corrupt "signature index %d out of range" i
   done
 
-(* A stack's bytes identify it within its frame (signature indices are
-   frame-local), so they are its key in the stream's [stacks] table: the
-   stack is checked once to find them, and decoded only on its first
-   sighting. *)
-let read_stack cur ~stacks ~nsigs ~sig_of =
-  let start = cur.pos in
-  skip_stack cur ~nsigs;
-  let key = String.sub cur.data start (cur.pos - start) in
-  Callstack.shared stacks key (fun () ->
-      let cur = cursor key in
-      let depth = rv cur in
-      Callstack.of_list (List.init depth (fun _ -> sig_of (rv cur))))
+(* Each domain's stacks so far, keyed by their frames' global signature
+   ids as varints: a stack the domain has decoded before, in any stream,
+   is found with no allocation, so each distinct stack is built once per
+   domain. The frame-local indices are checked as they are read, with
+   [skip_stack]'s checks and messages. *)
+type stacks = { mutable ids : Bytes.t; seen : Callstack.t Dputil.Span_table.t }
+
+let stack_tables =
+  Domain.DLS.new_key (fun () -> { ids = Bytes.create 64; seen = Dputil.Span_table.create () })
+
+let rec put_varint b pos v =
+  if v < 0x80 then begin
+    Bytes.set b pos (Char.chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.chr (0x80 lor (v land 0x7f)));
+    put_varint b (pos + 1) (v lsr 7)
+  end
+
+let read_stack cur ~stacks ~nsigs ~sigs =
+  let depth = rv cur in
+  if depth > 0xffff then corrupt "implausible stack depth %d" depth;
+  if 9 * depth > Bytes.length stacks.ids then stacks.ids <- Bytes.create (9 * depth);
+  let len = ref 0 in
+  for _ = 1 to depth do
+    let i = rv cur in
+    if i >= nsigs then corrupt "signature index %d out of range" i;
+    len := put_varint stacks.ids !len (Signature.to_int sigs.(i))
+  done;
+  let ids = Bytes.unsafe_to_string stacks.ids in
+  match Dputil.Span_table.find stacks.seen ids 0 !len with
+  | -1 ->
+    let ids = cursor (String.sub ids 0 !len) in
+    let stack = Callstack.init depth (fun _ -> Signature.of_int_unsafe (rv ids)) in
+    Dputil.Span_table.add stacks.seen ids.data stack;
+    stack
+  | e -> Dputil.Span_table.get stacks.seen e
+
+(* A signature name, interned from its bytes in the payload. *)
+let read_sig cur =
+  let len = rv cur in
+  need cur len;
+  let pos = cur.pos in
+  cur.pos <- pos + len;
+  Signature.of_span cur.data ~pos ~len
 
 (* What a decoded event array holds until the parse overwrites it. *)
 let no_event =
@@ -138,7 +172,7 @@ let read_stream_payload ~build ~key payload =
   let cur = cursor payload in
   let nsigs = rcount cur in
   let sigs =
-    if build then Array.init nsigs (fun _ -> Signature.of_string (rstr cur))
+    if build then Array.init nsigs (fun _ -> read_sig cur)
     else begin
       for _ = 1 to nsigs do
         skip_str cur
@@ -146,7 +180,6 @@ let read_stream_payload ~build ~key payload =
       [||]
     end
   in
-  let sig_of i = sigs.(i) in
   let id = rv cur in
   let nthreads = rcount cur in
   let threads =
@@ -164,7 +197,7 @@ let read_stream_payload ~build ~key payload =
     end
   in
   let nevents = rcount cur in
-  let stacks = Callstack.table () in
+  let stacks = Domain.DLS.get stack_tables in
   let events = if build then Array.make nevents no_event else [||] in
   for id = 0 to nevents - 1 do
     let kind = kind_of_code (r8 cur) in
@@ -173,7 +206,7 @@ let read_stream_payload ~build ~key payload =
     let ts = rv cur in
     let cost = rv cur in
     if build then begin
-      let stack = read_stack cur ~stacks ~nsigs ~sig_of in
+      let stack = read_stack cur ~stacks ~nsigs ~sigs in
       events.(id) <- { Event.id; kind; stack; ts; cost; tid; wtid }
     end
     else skip_stack cur ~nsigs

@@ -28,8 +28,7 @@ let ensure_capacity id =
 let intern_mutex = Mutex.create ()
 
 let of_string s =
-  Mutex.lock intern_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock intern_mutex) @@ fun () ->
+  Mutex.protect intern_mutex @@ fun () ->
   let before = Dputil.Interner.size interner in
   let id = Dputil.Interner.intern interner s in
   if id >= before then begin
@@ -43,6 +42,22 @@ let of_string s =
       !function_parts.(id) <- "")
   end;
   id
+
+(* Each domain's names so far, by their bytes: a name this domain has
+   seen is found where it lies, with no copy, lock or closure. A name
+   new to the domain is interned through [of_string], so at one domain
+   ids are still handed out in first-sighting order. *)
+let seen = Domain.DLS.new_key Dputil.Span_table.create
+
+let of_span data ~pos ~len =
+  let names = Domain.DLS.get seen in
+  match Dputil.Span_table.find names data pos len with
+  | -1 ->
+    let name = String.sub data pos len in
+    let id = of_string name in
+    Dputil.Span_table.add names name id;
+    id
+  | e -> Dputil.Span_table.get names e
 
 let name id = Dputil.Interner.name interner id
 let module_part id = !module_parts.(id)

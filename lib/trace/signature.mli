@@ -12,6 +12,11 @@ type t
 val of_string : string -> t
 (** Intern a signature. *)
 
+val of_span : string -> pos:int -> len:int -> t
+(** [of_span data ~pos ~len] interns the [len] bytes of [data] from
+    [pos], copying them only the first time the calling domain sees
+    them. *)
+
 val name : t -> string
 (** Full ["module!function"] text. *)
 

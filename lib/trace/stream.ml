@@ -81,29 +81,126 @@ let duration t =
 
 let event_count t = Array.length t.events
 
-let group_by key events =
-  let acc : (int, Event.t list) Hashtbl.t = Hashtbl.create 64 in
-  (* Iterate in reverse so each bucket list ends up timestamp-ordered. *)
-  for i = Array.length events - 1 downto 0 do
-    let e = events.(i) in
-    match key e with
-    | None -> ()
-    | Some k ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt acc k) in
-      Hashtbl.replace acc k (e :: prev)
+(* --- the index, built by counting ---
+
+   One scan counts each key's events and a second puts each event into
+   its key's exact-size array, so every array is in stream order. A
+   key's count, then its fill position, sits in the key's dense slot,
+   handed out in first-sighting order by a per-domain table: open
+   addressing with linear probing over int arrays, probed inline, so a
+   lookup allocates nothing. A cell belongs to the current build while
+   its stamp is the build's generation, so no build clears the table.
+   Every int is a key: the text codec allows negative tids, and an
+   unwait may wake tid -1. *)
+type slots = {
+  mutable gen : int;
+  mutable stamp : int array;  (* by cell *)
+  mutable keys : int array;  (* by cell *)
+  mutable slot_of : int array;  (* by cell *)
+  mutable key : int array;  (* by slot *)
+  mutable count : int array;  (* by slot *)
+  mutable used : int;  (* slots *)
+  mutable of_event : int array;  (* by event: its slot *)
+}
+
+let new_slots () =
+  let z n = Array.make n 0 in
+  { gen = 0; stamp = z 64; keys = z 64; slot_of = z 64; key = z 32; count = z 32;
+    used = 0; of_event = z 0 }
+
+let scratch = Domain.DLS.new_key (fun () -> (new_slots (), new_slots ()))
+
+let start s events =
+  if Array.length s.of_event < events then s.of_event <- Array.make events 0;
+  s.gen <- s.gen + 1;
+  s.used <- 0
+
+let hash k =
+  let h = k * 0x9E3779B1 in
+  h lxor (h lsr 17)
+
+(* The cell holding [k], or the free cell where it would go. *)
+let rec cell s k c =
+  if Array.unsafe_get s.stamp c <> s.gen || Array.unsafe_get s.keys c = k then c
+  else cell s k ((c + 1) land (Array.length s.stamp - 1))
+
+let take s c k n =
+  s.stamp.(c) <- s.gen;
+  s.keys.(c) <- k;
+  s.slot_of.(c) <- n
+
+let grow s =
+  let cap = 2 * Array.length s.stamp in
+  let extend a = Array.init (cap / 2) (fun i -> if i < s.used then a.(i) else 0) in
+  s.key <- extend s.key;
+  s.count <- extend s.count;
+  s.stamp <- Array.make cap 0;
+  s.keys <- Array.make cap 0;
+  s.slot_of <- Array.make cap 0;
+  for n = 0 to s.used - 1 do
+    take s (cell s s.key.(n) (hash s.key.(n) land (cap - 1))) s.key.(n) n
+  done
+
+(* The slot of [k], made for it if [k] is new. The table stays at most
+   half full. *)
+let rec slot s k =
+  let c = cell s k (hash k land (Array.length s.stamp - 1)) in
+  if s.stamp.(c) = s.gen then s.slot_of.(c)
+  else if 2 * (s.used + 1) > Array.length s.stamp then begin
+    grow s;
+    slot s k
+  end
+  else begin
+    let n = s.used in
+    take s c k n;
+    s.key.(n) <- k;
+    s.count.(n) <- 0;
+    s.used <- n + 1;
+    n
+  end
+
+let count s k i =
+  let n = slot s k in
+  s.of_event.(i) <- n;
+  s.count.(n) <- s.count.(n) + 1
+
+(* Each key's array, made with any event in it; [count] becomes the fill
+   position. *)
+let arrays s events =
+  Array.init s.used (fun n ->
+      let a = Array.make s.count.(n) events.(0) in
+      s.count.(n) <- 0;
+      a)
+
+let place s arrays i e =
+  let n = s.of_event.(i) in
+  arrays.(n).(s.count.(n)) <- e;
+  s.count.(n) <- s.count.(n) + 1
+
+let table s arrays =
+  let t = Hashtbl.create s.used in
+  for n = 0 to s.used - 1 do
+    Hashtbl.add t s.key.(n) arrays.(n)
   done;
-  let out = Hashtbl.create (Hashtbl.length acc) in
-  Hashtbl.iter (fun k es -> Hashtbl.replace out k (Array.of_list es)) acc;
-  out
+  t
 
 let index t =
-  {
-    by_tid = group_by (fun (e : Event.t) -> Some e.tid) t.events;
-    unwaits_by_wtid =
-      group_by
-        (fun (e : Event.t) -> if Event.is_unwait e then Some e.wtid else None)
-        t.events;
-  }
+  let tids, wtids = Domain.DLS.get scratch in
+  let events = t.events in
+  start tids (Array.length events);
+  start wtids (Array.length events);
+  for i = 0 to Array.length events - 1 do
+    let e = events.(i) in
+    count tids e.Event.tid i;
+    if Event.is_unwait e then count wtids e.wtid i
+  done;
+  let by_tid = arrays tids events and by_wtid = arrays wtids events in
+  for i = 0 to Array.length events - 1 do
+    let e = events.(i) in
+    place tids by_tid i e;
+    if Event.is_unwait e then place wtids by_wtid i e
+  done;
+  { by_tid = table tids by_tid; unwaits_by_wtid = table wtids by_wtid }
 
 (* Cache effectiveness of the memoised index — a racing double build
    counts as two misses, which is exactly the wasted work. A
@@ -183,8 +280,11 @@ let map_overlapping idx ~tid ~from_ts ~to_ts ~keep f =
 let thread_events_overlapping idx ~tid ~from_ts ~to_ts =
   map_overlapping idx ~tid ~from_ts ~to_ts ~keep:(fun _ -> true) Fun.id
 
+let unwaits_waking idx tid =
+  Option.value ~default:[||] (Hashtbl.find_opt idx.unwaits_by_wtid tid)
+
 let find_waker idx (w : Event.t) =
-  let arr = Option.value ~default:[||] (Hashtbl.find_opt idx.unwaits_by_wtid w.tid) in
+  let arr = unwaits_waking idx w.tid in
   (* An unwait at exactly [w.ts] belongs to whatever wait ended there, not
      to a wait beginning there — threads commonly re-block at the very
      instant they are woken (FIFO hand-offs), and matching the stale

@@ -103,6 +103,10 @@ val set_key_memo : t -> string -> unit
 val events_of_thread : index -> int -> Event.t array
 (** All events of a thread, timestamp-ordered ([| |] for unknown tids). *)
 
+val unwaits_waking : index -> int -> Event.t array
+(** All unwaits whose [wtid] is the tid, in stream order ([| |] for
+    none); what {!find_waker} searches. *)
+
 val thread_events_overlapping :
   index -> tid:int -> from_ts:Dputil.Time.t -> to_ts:Dputil.Time.t -> Event.t list
 (** Events of [tid] whose span [\[ts, ts+cost\]] intersects

@@ -607,6 +607,36 @@ let test_v2_overlong_frame_bounded () =
   if words > bound then
     Alcotest.failf "recover: %.0f words allocated for a %d-byte file" words size
 
+(* Words allocated per event by a stream's decode ([frame_stream]) and by
+   its index ([Stream.index]), read with [Gc.minor_words] around each
+   call of a fold over a generated corpus, after one warm-up fold (the
+   first meets every signature and stack for the first time). Both must
+   stay under bounds a little above what is reached: 11.6 and 4.3 words
+   per event on this corpus. *)
+let test_words_per_event () =
+  V2_frames.with_file (V2.encode (gen_corpus ~scale:0.2 ())) @@ fun path ->
+  let fold () =
+    let decode = ref 0. and index = ref 0. and events = ref 0 in
+    let step _ f =
+      let w0 = Gc.minor_words () in
+      let st = V2.frame_stream f in
+      let w1 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Stream.index st));
+      let w2 = Gc.minor_words () in
+      decode := !decode +. (w1 -. w0);
+      index := !index +. (w2 -. w1);
+      events := !events + Stream.event_count st
+    in
+    ignore (V2.fold ~step ~consume:(fun () -> None) path);
+    let per_event w = w /. float_of_int !events in
+    (per_event !decode, per_event !index)
+  in
+  ignore (fold ());
+  let decode, index = fold () in
+  Printf.printf "words per event: decode %.2f, index %.2f\n" decode index;
+  if decode > 13. then Alcotest.failf "decode: %.2f words per event" decode;
+  if index > 5. then Alcotest.failf "index: %.2f words per event" index
+
 let test_v2_save_load () =
   let c = gen_corpus ~scale:0.01 () in
   let path = Filename.temp_file "driveperf" ".dpf" in
@@ -669,5 +699,7 @@ let () =
             test_v2_count_bounded_by_remaining;
           Alcotest.test_case "decoded streams share equal stacks" `Quick
             test_decoded_stacks_shared;
+          Alcotest.test_case "decode and index words per event" `Quick
+            test_words_per_event;
         ] );
     ]

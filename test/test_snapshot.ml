@@ -1260,6 +1260,36 @@ let test_damaged_framing_dropped () =
       ("a file cut inside a record header", framed (fun b -> Buffer.add_string b "\x10\x00"));
     ]
 
+(* One damaged span is one corrupt count. 5,000 zero bytes after the
+   last record parse as hundreds of empty records (a zero key length, a
+   zero entry length and the matching checksum of no bytes), yet
+   [inspect] reports one, and every entry still loads and serves; a
+   flipped payload byte in each of two records apart reports two. *)
+let test_damage_counted_per_span () =
+  let corpus = gen 0.02 in
+  let data = cold_file corpus in
+  let fingerprint = fingerprint_of corpus in
+  let n = List.length (records data) in
+  let with_cache what data f =
+    let dir = fresh_dir () in
+    write_bin (Filename.concat dir (fingerprint ^ ".dpsnap")) data;
+    let fi = Snapshot.inspect (List.hd (Snapshot.list_files dir)) in
+    f what dir (fi.Snapshot.fi_entries, fi.Snapshot.fi_corrupt)
+  in
+  with_cache "zero tail" (data ^ String.make 5000 '\000') (fun what dir counts ->
+      check Alcotest.(pair int int) (what ^ ": entries, corrupt") (n, 1) counts;
+      let snap = Snapshot.create ~dir ~fingerprint () in
+      check Alcotest.int (what ^ ": entries loaded") n (Snapshot.stats snap).Snapshot.s_loaded;
+      Snapshot.ensure snap components corpus;
+      check_identical ~msg:what snap corpus);
+  let b = Bytes.of_string data in
+  (match records data with
+  | (_, _, first, _) :: _ :: (_, _, third, _) :: _ ->
+    List.iter (fun i -> Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff))) [ first; third ]
+  | _ -> Alcotest.fail "fixture has fewer than three records");
+  with_cache "two flipped records" (Bytes.to_string b) (fun what _ counts ->
+      check Alcotest.(pair int int) (what ^ ": entries, corrupt") (n - 2, 2) counts)
+
 exception Deadline
 
 (* [f ()], failed after [seconds] instead of hanging: a read loop that
@@ -1474,6 +1504,8 @@ let () =
             test_witness_mutations_refused;
           Alcotest.test_case "walk of 100k reversed sibling statuses" `Quick
             test_walk_wide_forest_reversed;
+          Alcotest.test_case "a damaged span counts once" `Quick
+            test_damage_counted_per_span;
           Alcotest.test_case "damaged framing dropped, never fatal" `Quick
             test_damaged_framing_dropped;
           Alcotest.test_case "file truncated or replaced under an open cache" `Slow

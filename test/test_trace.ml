@@ -193,6 +193,69 @@ let prop_create_order_independent =
       && from_sorted.Stream.events == sorted
       && (create stale).Stream.events = sorted)
 
+(* Property: the counting index groups what the list-based reference
+   groups, per key the same events in the same order, and both answer
+   [find_waker] and [map_overlapping] alike. The streams draw their tids
+   from one of: dense small tids, sparse ETW-style 4-6 digit tids,
+   negative tids (the text codec allows them), or a single thread; an
+   unwait may wake tid -1 or a tid with no events. Lengths start at 0. *)
+let gen_index_stream =
+  let open QCheck.Gen in
+  let* tids =
+    oneof
+      [
+        array_size (int_range 1 30) (int_range 0 40);
+        array_size (int_range 1 30) (int_range 1000 999_999);
+        array_size (int_range 1 8) (int_range (-5) 5);
+        map (fun t -> [| t |]) (int_range (-1) 99_999);
+      ]
+  in
+  let event =
+    let* kind = oneofl Event.[ Running; Wait; Unwait; Hw_service ] in
+    let* tid = oneofa tids and* ts = int_range 0 300 and* cost = int_range 0 20 in
+    let+ wtid = frequency [ (1, return (-1)); (6, oneofa tids); (1, int_range (-3) 5) ] in
+    if kind = Event.Unwait then mk_event ~kind ~tid ~ts ~cost:0 ~wtid ()
+    else mk_event ~kind ~tid ~ts ~cost ()
+  in
+  let+ events = array_size (int_range 0 200) event in
+  (tids, Stream.create ~id:0 ~events ~instances:[] ~threads:[])
+
+let prop_index_matches_reference =
+  QCheck.Test.make ~name:"index = list-based reference" ~count:300
+    (QCheck.make gen_index_stream)
+    (fun (tids, st) ->
+      let idx = Stream.index st and ref_idx = Index_reference.index st in
+      let ids arr = Array.map (fun (e : Event.t) -> e.Event.id) arr in
+      (* Every key either grouped, every tid drawn from, and a few that
+         may be absent from both. *)
+      let keys = Array.to_list tids @ [ -1; -3; 5; 1_000_001 ] in
+      let by_tid k =
+        ids (Stream.events_of_thread idx k) = ids (Index_reference.events_of_thread ref_idx k)
+      in
+      let unwaits k =
+        ids (Stream.unwaits_waking idx k) = ids (Index_reference.unwaits_waking ref_idx k)
+      in
+      let waker_id = Option.map (fun (e : Event.t) -> e.Event.id) in
+      let waker (w : Event.t) =
+        waker_id (Stream.find_waker idx w) = waker_id (Index_reference.find_waker ref_idx w)
+      in
+      let window tid from_ts to_ts =
+        let keep (e : Event.t) = e.Event.id mod 3 <> 0 and f (e : Event.t) = e.Event.id in
+        Stream.map_overlapping idx ~tid ~from_ts ~to_ts ~keep f
+        = Index_reference.map_overlapping ref_idx ~tid ~from_ts ~to_ts ~keep f
+      in
+      let ref_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl keys in
+      List.for_all by_tid (ref_keys ref_idx.Index_reference.by_tid)
+      && List.for_all unwaits (ref_keys ref_idx.Index_reference.unwaits_by_wtid)
+      && Array.for_all
+           (fun (e : Event.t) ->
+             waker e
+             && waker { e with Event.cost = 0 }
+             && waker { e with Event.tid = e.wtid; cost = 5 }
+             && window e.tid e.ts (Event.end_ts e)
+             && window e.tid (e.ts - 7) (e.ts + 7))
+           st.Stream.events)
+
 let test_stream_thread_name () =
   let st = Stream.create ~id:0 ~events:[||] ~instances:[] ~threads:[ (3, "UI") ] in
   check Alcotest.string "named" "UI" (Stream.thread_name st 3);
@@ -590,6 +653,7 @@ let () =
           Alcotest.test_case "sorting" `Quick test_stream_sorting;
           Alcotest.test_case "zero-cost first" `Quick test_stream_zero_cost_first;
           qcheck prop_create_order_independent;
+          qcheck prop_index_matches_reference;
           Alcotest.test_case "thread names" `Quick test_stream_thread_name;
           Alcotest.test_case "duration" `Quick test_stream_duration;
           Alcotest.test_case "overlap window" `Quick test_stream_overlapping_window;
