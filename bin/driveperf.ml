@@ -371,7 +371,7 @@ let snapshot_of ~components dir =
       snap
 
 (* The one read of the corpus, handed over stream by stream: the corpus
-   file, read a batch of streams at a time, or the generated corpus,
+   file, read a window of streams at a time, or the generated corpus,
    built whole first. What [consume] returns stays: mostly skeletons. *)
 let source s ~step ~consume =
   let pool = s.pool in

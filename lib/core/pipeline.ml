@@ -355,7 +355,7 @@ let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t
   let corpus = { corpus with streams = distinct_ids Fun.id corpus.Dptrace.Corpus.streams } in
   let acc = accumulator ?k ?reduce ?scenarios () in
   span "pipeline.report_streams" (fun () ->
-      Dppar.Pool.iter_batched ?pool
+      Dppar.Pool.iter_window ?pool
         (fun st ->
           step components acc corpus.Dptrace.Corpus.specs (Dptrace.Codec_v2.resident st))
         (absorb acc)
@@ -386,7 +386,7 @@ let run_impact_prov ?pool components corpus =
 let merge_entries ?pool ?k ?reduce ?scenarios specs stream_of entry_of items =
   let items = distinct_ids stream_of items in
   let acc = accumulator ?k ?reduce ?scenarios () in
-  Dppar.Pool.iter_batched ?pool
+  Dppar.Pool.iter_window ?pool
     (fun x -> of_entry acc (entry_of x) (stream_of x) None)
     (absorb acc)
     (fun push -> List.iter push items);
@@ -424,15 +424,17 @@ let fold_report ?k ?reduce ?scenarios ~cache components source =
     | None -> step components acc
     | Some snapshot -> cached_step snapshot components acc
   in
-  let s = screener () in
+  let s = screener () and settles = ref [] in
   let corpus =
     span "pipeline.report_streams" @@ fun () ->
     source ~step ~consume:(fun x ->
         if admit s x.skeleton then begin
-          Option.iter (fun (snap, e) -> Snapshot.settle snap e) x.settle;
+          Option.iter (fun p -> settles := p :: !settles) x.settle;
           absorb acc x;
           Some x.skeleton
         end
         else None)
   in
+  (* Settled once no lookup can run (Snapshot.settle). *)
+  List.iter (fun (snap, e) -> Snapshot.settle snap e) (List.rev !settles);
   (acc, corpus, close_screen s)

@@ -33,7 +33,7 @@
 
     Every from-scratch entry point takes an optional [?pool] (a
     {!Dppar.Pool.t}); when given, independent units of work — streams
-    (in batches, {!Dppar.Pool.iter_batched}), then scenario tails —
+    ({!Dppar.Pool.iter_window}), then scenario tails —
     fan out across its domains. Within one scenario, AWG merging and
     mining run on one domain. Parallel results are {e bit-identical} to
     sequential ones: work is only split along independence boundaries,
@@ -117,8 +117,8 @@ val run_report :
     {!Impact.merge_modules}, class parts with {!Impact.merge},
     {!Provenance.merge_impact} and {!Awg.Partial.absorb}. A stream that
     repeats an earlier one's id is dropped first, as by {!screen} but
-    with no fault probe. With [pool], streams fan out in batches, then
-    scenarios, one per work item. *)
+    with no fault probe. With [pool], streams fan out through the
+    window, then scenarios, one per work item. *)
 
 val run_impact_prov :
   ?pool:Dppar.Pool.t ->
@@ -160,8 +160,8 @@ val run_report_snap :
   Dptrace.Corpus.t ->
   report
 (** Cached {!run_report}: each stream's entry decoded into its parts
-    and absorbed, in batches, then {!finish}. A repeated id is dropped
-    as {!run_report} drops it. *)
+    and absorbed, through the window, then {!finish}. A repeated id is
+    dropped as {!run_report} drops it. *)
 
 val run_report_entries :
   ?pool:Dppar.Pool.t -> ?k:int -> Dptrace.Corpus.t -> Snapshot.entry list -> report
@@ -214,8 +214,8 @@ val screen : Dptrace.Corpus.t -> Dptrace.Corpus.t * coverage
     {!fold_report} feeds the report's accumulators from a source that
     hands over streams one at a time ({!Dptrace.Corpus_dir.fold} or
     {!Dptrace.Corpus_dir.fold_streams}), so a report's memory is bounded
-    by the source's batch, the accumulators and the skeletons, not by
-    the corpus. A snapshot's entries are bytes, decoded a batch at a
+    by the source's window, the accumulators and the skeletons, not by
+    the corpus. A snapshot's entries are bytes, decoded a window at a
     time, so that holds with a cache too. *)
 
 type acc

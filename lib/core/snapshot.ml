@@ -718,8 +718,9 @@ let save t =
 (* --- the cached per-stream step ---
 
    [lookup_or_step] runs where the stream is (a pool worker, inside the
-   fold's decode work item) and only reads [entries]; [settle] runs on
-   the consumer's domain, between batches, and is the only writer. *)
+   fold's decode work item) and only reads [entries]; [settle], the only
+   writer, runs once a pass's fold is done: its steps run while the
+   caller consumes. *)
 
 let key_of = Codec_v2.stream_key
 
@@ -759,11 +760,14 @@ let new_pass t = Hashtbl.reset t.used
 let ensure ?pool t components (corpus : Corpus.t) =
   Dpobs.Span.with_span "snapshot.ensure" @@ fun () ->
   new_pass t;
-  Dppar.Pool.iter_batched ?pool
-    (fun st ->
-      fst (lookup_or_step t components ~specs:corpus.Corpus.specs (Codec_v2.resident st)))
-    (settle t)
-    (fun push -> List.iter push corpus.Corpus.streams)
+  (* Borrowing, the collected hits hold no record bytes: a hit is
+     settled by its key alone. *)
+  let stepped = ref [] and specs = corpus.Corpus.specs in
+  Dppar.Pool.iter_window ?pool
+    (fun st -> fst (lookup_or_step ~borrow:true t components ~specs (Codec_v2.resident st)))
+    (fun e -> stepped := e :: !stepped)
+    (fun push -> List.iter push corpus.Corpus.streams);
+  List.iter (settle t) (List.rev !stepped)
 
 let drop_stale t =
   let before = Hashtbl.length t.entries in

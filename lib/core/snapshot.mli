@@ -172,7 +172,8 @@ val lookup_or_step :
     since it was opened), {!stream_step} under every spec of the
     decoded stream, framed. Never raises for the cache's sake: a short
     read or an I/O error is a miss. Books nothing, so it is safe on pool
-    workers, provided no {!settle} runs meanwhile.
+    workers, provided no {!settle} runs meanwhile: a pass settles its
+    entries, in order, after its fold.
 
     A hit's record is read into a string the entry owns, unless
     [~borrow:true] (default [false]): then it is read into a buffer of
@@ -183,10 +184,11 @@ val lookup_or_step :
     only its key. *)
 
 val settle : t -> entry -> unit
-(** Book a stepped stream, on one domain in corpus order: mark its key
-    used by this pass, and count a hit, storing nothing, or a miss,
-    storing the entry (a hit whose record could not be read back is a
-    miss, and its fresh entry replaces the record).
+(** Book a stepped stream, on one domain in corpus order, while no
+    {!lookup_or_step} runs: mark its key used by this pass, and count a
+    hit, storing nothing, or a miss, storing the entry (a hit whose
+    record could not be read back is a miss, and its fresh entry
+    replaces the record).
     Only streams a pass keeps are settled, so a quarantined stream leaves
     no entry. An entry may be settled long after its step, and under
     another {!t} of the same fingerprint: whether it counts as a hit is
@@ -198,7 +200,8 @@ val new_pass : t -> unit
 
 val ensure : ?pool:Dppar.Pool.t -> t -> Component.t -> Dptrace.Corpus.t -> unit
 (** A pass over a resident corpus: {!new_pass}, then {!lookup_or_step}
-    every stream (in batches across [pool]) and {!settle} each. Merging
+    every stream, borrowing, across [pool], and {!settle} each once
+    every lookup has run. Merging
     cached and fresh entries is exact, so downstream results never
     depend on the hit/miss split. *)
 

@@ -13,13 +13,15 @@ type t = {
   size : int;
 }
 
-(* Telemetry (all behind [Dpobs.metrics_on], one branch when off):
-   lifetime task count, per-domain busy time, peak queue depth. The busy
-   counter is resolved once per domain through DLS so the per-task cost
-   is one hashtable-free lookup. *)
+(* Telemetry (all behind [Dpobs.metrics_on], one branch when off): task
+   count, per-domain busy time (its counter resolved once per domain
+   through DLS), peak queue depth, and callers' waits for their oldest
+   item. *)
 
 let tasks_counter = Dpobs.Metrics.lazy_counter "pool.tasks"
 let queue_depth_gauge = Dpobs.Metrics.lazy_gauge "pool.queue_depth.max"
+let wait_counter = Dpobs.Metrics.lazy_counter "pool.wait_us"
+let us_since t0 = Int64.to_int (Int64.div (Int64.sub (Dpobs.now_ns ()) t0) 1000L)
 
 let busy_key : Dpobs.Metrics.counter option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -36,34 +38,21 @@ let busy_counter () =
     c
 
 let default_domains () =
-  match Sys.getenv_opt "DRIVEPERF_DOMAINS" with
-  | Some s when (match int_of_string_opt (String.trim s) with
-                | Some n -> n >= 1
-                | None -> false) ->
-    int_of_string (String.trim s)
-  | Some _ | None -> Domain.recommended_domain_count ()
+  let env = Sys.getenv_opt "DRIVEPERF_DOMAINS" in
+  match Option.bind env (fun s -> int_of_string_opt (String.trim s)) with
+  | Some n when n >= 1 -> n
+  | _ -> Domain.recommended_domain_count ()
 
 let rec worker t =
   Mutex.lock t.mutex;
-  let rec next () =
-    if t.stopping then begin
-      Mutex.unlock t.mutex;
-      None
-    end
-    else
-      match Queue.take_opt t.queue with
-      | Some task ->
-        Mutex.unlock t.mutex;
-        Some task
-      | None ->
-        Condition.wait t.cond t.mutex;
-        next ()
-  in
-  match next () with
+  while (not t.stopping) && Queue.is_empty t.queue do
+    Condition.wait t.cond t.mutex
+  done;
+  let task = if t.stopping then None else Queue.take_opt t.queue in
+  Mutex.unlock t.mutex;
+  match task with
+  | Some task -> task (); worker t
   | None -> ()
-  | Some task ->
-    task ();
-    worker t
 
 let create ?domains () =
   let size =
@@ -99,112 +88,104 @@ let with_pool ?domains f =
   let t = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Split [lst] into consecutive chunks of [chunk] elements (the last chunk
-   may be shorter). *)
-let chunks_of ~chunk lst =
-  let rec go acc cur n = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if n = chunk then go (List.rev cur :: acc) [ x ] 1 rest
-      else go acc (x :: cur) (n + 1) rest
+(* The in-order window, the pool's one scheduling primitive. Item [i] is
+   queued as its own task when pushed; the task leaves its result in
+   ring slot [i mod width], under the mutex. Item [i] is taken and
+   consumed on the calling domain before item [i + width] is pushed;
+   while it is pending the caller runs queued tasks, and sleeps only on
+   an empty queue. The slot is the item's "done" mark, cleared as it is
+   taken: the ring outlives minor collections, so a worker's store into
+   it is remembered, and a result left in its slot would be promoted at
+   the next one although it was consumed long before. Failures come out
+   as with no pool: the first in push order of [f]'s, [consume]'s and
+   [feed]'s, once the items in flight have finished. *)
+let window t ~width f consume feed =
+  let ring = Array.make width None in
+  let head = ref 0 and fed = ref 0 in
+  let push x =
+    let slot = !fed mod width in
+    incr fed;
+    let task () =
+      let t0 = if Dpobs.metrics_on () then Dpobs.now_ns () else 0L in
+      (* The fault probe: injected latency stalls the task, transient
+         failures retry it, and a spent budget proceeds unguarded — the
+         pool degrades, it never aborts. [f] runs exactly once. *)
+      Dpfault.Retry.run_default Dpfault.Pool_task ~default:ignore (fun () ->
+          Dpfault.guard Dpfault.Pool_task);
+      let r = match f x with r -> Ok r | exception e -> Error e in
+      if Dpobs.metrics_on () then begin
+        Dpobs.Metrics.add (busy_counter ()) (us_since t0);
+        Dpobs.Metrics.incr (tasks_counter ())
+      end;
+      Mutex.protect t.mutex (fun () ->
+          ring.(slot) <- Some r;
+          Condition.broadcast t.cond)
+    in
+    Mutex.protect t.mutex @@ fun () ->
+    Queue.add task t.queue;
+    if Dpobs.metrics_on () then
+      Dpobs.Metrics.set_max (queue_depth_gauge ()) (Queue.length t.queue);
+    Condition.broadcast t.cond
   in
-  go [] [] 0 lst
-
-let resolve_chunk t chunk n =
-  match chunk with
-  | Some c when c >= 1 -> c
-  | Some c -> invalid_arg (Printf.sprintf "Dppar.Pool: chunk %d < 1" c)
-  | None ->
-    (* ~4 chunks per unit of parallelism smooths imbalanced item costs. *)
-    let target = t.size * 4 in
-    max 1 ((n + target - 1) / target)
-
-(* Run every thunk of [jobs], each at most once, on whichever domain gets
-   to it first; the caller helps drain the queue, then sleeps until its
-   last in-flight thunk completes. Results come back in index order; the
-   earliest-index exception is re-raised. *)
-let run_jobs : 'b. t -> (unit -> 'b) array -> 'b array =
-  fun t jobs ->
-  let n = Array.length jobs in
-  let results = Array.make n None in
-  let errors = Array.make n None in
-  let remaining = ref n in
-  let task i () =
-    let t0 = if Dpobs.metrics_on () then Dpobs.now_ns () else 0L in
-    (* Fault probe before the job: injected latency stalls this task,
-       transient failures retry the probe, and an exhausted budget
-       proceeds unguarded — the pool degrades, it never aborts. The
-       thunk itself runs exactly once either way. *)
-    Dpfault.Retry.run_default Dpfault.Pool_task ~default:ignore (fun () ->
-        Dpfault.guard Dpfault.Pool_task);
-    (* Distinct domains write distinct slots, and every slot is written
-       before the final [remaining] decrement is observed under the
-       mutex, so the caller reads fully published values. *)
-    (match jobs.(i) () with
-    | r -> results.(i) <- Some r
-    | exception e -> errors.(i) <- Some e);
-    if Dpobs.metrics_on () then begin
-      let us = Int64.to_int (Int64.div (Int64.sub (Dpobs.now_ns ()) t0) 1000L) in
-      Dpobs.Metrics.add (busy_counter ()) us;
-      Dpobs.Metrics.incr (tasks_counter ())
-    end;
+  let take () =
+    let slot = !head mod width in
+    incr head;
     Mutex.lock t.mutex;
-    decr remaining;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mutex
+    let rec await () =
+      match ring.(slot) with
+      | Some r ->
+        ring.(slot) <- None;
+        Mutex.unlock t.mutex;
+        r
+      | None ->
+        (match Queue.take_opt t.queue with
+        | Some task ->
+          Mutex.unlock t.mutex;
+          task ();
+          Mutex.lock t.mutex
+        | None ->
+          let t0 = if Dpobs.metrics_on () then Dpobs.now_ns () else 0L in
+          Condition.wait t.cond t.mutex;
+          if Dpobs.metrics_on () then Dpobs.Metrics.add (wait_counter ()) (us_since t0));
+        await ()
+    in
+    await ()
   in
-  Mutex.lock t.mutex;
-  for i = 0 to n - 1 do
-    Queue.add (task i) t.queue
-  done;
-  if Dpobs.metrics_on () then
-    Dpobs.Metrics.set_max (queue_depth_gauge ()) (Queue.length t.queue);
-  Condition.broadcast t.cond;
-  let rec drain () =
-    match Queue.take_opt t.queue with
-    | Some task ->
-      Mutex.unlock t.mutex;
-      task ();
-      Mutex.lock t.mutex;
-      drain ()
-    | None ->
-      if !remaining > 0 then begin
-        Condition.wait t.cond t.mutex;
-        drain ()
-      end
+  let drain () = while !head < !fed do ignore (take ()) done in
+  let next () =
+    match take () with
+    | Ok r -> ( try consume r with e -> drain (); raise e)
+    | Error e -> drain (); raise e
   in
-  drain ();
-  Mutex.unlock t.mutex;
-  Array.iter (function Some e -> raise e | None -> ()) errors;
-  Array.map (function Some r -> r | None -> assert false) results
+  let rest () = while !head < !fed do next () done in
+  match feed (fun x -> if !fed - !head = width then next (); push x) with
+  | () -> rest ()
+  | exception e -> rest (); raise e
 
 let parallel_map ?chunk t f lst =
   let n = List.length lst in
-  let chunk = resolve_chunk t chunk n in
+  let chunk =
+    match chunk with
+    | Some c when c >= 1 -> c
+    | Some c -> invalid_arg (Printf.sprintf "Dppar.Pool: chunk %d < 1" c)
+    (* ~4 chunks per unit of parallelism smooths imbalanced item costs. *)
+    | None -> max 1 ((n + (4 * t.size) - 1) / (4 * t.size))
+  in
   if t.size <= 1 || n <= chunk then List.map f lst
-  else
-    let chunks = Array.of_list (chunks_of ~chunk lst) in
-    let jobs = Array.map (fun items () -> List.map f items) chunks in
-    run_jobs t jobs |> Array.to_list |> List.concat
+  else begin
+    (* Every chunk is queued at once: the window is as wide as the list. *)
+    let items = Array.of_list lst and out = ref [] in
+    window t ~width:((n + chunk - 1) / chunk)
+      (fun lo -> List.init (min chunk (n - lo)) (fun i -> f items.(lo + i)))
+      (fun r -> out := r :: !out)
+      (fun push -> for c = 0 to (n - 1) / chunk do push (c * chunk) done);
+    List.concat (List.rev !out)
+  end
 
-(* Batches of [4 * size] items, one item per task: a batch bounds what
-   is held at once (its items and their results), and the consumer sees
-   every result in feed order, on the calling domain. *)
-let iter_batched ?pool f consume feed =
-  let map, batch =
-    match pool with
-    | Some t when t.size > 1 -> (parallel_map ~chunk:1 t, 4 * t.size)
-    | _ -> (List.map, 1)
-  in
-  let pending = ref [] and held = ref 0 in
-  let flush () =
-    let items = List.rev !pending in
-    pending := [];
-    held := 0;
-    List.iter consume (map f items)
-  in
-  feed (fun x ->
-      pending := x :: !pending;
-      incr held;
-      if !held >= batch then flush ());
-  flush ()
+(* Two items per unit of parallelism keep every domain busy while the
+   caller consumes, and hold no more at once than a batch did
+   (DESIGN.md §6). *)
+let iter_window ?pool f consume feed =
+  match pool with
+  | Some t when t.size > 1 -> window t ~width:(2 * t.size) f consume feed
+  | _ -> feed (fun x -> consume (f x))

@@ -600,9 +600,9 @@ let frame_skeleton = function
 
 (* The one decode loop. Frames are checksum-verified in file order
    (cheap); each stream frame is handed to the step, which parses its
-   payload as far as it needs, in batches on the pool
-   ([Dppar.Pool.iter_batched]), and each result is consumed on the
-   calling domain in file order. The batch bounds the payloads, streams
+   payload as far as it needs, on the pool through the in-order window
+   ([Dppar.Pool.iter_window]), and each result is consumed on the
+   calling domain in file order. The window bounds the payloads, streams
    and results held at once, and every pool size yields the same
    results in the same order. The header must be frame 0, so every
    stream is stepped under the specs the corpus ends up with. *)
@@ -633,7 +633,7 @@ let fold ?(mode = `Strict) ?pool ~step ~consume path =
     | Error d -> late := d :: !late
   in
   let framed = ref ([], 0, 0) in
-  Dppar.Pool.iter_batched ?pool decode deliver (fun push ->
+  Dppar.Pool.iter_window ?pool decode deliver (fun push ->
       framed :=
         iter_frames mode w ~f:(fun ~frame ~offset ~crc kind payload ->
             match kind with

@@ -117,11 +117,11 @@ val fold :
   string ->
   Corpus.t * report
 (** The one read of a framed file: one pass that never holds more than
-    a batch of streams. Frames are checksum-verified in file order. Each
+    a window of streams. Frames are checksum-verified in file order. Each
     stream frame is handed to [step] (with the header's specs), which
     parses it as far as it needs ({!frame_stream} or
-    {!frame_skeleton}), inside one work item, in batches of
-    [4 * size pool] on a [pool] of size > 1. Each result then goes to
+    {!frame_skeleton}), inside one work item, at most [2 * size pool]
+    in flight on a [pool] of size > 1. Each result then goes to
     [consume] on the calling domain, in file order. The returned corpus
     holds the header's specs and the streams [consume] returned, in file
     order: a {!Stream.skeleton} keeps it small, [None] keeps nothing. The

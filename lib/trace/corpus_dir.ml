@@ -51,7 +51,7 @@ let file_size path =
 
 let fold_streams ?pool ~step ~consume feed =
   let kept = ref [] and specs = ref [] in
-  Dppar.Pool.iter_batched ?pool
+  Dppar.Pool.iter_window ?pool
     (fun (specs, st) -> step specs (Codec_v2.resident st))
     (fun x -> Option.iter (fun st -> kept := st :: !kept) (consume x))
     (fun push -> specs := feed (fun specs st -> push (specs, st)));

@@ -47,8 +47,8 @@ val fold :
   string ->
   (loaded, string) result
 (** Sniff one corpus file and hand it over stream by stream, holding at
-    most a batch of whole streams: each stream goes through [step] (with
-    the corpus specs), on [pool] in batches, and each result through
+    most a window of whole streams: each stream goes through [step] (with
+    the corpus specs), on [pool] through its window, and each result through
     [consume], on the calling domain in file order. [l_corpus] holds the
     specs and the streams [consume] returned. A framed v2 file is read
     by {!Codec_v2.fold}, a text file by {!Codec.read} through
@@ -87,8 +87,8 @@ val fold_streams :
 (** [fold_streams ~step ~consume feed]: {!fold}'s hand-over for parsed
     streams. [feed push], on the calling domain, pushes each stream with
     its specs and returns the corpus specs. Each stream is stepped as a
-    {!Codec_v2.resident} frame, in the batches and order of a framed
-    file's, so at most a batch of pushed streams is held. *)
+    {!Codec_v2.resident} frame, through the window and in the order of
+    a framed file's, so at most a window of pushed streams is held. *)
 
 val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> format * int
 (** Encode by extension — [.dpf] framed v2 (payloads encoded on [pool]),

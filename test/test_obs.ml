@@ -82,6 +82,23 @@ let test_counter_atomicity_under_pool () =
     Alcotest.failf "pool.tasks did not advance (%d -> %d)" tasks0 tasks;
   Obs.disable ()
 
+(* The caller sleeps while its oldest item runs on the worker and no
+   task is queued: that wait is [pool.wait_us]. Items the worker runs
+   take 10 ms, the caller's own none, and the caller pushes an item a
+   millisecond, so the worker finds items to run. *)
+let test_pool_wait_counted () =
+  Obs.enable ~spans:false ();
+  let wait () = Obs.Metrics.counter_value (Obs.Metrics.counter "pool.wait_us") in
+  let before = wait () and caller = Domain.self () in
+  Pool.with_pool ~domains:2 (fun pool ->
+      Pool.iter_window ~pool
+        (fun _ -> if Domain.self () <> caller then Unix.sleepf 0.01)
+        ignore
+        (fun push -> for i = 1 to 20 do push i; Unix.sleepf 0.001 done));
+  let waited = wait () - before in
+  Obs.disable ();
+  if waited <= 0 then Alcotest.failf "pool.wait_us did not advance (%d us)" waited
+
 (* Regression: counters registered on first use were [lazy] values, and
    a [lazy] forced by two domains at once raises [Lazy.Undefined]. Forced
    in a pool worker after its job, that killed the worker and hung the
@@ -318,6 +335,8 @@ let () =
         [
           Alcotest.test_case "counter atomicity under pool" `Quick
             test_counter_atomicity_under_pool;
+          Alcotest.test_case "pool.wait_us counts the caller's waits" `Quick
+            test_pool_wait_counted;
           Alcotest.test_case "lazy counter from racing domains" `Quick
             test_lazy_counter_racing_domains;
           Alcotest.test_case "kinds and values" `Quick

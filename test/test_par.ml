@@ -94,6 +94,126 @@ let prop_map_equals_list_map =
           let f x = (x * 31) lxor 5 in
           Pool.parallel_map ~chunk pool f xs = List.map f xs))
 
+(* --- the in-order window --- *)
+
+(* The most items a window holds: [2 * size] on a pool, one without. *)
+let width pool = if Pool.size pool = 1 then 1 else 2 * Pool.size pool
+
+(* [f] sleeps a random time per item, so items finish out of order. *)
+let test_window_order () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let rng = Random.State.make [| domains |] in
+          let delay = Array.init 120 (fun _ -> Random.State.float rng 0.0005) in
+          let seen = ref [] in
+          Pool.iter_window ~pool
+            (fun i -> Unix.sleepf delay.(i); (i * 7) + 1)
+            (fun r -> seen := r :: !seen)
+            (fun push -> for i = 0 to 119 do push i done);
+          check
+            Alcotest.(list int)
+            (Printf.sprintf "%d domains: push order" domains)
+            (List.init 120 (fun i -> (i * 7) + 1))
+            (List.rev !seen)))
+    [ 1; 2; 3; 4 ]
+
+(* High-water mark of how far [f] runs ahead of [consume]: item [i]
+   starts with [i + 1 - consumed] items pushed and not consumed. *)
+let test_window_bound () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let consumed = Atomic.make 0 and high = Atomic.make 0 in
+          let rec raise_to v =
+            let h = Atomic.get high in
+            if v > h && not (Atomic.compare_and_set high h v) then raise_to v
+          in
+          Pool.iter_window ~pool
+            (fun i -> raise_to (i + 1 - Atomic.get consumed))
+            (fun () -> Unix.sleepf 0.0002; Atomic.incr consumed)
+            (fun push -> for i = 0 to 199 do push i done);
+          check Alcotest.int (Printf.sprintf "%d domains: all consumed" domains) 200
+            (Atomic.get consumed);
+          if Atomic.get high > width pool then
+            Alcotest.failf "%d domains: %d items in flight, window %d" domains
+              (Atomic.get high) (width pool)))
+    [ 1; 2; 3; 4 ]
+
+(* Item [k] fails: [consume] saw exactly the items before it, the call
+   returns only once every task it queued has finished, and the pool
+   stays usable. A failing [feed] comes out after everything it pushed
+   was consumed, as without a pool. *)
+let test_window_failure () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let msg = Printf.sprintf "%d domains: %s" domains in
+          List.iter
+            (fun k ->
+              let started = Atomic.make 0 and running = Atomic.make 0 and seen = ref [] in
+              let f i =
+                Atomic.incr started;
+                Atomic.incr running;
+                Unix.sleepf 0.0003;
+                Atomic.decr running;
+                if i = k || i = k + 2 then failwith (string_of_int i) else i
+              in
+              Alcotest.check_raises (msg "item's exception") (Failure (string_of_int k))
+                (fun () ->
+                  Pool.iter_window ~pool f
+                    (fun i -> seen := i :: !seen)
+                    (fun push -> for i = 0 to 39 do push i done));
+              let after = Atomic.get started in
+              Unix.sleepf 0.005;
+              check Alcotest.int (msg "no task runs after the call") 0 (Atomic.get running);
+              check Alcotest.int (msg "no task starts after the call") after
+                (Atomic.get started);
+              check Alcotest.(list int) (msg "consumed before item k") (List.init k Fun.id)
+                (List.rev !seen))
+            [ 0; 1; 9; 39 ];
+          let seen = ref [] in
+          Alcotest.check_raises (msg "feed's exception") Exit (fun () ->
+              Pool.iter_window ~pool succ
+                (fun i -> seen := i :: !seen)
+                (fun push -> for i = 0 to 9 do push i done; raise Exit));
+          check Alcotest.(list int) (msg "pushed before feed failed") (List.init 10 succ)
+            (List.rev !seen);
+          check Alcotest.(list int) (msg "pool usable after failure")
+            (List.init 50 succ)
+            (Pool.parallel_map pool succ (List.init 50 Fun.id))))
+    [ 1; 2; 3; 4 ]
+
+(* A result leaves the window's ring before it is consumed. The ring
+   outlives minor collections, so a result left in its slot would be
+   promoted at the next one. The pool's worker is held in a task of
+   another call, so this call's tasks run on the caller, one per take:
+   when [consume] collects, no other result is done, and nothing this
+   call made needs promoting but its queued tasks. *)
+let test_window_promotes_nothing () =
+  Pool.with_pool ~domains:2 (fun pool ->
+      let release = Atomic.make false and held = Atomic.make 0 in
+      let hold () =
+        Atomic.incr held;
+        while not (Atomic.get release) do Domain.cpu_relax () done
+      in
+      let holder =
+        Domain.spawn (fun () -> Pool.iter_window ~pool hold ignore (fun push -> push (); push ()))
+      in
+      Fun.protect ~finally:(fun () -> Atomic.set release true; Domain.join holder)
+      @@ fun () ->
+      while Atomic.get held < 2 do Domain.cpu_relax () done;
+      let n = 500 and sum = ref 0 in
+      let before = (Gc.quick_stat ()).Gc.promoted_words in
+      Pool.iter_window ~pool
+        (fun i -> Array.make 200 i)
+        (fun r -> sum := !sum + r.(199); Gc.minor ())
+        (fun push -> for i = 0 to n - 1 do push i done);
+      let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+      check Alcotest.int "every result consumed" (n * (n - 1) / 2) !sum;
+      if promoted >= float_of_int (n * 200 / 2) then
+        Alcotest.failf "%.0f words promoted for %d results of 200 words" promoted n)
+
 (* --- shared stream index memoisation --- *)
 
 let test_shared_index_memoised () =
@@ -234,6 +354,14 @@ let () =
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent;
           qcheck prop_map_equals_list_map;
+        ] );
+      ( "window",
+        [
+          Alcotest.test_case "push order under random delays" `Quick test_window_order;
+          Alcotest.test_case "at most 2 x size items in flight" `Quick test_window_bound;
+          Alcotest.test_case "a failure stops the window whole" `Quick test_window_failure;
+          Alcotest.test_case "consumed results are not promoted" `Quick
+            test_window_promotes_nothing;
         ] );
       ( "shared-index",
         [

@@ -1195,6 +1195,59 @@ let test_fold_repeated_id () =
   run "-j 1";
   Dppar.Pool.with_pool ~domains:2 (fun pool -> run ~pool "-j 2")
 
+(* A pass's lookups run on pool workers while the caller consumes, so
+   the pass settles its entries once its fold is done. Every third
+   stream is followed by its twin (same id, same bytes, same key), in
+   the same window as it. At -j 2, a fold cold, then over a delta, then
+   warm gives -j 1's document, cache bytes and hit/miss counts, and so
+   does an ensure, which settles every twin as a hit; the -j 2 passes
+   run three times, as interleavings differ from run to run. *)
+let test_window_settles_after_fold () =
+  let full = gen 0.03 in
+  let twins streams =
+    Corpus.create ~specs:full.Corpus.specs
+      ~streams:(List.concat (List.mapi (fun i st -> if i mod 3 = 0 then [ st; st ] else [ st ]) streams))
+  in
+  let delta = List.filteri (fun i _ -> i mod 7 <> 3) full.Corpus.streams in
+  let runs = [ ("cold", twins delta); ("delta", twins full.Corpus.streams); ("warm", twins full.Corpus.streams) ] in
+  with_prov true @@ fun () ->
+  let passes ?pool () =
+    let dir = fresh_dir () and ensured = fresh_dir () in
+    List.map
+      (fun (what, corpus) ->
+        let report, _, stats, _ = fold_cached ?pool ~dir (Dptrace.Codec_v2.encode corpus) in
+        let snap = open_snap ?pool ~dir:ensured corpus in
+        let ensure_stats = Snapshot.stats snap in
+        Snapshot.save snap;
+        ( what,
+          render_doc report,
+          (stats.Snapshot.s_hits, stats.Snapshot.s_misses, saved_bytes dir),
+          (ensure_stats.Snapshot.s_hits, ensure_stats.Snapshot.s_misses, saved_bytes ensured) ))
+      runs
+  in
+  let seq = passes () in
+  (match List.rev seq with
+  | (_, _, (hits, misses, _), (e_hits, _, _)) :: _ ->
+    check Alcotest.int "warm: every kept stream hits" (List.length full.Corpus.streams) hits;
+    check Alcotest.int "warm: no misses" 0 misses;
+    check Alcotest.int "warm ensure: every stream hits"
+      (List.length (twins full.Corpus.streams).Corpus.streams) e_hits
+  | [] -> assert false);
+  Dppar.Pool.with_pool ~domains:2 @@ fun pool ->
+  for round = 1 to 3 do
+    List.iter2
+      (fun (what, doc, (hits, misses, bytes), (e_hits, e_misses, e_bytes))
+           (_, doc', (hits', misses', bytes'), (e_hits', e_misses', e_bytes')) ->
+        let msg m = Printf.sprintf "round %d, %s: %s" round what m in
+        check Alcotest.string (msg "document") doc doc';
+        check Alcotest.(pair int int) (msg "fold hits, misses") (hits, misses) (hits', misses');
+        check Alcotest.bool (msg "fold cache bytes") true (bytes = bytes');
+        check Alcotest.(pair int int) (msg "ensure hits, misses") (e_hits, e_misses)
+          (e_hits', e_misses');
+        check Alcotest.bool (msg "ensure cache bytes") true (e_bytes = e_bytes'))
+      seq (passes ~pool ())
+  done
+
 (* A corpus with no streams still opens and saves its cache. *)
 let test_fold_empty () =
   let specs = (gen 0.01).Corpus.specs in
@@ -1533,6 +1586,8 @@ let () =
           Alcotest.test_case "quarantined streams leave no entry" `Slow
             test_fold_quarantine;
           Alcotest.test_case "a corpus with no streams" `Quick test_fold_empty;
+          Alcotest.test_case "-j 2 settles as -j 1: twins, cold, delta, warm" `Slow
+            test_window_settles_after_fold;
           Alcotest.test_case "a repeated stream id quarantined" `Slow
             test_fold_repeated_id;
         ] );
