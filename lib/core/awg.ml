@@ -7,18 +7,26 @@ type status =
   | Running of Signature.t
   | Hw of Signature.t
 
+(* A node's witnesses while it mutates: cells while a partial is built
+   ([Provenance.Wacc.add_cell], sources indexing the partial's graphs,
+   sealed into [witnesses] when it is done), a merger's best so far
+   (collapsed into [witnesses] when the merge is finished). Its merges
+   commute, so per-stream partial forests merged in any order reproduce
+   one build over all their graphs. *)
+type witness_acc =
+  | Settled  (* provenance off, or sealed, or finished *)
+  | Cells of { mutable cells : int array }
+  | Merging of Provenance.Wacc.t
+
 type node = {
   status : status;
   mutable cost : Dputil.Time.t;
   mutable count : int;
   mutable max_cost : Dputil.Time.t;
   mutable witnesses : Provenance.Wset.t;
-  mutable wacc : Provenance.Wacc.t option;
-      (* Witness accumulation while the node is still mutating, collapsed
-         into the canonical capped [witnesses] when the forest is
-         finalised; its merges commute, so per-stream partial forests
-         merged later ([Partial]) reproduce the sequential build bit for
-         bit. [None] when provenance is off or after finalisation. *)
+      (* A partial's node holds its sealed, uncapped chunk here; a
+         finished node its canonical capped set. *)
+  mutable wacc : witness_acc;
   children : (status, node) Hashtbl.t;
   mutable frozen_kids : node array option;
       (* Children in sorted-status order, memoised once the node stops
@@ -47,17 +55,17 @@ let fresh_node status =
     count = 0;
     max_cost = 0;
     witnesses = Provenance.Wset.empty;
-    wacc = None;
+    wacc = Settled;
     children = Hashtbl.create 4;
     frozen_kids = None;
   }
 
-let node_wacc n =
+let merging n =
   match n.wacc with
-  | Some a -> a
-  | None ->
+  | Merging a -> a
+  | Settled | Cells _ ->
     let a = Provenance.Wacc.create () in
-    n.wacc <- Some a;
+    n.wacc <- Merging a;
     a
 
 let is_hw_leaf n =
@@ -102,9 +110,9 @@ let sorted_children n =
     n.frozen_kids <- Some kids;
     kids
 
-(* Final steps shared by [build] and [Partial.merged]: reduce, collapse
-   the exact witness accumulators into their canonical capped sets, and
-   freeze the sorted-children arrays. After this the forest is read-only. *)
+(* [Partial.merged]'s final steps: reduce, collapse the merged witness
+   accumulators into their canonical capped sets, and freeze the
+   sorted-children arrays. After this the forest is read-only. *)
 let finish ~reduce forest =
   let stats =
     if reduce then reduce_forest forest
@@ -114,10 +122,10 @@ let finish ~reduce forest =
   in
   let rec final n =
     (match n.wacc with
-    | Some a ->
+    | Merging a ->
       n.witnesses <- Provenance.Wacc.to_wset a;
-      n.wacc <- None
-    | None -> ());
+      n.wacc <- Settled
+    | Settled | Cells _ -> ());
     Array.iter final (sorted_children n)
   in
   List.iter final (sorted_nodes forest);
@@ -126,9 +134,9 @@ let finish ~reduce forest =
 (* Merge one source event into [table], a level of the forest: the node
    of its status, created on first sight (which invalidates the parent's
    frozen view, relevant only if anything froze mid-build; [build] freezes
-   at the end), absorbs its cost, and, when provenance is on, the source
-   graph's scenario instance. *)
-let absorb_event ?src ?parent table status cost =
+   at the end), absorbs its cost, and, when provenance is on, a cell of
+   the source graph's index [src] (-1 when off). *)
+let absorb_event ~src ?parent table status cost =
   let n =
     match Hashtbl.find_opt table status with
     | Some n -> n
@@ -141,9 +149,11 @@ let absorb_event ?src ?parent table status cost =
   n.cost <- n.cost + cost;
   n.count <- n.count + 1;
   if cost > n.max_cost then n.max_cost <- cost;
-  (match src with
-  | Some r -> Provenance.Wacc.add (node_wacc n) r ~cost
-  | None -> ());
+  if src >= 0 then begin
+    match n.wacc with
+    | Cells c -> c.cells <- Provenance.Wacc.add_cell c.cells src ~cost
+    | Settled | Merging _ -> n.wacc <- Cells { cells = Provenance.Wacc.add_cell [||] src ~cost }
+  end;
   n
 
 (* Walk each graph and merge it into [forest] as it goes: the loop behind
@@ -154,15 +164,14 @@ let absorb_event ?src ?parent table status cost =
    nearest relevant ancestor, a wait merging with its pairing unwait;
    unwaits are never graph children. Accumulation into the forest is
    commutative (cost, count, max, exact witness add), so only the
-   forest's insertion order follows the walk. *)
+   forest's insertion order follows the walk. With provenance on, each
+   node's cells are then sealed into its chunk under the graphs'
+   instance refs, made once here. *)
 let add_graphs components forest graphs =
   let prov = Provenance.enabled () in
-  List.iter
-    (fun (g : Wait_graph.t) ->
-      let src =
-        if prov then Some (Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance)
-        else None
-      in
+  List.iteri
+    (fun gi (g : Wait_graph.t) ->
+      let src = if prov then gi else -1 in
       Wait_graph.with_marks g @@ fun marks ->
       let rec walk parent table (n : Wait_graph.node) =
         let e = n.Wait_graph.event in
@@ -173,7 +182,7 @@ let add_graphs components forest graphs =
             match Component.event_signature components e with
             | Some s ->
               let status = if e.Event.kind = Event.Running then Running s else Hw s in
-              ignore (absorb_event ?src ?parent table status e.Event.cost : node)
+              ignore (absorb_event ~src ?parent table status e.Event.cost : node)
             | None -> ())
           | Event.Wait -> (
             match Component.event_signature components e with
@@ -185,21 +194,31 @@ let add_graphs components forest graphs =
                 | None -> Signature.of_string "<lost-unwait>"
               in
               let m =
-                absorb_event ?src ?parent table (Waiting { wait_sig; unwait_sig })
+                absorb_event ~src ?parent table (Waiting { wait_sig; unwait_sig })
                   e.Event.cost
               in
               List.iter (walk (Some m) m.children) n.Wait_graph.children)
       in
       List.iter (walk None forest) g.Wait_graph.roots)
     graphs;
+  if prov then begin
+    let refs =
+      Array.of_list
+        (List.map
+           (fun (g : Wait_graph.t) -> Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance)
+           graphs)
+    in
+    let rec seal _ n =
+      (match n.wacc with
+      | Cells c ->
+        n.witnesses <- Provenance.Wacc.chunk refs c.cells;
+        n.wacc <- Settled
+      | Settled | Merging _ -> ());
+      Hashtbl.iter seal n.children
+    in
+    Hashtbl.iter seal forest
+  end;
   forest
-
-let build ?(reduce = true) components graphs =
-  (* [finish] reduces, canonicalises witnesses and freezes the
-     sorted-children arrays: after this point the forest is read-only
-     and the frozen views can be shared across domains without
-     publication races. *)
-  finish ~reduce (add_graphs components (Hashtbl.create 64) graphs)
 
 let roots t = sorted_nodes t.forest
 
@@ -327,13 +346,7 @@ module Partial = struct
   type partial = (status, node) Hashtbl.t
 
   (* Witnesses are sealed here, on the worker that built them. *)
-  let build components graphs : partial =
-    let forest = add_graphs components (Hashtbl.create 16) graphs in
-    let rec seal level =
-      Hashtbl.iter (fun _ n -> Option.iter Provenance.Wacc.seal n.wacc; seal n.children) level
-    in
-    seal forest;
-    forest
+  let build components graphs : partial = add_graphs components (Hashtbl.create 16) graphs
 
   (* Merging never adopts a source node: partials must stay intact (the
      snapshot cache serialises them after merging), so targets are always
@@ -365,9 +378,8 @@ module Partial = struct
         n.cost <- n.cost + c.cost;
         n.count <- n.count + c.count;
         if c.max_cost > n.max_cost then n.max_cost <- c.max_cost;
-        (match c.wacc with
-        | Some a -> Provenance.Wacc.merge_into ~into:(node_wacc n) a
-        | None -> ());
+        if not (Provenance.Wset.is_empty c.witnesses) then
+          Provenance.Wacc.merge_chunk ~into:(merging n) c.witnesses;
         absorb n.children c.children)
       src
 
@@ -429,7 +441,7 @@ module Partial = struct
         Wire.wv buf n.cost;
         Wire.wv buf n.count;
         Wire.wv buf n.max_cost;
-        (match n.wacc with Some a -> Provenance.Wacc.write buf a | None -> Wire.wv buf 0);
+        Provenance.Wset.write buf n.witnesses;
         write buf n.children)
       nodes
 
@@ -494,7 +506,7 @@ module Partial = struct
           Some n
       in
       (match node with
-      | Some n -> n.wacc <- Provenance.Wacc.read ~id cur
+      | Some n -> n.witnesses <- Provenance.Wacc.read_chunk ~id cur
       | None -> Provenance.Wacc.skip cur);
       read_level id (Option.map (fun n -> n.children) node) cur "child"
     done
@@ -506,3 +518,11 @@ module Partial = struct
 
   let walk cur = read_level 0 None cur "root"
 end
+
+(* One build is the merge of one partial: the merger's nodes are fresh,
+   and [finish] freezes the sorted-children arrays, so the forest is
+   read-only from here and shareable across domains. *)
+let build ?(reduce = true) components graphs =
+  let m = Partial.merger () in
+  Partial.absorb m (Partial.build components graphs);
+  Partial.merged ~reduce m

@@ -25,6 +25,12 @@ type status =
   | Running of Dptrace.Signature.t
   | Hw of Dptrace.Signature.t
 
+type witness_acc
+(** A node's witnesses while its forest mutates: int cells while a
+    {!Partial.partial} is built ({!Provenance.Wacc.add_cell}), a merge's
+    best so far while a {!Partial.merger} absorbs; nothing once sealed
+    or finished, or with provenance off. *)
+
 type node = private {
   status : status;
   mutable cost : Dputil.Time.t;  (** [v.C] — summed duration. *)
@@ -36,10 +42,10 @@ type node = private {
       (** Contributing (stream, scenario instance) support, capped to the
           costliest {!Provenance.default_k} entries. Empty unless
           {!Provenance.enabled} was true during {!build}. The cap never
-          makes aggregation order-sensitive ({!Provenance.Wacc}). *)
-  mutable wacc : Provenance.Wacc.t option;
-      (** The in-build accumulator behind [witnesses]; [None] when
-          provenance is off or once the forest is finalised. *)
+          makes aggregation order-sensitive ({!Provenance.Wacc}). A
+          {!Partial.partial}'s node holds its stream's uncapped chunk
+          here. *)
+  mutable wacc : witness_acc;  (** What becomes [witnesses]. *)
   children : (status, node) Hashtbl.t;
   mutable frozen_kids : node array option;
       (** Children in sorted-status order, memoised by {!build} once the
@@ -62,8 +68,9 @@ val build :
   Component.t ->
   Dpwaitgraph.Wait_graph.t list ->
   t
-(** Aggregate the given Wait Graphs. [reduce] (default [true]) applies the
-    non-optimisable-portion pruning. All traversals iterate children in
+(** Aggregate the given Wait Graphs: one {!Partial.build} absorbed into
+    a fresh {!Partial.merger} and {!Partial.merged}. [reduce] (default
+    [true]) applies the non-optimisable-portion pruning. All traversals iterate children in
     sorted-status order, so the result does not depend on the order the
     graphs are given in. *)
 
@@ -123,8 +130,9 @@ module Partial : sig
 
   val build : Component.t -> Dpwaitgraph.Wait_graph.t list -> partial
   (** Convert and aggregate one stream's graphs (the conversion and merge
-      loop {!Awg.build} runs, minus reduce/freeze). Records exact witness
-      accumulators, each sealed, when {!Provenance.enabled}. *)
+      loop {!Awg.build} runs, minus reduce/freeze). When
+      {!Provenance.enabled}, each node's witnesses are exact: int cells
+      while it is built, sealed into its chunk at the end. *)
 
   type merger
   (** A merge in progress: the running, still unreduced forest. Partials
@@ -136,9 +144,10 @@ module Partial : sig
   val merger : unit -> merger
   (** An empty merge, of partials that are each one stream's, no two
       sharing a stream id. Each node keeps only its best
-      {!Provenance.default_k} witnesses as it absorbs
-      ({!Provenance.Wacc.merge_into}), so its witness memory does not
-      grow with the partials, and {!merged} is the same AWG. *)
+      {!Provenance.default_k} witnesses as it absorbs, in one sorted
+      buffer merged into in place ({!Provenance.Wacc.merge_chunk}), so
+      its witness memory does not grow with the partials, and {!merged}
+      is the same AWG. *)
 
   val absorb : merger -> partial -> unit
   (** Accumulate one partial into the merge. Every accumulation commutes,

@@ -103,8 +103,12 @@ val measure :
     class, if it has one (default: none does). The last component lists,
     in the same order, each scenario with a class and
     [analyze_graphs_prov] of the graphs in it, measured in the same
-    traversal with the class's own distinct-wait set and provenance
-    collector. *)
+    traversal with the class's own distinct waits and reservoirs.
+
+    The distinct waits and runs are tallied per stream, by event id, in
+    a per-domain scratch of int arrays: with provenance on, a repeat
+    visit is two int updates (multiplicity, first graph), and records
+    are built only for the events that make a reservoir's top-K. *)
 
 val merge_modules : module_row list -> module_row list -> module_row list
 (** Combine breakdowns measured over {e disjoint streams} (sums, max of

@@ -342,10 +342,11 @@ let freeze fr =
 (* {2 Meta-pattern enumeration}
 
    Per-tuple accumulator. Witness sets are collected in (reversed)
-   arrival order and folded only at finalisation: {!Provenance.Wset.union}
-   truncates to the top-k entries and is therefore not associative, so to
-   stay bit-identical with the naive sequential miner the engine must
-   apply the unions in exactly its left-to-right segment order. *)
+   arrival order and folded only at finalisation, by
+   {!Provenance.Wset.union_all}: a union truncates to the top-k entries
+   and is therefore not associative, so to stay bit-identical with the
+   naive sequential miner the engine must apply the unions in exactly
+   its left-to-right segment order. *)
 type macc = {
   mt : Tuple.t;
   mb : int array;
@@ -358,12 +359,7 @@ type macc = {
   mutable a_wrev : Provenance.Wset.t list;
 }
 
-let wset_of_rev = function
-  | [] -> Provenance.Wset.empty
-  | wrev -> (
-    match List.rev wrev with
-    | w :: rest -> List.fold_left Provenance.Wset.union w rest
-    | [] -> assert false)
+let wset_of_rev wrev = Provenance.Wset.union_all (List.rev wrev)
 
 (* Segment enumeration state: the scratch plus one table fusing the
    tuple memo with the per-tuple accumulators, keyed by the O(1) scratch
@@ -656,9 +652,8 @@ let select_patterns ~slow ~contrast_metas =
           in
           let fast_witnesses =
             if prov then
-              List.fold_left
-                (fun acc cm -> Provenance.Wset.union acc cm.cm_fast_witnesses)
-                Provenance.Wset.empty matching
+              Provenance.Wset.union_all
+                (Provenance.Wset.empty :: List.map (fun cm -> cm.cm_fast_witnesses) matching)
             else Provenance.Wset.empty
           in
           match Tuple_table.find_opt table tuple with

@@ -65,7 +65,7 @@ let skip_ref cur =
 
 module Topk = struct
   (* Sorted list, best first, never longer than [cap]. Caps are small
-     (default_k), so linear inserts beat any heap at this size — and the
+     (default_k), so lists beat any heap at this size — and the
      representation is canonical, which makes merged reservoirs
      association-independent. *)
   type 'a t = { cap : int; compare : 'a -> 'a -> int; items : 'a list }
@@ -74,65 +74,188 @@ module Topk = struct
     if cap < 1 then invalid_arg "Provenance.Topk.create: cap must be >= 1";
     { cap; compare; items = [] }
 
-  let truncate cap items =
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
+  let rec take n = function
+    | x :: rest when n > 0 -> x :: take (n - 1) rest
+    | _ -> []
+
+  let rec strictly_sorted compare = function
+    | a :: (b :: _ as rest) -> compare a b < 0 && strictly_sorted compare rest
+    | [ _ ] | [] -> true
+
+  (* Adding each in turn puts an element before its equals: the stable
+     sort of the reversed list. A strictly sorted list, what every caller
+     gives, is taken as it is. *)
+  let of_list t xs =
+    let sorted =
+      if strictly_sorted t.compare xs then xs else List.stable_sort t.compare (List.rev xs)
     in
-    take cap items
+    { t with items = take t.cap sorted }
 
-  let add t x =
-    let rec insert = function
-      | [] -> [ x ]
-      | y :: rest -> if t.compare x y <= 0 then x :: y :: rest else y :: insert rest
-    in
-    { t with items = truncate t.cap (insert t.items) }
-
-  let add_list t xs = List.fold_left add t xs
-
+  (* [List.merge] stopped at the cap (both sides share it). A side that
+     would keep every place is shared: [a] for an empty [b], or when it
+     is full and its last is no worse than [b]'s first; [b] for an empty
+     [a]. *)
   let merge a b =
-    { a with items = truncate a.cap (List.merge a.compare a.items b.items) }
+    let rec go n xs ys =
+      if n = 0 then []
+      else
+        match (xs, ys) with
+        | [], l | l, [] -> take n l
+        | x :: xs', y :: ys' ->
+          if a.compare x y <= 0 then x :: go (n - 1) xs' ys else y :: go (n - 1) xs ys'
+    in
+    match (a.items, b.items) with
+    | _, [] -> a
+    | xs, y :: _
+      when List.compare_length_with xs a.cap = 0 && a.compare (List.nth xs (a.cap - 1)) y <= 0 ->
+      a
+    | [], _ -> b
+    | xs, ys -> { a with items = go a.cap xs ys }
 
   let to_list t = t.items
 end
 
-module Wset = struct
-  (* Capped cost-descending association list: tiny (<= cap entries), so
-     plain lists keep it allocation-light and deterministic. *)
-  type entry = { e_ref : instance_ref; e_cost : Dputil.Time.t; e_count : int }
-  type t = entry list
+let same_ref a b =
+  a == b
+  || a.stream_id = b.stream_id && a.t0 = b.t0 && a.tid = b.tid
+     && String.equal a.scenario b.scenario
 
-  let empty = []
+let none_ref = { stream_id = 0; scenario = ""; tid = 0; t0 = 0; t1 = 0 }
+
+module Wset = struct
+  (* Capped cost-descending array, at most [cap] entries with distinct
+     refs: tiny, so insertion sorts and linear scans keep it
+     allocation-light and deterministic. *)
+  type entry = { e_ref : instance_ref; e_cost : Dputil.Time.t; e_count : int }
+  type t = entry array
+
+  let empty = [||]
+  let is_empty t = Array.length t = 0
 
   let order a b =
-    match compare b.e_cost a.e_cost with
+    match Int.compare b.e_cost a.e_cost with
     | 0 -> compare_ref a.e_ref b.e_ref
     | c -> c
 
   let sum a b = { a with e_cost = a.e_cost + b.e_cost; e_count = a.e_count + b.e_count }
 
-  (* Equal refs summed through an association list (each side holds at
-     most [cap] entries); the entry fed first, [a]'s, keeps its ref. *)
-  let union ?(cap = default_k) a b =
-    let feed acc e =
-      let same x = compare_ref x.e_ref e.e_ref = 0 in
-      if List.exists same acc then List.map (fun x -> if same x then sum x e else x) acc
-      else e :: acc
-    in
-    let summed = List.fold_left feed (List.fold_left feed [] a) b in
-    List.filteri (fun i _ -> i < cap) (List.sort order summed)
+  let none = { e_ref = none_ref; e_cost = 0; e_count = 0 }
 
-  let entries t = List.map (fun e -> (e.e_ref, e.e_cost, e.e_count)) t
+  (* A stable sort of [es] under [cmp]: insertion, with no allocation,
+     for the few entries a node or a union holds; [Array.stable_sort]
+     above that. *)
+  let stable_sort cmp es =
+    if Array.length es > 16 then Array.stable_sort cmp es
+    else
+      for i = 1 to Array.length es - 1 do
+        let x = es.(i) in
+        let j = ref i in
+        while !j > 0 && cmp es.(!j - 1) x > 0 do
+          es.(!j) <- es.(!j - 1);
+          decr j
+        done;
+        es.(!j) <- x
+      done
 
-  let write buf t =
-    Dptrace.Wire.wv buf (List.length t);
-    List.iter
+  (* The buffer a union folds into, one per domain: refs with summed
+     costs and counts. *)
+  type acc = {
+    mutable refs : instance_ref array;
+    mutable costs : int array;
+    mutable counts : int array;
+    mutable n : int;
+  }
+
+  let acc_key =
+    Domain.DLS.new_key (fun () -> { refs = [||]; costs = [||]; counts = [||]; n = 0 })
+
+  (* Each entry summed into an equal ref already fed (which keeps its
+     ref) or appended. *)
+  let feed acc (w : t) =
+    for k = 0 to Array.length w - 1 do
+      let e = w.(k) in
+      let i = ref 0 in
+      while !i < acc.n && not (same_ref acc.refs.(!i) e.e_ref) do incr i done;
+      if !i < acc.n then begin
+        acc.costs.(!i) <- acc.costs.(!i) + e.e_cost;
+        acc.counts.(!i) <- acc.counts.(!i) + e.e_count
+      end
+      else begin
+        if acc.n = Array.length acc.refs then begin
+          let grow a fill =
+            let b = Array.make (max 16 (2 * acc.n)) fill in
+            Array.blit a 0 b 0 acc.n;
+            b
+          in
+          acc.refs <- grow acc.refs none_ref;
+          acc.costs <- grow acc.costs 0;
+          acc.counts <- grow acc.counts 0
+        end;
+        acc.refs.(acc.n) <- e.e_ref;
+        acc.costs.(acc.n) <- e.e_cost;
+        acc.counts.(acc.n) <- e.e_count;
+        acc.n <- acc.n + 1
+      end
+    done
+
+  (* Sorted by [order] (the refs are distinct), then cut to [cap]. *)
+  let cut acc cap =
+    for i = 1 to acc.n - 1 do
+      let r = acc.refs.(i) and c = acc.costs.(i) and k = acc.counts.(i) in
+      let j = ref i in
+      while
+        !j > 0
+        && (let c' = acc.costs.(!j - 1) in
+            c' < c || (c' = c && compare_ref acc.refs.(!j - 1) r > 0))
+      do
+        acc.refs.(!j) <- acc.refs.(!j - 1);
+        acc.costs.(!j) <- acc.costs.(!j - 1);
+        acc.counts.(!j) <- acc.counts.(!j - 1);
+        decr j
+      done;
+      acc.refs.(!j) <- r;
+      acc.costs.(!j) <- c;
+      acc.counts.(!j) <- k
+    done;
+    acc.n <- min acc.n cap
+
+  let matches acc (w : t) =
+    let same = ref (Array.length w = acc.n) and i = ref 0 in
+    while !same && !i < acc.n do
+      let e = w.(!i) in
+      same :=
+        e.e_ref == acc.refs.(!i) && e.e_cost = acc.costs.(!i) && e.e_count = acc.counts.(!i);
+      incr i
+    done;
+    !same
+
+  let entries_of acc =
+    Array.init acc.n (fun i ->
+        { e_ref = acc.refs.(i); e_cost = acc.costs.(i); e_count = acc.counts.(i) })
+
+  (* [List.fold_left union first rest] in one buffer: the first set fed,
+     then each next one fed, with equal refs summed (the first fed keeps
+     its ref), and the buffer sorted and cut to [cap]. Entries are made
+     only for a result that is not the first or the last set. *)
+  let union_all ?(cap = default_k) = function
+    | [] -> empty
+    | [ w ] -> w
+    | first :: rest ->
+      let acc = Domain.DLS.get acc_key in
+      acc.n <- 0;
+      feed acc first;
+      let last = List.fold_left (fun _ w -> feed acc w; cut acc cap; w) first rest in
+      if matches acc last then last else if matches acc first then first else entries_of acc
+
+  let union ?cap a b = union_all ?cap [ a; b ]
+
+  let entries t = Array.fold_right (fun e l -> (e.e_ref, e.e_cost, e.e_count) :: l) t []
+
+  let write buf (t : t) =
+    Dptrace.Wire.wv buf (Array.length t);
+    Array.iter
       (fun e -> write_ref buf e.e_ref; Dptrace.Wire.wv buf e.e_cost; Dptrace.Wire.wv buf e.e_count)
       t
-
-  let none =
-    { e_ref = { stream_id = 0; scenario = ""; tid = 0; t0 = 0; t1 = 0 }; e_cost = 0; e_count = 0 }
 
   (* Scenario names as [compare] orders strings, each a span of [s]. *)
   let rec compare_span s o1 l1 o2 l2 =
@@ -182,97 +305,159 @@ module Wset = struct
 
   let of_entries l =
     let b = Buffer.create 256 in
-    write b (List.map (fun (e_ref, e_cost, e_count) -> { e_ref; e_cost; e_count }) l);
-    Array.to_list
-      (read_entries ~build:true ~cap:default_k ~id:None (Dptrace.Wire.cursor (Buffer.contents b)))
+    write b (Array.of_list (List.map (fun (e_ref, e_cost, e_count) -> { e_ref; e_cost; e_count }) l));
+    read_entries ~build:true ~cap:default_k ~id:None (Dptrace.Wire.cursor (Buffer.contents b))
 end
 
 module Wacc = struct
-  (* Exact (uncapped) accumulation while a node is built, in cells, then
-     one sealed chunk of canonical entries; a merge conses chunks. Each
-     chunk is one stream's and a run absorbs each stream id once, so no
-     ref is in two chunks: every entry is final, and the best of the
-     chunks are the node's (DESIGN.md §9). *)
-  type cell = { c_ref : instance_ref; mutable c_cost : Dputil.Time.t; mutable c_count : int }
-  type t = { mutable cells : cell list; mutable chunks : Wset.entry array list }
+  (* Exact (uncapped) accumulation while a node is built, in cells: an
+     int array whose slot 0 counts the cells in use, then one triple per
+     cell, (source, cost, count). A source indexes a table of refs given
+     when the cells are sealed, and adds are run-length on it (a node's
+     adds come a graph at a time). Sealing turns the cells into one
+     chunk of canonical entries. Each chunk is one stream's and a run
+     absorbs each stream id once, so no ref is in two chunks: every
+     entry is final, and a merge target keeps only the best [default_k]
+     entries of the chunks merged into it, in one sorted buffer merged
+     into in place (DESIGN.md §9). *)
 
-  let create () = { cells = []; chunks = [] }
-
-  let add t r ~cost =
-    match t.cells with
-    | c :: _ when c.c_ref == r ->
-      c.c_cost <- c.c_cost + cost;
-      c.c_count <- c.c_count + 1
-    | cells -> t.cells <- { c_ref = r; c_cost = cost; c_count = 1 } :: cells
-
-  (* Entries newest first, in a fresh array: summed per ref (the
-     first-arrived kept) and sorted by [Wset.order]. *)
-  let chunk_of_newest es =
-    Array.stable_sort (fun a b -> compare_ref a.Wset.e_ref b.Wset.e_ref) es;
-    let n = ref 0 in
-    Array.iter
-      (fun e ->
-        if !n > 0 && compare_ref es.(!n - 1).Wset.e_ref e.Wset.e_ref = 0 then
-          es.(!n - 1) <- Wset.sum e es.(!n - 1)
-        else (es.(!n) <- e; incr n))
-      es;
-    let es = if !n = Array.length es then es else Array.sub es 0 !n in
-    Array.sort Wset.order es;
-    es
-
-  let seal t =
-    let entry c = { Wset.e_ref = c.c_ref; e_cost = c.c_cost; e_count = c.c_count } in
-    if t.cells <> [] then begin
-      t.chunks <- chunk_of_newest (Array.map entry (Array.of_list t.cells)) :: t.chunks;
-      t.cells <- []
+  let add_cell cells src ~cost =
+    let n = if Array.length cells = 0 then 0 else cells.(0) in
+    let o = (3 * n) - 2 in
+    if n > 0 && cells.(o) = src then begin
+      cells.(o + 1) <- cells.(o + 1) + cost;
+      cells.(o + 2) <- cells.(o + 2) + 1;
+      cells
+    end
+    else begin
+      let cells =
+        if (3 * n) + 4 <= Array.length cells then cells
+        else begin
+          let grown = Array.make ((6 * n) + 4) 0 in
+          Array.blit cells 0 grown 0 (Array.length cells);
+          grown
+        end
+      in
+      let o = (3 * n) + 1 in
+      cells.(0) <- n + 1;
+      cells.(o) <- src;
+      cells.(o + 1) <- cost;
+      cells.(o + 2) <- 1;
+      cells
     end
 
-  (* The best [cap] of sorted arrays, in a sorted buffer; an array stops
-     offering at its first loser. *)
-  let best cap arrays =
-    let buf = Array.make cap Wset.none and n = ref 0 in
-    let rec offer es i =
-      if i < min cap (Array.length es) && (!n < cap || Wset.order es.(i) buf.(cap - 1) < 0)
-      then begin
-        let j = ref (min !n (cap - 1)) in
-        while !j > 0 && Wset.order es.(i) buf.(!j - 1) < 0 do decr j done;
-        Array.blit buf !j buf (!j + 1) (min !n (cap - 1) - !j);
-        buf.(!j) <- es.(i);
-        n := min cap (!n + 1);
-        offer es (i + 1)
-      end
-    in
-    List.iter (fun es -> offer es 0) arrays;
-    Array.sub buf 0 !n
+  let by_ref a b = compare_ref a.Wset.e_ref b.Wset.e_ref
 
-  (* Chunks a node holds before a merge cuts them to one. Measured on
-     [report --json -j 1] (seed 42, scale 5): 2 peaks at 36.1 MB, 4 at
-     37.5, 8 at 39.8 and 32 at 44.6; 1 peaks at 36.2 MB and allocates
-     0.7% more minor words than 2. *)
-  let max_chunks = 2
+  (* The cells' entries, summed per ref (the first-arrived kept) and
+     sorted by [Wset.order]. *)
+  let chunk refs cells : Wset.t =
+    if Array.length cells = 0 then Wset.empty
+    else begin
+      let es = Array.make cells.(0) Wset.none in
+      for i = 0 to cells.(0) - 1 do
+        let o = (3 * i) + 1 in
+        es.(i) <- { Wset.e_ref = refs.(cells.(o)); e_cost = cells.(o + 1); e_count = cells.(o + 2) }
+      done;
+      Wset.stable_sort by_ref es;
+      let n = ref 1 in
+      for i = 1 to Array.length es - 1 do
+        let e = es.(i) in
+        if same_ref es.(!n - 1).Wset.e_ref e.Wset.e_ref then es.(!n - 1) <- Wset.sum es.(!n - 1) e
+        else begin
+          es.(!n) <- e;
+          incr n
+        end
+      done;
+      let es = if !n = Array.length es then es else Array.sub es 0 !n in
+      Wset.stable_sort Wset.order es;
+      es
+    end
+
+  (* [srcs] are [add]'s refs, one per cell. *)
+  type t = {
+    mutable srcs : instance_ref array;
+    mutable cells : int array;
+    mutable chunks : Wset.t list;
+    mutable best : Wset.entry array;  (* [||] until something is merged in *)
+    mutable kept : int;  (* [best]'s entries in use *)
+  }
+
+  let create () = { srcs = [||]; cells = [||]; chunks = []; best = [||]; kept = 0 }
+
+  let add t r ~cost =
+    let n = if Array.length t.cells = 0 then 0 else t.cells.(0) in
+    if n > 0 && t.srcs.(n - 1) == r then t.cells <- add_cell t.cells (n - 1) ~cost
+    else begin
+      if n = Array.length t.srcs then begin
+        let srcs = Array.make (max 1 (2 * n)) none_ref in
+        Array.blit t.srcs 0 srcs 0 n;
+        t.srcs <- srcs
+      end;
+      t.srcs.(n) <- r;
+      t.cells <- add_cell t.cells n ~cost
+    end
+
+  let seal t =
+    if Array.length t.cells > 0 then begin
+      t.chunks <- chunk t.srcs t.cells :: t.chunks;
+      t.srcs <- [||];
+      t.cells <- [||]
+    end
+
+  (* Offer the first [len] entries of [es], sorted, to the sorted buffer
+     [buf] holding [n] of at most [Array.length buf]; the new count. An
+     array stops offering at its first loser. *)
+  let offer buf n es len =
+    let cap = Array.length buf in
+    let n = ref n and i = ref 0 in
+    while !i < min cap len && (!n < cap || Wset.order es.(!i) buf.(cap - 1) < 0) do
+      let e = es.(!i) in
+      let j = ref (min !n (cap - 1)) in
+      while !j > 0 && Wset.order e buf.(!j - 1) < 0 do
+        buf.(!j) <- buf.(!j - 1);
+        decr j
+      done;
+      buf.(!j) <- e;
+      n := min cap (!n + 1);
+      incr i
+    done;
+    !n
+
+  let merge_sub into es len =
+    if len > 0 then begin
+      if into.best = [||] then into.best <- Array.make default_k Wset.none;
+      into.kept <- offer into.best into.kept es len
+    end
+
+  let merge_chunk ~into (es : Wset.t) = merge_sub into es (Array.length es)
 
   let merge_into ~into src =
     seal src;
-    into.chunks <- src.chunks @ into.chunks;
-    if List.compare_length_with into.chunks max_chunks > 0 then
-      into.chunks <- [ best default_k into.chunks ]
+    List.iter (merge_chunk ~into) src.chunks;
+    merge_sub into src.best src.kept
 
   let all t =
     seal t;
-    List.sort Wset.order (List.concat_map Array.to_list t.chunks)
+    List.sort Wset.order (List.concat_map Array.to_list (Array.sub t.best 0 t.kept :: t.chunks))
 
-  let entries t = Wset.entries (all t)
+  let entries t = Wset.entries (Array.of_list (all t))
 
   let to_wset ?(cap = default_k) t =
     seal t;
-    Array.to_list (best cap t.chunks)
+    let buf = Array.make cap Wset.none in
+    let n = offer buf 0 t.best t.kept in
+    let n = List.fold_left (fun n es -> offer buf n es (Array.length es)) n t.chunks in
+    if n = cap then buf else Array.sub buf 0 n
 
-  let write buf t = Wset.write buf (all t)
+  let write buf t = Wset.write buf (Array.of_list (all t))
+
+  let read_chunk ~id cur : Wset.t =
+    Wset.read_entries ~build:true ~cap:max_int ~id:(Some id) cur
 
   let read ~id cur =
-    match Wset.read_entries ~build:true ~cap:max_int ~id:(Some id) cur with
+    match read_chunk ~id cur with
     | [||] -> None
-    | es -> Some { cells = []; chunks = [ es ] }
+    | es -> Some { (create ()) with chunks = [ es ] }
 
   let skip cur = ignore (Wset.read_entries ~build:false ~cap:max_int ~id:None cur : Wset.entry array)
 end
@@ -333,75 +518,3 @@ let merge_impact a b =
     top_runs = Topk.merge a.top_runs b.top_runs;
     by_module = merge_by_module a.by_module b.by_module;
   }
-
-module Collector = struct
-  (* Full (stream, event) -> record tables while the pass runs — the
-     same cardinality as the analysis' own distinct-wait table, and
-     sized like it — reduced to top-K reservoirs once at [impact]. *)
-  type t = {
-    cap : int;
-    waits : (int * int, wait_record) Hashtbl.t;
-    runs : (int * int, wait_record) Hashtbl.t;
-    modules : (int * int, string) Hashtbl.t;  (* wait key -> module name *)
-  }
-
-  let create ?(cap = default_k) () =
-    {
-      cap;
-      waits = Hashtbl.create 16;
-      runs = Hashtbl.create 16;
-      modules = Hashtbl.create 16;
-    }
-
-  let record tbl ~stream_id ~instance ~(event : Dptrace.Event.t) ~signature =
-    let key = (stream_id, event.Dptrace.Event.id) in
-    match Hashtbl.find_opt tbl key with
-    | Some r ->
-      Hashtbl.replace tbl key { r with wr_multiplicity = r.wr_multiplicity + 1 }
-    | None ->
-      Hashtbl.replace tbl key
-        {
-          wr_ref = instance;
-          wr_event = event.Dptrace.Event.id;
-          wr_signature = signature;
-          wr_ts = event.Dptrace.Event.ts;
-          wr_te = Dptrace.Event.end_ts event;
-          wr_cost = event.Dptrace.Event.cost;
-          wr_multiplicity = 1;
-        }
-
-  let record_wait t ~module_name ~stream_id ~instance ~event ~signature =
-    let key = (stream_id, event.Dptrace.Event.id) in
-    if not (Hashtbl.mem t.modules key) then
-      Hashtbl.replace t.modules key module_name;
-    record t.waits ~stream_id ~instance ~event ~signature
-
-  let record_run t ~stream_id ~instance ~event ~signature =
-    record t.runs ~stream_id ~instance ~event ~signature
-
-  let impact t =
-    let top_of tbl =
-      Hashtbl.fold (fun _ r acc -> Topk.add acc r) tbl
-        (empty_topk ~cap:t.cap ())
-    in
-    let mods : (string, wait_record Topk.t) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun key r ->
-        match Hashtbl.find_opt t.modules key with
-        | None -> ()
-        | Some name ->
-          let cur =
-            match Hashtbl.find_opt mods name with
-            | Some k -> k
-            | None -> empty_topk ~cap:t.cap ()
-          in
-          Hashtbl.replace mods name (Topk.add cur r))
-      t.waits;
-    {
-      top_waits = top_of t.waits;
-      top_runs = top_of t.runs;
-      by_module =
-        Hashtbl.fold (fun name k acc -> (name, k) :: acc) mods []
-        |> List.sort (fun (a, _) (b, _) -> compare a b);
-    }
-end

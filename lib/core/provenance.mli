@@ -77,11 +77,10 @@ module Topk : sig
   (** [compare] orders best-first (negative = better) and must be total
       — break cost ties on stable identity, not insertion order. *)
 
-  val add : 'a t -> 'a -> 'a t
-  val add_list : 'a t -> 'a list -> 'a t
-  val merge : 'a t -> 'a t -> 'a t
-  (** Both sides must share [cap] and [compare] (true for reservoirs
-      built by one analysis). *)
+  val of_list : 'a t -> 'a list -> 'a t
+  (** The best [cap] of the list, as if each were added to the (empty)
+      reservoir in turn: of two equal elements the later comes first. A
+      strictly sorted list is taken without a sort. *)
 
   val to_list : 'a t -> 'a list
   (** Best first, at most [cap] elements. *)
@@ -93,21 +92,32 @@ module Wset : sig
   type t
   (** A capped aggregation of contributing instances: per
       {!instance_ref}, the total cost it contributed and the number of
-      source events absorbed. Kept cost-descending and truncated to a
-      cap, reservoir-style: the costliest supporters survive. *)
+      source events absorbed. Kept cost-descending, with distinct refs,
+      and truncated to a cap, reservoir-style: the costliest supporters
+      survive. *)
 
   val empty : t
+  val is_empty : t -> bool
 
   val union : ?cap:int -> t -> t -> t
-  (** Per-ref sums (keeping [a]'s ref), then re-capped. *)
+  (** [a]'s entries fed, then [b]'s, each summed into an equal ref already
+      fed (which keeps its ref) or appended; then sorted and cut to [cap].
+      A result equal to a side is that side, with no allocation. *)
+
+  val union_all : ?cap:int -> t list -> t
+  (** [List.fold_left union] from the first set over the rest, in one
+      buffer: the entries are made once, for the result. *)
 
   val entries : t -> (instance_ref * Dputil.Time.t * int) list
   (** [(ref, contributed cost, occurrences)], cost-descending. *)
 
+  val write : Buffer.t -> t -> unit
+  (** The witness wire form: a count, then each entry's {!write_ref},
+      cost and count. *)
+
   val of_entries : (instance_ref * Dputil.Time.t * int) list -> t
   (** Inverse of {!entries}. It writes the list in the witness wire form
-      (a count, then each entry's {!write_ref}, cost and count) and reads
-      it back with the checks {!Wacc.read} makes.
+      ({!write}) and reads it back with the checks {!Wacc.read} makes.
       @raise Dptrace.Wire.Corrupt on more than {!default_k} entries, or
       unless each is strictly after the one before it in {!entries}'
       order (ties by {!compare_ref}). *)
@@ -117,30 +127,30 @@ module Wacc : sig
   type t
   (** A mutable witness accumulator: per {!instance_ref}, contributed
       cost and occurrence count, capped to a canonical {!Wset.t} when
-      the node freezes. {!seal} turns the adds into one chunk, and a
-      merge shares the source's chunks. A merge's sources are each one
-      stream's, with no two sharing a stream id, so no ref is in two
-      chunks and every entry is final (DESIGN.md §9). *)
+      the node freezes. Adds go into int cells ({!add_cell}), sealed
+      into one canonical chunk ({!chunk}) when read or merged; a merge
+      target keeps one sorted buffer of the best {!default_k} entries
+      merged into it. A merge's sources are each one stream's, with no
+      two sharing a stream id, so no ref is in two chunks and every
+      entry is final (DESIGN.md §9). *)
 
   val create : unit -> t
 
   val add : t -> instance_ref -> cost:Dputil.Time.t -> unit
   (** One occurrence: [cost + cost], [count + 1]. *)
 
-  val seal : t -> unit
-
   val merge_into : into:t -> t -> unit
-  (** O(chunks) after sealing the source, which stays valid. Once [into]
-      holds more than a fixed few chunks, they are cut in place to one
-      chunk of their best {!default_k} entries: that changes no
-      {!to_wset} with [cap <= default_k], but {!entries} and {!write}
-      then see only the kept entries. *)
+  (** Seals the source, which stays valid, and merges its entries into
+      [into]'s one sorted buffer of the best {!default_k} entries merged
+      in, in place: that changes no {!to_wset} with [cap <= default_k],
+      but {!entries} and {!write} then see only the kept entries. *)
 
   val entries : t -> (instance_ref * Dputil.Time.t * int) list
-  (** The entries the chunks hold, in {!Wset.entries}' order. *)
+  (** The entries it holds (its chunks' and its merge buffer's), in
+      {!Wset.entries}' order. *)
 
   val to_wset : ?cap:int -> t -> Wset.t
-  (** The best [cap] over the chunks, in canonical form; [cap] defaults
+  (** The best [cap] of {!entries}, in canonical form; [cap] defaults
       to {!default_k}. *)
 
   val write : Buffer.t -> t -> unit
@@ -154,6 +164,27 @@ module Wacc : sig
 
   val skip : Dptrace.Wire.cursor -> unit
   (** {!read}'s checks, building nothing. *)
+
+  (** {2 Cells and chunks}
+
+      The unboxed form {!add} works on, for a caller that
+      holds one table of refs for many accumulators (an AWG partial, a
+      table of its graphs' instances). *)
+
+  val add_cell : int array -> int -> cost:Dputil.Time.t -> int array
+  (** [add_cell cells src ~cost]: one occurrence of the ref at index
+      [src] of the table. Cells start as [[||]]; the result replaces
+      [cells] (it is [cells] unless they had to grow). *)
+
+  val chunk : instance_ref array -> int array -> Wset.t
+  (** The cells sealed under the table: summed per ref (the first to
+      arrive keeps its ref), in {!Wset.entries}' order, uncapped. *)
+
+  val merge_chunk : into:t -> Wset.t -> unit
+  (** {!merge_into} of a sealed chunk. *)
+
+  val read_chunk : id:int -> Dptrace.Wire.cursor -> Wset.t
+  (** {!read} as a chunk, {!Wset.empty} for no entries. *)
 end
 
 (** {1 Impact provenance} *)
@@ -193,35 +224,3 @@ val empty_impact : impact
 val merge_impact : impact -> impact -> impact
 (** Exact for disjoint streams (records are keyed by (stream, event));
     used by the parallel per-stream reduction. *)
-
-(** {1 Collector}
-
-    Mutable accumulation used inside one sequential analysis pass
-    (one stream, or one graph list); extract once at the end. *)
-
-module Collector : sig
-  type t
-
-  val create : ?cap:int -> unit -> t
-
-  val record_wait :
-    t ->
-    module_name:string ->
-    stream_id:int ->
-    instance:instance_ref ->
-    event:Dptrace.Event.t ->
-    signature:Dptrace.Signature.t ->
-    unit
-  (** Count one top-level component wait occurrence. The same (stream,
-      event) from several instances accumulates multiplicity. *)
-
-  val record_run :
-    t ->
-    stream_id:int ->
-    instance:instance_ref ->
-    event:Dptrace.Event.t ->
-    signature:Dptrace.Signature.t ->
-    unit
-
-  val impact : t -> impact
-end

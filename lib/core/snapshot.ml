@@ -214,10 +214,10 @@ let no_waits =
     ~compare:Provenance.compare_wait_record
 
 (* Reservoirs are reconstructed at the pipeline's cap; the serialised
-   list is already canonical (best-first, <= cap), so re-adding in order
-   reproduces the exact representation. *)
+   list is already canonical (best-first, <= cap), so it is taken as it
+   is. *)
 let read_topk ~build ~id cur =
-  Provenance.Topk.add_list no_waits
+  Provenance.Topk.of_list no_waits
     (read_list ~build cur (read_wait_record ~id) skip_wait_record)
 
 let write_prov buf (p : Provenance.impact) =

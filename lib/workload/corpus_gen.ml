@@ -21,8 +21,6 @@ let default_config =
     cores = None;
   }
 
-let test_config = { default_config with scale = 0.1 }
-
 let scaled scale = { default_config with scale }
 
 (* Table 1 instance counts divided by 10, plus background volume. *)

@@ -27,9 +27,6 @@ val default_config : config
 (** [seed = 42], [scale = 1.0], quantised running events, cross-traffic
     on. *)
 
-val test_config : config
-(** Same but [scale = 0.1]. *)
-
 val scaled : float -> config
 (** [default_config] at another scale. *)
 

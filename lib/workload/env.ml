@@ -45,4 +45,3 @@ let create engine =
 
 let make ~stream_id = create (Engine.create ~stream_id ())
 
-let app_lock t ~name = Engine.new_lock t.engine ~name

@@ -43,9 +43,3 @@ val create : Dpsim.Engine.t -> t
 
 val make : stream_id:int -> t
 (** [create] on a fresh default engine. *)
-
-val app_lock : t -> name:string -> Dpsim.Program.lock
-(** A fresh application-level serialisation point (e.g. the single
-    inspection queue of a security-software process). Waits on it carry no
-    driver frames — the pattern through which one stuck thread's driver
-    wait becomes visible to many scenario instances. *)

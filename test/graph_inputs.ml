@@ -58,3 +58,33 @@ let adversarial () =
   in
   Dptrace.Corpus.create ~streams:[ cycle; chain ]
     ~specs:[ Scenario.spec ~name:"S" ~tfast:1 ~tslow:1 ]
+
+(* A scale-0.2 generated corpus (seed 42) and its streams' graphs, for
+   the provenance words bounds. *)
+let words_corpus () =
+  let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.2) in
+  let graphs (st : Stream.t) =
+    let index = Stream.index st in
+    List.map (Dpwaitgraph.Wait_graph.build ~index st) st.Stream.instances
+  in
+  (corpus, List.map graphs corpus.Dptrace.Corpus.streams)
+
+(* The words [f] allocates over [items] with provenance off and on,
+   read with [Gc.minor_words] around each call, after one warm-up pass
+   in each mode (the first meets every signature and stack, and grows
+   every per-domain table). *)
+let words_off_on f items =
+  let pass prov =
+    if prov then Dpcore.Provenance.enable ();
+    Fun.protect ~finally:Dpcore.Provenance.disable @@ fun () ->
+    List.fold_left
+      (fun w x ->
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (f x));
+        w +. (Gc.minor_words () -. w0))
+      0. items
+  in
+  ignore (pass false);
+  ignore (pass true);
+  let off = pass false in
+  (off, pass true)

@@ -43,7 +43,7 @@ let analyze_graphs_into ?collector components graphs =
           match collector with
           | Some c ->
             let signature = Component.event_signature_or_top components e in
-            Provenance.Collector.record_wait c
+            Provenance_reference.Collector.record_wait c
               ~module_name:(Dptrace.Signature.module_part signature)
               ~stream_id ~instance:(Lazy.force iref) ~event:e ~signature
           | None -> ()
@@ -63,7 +63,7 @@ let analyze_graphs_into ?collector components graphs =
           match collector with
           | Some c ->
             let signature = Component.event_signature_or_top components e in
-            Provenance.Collector.record_run c ~stream_id
+            Provenance_reference.Collector.record_run c ~stream_id
               ~instance:(Lazy.force iref) ~event:e ~signature
           | None -> ()
         end);
@@ -101,9 +101,9 @@ let analyze_graphs_prov components graphs =
   if not (Provenance.enabled ()) then
     (analyze_graphs_into components graphs, Provenance.empty_impact)
   else begin
-    let collector = Provenance.Collector.create () in
+    let collector = Provenance_reference.Collector.create () in
     let r = analyze_graphs_into ~collector components graphs in
-    (r, Provenance.Collector.impact collector)
+    (r, Provenance_reference.Collector.impact collector)
   end
 
 type module_cell = {
@@ -182,8 +182,8 @@ let by_module components graphs =
 
 (* The two-pass slow classes: after the whole measurement, each scenario
    [slow] gives a class predicate for is measured again, by
-   [Dpcore.Impact.analyze_graphs_prov], over its class's graphs alone,
-   names in first-appearance order. *)
+   [analyze_graphs_prov] above, over its class's graphs alone, names in
+   first-appearance order. *)
 let slow_classes ~slow components graphs =
   let scenario (g : Wait_graph.t) = g.Wait_graph.instance.Dptrace.Scenario.scenario in
   List.fold_left
@@ -194,7 +194,7 @@ let slow_classes ~slow components graphs =
          Option.map
            (fun in_class ->
              ( name,
-               Dpcore.Impact.analyze_graphs_prov components
+               analyze_graphs_prov components
                  (List.filter
                     (fun (g : Wait_graph.t) ->
                       scenario g = name && in_class g.Wait_graph.instance)

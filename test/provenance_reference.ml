@@ -1,5 +1,7 @@
-(* The hash-table witness accumulator and union, kept as the test oracle
-   for Dpcore.Provenance.Wacc and Wset.union.
+(* Hash-table oracles for Dpcore.Provenance: the witness accumulator
+   and union, for [Wacc] and [Wset.union], and the impact collector
+   ([Collector], at the end), for the provenance [Impact.measure]
+   extracts.
 
    [Wacc] is a table keyed by the ref's identity [(stream_id, t0, tid,
    scenario)]: an entry for a key already present sums into it, so the
@@ -54,3 +56,70 @@ let union_entries ?(cap = Provenance.default_k) a b =
 let union a b =
   Provenance.Wset.of_entries
     (union_entries (Provenance.Wset.entries a) (Provenance.Wset.entries b))
+
+(* The hash-table impact collector, kept as the oracle for the
+   provenance [Dpcore.Impact.measure] extracts from its slot tally:
+   full (stream, event) -> record tables while a pass runs, a record
+   copied with its multiplicity bumped on each repeat visit, and each
+   reservoir the first [cap] of all its records sorted. *)
+module Collector = struct
+  type t = {
+    cap : int;
+    waits : (int * int, Provenance.wait_record) Hashtbl.t;
+    runs : (int * int, Provenance.wait_record) Hashtbl.t;
+    modules : (int * int, string) Hashtbl.t;  (* wait key -> module name *)
+  }
+
+  let create ?(cap = Provenance.default_k) () =
+    { cap; waits = Hashtbl.create 16; runs = Hashtbl.create 16; modules = Hashtbl.create 16 }
+
+  let record tbl ~stream_id ~instance ~(event : Dptrace.Event.t) ~signature =
+    let key = (stream_id, event.Dptrace.Event.id) in
+    match Hashtbl.find_opt tbl key with
+    | Some r ->
+      Hashtbl.replace tbl key
+        { r with Provenance.wr_multiplicity = r.Provenance.wr_multiplicity + 1 }
+    | None ->
+      Hashtbl.replace tbl key
+        {
+          Provenance.wr_ref = instance;
+          wr_event = event.Dptrace.Event.id;
+          wr_signature = signature;
+          wr_ts = event.Dptrace.Event.ts;
+          wr_te = Dptrace.Event.end_ts event;
+          wr_cost = event.Dptrace.Event.cost;
+          wr_multiplicity = 1;
+        }
+
+  let record_wait t ~module_name ~stream_id ~instance ~event ~signature =
+    let key = (stream_id, event.Dptrace.Event.id) in
+    if not (Hashtbl.mem t.modules key) then Hashtbl.replace t.modules key module_name;
+    record t.waits ~stream_id ~instance ~event ~signature
+
+  let record_run t ~stream_id ~instance ~event ~signature =
+    record t.runs ~stream_id ~instance ~event ~signature
+
+  let topk cap records =
+    Provenance.Topk.of_list
+      (Provenance.Topk.create ~cap ~compare:Provenance.compare_wait_record)
+      (truncate cap (List.sort Provenance.compare_wait_record records))
+
+  let impact t =
+    let all tbl = Hashtbl.fold (fun _ r acc -> r :: acc) tbl [] in
+    let mods : (string, Provenance.wait_record list) Hashtbl.t = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun key r ->
+        match Hashtbl.find_opt t.modules key with
+        | None -> ()
+        | Some name ->
+          Hashtbl.replace mods name
+            (r :: Option.value ~default:[] (Hashtbl.find_opt mods name)))
+      t.waits;
+    {
+      Provenance.top_waits = topk t.cap (all t.waits);
+      top_runs = topk t.cap (all t.runs);
+      by_module =
+        Hashtbl.fold (fun name rs acc -> (name, topk t.cap rs) :: acc) mods []
+        |> List.sort (fun (a, _) (b, _) -> compare a b);
+    }
+end
