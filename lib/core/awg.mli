@@ -168,9 +168,9 @@ module Partial : sig
 
   val read : id:int -> Dptrace.Wire.cursor -> partial
   (** Inverse of {!write} for one stream's partial, its witness refs
-      under stream id [id] ({!Provenance.Wacc.read}). A sibling set out
+      under stream id [id] ({!Provenance.Wacc.read_chunk}). A sibling set out
       of name order or with two equal statuses is refused, as are
-      witnesses {!Provenance.Wacc.read} refuses.
+      witnesses {!Provenance.Wacc.read_chunk} refuses.
       @raise Dptrace.Wire.Corrupt on malformed input. *)
 
   val walk : Dptrace.Wire.cursor -> unit

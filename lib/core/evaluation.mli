@@ -31,8 +31,6 @@ val ranking_coverage : Mining.pattern list -> top_fraction:float -> float
     ranked (as {!Mining.mine} returns them); takes the first
     ⌈fraction·n⌉ and returns their share of Σ [P.C]. *)
 
-val top_patterns : Mining.pattern list -> n:int -> Mining.pattern list
-
 val driver_type_counts :
   Mining.pattern list ->
   top_n:int ->

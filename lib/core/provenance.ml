@@ -268,11 +268,10 @@ module Wset = struct
   (* The one reader of [write]'s form: each entry must be strictly after
      the one before it under [order], compared on the wire fields, so it
      needs no sort, and checks the same with [build] or without. Each
-     ref is built under stream id [id], if given. *)
-  let read_entries ~build ~cap ~id cur =
+     ref is built under stream id [id]. *)
+  let read_entries ~build ~id cur =
     let module W = Dptrace.Wire in
     let n = W.rcount cur in
-    if n > cap then W.corrupt "witnesses: %d entries, above the cap of %d" n cap;
     let es = Array.make (if build then n else 0) none in
     let pc = ref 0 and ps = ref 0 and pt0 = ref 0 and ptid = ref 0 in
     let po = ref 0 and pl = ref 0 in
@@ -297,16 +296,10 @@ module Wset = struct
       if i > 0 && not after then W.corrupt "witnesses: entries not strictly increasing";
       pc := cost; ps := stream_id; pt0 := t0; ptid := tid; po := o; pl := l;
       if build then
-        es.(i) <- { e_ref = { stream_id = Option.value id ~default:stream_id;
-                              scenario = String.sub cur.W.data o l; tid; t0; t1 };
+        es.(i) <- { e_ref = { stream_id = id; scenario = String.sub cur.W.data o l; tid; t0; t1 };
                     e_cost = cost; e_count = count }
     done;
     es
-
-  let of_entries l =
-    let b = Buffer.create 256 in
-    write b (Array.of_list (List.map (fun (e_ref, e_cost, e_count) -> { e_ref; e_cost; e_count }) l));
-    read_entries ~build:true ~cap:default_k ~id:None (Dptrace.Wire.cursor (Buffer.contents b))
 end
 
 module Wacc = struct
@@ -373,44 +366,20 @@ module Wacc = struct
       es
     end
 
-  (* [srcs] are [add]'s refs, one per cell. *)
   type t = {
-    mutable srcs : instance_ref array;
-    mutable cells : int array;
-    mutable chunks : Wset.t list;
     mutable best : Wset.entry array;  (* [||] until something is merged in *)
     mutable kept : int;  (* [best]'s entries in use *)
   }
 
-  let create () = { srcs = [||]; cells = [||]; chunks = []; best = [||]; kept = 0 }
+  let create () = { best = [||]; kept = 0 }
 
-  let add t r ~cost =
-    let n = if Array.length t.cells = 0 then 0 else t.cells.(0) in
-    if n > 0 && t.srcs.(n - 1) == r then t.cells <- add_cell t.cells (n - 1) ~cost
-    else begin
-      if n = Array.length t.srcs then begin
-        let srcs = Array.make (max 1 (2 * n)) none_ref in
-        Array.blit t.srcs 0 srcs 0 n;
-        t.srcs <- srcs
-      end;
-      t.srcs.(n) <- r;
-      t.cells <- add_cell t.cells n ~cost
-    end
-
-  let seal t =
-    if Array.length t.cells > 0 then begin
-      t.chunks <- chunk t.srcs t.cells :: t.chunks;
-      t.srcs <- [||];
-      t.cells <- [||]
-    end
-
-  (* Offer the first [len] entries of [es], sorted, to the sorted buffer
-     [buf] holding [n] of at most [Array.length buf]; the new count. An
-     array stops offering at its first loser. *)
-  let offer buf n es len =
+  (* Offer the entries of [es], sorted, to the sorted buffer [buf]
+     holding [n] of at most [Array.length buf]; the new count. An array
+     stops offering at its first loser. *)
+  let offer buf n es =
     let cap = Array.length buf in
     let n = ref n and i = ref 0 in
-    while !i < min cap len && (!n < cap || Wset.order es.(!i) buf.(cap - 1) < 0) do
+    while !i < min cap (Array.length es) && (!n < cap || Wset.order es.(!i) buf.(cap - 1) < 0) do
       let e = es.(!i) in
       let j = ref (min !n (cap - 1)) in
       while !j > 0 && Wset.order e buf.(!j - 1) < 0 do
@@ -423,43 +392,17 @@ module Wacc = struct
     done;
     !n
 
-  let merge_sub into es len =
-    if len > 0 then begin
+  let merge_chunk ~into (es : Wset.t) =
+    if Array.length es > 0 then begin
       if into.best = [||] then into.best <- Array.make default_k Wset.none;
-      into.kept <- offer into.best into.kept es len
+      into.kept <- offer into.best into.kept es
     end
 
-  let merge_chunk ~into (es : Wset.t) = merge_sub into es (Array.length es)
+  let to_wset ?(cap = default_k) t = Array.sub t.best 0 (min cap t.kept)
 
-  let merge_into ~into src =
-    seal src;
-    List.iter (merge_chunk ~into) src.chunks;
-    merge_sub into src.best src.kept
+  let read_chunk ~id cur : Wset.t = Wset.read_entries ~build:true ~id cur
 
-  let all t =
-    seal t;
-    List.sort Wset.order (List.concat_map Array.to_list (Array.sub t.best 0 t.kept :: t.chunks))
-
-  let entries t = Wset.entries (Array.of_list (all t))
-
-  let to_wset ?(cap = default_k) t =
-    seal t;
-    let buf = Array.make cap Wset.none in
-    let n = offer buf 0 t.best t.kept in
-    let n = List.fold_left (fun n es -> offer buf n es (Array.length es)) n t.chunks in
-    if n = cap then buf else Array.sub buf 0 n
-
-  let write buf t = Wset.write buf (Array.of_list (all t))
-
-  let read_chunk ~id cur : Wset.t =
-    Wset.read_entries ~build:true ~cap:max_int ~id:(Some id) cur
-
-  let read ~id cur =
-    match read_chunk ~id cur with
-    | [||] -> None
-    | es -> Some { (create ()) with chunks = [ es ] }
-
-  let skip cur = ignore (Wset.read_entries ~build:false ~cap:max_int ~id:None cur : Wset.entry array)
+  let skip cur = ignore (Wset.read_entries ~build:false ~id:0 cur : Wset.entry array)
 end
 
 type wait_record = {

@@ -59,36 +59,13 @@ val top_propagation_paths : Awg.t -> n:int -> string
     byte-identical documents — diffable and scriptable. *)
 
 module Json : sig
-  val of_ref : Provenance.instance_ref -> Dputil.Jsonw.t
-
-  val of_wait_record : Provenance.wait_record -> Dputil.Jsonw.t
-  (** [{signature; event; ts; te; cost; multiplicity; instance}]. *)
-
-  val of_topk : Provenance.wait_record Provenance.Topk.t -> Dputil.Jsonw.t
-
-  val of_wset : Provenance.Wset.t -> Dputil.Jsonw.t
-  (** Witness entries as [{stream; scenario; tid; t0; t1; cost;
-      occurrences}], cost-descending. *)
-
   val of_impact : ?prov:Provenance.impact -> Impact.result -> Dputil.Jsonw.t
   (** Raw durations plus the derived IA metrics; with [prov], a
       ["provenance"] member carrying the top-K wait/run events. *)
 
-  val of_module_rows :
-    ?prov:Provenance.impact -> Impact.module_row list -> Dputil.Jsonw.t
-  (** One object per module row, each with a ["provenance"] array (the
-      module's top-K wait events; empty when provenance was disabled or
-      the module has no recorded waits). *)
-
-  val of_tuple : Tuple.t -> Dputil.Jsonw.t
-
   val of_pattern : rank:int -> Mining.pattern -> Dputil.Jsonw.t
   (** Pattern metrics plus its slow-class [witnesses] and
       [fast_witnesses]. *)
-
-  val of_scenario : string -> Pipeline.scenario_result -> Dputil.Jsonw.t
-  (** Classes, impact (+provenance), coverages, ranking coverage, AWG
-      summary and the full ranked pattern list. *)
 
   val document :
     ?coverage:Pipeline.coverage ->

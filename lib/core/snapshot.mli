@@ -64,10 +64,6 @@
     {!save}, whichever meets the stale entry first), when
     {!Dpobs.metrics_on}. *)
 
-val code_version : string
-(** Participates in {!fingerprint}; bumped whenever analysis semantics or
-    the entry wire form change, so old caches invalidate wholesale. *)
-
 val fingerprint :
   components:Component.t ->
   specs:Dptrace.Scenario.spec list ->

@@ -203,7 +203,6 @@ let clear () =
   Atomic.set plan_cell None
 
 let armed () = Atomic.get armed_flag
-let current () = Atomic.get plan_cell
 let call_count site = Atomic.get counters.(site_index site)
 
 (* --- telemetry (lazy: no registry churn when never armed) --- *)
@@ -254,6 +253,9 @@ let guard site =
 (* --- retry --- *)
 
 module Retry = struct
+  (* At the presets' probabilities the chance of a budget of 8
+     exhausting is below 1e-4 per call, so default budgets absorb
+     [io-flaky] without quarantining anything. *)
   let default_attempts = 8
   let base_backoff_s = 0.0002
   let max_backoff_s = 0.005

@@ -37,7 +37,6 @@ type site =
   | Httpd_accept  (** accepting a /metrics connection *)
   | Pool_task  (** a domain-pool task about to run *)
 
-val all_sites : site list
 val site_name : site -> string
 (** ["corpus.open"], ["corpus.read"], ["snapshot.write"],
     ["monitor.stat"], ["monitor.tail"], ["httpd.accept"],
@@ -105,8 +104,6 @@ val clear : unit -> unit
 
 val armed : unit -> bool
 
-val current : unit -> plan option
-
 (** {1 Injection} *)
 
 val draw : plan -> site -> int -> kind option
@@ -134,11 +131,6 @@ val call_count : site -> int
 (** {1 Retry policies} *)
 
 module Retry : sig
-  val default_attempts : int
-  (** 8: at the presets' probabilities the chance of a budget exhausting
-      is below 1e-4 per call, so default budgets absorb [io-flaky]
-      without quarantining anything. *)
-
   val budget : site -> int
   (** The armed plan's [!attempts] override for [site], or
       {!default_attempts}. *)

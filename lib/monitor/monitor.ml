@@ -724,7 +724,6 @@ let tick t =
   | None -> ());
   alerts
 
-let ticks t = t.tick_count
 let alerts_total t = t.alert_count
 
 (* --- replay --- *)

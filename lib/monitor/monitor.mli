@@ -136,7 +136,6 @@ val tick : t -> Rules.alert list
     entirely and raises no relative alerts. The first analysed tick
     establishes the baseline and raises no relative alerts either. *)
 
-val ticks : t -> int
 val alerts_total : t -> int
 
 val snapshot_stats : t -> Dpcore.Snapshot.stats option

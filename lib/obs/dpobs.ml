@@ -11,7 +11,6 @@ let now_ns = Monotonic_clock.now
 
 let spans_flag = Atomic.make false
 let metrics_flag = Atomic.make false
-let spans_on () = Atomic.get spans_flag
 let metrics_on () = Atomic.get metrics_flag
 
 let enable ?(spans = true) ?(metrics = true) () =
@@ -28,7 +27,6 @@ module Log = struct
   type level = Dputil.Logf.level = Error | Warn | Info | Debug
 
   let set_level = Dputil.Logf.set_level
-  let level = Dputil.Logf.level
 
   let level_of_string s =
     match String.lowercase_ascii (String.trim s) with

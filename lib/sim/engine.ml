@@ -98,6 +98,7 @@ type lock_state = {
 
 type device_state = { mutable free_at : Time.t }
 
+(* The wait frame of run-queue delays under [~cores]. *)
 let cpu_queue_frame = Signature.of_string "kernel!CpuQueue"
 
 type t = {

@@ -40,10 +40,6 @@ val create :
     [true]; [cores] defaults to unbounded CPU capacity (see the scheduling
     model above). @raise Invalid_argument if [cores < 1]. *)
 
-val cpu_queue_frame : Dptrace.Signature.t
-(** ["kernel!CpuQueue"] — the wait frame of run-queue delays under
-    [~cores]. *)
-
 val new_lock : t -> name:string -> Program.lock
 
 val new_device : t -> name:string -> signature:Dptrace.Signature.t -> Program.device

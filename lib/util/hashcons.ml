@@ -11,7 +11,6 @@ module Make (K : KEY) = struct
   type t = {
     lock : Mutex.t;
     table : K.t H.t;
-    mutable by_id : K.t option array;
     mutable next : int;
   }
 
@@ -19,15 +18,8 @@ module Make (K : KEY) = struct
     {
       lock = Mutex.create ();
       table = H.create capacity;
-      by_id = Array.make (max 1 capacity) None;
       next = 0;
     }
-
-  let grow t =
-    let cap = Array.length t.by_id in
-    let fresh = Array.make (2 * cap) None in
-    Array.blit t.by_id 0 fresh 0 cap;
-    t.by_id <- fresh
 
   let intern t probe ~build =
     Mutex.lock t.lock;
@@ -37,23 +29,11 @@ module Make (K : KEY) = struct
     | None ->
       let id = t.next in
       let v = build id in
-      if id = Array.length t.by_id then grow t;
-      t.by_id.(id) <- Some v;
       (* Key by the canonical value, not the probe: the probe may alias
          scratch buffers the caller will overwrite. *)
       H.replace t.table v v;
       t.next <- id + 1;
       v
-
-  let get t id =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-    if id < 0 || id >= t.next then
-      invalid_arg (Printf.sprintf "Hashcons.get: unknown id %d" id)
-    else
-      match t.by_id.(id) with
-      | Some v -> v
-      | None -> invalid_arg (Printf.sprintf "Hashcons.get: unknown id %d" id)
 
   let size t =
     Mutex.lock t.lock;

@@ -35,10 +35,6 @@ module Make (K : KEY) : sig
       it (the result must be content-equal to [probe]; [probe] itself is
       never retained, so it may alias reusable scratch buffers). *)
 
-  val get : t -> int -> K.t
-  (** Canonical value for [id].
-      @raise Invalid_argument on an id never produced by [t]. *)
-
   val size : t -> int
   (** Number of distinct values interned so far. *)
 end

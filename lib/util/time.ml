@@ -1,6 +1,5 @@
 type t = int
 
-let zero = 0
 let us n = n
 let ms n = n * 1_000
 let sec n = n * 1_000_000

@@ -8,8 +8,6 @@
 type t = int
 (** A timestamp or a duration, in microseconds. *)
 
-val zero : t
-
 val us : int -> t
 (** [us n] is [n] microseconds. *)
 

@@ -1,8 +1,6 @@
-type t = { source : string; lowered : string }
+type t = { lowered : string }
 
-let compile source = { source; lowered = String.lowercase_ascii source }
-
-let pattern t = t.source
+let compile source = { lowered = String.lowercase_ascii source }
 
 (* Iterative glob match with single-star backtracking: O(|p| * |s|) worst
    case, linear in practice. [si]/[pi] are cursors; on mismatch after a '*'

@@ -11,9 +11,6 @@ type t
 val compile : string -> t
 (** Compile a pattern; total (never raises). *)
 
-val pattern : t -> string
-(** The source text of a compiled pattern. *)
-
 val matches : t -> string -> bool
 (** [matches p s] tests [s] against [p]. *)
 

@@ -77,8 +77,6 @@ val with_marks : t -> (marks -> 'a) -> 'a
 val first_visit : marks -> Dptrace.Event.t -> bool
 (** [true] the first time the event is given, marking it; [false] after. *)
 
-val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
-
 val node_count : t -> int
 
 val wait_time : t -> Dputil.Time.t

@@ -42,6 +42,3 @@ let create engine =
     app_main = Engine.new_lock engine ~name:"AppMainLoop";
     net_io = Engine.new_lock engine ~name:"NetIoQueue";
   }
-
-let make ~stream_id = create (Engine.create ~stream_id ())
-

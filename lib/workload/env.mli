@@ -40,6 +40,3 @@ type t = {
 
 val create : Dpsim.Engine.t -> t
 (** Register the machine objects on a fresh engine. *)
-
-val make : stream_id:int -> t
-(** [create] on a fresh default engine. *)

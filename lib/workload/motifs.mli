@@ -42,9 +42,6 @@ val mdu_read : ctx -> dur:Dputil.Time.t -> encrypted:bool -> Dpsim.Program.step 
 (** fs.sys!AcquireMDU under the MDU lock around a (possibly encrypted)
     read — the lower contention region of Figure 1. *)
 
-val encrypted_disk_write : ctx -> dur:Dputil.Time.t -> Dpsim.Program.step list
-(** se.sys encryption CPU then disk write. *)
-
 val mdu_write : ctx -> dur:Dputil.Time.t -> encrypted:bool -> Dpsim.Program.step list
 
 val net_fetch : ctx -> dur:Dputil.Time.t -> Dpsim.Program.step list

@@ -19,32 +19,16 @@ type template = {
   program : Motifs.ctx -> profile -> Dpsim.Program.step list;
 }
 
-val app_access_control : template
-val app_non_responsive : template
-val browser_frame_create : template
-val browser_tab_close : template
 val browser_tab_create : template
-val browser_tab_switch : template
 val menu_display : template
-val web_page_navigation : template
 
 val named : template list
-(** The 8 above, in Table 1 order. *)
+(** The 8 named scenarios, in Table 1 order. *)
 
 val av_scheduled_scan : template
 val cfg_refresh : template
 val motion_guard : template
 (** dp.sys halting I/O by design — the §5.2.5 false-positive source. *)
-
-val video_playback : template
-val text_editing : template
-(** Long, driver-light scenarios standing in for the corpus's 1,364-scenario
-    tail: they dominate wall-clock time while touching drivers rarely,
-    which is what keeps the corpus-wide impact percentages at the paper's
-    levels. *)
-
-val background : template list
-(** All non-named templates (includes those above). *)
 
 val all : template list
 

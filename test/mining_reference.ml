@@ -10,7 +10,8 @@
    ([Provenance_reference]), so the engine ≡ reference properties in
    test_mining compare two independent implementations. [mine
    ~witnesses] takes each node's witness set from the caller instead of
-   the node. The child sort key (polymorphic compare on [status])
+   the node. Only fast metas' witness sets are read (as
+   [cm_fast_witnesses]), so slow metas carry [Wset.empty]. The child sort key (polymorphic compare on [status])
    matches [Awg.sorted_children]'s, keeping enumeration order — and with
    it every order-sensitive witness union — the same in both miners. *)
 
@@ -73,8 +74,8 @@ end
 
 module T = Hashtbl.Make (Content_key)
 
-let meta_table ~wit awg ~k =
-  let prov = Dpcore.Provenance.enabled () in
+let meta_table ~wit ~prov awg ~k =
+  let prov = prov && Dpcore.Provenance.enabled () in
   let table : Mining.meta T.t = T.create 256 in
   iter_segments awg ~k ~f:(fun segment ->
       let tuple = Tuple.of_segment segment in
@@ -185,8 +186,8 @@ let select_patterns ~wit ~slow ~(contrast_metas : Mining.contrast_meta list) =
 let mine ?(k = Mining.default_k) ?(witnesses = fun (n : Awg.node) -> n.Awg.witnesses)
     ~fast ~slow ~(spec : Dptrace.Scenario.spec) () =
   let wit = witnesses in
-  let fast_table = meta_table ~wit fast ~k in
-  let slow_table = meta_table ~wit slow ~k in
+  let fast_table = meta_table ~wit ~prov:true fast ~k in
+  let slow_table = meta_table ~wit ~prov:false slow ~k in
   let ratio_threshold =
     Dputil.Stats.ratio (float_of_int spec.tslow) (float_of_int spec.tfast)
   in

@@ -397,21 +397,23 @@ let gen_wacc_case =
     let* cap = oneofl [ 1; 2; 3; 8 ] in
     return (List.combine ids adds, cap))
 
-(* The chunks built by adds and absorbed in order, by [Provenance.Wacc]
-   and by the oracle; with each chunk and its stream id. *)
+(* The chunks built by adds into a partial's cells, sealed and merged
+   in order, as an AWG merger node takes them, and by the oracle; with
+   each chunk and its stream id. *)
 let accumulate chunks =
   let into = Prov.Wacc.create () and oracle = Provenance_reference.Wacc.create () in
   let chunk (stream_id, adds) =
     let refs = Array.map (fun r -> { r with Prov.stream_id }) ref_pool in
-    let chunk = Prov.Wacc.create () and last = ref 0 in
+    let cells = ref [||] and last = ref 0 in
     List.iter
       (fun (i, cost) ->
         let i = if i < Array.length refs then i else !last in
         last := i;
-        Prov.Wacc.add chunk refs.(i) ~cost;
+        cells := Prov.Wacc.add_cell !cells i ~cost;
         Provenance_reference.Wacc.add oracle refs.(i) ~cost)
       adds;
-    Prov.Wacc.merge_into ~into chunk;
+    let chunk = Prov.Wacc.chunk refs !cells in
+    Prov.Wacc.merge_chunk ~into chunk;
     (stream_id, chunk)
   in
   let chunks = List.map chunk chunks in
@@ -419,38 +421,26 @@ let accumulate chunks =
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let rec sublist xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: xs', y :: ys' -> if x = y then sublist xs' ys' else sublist xs ys'
-
 (* The chunks' entries together are the oracle's, and each chunk's wire
-   form reads back under its stream id. A merge cuts a node's chunks to
-   their best, so its entries are some of the oracle's, each exact, the
-   best [default_k] among them. *)
+   form reads back under its stream id. A merge keeps a node's best, so
+   its buffer holds exactly the oracle's best [default_k]. *)
 let prop_wacc_equals_reference =
   QCheck.Test.make ~name:"Wacc to_wset/entries/wire = hash-table oracle" ~count:500
     (QCheck.make gen_wacc_case) (fun (chunks, cap) ->
       let acc, oracle, chunks = accumulate chunks in
       let expect = Provenance_reference.Wacc.entries oracle in
-      let kept = Prov.Wacc.entries acc in
-      let order (ra, ca, _) (rb, cb, _) =
-        match Int.compare cb ca with 0 -> Prov.compare_ref ra rb | c -> c
-      in
       let reread (id, chunk) =
         let buf = Buffer.create 256 in
-        Prov.Wacc.write buf chunk;
-        Option.fold ~none:[] ~some:Prov.Wacc.entries
-          (Prov.Wacc.read ~id (Wire.cursor (Buffer.contents buf)))
-        = Prov.Wacc.entries chunk
+        Prov.Wset.write buf chunk;
+        Prov.Wset.entries (Prov.Wacc.read_chunk ~id (Wire.cursor (Buffer.contents buf)))
+        = Prov.Wset.entries chunk
       in
-      List.sort order (List.concat_map (fun (_, c) -> Prov.Wacc.entries c) chunks) = expect
+      List.sort Provenance_reference.order (List.concat_map (fun (_, c) -> Prov.Wset.entries c) chunks)
+      = expect
       && List.for_all reread chunks
       && Prov.Wset.entries (Prov.Wacc.to_wset ~cap acc)
          = Provenance_reference.Wacc.to_entries ~cap oracle
-      && sublist kept expect
-      && take Prov.default_k kept = take Prov.default_k expect)
+      && Prov.Wset.entries (Prov.Wacc.to_wset acc) = take Prov.default_k expect)
 
 (* Two sides, each folded from single entries by [union], so a side's
    draw repeats refs (and their [t1] twins), which the other side shares. *)
@@ -462,7 +452,7 @@ let prop_union_equals_reference =
       let entry (i, cost) = (ref_pool.(i), cost, 1 + (cost mod 3)) in
       let fold l =
         List.fold_left
-          (fun acc x -> Prov.Wset.union ~cap acc (Prov.Wset.of_entries [ entry x ]))
+          (fun acc x -> Prov.Wset.union ~cap acc (Provenance_reference.wset_of_entries [ entry x ]))
           Prov.Wset.empty l
       and ofold l =
         List.fold_left (fun acc x -> Provenance_reference.union_entries ~cap acc [ entry x ]) [] l
