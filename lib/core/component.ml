@@ -55,9 +55,6 @@ let matches_signature t s =
     m
   end
 
-let stack_relevant t stack =
-  Array.exists (matches_signature t) (Callstack.frames stack)
-
 let topmost_matching t stack =
   let frames = Callstack.frames stack in
   let rec go i =

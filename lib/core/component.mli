@@ -23,9 +23,6 @@ val matches_signature : t -> Dptrace.Signature.t -> bool
     signature's verdict computed once per [t] and kept; safe to call
     from several domains at once. *)
 
-val stack_relevant : t -> Dptrace.Callstack.t -> bool
-(** Does any frame of the callstack match? *)
-
 val event_signature : t -> Dptrace.Event.t -> Dptrace.Signature.t option
 (** The paper's per-event "signature": the topmost frame whose module part
     matches one of the patterns (Definition 2's preamble), or [None] when

@@ -79,11 +79,6 @@ let compare_patterns ?(threshold = 1.5) ?(min_support = 1) ~before ~after () =
       | c -> c)
     !entries
 
-let regressions entries =
-  List.filter
-    (fun e -> match e.change with Regressed _ | Appeared -> true | _ -> false)
-    entries
-
 let fixed entries =
   List.filter
     (fun e -> match e.change with Disappeared | Improved _ -> true | _ -> false)

@@ -248,7 +248,7 @@ let reservoirs components (graphs : Wait_graph.t array) t ~targets ~target names
    impact result, the per-module cells, the graph's scenario's sums, its
    slow class's and (with [prov]) the provenance together. A wait or
    running event counts iff its topmost matching signature exists — the
-   same test as [Component.stack_relevant] for these kinds — and that
+   same test as "any frame matches" for these kinds — and that
    signature's module is its cell. The graphs are measured a stream id at
    a time, and within it a scenario at a time, in first-appearance
    order, each scenario's in graph order: everything measured is a sum,
@@ -517,14 +517,3 @@ let merge_modules a b =
 
 let module_propagation_ratio r =
   fdiv r.m_wait r.m_waitdist
-
-let pp fmt r =
-  Format.fprintf fmt
-    "impact: %d instances, D_scn=%a, D_wait=%a (IA_wait=%.1f%%), D_run=%a \
-     (IA_run=%.1f%%), D_waitdist=%a (IA_opt=%.1f%%, ratio=%.2f)"
-    r.instances Dputil.Time.pp r.d_scn Dputil.Time.pp r.d_wait
-    (100.0 *. ia_wait r) Dputil.Time.pp r.d_run
-    (100.0 *. ia_run r)
-    Dputil.Time.pp r.d_waitdist
-    (100.0 *. ia_opt r)
-    (propagation_ratio r)

@@ -118,5 +118,3 @@ val merge_modules : module_row list -> module_row list -> module_row list
 
 val module_propagation_ratio : module_row -> float
 (** [m_wait /. m_waitdist] — how widely this module's waits propagate. *)
-
-val pp : Format.formatter -> result -> unit

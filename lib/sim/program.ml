@@ -52,25 +52,3 @@ let request ?(wait_frames = [ kernel_wait_for_object ]) service body =
 let idle dur = Idle dur
 
 let seq blocks = List.concat blocks
-
-let rec total_compute steps =
-  List.fold_left
-    (fun acc step ->
-      acc
-      +
-      match step with
-      | Compute { dur; _ } -> dur
-      | Call { body; _ } | Locked { body; _ } -> total_compute body
-      | Request { body; _ } -> total_compute body
-      | Hw_request _ | Idle _ -> 0)
-    0 steps
-
-let rec mentions_lock lock steps =
-  List.exists
-    (fun step ->
-      match step with
-      | Locked { lock = l; body; _ } ->
-        l.lock_uid = lock.lock_uid || mentions_lock lock body
-      | Call { body; _ } | Request { body; _ } -> mentions_lock lock body
-      | Compute _ | Hw_request _ | Idle _ -> false)
-    steps

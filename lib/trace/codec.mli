@@ -33,9 +33,6 @@ val corpus_to_string : Corpus.t -> string
     corpora cannot round-trip through the text format (use {!Codec_v2},
     or rename). *)
 
-val corpus_of_string : string -> Corpus.t
-(** @raise Parse_error on malformed input. *)
-
 val save : string -> Corpus.t -> unit
 (** Write to a file path, in binary mode (no newline translation).
     @raise Invalid_argument as {!corpus_to_string}. *)

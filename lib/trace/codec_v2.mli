@@ -79,7 +79,6 @@ val pp_diagnostic : Format.formatter -> diagnostic -> unit
 
 (** {1 Whole corpus} *)
 
-val encode : ?pool:Dppar.Pool.t -> Corpus.t -> string
 val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> unit
 (** Header, one frame per stream, trailer. With a [pool] of size > 1 the
     per-stream frame payloads are encoded in parallel (output order is

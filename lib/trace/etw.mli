@@ -44,13 +44,3 @@ val stream_of_string :
 val load : ?stream_id:int -> ?sample_period:Dputil.Time.t -> string -> Stream.t
 (** [load path] reads a dump file.
     @raise Parse_error / [Sys_error]. *)
-
-val to_dump : ?sample_period:Dputil.Time.t -> Stream.t -> string
-(** The inverse direction: render a stream as an xperf-style dump.
-    Running events become per-period [SampledProfile] rows, waits become a
-    [CSwitch] (old state [Waiting]) plus the waker's [ReadyThread],
-    hardware services become [DiskIo] rows, instances become [Mark]
-    pairs. When the stream's running costs are multiples of
-    [sample_period] (the simulator's default), importing the dump back
-    reproduces a stream with identical impact metrics — the round-trip
-    property the test suite checks. *)

@@ -72,8 +72,6 @@ let check_corpus (c : Corpus.t) =
     (fun (st : Stream.t) -> List.map (fun v -> (st.Stream.id, v)) (check st))
     c.streams
 
-let is_valid st = check st = []
-
 let pp_violation fmt v =
   match v.event_id with
   | Some id -> Format.fprintf fmt "[event %d] %s" id v.message

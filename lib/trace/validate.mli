@@ -23,6 +23,4 @@ val check : Stream.t -> violation list
 val check_corpus : Corpus.t -> (int * violation) list
 (** Violations across all streams, tagged with the stream id. *)
 
-val is_valid : Stream.t -> bool
-
 val pp_violation : Format.formatter -> violation -> unit

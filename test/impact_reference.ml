@@ -2,7 +2,7 @@
    Dpcore.Impact's single traversal.
 
    These are the pre-fusion algorithms: [analyze_graphs_into] tests
-   relevance with [Component.stack_relevant] (any matching frame) and
+   relevance with [Fixtures.stack_relevant] (any matching frame) and
    names the signature with [Component.event_signature_or_top], while
    [by_module] walks every graph a second time and attributes by
    [Component.event_signature] (the topmost matching frame). Neither
@@ -35,7 +35,7 @@ let analyze_graphs_into ?collector components graphs =
       let e = n.Wait_graph.event in
       if not (Hashtbl.mem visited e.Event.id) then begin
         Hashtbl.replace visited e.Event.id ();
-        if Event.is_wait e && Component.stack_relevant components e.Event.stack
+        if Event.is_wait e && Fixtures.stack_relevant components e.Event.stack
         then begin
           d_wait := !d_wait + e.Event.cost;
           incr counted_waits;
@@ -56,7 +56,7 @@ let analyze_graphs_into ?collector components graphs =
     let d_run = ref 0 and counted_runs = ref 0 in
     Wait_graph.iter_nodes g (fun n ->
         let e = n.Wait_graph.event in
-        if Event.is_running e && Component.stack_relevant components e.Event.stack
+        if Event.is_running e && Fixtures.stack_relevant components e.Event.stack
         then begin
           d_run := !d_run + e.Event.cost;
           incr counted_runs;
@@ -139,7 +139,7 @@ let by_module components graphs =
         let e = n.Wait_graph.event in
         if not (Hashtbl.mem visited e.Event.id) then begin
           Hashtbl.replace visited e.Event.id ();
-          if Event.is_wait e && Component.stack_relevant components e.Event.stack
+          if Event.is_wait e && Fixtures.stack_relevant components e.Event.stack
           then begin
             match module_of e with
             | Some name ->

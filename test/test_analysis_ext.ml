@@ -13,7 +13,7 @@ let tuple w =
   Tuple.make ~waits:(List.map sig_ w) ~unwaits:[] ~runnings:[]
 
 let pattern ~w ~cost ~count =
-  Mining.make_pattern ~tuple:(tuple w) ~cost ~count ~max_single:cost
+  Fixtures.make_pattern ~tuple:(tuple w) ~cost ~count ~max_single:cost
 
 (* --- Diff --- *)
 
@@ -64,7 +64,7 @@ let test_diff_ordering_and_helpers () =
   | [ Diff.Regressed _; Diff.Appeared ] -> ()
   | _ -> Alcotest.fail "unexpected ordering");
   check Alcotest.int "regressions incl. appearances" 2
-    (List.length (Diff.regressions entries));
+    (List.length (Fixtures.regressions entries));
   check Alcotest.int "nothing fixed" 0 (List.length (Diff.fixed entries));
   check Alcotest.bool "summary mentions counts" true
     (String.length (Diff.summary entries) > 10)
@@ -82,7 +82,7 @@ let test_diff_threshold () =
 let test_diff_empty_sides () =
   let p = [ pattern ~w:[ "a.sys!F" ] ~cost:(Time.ms 10) ~count:1 ] in
   check Alcotest.int "all appeared" 1
-    (List.length (Diff.regressions (Diff.compare_patterns ~before:[] ~after:p ())));
+    (List.length (Fixtures.regressions (Diff.compare_patterns ~before:[] ~after:p ())));
   check Alcotest.int "all fixed" 1
     (List.length (Diff.fixed (Diff.compare_patterns ~before:p ~after:[] ())));
   check Alcotest.int "both empty" 0
@@ -176,7 +176,7 @@ let test_witnesses_found () =
     (Dptrace.Scenario.duration w.Dpcore.Explorer.instance > Time.ms 500);
   (* The concrete chain realises the pattern down to the hardware. *)
   check Alcotest.bool "chain reaches the disk" true
-    (List.exists Dptrace.Event.is_hw_service w.Dpcore.Explorer.chain);
+    (List.exists Fixtures.is_hw_service w.Dpcore.Explorer.chain);
   check Alcotest.bool "chain starts with a wait" true
     (Dptrace.Event.is_wait (List.hd w.Dpcore.Explorer.chain));
   let rendered = Dpcore.Explorer.render w in
@@ -186,7 +186,7 @@ let test_witnesses_found () =
 let test_witnesses_absent_pattern () =
   let corpus = Dpworkload.Motivating_case.corpus ~copies:2 () in
   let pattern =
-    (Mining.make_pattern
+    (Fixtures.make_pattern
        ~tuple:(tuple [ "nosuch.sys!F" ])
        ~cost:1 ~count:1 ~max_single:1)
   in

@@ -15,7 +15,7 @@ let tuple w = Tuple.make ~waits:(List.map sig_ w) ~unwaits:[] ~runnings:[]
 
 let pattern ?max_single ~w ~cost ~count () =
   let max_single = Option.value max_single ~default:cost in
-  Mining.make_pattern ~tuple:(tuple w) ~cost ~count ~max_single
+  Fixtures.make_pattern ~tuple:(tuple w) ~cost ~count ~max_single
 
 let entry_of entries w =
   List.find (fun e -> Tuple.equal e.Diff.tuple (tuple w)) entries

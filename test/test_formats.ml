@@ -69,7 +69,7 @@ let test_etw_diskio_and_threads () =
     "Thread, 5, BrowserUI\nDiskIo, 2000, 1500, \"DiskService\"\n"
   in
   let st = Etw.stream_of_string dump in
-  let hw = Array.to_list st.Stream.events |> List.find Event.is_hw_service in
+  let hw = Array.to_list st.Stream.events |> List.find Fixtures.is_hw_service in
   check Alcotest.int "start" 2000 hw.Event.ts;
   check Alcotest.int "duration" 1500 hw.Event.cost;
   check Alcotest.string "named thread kept" "BrowserUI" (Stream.thread_name st 5);
@@ -147,9 +147,9 @@ let test_etw_roundtrip_motivating_case () =
      must survive the ETW representation exactly. *)
   let case = Dpworkload.Motivating_case.build () in
   let st = case.Dpworkload.Motivating_case.stream in
-  let reimported = Etw.stream_of_string (Etw.to_dump st) in
+  let reimported = Etw.stream_of_string (Etw_dump.to_dump st) in
   check Alcotest.bool "reimported validates" true
-    (Dptrace.Validate.is_valid reimported);
+    (Fixtures.is_valid reimported);
   let impact stream =
     driver_impact
       (Corpus.create ~streams:[ stream ]
@@ -173,7 +173,7 @@ let test_etw_roundtrip_generated () =
       (fun (st : Stream.t) ->
         Etw.stream_of_string
           ~stream_id:st.Stream.id
-          (Etw.to_dump st))
+          (Etw_dump.to_dump st))
       corpus.Corpus.streams
   in
   let reimported =
@@ -191,7 +191,7 @@ let prop_etw_mutation_safety =
     QCheck.(pair small_int (int_range 32 126))
     (fun (pos_seed, byte) ->
       let case = Dpworkload.Motivating_case.build () in
-      let base = Etw.to_dump case.Dpworkload.Motivating_case.stream in
+      let base = Etw_dump.to_dump case.Dpworkload.Motivating_case.stream in
       let b = Bytes.of_string base in
       Bytes.set b (pos_seed mod Bytes.length b) (Char.chr byte);
       match Etw.stream_of_string (Bytes.to_string b) with
@@ -201,7 +201,7 @@ let prop_etw_mutation_safety =
 (* --- binary codec --- *)
 
 let text_of c = Dptrace.Codec.corpus_to_string c
-let roundtrip c = fst (V2_frames.decode (V2.encode c))
+let roundtrip c = fst (V2_frames.decode (V2_frames.encode c))
 
 let test_binary_roundtrip_small () =
   let case = Dpworkload.Motivating_case.build () in
@@ -220,7 +220,7 @@ let test_binary_roundtrip_generated () =
 
 let test_binary_smaller_than_text () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.03) in
-  let bin = String.length (V2.encode corpus) in
+  let bin = String.length (V2_frames.encode corpus) in
   let text = String.length (text_of corpus) in
   check Alcotest.bool "at least 3x smaller" true (bin * 3 < text)
 
@@ -231,7 +231,7 @@ let expect_corrupt data =
 
 let test_binary_corruption () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01) in
-  let good = V2.encode corpus in
+  let good = V2_frames.encode corpus in
   expect_corrupt "";
   expect_corrupt "XXXX\x01";
   expect_corrupt "DPTB\x01";
@@ -249,7 +249,7 @@ let test_binary_corruption () =
    [Wire.Corrupt], recovery never raises. *)
 let prop_binary_mutation_safety =
   let base =
-    V2.encode (Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01))
+    V2_frames.encode (Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01))
   in
   let streams =
     match V2_frames.frame_spans base with
@@ -300,7 +300,7 @@ let test_keyed_reload () =
   in
   (* s1 twice: one key, repeated. *)
   let streams = [ s0; s1; s2; s1 ] in
-  let clean = V2.encode (Corpus.create ~streams ~specs:corpus.Corpus.specs) in
+  let clean = V2_frames.encode (Corpus.create ~streams ~specs:corpus.Corpus.specs) in
   let damaged =
     let b = Bytes.of_string clean in
     let _, payload, len = List.nth (V2_frames.frame_spans clean) 3 in

@@ -118,7 +118,7 @@ let test_classification_shapes () =
 let test_codec_preserves_analysis () =
   let corpus = Corpus_gen.generate (Corpus_gen.scaled 0.05) in
   let reloaded =
-    Dptrace.Codec.corpus_of_string (Dptrace.Codec.corpus_to_string corpus)
+    Fixtures.corpus_of_string (Dptrace.Codec.corpus_to_string corpus)
   in
   let a = driver_impact corpus in
   let b = driver_impact reloaded in
@@ -200,7 +200,7 @@ let driveperf =
    fails its checksum, the one error line is the spec's, not the
    frame's. *)
 let test_no_spec_steps_no_stream () =
-  let encoded = Dptrace.Codec_v2.encode (Corpus_gen.generate (Corpus_gen.scaled 0.05)) in
+  let encoded = V2_frames.encode (Corpus_gen.generate (Corpus_gen.scaled 0.05)) in
   let damaged = Bytes.of_string encoded in
   let spans = V2_frames.frame_spans encoded in
   let _, payload, len = List.nth spans (List.length spans - 2) in

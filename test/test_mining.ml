@@ -194,8 +194,8 @@ let test_tuple_interned () =
 let test_meta_enumeration_k_sensitivity () =
   let graphs = graphs_of (episode ~stream_id:0 ~contended:true) in
   let awg = Awg.build drivers graphs in
-  let m1 = List.length (Mining.enumerate_metas awg ~k:1) in
-  let m5 = List.length (Mining.enumerate_metas awg ~k:5) in
+  let m1 = Fixtures.meta_count awg ~k:1 in
+  let m5 = Fixtures.meta_count awg ~k:5 in
   check Alcotest.bool "more metas with larger k" true (m5 > m1)
 
 (* --- engine vs reference equivalence on random scenarios ---
@@ -353,7 +353,7 @@ let prop_engine_matches_reference_prov =
 (* --- Evaluation helpers --- *)
 
 let pattern ~cost ~count ~max_single ~w =
-  Mining.make_pattern ~tuple:(t ~w ~u:[] ~r:[]) ~cost ~count ~max_single
+  Fixtures.make_pattern ~tuple:(t ~w ~u:[] ~r:[]) ~cost ~count ~max_single
 
 let test_high_impact_rule () =
   check Alcotest.bool "above tslow" true

@@ -275,7 +275,7 @@ let drivers = Dpcore.Component.drivers
 let scenario_fingerprint (r : Dpcore.Pipeline.scenario_result) =
   (* Covers every float- and ranking-bearing part of the result. *)
   Format.asprintf "%a|%a|%f|%f|%s|%s"
-    Dpcore.Impact.pp r.Dpcore.Pipeline.slow_impact
+    Fixtures.pp_impact r.Dpcore.Pipeline.slow_impact
     Fmt.(pair ~sep:comma float float)
     ( r.Dpcore.Pipeline.coverages.Dpcore.Evaluation.itc,
       r.Dpcore.Pipeline.coverages.Dpcore.Evaluation.ttc )

@@ -428,7 +428,7 @@ let test_run_report_index_dies_with_pass () =
    fold-built report reach stream skeletons only. *)
 let test_fold_equals_resident () =
   let corpus = Lazy.force corpus in
-  let clean = Dptrace.Codec_v2.encode corpus in
+  let clean = V2_frames.encode corpus in
   let damaged =
     let b = Bytes.of_string clean in
     let spans = V2_frames.frame_spans clean in

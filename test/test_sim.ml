@@ -360,10 +360,10 @@ let test_total_compute () =
       P.idle (Time.ms 100);
     ]
   in
-  check Alcotest.int "sums nested computes" (Time.ms 6) (P.total_compute steps);
-  check Alcotest.bool "mentions lock" true (P.mentions_lock lock steps);
+  check Alcotest.int "sums nested computes" (Time.ms 6) (Fixtures.total_compute steps);
+  check Alcotest.bool "mentions lock" true (Fixtures.mentions_lock lock steps);
   let other = Engine.new_lock engine ~name:"M" in
-  check Alcotest.bool "other lock absent" false (P.mentions_lock other steps)
+  check Alcotest.bool "other lock absent" false (Fixtures.mentions_lock other steps)
 
 (* --- property: random programs yield valid streams --- *)
 
@@ -443,7 +443,7 @@ let prop_random_programs_validate =
                (build steps)))
         threads;
       let st = Engine.run engine in
-      Dptrace.Validate.is_valid st
+      Fixtures.is_valid st
       && List.length st.Stream.instances = List.length threads)
 
 (* Conservation: for a single root thread with no contention and
@@ -516,7 +516,7 @@ let test_single_core_serializes () =
       [ P.compute (Time.ms 10) ]
   in
   let st = Engine.run engine in
-  check Alcotest.bool "valid" true (Dptrace.Validate.is_valid st);
+  check Alcotest.bool "valid" true (Fixtures.is_valid st);
   let dur tid =
     let i =
       List.find

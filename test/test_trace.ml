@@ -84,7 +84,7 @@ let test_callstack_topmost_matching () =
     (signature s);
   check (Alcotest.option Alcotest.string) "no match" None (signature [ "App!Main" ]);
   check Alcotest.bool "stack_relevant" true
-    (Dpcore.Component.stack_relevant components (stack s))
+    (Fixtures.stack_relevant components (stack s))
 
 let test_callstack_equal_hash () =
   let a = stack [ "x!1"; "y!2" ] and b = stack [ "x!1"; "y!2" ] in
@@ -283,12 +283,12 @@ let test_stream_overlapping_window () =
   let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
   let idx = Stream.index st in
   let got =
-    Stream.thread_events_overlapping idx ~tid:1 ~from_ts:50 ~to_ts:300
+    Fixtures.thread_events_overlapping idx ~tid:1 ~from_ts:50 ~to_ts:300
     |> List.map (fun (e : Event.t) -> e.ts)
   in
   check (Alcotest.list Alcotest.int) "window" [ 0; 150 ] got;
   check (Alcotest.list Alcotest.int) "unknown tid" []
-    (Stream.thread_events_overlapping idx ~tid:42 ~from_ts:0 ~to_ts:1_000
+    (Fixtures.thread_events_overlapping idx ~tid:42 ~from_ts:0 ~to_ts:1_000
     |> List.map (fun (e : Event.t) -> e.ts))
 
 let test_stream_find_waker () =
@@ -349,7 +349,7 @@ let test_corpus_queries () =
 
 (* --- Codec --- *)
 
-let roundtrip c = Codec.corpus_of_string (Codec.corpus_to_string c)
+let roundtrip c = Fixtures.corpus_of_string (Codec.corpus_to_string c)
 
 let corpus_equal (a : Corpus.t) (b : Corpus.t) =
   List.length a.Corpus.streams = List.length b.Corpus.streams
@@ -384,7 +384,7 @@ let test_codec_empty_stack () =
   check Alcotest.int "empty stack preserved" 0 (Callstack.depth e'.Event.stack)
 
 let expect_parse_error text =
-  match Codec.corpus_of_string text with
+  match Fixtures.corpus_of_string text with
   | exception Codec.Parse_error _ -> ()
   | _ -> Alcotest.fail "expected Parse_error"
 
@@ -418,7 +418,7 @@ let prop_codec_mutation_safety =
       let b = Bytes.of_string base in
       let pos = pos_seed mod Bytes.length b in
       Bytes.set b pos (Char.chr byte);
-      match Codec.corpus_of_string (Bytes.to_string b) with
+      match Fixtures.corpus_of_string (Bytes.to_string b) with
       | _ -> true
       | exception Codec.Parse_error _ -> true)
 
@@ -431,21 +431,21 @@ let test_codec_rejects_spacey_names () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument");
   (* The framed binary codec handles them fine. *)
-  let roundtripped, _ = V2_frames.decode (Dptrace.Codec_v2.encode c) in
+  let roundtripped, _ = V2_frames.decode (V2_frames.encode c) in
   check Alcotest.string "binary keeps the name" "has space"
     (Stream.thread_name (List.hd roundtripped.Corpus.streams) 1)
 
 let test_codec_bad_header_bounded () =
   (* A newline-free input is one enormous "first line": the error must
      quote a bounded prefix of it, not the whole input. *)
-  match Codec.corpus_of_string (String.make 100_000 'x') with
+  match Fixtures.corpus_of_string (String.make 100_000 'x') with
   | exception Codec.Parse_error { line; message } ->
     check Alcotest.int "line" 1 line;
     check Alcotest.bool "message bounded" true (String.length message < 100)
   | _ -> Alcotest.fail "expected Parse_error"
 
 let test_codec_error_line () =
-  match Codec.corpus_of_string "dptrace 1\nstream 0\njunk here\n" with
+  match Fixtures.corpus_of_string "dptrace 1\nstream 0\njunk here\n" with
   | exception Codec.Parse_error { line; _ } -> check Alcotest.int "line" 3 line
   | _ -> Alcotest.fail "expected Parse_error"
 
@@ -517,7 +517,7 @@ let prop_clean_streams_validate =
           specs
       in
       let st = Stream.create ~id:0 ~events ~instances:[] ~threads:[] in
-      Validate.is_valid st)
+      Fixtures.is_valid st)
 
 (* --- timeline --- *)
 

@@ -50,7 +50,7 @@ let test_prng_exponential_mean () =
   let n = 20_000 in
   let sum = ref 0.0 in
   for _ = 1 to n do
-    let x = Prng.exponential g ~mean:10.0 in
+    let x = Fixtures.exponential g ~mean:10.0 in
     check Alcotest.bool "positive" true (x >= 0.0);
     sum := !sum +. x
   done;
@@ -67,7 +67,7 @@ let test_prng_lognormal_median () =
 let test_prng_pareto_scale () =
   let g = Prng.of_int 8 in
   for _ = 1 to 1_000 do
-    let x = Prng.pareto g ~scale:3.0 ~alpha:1.5 in
+    let x = Fixtures.pareto g ~scale:3.0 ~alpha:1.5 in
     check Alcotest.bool ">= scale" true (x >= 3.0)
   done
 
@@ -100,7 +100,7 @@ let prop_shuffle_permutation =
     QCheck.(pair small_int (small_list int))
     (fun (seed, xs) ->
       let arr = Array.of_list xs in
-      Prng.shuffle (Prng.of_int seed) arr;
+      Fixtures.shuffle (Prng.of_int seed) arr;
       List.sort compare (Array.to_list arr) = List.sort compare xs)
 
 let prop_float_bounds =

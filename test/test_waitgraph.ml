@@ -87,7 +87,7 @@ let test_motivating_case_depth_and_leaf () =
   (* The chain must bottom out in the disk service. *)
   let has_disk = ref false in
   WG.iter_nodes g (fun n ->
-      if Event.is_hw_service n.WG.event then has_disk := true);
+      if Fixtures.is_hw_service n.WG.event then has_disk := true);
   check Alcotest.bool "hardware leaf reached" true !has_disk;
   check Alcotest.bool "accumulated wait exceeds instance" true
     (WG.wait_time g
@@ -147,7 +147,7 @@ let test_shared_event_identity () =
     WG.iter_nodes g (fun n ->
         if
           Event.is_wait n.WG.event
-          && Dptrace.Callstack.contains (sig_ "d.sys!Deep") n.WG.event.Event.stack
+          && Fixtures.stack_contains (sig_ "d.sys!Deep") n.WG.event.Event.stack
         then ids := n.WG.event.Event.id :: !ids);
     List.sort_uniq compare !ids
   in

@@ -62,7 +62,7 @@ let test_all_templates_run () =
               check Alcotest.bool
                 (tpl.Scenarios.spec.Dptrace.Scenario.name ^ " valid")
                 true
-                (Dptrace.Validate.is_valid st);
+                (Fixtures.is_valid st);
               check Alcotest.int
                 (tpl.Scenarios.spec.Dptrace.Scenario.name ^ " one instance")
                 1
@@ -231,7 +231,7 @@ let test_episode_exposed () =
     (List.exists
        (fun (i : Dptrace.Scenario.instance) -> i.scenario = "BrowserTabCreate")
        st.Dptrace.Stream.instances);
-  check Alcotest.bool "valid" true (Dptrace.Validate.is_valid st)
+  check Alcotest.bool "valid" true (Fixtures.is_valid st)
 
 (* --- motivating case --- *)
 
@@ -239,7 +239,7 @@ let test_case_exceeds_tslow () =
   let case = MC.build () in
   let d = Dptrace.Scenario.duration case.MC.browser_instance in
   check Alcotest.bool "over 800ms" true (d > Time.ms 800);
-  check Alcotest.bool "valid stream" true (Dptrace.Validate.is_valid case.MC.stream)
+  check Alcotest.bool "valid stream" true (Fixtures.is_valid case.MC.stream)
 
 let test_case_deterministic () =
   let a = MC.build () and b = MC.build () in

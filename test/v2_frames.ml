@@ -44,6 +44,13 @@ let reseal b ~payload ~len =
   Bytes.set_int32_le b (payload - 4)
     (Int32.of_int (crc "S" (Bytes.sub_string b payload len)))
 
+(* The framed encoding of [c], as [V2.save] writes it. *)
+let encode ?pool c =
+  let path = Filename.temp_file "v2frames" ".dpf" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  V2.save ?pool path c;
+  In_channel.with_open_bin path In_channel.input_all
+
 (* [f] on a temporary file holding [data]. *)
 let with_file data f =
   let path = Filename.temp_file "v2frames" ".dpf" in

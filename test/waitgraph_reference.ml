@@ -7,7 +7,7 @@
    back edge, or an event first met beyond [max_depth], gets a childless
    view that neither table records. [iter_nodes] dedups by a table of
    seen ids, and [depth] memoises depths in a table. Windows are taken
-   whole from [Stream.thread_events_overlapping], then filtered and
+   whole from [Fixtures.thread_events_overlapping], then filtered and
    mapped. *)
 
 module Event = Dptrace.Event
@@ -36,7 +36,7 @@ let build ?index stream (instance : Dptrace.Scenario.instance) : WG.t =
     | None -> leaf w
     | Some u ->
       let window =
-        Stream.thread_events_overlapping idx ~tid:u.Event.tid ~from_ts:w.ts
+        Fixtures.thread_events_overlapping idx ~tid:u.Event.tid ~from_ts:w.ts
           ~to_ts:u.Event.ts
       in
       let children =
@@ -48,7 +48,7 @@ let build ?index stream (instance : Dptrace.Scenario.instance) : WG.t =
       { WG.event = w; waker = Some u; children }
   in
   let roots =
-    Stream.thread_events_overlapping idx ~tid:instance.tid ~from_ts:instance.t0
+    Fixtures.thread_events_overlapping idx ~tid:instance.tid ~from_ts:instance.t0
       ~to_ts:instance.t1
     |> List.filter (fun (e : Event.t) -> not (Event.is_unwait e))
     |> List.map (node_of 0)
