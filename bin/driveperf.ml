@@ -111,6 +111,24 @@ let int_at_least least what =
 let positive_int = int_at_least 1 "positive"
 let non_negative_int = int_at_least 0 "non-negative"
 
+(* Output paths are checked before any work, though written at the end
+   (through [Fs.write_file]): the directory a file goes in, or the
+   nearest existing ancestor of a directory made if missing, must be a
+   writable directory. A failure is a [Sys_error] naming the path. *)
+let check_out ?(dir = false) path =
+  let rec check d =
+    match Unix.access (Filename.concat d ".") [ Unix.W_OK ] with
+    | () -> ()
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) when dir && Filename.dirname d <> d ->
+      check (Filename.dirname d)
+    | exception Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  in
+  check (if dir then path else Filename.dirname path)
+
+let out_path ?dir arg = Term.(const (fun p -> check_out ?dir p; p) $ arg)
+let out_path_opt ?dir arg = Term.(const (fun p -> Option.iter (check_out ?dir) p; p) $ arg)
+
 let domains_arg =
   let doc =
     "Analysis (and framed-v2 ingestion) parallelism: the number of \
@@ -283,7 +301,9 @@ let obs_opts_term =
   let combine trace_out metrics_out log_level progress =
     { trace_out; metrics_out; log_level; progress }
   in
-  Term.(const combine $ trace_out $ metrics_out $ log_level $ progress)
+  Term.(
+    const combine $ out_path_opt trace_out $ out_path_opt metrics_out $ log_level
+    $ progress)
 
 (* Apply the observability options around a command body: arm the
    requested recorders before any work (including corpus loading) and
@@ -515,7 +535,7 @@ let generate_cmd =
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Synthesise a trace corpus")
-    Term.(const generate $ seed_arg $ scale_arg $ no_cross $ cores $ out)
+    Term.(const generate $ seed_arg $ scale_arg $ no_cross $ cores $ out_path out)
 
 (* --- impact --- *)
 
@@ -750,7 +770,7 @@ let dot_cmd =
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Render a scenario's Aggregated Wait Graph as Graphviz")
-    Term.(const dot $ corpus_arg $ scenario $ out $ mode_arg)
+    Term.(const dot $ corpus_arg $ scenario $ out_path_opt out $ mode_arg)
 
 (* --- anonymize --- *)
 
@@ -791,13 +811,14 @@ let anonymize_cmd =
   in
   Cmd.v
     (Cmd.info "anonymize" ~doc:"Scrub driver/function/thread names from a corpus")
-    Term.(const anonymize $ corpus_arg $ out $ mapping $ keep $ mode_arg)
+    Term.(
+      const anonymize $ corpus_arg $ out_path out $ out_path_opt mapping $ keep $ mode_arg)
 
 (* --- import-etw --- *)
 
 let import_etw input out specs =
   match Dptrace.Etw.load input with
-  | exception Dptrace.Etw.Parse_error { line; message } ->
+  | exception Dptrace.Fields.Parse_error { line; message } ->
     Dpobs.Log.error "%s:%d: %s" input line message;
     1
   | exception Sys_error msg ->
@@ -849,7 +870,7 @@ let import_etw_cmd =
   in
   Cmd.v
     (Cmd.info "import-etw" ~doc:"Convert an xperf-style dump to a corpus")
-    Term.(const import_etw $ input $ out $ specs)
+    Term.(const import_etw $ input $ out_path out $ specs)
 
 (* --- convert --- *)
 
@@ -892,7 +913,7 @@ let convert_cmd =
     (Cmd.info "convert"
        ~doc:"Re-encode a corpus (e.g. upgrade a v1 file to framed v2)")
     Term.(
-      const convert $ input $ out $ domains_arg $ mode_arg $ fault_arg
+      const convert $ input $ out_path out $ domains_arg $ mode_arg $ fault_arg
       $ obs_opts_term)
 
 (* --- diff --- *)
@@ -1323,7 +1344,7 @@ let export_trace_cmd =
           track per thread, wait-graph edges as flow arrows, \
           concurrent-waiters counter, instance and pattern markers)")
     Term.(
-      const export_trace $ corpus_arg $ scenario $ slow $ fast $ rank $ out
+      const export_trace $ corpus_arg $ scenario $ slow $ fast $ rank $ out_path out
       $ components_arg $ domains_arg $ mode_arg $ obs_opts_term)
 
 let flame path scenario out_dir slow fast top pats j mode obs =
@@ -1390,7 +1411,7 @@ let flame_cmd =
           class, plus the slow-vs-fast differential that attributes \
           IA_wait growth to its signature paths")
     Term.(
-      const flame $ corpus_arg $ scenario $ out_dir $ slow $ fast $ top
+      const flame $ corpus_arg $ scenario $ out_path ~dir:true out_dir $ slow $ fast $ top
       $ components_arg $ domains_arg $ mode_arg $ obs_opts_term)
 
 (* --- timeline --- *)
@@ -1590,7 +1611,7 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"Produce the full analyst report (impact + causality + witnesses)")
     Term.(
-      const analyze $ out $ json_arg $ top $ cache_term $ setup_term)
+      const analyze $ out_path_opt out $ json_arg $ top $ cache_term $ setup_term)
 
 (* --- cache: snapshot-cache directory maintenance --- *)
 
@@ -1851,7 +1872,8 @@ let monitor_cmd =
     Term.(
       const monitor $ dir $ replay $ listen $ interval $ max_ticks $ window
       $ top_patterns $ replicates $ seed $ min_support $ threshold $ lag_ms
-      $ cache_term $ alert_log $ metrics_out $ view_dir $ components_arg
+      $ cache_term $ out_path_opt alert_log $ out_path_opt metrics_out
+      $ out_path_opt ~dir:true view_dir $ components_arg
       $ domains_arg $ mode_arg $ fault_arg)
 
 (* --- faults: describe / replay an injection plan --- *)

@@ -2,7 +2,6 @@ type t = Signature.t array
 
 let of_list frames = Array.of_list frames
 let init = Array.init
-let of_strings texts = Array.of_list (List.map Signature.of_string texts)
 let frames t = t
 let top t = if Array.length t = 0 then None else Some t.(0)
 let depth = Array.length

@@ -12,9 +12,6 @@ val of_list : Signature.t list -> t
 val init : int -> (int -> Signature.t) -> t
 (** [init depth f] has frame [i] = [f i], topmost first. *)
 
-val of_strings : string list -> t
-(** Convenience: intern each frame text, topmost first. *)
-
 val frames : t -> Signature.t array
 (** Topmost-first frames. Do not mutate: the decoders give every event
     with an equal stack one physical array, within and across streams. *)

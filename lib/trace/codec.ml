@@ -1,8 +1,3 @@
-exception Parse_error of { line : int; message : string }
-
-let fail line fmt =
-  Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
-
 let magic = "dptrace"
 let version = 1
 
@@ -58,161 +53,89 @@ let corpus_to_string (c : Corpus.t) =
 
 (* --- Reading: one stream at a time, pushed at its [end] line --- *)
 
-type parser_state = {
-  mutable line : int;
-  mutable specs : Scenario.spec list;
-  mutable started : bool;  (* a [stream] line was seen: no more specs *)
-  push : Scenario.spec list -> Stream.t -> unit;
-  (* Current stream under construction, if any. *)
-  mutable cur_id : int option;
-  mutable cur_events : Event.t list;
-  mutable cur_count : int;  (* length of [cur_events] *)
-  mutable cur_instances : Scenario.instance list;
-  mutable cur_threads : (int * string) list;
-}
-
-let int_field st what s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail st.line "invalid %s: %S" what s
-
-(* Each domain's stacks so far, keyed on their raw frames token: a
-   repeated stack, in any stream, is one lookup that allocates nothing
-   and interns none of its signatures again. *)
-let stacks = Domain.DLS.new_key Dputil.Span_table.create
-
-let parse_stack s =
-  let seen = Domain.DLS.get stacks in
-  match Dputil.Span_table.find seen s 0 (String.length s) with
-  | -1 ->
-    let stack =
-      if s = "-" then Callstack.of_list []
-      else Callstack.of_strings (String.split_on_char ';' s)
-    in
-    Dputil.Span_table.add seen s stack;
-    stack
-  | e -> Dputil.Span_table.get seen e
-
-let finish_stream st =
-  match st.cur_id with
-  | None -> ()
-  | Some id ->
-    let stream =
-      Stream.create ~id
-        ~events:(Array.of_list (List.rev st.cur_events))
-        ~instances:(List.rev st.cur_instances)
-        ~threads:(List.rev st.cur_threads)
-    in
-    st.cur_id <- None;
-    st.cur_events <- [];
-    st.cur_count <- 0;
-    st.cur_instances <- [];
-    st.cur_threads <- [];
-    st.push st.specs stream
-
-let in_stream st =
-  match st.cur_id with
-  | Some _ -> ()
-  | None -> fail st.line "directive outside of a stream block"
-
-let parse_line st raw =
-  let words =
-    String.split_on_char ' ' (String.trim raw) |> List.filter (fun w -> w <> "")
-  in
-  match words with
-  | [] -> ()
-  | "spec" :: [ name; tfast; tslow ] ->
-    if st.started then fail st.line "spec %s after the first stream" name;
-    let tfast = int_field st "tfast" tfast and tslow = int_field st "tslow" tslow in
-    if not (0 < tfast && tfast <= tslow) then
-      fail st.line "spec %s: need 0 < tfast <= tslow" name;
-    st.specs <- st.specs @ [ Scenario.spec ~name ~tfast ~tslow ]
-  | "stream" :: [ id ] ->
-    if st.cur_id <> None then fail st.line "nested stream block";
-    st.started <- true;
-    st.cur_id <- Some (int_field st "stream id" id)
-  | "thread" :: [ tid; name ] ->
-    in_stream st;
-    st.cur_threads <- (int_field st "tid" tid, name) :: st.cur_threads
-  | "event" :: [ kind; tid; ts; cost; wtid; frames ] ->
-    in_stream st;
-    let kind =
-      match Event.kind_of_string kind with
-      | Some k -> k
-      | None -> fail st.line "unknown event kind %S" kind
-    in
-    (* The writer prints events in stream order: with its position as its
-       id, each event is kept as built by [Stream.create]. *)
-    let e : Event.t =
-      {
-        id = st.cur_count;
-        kind;
-        stack = parse_stack frames;
-        ts = int_field st "ts" ts;
-        cost = int_field st "cost" cost;
-        tid = int_field st "tid" tid;
-        wtid = int_field st "wtid" wtid;
-      }
-    in
-    if e.cost < 0 then fail st.line "negative cost";
-    st.cur_events <- e :: st.cur_events;
-    st.cur_count <- st.cur_count + 1
-  | "instance" :: [ scenario; tid; t0; t1 ] ->
-    in_stream st;
-    let t0 = int_field st "t0" t0 and t1 = int_field st "t1" t1 in
-    if t1 < t0 then fail st.line "instance with t1 < t0";
-    st.cur_instances <-
-      { Scenario.scenario; tid = int_field st "tid" tid; t0; t1 }
-      :: st.cur_instances
-  | [ "end" ] ->
-    in_stream st;
-    finish_stream st
-  | word :: _ -> fail st.line "unrecognised directive %S" word
+(* The header is exactly [magic], one space and the version. *)
+let header f =
+  match String.split_on_char ' ' (String.trim (Fields.text f)) with
+  | [ m; _ ] when m = magic ->
+    let v = Fields.int f "version" 1 in
+    if v <> version then Fields.fail 1 "unsupported version %d" v
+  | _ ->
+    (* Quote a bounded prefix: a binary or newline-free file would
+       otherwise be echoed whole as its own "first line". *)
+    let h = Fields.text f in
+    let n = min (String.length h) 32 in
+    Fields.fail 1 "bad header %S%s" (String.sub h 0 n)
+      (if n < String.length h then "..." else "")
 
 (* Binary mode both ways: text-mode channels translate line endings on
    some platforms, breaking byte-exact round-trips (and checksums taken
    over the file). The format itself is plain "\n"-separated text. *)
 let save path c = Dputil.Fs.write_file path output_string (corpus_to_string c)
 
+(* Fields are read in test/text_reference.ml's order, so a line with two
+   bad fields fails on the same one. *)
 let read path push =
-  In_channel.with_open_bin path @@ fun ic ->
-  let next_line () = In_channel.input_line ic in
-  let st =
-    {
-      line = 0;
-      specs = [];
-      started = false;
-      push;
-      cur_id = None;
-      cur_events = [];
-      cur_count = 0;
-      cur_instances = [];
-      cur_threads = [];
-    }
+  (* [started]: a [stream] line was seen, so no more specs. The stream
+     being read: its id, events (and their count), instances, threads. *)
+  let specs = ref [] and started = ref false in
+  let id = ref None and events = ref [] and count = ref 0 in
+  let instances = ref [] and threads = ref [] in
+  let in_stream line = if !id = None then Fields.fail line "directive outside of a stream block" in
+  let parse line f =
+    match Fields.count f with
+    | _ when line = 1 -> header f
+    | 0 -> ()
+    | 4 when Fields.is f 0 "spec" ->
+      let name = Fields.get f 1 in
+      if !started then Fields.fail line "spec %s after the first stream" name;
+      let tfast = Fields.int f "tfast" 2 in
+      let tslow = Fields.int f "tslow" 3 in
+      if not (0 < tfast && tfast <= tslow) then
+        Fields.fail line "spec %s: need 0 < tfast <= tslow" name;
+      specs := !specs @ [ Scenario.spec ~name ~tfast ~tslow ]
+    | 2 when Fields.is f 0 "stream" ->
+      if !id <> None then Fields.fail line "nested stream block";
+      started := true;
+      id := Some (Fields.int f "stream id" 1)
+    | 3 when Fields.is f 0 "thread" ->
+      in_stream line;
+      threads := (Fields.int f "tid" 1, Fields.get f 2) :: !threads
+    | 7 when Fields.is f 0 "event" ->
+      in_stream line;
+      let kind =
+        match Event.kind_of_string (Fields.get f 1) with
+        | Some k -> k
+        | None -> Fields.fail line "unknown event kind %S" (Fields.get f 1)
+      in
+      let wtid = Fields.int f "wtid" 5 in
+      let tid = Fields.int f "tid" 2 in
+      let cost = Fields.int f "cost" 4 in
+      let ts = Fields.int f "ts" 3 in
+      let stack = Fields.stack f ~empty:"-" 6 in
+      if cost < 0 then Fields.fail line "negative cost";
+      (* The writer prints events in stream order: with its position as
+         its id, each event is kept as built by [Stream.create]. *)
+      events := { Event.id = !count; kind; stack; ts; cost; tid; wtid } :: !events;
+      incr count
+    | 5 when Fields.is f 0 "instance" ->
+      in_stream line;
+      let t0 = Fields.int f "t0" 3 in
+      let t1 = Fields.int f "t1" 4 in
+      if t1 < t0 then Fields.fail line "instance with t1 < t0";
+      let tid = Fields.int f "tid" 2 in
+      instances := { Scenario.scenario = Fields.get f 1; tid; t0; t1 } :: !instances
+    | 1 when Fields.is f 0 "end" ->
+      in_stream line;
+      let st =
+        Stream.create ~id:(Option.get !id) ~events:(Array.of_list (List.rev !events))
+          ~instances:(List.rev !instances) ~threads:(List.rev !threads)
+      in
+      id := None; events := []; count := 0; instances := []; threads := [];
+      push !specs st
+    | _ -> Fields.fail line "unrecognised directive %S" (Fields.get f 0)
   in
-  (* Header. *)
-  (match next_line () with
-  | None -> fail 1 "empty input"
-  | Some header ->
-    st.line <- 1;
-    (match String.split_on_char ' ' (String.trim header) with
-    | [ m; v ] when m = magic ->
-      let v = int_field st "version" v in
-      if v <> version then fail st.line "unsupported version %d" v
-    | _ ->
-      (* Quote a bounded prefix: a binary or newline-free file would
-         otherwise be echoed whole as its own "first line". *)
-      let n = min (String.length header) 32 in
-      fail st.line "bad header %S%s" (String.sub header 0 n)
-        (if n < String.length header then "..." else "")));
-  let rec loop () =
-    match next_line () with
-    | None -> ()
-    | Some raw ->
-      st.line <- st.line + 1;
-      parse_line st raw;
-      loop ()
-  in
-  loop ();
-  if st.cur_id <> None then fail st.line "unterminated stream block";
-  st.specs
+  match Fields.read path Fields.words parse with
+  | 0 -> Fields.fail 1 "empty input"
+  | lines ->
+    if !id <> None then Fields.fail lines "unterminated stream block";
+    !specs

@@ -23,9 +23,7 @@
 
     Specs precede the first [stream] line, as a framed file's header is
     its frame 0: a reader steps each stream under the specs read before
-    it, so a spec after a stream is a {!Parse_error}. *)
-
-exception Parse_error of { line : int; message : string }
+    it, so a spec after a stream is a {!Fields.Parse_error}. *)
 
 val corpus_to_string : Corpus.t -> string
 (** @raise Invalid_argument if a thread, scenario or spec name, or a
@@ -41,6 +39,6 @@ val read : string -> (Scenario.spec list -> Stream.t -> unit) -> Scenario.spec l
 (** [read path push] parses a file in one pass, holding only the stream
     being parsed: [push specs st] gets each stream at its [end] line, on
     the calling domain in file order. Returns the specs.
-    @raise Parse_error on malformed input, after the streams before it
-    were pushed
+    @raise Fields.Parse_error on malformed input, after the streams
+    before it were pushed
     @raise Sys_error if the file cannot be opened. *)

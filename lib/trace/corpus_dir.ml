@@ -80,7 +80,7 @@ let fold ?pool ?(mode = `Strict) ~step ~consume path =
   | loaded -> Ok loaded
   | exception Wire.Corrupt m ->
     Error (Printf.sprintf "%s: corrupt corpus: %s" path m)
-  | exception Codec.Parse_error { line; message } ->
+  | exception Fields.Parse_error { line; message } ->
     Error (Printf.sprintf "%s:%d: %s" path line message)
   | exception Sys_error _ when Sys.file_exists path && Sys.is_directory path ->
     Error (path ^ ": is a directory, not a corpus file")

@@ -30,17 +30,9 @@
     Timestamps are microseconds; fields are comma-separated; stacks are
     double-quoted, frames topmost-first and [';']-separated. *)
 
-exception Parse_error of { line : int; message : string }
-
-val stream_of_string :
-  ?stream_id:int -> ?sample_period:Dputil.Time.t -> string -> Stream.t
-(** Parse and convert a dump. [sample_period] (default 1 ms) is the
-    profiler's sampling interval used both to coalesce samples and to cost
-    them.
-    @raise Parse_error on malformed input, including unbalanced [Mark]
-    pairs. Waits still open at end of dump are dropped (truncated trace),
-    as are [Stop]-less instances. *)
-
-val load : ?stream_id:int -> ?sample_period:Dputil.Time.t -> string -> Stream.t
-(** [load path] reads a dump file.
-    @raise Parse_error / [Sys_error]. *)
+val load : ?stream_id:int -> string -> Stream.t
+(** [load path] reads a dump a line at a time into the stream
+    [stream_id] (default 0), its samples 1 ms apart. Waits still open at
+    the end are dropped (a truncated trace), as are [Stop]-less instances.
+    @raise Fields.Parse_error on malformed input, unbalanced [Mark]s too
+    @raise Sys_error if the file cannot be read. *)

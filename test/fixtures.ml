@@ -6,15 +6,27 @@ open Dptrace
 
 (* --- trace --- *)
 
-(* A text corpus read the only way the codec reads: from a file.
-   @raise Codec.Parse_error on malformed input. *)
-let corpus_of_string text =
-  let path = Filename.temp_file "fixtures" ".dpt" in
+(* [f] on a temporary file holding [data]. *)
+let with_file data f =
+  let path = Filename.temp_file "fixtures" "" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+  f path
+
+(* A text corpus read the only way the codec reads: from a file.
+   @raise Fields.Parse_error on malformed input. *)
+let corpus_of_string text =
+  with_file text @@ fun path ->
   let streams = ref [] in
   let specs = Codec.read path (fun _ st -> streams := st :: !streams) in
   Corpus.create ~streams:(List.rev !streams) ~specs
+
+(* An ETW dump imported the only way the importer reads: from a file.
+   @raise Fields.Parse_error on malformed input. *)
+let etw_of_string ?stream_id text = with_file text (Etw.load ?stream_id)
+
+(* Intern each frame text, topmost first. *)
+let callstack frames = Callstack.of_list (List.map Signature.of_string frames)
 
 let is_valid st = Validate.check st = []
 let is_hw_service (e : Event.t) = e.Event.kind = Event.Hw_service

@@ -11,7 +11,7 @@ let corpus seed =
     { Dpworkload.Corpus_gen.default_config with seed; scale = 0.02 }
 
 let event ?(kind = Event.Wait) tid ts cost wtid =
-  { Event.id = 0; kind; stack = Dptrace.Callstack.of_strings [ "x.sys!F" ]; ts; cost; tid; wtid }
+  { Event.id = 0; kind; stack = Fixtures.callstack [ "x.sys!F" ]; ts; cost; tid; wtid }
 
 (* Two waits on threads 1 and 2, each unwaited by the other: every
    expansion runs into a back edge. *)

@@ -1,5 +1,6 @@
-(* Tests for the interchange substrates: the ETW importer, the framed
-   binary codec (and the retired v1 container) and the anonymiser. *)
+(* Tests for the interchange substrates: the ETW importer, the text
+   tokenizer both text readers share, the framed binary codec (and the
+   retired v1 container) and the anonymiser. *)
 
 module Event = Dptrace.Event
 module Stream = Dptrace.Stream
@@ -24,7 +25,7 @@ let test_etw_sample_coalescing () =
      SampledProfile, 3000, 5, \"app!f;app!main\"\n\
      SampledProfile, 4000, 5, \"app!g;app!main\"\n"
   in
-  let st = Etw.stream_of_string dump in
+  let st = Fixtures.etw_of_string dump in
   let runs =
     Array.to_list st.Stream.events |> List.filter Event.is_running
   in
@@ -38,7 +39,7 @@ let test_etw_gap_breaks_coalescing () =
     "SampledProfile, 1000, 5, \"app!f\"\n\
      SampledProfile, 9000, 5, \"app!f\"\n"
   in
-  let st = Etw.stream_of_string dump in
+  let st = Fixtures.etw_of_string dump in
   check Alcotest.int "gap splits runs" 2
     (List.length (Array.to_list st.Stream.events |> List.filter Event.is_running))
 
@@ -47,7 +48,7 @@ let test_etw_wait_reconstruction () =
     "CSwitch, 1000, 9, 5, Waiting, \"kernel!AcquireLock;d.sys!Op;app!main\"\n\
      ReadyThread, 4000, 7, 5, \"d.sys!Release;other!w\"\n"
   in
-  let st = Etw.stream_of_string dump in
+  let st = Fixtures.etw_of_string dump in
   let wait = Array.to_list st.Stream.events |> List.find Event.is_wait in
   check Alcotest.int "wait tid" 5 wait.Event.tid;
   check Alcotest.int "wait start" 1000 wait.Event.ts;
@@ -61,14 +62,14 @@ let test_etw_wait_reconstruction () =
 
 let test_etw_open_wait_dropped () =
   let dump = "CSwitch, 1000, 9, 5, Waiting, \"app!main\"\n" in
-  let st = Etw.stream_of_string dump in
+  let st = Fixtures.etw_of_string dump in
   check Alcotest.int "no events" 0 (Array.length st.Stream.events)
 
 let test_etw_diskio_and_threads () =
   let dump =
     "Thread, 5, BrowserUI\nDiskIo, 2000, 1500, \"DiskService\"\n"
   in
-  let st = Etw.stream_of_string dump in
+  let st = Fixtures.etw_of_string dump in
   let hw = Array.to_list st.Stream.events |> List.find Fixtures.is_hw_service in
   check Alcotest.int "start" 2000 hw.Event.ts;
   check Alcotest.int "duration" 1500 hw.Event.cost;
@@ -82,7 +83,7 @@ let test_etw_marks () =
      SampledProfile, 2000, 5, \"app!f\"\n\
      Mark, 9000, TabCreate, 5, Stop\n"
   in
-  let st = Etw.stream_of_string dump in
+  let st = Fixtures.etw_of_string dump in
   match st.Stream.instances with
   | [ i ] ->
     check Alcotest.string "scenario" "TabCreate" i.Dptrace.Scenario.scenario;
@@ -91,8 +92,8 @@ let test_etw_marks () =
   | l -> Alcotest.failf "expected one instance, got %d" (List.length l)
 
 let expect_etw_error dump =
-  match Etw.stream_of_string dump with
-  | exception Etw.Parse_error _ -> ()
+  match Fixtures.etw_of_string dump with
+  | exception Dptrace.Fields.Parse_error _ -> ()
   | _ -> Alcotest.fail "expected Parse_error"
 
 let test_etw_errors () =
@@ -105,8 +106,8 @@ let test_etw_errors () =
   expect_etw_error "SampledProfile, 1, 5, \"unterminated\n"
 
 let test_etw_error_line_number () =
-  match Etw.stream_of_string "# fine\nThread, 1, a\nBogus, 1\n" with
-  | exception Etw.Parse_error { line; _ } -> check Alcotest.int "line" 3 line
+  match Fixtures.etw_of_string "# fine\nThread, 1, a\nBogus, 1\n" with
+  | exception Dptrace.Fields.Parse_error { line; _ } -> check Alcotest.int "line" 3 line
   | _ -> Alcotest.fail "expected Parse_error"
 
 let test_etw_end_to_end_analysis () =
@@ -127,7 +128,7 @@ let test_etw_end_to_end_analysis () =
      SampledProfile, 23000, 5, \"app!open\"\n\
      Mark, 24000, OpenDoc, 5, Stop\n"
   in
-  let st = Etw.stream_of_string dump in
+  let st = Fixtures.etw_of_string dump in
   check (Alcotest.list Alcotest.string) "valid" []
     (List.map
        (fun v -> Format.asprintf "%a" Dptrace.Validate.pp_violation v)
@@ -147,7 +148,7 @@ let test_etw_roundtrip_motivating_case () =
      must survive the ETW representation exactly. *)
   let case = Dpworkload.Motivating_case.build () in
   let st = case.Dpworkload.Motivating_case.stream in
-  let reimported = Etw.stream_of_string (Etw_dump.to_dump st) in
+  let reimported = Fixtures.etw_of_string (Etw_dump.to_dump st) in
   check Alcotest.bool "reimported validates" true
     (Fixtures.is_valid reimported);
   let impact stream =
@@ -171,7 +172,7 @@ let test_etw_roundtrip_generated () =
   let reimported_streams =
     List.map
       (fun (st : Stream.t) ->
-        Etw.stream_of_string
+        Fixtures.etw_of_string
           ~stream_id:st.Stream.id
           (Etw_dump.to_dump st))
       corpus.Corpus.streams
@@ -194,9 +195,126 @@ let prop_etw_mutation_safety =
       let base = Etw_dump.to_dump case.Dpworkload.Motivating_case.stream in
       let b = Bytes.of_string base in
       Bytes.set b (pos_seed mod Bytes.length b) (Char.chr byte);
-      match Etw.stream_of_string (Bytes.to_string b) with
+      match Fixtures.etw_of_string (Bytes.to_string b) with
       | _ -> true
-      | exception Etw.Parse_error _ -> true)
+      | exception Dptrace.Fields.Parse_error _ -> true)
+
+(* Words allocated per line by an import, measured after a warm-up
+   import of the same dump (the first meets every signature and stack
+   for the first time), on the dump of the largest stream of a generated
+   corpus: 29.3 words per line here, against 136.8 when every line was
+   split into a list and the dump read whole. *)
+let test_etw_words_per_line () =
+  let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.2) in
+  let largest =
+    List.fold_left
+      (fun (a : Stream.t) (b : Stream.t) ->
+        if Stream.event_count b > Stream.event_count a then b else a)
+      (List.hd corpus.Corpus.streams) corpus.Corpus.streams
+  in
+  let dump = Etw_dump.to_dump largest in
+  let lines = List.length (String.split_on_char '\n' dump) - 1 in
+  Fixtures.with_file dump @@ fun path ->
+  ignore (Etw.load path);
+  let _, words = Fixtures.words_allocated (fun () -> Etw.load path) in
+  let per_line = words /. float_of_int lines in
+  Printf.printf "ETW import: %.1f words per line (%d lines)\n" per_line lines;
+  if per_line > 40. then Alcotest.failf "%.1f words per line" per_line
+
+(* --- the text tokenizer against the list-splitting oracle --- *)
+
+(* The tokenizer's edge cases: quotes drop anywhere in an ETW field, an
+   ETW frame "-" is a signature (only the empty field is the empty
+   stack), and in [.dpt] only ' ' splits words. *)
+let test_tokenizer_edges () =
+  let st = Fixtures.etw_of_string "Thread, 1, x\"a,b\"y\nSampledProfile, 0, 1, -\n" in
+  check Alcotest.string "quoted comma" "xa,by" (Stream.thread_name st 1);
+  check Alcotest.(list string) "frame -" [ "-" ]
+    (Array.to_list (Dptrace.Callstack.frames st.Stream.events.(0).Event.stack)
+    |> List.map Dptrace.Signature.name);
+  let c = Fixtures.corpus_of_string "dptrace 1\nstream 0\nthread 1 a\tb\nend\n" in
+  check Alcotest.string "tab inside a word" "a\tb"
+    (Stream.thread_name (List.hd c.Corpus.streams) 1)
+
+(* What a reader makes of a file: the streams it handed over and its
+   specs, or the streams before the error and the error's line and
+   message. *)
+let outcome read path =
+  let streams = ref [] in
+  let push (st : Stream.t) =
+    let parts = (st.Stream.id, st.Stream.events, st.Stream.instances, st.Stream.threads) in
+    streams := parts :: !streams
+  in
+  let result =
+    match read path push with
+    | specs -> Ok specs
+    | exception Dptrace.Fields.Parse_error { line; message } -> Error (line, message)
+  in
+  (List.rev !streams, result)
+
+(* A few bytes of [base] replaced or inserted near one another, so
+   that two can damage one line, mostly with the bytes the tokenizer
+   splits, trims or drops on. A quarter of the edits start in the first
+   512 bytes, where the header, specs and thread lines are. *)
+let mutated base =
+  let open QCheck.Gen in
+  let byte = frequency [ (3, oneofl [ ' '; '\t'; '\r'; ';'; ','; '"'; '-' ]); (1, char) ] in
+  let apply at s (off, c, insert) =
+    let n = String.length s in
+    if insert then
+      let pos = (at + off) mod (n + 1) in
+      String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos)
+    else
+      let pos = (at + off) mod n in
+      String.mapi (fun i x -> if i = pos then c else x) s
+  in
+  let edits = list_size (int_range 1 4) (triple (int_bound 40) byte bool) in
+  QCheck.make ~print:String.escaped
+    (map2
+       (fun at edits -> List.fold_left (apply at) base edits)
+       (frequency [ (1, int_bound 511); (3, nat) ])
+       edits)
+
+(* Each format's reader and its oracle, and whether they make the same
+   of [text]. *)
+let dpt =
+  ( (fun path push -> Dptrace.Codec.read path (fun _ st -> push st)),
+    fun path push -> Text_reference.Codec.read path (fun _ st -> push st) )
+
+let etw =
+  ( (fun path push -> push (Etw.load path); []),
+    fun path push -> push (Text_reference.Etw.load path); [] )
+
+let agree (read, oracle) text =
+  Fixtures.with_file text @@ fun path -> outcome read path = outcome oracle path
+
+(* A line with more than one bad field fails on the one the
+   list-splitting parser read first. *)
+let test_first_bad_field () =
+  let in_stream lines = "dptrace 1\nstream 0\n" ^ lines ^ "end\n" in
+  List.iter
+    (fun text -> check Alcotest.bool (String.escaped text) true (agree dpt text))
+    [ "dptrace  1\n"; "dptrace 1\nspec S x y\n"; "dptrace 1\nstream x\n";
+      in_stream "thread x n\n"; in_stream "event run a b c d f\n";
+      in_stream "event bogus a b c d f\n"; in_stream "event run 0 0 -1 d f\n";
+      in_stream "instance S x y z\n"; in_stream "instance S x 9 5\n" ];
+  List.iter
+    (fun text -> check Alcotest.bool (String.escaped text) true (agree etw text))
+    [ "SampledProfile, x, y, \"a\"\n"; "CSwitch, x, q, y, Waiting, \"a\"\n";
+      "ReadyThread, x, y, z, \"a\"\n"; "DiskIo, x, y, D\n"; "DiskIo, x, -5, D, y\n";
+      "DiskIo, x, 5, D, y\n"; "Mark, x, S, y, Start\n"; "Thread, x, n\n" ]
+
+let prop_oracle name base readers =
+  QCheck.Test.make ~name ~count:300 (mutated base) (agree readers)
+
+let prop_dpt_oracle =
+  let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.005) in
+  prop_oracle ".dpt reader agrees with the list-splitting oracle"
+    (Dptrace.Codec.corpus_to_string corpus) dpt
+
+let prop_etw_oracle =
+  let st = (Dpworkload.Motivating_case.build ()).Dpworkload.Motivating_case.stream in
+  prop_oracle "ETW importer agrees with the list-splitting oracle" (Etw_dump.to_dump st) etw
 
 (* --- binary codec --- *)
 
@@ -455,6 +573,14 @@ let () =
           Alcotest.test_case "export/import roundtrip (corpus)" `Quick
             test_etw_roundtrip_generated;
           QCheck_alcotest.to_alcotest prop_etw_mutation_safety;
+          Alcotest.test_case "words per line" `Quick test_etw_words_per_line;
+        ] );
+      ( "tokenizer",
+        [
+          Alcotest.test_case "edge cases" `Quick test_tokenizer_edges;
+          Alcotest.test_case "first bad field named" `Quick test_first_bad_field;
+          QCheck_alcotest.to_alcotest prop_dpt_oracle;
+          QCheck_alcotest.to_alcotest prop_etw_oracle;
         ] );
       ( "binary codec",
         [

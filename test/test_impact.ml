@@ -383,7 +383,7 @@ let test_adversarial_slow_classes () =
    instances around that wait, of scenario S or T. *)
 let tie_stream id (holder, threads) =
   let event ?(kind = Dptrace.Event.Wait) ?(wtid = -1) tid ts cost frame =
-    { Dptrace.Event.id = 0; kind; stack = Dptrace.Callstack.of_strings [ frame ]; ts; cost;
+    { Dptrace.Event.id = 0; kind; stack = Fixtures.callstack [ frame ]; ts; cost;
       tid; wtid }
   in
   let held =

@@ -1410,7 +1410,7 @@ let test_file_changed_under_snapshot () =
    [per] while its key and section index do not. *)
 let growing_corpus ~n ~per =
   let ev kind tid ts cost wtid frame =
-    { Dptrace.Event.id = 0; kind; stack = Dptrace.Callstack.of_strings [ frame ]; ts;
+    { Dptrace.Event.id = 0; kind; stack = Fixtures.callstack [ frame ]; ts;
       cost; tid; wtid }
   in
   let stream id =
@@ -1458,7 +1458,7 @@ let test_open_cache_holds_no_record_bytes () =
    events that no graph reaches. *)
 let long_stream () =
   let ev kind tid ts cost wtid frame =
-    { Dptrace.Event.id = 0; kind; stack = Dptrace.Callstack.of_strings [ frame ]; ts;
+    { Dptrace.Event.id = 0; kind; stack = Fixtures.callstack [ frame ]; ts;
       cost; tid; wtid }
   in
   let per_instance i =

@@ -51,7 +51,7 @@ let test_signature_matches () =
 
 (* --- Callstack --- *)
 
-let stack l = Callstack.of_strings l
+let stack = Fixtures.callstack
 
 let test_callstack_basics () =
   let s = stack [ "a.sys!Top"; "b!Mid"; "c!Bottom" ] in
@@ -376,7 +376,7 @@ let test_codec_empty_stack () =
 
 let expect_parse_error text =
   match Fixtures.corpus_of_string text with
-  | exception Codec.Parse_error _ -> ()
+  | exception Dptrace.Fields.Parse_error _ -> ()
   | _ -> Alcotest.fail "expected Parse_error"
 
 let test_codec_errors () =
@@ -411,7 +411,7 @@ let prop_codec_mutation_safety =
       Bytes.set b pos (Char.chr byte);
       match Fixtures.corpus_of_string (Bytes.to_string b) with
       | _ -> true
-      | exception Codec.Parse_error _ -> true)
+      | exception Dptrace.Fields.Parse_error _ -> true)
 
 let test_codec_rejects_spacey_names () =
   let st =
@@ -430,14 +430,14 @@ let test_codec_bad_header_bounded () =
   (* A newline-free input is one enormous "first line": the error must
      quote a bounded prefix of it, not the whole input. *)
   match Fixtures.corpus_of_string (String.make 100_000 'x') with
-  | exception Codec.Parse_error { line; message } ->
+  | exception Dptrace.Fields.Parse_error { line; message } ->
     check Alcotest.int "line" 1 line;
     check Alcotest.bool "message bounded" true (String.length message < 100)
   | _ -> Alcotest.fail "expected Parse_error"
 
 let test_codec_error_line () =
   match Fixtures.corpus_of_string "dptrace 1\nstream 0\njunk here\n" with
-  | exception Codec.Parse_error { line; _ } -> check Alcotest.int "line" 3 line
+  | exception Dptrace.Fields.Parse_error { line; _ } -> check Alcotest.int "line" 3 line
   | _ -> Alcotest.fail "expected Parse_error"
 
 (* --- Validate --- *)

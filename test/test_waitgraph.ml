@@ -163,7 +163,7 @@ let test_truncated_wait_tolerated () =
     {
       Event.id = 0;
       kind = Event.Wait;
-      stack = Dptrace.Callstack.of_strings [ "x.sys!F" ];
+      stack = Fixtures.callstack [ "x.sys!F" ];
       ts = 0;
       cost = 100;
       tid = 1;
@@ -186,7 +186,7 @@ let test_adversarial_unwait_cycle_terminates () =
     {
       Event.id = 0;
       kind;
-      stack = Dptrace.Callstack.of_strings [ "x.sys!F" ];
+      stack = Fixtures.callstack [ "x.sys!F" ];
       ts;
       cost;
       tid;
