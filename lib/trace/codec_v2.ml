@@ -583,9 +583,18 @@ let frame_stream = function
 
 (* Under [`Recover] a skeleton is taken from the validated stream, so a
    stream that decodes but fails [Validate.check] is dropped the same
-   whether or not its events are wanted. *)
-let frame_skeleton = function
-  | Payload ({ mode = `Strict; _ } as p) -> parse ~build:false p
+   whether or not its events are wanted. Under [`Strict] a skeleton
+   [known] by the frame's key is taken as it is, and counted read. *)
+let frame_skeleton ?known = function
+  | Payload ({ mode = `Strict; _ } as p) -> (
+    match known with
+    | None -> parse ~build:false p
+    | Some known ->
+      let id, instances = known () in
+      if Dpobs.metrics_on () then Dpobs.Metrics.incr (streams_read_c ());
+      let st = Stream.create ~id ~events:[||] ~instances ~threads:[] in
+      Stream.set_key_memo st p.key;
+      st)
   | Payload ({ mode = `Recover; _ } as p) -> Stream.skeleton (parse ~build:true p)
   | Resident st -> Stream.skeleton st
 

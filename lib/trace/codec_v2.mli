@@ -98,12 +98,16 @@ val frame_key : frame -> string
 val frame_stream : frame -> Stream.t
 (** The stream, decoded in full (and, under [`Recover], validated). *)
 
-val frame_skeleton : frame -> Stream.t
+val frame_skeleton : ?known:(unit -> int * Scenario.instance list) -> frame -> Stream.t
 (** [Stream.skeleton (frame_stream f)], computed under [`Strict] by a
     walk of the payload that makes every check the decode makes but
-    builds no event and interns no signature. Under [`Recover] it decodes
-    and validates in full, so a stream that fails {!Validate.check} is
-    dropped whether or not its events are wanted. *)
+    builds no event and interns no signature, or, given [known], from
+    the id and instances it returns: what a record keyed by the frame's
+    key (its payload's CRC and length) holds of a payload that decoded
+    in full, so the payload is not parsed at all. Either way the stream
+    counts as read. Under [`Recover] it decodes and validates in full
+    ([known] is not called), so a stream that fails {!Validate.check}
+    is dropped whether or not its events are wanted. *)
 
 val resident : Stream.t -> frame
 (** A stream already in memory, handed over as a frame. *)

@@ -6,8 +6,9 @@
    pairing unwait's signature), deduplicating events with a Hashtbl of
    seen ids. [merge_into] then folds the trees of all graphs, in graph
    order, into a trie of its own keyed by status. [write] serialises the
-   trie in the partial wire form, with its own sibling sort, so a
-   forest's bytes compare against [Awg.Partial.write]. Witnesses go
+   trie in the partial wire form, with its own sibling sort, after its
+   stream's tables, so a forest's bytes compare against
+   [Awg.Partial.write]'s. Witnesses go
    through the hash-table accumulator of [Provenance_reference].
    [absorb] merges the streams' tries as [Awg.Partial.absorb] merges
    partials, and [witness_table] pairs each node of a finished AWG with
@@ -106,7 +107,7 @@ let sort_key status =
   let tag, ns = names status in
   (tag, List.map (fun n -> (String.length n, n)) ns)
 
-let rec write buf level =
+let rec write tabs buf level =
   let nodes =
     List.sort
       (fun (a, _) (b, _) -> compare (sort_key a) (sort_key b))
@@ -117,7 +118,7 @@ let rec write buf level =
     (fun (status, n) ->
       let tag, ns = names status in
       Wire.w8 buf tag;
-      List.iter (Wire.wstr buf) ns;
+      List.iter (Provenance.Tables.wname tabs buf) ns;
       Wire.wv buf n.cost;
       Wire.wv buf n.count;
       Wire.wv buf n.max_cost;
@@ -125,17 +126,16 @@ let rec write buf level =
       Wire.wv buf (List.length entries);
       List.iter
         (fun (r, cost, count) ->
-          Provenance.write_ref buf r;
+          Provenance.Tables.wref tabs buf r;
           Wire.wv buf cost;
           Wire.wv buf count)
         entries;
-      write buf n.children)
+      write tabs buf n.children)
     nodes
 
-let partial_bytes components graphs =
-  let buf = Buffer.create 1024 in
-  write buf (partial components graphs);
-  Buffer.contents buf
+(* The forest's bytes after the tables of [st], the graphs' stream. *)
+let partial_bytes components st graphs =
+  Fixtures.with_tables st (fun tabs buf -> write tabs buf (partial components graphs))
 
 (* Merge a stream's forest into [into], as [Awg.Partial.absorb] merges
    partials: call it per stream, in corpus order. *)

@@ -234,14 +234,18 @@ let test_render_smoke () =
    count before any root is read: every root takes at least one byte. *)
 let test_partial_count_bounded () =
   let module Wire = Dptrace.Wire in
-  let buf = Buffer.create 256 in
-  Awg.Partial.write buf
-    (Awg.Partial.build drivers (graphs_of (episode ~stream_id:0 ~hold_ms:30)));
-  let encoded = Buffer.contents buf in
-  let cur = Wire.cursor encoded in
+  let st = episode ~stream_id:0 ~hold_ms:30 in
+  let tables = Fixtures.with_tables st (fun _ _ -> ()) in
+  let encoded =
+    Fixtures.with_tables st (fun tabs buf ->
+        Awg.Partial.write tabs buf (Awg.Partial.build drivers (graphs_of st)))
+  in
+  let body = String.sub encoded (String.length tables) (String.length encoded - String.length tables) in
+  let cur = Wire.cursor body in
   ignore (Wire.rv cur : int);
-  let rest = String.sub encoded cur.Wire.pos (String.length encoded - cur.Wire.pos) in
+  let rest = String.sub body cur.Wire.pos (String.length body - cur.Wire.pos) in
   let forged = Buffer.create 256 in
+  Buffer.add_string forged tables;
   Wire.wv forged (String.length rest + 1);
   Buffer.add_string forged rest;
   let names_count m =
@@ -252,7 +256,7 @@ let test_partial_count_bounded () =
     in
     at 0
   in
-  match Awg.Partial.read ~id:0 (Wire.cursor (Buffer.contents forged)) with
+  match Fixtures.read_tabled Awg.Partial.read (Buffer.contents forged) with
   | exception Wire.Corrupt m ->
     check Alcotest.bool ("count refused: " ^ m) true (names_count m)
   | _ -> Alcotest.fail "accepted a root count above the bytes left"
@@ -305,9 +309,9 @@ let test_partial_bytes_ignore_interning () =
     ignore (sig_ (renamed i))
   done;
   let bytes name =
-    let buf = Buffer.create 512 in
-    Awg.Partial.write buf (Awg.Partial.build drivers (graphs_of (named_episode name)));
-    Buffer.contents buf
+    let st = named_episode name in
+    Fixtures.with_tables st (fun tabs buf ->
+        Awg.Partial.write tabs buf (Awg.Partial.build drivers (graphs_of st)))
   in
   let original = bytes fresh and copy = bytes (fun i -> sig_ (renamed i)) in
   check Alcotest.bool "several sibling statuses" true (String.length original > 100);
@@ -329,9 +333,9 @@ let partials_agree components (corpus : Dptrace.Corpus.t) =
   List.for_all
     (fun st ->
       let graphs = graphs_of st in
-      let buf = Buffer.create 1024 in
-      Awg.Partial.write buf (Awg.Partial.build components graphs);
-      Buffer.contents buf = Awg_reference.partial_bytes components graphs)
+      Fixtures.with_tables st (fun tabs buf ->
+          Awg.Partial.write tabs buf (Awg.Partial.build components graphs))
+      = Awg_reference.partial_bytes components st graphs)
     corpus.Dptrace.Corpus.streams
 
 let with_provenance on f =
@@ -427,10 +431,9 @@ let prop_wacc_equals_reference =
       let acc, oracle, chunks = accumulate chunks in
       let expect = Provenance_reference.Wacc.entries oracle in
       let reread (id, chunk) =
-        let buf = Buffer.create 256 in
-        Prov.Wset.write buf chunk;
-        Prov.Wset.entries (Prov.Wacc.read_chunk ~id (Wire.cursor (Buffer.contents buf)))
-        = Prov.Wset.entries chunk
+        let st = Fixtures.stream_of_refs id (Array.to_list ref_pool) in
+        let data = Fixtures.with_tables st (fun tabs buf -> Prov.Wset.write tabs buf chunk) in
+        Prov.Wset.entries (Fixtures.read_tabled ~id Prov.Wset.read data) = Prov.Wset.entries chunk
       in
       List.sort Provenance_reference.order (List.concat_map (fun (_, c) -> Prov.Wset.entries c) chunks)
       = expect
@@ -458,36 +461,41 @@ let prop_union_equals_reference =
       = Provenance_reference.union_entries ~cap (ofold a) (ofold b))
 
 (* A partial of one root [Running m!f] whose witnesses are [entries],
-   written as given. *)
+   written as given, after the tables of a stream of the entries' id
+   whose instances are the entries' distinct refs. *)
 let one_node_partial entries =
-  let b = Buffer.create 64 in
-  Wire.wv b 1;
-  Wire.w8 b 1;
-  Wire.wstr b "m!f";
-  for _ = 1 to 3 do Wire.wv b 0 done;
-  Wire.wv b (List.length entries);
-  List.iter
-    (fun (r, cost, count) ->
-      Prov.write_ref b r;
-      Wire.wv b cost;
-      Wire.wv b count)
-    entries;
-  Wire.wv b 0;
-  Buffer.contents b
+  let refs = List.sort_uniq compare (List.map (fun (r, _, _) -> r) entries) in
+  let id = match refs with r :: _ -> r.Prov.stream_id | [] -> 0 in
+  Fixtures.with_tables (Fixtures.stream_of_refs id refs) (fun tabs b ->
+      Wire.wv b 1;
+      Wire.w8 b 1;
+      Prov.Tables.wname tabs b "m!f";
+      for _ = 1 to 3 do Wire.wv b 0 done;
+      Wire.wv b (List.length entries);
+      List.iter
+        (fun (r, cost, count) ->
+          Prov.Tables.wref tabs b r;
+          Wire.wv b cost;
+          Wire.wv b count)
+        entries;
+      Wire.wv b 0)
+
+let read_partial ?build ?id s = Fixtures.read_tabled ?build ?id Awg.Partial.read s
 
 (* Witness entries are stored canonical, so the reader, and the walk
    alike, refuse two swapped, a duplicate, and a duplicate differing
    only in [t1]; entries in order pass both. *)
 let test_witness_order_checked () =
   let e i cost = (ref_pool.(i), cost, 1) in
-  let verdict f s = match f (Wire.cursor s) with () -> Ok () | exception Wire.Corrupt m -> Error m in
-  let read s = ignore (Awg.Partial.read ~id:0 s : Awg.Partial.partial) in
+  let verdict build s =
+    match read_partial ~build s with _ -> Ok () | exception Wire.Corrupt m -> Error m
+  in
   let refused = Error "witnesses: entries not strictly increasing" in
   List.iter
     (fun (case, entries, expect) ->
       let s = one_node_partial entries in
-      check Alcotest.(result unit string) (case ^ ": read") expect (verdict read s);
-      check Alcotest.(result unit string) (case ^ ": walk") expect (verdict Awg.Partial.walk s))
+      check Alcotest.(result unit string) (case ^ ": read") expect (verdict true s);
+      check Alcotest.(result unit string) (case ^ ": walk") expect (verdict false s))
     [
       ("in order", [ e 0 9; e 2 9; e 4 3 ], Ok ());
       ("swapped", [ e 1 3; e 0 9 ], refused);
@@ -501,9 +509,9 @@ let test_witness_order_checked () =
 let test_absorb_words_constant () =
   let words n =
     let entries =
-      List.init n (fun t0 -> ({ Prov.stream_id = 0; scenario = "S"; tid = 1; t0; t1 = 1 }, 5, 1))
+      List.init n (fun t0 -> ({ Prov.stream_id = 0; scenario = "S"; tid = 1; t0; t1 = t0 + 1 }, 5, 1))
     in
-    let p = Awg.Partial.read ~id:0 (Wire.cursor (one_node_partial entries)) in
+    let p = read_partial (one_node_partial entries) in
     let m = Awg.Partial.merger () in
     let (), words = Fixtures.words_allocated (fun () -> Awg.Partial.absorb m p) in
     match Awg.roots (Awg.Partial.merged ~reduce:false m) with
@@ -584,8 +592,7 @@ let prop_merger_equals_reference =
 let test_distinct_retention () =
   let part i =
     let w t0 cost = ({ Prov.stream_id = i; scenario = "S"; tid = 1; t0; t1 = 9 }, cost, 1) in
-    Awg.Partial.read ~id:i
-      (Wire.cursor (one_node_partial [ w 0 ((3 * i) + 2); w 1 ((3 * i) + 1); w 2 (3 * i) ]))
+    read_partial ~id:i (one_node_partial [ w 0 ((3 * i) + 2); w 1 ((3 * i) + 1); w 2 (3 * i) ])
   in
   let merger = Awg.Partial.merger () in
   let words m = Obj.reachable_words (Obj.repr m) in
