@@ -4,13 +4,14 @@ type site =
   | Snapshot_write
   | Monitor_stat
   | Monitor_tail
+  | Monitor_write
   | Httpd_accept
   | Pool_task
 
 let all_sites =
   [
     Corpus_open; Corpus_read; Snapshot_write; Monitor_stat; Monitor_tail;
-    Httpd_accept; Pool_task;
+    Httpd_accept; Pool_task; Monitor_write;
   ]
 
 let site_index = function
@@ -21,6 +22,7 @@ let site_index = function
   | Monitor_tail -> 4
   | Httpd_accept -> 5
   | Pool_task -> 6
+  | Monitor_write -> 7
 
 let n_sites = List.length all_sites
 
@@ -30,6 +32,7 @@ let site_name = function
   | Snapshot_write -> "snapshot.write"
   | Monitor_stat -> "monitor.stat"
   | Monitor_tail -> "monitor.tail"
+  | Monitor_write -> "monitor.write"
   | Httpd_accept -> "httpd.accept"
   | Pool_task -> "pool.task"
 

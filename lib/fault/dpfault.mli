@@ -34,13 +34,16 @@ type site =
   | Snapshot_write  (** the snapshot cache's tmp-file write *)
   | Monitor_stat  (** the monitor's [Unix.stat] of a tailed file *)
   | Monitor_tail  (** the monitor's re-read of a changed corpus file *)
+  | Monitor_write
+      (** a monitor sink's write: the alert log, the metrics file, a
+          view bundle *)
   | Httpd_accept  (** accepting a /metrics connection *)
   | Pool_task  (** a domain-pool task about to run *)
 
 val site_name : site -> string
 (** ["corpus.open"], ["corpus.read"], ["snapshot.write"],
-    ["monitor.stat"], ["monitor.tail"], ["httpd.accept"],
-    ["pool.task"]. *)
+    ["monitor.stat"], ["monitor.tail"], ["monitor.write"],
+    ["httpd.accept"], ["pool.task"]. *)
 
 val site_of_name : string -> site option
 

@@ -715,7 +715,6 @@ module Export = struct
     Buffer.add_string buf "# EOF\n";
     Buffer.contents buf
 
-  let write_openmetrics path = Dputil.Fs.write_file path output_string (openmetrics ())
 end
 
 (* --- progress --- *)

@@ -250,8 +250,6 @@ module Export : sig
       single [# TYPE] (and [# HELP], when {!Metrics.describe}d) header.
       Deterministic for a given registry state: families and series
       emit in sorted name order. *)
-
-  val write_openmetrics : string -> unit
 end
 
 (** {1 Progress reporting} *)

@@ -9,47 +9,69 @@ let check_token what s =
 
 (* --- Writing --- *)
 
+(* Every name is checked before a byte is written: a frame signature
+   with a blank would fail to parse on reload, one with ';' would
+   silently split into two frames. Each distinct signature is checked
+   once. *)
+let check_corpus (c : Corpus.t) =
+  List.iter (fun (s : Scenario.spec) -> check_token "spec name" s.name) c.specs;
+  let seen = Hashtbl.create 1024 in
+  List.iter
+    (fun (st : Stream.t) ->
+      List.iter (fun (_, name) -> check_token "thread name" name) st.Stream.threads;
+      Array.iter
+        (fun (e : Event.t) ->
+          Array.iter
+            (fun s ->
+              if not (Hashtbl.mem seen s) then begin
+                check_token "frame signature" (Signature.name s);
+                Hashtbl.add seen s ()
+              end)
+            (Callstack.frames e.stack))
+        st.Stream.events;
+      List.iter
+        (fun (i : Scenario.instance) -> check_token "scenario name" i.scenario)
+        st.Stream.instances)
+    c.streams
+
 let buf_event buf (e : Event.t) =
-  let frames =
-    Callstack.frames e.stack |> Array.to_list
-    |> List.map (fun s ->
-           let name = Signature.name s in
-           (* A signature with a blank would fail to parse on reload; one
-              with ';' would silently split into two frames. *)
-           check_token "frame signature" name;
-           name)
-    |> String.concat ";"
-  in
-  let frames = if frames = "" then "-" else frames in
-  Printf.bprintf buf "event %s %d %d %d %d %s\n"
-    (Event.kind_to_string e.kind)
-    e.tid e.ts e.cost e.wtid frames
+  Printf.bprintf buf "event %s %d %d %d %d " (Event.kind_to_string e.kind) e.tid e.ts e.cost
+    e.wtid;
+  let frames = Callstack.frames e.stack in
+  if Array.length frames = 0 then Buffer.add_char buf '-'
+  else
+    Array.iteri
+      (fun i s ->
+        if i > 0 then Buffer.add_char buf ';';
+        Buffer.add_string buf (Signature.name s))
+      frames;
+  Buffer.add_char buf '\n'
 
 let buf_stream buf (st : Stream.t) =
   Printf.bprintf buf "stream %d\n" st.Stream.id;
-  List.iter
-    (fun (tid, name) ->
-      check_token "thread name" name;
-      Printf.bprintf buf "thread %d %s\n" tid name)
-    st.Stream.threads;
+  List.iter (fun (tid, name) -> Printf.bprintf buf "thread %d %s\n" tid name) st.Stream.threads;
   Array.iter (buf_event buf) st.Stream.events;
   List.iter
     (fun (i : Scenario.instance) ->
-      check_token "scenario name" i.scenario;
       Printf.bprintf buf "instance %s %d %d %d\n" i.scenario i.tid i.t0 i.t1)
     st.Stream.instances;
   Buffer.add_string buf "end\n"
 
-let corpus_to_string (c : Corpus.t) =
+(* The checked corpus written to [oc] a stream at a time, through one
+   buffer: the header and specs, then each stream. *)
+let write_corpus oc (c : Corpus.t) =
   let buf = Buffer.create 65536 in
   Printf.bprintf buf "%s %d\n" magic version;
   List.iter
-    (fun (s : Scenario.spec) ->
-      check_token "spec name" s.name;
-      Printf.bprintf buf "spec %s %d %d\n" s.name s.tfast s.tslow)
+    (fun (s : Scenario.spec) -> Printf.bprintf buf "spec %s %d %d\n" s.name s.tfast s.tslow)
     c.specs;
-  List.iter (buf_stream buf) c.streams;
-  Buffer.contents buf
+  Buffer.output_buffer oc buf;
+  List.iter
+    (fun st ->
+      Buffer.clear buf;
+      buf_stream buf st;
+      Buffer.output_buffer oc buf)
+    c.streams
 
 (* --- Reading: one stream at a time, pushed at its [end] line --- *)
 
@@ -69,8 +91,12 @@ let header f =
 
 (* Binary mode both ways: text-mode channels translate line endings on
    some platforms, breaking byte-exact round-trips (and checksums taken
-   over the file). The format itself is plain "\n"-separated text. *)
-let save path c = Dputil.Fs.write_file path output_string (corpus_to_string c)
+   over the file). The format itself is plain "\n"-separated text. Each
+   stream goes to the file as it is formatted, after the whole corpus is
+   checked, so a corpus that cannot be written leaves no file. *)
+let save path c =
+  check_corpus c;
+  Dputil.Fs.write_file path write_corpus c
 
 (* Fields are read in test/text_reference.ml's order, so a line with two
    bad fields fails on the same one. *)

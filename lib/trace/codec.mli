@@ -25,15 +25,13 @@
     its frame 0: a reader steps each stream under the specs read before
     it, so a spec after a stream is a {!Fields.Parse_error}. *)
 
-val corpus_to_string : Corpus.t -> string
-(** @raise Invalid_argument if a thread, scenario or spec name, or a
-    callstack frame signature, contains whitespace or [';'] — such
-    corpora cannot round-trip through the text format (use {!Codec_v2},
-    or rename). *)
-
 val save : string -> Corpus.t -> unit
-(** Write to a file path, in binary mode (no newline translation).
-    @raise Invalid_argument as {!corpus_to_string}. *)
+(** Write to a file path, in binary mode (no newline translation), a
+    stream at a time as each is formatted: the text is never held whole.
+    @raise Invalid_argument, before the file is created, if a thread,
+    scenario or spec name, or a callstack frame signature, contains
+    whitespace or [';'] — such corpora cannot round-trip through the
+    text format (use {!Codec_v2}, or rename). *)
 
 val read : string -> (Scenario.spec list -> Stream.t -> unit) -> Scenario.spec list
 (** [read path push] parses a file in one pass, holding only the stream

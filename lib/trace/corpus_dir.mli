@@ -95,5 +95,5 @@ val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> format * int
     anything else text — and return the format written and the file
     size in bytes.
     @raise Invalid_argument if the text format cannot encode a name
-    ({!Codec.corpus_to_string})
+    ({!Codec.save})
     @raise Sys_error if the file cannot be written. *)

@@ -10,7 +10,7 @@ module Wire = Dptrace.Wire
 module V2 = Dptrace.Codec_v2
 
 let check = Alcotest.check
-let text_of c = Codec.corpus_to_string c
+let text_of c = Fixtures.corpus_to_string c
 
 let gen_corpus ?(scale = 0.02) ?(seed = 42) () =
   Dpworkload.Corpus_gen.generate

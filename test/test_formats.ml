@@ -310,7 +310,7 @@ let prop_oracle name base readers =
 let prop_dpt_oracle =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.005) in
   prop_oracle ".dpt reader agrees with the list-splitting oracle"
-    (Dptrace.Codec.corpus_to_string corpus) dpt
+    (Fixtures.corpus_to_string corpus) dpt
 
 let prop_etw_oracle =
   let st = (Dpworkload.Motivating_case.build ()).Dpworkload.Motivating_case.stream in
@@ -318,7 +318,7 @@ let prop_etw_oracle =
 
 (* --- binary codec --- *)
 
-let text_of c = Dptrace.Codec.corpus_to_string c
+let text_of c = Fixtures.corpus_to_string c
 let roundtrip c = fst (V2_frames.decode (V2_frames.encode c))
 
 let test_binary_roundtrip_small () =
@@ -438,7 +438,7 @@ let test_keyed_reload () =
       Sys.rmdir dir)
   @@ fun () ->
   let text streams =
-    Dptrace.Codec.corpus_to_string (Corpus.create ~streams ~specs:corpus.Corpus.specs)
+    Fixtures.corpus_to_string (Corpus.create ~streams ~specs:corpus.Corpus.specs)
   in
   let loaded =
     match Dptrace.Corpus_dir.load clean with
@@ -463,7 +463,7 @@ let test_keyed_reload () =
    back naming the file and line. *)
 let test_text_fold_steps_before_error () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01) in
-  let text = Dptrace.Codec.corpus_to_string corpus in
+  let text = Fixtures.corpus_to_string corpus in
   (* The last stream's [end] line becomes a bad directive before it. *)
   let line = List.length (String.split_on_char '\n' text) - 1 in
   let text = String.sub text 0 (String.length text - 4) ^ "bogus\nend\n" in

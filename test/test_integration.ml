@@ -118,7 +118,7 @@ let test_classification_shapes () =
 let test_codec_preserves_analysis () =
   let corpus = Corpus_gen.generate (Corpus_gen.scaled 0.05) in
   let reloaded =
-    Fixtures.corpus_of_string (Dptrace.Codec.corpus_to_string corpus)
+    Fixtures.corpus_of_string (Fixtures.corpus_to_string corpus)
   in
   let a = driver_impact corpus in
   let b = driver_impact reloaded in
@@ -277,7 +277,7 @@ let test_drawing_text_matches_framed () =
    1, and no cache file written. *)
 let test_text_parse_error_writes_no_cache () =
   in_temp_dir @@ fun file ->
-  let text = Dptrace.Codec.corpus_to_string (Corpus_gen.generate (Corpus_gen.scaled 0.02)) in
+  let text = Fixtures.corpus_to_string (Corpus_gen.generate (Corpus_gen.scaled 0.02)) in
   let line = List.length (String.split_on_char '\n' text) - 1 in
   let path = file "cut.dpt" and cache = file "cache" in
   Out_channel.with_open_bin path (fun oc ->

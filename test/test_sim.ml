@@ -342,7 +342,7 @@ let scenario_stream () =
 let test_determinism () =
   let a = scenario_stream () and b = scenario_stream () in
   let render st =
-    Dptrace.Codec.corpus_to_string
+    Fixtures.corpus_to_string
       (Dptrace.Corpus.create ~streams:[ st ] ~specs:[])
   in
   check Alcotest.string "identical streams" (render a) (render b)

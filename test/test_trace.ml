@@ -340,7 +340,7 @@ let test_corpus_queries () =
 
 (* --- Codec --- *)
 
-let roundtrip c = Fixtures.corpus_of_string (Codec.corpus_to_string c)
+let roundtrip c = Fixtures.corpus_of_string (Fixtures.corpus_to_string c)
 
 let corpus_equal (a : Corpus.t) (b : Corpus.t) =
   List.length a.Corpus.streams = List.length b.Corpus.streams
@@ -405,7 +405,7 @@ let prop_codec_mutation_safety =
   QCheck.Test.make ~name:"mutated corpus text never crashes" ~count:150
     QCheck.(pair small_int (int_range 0 255))
     (fun (pos_seed, byte) ->
-      let base = Codec.corpus_to_string (small_corpus ()) in
+      let base = Fixtures.corpus_to_string (small_corpus ()) in
       let b = Bytes.of_string base in
       let pos = pos_seed mod Bytes.length b in
       Bytes.set b pos (Char.chr byte);
@@ -418,9 +418,15 @@ let test_codec_rejects_spacey_names () =
     Stream.create ~id:0 ~events:[||] ~instances:[] ~threads:[ (1, "has space") ]
   in
   let c = Corpus.create ~streams:[ st ] ~specs:[] in
-  (match Codec.corpus_to_string c with
+  (match Fixtures.corpus_to_string c with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument");
+  (* Every name is checked before the file is created. *)
+  let path = "spacey_corpus.dpt" in
+  (match Codec.save path c with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "expected Invalid_argument");
+  check Alcotest.bool "no file written" false (Sys.file_exists path);
   (* The framed binary codec handles them fine. *)
   let roundtripped, _ = V2_frames.decode (V2_frames.encode c) in
   check Alcotest.string "binary keeps the name" "has space"

@@ -205,14 +205,14 @@ let test_corpus_deterministic () =
   let a = Corpus_gen.generate small_config in
   let b = Corpus_gen.generate small_config in
   check Alcotest.string "same corpus"
-    (Dptrace.Codec.corpus_to_string a)
-    (Dptrace.Codec.corpus_to_string b)
+    (Fixtures.corpus_to_string a)
+    (Fixtures.corpus_to_string b)
 
 let test_corpus_seed_sensitive () =
   let a = Corpus_gen.generate small_config in
   let b = Corpus_gen.generate { small_config with Corpus_gen.seed = 77 } in
   check Alcotest.bool "different corpora" true
-    (Dptrace.Codec.corpus_to_string a <> Dptrace.Codec.corpus_to_string b)
+    (Fixtures.corpus_to_string a <> Fixtures.corpus_to_string b)
 
 let test_corpus_specs_complete () =
   let corpus = Corpus_gen.generate small_config in
