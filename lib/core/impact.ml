@@ -492,28 +492,32 @@ let ia_wait r = fdiv r.d_wait r.d_scn
 let ia_opt r = fdiv (r.d_wait - r.d_waitdist) r.d_scn
 let propagation_ratio r = fdiv r.d_wait r.d_waitdist
 
-(* Combine per-module rows measured over disjoint streams: the distinct
-   tables behind [m_waitdist] key on (stream, event), so plain sums (and
-   max of maxes) are exact, and re-sorting restores [by_module]'s order. *)
-let merge_modules a b =
-  let tbl : (string, module_row) Hashtbl.t = Hashtbl.create 32 in
-  let feed r =
-    match Hashtbl.find_opt tbl r.module_name with
-    | Some p ->
-      Hashtbl.replace tbl r.module_name
-        {
-          p with
-          m_wait = p.m_wait + r.m_wait;
-          m_waitdist = p.m_waitdist + r.m_waitdist;
-          m_run = p.m_run + r.m_run;
-          m_counted_waits = p.m_counted_waits + r.m_counted_waits;
-          m_max_wait = max p.m_max_wait r.m_max_wait;
-        }
-    | None -> Hashtbl.replace tbl r.module_name r
-  in
-  List.iter feed a;
-  List.iter feed b;
-  sort_rows (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
+(* Per-module rows measured over disjoint streams, combined: the
+   distinct tables behind [m_waitdist] key on (stream, event), so plain
+   sums (and max of maxes) are exact, and sorting once at the end
+   restores [by_module]'s order. *)
+type module_table = (string, module_row) Hashtbl.t
+
+let module_table () : module_table = Hashtbl.create 64
+
+let add_modules (tbl : module_table) rows =
+  List.iter
+    (fun r ->
+      match Hashtbl.find_opt tbl r.module_name with
+      | Some p ->
+        Hashtbl.replace tbl r.module_name
+          {
+            p with
+            m_wait = p.m_wait + r.m_wait;
+            m_waitdist = p.m_waitdist + r.m_waitdist;
+            m_run = p.m_run + r.m_run;
+            m_counted_waits = p.m_counted_waits + r.m_counted_waits;
+            m_max_wait = max p.m_max_wait r.m_max_wait;
+          }
+      | None -> Hashtbl.replace tbl r.module_name r)
+    rows
+
+let module_rows (tbl : module_table) = sort_rows (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
 
 let module_propagation_ratio r =
   fdiv r.m_wait r.m_waitdist

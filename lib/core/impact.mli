@@ -110,11 +110,17 @@ val measure :
     visit is two int updates (multiplicity, first graph), and records
     are built only for the events that make a reservoir's top-K. *)
 
-val merge_modules : module_row list -> module_row list -> module_row list
-(** Combine breakdowns measured over {e disjoint streams} (sums, max of
-    maxes), restoring {!by_module}'s sort; exact for the same reason
-    {!merge} is. The snapshot cache merges per-stream breakdowns through
-    here. *)
+type module_table
+(** Breakdowns measured over {e disjoint streams}, being combined (sums,
+    max of maxes); exact for the same reason {!merge} is. A report
+    merges its per-stream breakdowns, fresh or cached, into one. *)
+
+val module_table : unit -> module_table
+
+val add_modules : module_table -> module_row list -> unit
+
+val module_rows : module_table -> module_row list
+(** The combined rows, in {!by_module}'s sort. *)
 
 val module_propagation_ratio : module_row -> float
 (** [m_wait /. m_waitdist] — how widely this module's waits propagate. *)
