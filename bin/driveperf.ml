@@ -373,22 +373,14 @@ let setup_term =
     const run $ corpus_arg $ domains_arg $ mode_arg $ fault_arg
     $ obs_opts_term)
 
-(* The --cache snapshot for this configuration, opened by the fold's
-   first step, the first to know the specs the fingerprint covers.
-   Steps run on pool workers, hence the lock. *)
-let snapshot_of ~components dir =
-  let cell = ref None and lock = Mutex.create () in
-  fun specs ->
-    Mutex.protect lock @@ fun () ->
-    match !cell with
-    | Some snap -> snap
-    | None ->
-      let fingerprint =
-        Dpcore.Snapshot.fingerprint ~components ~specs ~k:Dpcore.Mining.default_k ()
-      in
-      let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
-      cell := Some snap;
-      snap
+(* The --cache snapshot for this configuration, opened by the fold
+   when it meets the first stream, the first to know the specs the
+   fingerprint covers. *)
+let snapshot_of ~components dir specs =
+  let fingerprint =
+    Dpcore.Snapshot.fingerprint ~components ~specs ~k:Dpcore.Mining.default_k ()
+  in
+  Dpcore.Snapshot.create ~dir ~fingerprint ()
 
 (* The one read of the corpus, handed over stream by stream: the corpus
    file, read a window of streams at a time, or the generated corpus,
@@ -414,9 +406,9 @@ let keyed s ~step ~consume = source s ~consume ~step:(Dpcore.Explorer.keyed step
    (or the generated corpus). A stream no longer there is one error
    line and exit 1. *)
 let with_events s (kept : Dptrace.Corpus.t) wanted =
-  let reload keys =
+  let reload skeletons =
     match s.path with
-    | Some path -> Dptrace.Corpus_dir.reload ~pool:s.pool ~mode:s.mode path keys
+    | Some path -> Dptrace.Corpus_dir.reload ~pool:s.pool ~mode:s.mode path skeletons
     | None -> Ok (Lazy.force generated).Dptrace.Corpus.streams
   in
   let streams = kept.Dptrace.Corpus.streams in
@@ -440,9 +432,10 @@ let holds scenario (st : Dptrace.Stream.t) =
    back after the body. *)
 let fold_results ?scenarios ~cache ~components s source f =
   let pool = s.pool in
-  let snapshot = Option.map (snapshot_of ~components) cache in
-  let acc, corpus, coverage =
-    Dpcore.Pipeline.fold_report ~k:s.k ?scenarios ~cache:snapshot components source
+  let acc, corpus, coverage, snapshot =
+    Dpcore.Pipeline.fold_report ~k:s.k ?scenarios
+      ~cache:(Option.map (snapshot_of ~components) cache)
+      components source
   in
   let total =
     List.length (Option.value scenarios ~default:(Dptrace.Corpus.scenario_names corpus))
@@ -453,8 +446,7 @@ let fold_results ?scenarios ~cache ~components s source f =
          (fun () -> Dpcore.Pipeline.finish ~pool acc corpus))
   in
   Option.iter
-    (fun snapshot ->
-      let snap = snapshot corpus.Dptrace.Corpus.specs in
+    (fun snap ->
       Dpcore.Snapshot.save snap;
       let s = Dpcore.Snapshot.stats snap in
       Dpobs.Log.info
@@ -469,14 +461,15 @@ let fold_results ?scenarios ~cache ~components s source f =
    [read] ([keyed] for the commands that take events back with
    [with_events]), its kept corpus of skeletons and coverage handed to
    the body with the scenario's result. A name without a spec stops the
-   fold at its first step, which is handed the specs. *)
+   fold when it is handed the specs, on this domain, before any stream
+   is stepped. *)
 let with_scenario ~components s read scenario f =
   let exception No_spec in
   let source ~step ~consume =
     read s
-      ~step:(fun specs frame ->
+      ~step:(fun specs ->
         if List.exists (fun (sp : Dptrace.Scenario.spec) -> sp.name = scenario) specs
-        then step specs frame
+        then step specs
         else raise No_spec)
       ~consume
   in
@@ -1499,9 +1492,11 @@ let analyze out json top_patterns_n cache run =
   fold_results ~cache ~components s
     (fun ~step ~consume ->
       source s
-        ~step:(fun specs f ->
-          let st = Dptrace.Codec_v2.frame_stream f in
-          (st, step specs (Dptrace.Codec_v2.resident st)))
+        ~step:(fun specs ->
+          let step = step specs in
+          fun f ->
+            let st = Dptrace.Codec_v2.frame_stream f in
+            (st, step (Dptrace.Codec_v2.resident st)))
         ~consume:(fun (st, x) -> Option.map (fun _ -> st) (consume x)))
   @@ fun (corpus, cov) results ->
   let buf = Buffer.create 65536 in

@@ -125,9 +125,9 @@ let with_events files wanted =
   let key = Dptrace.Codec_v2.stream_key and full = Hashtbl.create 64 in
   let wanted = Hashtbl.of_seq (Seq.map (fun st -> (key st, ())) (List.to_seq wanted)) in
   let absorb (skeletons, reload) =
-    match List.filter (Hashtbl.mem wanted) (List.map key skeletons) with
+    match List.filter (fun st -> Hashtbl.mem wanted (key st)) skeletons with
     | [] -> Ok ()
-    | keys -> Result.map (List.iter (fun st -> Hashtbl.replace full (key st) st)) (reload keys)
+    | sts -> Result.map (List.iter (fun st -> Hashtbl.replace full (key st) st)) (reload sts)
   in
   Result.map
     (fun () (st : Dptrace.Stream.t) ->
@@ -137,9 +137,11 @@ let with_events files wanted =
       | None -> st)
     (List.fold_left (fun r file -> Result.bind r (fun () -> absorb file)) (Ok ()) files)
 
-let keyed step specs f =
-  ignore (Dptrace.Codec_v2.frame_key f : string);
-  step specs f
+let keyed step specs =
+  let step = step specs in
+  fun f ->
+    ignore (Dptrace.Codec_v2.frame_key f : string);
+    step f
 
 let resolve_ref (corpus : Dptrace.Corpus.t) (r : Provenance.instance_ref) =
   match

@@ -39,25 +39,26 @@ val render : witness -> string
 (** {1 Drill-down helpers (driveperf explain)} *)
 
 val with_events :
-  (Dptrace.Stream.t list * (string list -> (Dptrace.Stream.t list, string) result)) list ->
+  (Dptrace.Stream.t list * (Dptrace.Stream.t list -> (Dptrace.Stream.t list, string) result))
+  list ->
   Dptrace.Stream.t list ->
   (Dptrace.Stream.t -> Dptrace.Stream.t, string) result
 (** [with_events files wanted] gives the skeletons [wanted] their events
     back. Each of [files] is one read's skeletons and its keyed reload
-    ({!Dptrace.Corpus_dir.reload}), called with the content keys of the
-    wanted skeletons among them, if any. The result maps a skeleton to
-    its reloaded stream, under the skeleton's id, and any other stream
-    to itself; the first reload error is the error. *)
+    ({!Dptrace.Corpus_dir.reload}), called with the wanted skeletons
+    among them, if any. The result maps a skeleton to its reloaded
+    stream, under the skeleton's id, and any other stream to itself;
+    the first reload error is the error. *)
 
 val keyed :
   (Dptrace.Scenario.spec list -> Dptrace.Codec_v2.frame -> 'a) ->
   Dptrace.Scenario.spec list ->
   Dptrace.Codec_v2.frame ->
   'a
-(** [keyed step]: a fold's [step] that first memoises the frame's content
-    key on its stream ({!Dptrace.Codec_v2.frame_key}), so the skeletons
-    the fold keeps carry it for {!with_events}. Only a text or in-memory
-    stream's key costs a re-encode. *)
+(** [keyed step]: a fold's [step] whose closure first memoises each
+    frame's content key on its stream ({!Dptrace.Codec_v2.frame_key}),
+    so the skeletons the fold keeps carry it for {!with_events}. Only a
+    text or in-memory stream's key costs a re-encode. *)
 
 val resolve_ref :
   Dptrace.Corpus.t ->

@@ -235,7 +235,7 @@ type stepped = {
   skeleton : Dptrace.Stream.t;
   part : Snapshot.part;
   class_parts : (string * Snapshot.class_part option) list;
-  settle : (Snapshot.t * Snapshot.entry) option;
+  settle : Snapshot.entry option;
 }
 
 let wants acc name =
@@ -243,15 +243,15 @@ let wants acc name =
 
 (* Per stream: every instance's graph built once and measured once;
    only the class parts of requested scenarios with a spec are made. *)
-let step components acc specs f =
-  let st = Dptrace.Codec_v2.frame_stream f in
+let step components acc specs =
+  let specs = List.filter (fun (s : Dptrace.Scenario.spec) -> wants acc s.name) specs in
   let spec_of name =
-    List.find_opt
-      (fun (s : Dptrace.Scenario.spec) -> s.name = name && wants acc name)
-      specs
+    List.find_opt (fun (s : Dptrace.Scenario.spec) -> s.name = name) specs
   in
-  let part, class_parts = Snapshot.stream_step components ~spec_of st in
-  { skeleton = Dptrace.Stream.skeleton st; part; class_parts; settle = None }
+  fun f ->
+    let st = Dptrace.Codec_v2.frame_stream f in
+    let part, class_parts = Snapshot.stream_step components ~spec_of st in
+    { skeleton = Dptrace.Stream.skeleton st; part; class_parts; settle = None }
 
 (* A cached stream's parts, decoded where the step runs under the
    skeleton's id: the entry's whole-stream part and its requested class
@@ -261,13 +261,6 @@ let of_entry acc e (skeleton : Dptrace.Stream.t) settle =
     Snapshot.entry_parts ~id:skeleton.Dptrace.Stream.id ~wants:(wants acc) e
   in
   { skeleton; part; class_parts; settle }
-
-(* A hit borrows its domain's buffer: the entry is decoded here, before
-   that domain's next lookup, and settled by its key alone. *)
-let cached_step snapshot components acc specs f =
-  let snap = snapshot specs in
-  let e, skeleton = Snapshot.lookup_or_step ~borrow:true snap components ~specs f in
-  of_entry acc e skeleton (Some (snap, e))
 
 let absorb acc s =
   absorb_part acc s.part;
@@ -352,10 +345,10 @@ let distinct_ids stream_of items =
 let run_report ?pool ?k ?reduce ?scenarios components (corpus : Dptrace.Corpus.t) =
   let corpus = { corpus with streams = distinct_ids Fun.id corpus.Dptrace.Corpus.streams } in
   let acc = accumulator ?k ?reduce ?scenarios () in
+  let step = step components acc corpus.Dptrace.Corpus.specs in
   span "pipeline.report_streams" (fun () ->
       Dppar.Pool.iter_window ?pool
-        (fun st ->
-          step components acc corpus.Dptrace.Corpus.specs (Dptrace.Codec_v2.resident st))
+        (fun st -> step (Dptrace.Codec_v2.resident st))
         (absorb acc)
         (fun push -> List.iter push corpus.Dptrace.Corpus.streams));
   finish ?pool acc corpus
@@ -417,22 +410,35 @@ let driver_cost_fraction r =
 
 let fold_report ?k ?reduce ?scenarios ~cache components source =
   let acc = accumulator ?k ?reduce ?scenarios () in
-  let step =
+  let opened = ref None in
+  let step specs =
     match cache with
-    | None -> step components acc
-    | Some snapshot -> cached_step snapshot components acc
+    | None -> step components acc specs
+    | Some snapshot ->
+      let snap = snapshot specs in
+      opened := Some snap;
+      (* A hit borrows its domain's buffer: the entry is decoded here,
+         before that domain's next lookup, and settled by its key alone. *)
+      fun f ->
+        let e, skeleton = Snapshot.lookup_or_step ~borrow:true snap components ~specs f in
+        of_entry acc e skeleton (Some e)
   in
   let s = screener () and settles = ref [] in
   let corpus =
     span "pipeline.report_streams" @@ fun () ->
     source ~step ~consume:(fun x ->
         if admit s x.skeleton then begin
-          Option.iter (fun p -> settles := p :: !settles) x.settle;
+          Option.iter (fun e -> settles := e :: !settles) x.settle;
           absorb acc x;
           Some x.skeleton
         end
         else None)
   in
+  let snap =
+    match (!opened, cache) with
+    | None, Some snapshot -> Some (snapshot corpus.Dptrace.Corpus.specs)
+    | opened, _ -> opened
+  in
   (* Settled once no lookup can run (Snapshot.settle). *)
-  List.iter (fun (snap, e) -> Snapshot.settle snap e) (List.rev !settles);
-  (acc, corpus, close_screen s)
+  Option.iter (fun snap -> List.iter (Snapshot.settle snap) (List.rev !settles)) snap;
+  (acc, corpus, close_screen s, snap)

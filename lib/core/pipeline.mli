@@ -233,27 +233,27 @@ val fold_report :
   (step:(Dptrace.Scenario.spec list -> Dptrace.Codec_v2.frame -> stepped) ->
   consume:(stepped -> Dptrace.Stream.t option) ->
   Dptrace.Corpus.t) ->
-  acc * Dptrace.Corpus.t * coverage
+  acc * Dptrace.Corpus.t * coverage * Snapshot.t option
 (** [fold_report ~cache components source] runs [source ~step
-    ~consume]. [step] (safe on pool workers) is {!run_report}'s
-    per-stream step, which decodes the frame ({!Dptrace.Codec_v2.frame_stream}),
-    or, with [Some snapshot], {!Snapshot.lookup_or_step} on [snapshot
-    specs] (which takes only a hit's skeleton) and the entry's parts
-    decoded; [snapshot] is
-    called from pool workers, so it must open its snapshot once, under
-    a lock. [consume] screens the stream as {!screen} does: a kept
-    stream is {!Snapshot.settle}d (with a cache), its parts absorbed and
-    its {!Dptrace.Stream.skeleton} returned; a quarantined one's parts
-    are discarded. [consume] must see the streams in corpus order, on
-    one domain, never while a [step] runs. Returns the accumulator, the
-    source's corpus of skeletons (for {!finish}) and the screening's
-    coverage. Other arguments as for {!run_report}. *)
+    ~consume], which applies [step specs] at most once, on the calling
+    domain, as {!Dptrace.Corpus_dir.fold} does. That application is the
+    per-run set-up: the wanted specs and, with [Some snapshot], the cache
+    opened by [snapshot specs]. Its closure (safe on pool workers) is
+    {!run_report}'s per-stream step, decoding the frame
+    ({!Dptrace.Codec_v2.frame_stream}), or {!Snapshot.lookup_or_step}
+    (which takes only a hit's skeleton) with the entry's parts decoded.
+    [consume] screens the stream as {!screen} does: a kept stream is
+    {!Snapshot.settle}d (with a cache), its parts absorbed and its
+    {!Dptrace.Stream.skeleton} returned; a quarantined one's parts are
+    discarded. [consume] must see the streams in corpus order, on one
+    domain, never while a step runs. Returns the accumulator, the
+    source's corpus of skeletons (for {!finish}), the screening's
+    coverage and the cache to save, opened by the corpus's specs if no
+    stream applied [step]. Other arguments as for {!run_report}. *)
 
 val finish : ?pool:Dppar.Pool.t -> acc -> Dptrace.Corpus.t -> report
 (** Run the requested scenarios' tails (fanned out over [pool]) and
     return the report: given {!fold_report}'s outputs, equal to
     {!run_report} over the screened resident corpus. [corpus] supplies
     only specs and instances, so skeletons suffice. It never touches a
-    cache: every tail mines its merged forests. A corpus with no streams
-    never ran a step, so a caller that saves the cache opens it by
-    [corpus]'s specs. *)
+    cache: every tail mines its merged forests. *)

@@ -242,15 +242,16 @@ let awg_summary awg =
 module Json = struct
   module J = Dputil.Jsonw
 
-  let of_ref (r : Provenance.instance_ref) =
-    J.Obj
-      [
-        ("stream", J.int r.Provenance.stream_id);
-        ("scenario", J.str r.Provenance.scenario);
-        ("tid", J.int r.Provenance.tid);
-        ("t0", J.time r.Provenance.t0);
-        ("t1", J.time r.Provenance.t1);
-      ]
+  let ref_fields (r : Provenance.instance_ref) =
+    [
+      ("stream", J.int r.Provenance.stream_id);
+      ("scenario", J.str r.Provenance.scenario);
+      ("tid", J.int r.Provenance.tid);
+      ("t0", J.time r.Provenance.t0);
+      ("t1", J.time r.Provenance.t1);
+    ]
+
+  let of_ref r = J.Obj (ref_fields r)
 
   let of_wait_record (w : Provenance.wait_record) =
     J.Obj
@@ -270,16 +271,7 @@ module Json = struct
     J.Arr
       (List.map
          (fun (r, cost, count) ->
-           J.Obj
-             [
-               ("stream", J.int r.Provenance.stream_id);
-               ("scenario", J.str r.Provenance.scenario);
-               ("tid", J.int r.Provenance.tid);
-               ("t0", J.time r.Provenance.t0);
-               ("t1", J.time r.Provenance.t1);
-               ("cost", J.time cost);
-               ("occurrences", J.int count);
-             ])
+           J.Obj (ref_fields r @ [ ("cost", J.time cost); ("occurrences", J.int count) ]))
          (Provenance.Wset.entries ws))
 
   let of_impact ?prov (r : Impact.result) =

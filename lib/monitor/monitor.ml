@@ -87,7 +87,6 @@ type t = {
   mutable snap : (string * Snapshot.t) option;  (* the last tick's: fingerprint * cache *)
   mutable opened : (string * Snapshot.t) list;
       (* opened since, by ingests under other fingerprints *)
-  snap_lock : Mutex.t;  (* ingest steps open snapshots from pool workers *)
   mutable tick_count : int;
   mutable alert_count : int;
   mutable alert_oc : out_channel option;  (* [None] after a failed write *)
@@ -151,7 +150,6 @@ let create ?pool ?(fresh_log = false) config =
     baseline = None;
     snap = None;
     opened = [];
-    snap_lock = Mutex.create ();
     tick_count = 0;
     alert_count = 0;
     alert_oc;
@@ -278,7 +276,6 @@ let fingerprint t specs =
 (* The snapshot under fingerprint [fp]: the last tick's if it has that
    fingerprint, else one an ingest opened since, else a new one. *)
 let snapshot_for t fp =
-  Mutex.protect t.snap_lock @@ fun () ->
   match t.snap with
   | Some (fp', snap) when fp' = fp -> snap
   | _ -> (
@@ -296,24 +293,17 @@ let patterns t = match t.baseline with Some b -> b.b_patterns | None -> []
 (* Fold one corpus file through a snapshot: each stream is looked up, or
    stepped, as it is decoded, and only its skeleton, under the next
    window id (the window's files all restart their ids at 0), and its
-   entry stay. [under specs] gives the window's specs, its fingerprint and snapshot
-   for a file with these specs; it is asked once, by the first step,
-   from a pool worker, hence the lock. *)
+   entry stay. [under specs] gives the window's specs for a file with
+   these specs: the fold asks it once, on this domain, at the first
+   stream, and steps the file under the snapshot of their fingerprint. *)
 let fold_file t ~under path =
-  let cell = ref None and lock = Mutex.create () and entries = ref [] in
-  let under specs =
-    Mutex.protect lock @@ fun () ->
-    match !cell with
-    | Some u -> u
-    | None ->
-      let u = under specs in
-      cell := Some u;
-      u
-  in
+  let fp = ref None and entries = ref [] in
   Corpus_dir.fold ?pool:t.pool ~mode:t.config.mode
-    ~step:(fun specs f ->
-      let specs, _, snap = under specs in
-      Snapshot.lookup_or_step snap t.config.components ~specs f)
+    ~step:(fun specs ->
+      let specs = under specs in
+      let f = fingerprint t specs in
+      fp := Some f;
+      Snapshot.lookup_or_step (snapshot_for t f) t.config.components ~specs)
     ~consume:(fun (e, skeleton) ->
       entries := e :: !entries;
       t.next_id <- t.next_id + 1;
@@ -324,11 +314,11 @@ let fold_file t ~under path =
            {
              w_corpus = l.Corpus_dir.l_corpus;
              w_entries = List.rev !entries;
-             w_fp = Option.map (fun (_, fp, _) -> fp) !cell;
+             w_fp = !fp;
            } ))
 
-(* The window [path] makes when it is (re)ingested: it becomes the
-   newest file, joined by the newest [window - 1] others. *)
+(* The specs of the window [path] makes when it is (re)ingested: it
+   becomes the newest file, joined by the newest [window - 1] others. *)
 let joining t path specs =
   let others =
     List.filter (fun f -> f.f_path <> path) (newest_first t)
@@ -336,9 +326,7 @@ let joining t path specs =
     |> List.filter_map (fun f ->
            Option.map (fun w -> w.w_corpus.Corpus.specs) f.f_folded)
   in
-  let specs = merge_specs (List.rev (specs :: others)) in
-  let fp = fingerprint t specs in
-  (specs, fp, snapshot_for t fp)
+  merge_specs (List.rev (specs :: others))
 
 (* --- feeding --- *)
 
@@ -442,12 +430,12 @@ let keys (c : Corpus.t) = List.map Codec_v2.stream_key c.Corpus.streams
    since its ingest) is folded again from its path. A file that changed
    on disk since its ingest leaves the window; [scan] sees the change
    and ingests it anew. *)
-let refold t ~specs ~fp snap files =
+let refold t ~specs ~fp files =
   List.filter_map
     (fun (f, w) ->
       match w.w_fp with
       | Some fp' when fp' <> fp -> (
-        match fold_file t ~under:(fun _ -> (specs, fp, snap)) f.f_path with
+        match fold_file t ~under:(fun _ -> specs) f.f_path with
         | Ok (_, w')
           when keys w'.w_corpus = keys w.w_corpus
                && w'.w_corpus.Corpus.specs = w.w_corpus.Corpus.specs ->
@@ -470,7 +458,7 @@ let rec tick_window t files =
   let specs = merge_specs (List.map (fun (_, w) -> w.w_corpus.Corpus.specs) files) in
   let fp = fingerprint t specs in
   let snap = snapshot_for t fp in
-  let kept = refold t ~specs ~fp snap files in
+  let kept = refold t ~specs ~fp files in
   if List.compare_lengths kept files = 0 then (kept, specs, fp, snap)
   else tick_window t kept
 

@@ -108,8 +108,9 @@ val ingest : t -> ?mtime_ms:int -> string -> (unit, string) result
     file: {!Dptrace.Corpus_dir.fold} hands each stream, as it is
     decoded, to {!Dpcore.Snapshot.lookup_or_step} under the snapshot
     whose fingerprint covers the window's specs once this file joins
-    (opened on the first step if need be), so a hit's events are never
-    built and a miss is analysed here. The file keeps only its specs,
+    (opened, if need be, when the fold meets the first stream), so a
+    hit's events are never built and a miss is analysed here. The file
+    keeps only its specs,
     skeletons and entries. [mtime_ms] defaults to the file's mtime
     (replay passes the virtual clock). A read failure is remembered for
     the next tick's [parse_failure] rule and counted in

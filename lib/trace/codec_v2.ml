@@ -566,6 +566,7 @@ type frame = Payload of payload | Resident of Stream.t
 exception Bad_payload of string
 
 let resident st = Resident st
+let frame_resident = function Resident st -> Some st | Payload _ -> None
 
 let frame_key = function
   | Payload p -> p.key
@@ -604,8 +605,8 @@ let frame_skeleton ?known = function
    ([Dppar.Pool.iter_window]), and each result is consumed on the
    calling domain in file order. The window bounds the payloads, streams
    and results held at once, and every pool size yields the same
-   results in the same order. The header must be frame 0, so every
-   stream is stepped under the specs the corpus ends up with. *)
+   results in the same order. The header must be frame 0, so [step] is
+   applied, at the first stream frame, to the specs the corpus ends with. *)
 let fold ?(mode = `Strict) ?pool ~step ~consume path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -617,9 +618,10 @@ let fold ?(mode = `Strict) ?pool ~step ~consume path =
   Dpobs.Span.with_span "codec_v2.decode" @@ fun () ->
   let specs = ref [] and declared = ref None in
   let kept = ref [] and delivered = ref 0 and late = ref [] in
-  let decode (specs, frame, off, crc, payload) =
+  let stepper = lazy (step !specs) in
+  let decode (step, frame, off, crc, payload) =
     let key = key_of_crc crc ~len:(String.length payload) in
-    match step specs (Payload { mode; key; payload }) with
+    match step (Payload { mode; key; payload }) with
     | x -> Ok x
     | exception Bad_payload m -> (
       match mode with
@@ -641,7 +643,7 @@ let fold ?(mode = `Strict) ?pool ~step ~consume path =
             | 'H' ->
               corrupt "late header frame %d (the header must be frame 0)" frame
             | 'E' -> declared := Some (decode_trailer payload)
-            | _ -> push (!specs, frame, offset, crc, payload)));
+            | _ -> push (Lazy.force stepper, frame, offset, crc, payload)));
   let diags, frames, end_off = !framed in
   let diags =
     List.sort

@@ -112,6 +112,9 @@ val frame_skeleton : ?known:(unit -> int * Scenario.instance list) -> frame -> S
 val resident : Stream.t -> frame
 (** A stream already in memory, handed over as a frame. *)
 
+val frame_resident : frame -> Stream.t option
+(** A {!resident} frame's stream, whose key costs a re-encode. *)
+
 val fold :
   ?mode:mode ->
   ?pool:Dppar.Pool.t ->
@@ -120,21 +123,22 @@ val fold :
   string ->
   Corpus.t * report
 (** The one read of a framed file: one pass that never holds more than
-    a window of streams. Frames are checksum-verified in file order. Each
-    stream frame is handed to [step] (with the header's specs), which
-    parses it as far as it needs ({!frame_stream} or
-    {!frame_skeleton}), inside one work item, at most [2 * size pool]
-    in flight on a [pool] of size > 1. Each result then goes to
-    [consume] on the calling domain, in file order. The returned corpus
-    holds the header's specs and the streams [consume] returned, in file
-    order: a {!Stream.skeleton} keeps it small, [None] keeps nothing. The
+    a window of streams. Frames are checksum-verified in file order. At
+    the first stream frame, [step] is applied to the header's specs,
+    once, on the calling domain (never, for a file with no stream): a
+    caller's per-read set-up goes there. The closure it returns takes
+    each stream frame, parses it as far as it needs ({!frame_stream} or
+    {!frame_skeleton}), in one work item, at most [2 * size pool] in
+    flight on a [pool] of size > 1, and its result goes to [consume] on
+    the calling domain, in file order. The corpus holds the header's
+    specs and the streams [consume] returned, in file order (a
+    {!Stream.skeleton} keeps it small, [None] keeps nothing); the
     report's [streams] counts every stream handed to [consume]. The
     file is read as long as it was when opened; a frame longer than the
     bytes left is refused ([truncated payload]) without allocating its
-    length. Results
-    are identical for every pool size. Under [`Recover], a stream frame
-    that fails to parse or validate in [step] is dropped with its
-    diagnostic and never reaches [consume].
+    length. Results are identical for every pool size. Under
+    [`Recover], a stream frame that fails to parse or validate in the
+    step is dropped with its diagnostic and never reaches [consume].
     @raise Wire.Corrupt in [`Strict] mode on any corruption, possibly
     after earlier streams were consumed
     @raise Sys_error if the file cannot be opened. *)

@@ -49,12 +49,14 @@ let file_size path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   in_channel_length ic
 
+(* A text file's specs all come before its first stream. *)
 let fold_streams ?pool ~step ~consume feed =
   let kept = ref [] and specs = ref [] in
+  let stepper = lazy (step !specs) in
   Dppar.Pool.iter_window ?pool
-    (fun (specs, st) -> step specs (Codec_v2.resident st))
+    (fun (step, st) -> step (Codec_v2.resident st))
     (fun x -> Option.iter (fun st -> kept := st :: !kept) (consume x))
-    (fun push -> specs := feed (fun specs st -> push (specs, st)));
+    (fun push -> specs := feed (fun s st -> specs := s; push (Lazy.force stepper, st)));
   Corpus.create ~streams:(List.rev !kept) ~specs:!specs
 
 let fold ?pool ?(mode = `Strict) ~step ~consume path =
@@ -94,13 +96,23 @@ let load ?pool ?mode path =
   fold ?pool ?mode ~step:(fun _ f -> Codec_v2.frame_stream f) ~consume:Option.some path
 
 (* The steps, on pool workers, only look [wanted] up; [consume], on the
-   calling domain, marks each key seen. *)
-let reload ?pool ?mode path keys =
-  let wanted = Hashtbl.of_seq (Seq.map (fun k -> (k, ref false)) (List.to_seq keys)) in
+   calling domain, marks each key seen. A text file's stream is keyed,
+   by a re-encode, only when its instances (which no window id changes)
+   are a wanted skeleton's. *)
+let reload ?pool ?mode path skeletons =
+  let wanted = Hashtbl.create 16 and shapes = Hashtbl.create 16 in
+  List.iter
+    (fun (st : Stream.t) ->
+      Hashtbl.replace wanted (Codec_v2.stream_key st) (ref false);
+      Hashtbl.replace shapes st.instances ())
+    skeletons;
   let step _ f =
-    Option.map
-      (fun seen -> (seen, Codec_v2.frame_stream f))
-      (Hashtbl.find_opt wanted (Codec_v2.frame_key f))
+    match Codec_v2.frame_resident f with
+    | Some st when not (Hashtbl.mem shapes st.Stream.instances) -> None
+    | _ ->
+      Option.map
+        (fun seen -> (seen, Codec_v2.frame_stream f))
+        (Hashtbl.find_opt wanted (Codec_v2.frame_key f))
   in
   let consume = function
     | Some (seen, st) when not !seen -> seen := true; Some st

@@ -46,17 +46,18 @@ val fold :
   consume:('a -> Stream.t option) ->
   string ->
   (loaded, string) result
-(** Sniff one corpus file and hand it over stream by stream, holding at
-    most a window of whole streams: each stream goes through [step] (with
-    the corpus specs), on [pool] through its window, and each result through
-    [consume], on the calling domain in file order. [l_corpus] holds the
-    specs and the streams [consume] returned. A framed v2 file is read
-    by {!Codec_v2.fold}, a text file by {!Codec.read} through
-    {!fold_streams}. All decode failures — including [`Strict]-mode
-    corruption and text parse errors, met after the streams before them
-    were stepped — come back as [Error message] rather than an
-    exception, so a long-running caller can count the failure and move
-    on. [mode] defaults to [`Strict]. *)
+(** Sniff one corpus file and hand it over stream by stream under
+    {!Codec_v2.fold}'s contract, whatever the format: [step] applied to
+    the corpus specs once, on the calling domain, at the first stream;
+    each stream through the closure it returned, on [pool] through its
+    window; each result through [consume], on the calling domain in file
+    order. [l_corpus] holds the specs and the streams [consume] returned.
+    A text file is read by {!Codec.read} through {!fold_streams}. All
+    decode failures — including [`Strict]-mode corruption and text parse
+    errors, met after the streams before them were stepped — come back
+    as [Error message] rather than an exception, so a long-running
+    caller can count the failure and move on. [mode] defaults to
+    [`Strict]. *)
 
 val load :
   ?pool:Dppar.Pool.t ->
@@ -69,14 +70,15 @@ val reload :
   ?pool:Dppar.Pool.t ->
   ?mode:Codec_v2.mode ->
   string ->
-  string list ->
+  Stream.t list ->
   (Stream.t list, string) result
-(** [reload path keys]: {!fold} keeping, whole and in file order, the
-    first stream of each content key ({!Codec_v2.frame_key}) in [keys].
-    A frame is decoded only when its key is wanted, and a framed file's
-    key is read from the frame envelope; a text file's streams are
-    parsed again and each one's key computed. A key not in the file is
-    [Error "<path> changed since it was read"]. *)
+(** [reload path skeletons]: {!fold} keeping, whole and in file order,
+    the first stream of each content key ({!Codec_v2.frame_key}) that
+    one of [skeletons] carries ({!Stream.key_memo}). A frame is decoded
+    only when its key is wanted, and a framed file's key is read from
+    the frame envelope; a text file's streams are parsed again, and the
+    key computed only of those whose instances are a skeleton's. A key
+    not in the file is [Error "<path> changed since it was read"]. *)
 
 val fold_streams :
   ?pool:Dppar.Pool.t ->
@@ -86,9 +88,9 @@ val fold_streams :
   Corpus.t
 (** [fold_streams ~step ~consume feed]: {!fold}'s hand-over for parsed
     streams. [feed push], on the calling domain, pushes each stream with
-    its specs and returns the corpus specs. Each stream is stepped as a
-    {!Codec_v2.resident} frame, through the window and in the order of
-    a framed file's, so at most a window of pushed streams is held. *)
+    its specs (the first push applies [step] to them) and returns the
+    corpus specs. Each stream is stepped as a {!Codec_v2.resident}
+    frame, through the window, so at most a window of them is held. *)
 
 val save : ?pool:Dppar.Pool.t -> string -> Corpus.t -> format * int
 (** Encode by extension — [.dpf] framed v2 (payloads encoded on [pool]),

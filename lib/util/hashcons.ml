@@ -22,8 +22,7 @@ module Make (K : KEY) = struct
     }
 
   let intern t probe ~build =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     match H.find_opt t.table probe with
     | Some v -> v
     | None ->
@@ -35,7 +34,5 @@ module Make (K : KEY) = struct
       t.next <- id + 1;
       v
 
-  let size t =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () -> t.next
+  let size t = Mutex.protect t.lock (fun () -> t.next)
 end

@@ -32,11 +32,7 @@ let sink = ref default_sink
 
 let set_sink f = sink := f
 
-let emit l msg =
-  Mutex.lock sink_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sink_mutex)
-    (fun () -> !sink l msg)
+let emit l msg = Mutex.protect sink_mutex (fun () -> !sink l msg)
 
 let logf l fmt =
   if enabled l then Format.kasprintf (emit l) fmt

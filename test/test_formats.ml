@@ -447,16 +447,37 @@ let test_keyed_reload () =
   in
   check Alcotest.bool "a full load refuses the damaged file" true
     (Result.is_error (Dptrace.Corpus_dir.load damaged));
-  let key = V2.stream_key in
-  match Dptrace.Corpus_dir.reload damaged [ key s1; key s0; key s1 ] with
+  (* Skeletons keyed as a fold keys them, under window ids. *)
+  let skel i st =
+    ignore (V2.stream_key st : string);
+    Stream.with_id (Stream.skeleton st) (100 + i)
+  in
+  let stranger =
+    let st = Stream.with_id (Stream.skeleton s0) 7 in
+    Stream.set_key_memo st "00000000-0";
+    st
+  in
+  (match Dptrace.Corpus_dir.reload damaged [ skel 0 s1; skel 1 s0; skel 2 s1 ] with
   | Error m -> Alcotest.fail m
   | Ok got ->
     check Alcotest.string "s0 and s1, once each, in file order, as loaded"
       (text (List.filteri (fun i _ -> i < 2) loaded))
       (text got);
     check Alcotest.bool "a missing key is an error" true
-      (Dptrace.Corpus_dir.reload clean [ key s0; "00000000-0" ]
-      = Error (clean ^ " changed since it was read"))
+      (Dptrace.Corpus_dir.reload clean [ skel 0 s0; stranger ]
+      = Error (clean ^ " changed since it was read")));
+  (* A text file keys only the streams whose instances a skeleton has;
+     the key still decides. *)
+  let dpt = write "clean.dpt" (text streams) in
+  Fun.protect ~finally:(fun () -> Sys.remove dpt) @@ fun () ->
+  (match Dptrace.Corpus_dir.reload dpt [ skel 0 s2; skel 1 s0 ] with
+  | Error m -> Alcotest.fail m
+  | Ok got ->
+    check Alcotest.string "text: s0 and s2 in file order, as loaded"
+      (text [ List.nth loaded 0; List.nth loaded 2 ])
+      (text got));
+  check Alcotest.bool "text: a stranger's key is an error" true
+    (Dptrace.Corpus_dir.reload dpt [ stranger ] = Error (dpt ^ " changed since it was read"))
 
 (* A text file folds a stream at a time: every stream before a malformed
    last one is stepped, in file order, and then the parse error comes
@@ -482,6 +503,83 @@ let test_text_fold_steps_before_error () =
     check Alcotest.(list int) "every stream before it stepped, in file order"
       (List.filteri (fun i _ -> i < List.length ids - 1) ids)
       (List.rev !stepped)
+
+(* The fold contract: [step specs] is applied exactly once, on the
+   calling domain, before any stream is stepped, by a framed file, a
+   text file and a pushed corpus alike, at every pool size; a source
+   with no stream never applies it. *)
+let test_fold_applies_step_once () =
+  let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.01) in
+  let specs = corpus.Corpus.specs in
+  let empty = Corpus.create ~streams:[] ~specs in
+  let dir = Filename.temp_dir "driveperf" "" in
+  let files = ref [] in
+  let file name c =
+    let path = Filename.concat dir name in
+    files := path :: !files;
+    ignore (Dptrace.Corpus_dir.save path c : Dptrace.Corpus_dir.format * int);
+    path
+  in
+  Fun.protect ~finally:(fun () ->
+      List.iter Sys.remove !files;
+      Sys.rmdir dir)
+  @@ fun () ->
+  let sources (c : Corpus.t) tag =
+    let read path ~pool ~step ~consume =
+      match Dptrace.Corpus_dir.fold ~pool ~step ~consume path with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m
+    in
+    [
+      ("framed " ^ tag, read (file (tag ^ ".dpf") c));
+      ("text " ^ tag, read (file (tag ^ ".dpt") c));
+      ( "pushed " ^ tag,
+        fun ~pool ~step ~consume ->
+          ignore
+            (Dptrace.Corpus_dir.fold_streams ~pool ~step ~consume (fun push ->
+                 List.iter (push c.Corpus.specs) c.Corpus.streams;
+                 c.Corpus.specs)
+              : Corpus.t) );
+    ]
+  in
+  (* What happened, in order: [`Outer d], [step specs] applied on
+     domain [d]; [`Inner], a stream stepped. *)
+  let run ~pool source =
+    let log = ref [] and lock = Mutex.create () in
+    let note x = Mutex.protect lock (fun () -> log := x :: !log) in
+    let step got =
+      check Alcotest.bool "the corpus specs" true (got = specs);
+      note (`Outer (Domain.self ()));
+      fun (_ : V2.frame) -> note `Inner
+    in
+    source ~pool ~step ~consume:(fun () -> None);
+    List.rev !log
+  in
+  let caller = Domain.self () in
+  let full = sources corpus "corpus" and none = sources empty "empty" in
+  List.iter
+    (fun domains ->
+      Dppar.Pool.with_pool ~domains @@ fun pool ->
+      List.iter
+        (fun (name, source) ->
+          let msg = Printf.sprintf "%s, pool of %d" name domains in
+          match run ~pool source with
+          | `Outer d :: inner ->
+            check Alcotest.bool (msg ^ ": applied on the calling domain") true (d = caller);
+            check Alcotest.bool
+              (msg ^ ": applied once, then every stream stepped")
+              true
+              (inner = List.map (fun _ -> `Inner) corpus.Corpus.streams)
+          | _ -> Alcotest.failf "%s: a stream stepped before [step specs] was applied" msg)
+        full;
+      List.iter
+        (fun (name, source) ->
+          check Alcotest.int
+            (Printf.sprintf "%s, pool of %d: never applied" name domains)
+            0
+            (List.length (run ~pool source)))
+        none)
+    [ 1; 2 ]
 
 (* --- anonymiser --- *)
 
@@ -596,6 +694,8 @@ let () =
             test_retired_v1_refused;
           Alcotest.test_case "text file folds a stream at a time" `Quick
             test_text_fold_steps_before_error;
+          Alcotest.test_case "a fold applies [step specs] once, on the caller" `Quick
+            test_fold_applies_step_once;
         ] );
       ( "anonymize",
         [

@@ -458,7 +458,7 @@ let test_fold_equals_resident () =
     let resident, cov = Pipeline.screen loaded.Dptrace.Corpus_dir.l_corpus in
     let want = Pipeline.run_report ?pool ?scenarios drivers resident in
     let folded = ref loaded in
-    let acc, skeletons, fold_cov =
+    let acc, skeletons, fold_cov, _ =
       Pipeline.fold_report ?scenarios ~cache:None drivers (fun ~step ~consume ->
           folded := ok (Dptrace.Corpus_dir.fold ?pool ~mode ~step ~consume path);
           !folded.Dptrace.Corpus_dir.l_corpus)
@@ -518,7 +518,7 @@ let test_fold_skeletons_carry_keys () =
     List.map Dptrace.Codec_v2.stream_key (Corpus_gen.generate config).Dptrace.Corpus.streams
   in
   let kept source =
-    let _, kept, _ = Pipeline.fold_report ~cache:None drivers source in
+    let _, kept, _, _ = Pipeline.fold_report ~cache:None drivers source in
     kept.Dptrace.Corpus.streams
   in
   let keys source = List.map Dptrace.Codec_v2.stream_key (kept source) in

@@ -105,9 +105,9 @@ let per_scenario_str l =
 
 (* A framed corpus folded through the cache in [dir] the way [report
    --cache] runs it: each stream looked up, or stepped on a miss, as it
-   is decoded; the snapshot opened by the first step (or after the
-   tails, for a corpus with no streams) unless [snap] is given; the
-   scenario tails; the save. Returns
+   is decoded; the snapshot opened when the fold meets the first stream
+   (or after the fold, for a corpus with no streams) unless [snap] is
+   given; the scenario tails; the save. Returns
    the report, the screening's coverage, the snapshot's stats and the
    frames the read dropped. *)
 let fold_ctr = ref 0
@@ -117,21 +117,17 @@ let fold_cached ?pool ?scenarios ?(mode = `Strict) ?snap ~dir data =
   let path = Printf.sprintf "snapfold_%d.dpf" !fold_ctr in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let cell = ref snap and lock = Mutex.create () in
   let snapshot specs =
-    Mutex.protect lock @@ fun () ->
-    match !cell with
+    match snap with
     | Some snap -> snap
     | None ->
       let fingerprint =
         Snapshot.fingerprint ~components ~specs ~k:Dpcore.Mining.default_k ()
       in
-      let snap = Snapshot.create ~dir ~fingerprint () in
-      cell := Some snap;
-      snap
+      Snapshot.create ~dir ~fingerprint ()
   in
   let dropped = ref [] in
-  let acc, skeletons, coverage =
+  let acc, skeletons, coverage, snap =
     Pipeline.fold_report ?scenarios ~cache:(Some snapshot) components
       (fun ~step ~consume ->
         match Dptrace.Corpus_dir.fold ?pool ~mode ~step ~consume path with
@@ -143,7 +139,7 @@ let fold_cached ?pool ?scenarios ?(mode = `Strict) ?snap ~dir data =
         | Error m -> Alcotest.failf "fold: %s" m)
   in
   let report = Pipeline.finish ?pool acc skeletons in
-  let snap = snapshot skeletons.Corpus.specs in
+  let snap = Option.get snap in
   Snapshot.save snap;
   (report, coverage, Snapshot.stats snap, !dropped)
 
@@ -1296,7 +1292,7 @@ let test_fold_repeated_id () =
   let run ?pool msg =
     let want = render_doc (Pipeline.run_report ?pool components screened) in
     let uncached, cov =
-      let acc, skeletons, cov =
+      let acc, skeletons, cov, _ =
         Pipeline.fold_report ~cache:None components (fun ~step ~consume ->
             match Dptrace.Corpus_dir.fold ?pool ~mode:`Strict ~step ~consume path with
             | Ok l -> l.Dptrace.Corpus_dir.l_corpus
